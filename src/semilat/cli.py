@@ -30,20 +30,10 @@ def _emit_json(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _load_poset(path: str) -> Poset:
+def _load(loader, path: str):
+    """Read an input file with `loader`, mapping every failure to exit 2."""
     try:
-        return load_poset(path)
-    except OSError as exc:
-        raise _InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise _InputError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
-    except SemilatError as exc:
-        raise _InputError(f"{path}: {exc}") from exc
-
-
-def _load_group(path: str) -> groups.Group:
-    try:
-        return groups.load_group(path)
+        return loader(path)
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -87,7 +77,7 @@ def _cycle_form(pi) -> str:
 
 
 def _cmd_validate(args) -> int:
-    p = _load_poset(args.poset)
+    p = _load(load_poset, args.poset)
     joins_ok, offending = sl.is_join_semilattice(p)
     semimod = None
     counterexample = None
@@ -124,7 +114,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_chains(args) -> int:
-    p = _load_poset(args.poset)
+    p = _load(load_poset, args.poset)
     if args.count:
         total = sl.count_maximal_chains(p)
         if args.json:
@@ -142,7 +132,7 @@ def _cmd_chains(args) -> int:
 
 
 def _cmd_match(args) -> int:
-    p = _load_poset(args.poset)
+    p = _load(load_poset, args.poset)
     chain_a = _parse_elements(p, args.chain_a, "--chain-a")
     chain_b = _parse_elements(p, args.chain_b, "--chain-b")
     result = jh_match(p, chain_a, chain_b, keep_trace=args.trace)
@@ -168,7 +158,7 @@ def _cmd_match(args) -> int:
 
 
 def _cmd_project(args) -> int:
-    p = _load_poset(args.poset)
+    p = _load(load_poset, args.poset)
     source = _parse_elements(p, args.source, "--source")
     target = _parse_elements(p, args.target, "--target")
     if len(source) != 2 or len(target) != 2:
@@ -196,7 +186,7 @@ def _sample_chain_pairs(p: Poset, samples: int, seed: int):
 
 
 def _cmd_verify(args) -> int:
-    p = _load_poset(args.poset)
+    p = _load(load_poset, args.poset)
     pair_seeds = None
     # Default policy: exhaustive when the ordered-pair count is modest,
     # otherwise 200 seeded samples.  Explicit flags override.
@@ -289,7 +279,7 @@ def _cmd_group(args) -> int:
         print(f"wrote {g.name!r} (order {g.order}) to {args.output}")
         return OK
 
-    g = _load_group(args.group)
+    g = _load(groups.load_group, args.group)
     if args.group_cmd == "subgroups":
         subs = groups.all_subgroups(g)
         if args.json:
@@ -307,11 +297,11 @@ def _cmd_group(args) -> int:
         print(f"wrote {lattice.name!r} ({len(lattice)} elements) to {args.output}")
         return OK
     if args.group_cmd == "composition":
-        lattice = groups.subnormal_lattice(g)
         series_a = series_b = None
         if args.series_a or args.series_b:
             if not (args.series_a and args.series_b):
                 raise _InputError("provide both --series-a and --series-b or neither")
+            lattice = groups.subnormal_lattice(g)
             series_a = _parse_elements(lattice, args.series_a, "--series-a")
             series_b = _parse_elements(lattice, args.series_b, "--series-b")
         report = groups.composition_analysis(g, series_a, series_b)
@@ -335,7 +325,7 @@ def _cmd_group(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    p = _load_poset(args.poset)
+    p = _load(load_poset, args.poset)
     chain_a = _parse_elements(p, args.chain_a, "--chain-a") if args.chain_a else None
     chain_b = _parse_elements(p, args.chain_b, "--chain-b") if args.chain_b else None
     matching = None
@@ -378,7 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("poset")
     sp.add_argument("--chain-a", required=True, metavar="E0,E1,...")
     sp.add_argument("--chain-b", required=True, metavar="E0,E1,...")
-    sp.add_argument("--trace", action="store_true", help="record the recursion frames")
+    sp.add_argument("--trace", action="store_true", help="record one frame per induction level")
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=_cmd_match)
 

@@ -8,12 +8,12 @@ across runs.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import MissingBoundsError, SizeLimitError, UnknownNameError
+from .errors import SizeLimitError, UnknownNameError
 from .poset import Chain, Poset
+from .semilattice import extend_to_maximal_chain
 
 
 @dataclass(frozen=True)
@@ -195,12 +195,6 @@ def named_counterexample(name: str) -> Poset:
 
 def random_maximal_chain(p: Poset, seed: int) -> Chain:
     """Seeded uniform cover-walk from bottom to top; deterministic per seed."""
-    bottom, top = p.bottom(), p.top()
-    if bottom is None or top is None:
-        raise MissingBoundsError(f"poset {p.name!r} lacks a bottom or top element")
-    rng = random.Random(seed)
-    out = [bottom]
-    while out[-1] != top:
-        ups = p.upper_covers(out[-1])
-        out.append(ups[rng.randrange(len(ups))])
-    return Chain(tuple(out))
+    # extend_to_maximal_chain checks the bounds before reading the chain, so
+    # a missing bottom raises MissingBoundsError, not a lookup error.
+    return extend_to_maximal_chain(p, [p.bottom()], seed)

@@ -208,10 +208,6 @@ def builtin_group(name: str) -> Group:
 # -- serialization -----------------------------------------------------------
 
 
-def group_to_dict(g: Group) -> dict:
-    return g.to_dict()
-
-
 def group_from_dict(data: dict) -> Group:
     if not isinstance(data, dict):
         raise GroupValidationError("group JSON must be an object")
@@ -308,16 +304,10 @@ def subnormal_lattice(g: Group) -> Poset:
     """
     subs = [s for s in all_subgroups(g) if is_subnormal(g, s)]
     sets = {s.name: set(s.members) for s in subs}
-    names = [s.name for s in subs]
-    strictly_below = {
-        (a, b)
-        for a in names for b in names
-        if a != b and sets[a] < sets[b]
-    }
-    covers = [(a, b) for (a, b) in strictly_below
-              if not any((a, z) in strictly_below and (z, b) in strictly_below
-                         for z in names)]
-    lattice = Poset.from_cover_list(f"subnormal({g.name})", names, covers)
+    strictly_below = [(a, b) for a in sets for b in sets if sets[a] < sets[b]]
+    # Lenient mode reduces the strict order to its covers.
+    lattice = Poset.from_cover_list(f"subnormal({g.name})", list(sets), strictly_below,
+                                    mode="lenient")
     report = sl.is_semimodular(lattice.dual())
     if not report.holds:
         raise InternalInvariantError(

@@ -4,9 +4,11 @@ Given a semimodular join semilattice with bottom and top and two maximal
 chains C = (c_0, ..., c_n) and D = (d_0, ..., d_n), `jh_match` computes the
 unique permutation pi with [c_{i-1}, c_i] up-and-down projective to
 [d_{pi(i)-1}, d_{pi(i)}], together with an explicit witness per index, by
-recursion on height.  No witness search happens anywhere: every witness is
-produced constructively and re-verified before being returned, so each run
-doubles as a check of the structural facts the recursion relies on.
+induction on height.  The induction runs as one loop over the levels, on the
+given poset itself: no sub-posets are built and nothing recurses.  No witness
+search happens anywhere: every witness is produced constructively and
+re-verified before being returned, so each run doubles as a check of the
+structural facts the induction relies on.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .errors import (
     MissingBoundsError,
     NotMaximalChainError,
     NotSemimodularError,
-    NotJoinSemilatticeError,
 )
 from .poset import Chain, Poset
 from .projectivity import prime_up_projective
@@ -37,8 +38,8 @@ class RecursionFrame:
     `l` is the largest index with c_1 not below d_l.  `lifted_chain` is the
     deduplicated sequence of joins of c_1 with the d_j (the collapse at l
     removed), a maximal chain of the interval above c_1.  `sigma` records the
-    sub-permutation returned by the recursive call, already translated to
-    this level's indices: pairs (i, sigma(i)) for i = 2..n.
+    permutation that the levels above compose, already translated to this
+    level's indices: pairs (i, sigma(i)) for i = 2..n.
     """
 
     level: int
@@ -92,10 +93,7 @@ class MatchingCheck:
 
 
 def _validate_inputs(p: Poset, chain_a, chain_b) -> tuple[Chain, Chain]:
-    ok, pair = sl.is_join_semilattice(p)
-    if not ok:
-        raise NotJoinSemilatticeError(pair)
-    report = sl.is_semimodular(p)
+    report = sl.is_semimodular(p)  # raises NotJoinSemilatticeError first
     if not report.holds:
         raise NotSemimodularError(report.counterexample)
     if p.bottom() is None or p.top() is None:
@@ -112,46 +110,57 @@ def _validate_inputs(p: Poset, chain_a, chain_b) -> tuple[Chain, Chain]:
     return C, D
 
 
-def _match(p: Poset, c: Sequence[str], d: Sequence[str], level: int,
-           frames: list[RecursionFrame] | None) -> tuple[list[int], list[tuple[str, str]]]:
+def _match(p: Poset, c: Sequence[str], d: Sequence[str], keep_trace: bool
+           ) -> tuple[list[int], list[tuple[str, str]], tuple[RecursionFrame, ...] | None]:
+    # Level k matches c_k..c_n against d lifted into the up-set of c_k.  Joins
+    # of two elements of an up-set are the same there as in p, and its covers
+    # are covers of p, so every level reads p itself.
     n = len(c) - 1
-    if n <= 1:
-        if n == 0:
-            return [], []
-        return [1], [(d[0], d[1])]
+    splits: list[int] = []
+    witnesses: list[tuple[str, str]] = []
+    lifted_chains: list[list[str]] = []
+    for k in range(n):
+        c1 = c[k + 1]
+        m = len(d) - 1
+        not_below = [j for j in range(m + 1) if not p.leq(c1, d[j])]
+        if not not_below or len(not_below) == m + 1:
+            raise InternalInvariantError("c_1 must be above d_0 and below d_m")
+        l = max(not_below)
 
-    c1 = c[1]
-    m = len(d) - 1
-    not_below = [j for j in range(m + 1) if not p.leq(c1, d[j])]
-    if not not_below or len(not_below) == m + 1:
-        raise InternalInvariantError("c_1 must be above d_0 and below d_m")
-    l = max(not_below)
+        lifted = [sl.join(p, c1, dj) for dj in d]
+        if lifted[0] != c1 or lifted[l] != d[l + 1] or lifted[l + 1:] != list(d[l + 1 :]):
+            raise InternalInvariantError("lifted chain does not collapse onto the tail of d")
+        collapses = [j for j in range(m) if lifted[j] == lifted[j + 1]]
+        if collapses != [l]:
+            raise InternalInvariantError(f"expected the unique collapse at {l}, found {collapses}")
+        dedup = lifted[: l + 1] + lifted[l + 2 :]
+        for u, v in zip(dedup, dedup[1:]):
+            if not p.is_cover(u, v):
+                raise InternalInvariantError(f"lifted step ({u}, {v}) is not a cover")
+        # It starts at c_1 and climbs by covers, so reaching the top is
+        # exactly maximality in the up-set of c_1.
+        if dedup[-1] != c[-1]:
+            raise InternalInvariantError("lifted chain is not maximal above c_1")
 
-    lifted = [sl.join(p, c1, dj) for dj in d]
-    if lifted[0] != c1 or lifted[l] != d[l + 1] or lifted[l + 1:] != list(d[l + 1 :]):
-        raise InternalInvariantError("lifted chain does not collapse onto the tail of d")
-    collapses = [j for j in range(m) if lifted[j] == lifted[j + 1]]
-    if collapses != [l]:
-        raise InternalInvariantError(f"expected the unique collapse at {l}, found {collapses}")
-    dedup = lifted[: l + 1] + lifted[l + 2 :]
-    for u, v in zip(dedup, dedup[1:]):
-        if not p.is_cover(u, v):
-            raise InternalInvariantError(f"lifted step ({u}, {v}) is not a cover")
+        splits.append(l)
+        witnesses.append((d[l], d[l + 1]))
+        if keep_trace:
+            lifted_chains.append(dedup)
+        d = dedup
 
-    sub = p.interval(c1, c[-1])
-    if not sl.is_maximal_chain(sub, dedup):
-        raise InternalInvariantError("lifted chain is not maximal above c_1")
-
-    sub_pi, sub_wits = _match(sub, c[1:], dedup, level + 1, frames)
-
-    # Translate sub indices: position j in the deduplicated chain names the
-    # original interval j when j <= l, and j+1 past the collapse.
-    sigma = {i: (s if s <= l else s + 1) for i, s in enumerate(sub_pi, start=2)}
-    pi = [l + 1] + [sigma[i] for i in range(2, n + 1)]
-    witnesses = [(d[l], d[l + 1])] + sub_wits
-    if frames is not None:
-        frames.append(RecursionFrame(level, l, tuple(dedup), tuple(sorted(sigma.items()))))
-    return pi, witnesses
+    # Compose pi from the top level down: position s of the lifted chain at
+    # level k names interval s of that level's d when s <= l_k, and s+1 past
+    # the collapse.
+    pi: list[int] = []
+    frames: list[RecursionFrame] = []
+    for k in reversed(range(n)):
+        l = splits[k]
+        sigma = [s + (s > l) for s in pi]
+        if keep_trace and sigma:
+            frames.append(RecursionFrame(k, l, tuple(lifted_chains[k]),
+                                         tuple(enumerate(sigma, start=2))))
+        pi = [l + 1] + sigma
+    return pi, witnesses, tuple(reversed(frames)) if keep_trace else None
 
 
 def jh_match(p: Poset, chain_a, chain_b, keep_trace: bool = False) -> MatchingResult:
@@ -159,27 +168,17 @@ def jh_match(p: Poset, chain_a, chain_b, keep_trace: bool = False) -> MatchingRe
 
     Validates that p is a semimodular join semilattice with bottom and top
     and that both chains are maximal of equal length, then runs the inductive
-    construction.  Every witness in the result satisfies the up-projectivity
-    checks against both chains; this is re-verified before returning.
+    construction.  The result is re-verified with `verify_matching` before
+    returning: pi is a permutation and every witness satisfies the
+    up-projectivity checks against both chains.
     """
     C, D = _validate_inputs(p, chain_a, chain_b)
-    frames: list[RecursionFrame] | None = [] if keep_trace else None
-    pi, witnesses = _match(p, C.elements, D.elements, 0, frames)
-
-    n = C.length
-    if sorted(pi) != list(range(1, n + 1)):
-        raise InternalInvariantError(f"pi is not a permutation: {pi}")
-    for i in range(1, n + 1):
-        w = witnesses[i - 1]
-        src = (C.elements[i - 1], C.elements[i])
-        tgt = (D.elements[pi[i - 1] - 1], D.elements[pi[i - 1]])
-        if not (prime_up_projective(p, src, w) and prime_up_projective(p, tgt, w)):
-            raise InternalInvariantError(f"witness {w} fails re-verification at index {i}")
-
-    trace = None
-    if frames is not None:
-        trace = tuple(sorted(frames, key=lambda f: f.level))
-    return MatchingResult(n=n, pi=tuple(pi), witnesses=tuple(witnesses), trace=trace)
+    pi, witnesses, trace = _match(p, C.elements, D.elements, keep_trace)
+    result = MatchingResult(n=C.length, pi=tuple(pi), witnesses=tuple(witnesses), trace=trace)
+    check = verify_matching(p, C, D, result)
+    if not check.ok:
+        raise InternalInvariantError("; ".join(check.failures))
+    return result
 
 
 def verify_matching(p: Poset, chain_a, chain_b, result: MatchingResult,

@@ -21,7 +21,9 @@ from .errors import (
 
 
 def _bool_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (a.astype(np.uint8) @ b.astype(np.uint8)) > 0
+    # float32 path counts cannot wrap to 0 as a small integer type would: a
+    # sum of non-negative terms is > 0 exactly when one term is.
+    return (a.astype(np.float32) @ b.astype(np.float32)) > 0
 
 
 def _reflexive_transitive_closure(rel: np.ndarray) -> np.ndarray:

@@ -161,44 +161,44 @@ def maximal_chains(p: Poset, limit: int | None = None) -> list[Chain]:
     """All maximal chains in lexicographic element order, optionally truncated."""
     bottom, top = _require_bounds(p)
     out: list[Chain] = []
-    stack: list[str] = [bottom]
-
-    def descend() -> bool:
-        x = stack[-1]
-        if x == top:
-            out.append(Chain(tuple(stack)))
-            return limit is not None and len(out) >= limit
-        for y in p.upper_covers(x):
-            stack.append(y)
-            if descend():
-                return True
-            stack.pop()
-        return False
-
-    descend()
-    return out
+    path: list[str] = [bottom]
+    # branches[i] yields the upper covers of path[i] not yet explored.
+    branches: list = []
+    while True:
+        if path[-1] == top:
+            out.append(Chain(tuple(path)))
+            if limit is not None and len(out) >= limit:
+                return out
+            path.pop()
+        else:
+            branches.append(iter(p.upper_covers(path[-1])))
+        while branches:
+            nxt = next(branches[-1], None)
+            if nxt is not None:
+                path.append(nxt)
+                break
+            branches.pop()
+            path.pop()
+        else:
+            return out
 
 
 def count_maximal_chains(p: Poset) -> int:
     """Number of maximal chains (bottom-to-top cover paths)."""
     bottom, top = _require_bounds(p)
-    counts: dict[str, int] = {top: 1}
-
-    def paths(x: str) -> int:
-        c = counts.get(x)
-        if c is None:
-            c = sum(paths(y) for y in p.upper_covers(x))
-            counts[x] = c
-        return c
-
-    return paths(bottom)
+    heights = p.element_heights()
+    counts: dict[str, int] = {}
+    # Every upper cover is higher, so it is counted before the elements below it.
+    for x in sorted(p.elements, key=heights.__getitem__, reverse=True):
+        counts[x] = 1 if x == top else sum(counts[y] for y in p.upper_covers(x))
+    return counts[bottom]
 
 
 def extend_to_maximal_chain(p: Poset, partial: Chain | Iterable[str],
                             seed: int = 0) -> Chain:
     """Extend a chain to a maximal one, chosen deterministically from seed."""
-    part = partial if isinstance(partial, Chain) else p.chain(partial)
     bottom, top = _require_bounds(p)
+    part = partial if isinstance(partial, Chain) else p.chain(partial)
     rng = random.Random(seed)
     anchors = list(part.elements)
     if anchors[0] != bottom:

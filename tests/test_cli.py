@@ -130,6 +130,15 @@ class TestExitCodes:
             code, _, _ = run_cli("validate", path)
             assert code == 1
 
+    def test_count_chains_of_a_1200_element_chain(self, run_cli, tmp_path):
+        names = [str(k) for k in range(1200)]
+        path = tmp_path / "c1200.json"
+        path.write_text(json.dumps({"name": "C1200", "elements": names,
+                                    "covers": [list(e) for e in zip(names, names[1:])]}),
+                        encoding="utf-8")
+        code, out, err = run_cli("chains", str(path), "--count")
+        assert (code, out, err) == (0, "1\n", "")
+
 
 class TestGen:
     def test_gen_boolean_matches_fixture(self, run_cli, tmp_path):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from semilat import (
@@ -9,6 +11,7 @@ from semilat import (
     UnknownNameError,
     boolean_lattice,
     chain_product,
+    extend_to_maximal_chain,
     graphic_flat_lattice,
     is_join_semilattice,
     is_maximal_chain,
@@ -237,3 +240,19 @@ class TestRandomMaximalChain:
     def test_missing_bounds(self):
         with pytest.raises(MissingBoundsError):
             random_maximal_chain(named_counterexample("antichain2"), 0)
+
+    def test_same_walk_as_extending_the_bottom(self):
+        # The plain cover walk fixes the seeded draws behind the goldens.
+        def cover_walk(p, seed):
+            rng = random.Random(seed)
+            out = [p.bottom()]
+            while out[-1] != p.top():
+                ups = p.upper_covers(out[-1])
+                out.append(ups[rng.randrange(len(ups))])
+            return tuple(out)
+
+        for p in (boolean_lattice(4), partition_lattice(4)):
+            for seed in range(100):
+                chain = random_maximal_chain(p, seed)
+                assert chain == extend_to_maximal_chain(p, [p.bottom()], seed)
+                assert chain.elements == cover_walk(p, seed), (p.name, seed)

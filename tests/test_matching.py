@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import inspect
+import sys
+
 import pytest
 
 from semilat import (
@@ -9,6 +12,7 @@ from semilat import (
     NotSemimodularError,
     Poset,
     boolean_lattice,
+    chain_product,
     is_maximal_chain,
     jh_match,
     maximal_chains,
@@ -98,6 +102,37 @@ class TestTrace:
 
     def test_no_trace_by_default(self):
         assert jh_match(B2, ["0", "a", "1"], ["0", "b", "1"]).trace is None
+
+
+class TestAmbientPoset:
+    """The matcher reads the given poset only: no interval sub-posets, no recursion."""
+
+    def test_no_interval_needed(self, corpus, monkeypatch):
+        def refuse(self, x, y):
+            raise AssertionError(f"interval({x}, {y}) built by the matcher")
+
+        monkeypatch.setattr(Poset, "interval", refuse)
+        for p in corpus:
+            chains = maximal_chains(p, limit=3)
+            result = jh_match(p, chains[0], chains[-1], keep_trace=True)
+            assert sorted(result.pi) == list(range(1, result.n + 1)), p.name
+
+    def test_no_interval_cached(self):
+        p = boolean_lattice(4)
+        chains = maximal_chains(p)
+        jh_match(p, chains[0], chains[-1])
+        assert not [key for key in p._cache if isinstance(key, tuple) and key[0] == "interval"]
+
+    def test_constant_stack_depth(self):
+        p = chain_product([2, 60])
+        chains = maximal_chains(p, limit=2)
+        old_limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 40)
+        try:
+            result = jh_match(p, chains[0], chains[-1])
+        finally:
+            sys.setrecursionlimit(old_limit)
+        assert result.n == 60
 
 
 class TestDeterminism:

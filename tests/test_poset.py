@@ -9,6 +9,7 @@ from semilat import (
     PosetConstructionError,
     UnknownElementError,
     boolean_lattice,
+    chain_product,
     from_dict,
     named_counterexample,
 )
@@ -90,6 +91,30 @@ class TestOrderQueries:
     def test_covers_match_brute_force(self, corpus):
         for p in corpus:
             assert set(p.cover_pairs()) == brute_force_reduction(p), p.name
+
+
+def _wide_height_two(extra_edges=()) -> Poset:
+    """0 below 256 atoms below 1: 256 paths from 0 to 1."""
+    atoms = [f"a{k:03d}" for k in range(256)]
+    covers = [("0", a) for a in atoms] + [(a, "1") for a in atoms] + list(extra_edges)
+    return Poset.from_cover_list("wide", ["0", "1"] + atoms, covers, mode="lenient")
+
+
+class TestClosureIsExact:
+    """Path counts of 256 or more must not drop order pairs or invent covers."""
+
+    def test_long_chain_keeps_its_bounds(self):
+        p = chain_product([258])
+        assert p.bottom() == "0"
+        assert p.top() == "257"
+
+    def test_256_atoms_keep_bottom_below_top(self):
+        assert _wide_height_two().leq("0", "1")
+
+    def test_redundant_edge_over_256_atoms_is_not_a_cover(self):
+        p = _wide_height_two(extra_edges=[("0", "1")])
+        assert not p.is_cover("0", "1")
+        assert ("0", "1") not in p.cover_pairs()
 
 
 class TestInterval:

@@ -8,6 +8,7 @@ from semilat import (
     NotJoinSemilatticeError,
     Poset,
     boolean_lattice,
+    chain_product,
     count_maximal_chains,
     extend_to_maximal_chain,
     is_join_semilattice,
@@ -187,6 +188,13 @@ class TestMaximalChains:
 
     def test_n5_unequal_lengths(self):
         assert {c.length for c in maximal_chains(N5)} == {2, 3}
+
+    def test_height_beyond_the_recursion_limit(self):
+        p = chain_product([1200])
+        assert count_maximal_chains(p) == 1
+        chains = maximal_chains(p)
+        assert len(chains) == 1
+        assert chains[0].length == 1199
 
 
 class TestExtendToMaximalChain:
