@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 mathematical property violation or verification
 failure, 2 usage or input error (bad flags, unreadable/malformed files,
-unknown element names).  With --json, stdout is a stable machine-readable
-object; the human format makes no stability promise.
+unknown element names, sizes beyond a guard).  With --json, stdout is a
+stable machine-readable object; the human format makes no stability promise.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import sys
 
 from . import generators, groups, oracle, semilattice as sl
 from .dot import export_dot
-from .errors import SemilatError, UnknownElementError
+from .errors import SemilatError, SizeLimitError, UnknownElementError
 from .matching import jh_match
 from .poset import Poset, from_dict, load_poset, save_poset
 from .projectivity import updown_projective
@@ -440,7 +440,7 @@ def run(argv) -> int:
         return USAGE if exc.code else OK
     try:
         return args.func(args)
-    except _InputError as exc:
+    except (_InputError, SizeLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     except SemilatError as exc:

@@ -173,7 +173,8 @@ def check_theorem(p: Poset, chain_a, chain_b,
 
     Precondition problems (non-semimodular poset, missing bounds, non-maximal
     chains) are reported as entries instead of raised, so negative controls
-    produce evidence rather than crashes.
+    produce evidence rather than crashes.  Chains longer than COUNTING_LIMIT
+    raise SizeLimitError before any relation cell is computed.
     """
     C = tuple(chain_a.elements if isinstance(chain_a, Chain) else chain_a)
     D = tuple(chain_b.elements if isinstance(chain_b, Chain) else chain_b)
@@ -207,6 +208,8 @@ def check_theorem(p: Poset, chain_a, chain_b,
         entries.append(CheckEntry("maximality", False, skipped))
         return TheoremReport(tuple(entries))
 
+    if len(C) - 1 > COUNTING_LIMIT:
+        raise SizeLimitError(f"permutation counting is limited to n <= {COUNTING_LIMIT}")
     rel = projectivity_relation(p, C, D, cache=cache)
     result = jh_match(p, p.chain(C), p.chain(D))
     n = rel.n

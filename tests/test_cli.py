@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -139,6 +140,25 @@ class TestExitCodes:
         code, out, err = run_cli("chains", str(path), "--count")
         assert (code, out, err) == (0, "1\n", "")
 
+    @pytest.mark.parametrize("length", [23, 300])
+    def test_verify_refuses_long_chains_early(self, run_cli, tmp_path, length):
+        path = str(tmp_path / "chain.json")
+        assert run_cli("gen", "chainprod", str(length), "-o", path)[0] == 0
+        start = time.perf_counter()
+        code, out, err = run_cli("verify", path)
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (2, "")
+        assert err == "error: permutation counting is limited to n <= 20\n"
+
+    def test_validate_a_600_element_chain(self, run_cli, tmp_path):
+        path = str(tmp_path / "c600.json")
+        assert run_cli("gen", "chainprod", "600", "-o", path)[0] == 0
+        code, out, err = run_cli("validate", path, "--json")
+        report = json.loads(out)
+        assert (code, err) == (0, "")
+        assert (report["height"], report["join_semilattice"], report["semimodular"]) == \
+            (599, True, True)
+
 
 class TestGen:
     def test_gen_boolean_matches_fixture(self, run_cli, tmp_path):
@@ -215,6 +235,14 @@ class TestGroupCommands:
     def test_composition_series_requires_both(self, run_cli):
         code, _, _ = run_cli("group", "composition", Z12, "--series-a", "0")
         assert code == 2
+
+    def test_oversize_group_is_an_input_error(self, run_cli, tmp_path):
+        path = str(tmp_path / "s4z3.json")
+        assert run_cli("group", "builtin", "S4xZ3", "-o", path)[0] == 0
+        code, out, err = run_cli("group", "subgroups", path)
+        assert (code, out) == (2, "")
+        assert err == "error: subgroup enumeration is limited to order <= 60\n"
+
 
 
 class TestExportDot:

@@ -11,6 +11,7 @@ from semilat import (
     SizeLimitError,
     all_consistent_permutations,
     boolean_lattice,
+    chain_product,
     check_theorem,
     count_consistent_permutations,
     interval_updown_witness,
@@ -22,6 +23,7 @@ from semilat import (
     random_maximal_chain,
     updown_projective,
 )
+from semilat import oracle
 
 B2 = Poset.from_cover_list(
     "b2", ["0", "a", "b", "1"], [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
@@ -127,6 +129,16 @@ class TestCheckTheorem:
             a = chains[rng.randrange(len(chains))]
             b = chains[rng.randrange(len(chains))]
             assert check_theorem(pi4, a, b, cache=cache).ok
+
+    def test_long_chains_refused_before_the_relation(self, monkeypatch):
+        def relation(*args, **kwargs):
+            raise AssertionError("relation computed")
+
+        monkeypatch.setattr(oracle, "projectivity_relation", relation)
+        p = chain_product([23])
+        (chain,) = maximal_chains(p)
+        with pytest.raises(SizeLimitError, match="n <= 20"):
+            check_theorem(p, chain, chain)
 
     def test_n5_reported_not_raised(self):
         n5 = named_counterexample("n5")

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given
 
+from semilat import semilattice as sl
 from semilat import (
     MissingBoundsError,
     NoJoinError,
@@ -21,6 +24,8 @@ from semilat import (
     partition_lattice,
 )
 
+from strategies import GENERATED, closure_lattices, posets
+
 B2 = Poset.from_cover_list(
     "b2", ["0", "a", "b", "1"], [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
 N5 = named_counterexample("n5")
@@ -39,6 +44,90 @@ def semimodular_full_scan(p) -> bool:
                 if not (u == v or p.is_cover(u, v)):
                     return False
     return True
+
+
+def reference_bounds(leq) -> tuple[list[list[int]], tuple[int, int] | None]:
+    """Per-pair minimal common upper bounds under the 0/1 matrix `leq`, with
+    the sentinels of the join table, and the first failing pair (i <= j) in
+    row-major order."""
+    n = len(leq)
+    table = [[0] * n for _ in range(n)]
+    first_bad = None
+    for i in range(n):
+        for j in range(i, n):
+            ub = [k for k in range(n) if leq[i][k] and leq[j][k]]
+            minimal = [k for k in ub if not any(m != k and leq[m][k] for m in ub)]
+            v = -1 if not ub else minimal[0] if len(minimal) == 1 else -2
+            table[i][j] = table[j][i] = v
+            if v < 0 and first_bad is None:
+                first_bad = (i, j)
+    return table, first_bad
+
+
+def assert_tables_exact(p) -> None:
+    leq = p._leq.tolist()
+    for (table, first_bad), order in ((sl._table(p, "join"), leq),
+                                      (sl._table(p, "meet"), [list(r) for r in zip(*leq)])):
+        assert table.dtype == np.int32 and table.shape == (len(p), len(p))
+        assert (table.tolist(), first_bad) == reference_bounds(order), p.name
+
+
+def scalar_counterexample(p):
+    """First (a, b, c) violating the covering law, by nested scalar loops."""
+    for a, b in p.cover_pairs():
+        for c in p.elements:
+            u, v = join(p, a, c), join(p, b, c)
+            if u != v and not p.is_cover(u, v):
+                return (a, b, c)
+    return None
+
+
+BOWTIE = Poset.from_cover_list(
+    "bowtie", ["a", "b", "c", "d"], [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
+
+
+class TestBoundTables:
+    def test_corpus_and_counterexamples(self, corpus):
+        for p in [*corpus, N5, ANTICHAIN, BOWTIE, named_counterexample("two_tops")]:
+            assert_tables_exact(p)
+
+    def test_both_sentinels(self):
+        table, first_bad = sl._table(BOWTIE, "join")
+        assert table.tolist() == [[0, -2, 2, 3], [-2, 1, 2, 3], [2, 2, 2, -1], [3, 3, -1, 3]]
+        assert first_bad == (0, 1)
+        with pytest.raises(NoJoinError, match="several minimal"):
+            join(BOWTIE, "a", "b")
+        with pytest.raises(NoJoinError, match="no common upper bound"):
+            join(BOWTIE, "c", "d")
+        assert meet(BOWTIE, "c", "d") is None
+        assert is_join_semilattice(BOWTIE) == (False, ("a", "b"))
+
+    @GENERATED
+    @given(posets())
+    def test_generated_posets(self, p):
+        assert_tables_exact(p)
+        ok, pair = is_join_semilattice(p)
+        first_bad = reference_bounds(p._leq.tolist())[1]
+        assert ok == (first_bad is None)
+        assert pair == (None if ok else tuple(p.elements[k] for k in first_bad))
+
+    def test_counterexample_beyond_the_first_block(self):
+        # An N5 on top of a 196-element chain: its covers come last, past the
+        # first blocks of cover pairs the scan takes at once.
+        chain = [f"c{k:03d}" for k in range(196)]
+        n5 = [("c195", "na"), ("na", "nc"), ("nc", "nt"), ("c195", "nb"), ("nb", "nt")]
+        p = Poset.from_cover_list("chain+n5", chain + ["na", "nb", "nc", "nt"],
+                                  list(zip(chain, chain[1:])) + n5)
+        assert is_semimodular(p).counterexample == scalar_counterexample(p) == \
+            ("c195", "nb", "na")
+
+    @GENERATED
+    @given(closure_lattices())
+    def test_semimodularity_matches_scalar_scan(self, p):
+        report = is_semimodular(p)
+        expected = scalar_counterexample(p)
+        assert report.holds == (expected is None)
+        assert report.counterexample == expected
 
 
 class TestJoinMeet:
