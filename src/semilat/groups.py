@@ -10,6 +10,7 @@ solvable test corpus where all composition factors are cyclic of prime order.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -26,6 +27,8 @@ from .matching import jh_match
 from .poset import Chain, Poset
 
 SUBGROUP_ORDER_LIMIT = 60
+# Validating a table takes about 0.09 s at order 120 and 0.7 s at order 240.
+GROUP_ORDER_LIMIT = 120
 
 
 @dataclass(frozen=True)
@@ -69,7 +72,9 @@ class Group:
 
 def group_from_table(name: str, table) -> Group:
     """Validate a Cayley table: Latin square, identity at index 0, inverses,
-    and full associativity (O(n^3))."""
+    and full associativity (O(n^3)).  Orders above GROUP_ORDER_LIMIT are
+    refused before any of that."""
+    _check_order(len(table))
     rows = [list(r) for r in table]
     n = len(rows)
     if n == 0:
@@ -98,6 +103,12 @@ def group_from_table(name: str, table) -> Group:
                 if rab[c] != ra[rb[c]]:
                     raise GroupValidationError(f"associativity fails at ({a}, {b}, {c})")
     return Group(name, rows)
+
+
+def _check_order(order: int) -> None:
+    if order > GROUP_ORDER_LIMIT:
+        raise SizeLimitError(
+            f"group tables are limited to order <= {GROUP_ORDER_LIMIT}, got {order}")
 
 
 # -- builtin corpus ----------------------------------------------------------
@@ -196,10 +207,11 @@ def _builtin_atom(name: str) -> Group:
 def builtin_group(name: str) -> Group:
     """Builtin corpus: Zn (n <= 60), Dn (order 2n, n <= 12), S3, S4, A4, Q8,
     and x-joined direct products such as Z2xZ2 or S3xZ2."""
-    parts = name.split("x")
-    group = _builtin_atom(parts[0])
-    for part in parts[1:]:
-        group = _direct_product(group, _builtin_atom(part), name)
+    atoms = [_builtin_atom(part) for part in name.split("x")]
+    _check_order(math.prod(atom.order for atom in atoms))
+    group = atoms[0]
+    for atom in atoms[1:]:
+        group = _direct_product(group, atom, name)
     group.name = name
     # Builtins go through the same validation as user tables.
     return group_from_table(name, group.table)

@@ -14,7 +14,7 @@ structural facts the induction relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from . import semilattice as sl
 from .errors import (
@@ -26,9 +26,6 @@ from .errors import (
 )
 from .poset import Chain, Poset
 from .projectivity import prime_up_projective
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .oracle import ProjectivityRelation
 
 
 @dataclass(frozen=True)
@@ -110,40 +107,45 @@ def _validate_inputs(p: Poset, chain_a, chain_b) -> tuple[Chain, Chain]:
     return C, D
 
 
-def _match(p: Poset, c: Sequence[str], d: Sequence[str], keep_trace: bool
+def _match(p: Poset, c: Sequence[int], d: Sequence[int], keep_trace: bool
            ) -> tuple[list[int], list[tuple[str, str]], tuple[RecursionFrame, ...] | None]:
     # Level k matches c_k..c_n against d lifted into the up-set of c_k.  Joins
     # of two elements of an up-set are the same there as in p, and its covers
-    # are covers of p, so every level reads p itself.
+    # are covers of p, so every level reads p's join table by index.
+    J = sl._joins(p)[1]
+    covers, names = p._covers, p.elements
     n = len(c) - 1
     splits: list[int] = []
     witnesses: list[tuple[str, str]] = []
-    lifted_chains: list[list[str]] = []
+    lifted_chains: list[list[int]] = []
     for k in range(n):
         c1 = c[k + 1]
         m = len(d) - 1
-        not_below = [j for j in range(m + 1) if not p.leq(c1, d[j])]
+        row = J[c1]
+        lifted = [row[j] for j in d]
+        # c_1 <= d_j exactly when c_1 ∨ d_j = d_j.
+        not_below = [j for j in range(m + 1) if lifted[j] != d[j]]
         if not not_below or len(not_below) == m + 1:
             raise InternalInvariantError("c_1 must be above d_0 and below d_m")
-        l = max(not_below)
+        l = not_below[-1]
 
-        lifted = [sl.join(p, c1, dj) for dj in d]
-        if lifted[0] != c1 or lifted[l] != d[l + 1] or lifted[l + 1:] != list(d[l + 1 :]):
+        # Past l the lifted chain is d itself, by the choice of l.
+        if lifted[0] != c1 or lifted[l] != d[l + 1]:
             raise InternalInvariantError("lifted chain does not collapse onto the tail of d")
         collapses = [j for j in range(m) if lifted[j] == lifted[j + 1]]
         if collapses != [l]:
             raise InternalInvariantError(f"expected the unique collapse at {l}, found {collapses}")
         dedup = lifted[: l + 1] + lifted[l + 2 :]
         for u, v in zip(dedup, dedup[1:]):
-            if not p.is_cover(u, v):
-                raise InternalInvariantError(f"lifted step ({u}, {v}) is not a cover")
+            if not covers[u, v]:
+                raise InternalInvariantError(f"lifted step ({names[u]}, {names[v]}) is not a cover")
         # It starts at c_1 and climbs by covers, so reaching the top is
         # exactly maximality in the up-set of c_1.
         if dedup[-1] != c[-1]:
             raise InternalInvariantError("lifted chain is not maximal above c_1")
 
         splits.append(l)
-        witnesses.append((d[l], d[l + 1]))
+        witnesses.append((names[d[l]], names[d[l + 1]]))
         if keep_trace:
             lifted_chains.append(dedup)
         d = dedup
@@ -157,7 +159,7 @@ def _match(p: Poset, c: Sequence[str], d: Sequence[str], keep_trace: bool
         l = splits[k]
         sigma = [s + (s > l) for s in pi]
         if keep_trace and sigma:
-            frames.append(RecursionFrame(k, l, tuple(lifted_chains[k]),
+            frames.append(RecursionFrame(k, l, tuple(names[i] for i in lifted_chains[k]),
                                          tuple(enumerate(sigma, start=2))))
         pi = [l + 1] + sigma
     return pi, witnesses, tuple(reversed(frames)) if keep_trace else None
@@ -173,7 +175,7 @@ def jh_match(p: Poset, chain_a, chain_b, keep_trace: bool = False) -> MatchingRe
     up-projectivity checks against both chains.
     """
     C, D = _validate_inputs(p, chain_a, chain_b)
-    pi, witnesses, trace = _match(p, C.elements, D.elements, keep_trace)
+    pi, witnesses, trace = _match(p, list(map(p.index, C)), list(map(p.index, D)), keep_trace)
     result = MatchingResult(n=C.length, pi=tuple(pi), witnesses=tuple(witnesses), trace=trace)
     check = verify_matching(p, C, D, result)
     if not check.ok:
@@ -181,10 +183,11 @@ def jh_match(p: Poset, chain_a, chain_b, keep_trace: bool = False) -> MatchingRe
     return result
 
 
-def verify_matching(p: Poset, chain_a, chain_b, result: MatchingResult,
-                    relation: "ProjectivityRelation | None" = None) -> MatchingCheck:
-    """Re-check a MatchingResult: shape, bijectivity, witness validity, and,
-    when an independently computed relation is supplied, maximality of pi."""
+def verify_matching(p: Poset, chain_a, chain_b, result: MatchingResult) -> MatchingCheck:
+    """Re-check a MatchingResult: shape, bijectivity and witness validity.
+
+    Maximality of pi needs the independent relation; `oracle.check_theorem`
+    checks it."""
     C = chain_a if isinstance(chain_a, Chain) else p.chain(chain_a)
     D = chain_b if isinstance(chain_b, Chain) else p.chain(chain_b)
     failures: list[str] = []
@@ -208,11 +211,4 @@ def verify_matching(p: Poset, chain_a, chain_b, result: MatchingResult,
             failures.append(f"index {i}: witness {tuple(w)} fails on the source interval {src}")
         elif not prime_up_projective(p, tgt, w):
             failures.append(f"index {i}: witness {tuple(w)} fails on the target interval {tgt}")
-    if relation is not None:
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if relation.related[i - 1][j - 1] and j > result.pi[i - 1]:
-                    failures.append(
-                        f"maximality: intervals {i} and {j} are related but j > pi({i}) = "
-                        f"{result.pi[i - 1]}")
     return MatchingCheck(not failures, tuple(failures))

@@ -1,21 +1,22 @@
 """Brute-force ground truth for the chain-matching theorem.
 
-Everything here is deliberately dumb: witness existence is decided by an
-exhaustive scan over all element pairs, and uniqueness of the matching
-permutation by enumerating/counting consistent permutations of the relation
-matrix.  The oracle shares only the elementary predicates with the rest of
-the package and never touches the constructive algorithm's internals, so an
-agreement between the two is meaningful evidence.
+Everything here is deliberately dumb: witness existence is decided by one
+exhaustive mask over all element pairs (x, y), read off the join table, and
+uniqueness of the matching permutation by counting the consistent
+permutations of the relation matrix.  The oracle reads only the `Poset` and
+its join table: it calls neither the projectivity predicates nor the
+matcher's internals, so an agreement between the two is meaningful evidence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ChainLengthMismatchError, SizeLimitError
+import numpy as np
+
+from .errors import ChainLengthMismatchError, NotPrimeIntervalError, SizeLimitError
 from .matching import jh_match
-from .poset import Chain, Poset
-from .projectivity import prime_up_projective
+from .poset import Poset
 from . import semilattice as sl
 
 ENUMERATION_LIMIT = 8   # full n! sweep
@@ -37,14 +38,25 @@ class ProjectivityRelation:
 
 
 def interval_updown_witness(p: Poset, source, target) -> tuple[str, str] | None:
-    """Exhaustive search over all |p|^2 pairs (x, y), in lexicographic order,
-    for one satisfying prime_up_projective on both sides."""
-    for x in p.elements:
-        for y in p.elements:
-            if prime_up_projective(p, source, (x, y)) and \
-                    prime_up_projective(p, target, (x, y)):
-                return (x, y)
-    return None
+    """The lexicographically first of all |p|^2 pairs (x, y) with x != y,
+    a∨x = c∨x = x and b∨x = d∨x = y, for the prime intervals
+    source = [a, b] and target = [c, d].
+
+    Raises NoJoinError unless p is a join semilattice.
+    """
+    for lo, hi in (source, target):
+        if not p.is_cover(lo, hi):
+            raise NotPrimeIntervalError(f"[{lo}, {hi}] is not a prime interval of {p.name!r}")
+    (a, b), (c, d) = map(p.index, source), map(p.index, target)
+    J = sl._joins(p)[0]
+    xs = np.arange(len(p))
+    # Row x, column y: every condition, evaluated on every pair.
+    mask = (((J[a] == xs) & (J[c] == xs))[:, None] & (J[b][:, None] == xs)
+            & (J[d][:, None] == xs) & (xs[:, None] != xs))
+    if not mask.any():
+        return None
+    x, y = divmod(int(mask.argmax()), len(p))
+    return p.elements[x], p.elements[y]
 
 
 def projectivity_relation(p: Poset, chain_a, chain_b,
@@ -54,31 +66,19 @@ def projectivity_relation(p: Poset, chain_a, chain_b,
     `cache` may be shared across calls on the same poset: cells depend only on
     the two intervals, so chain pairs with common steps reuse the searches.
     """
-    C = tuple(chain_a)
-    D = tuple(chain_b)
+    C, D = tuple(chain_a), tuple(chain_b)
     if len(C) != len(D):
         raise ChainLengthMismatchError(
             f"chains of lengths {len(C) - 1} and {len(D) - 1}")
-    n = len(C) - 1
-    related = []
+    cache = {} if cache is None else cache
     witnesses = []
-    for i in range(1, n + 1):
-        src = (C[i - 1], C[i])
-        rel_row = []
-        wit_row = []
-        for j in range(1, n + 1):
-            tgt = (D[j - 1], D[j])
-            if cache is not None and (src, tgt) in cache:
-                w = cache[(src, tgt)]
-            else:
-                w = interval_updown_witness(p, src, tgt)
-                if cache is not None:
-                    cache[(src, tgt)] = w
-            rel_row.append(w is not None)
-            wit_row.append(w)
-        related.append(tuple(rel_row))
-        witnesses.append(tuple(wit_row))
-    return ProjectivityRelation(n, tuple(related), tuple(witnesses))
+    for src in zip(C, C[1:]):
+        for tgt in zip(D, D[1:]):
+            if (src, tgt) not in cache:
+                cache[(src, tgt)] = interval_updown_witness(p, src, tgt)
+        witnesses.append(tuple(cache[(src, tgt)] for tgt in zip(D, D[1:])))
+    related = tuple(tuple(w is not None for w in row) for row in witnesses)
+    return ProjectivityRelation(len(C) - 1, related, tuple(witnesses))
 
 
 def all_consistent_permutations(rel: ProjectivityRelation) -> list[tuple[int, ...]]:
@@ -122,14 +122,13 @@ def count_consistent_permutations(rel: ProjectivityRelation) -> int:
     def count(i: int, used_cols: int) -> int:
         if i > n:
             return 1
-        key = used_cols
-        if key in memo:
-            return memo[key]
+        if used_cols in memo:
+            return memo[used_cols]
         total = 0
         for j in range(n):
             if not used_cols >> j & 1 and rel.related[i - 1][j]:
                 total += count(i + 1, used_cols | 1 << j)
-        memo[key] = total
+        memo[used_cols] = total
         return total
 
     return count(1, 0)
@@ -176,8 +175,7 @@ def check_theorem(p: Poset, chain_a, chain_b,
     produce evidence rather than crashes.  Chains longer than COUNTING_LIMIT
     raise SizeLimitError before any relation cell is computed.
     """
-    C = tuple(chain_a.elements if isinstance(chain_a, Chain) else chain_a)
-    D = tuple(chain_b.elements if isinstance(chain_b, Chain) else chain_b)
+    C, D = tuple(chain_a), tuple(chain_b)
     entries: list[CheckEntry] = []
 
     pre_ok, pre_msg = True, "semimodular join semilattice; both chains maximal"
@@ -214,31 +212,13 @@ def check_theorem(p: Poset, chain_a, chain_b,
     result = jh_match(p, p.chain(C), p.chain(D))
     n = rel.n
 
-    if n <= ENUMERATION_LIMIT:
-        perms = all_consistent_permutations(rel)
-        if len(perms) != 1:
-            entries.append(CheckEntry(
-                "unique-permutation", False,
-                f"{len(perms)} consistent permutations: {perms[:3]}"))
-        elif perms[0] != result.pi:
-            entries.append(CheckEntry(
-                "unique-permutation", False,
-                f"enumeration found {perms[0]}, algorithm returned {result.pi}"))
-        else:
-            entries.append(CheckEntry(
-                "unique-permutation", True,
-                f"exactly one consistent permutation, equal to the computed {list(result.pi)}"))
-    else:
-        count = count_consistent_permutations(rel)
-        consistent = all(rel.related[i - 1][result.pi[i - 1] - 1] for i in range(1, n + 1))
-        passed = count == 1 and consistent
-        entries.append(CheckEntry(
-            "unique-permutation", passed,
-            f"matching count {count}; computed permutation consistent: {consistent}"))
+    count = count_consistent_permutations(rel)
+    consistent = all(rel.related[i - 1][result.pi[i - 1] - 1] for i in range(1, n + 1))
+    entries.append(CheckEntry(
+        "unique-permutation", count == 1 and consistent,
+        f"matching count {count}; computed permutation consistent: {consistent}"))
 
-    violations = [(i, j)
-                  for i in range(1, n + 1)
-                  for j in range(1, n + 1)
+    violations = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)
                   if rel.related[i - 1][j - 1] and j > result.pi[i - 1]]
     entries.append(CheckEntry(
         "maximality", not violations,

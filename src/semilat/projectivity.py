@@ -4,12 +4,15 @@ For a prime interval [a, b] the lattice definition of [a,b] up-projective to
 [x,y] (meet(b,x) = a and join(b,x) = y) is equivalent to the join-only form
 x != y, join(a,x) = x, join(b,x) = y, which is the one that makes sense in a
 join semilattice.  Both are exposed; property tests pin their agreement.
+The join-only predicates resolve names once and read the join table by
+index; they raise NoJoinError on a poset that is not a join semilattice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+
+import numpy as np
 
 from . import semilattice as sl
 from .errors import (
@@ -45,16 +48,13 @@ class ProjectivityWitness:
         yield self.y
 
 
-def _endpoints(interval: PrimeInterval | Sequence[str]) -> tuple[str, str]:
+def _require_prime(p: Poset, interval) -> tuple[int, int]:
+    """Indices of the endpoints of a prime interval of p."""
     lo, hi = interval
-    return lo, hi
-
-
-def _require_prime(p: Poset, interval) -> tuple[str, str]:
-    lo, hi = _endpoints(interval)
-    if not p.is_cover(lo, hi):
+    i, j = p.index(lo), p.index(hi)
+    if not p._covers[i, j]:
         raise NotPrimeIntervalError(f"[{lo}, {hi}] is not a prime interval of {p.name!r}")
-    return lo, hi
+    return i, j
 
 
 def lattice_up_projective(p: Poset, ab, xy) -> bool:
@@ -62,8 +62,8 @@ def lattice_up_projective(p: Poset, ab, xy) -> bool:
 
     Works for general intervals; requires meet(b, x) to exist.
     """
-    a, b = _endpoints(ab)
-    x, y = _endpoints(xy)
+    a, b = ab
+    x, y = xy
     m = sl.meet(p, b, x)
     if m is None:
         raise NoMeetError(f"meet({b}, {x}) does not exist in {p.name!r}")
@@ -71,30 +71,35 @@ def lattice_up_projective(p: Poset, ab, xy) -> bool:
 
 
 def prime_up_projective(p: Poset, ab, xy) -> bool:
-    """Join-only form for a prime source interval: x != y, a∨x = x, b∨x = y."""
+    """Join-only form for a prime source interval: x != y, a∨x = x, b∨x = y.
+
+    Raises NoJoinError unless p is a join semilattice.
+    """
     a, b = _require_prime(p, ab)
-    x, y = _endpoints(xy)
-    return x != y and sl.join(p, a, x) == x and sl.join(p, b, x) == y
+    x, y = map(p.index, xy)
+    rows = sl._joins(p)[1]
+    return x != y and rows[a][x] == x and rows[b][x] == y
 
 
 def updown_projective(p: Poset, source, target) -> ProjectivityWitness | None:
     """First witness (x, y), in lexicographic pair order, with both
     prime_up_projective(source, (x,y)) and prime_up_projective(target, (x,y)).
 
-    Directional: this realizes source-to-target, not the converse.
+    Directional: this realizes source-to-target, not the converse.  Raises
+    NoJoinError unless p is a join semilattice.
     """
     a, b = _require_prime(p, source)
     c, d = _require_prime(p, target)
+    J = sl._joins(p)[0]
     # For a fixed x the only y that can satisfy the source side is join(b, x),
-    # so scanning x in canonical order yields the lexicographically least pair.
-    for x in p.elements:
-        if sl.join(p, a, x) != x or sl.join(p, c, x) != x:
-            continue
-        y = sl.join(p, b, x)
-        if y == x or sl.join(p, d, x) != y:
-            continue
-        return ProjectivityWitness(x, y)
-    return None
+    # so the first x passing the test gives the lexicographically least pair.
+    xs = np.arange(len(p))
+    y = J[b]
+    hits = np.flatnonzero((J[a] == xs) & (J[c] == xs) & (y != xs) & (J[d] == y))
+    if not len(hits):
+        return None
+    x = hits[0]
+    return ProjectivityWitness(p.elements[x], p.elements[y[x]])
 
 
 def compose_up(p: Poset, ab, cd, ef) -> bool:
@@ -108,14 +113,14 @@ def compose_up(p: Poset, ab, cd, ef) -> bool:
     if not report.holds:
         raise PreconditionError(
             f"compose_up needs a semimodular poset; counterexample {report.counterexample}")
-    a, b = _require_prime(p, ab)
-    if not prime_up_projective(p, (a, b), cd):
+    a, b = ab
+    if not prime_up_projective(p, ab, cd):
         raise PreconditionError(f"[{a}, {b}] is not up-projective to {tuple(cd)}")
-    c, d = _endpoints(cd)
+    c, d = cd
     # Semimodularity forces c ⋖ d here; if not, a theorem broke, not the caller.
     if not p.is_cover(c, d):
         raise InternalInvariantError(
             f"({c}, {d}) should be a cover pair under semimodularity")
-    if not prime_up_projective(p, (c, d), ef):
+    if not prime_up_projective(p, cd, ef):
         raise PreconditionError(f"[{c}, {d}] is not up-projective to {tuple(ef)}")
-    return prime_up_projective(p, (a, b), ef)
+    return prime_up_projective(p, ab, ef)

@@ -51,17 +51,23 @@ def _table(p: Poset, kind: str) -> tuple[np.ndarray, tuple[int, int] | None]:
     return cached
 
 
-def _rows(p: Poset, kind: str) -> list[list[int]]:
-    # Scalar lookups read a list copy of the table: indexing a list is several
-    # times cheaper than indexing a numpy array, and the oracle makes millions.
-    rows = p._cache[kind + "_rows"] = _table(p, kind)[0].tolist()
-    return rows
+def _joins(p: Poset) -> tuple[np.ndarray, list[list[int]]]:
+    """The join table of p by index, as the array and as a cached list copy
+    for scalar reads (indexing a list is several times cheaper than numpy's).
+    Raises NoJoinError unless p is a join semilattice, so no caller ever
+    reads a sentinel as an element."""
+    table, first_bad = _table(p, "join")
+    if first_bad is not None:
+        join(p, *(p.elements[k] for k in first_bad))   # raises for that pair
+    rows = p._cache.get("join_rows")
+    if rows is None:
+        rows = p._cache["join_rows"] = table.tolist()
+    return table, rows
 
 
 def join(p: Poset, a: str, b: str) -> str:
     """Least upper bound of a and b."""
-    rows = p._cache.get("join_rows") or _rows(p, "join")
-    v = rows[p.index(a)][p.index(b)]
+    v = _table(p, "join")[0][p.index(a), p.index(b)]
     if v == _NONE:
         raise NoJoinError(f"no common upper bound for ({a}, {b}) in {p.name!r}")
     if v == _AMBIGUOUS:
@@ -75,8 +81,7 @@ def meet(p: Poset, a: str, b: str) -> str | None:
     Meets are optional in a join semilattice, so absence is a value here,
     never an error.
     """
-    rows = p._cache.get("meet_rows") or _rows(p, "meet")
-    v = rows[p.index(a)][p.index(b)]
+    v = _table(p, "meet")[0][p.index(a), p.index(b)]
     return None if v < 0 else p.elements[v]
 
 

@@ -4,14 +4,17 @@
 some have pairs with several minimal upper bounds.  `closure_lattices` draws
 lattices: a family of subsets of a small ground set, closed under
 intersection and holding the whole set, ordered by inclusion.  Many of those
-are not semimodular.
+are not semimodular.  `chain_products` and `graphic_flats` draw semimodular
+lattices, the ones the matching theorem speaks about.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from hypothesis import settings, strategies as st
 
-from semilat import Poset
+from semilat import Graph, Poset, chain_product, graphic_flat_lattice
 
 # Derandomized so the suite draws the same examples on every run.
 GENERATED = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -48,3 +51,30 @@ def closure_lattices(draw, max_ground: int = 5) -> Poset:
     edges = [(names[a], names[b]) for a in sets for b in sets
              if a != b and a & b == a]
     return Poset.from_cover_list("closure", list(names.values()), edges, mode="lenient")
+
+
+@st.composite
+def chain_products(draw, max_size: int = 64) -> Poset:
+    """A product of 1..6 chains in a random shape with at most max_size
+    elements: each factor leaves room for the ones still to come."""
+    lengths: list[int] = []
+    size = 1
+    for left in range(draw(st.integers(1, 6)), 0, -1):
+        top = 1
+        while (top + 1) ** left * size <= max_size:
+            top += 1
+        if top < 2:
+            break
+        lengths.append(draw(st.integers(2, top)))
+        size *= lengths[-1]
+    return chain_product(lengths)
+
+
+@st.composite
+def graphic_flats(draw, max_vertices: int = 5) -> Poset:
+    """The lattice of flats of a random simple graph on 2..max_vertices
+    vertices; geometric, hence semimodular."""
+    k = draw(st.integers(2, max_vertices))
+    pairs = list(combinations(range(k), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    return graphic_flat_lattice(Graph(k, tuple(edges)))

@@ -111,6 +111,11 @@ class TestExitCodes:
             assert code == 1
             assert "join" in err
 
+    def test_project_on_a_poset_without_all_joins(self, run_cli):
+        code, out, err = run_cli("project", TWO_TOPS, "--source", "0,a", "--target", "0,b")
+        assert (code, out) == (1, "")
+        assert err == "error: no common upper bound for (a, b) in 'two_tops'\n"
+
     def test_violation_non_maximal_chain(self, run_cli):
         code, _, err = run_cli("match", B3, "--chain-a", "000,110,111",
                                "--chain-b", "000,010,110,111")
@@ -193,6 +198,20 @@ class TestGen:
         code, _, _ = run_cli("gen", "boolean", "9", "-o", str(tmp_path / "x.json"))
         assert code == 2
 
+    def test_chain_product_guard_refuses_before_building(self, run_cli, tmp_path,
+                                                          monkeypatch):
+        from semilat import Poset
+
+        def build(*args, **kwargs):
+            raise AssertionError("poset built")
+
+        monkeypatch.setattr(Poset, "from_cover_list", build)
+        out = tmp_path / "c.json"
+        code, stdout, err = run_cli("gen", "chainprod", "2001", "-o", str(out))
+        assert (code, stdout, out.exists()) == (2, "", False)
+        assert err.endswith("product of size 2001 exceeds the 2000-element guard\n")
+        assert err.count("\n") == 1
+
 
 class TestGroupCommands:
     def test_builtin_roundtrip(self, run_cli, tmp_path):
@@ -242,6 +261,21 @@ class TestGroupCommands:
         code, out, err = run_cli("group", "subgroups", path)
         assert (code, out) == (2, "")
         assert err == "error: subgroup enumeration is limited to order <= 60\n"
+
+    def test_oversize_table_refused_before_validation(self, run_cli, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"name": "big", "order": 3600, "table": [[0]] * 3600}))
+        code, out, err = run_cli("group", "subgroups", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: group tables are limited to order <= 120, got 3600\n"
+
+    def test_oversize_builtin_refused_before_building(self, run_cli, tmp_path):
+        out = tmp_path / "big.json"
+        start = time.perf_counter()
+        code, stdout, err = run_cli("group", "builtin", "Z60xZ60", "-o", str(out))
+        assert time.perf_counter() - start < 1
+        assert (code, stdout, out.exists()) == (2, "", False)
+        assert err == "error: group tables are limited to order <= 120, got 3600\n"
 
 
 

@@ -3,9 +3,11 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semilat import (
     ChainLengthMismatchError,
+    NoJoinError,
     Poset,
     ProjectivityRelation,
     SizeLimitError,
@@ -24,6 +26,10 @@ from semilat import (
     updown_projective,
 )
 from semilat import oracle
+
+from strategies import GENERATED, chain_products, graphic_flats
+
+SEMIMODULAR = st.one_of(chain_products(), graphic_flats())
 
 B2 = Poset.from_cover_list(
     "b2", ["0", "a", "b", "1"], [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
@@ -71,6 +77,22 @@ class TestRelation:
                         assert direct is None, (p.name, src, tgt)
                     else:
                         assert direct is not None and tuple(direct) == brute
+
+    def test_refused_without_all_joins(self):
+        with pytest.raises(NoJoinError, match=r"no common upper bound for \(a, b\)"):
+            interval_updown_witness(named_counterexample("two_tops"), ("0", "a"), ("0", "b"))
+
+    @settings(GENERATED, max_examples=30)
+    @given(SEMIMODULAR.filter(lambda p: len(p) <= 30))
+    def test_generated_witness_searches_agree(self, p):
+        # The exhaustive mask and the directed search, on every pair of
+        # prime intervals: same existence and same first witness.
+        covers = p.cover_pairs()
+        for src in covers:
+            for tgt in covers:
+                direct = updown_projective(p, src, tgt)
+                assert interval_updown_witness(p, src, tgt) == \
+                    (None if direct is None else tuple(direct)), (p.name, src, tgt)
 
     def test_cache_reuse_is_transparent(self):
         cache: dict = {}
@@ -139,6 +161,26 @@ class TestCheckTheorem:
         (chain,) = maximal_chains(p)
         with pytest.raises(SizeLimitError, match="n <= 20"):
             check_theorem(p, chain, chain)
+
+    @GENERATED
+    @given(SEMIMODULAR, st.integers(0, 10 ** 6))
+    def test_generated_lattices(self, p, seed):
+        a = random_maximal_chain(p, 2 * seed)
+        b = random_maximal_chain(p, 2 * seed + 1)
+        if p.height() > oracle.COUNTING_LIMIT:
+            with pytest.raises(SizeLimitError):
+                check_theorem(p, a, b)
+        else:
+            assert check_theorem(p, a, b).ok, (p.name, list(a), list(b))
+
+    def test_two_consistent_permutations_fail_uniqueness(self, monkeypatch):
+        # A relation that admits both permutations of B2's two intervals.
+        full = ProjectivityRelation(2, ((True, True), (True, True)),
+                                    ((("b", "1"), ("b", "1")), (("a", "1"), ("a", "1"))))
+        monkeypatch.setattr(oracle, "projectivity_relation", lambda *args, **kwargs: full)
+        entry = check_theorem(B2, B2_A, B2_B).entry("unique-permutation")
+        assert not entry.passed
+        assert entry.detail == "matching count 2; computed permutation consistent: True"
 
     def test_n5_reported_not_raised(self):
         n5 = named_counterexample("n5")

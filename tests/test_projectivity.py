@@ -5,6 +5,7 @@ import random
 import pytest
 
 from semilat import (
+    NoJoinError,
     NotPrimeIntervalError,
     Poset,
     PreconditionError,
@@ -12,6 +13,7 @@ from semilat import (
     compose_up,
     join,
     lattice_up_projective,
+    named_counterexample,
     partition_lattice,
     prime_up_projective,
     updown_projective,
@@ -59,6 +61,20 @@ class TestPrimeForm:
                         assert prime_up_projective(p, (a, b), (x, y)) == \
                             lattice_up_projective(p, (a, b), (x, y)), \
                             (p.name, a, b, x, y)
+
+
+class TestWithoutAllJoins:
+    # Both predicates read the whole join table, so they refuse a poset
+    # where some pair lacks a join, even if the pairs they read have one.
+    TWO_TOPS = named_counterexample("two_tops")
+
+    def test_prime_form_refused(self):
+        with pytest.raises(NoJoinError, match=r"no common upper bound for \(a, b\)"):
+            prime_up_projective(self.TWO_TOPS, ("0", "a"), ("0", "a"))
+
+    def test_updown_refused(self):
+        with pytest.raises(NoJoinError, match=r"no common upper bound for \(a, b\)"):
+            updown_projective(self.TWO_TOPS, ("0", "a"), ("0", "b"))
 
 
 class TestUpdownWitness:
