@@ -111,8 +111,9 @@ def _match(p: Poset, c: Sequence[int], d: Sequence[int], keep_trace: bool
            ) -> tuple[list[int], list[tuple[str, str]], tuple[RecursionFrame, ...] | None]:
     # Level k matches c_k..c_n against d lifted into the up-set of c_k.  Joins
     # of two elements of an up-set are the same there as in p, and its covers
-    # are covers of p, so every level reads p's join table by index.
-    J = sl._joins(p)[1]
+    # are covers of p, so every level reads p's join table by index (a join
+    # semilattice, as _validate_inputs has checked: no sentinel is read).
+    J = sl._join_rows(p)
     covers, names = p._covers, p.elements
     n = len(c) - 1
     splits: list[int] = []

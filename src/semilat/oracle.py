@@ -48,7 +48,7 @@ def interval_updown_witness(p: Poset, source, target) -> tuple[str, str] | None:
         if not p.is_cover(lo, hi):
             raise NotPrimeIntervalError(f"[{lo}, {hi}] is not a prime interval of {p.name!r}")
     (a, b), (c, d) = map(p.index, source), map(p.index, target)
-    J = sl._joins(p)[0]
+    J = sl._joins(p)
     xs = np.arange(len(p))
     # Row x, column y: every condition, evaluated on every pair.
     mask = (((J[a] == xs) & (J[c] == xs))[:, None] & (J[b][:, None] == xs)
@@ -66,19 +66,31 @@ def projectivity_relation(p: Poset, chain_a, chain_b,
     `cache` may be shared across calls on the same poset: cells depend only on
     the two intervals, so chain pairs with common steps reuse the searches.
     """
-    C, D = tuple(chain_a), tuple(chain_b)
+    C = tuple(chain_a)
+    D = tuple(chain_b)
     if len(C) != len(D):
         raise ChainLengthMismatchError(
             f"chains of lengths {len(C) - 1} and {len(D) - 1}")
-    cache = {} if cache is None else cache
+    n = len(C) - 1
+    related = []
     witnesses = []
-    for src in zip(C, C[1:]):
-        for tgt in zip(D, D[1:]):
-            if (src, tgt) not in cache:
-                cache[(src, tgt)] = interval_updown_witness(p, src, tgt)
-        witnesses.append(tuple(cache[(src, tgt)] for tgt in zip(D, D[1:])))
-    related = tuple(tuple(w is not None for w in row) for row in witnesses)
-    return ProjectivityRelation(len(C) - 1, related, tuple(witnesses))
+    for i in range(1, n + 1):
+        src = (C[i - 1], C[i])
+        rel_row = []
+        wit_row = []
+        for j in range(1, n + 1):
+            tgt = (D[j - 1], D[j])
+            if cache is not None and (src, tgt) in cache:
+                w = cache[(src, tgt)]
+            else:
+                w = interval_updown_witness(p, src, tgt)
+                if cache is not None:
+                    cache[(src, tgt)] = w
+            rel_row.append(w is not None)
+            wit_row.append(w)
+        related.append(tuple(rel_row))
+        witnesses.append(tuple(wit_row))
+    return ProjectivityRelation(n, tuple(related), tuple(witnesses))
 
 
 def all_consistent_permutations(rel: ProjectivityRelation) -> list[tuple[int, ...]]:
@@ -112,7 +124,7 @@ def all_consistent_permutations(rel: ProjectivityRelation) -> list[tuple[int, ..
 def count_consistent_permutations(rel: ProjectivityRelation) -> int:
     """Number of consistent permutations, via memoized perfect-matching count.
 
-    Used when n is too large for full enumeration; guarded at n <= 20.
+    check_theorem decides uniqueness with it for every n; guarded at n <= 20.
     """
     n = rel.n
     if n > COUNTING_LIMIT:
@@ -122,13 +134,14 @@ def count_consistent_permutations(rel: ProjectivityRelation) -> int:
     def count(i: int, used_cols: int) -> int:
         if i > n:
             return 1
-        if used_cols in memo:
-            return memo[used_cols]
+        key = used_cols
+        if key in memo:
+            return memo[key]
         total = 0
         for j in range(n):
             if not used_cols >> j & 1 and rel.related[i - 1][j]:
                 total += count(i + 1, used_cols | 1 << j)
-        memo[used_cols] = total
+        memo[key] = total
         return total
 
     return count(1, 0)
@@ -175,7 +188,8 @@ def check_theorem(p: Poset, chain_a, chain_b,
     produce evidence rather than crashes.  Chains longer than COUNTING_LIMIT
     raise SizeLimitError before any relation cell is computed.
     """
-    C, D = tuple(chain_a), tuple(chain_b)
+    C = tuple(chain_a)
+    D = tuple(chain_b)
     entries: list[CheckEntry] = []
 
     pre_ok, pre_msg = True, "semimodular join semilattice; both chains maximal"
@@ -218,7 +232,9 @@ def check_theorem(p: Poset, chain_a, chain_b,
         "unique-permutation", count == 1 and consistent,
         f"matching count {count}; computed permutation consistent: {consistent}"))
 
-    violations = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)
+    violations = [(i, j)
+                  for i in range(1, n + 1)
+                  for j in range(1, n + 1)
                   if rel.related[i - 1][j - 1] and j > result.pi[i - 1]]
     entries.append(CheckEntry(
         "maximality", not violations,

@@ -4,8 +4,10 @@ For a prime interval [a, b] the lattice definition of [a,b] up-projective to
 [x,y] (meet(b,x) = a and join(b,x) = y) is equivalent to the join-only form
 x != y, join(a,x) = x, join(b,x) = y, which is the one that makes sense in a
 join semilattice.  Both are exposed; property tests pin their agreement.
-The join-only predicates resolve names once and read the join table by
-index; they raise NoJoinError on a poset that is not a join semilattice.
+`prime_up_projective` checks one given witness through two `join` calls.
+`updown_projective` resolves names once and tests every x at once on rows of
+the join table; it raises NoJoinError on a poset that is not a join
+semilattice.
 """
 
 from __future__ import annotations
@@ -73,12 +75,11 @@ def lattice_up_projective(p: Poset, ab, xy) -> bool:
 def prime_up_projective(p: Poset, ab, xy) -> bool:
     """Join-only form for a prime source interval: x != y, a∨x = x, b∨x = y.
 
-    Raises NoJoinError unless p is a join semilattice.
+    Raises NoJoinError when one of the two joins it reads does not exist.
     """
-    a, b = _require_prime(p, ab)
-    x, y = map(p.index, xy)
-    rows = sl._joins(p)[1]
-    return x != y and rows[a][x] == x and rows[b][x] == y
+    _require_prime(p, ab)
+    (a, b), (x, y) = ab, xy
+    return x != y and sl.join(p, a, x) == x and sl.join(p, b, x) == y
 
 
 def updown_projective(p: Poset, source, target) -> ProjectivityWitness | None:
@@ -90,7 +91,7 @@ def updown_projective(p: Poset, source, target) -> ProjectivityWitness | None:
     """
     a, b = _require_prime(p, source)
     c, d = _require_prime(p, target)
-    J = sl._joins(p)[0]
+    J = sl._joins(p)
     # For a fixed x the only y that can satisfy the source side is join(b, x),
     # so the first x passing the test gives the lexicographically least pair.
     xs = np.arange(len(p))

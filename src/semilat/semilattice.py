@@ -51,27 +51,36 @@ def _table(p: Poset, kind: str) -> tuple[np.ndarray, tuple[int, int] | None]:
     return cached
 
 
-def _joins(p: Poset) -> tuple[np.ndarray, list[list[int]]]:
-    """The join table of p by index, as the array and as a cached list copy
-    for scalar reads (indexing a list is several times cheaper than numpy's).
-    Raises NoJoinError unless p is a join semilattice, so no caller ever
+def _join_rows(p: Poset) -> list[list[int]]:
+    """The join table of p as a cached list copy, sentinels included, for
+    scalar reads: indexing a list is several times cheaper than numpy's."""
+    rows = p._cache.get("join_rows")
+    if rows is None:
+        rows = p._cache["join_rows"] = _table(p, "join")[0].tolist()
+    return rows
+
+
+def _no_join(p: Poset, a: str, b: str, sentinel: int) -> NoJoinError:
+    what = "no common upper bound" if sentinel == _NONE else "several minimal common upper bounds"
+    return NoJoinError(f"{what} for ({a}, {b}) in {p.name!r}")
+
+
+def _joins(p: Poset) -> np.ndarray:
+    """The join table of p by index, for whole-row reads.  Raises NoJoinError
+    for the first failing pair unless p is a join semilattice, so no caller
     reads a sentinel as an element."""
     table, first_bad = _table(p, "join")
     if first_bad is not None:
-        join(p, *(p.elements[k] for k in first_bad))   # raises for that pair
-    rows = p._cache.get("join_rows")
-    if rows is None:
-        rows = p._cache["join_rows"] = table.tolist()
-    return table, rows
+        i, j = first_bad
+        raise _no_join(p, p.elements[i], p.elements[j], table[i, j])
+    return table
 
 
 def join(p: Poset, a: str, b: str) -> str:
     """Least upper bound of a and b."""
-    v = _table(p, "join")[0][p.index(a), p.index(b)]
-    if v == _NONE:
-        raise NoJoinError(f"no common upper bound for ({a}, {b}) in {p.name!r}")
-    if v == _AMBIGUOUS:
-        raise NoJoinError(f"several minimal common upper bounds for ({a}, {b}) in {p.name!r}")
+    v = _join_rows(p)[p.index(a)][p.index(b)]
+    if v < 0:
+        raise _no_join(p, a, b, v)
     return p.elements[v]
 
 

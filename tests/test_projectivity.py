@@ -64,15 +64,16 @@ class TestPrimeForm:
 
 
 class TestWithoutAllJoins:
-    # Both predicates read the whole join table, so they refuse a poset
-    # where some pair lacks a join, even if the pairs they read have one.
     TWO_TOPS = named_counterexample("two_tops")
 
     def test_prime_form_refused(self):
+        # The witness (b, a) makes the predicate read a ∨ b, which is missing.
         with pytest.raises(NoJoinError, match=r"no common upper bound for \(a, b\)"):
-            prime_up_projective(self.TWO_TOPS, ("0", "a"), ("0", "a"))
+            prime_up_projective(self.TWO_TOPS, ("0", "a"), ("b", "a"))
 
     def test_updown_refused(self):
+        # updown_projective reads whole rows of the join table, so it refuses
+        # every poset where some pair lacks a join.
         with pytest.raises(NoJoinError, match=r"no common upper bound for \(a, b\)"):
             updown_projective(self.TWO_TOPS, ("0", "a"), ("0", "b"))
 
