@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Collection
 from dataclasses import dataclass
 from itertools import product
+
+import numpy as np
 
 from . import semilattice as sl
 from .errors import (
@@ -55,6 +58,7 @@ class Group:
         self.name = name
         self.order = len(table)
         self.table = tuple(tuple(row) for row in table)
+        self._cache: dict = {}
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -72,8 +76,8 @@ class Group:
 
 def group_from_table(name: str, table) -> Group:
     """Validate a Cayley table: Latin square, identity at index 0, inverses,
-    and full associativity (O(n^3)).  Orders above GROUP_ORDER_LIMIT are
-    refused before any of that."""
+    and full associativity (O(n^3), n^2 triples per numpy step).  Orders
+    above GROUP_ORDER_LIMIT are refused before any of that."""
     _check_order(len(table))
     rows = [list(r) for r in table]
     n = len(rows)
@@ -85,6 +89,9 @@ def group_from_table(name: str, table) -> Group:
             raise GroupValidationError(f"row {i} has length {len(row)}, expected {n}")
         if sorted(row) != full:
             raise GroupValidationError(f"not a Latin square: row {i} is not a permutation")
+    T = np.array(rows)
+    if T.dtype.kind != "i":
+        raise GroupValidationError("table entries must be integers")
     for j in range(n):
         if sorted(rows[i][j] for i in range(n)) != full:
             raise GroupValidationError(f"not a Latin square: column {j} is not a permutation")
@@ -95,13 +102,11 @@ def group_from_table(name: str, table) -> Group:
         if rows[j][i] != 0:
             raise GroupValidationError(f"element {i} has no two-sided inverse")
     for a in range(n):
-        ra = rows[a]
-        for b in range(n):
-            rab = rows[ra[b]]
-            rb = rows[b]
-            for c in range(n):
-                if rab[c] != ra[rb[c]]:
-                    raise GroupValidationError(f"associativity fails at ({a}, {b}, {c})")
+        # Entry (b, c) of T[T[a]] is (ab)c and of T[a][T] is a(bc).
+        bad = T[T[a]] != T[a][T]
+        if bad.any():
+            b, c = divmod(int(bad.argmax()), n)
+            raise GroupValidationError(f"associativity fails at ({a}, {b}, {c})")
     return Group(name, rows)
 
 
@@ -245,40 +250,49 @@ def save_group(g: Group, path: str) -> None:
 # -- subgroups ---------------------------------------------------------------
 
 
-def _close(g: Group, seed: frozenset[int]) -> frozenset[int]:
-    """Closure of a subset under the product (inverses follow by finiteness)."""
-    members = set(seed) | {0}
-    frontier = list(members)
-    while frontier:
-        x = frontier.pop()
-        for y in list(members):
-            for z in (g.mul(x, y), g.mul(y, x)):
-                if z not in members:
-                    members.add(z)
-                    frontier.append(z)
+def _close(g: Group, seed: Collection[int]) -> frozenset[int]:
+    """The subgroup generated by `seed`: the identity closed under right
+    multiplication by the seed elements.  In a finite group the monoid they
+    generate is already the subgroup."""
+    members = {0}
+    frontier = [0]
+    for x in frontier:
+        row = g.table[x]
+        for s in seed:
+            z = row[s]
+            if z not in members:
+                members.add(z)
+                frontier.append(z)
     return frozenset(members)
 
 
 def all_subgroups(g: Group) -> list[Subgroup]:
-    """Every subgroup, by breadth-first closure of one-element extensions."""
+    """Every subgroup, by breadth-first closure of one-element extensions.
+
+    Each subgroup keeps the generators it was reached by.  <H, hx> = <H, x>
+    for h in H, so H is extended once per right coset Hx.
+    """
     if g.order > SUBGROUP_ORDER_LIMIT:
         raise SizeLimitError(
             f"subgroup enumeration is limited to order <= {SUBGROUP_ORDER_LIMIT}")
     trivial = frozenset({0})
-    seen = {trivial}
+    gens = {trivial: ()}
     frontier = [trivial]
     while frontier:
         fresh = []
         for H in frontier:
+            done = set(H)
             for x in range(g.order):
-                if x in H:
+                if x in done:
                     continue
-                extended = _close(g, H | {x})
-                if extended not in seen:
-                    seen.add(extended)
+                done.update(g.table[h][x] for h in H)
+                seed = gens[H] + (x,)
+                extended = _close(g, seed)
+                if extended not in gens:
+                    gens[extended] = seed
                     fresh.append(extended)
         frontier = fresh
-    return sorted((Subgroup(tuple(sorted(H))) for H in seen),
+    return sorted((Subgroup(tuple(sorted(H))) for H in gens),
                   key=lambda s: (len(s.members), s.members))
 
 
@@ -287,10 +301,10 @@ def normal_closure(g: Group, sub: Subgroup, ambient: Subgroup) -> Subgroup:
     conjugation by `ambient`."""
     if not set(sub.members) <= set(ambient.members):
         raise PreconditionError(f"{sub.name} is not contained in {ambient.name}")
+    conjugators = [(g.table[k], g.inv(k)) for k in ambient.members]
     members = frozenset(sub.members)
     while True:
-        conjugates = {g.mul(g.mul(k, h), g.inv(k))
-                      for k in ambient.members for h in members}
+        conjugates = {g.table[row[h]][k_inv] for row, k_inv in conjugators for h in members}
         grown = _close(g, members | conjugates)
         if grown == members:
             return Subgroup(tuple(sorted(members)))
@@ -312,8 +326,12 @@ def subnormal_lattice(g: Group) -> Poset:
     """Poset of subnormal subgroups under inclusion, named by member lists.
 
     The dual of this poset must be semimodular; a failure is reported as a
-    broken-theorem sentinel, not as bad input.
+    broken-theorem sentinel, not as bad input.  The lattice is built once per
+    group and cached on it.
     """
+    cached = g._cache.get("subnormal")
+    if cached is not None:
+        return cached
     subs = [s for s in all_subgroups(g) if is_subnormal(g, s)]
     sets = {s.name: set(s.members) for s in subs}
     strictly_below = [(a, b) for a in sets for b in sets if sets[a] < sets[b]]
@@ -325,6 +343,7 @@ def subnormal_lattice(g: Group) -> Poset:
         raise InternalInvariantError(
             f"dual of the subnormal lattice of {g.name} is not semimodular: "
             f"counterexample {report.counterexample}")
+    g._cache["subnormal"] = lattice
     return lattice
 
 
@@ -391,9 +410,7 @@ def _series_factors(series: tuple[str, ...]) -> list[int]:
 def match_series(lattice: Poset, series_a: Chain, series_b: Chain) -> tuple[int, ...]:
     """Match two maximal chains of a dually semimodular lattice by running the
     chain matcher on the dual; returns pi in ascending-series indexing."""
-    dual = lattice.dual()
-    result = jh_match(dual, dual.chain(series_a.reversed()),
-                      dual.chain(series_b.reversed()))
+    result = jh_match(lattice.dual(), series_a.reversed(), series_b.reversed())
     n = result.n
     return tuple(n + 1 - result.pi[n - k] for k in range(1, n + 1))
 

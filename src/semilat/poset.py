@@ -68,9 +68,9 @@ class Poset:
     Instances are constructed through :meth:`from_cover_list`, :meth:`interval`
     or :meth:`dual`; after construction everything is a pure read, so posets
     can be shared freely between threads.  Derived tables (joins, meets,
-    semimodularity, heights) are cached on first use; each cache entry is
-    written exactly once, so concurrent readers see either nothing or the
-    finished table.
+    semimodularity, heights, bottom and top) are cached on first use; each
+    cache entry is written exactly once, so concurrent readers see either
+    nothing or the finished table.
     """
 
     def __init__(self, name: str, elements: tuple[str, ...], leq: np.ndarray,
@@ -190,15 +190,19 @@ class Poset:
 
     # -- bounds and height ---------------------------------------------------
 
+    def _bound(self, kind: str, axis: int) -> str | None:
+        if kind not in self._cache:
+            found = np.flatnonzero(self._leq.all(axis=axis))
+            self._cache[kind] = self.elements[found[0]] if len(found) else None
+        return self._cache[kind]
+
     def bottom(self) -> str | None:
         """The unique minimum, or None."""
-        rows = np.flatnonzero(self._leq.all(axis=1))
-        return self.elements[rows[0]] if len(rows) else None
+        return self._bound("bottom", axis=1)
 
     def top(self) -> str | None:
         """The unique maximum, or None."""
-        cols = np.flatnonzero(self._leq.all(axis=0))
-        return self.elements[cols[0]] if len(cols) else None
+        return self._bound("top", axis=0)
 
     def element_heights(self) -> dict[str, int]:
         """Longest cover-path length from a minimal element to each element."""

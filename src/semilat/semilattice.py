@@ -159,12 +159,11 @@ def _require_bounds(p: Poset) -> tuple[str, str]:
 def is_maximal_chain(p: Poset, chain: Chain | Sequence[str]) -> bool:
     """True iff the sequence runs from bottom to top through covers only."""
     bottom, top = _require_bounds(p)
-    elems = tuple(chain)
-    for e in elems:
-        p.index(e)
-    if elems[0] != bottom or elems[-1] != top:
+    idx = [p.index(e) for e in chain]
+    if idx[0] != p.index(bottom) or idx[-1] != p.index(top):
         return False
-    return all(p.is_cover(a, b) for a, b in zip(elems, elems[1:]))
+    covers = p._covers
+    return all(covers[a, b] for a, b in zip(idx, idx[1:]))
 
 
 def maximal_chains(p: Poset, limit: int | None = None) -> list[Chain]:

@@ -5,7 +5,8 @@ some have pairs with several minimal upper bounds.  `closure_lattices` draws
 lattices: a family of subsets of a small ground set, closed under
 intersection and holding the whole set, ordered by inclusion.  Many of those
 are not semimodular.  `chain_products` and `graphic_flats` draw semimodular
-lattices, the ones the matching theorem speaks about.
+lattices, the ones the matching theorem speaks about.  `direct_products` draws
+finite groups, whose subnormal lattices are dually semimodular.
 """
 
 from __future__ import annotations
@@ -14,10 +15,14 @@ from itertools import combinations
 
 from hypothesis import settings, strategies as st
 
-from semilat import Graph, Poset, chain_product, graphic_flat_lattice
+from semilat import Graph, Group, Poset, builtin_group, chain_product, graphic_flat_lattice
 
 # Derandomized so the suite draws the same examples on every run.
 GENERATED = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+GROUP_ATOMS = {name: builtin_group(name).order
+               for name in ("Z2", "Z3", "Z4", "Z5", "Z6", "Z8", "S3", "D4", "D5", "Q8",
+                            "A4", "S4")}
 
 
 @st.composite
@@ -78,3 +83,17 @@ def graphic_flats(draw, max_vertices: int = 5) -> Poset:
     pairs = list(combinations(range(k), 2))
     edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
     return graphic_flat_lattice(Graph(k, tuple(edges)))
+
+
+@st.composite
+def direct_products(draw, max_order: int = 24) -> Group:
+    """A direct product of 1..3 builtin groups, of order at most max_order."""
+    names: list[str] = []
+    order = 1
+    for _ in range(draw(st.integers(1, 3))):
+        fits = [a for a, k in GROUP_ATOMS.items() if order * k <= max_order]
+        if not fits:
+            break
+        names.append(draw(st.sampled_from(fits)))
+        order *= GROUP_ATOMS[names[-1]]
+    return builtin_group("x".join(names))

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from conftest import DATA, GOLDEN, read_golden
+from semilat import groups
 
 B2 = str(DATA / "b2.json")
 B3 = str(DATA / "b3.json")
@@ -250,6 +251,22 @@ class TestGroupCommands:
         payload = json.loads(out)
         assert payload["ok"] is True
         assert payload["pairs"][0]["pi"][2] == 1
+
+    def test_composition_series_builds_the_lattice_once(self, run_cli, monkeypatch):
+        calls = []
+        original = groups.all_subgroups
+
+        def counting(g):
+            calls.append(g.name)
+            return original(g)
+
+        monkeypatch.setattr(groups, "all_subgroups", counting)
+        code, _, _ = run_cli(
+            "group", "composition", Z12,
+            "--series-a", "0,0.6,0.3.6.9,0.1.2.3.4.5.6.7.8.9.10.11",
+            "--series-b", "0,0.4.8,0.2.4.6.8.10,0.1.2.3.4.5.6.7.8.9.10.11")
+        assert code == 0
+        assert len(calls) == 1
 
     def test_composition_series_requires_both(self, run_cli):
         code, _, _ = run_cli("group", "composition", Z12, "--series-a", "0")

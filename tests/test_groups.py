@@ -3,10 +3,13 @@ from __future__ import annotations
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
 
 from semilat import (
+    Chain,
     GroupValidationError,
     NotMaximalChainError,
+    Poset,
     PreconditionError,
     SizeLimitError,
     Subgroup,
@@ -17,10 +20,12 @@ from semilat import (
     group_from_table,
     is_semimodular,
     is_subnormal,
+    match_series,
     maximal_chains,
     normal_closure,
     subnormal_lattice,
 )
+from strategies import GENERATED, direct_products
 
 # Acceptance-frozen subgroup counts; S3xZ2 was computed by the subset oracle
 # below before being frozen here.
@@ -43,6 +48,80 @@ def subgroups_by_subset_scan(g):
     return sorted(found, key=lambda m: (len(m), m))
 
 
+def pairwise_closure(g, seed):
+    """Reference closure: multiply every pair of members, both ways, until
+    nothing new appears."""
+    members = set(seed) | {0}
+    frontier = list(members)
+    while frontier:
+        x = frontier.pop()
+        for y in list(members):
+            for z in (g.mul(x, y), g.mul(y, x)):
+                if z not in members:
+                    members.add(z)
+                    frontier.append(z)
+    return frozenset(members)
+
+
+def subgroups_by_pairwise_closure(g):
+    """Reference enumeration: close every subgroup found with each element
+    outside it, one element at a time."""
+    seen = {frozenset({0})}
+    frontier = list(seen)
+    while frontier:
+        fresh = []
+        for H in frontier:
+            for x in range(g.order):
+                if x not in H:
+                    extended = pairwise_closure(g, H | {x})
+                    if extended not in seen:
+                        seen.add(extended)
+                        fresh.append(extended)
+        frontier = fresh
+    return sorted((tuple(sorted(H)) for H in seen), key=lambda m: (len(m), m))
+
+
+def subnormal_by_reference(g, members):
+    """Reference subnormality: iterate the normal closure of `members` in
+    the full group, conjugating with `g.inv` for every pair."""
+    current = frozenset(range(g.order))
+    while True:
+        closure = frozenset(members)
+        while True:
+            conjugates = {g.mul(g.mul(k, h), g.inv(k)) for k in current for h in closure}
+            grown = pairwise_closure(g, closure | conjugates)
+            if grown == closure:
+                break
+            closure = grown
+        if closure == current:
+            return current == frozenset(members)
+        current = closure
+
+
+def first_associativity_failure(table):
+    """Reference message: the first (a, b, c) in lexicographic order with
+    (ab)c != a(bc), found by a scalar triple loop."""
+    n = len(table)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    return f"associativity fails at ({a}, {b}, {c})"
+    return None
+
+
+def corrupted_cyclic_table(n, a, b):
+    """Z_n (n even) with one 2x2 Latin subsquare swapped: rows a, a + n/2 and
+    columns b, b + n/2.  It stays a Latin square with the identity at 0 and
+    the same inverses, so only the associativity check can refuse it."""
+    h = n // 2
+    assert n % 2 == 0 and 0 < a < h and 0 < b < h and a + b != h
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    for i in (a, a + h):
+        table[i][b], table[i][b + h] = table[i][b + h], table[i][b]
+    return table
+
+
 class TestTableValidation:
     def test_z4(self):
         table = [[(i + j) % 4 for j in range(4)] for i in range(4)]
@@ -55,6 +134,11 @@ class TestTableValidation:
     def test_not_latin(self):
         with pytest.raises(GroupValidationError, match="Latin"):
             group_from_table("x", [[0, 0], [1, 1]])
+
+    def test_non_integer_entries(self):
+        for table in ([[0.0, 1.0], [1.0, 0.0]], [[False, True], [True, False]]):
+            with pytest.raises(GroupValidationError, match="integers"):
+                group_from_table("x", table)
 
     def test_identity_position(self):
         # Swap rows/columns of Z2 so the identity sits at index 1.
@@ -74,6 +158,16 @@ class TestTableValidation:
         ]
         with pytest.raises(GroupValidationError, match="associativity"):
             group_from_table("x", table)
+
+    @pytest.mark.parametrize("n, a, b", [(8, 1, 2), (8, 3, 3), (60, 1, 2),
+                                         (60, 7, 20), (60, 29, 11)])
+    def test_associativity_reports_the_first_failing_triple(self, n, a, b):
+        table = corrupted_cyclic_table(n, a, b)
+        expected = first_associativity_failure(table)
+        assert expected is not None
+        with pytest.raises(GroupValidationError) as info:
+            group_from_table("x", table)
+        assert str(info.value) == expected
 
 
 class TestBuiltins:
@@ -109,6 +203,16 @@ class TestSubgroups:
     def test_order_guard(self):
         with pytest.raises(SizeLimitError):
             all_subgroups(builtin_group("Z31xZ2"))
+
+    @settings(GENERATED, max_examples=15)
+    @given(direct_products(max_order=12))
+    def test_generated_against_subset_oracle(self, g):
+        assert [s.members for s in all_subgroups(g)] == subgroups_by_subset_scan(g)
+
+    @settings(GENERATED, max_examples=10)
+    @given(direct_products())
+    def test_generated_against_pairwise_closure(self, g):
+        assert [s.members for s in all_subgroups(g)] == subgroups_by_pairwise_closure(g)
 
 
 class TestNormalClosureAndSubnormality:
@@ -149,6 +253,12 @@ class TestNormalClosureAndSubnormality:
             if len(sub) == 3:
                 assert not is_subnormal(a4, sub)
 
+    @settings(GENERATED, max_examples=10)
+    @given(direct_products())
+    def test_generated_against_reference(self, g):
+        for sub in all_subgroups(g):
+            assert is_subnormal(g, sub) == subnormal_by_reference(g, sub.members), sub.name
+
 
 class TestSubnormalLattice:
     def test_s3_is_three_chain(self):
@@ -169,6 +279,10 @@ class TestSubnormalLattice:
         for name in SUBGROUP_COUNTS:
             lattice = subnormal_lattice(builtin_group(name))
             assert is_semimodular(lattice.dual()).holds, name
+
+    def test_built_once_per_group(self):
+        g = builtin_group("A4")
+        assert subnormal_lattice(g) is subnormal_lattice(g)
 
 
 class TestCompositionAnalysis:
@@ -226,3 +340,34 @@ class TestCompositionAnalysis:
         with pytest.raises(NotMaximalChainError):
             composition_analysis(g, ["0", "0.1.2.3.4.5.6.7.8.9.10.11"],
                                  ["0", "0.1.2.3.4.5.6.7.8.9.10.11"])
+
+    @settings(GENERATED, max_examples=10)
+    @given(direct_products())
+    def test_generated_groups(self, g):
+        assert composition_analysis(g).ok, g.name
+
+
+class TestPerPairWork:
+    def test_chains_validated_once_not_per_pair(self, monkeypatch):
+        calls = []
+        original = Poset.chain
+
+        def counting(self, elements):
+            calls.append(1)
+            return original(self, elements)
+
+        monkeypatch.setattr(Poset, "chain", counting)
+        report = composition_analysis(builtin_group("D4xZ2"))
+        assert len(report.series) == 75
+        assert len(report.pairs) == 75 * 76 // 2
+        assert len(calls) <= len(report.series)
+
+    def test_match_series_refuses_a_non_maximal_series(self):
+        lattice = subnormal_lattice(builtin_group("Z12"))
+        full = "0.1.2.3.4.5.6.7.8.9.10.11"
+        maximal = Chain(("0", "0.6", "0.3.6.9", full))
+        for short in (Chain(("0", full)), Chain(("0", "0.6", "0.3.6.9"))):
+            with pytest.raises(NotMaximalChainError):
+                match_series(lattice, short, maximal)
+            with pytest.raises(NotMaximalChainError):
+                match_series(lattice, maximal, short)

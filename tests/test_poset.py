@@ -189,6 +189,22 @@ class TestHeightAndBounds:
     def test_n5_height(self):
         assert named_counterexample("n5").height() == 3
 
+    def test_bounds_match_the_order_matrix(self, corpus):
+        def reference(p):
+            lows = np.flatnonzero(p._leq.all(axis=1))
+            highs = np.flatnonzero(p._leq.all(axis=0))
+            return (p.elements[lows[0]] if len(lows) else None,
+                    p.elements[highs[0]] if len(highs) else None)
+
+        for lattice in corpus:
+            atom = (lattice.upper_covers(lattice.bottom()) or [lattice.bottom()])[0]
+            for p in (lattice, lattice.dual(), lattice.interval(atom, lattice.top())):
+                for _ in range(2):  # the second read comes from the cache
+                    assert (p.bottom(), p.top()) == reference(p)
+        assert (named_counterexample("two_tops").top(),
+                named_counterexample("antichain2").bottom(),
+                named_counterexample("antichain2").top()) == (None, None, None)
+
 
 class TestChains:
     def test_chain_validation(self):
