@@ -26,7 +26,7 @@ from .errors import (
     SizeLimitError,
     UnknownNameError,
 )
-from .matching import jh_match
+from .matching import _match, _validate_poset, jh_match
 from .poset import Chain, Poset
 
 SUBGROUP_ORDER_LIMIT = 60
@@ -79,6 +79,8 @@ def group_from_table(name: str, table) -> Group:
     and full associativity (O(n^3), n^2 triples per numpy step).  Orders
     above GROUP_ORDER_LIMIT are refused before any of that."""
     _check_order(len(table))
+    if not all(isinstance(r, (list, tuple)) for r in table):
+        raise GroupValidationError("table rows must be arrays")
     rows = [list(r) for r in table]
     n = len(rows)
     if n == 0:
@@ -87,11 +89,12 @@ def group_from_table(name: str, table) -> Group:
     for i, row in enumerate(rows):
         if len(row) != n:
             raise GroupValidationError(f"row {i} has length {len(row)}, expected {n}")
+        # 1.0 == True == 1 would pass the Latin test; numpy reads booleans as a mask.
+        if any(type(x) is not int for x in row):
+            raise GroupValidationError("table entries must be integers")
         if sorted(row) != full:
             raise GroupValidationError(f"not a Latin square: row {i} is not a permutation")
     T = np.array(rows)
-    if T.dtype.kind != "i":
-        raise GroupValidationError("table entries must be integers")
     for j in range(n):
         if sorted(rows[i][j] for i in range(n)) != full:
             raise GroupValidationError(f"not a Latin square: column {j} is not a permutation")
@@ -231,6 +234,8 @@ def group_from_dict(data: dict) -> Group:
     for field in ("name", "order", "table"):
         if field not in data:
             raise GroupValidationError(f"group JSON lacks field {field!r}")
+    if not isinstance(data["name"], str):
+        raise GroupValidationError("field 'name' must be a string")
     table = data["table"]
     if not isinstance(table, list) or len(table) != data["order"]:
         raise GroupValidationError("field 'table' must be an order x order array")
@@ -398,21 +403,20 @@ class CompositionReport:
                 "ok": self.ok}
 
 
-def _subgroup_size(name: str) -> int:
-    return name.count(".") + 1
-
-
 def _series_factors(series: tuple[str, ...]) -> list[int]:
-    sizes = [_subgroup_size(s) for s in series]
+    sizes = [s.count(".") + 1 for s in series]  # members are dot-joined
     return [b // a for a, b in zip(sizes, sizes[1:])]
+
+
+def _ascending(pi) -> tuple[int, ...]:
+    """A pi matched on the dual, in ascending-series indexing."""
+    return tuple(len(pi) + 1 - j for j in reversed(pi))
 
 
 def match_series(lattice: Poset, series_a: Chain, series_b: Chain) -> tuple[int, ...]:
     """Match two maximal chains of a dually semimodular lattice by running the
     chain matcher on the dual; returns pi in ascending-series indexing."""
-    result = jh_match(lattice.dual(), series_a.reversed(), series_b.reversed())
-    n = result.n
-    return tuple(n + 1 - result.pi[n - k] for k in range(1, n + 1))
+    return _ascending(jh_match(lattice.dual(), series_a.reversed(), series_b.reversed()).pi)
 
 
 def composition_analysis(g: Group, series_a=None, series_b=None) -> CompositionReport:
@@ -422,10 +426,14 @@ def composition_analysis(g: Group, series_a=None, series_b=None) -> CompositionR
 
     With explicit series, only that ordered pair is matched; otherwise all
     maximal chains are enumerated and every ordered pair (i <= j) is checked.
+    The dual lattice and the series are validated once; each pair runs the
+    index matcher, which asserts its invariants and re-verifies its witnesses.
     """
     if (series_a is None) != (series_b is None):
         raise PreconditionError("provide both series or neither")
     lattice = subnormal_lattice(g)
+    dual = lattice.dual()
+    _validate_poset(dual)
     if series_a is not None:
         chains = [lattice.chain(series_a), lattice.chain(series_b)]
         for ch in chains:
@@ -444,9 +452,11 @@ def composition_analysis(g: Group, series_a=None, series_b=None) -> CompositionR
             f"composition series of {g.name} have unequal lengths {sorted(lengths)}")
 
     factors = [_series_factors(ch.elements) for ch in chains]
+    # Each series read top-down is a maximal chain of the dual.
+    down = [[dual.index(e) for e in reversed(ch.elements)] for ch in chains]
     pairs = []
     for i, j in pair_indices:
-        pi = match_series(lattice, chains[i], chains[j])
+        pi = _ascending(_match(dual, down[i], down[j], False)[0])
         fp = tuple((factors[i][k - 1], factors[j][pi[k - 1] - 1])
                    for k in range(1, len(pi) + 1))
         pairs.append(SeriesPair(i, j, pi, fp))

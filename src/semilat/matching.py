@@ -3,17 +3,19 @@
 Given a semimodular join semilattice with bottom and top and two maximal
 chains C = (c_0, ..., c_n) and D = (d_0, ..., d_n), `jh_match` computes the
 unique permutation pi with [c_{i-1}, c_i] up-and-down projective to
-[d_{pi(i)-1}, d_{pi(i)}], together with an explicit witness per index, by
-induction on height.  The induction runs as one loop over the levels, on the
-given poset itself: no sub-posets are built and nothing recurses.  No witness
-search happens anywhere: every witness is produced constructively and
-re-verified before being returned, so each run doubles as a check of the
-structural facts the induction relies on.
+[d_{pi(i)-1}, d_{pi(i)}] and a witness per index, both read off the join
+matrix M[i][j] = c_i ∨ d_j (Grätzer and Nation): pi(i) is the least j with
+c_i ≤ c_{i-1} ∨ d_j, the first column where row i equals row i-1, and the
+witness is the step [M[i-1][j-1], M[i-1][j]] of row i-1.  No witness search
+happens anywhere: the structural facts about M are asserted and every
+witness is re-verified against both of its intervals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, groupby
+from operator import eq, not_
 from typing import Sequence
 
 from . import semilattice as sl
@@ -30,13 +32,11 @@ from .projectivity import prime_up_projective
 
 @dataclass(frozen=True)
 class RecursionFrame:
-    """One level of the induction: the split index and the lifted chain.
-
-    `l` is the largest index with c_1 not below d_l.  `lifted_chain` is the
-    deduplicated sequence of joins of c_1 with the d_j (the collapse at l
-    removed), a maximal chain of the interval above c_1.  `sigma` records the
-    permutation that the levels above compose, already translated to this
-    level's indices: pairs (i, sigma(i)) for i = 2..n.
+    """Level k of the induction on height, read off the join matrix M: c_k..c_n
+    against row k of M with its repeats removed.  `lifted_chain` is row k+1 so
+    reduced, a maximal chain above c_{k+1}; `l` is the 0-indexed step of row k
+    that collapses in row k+1; `sigma` is the permutation the levels above
+    compose, in this level's step numbering: pairs (i, sigma(i)), i = 2..n-k.
     """
 
     level: int
@@ -68,10 +68,6 @@ class MatchingResult:
     witnesses: tuple[tuple[str, str], ...]
     trace: tuple[RecursionFrame, ...] | None = None
 
-    def image_of(self, i: int) -> int:
-        """pi(i) with 1-indexed i."""
-        return self.pi[i - 1]
-
     def to_dict(self) -> dict:
         return {
             "n": self.n,
@@ -89,12 +85,17 @@ class MatchingCheck:
     failures: tuple[str, ...]
 
 
-def _validate_inputs(p: Poset, chain_a, chain_b) -> tuple[Chain, Chain]:
+def _validate_poset(p: Poset) -> None:
+    """p is a semimodular join semilattice with bottom and top."""
     report = sl.is_semimodular(p)  # raises NotJoinSemilatticeError first
     if not report.holds:
         raise NotSemimodularError(report.counterexample)
     if p.bottom() is None or p.top() is None:
         raise MissingBoundsError(f"poset {p.name!r} lacks a bottom or top element")
+
+
+def _validate_inputs(p: Poset, chain_a, chain_b) -> tuple[Chain, Chain]:
+    _validate_poset(p)
     C = chain_a if isinstance(chain_a, Chain) else p.chain(chain_a)
     D = chain_b if isinstance(chain_b, Chain) else p.chain(chain_b)
     for label, ch in (("first", C), ("second", D)):
@@ -108,76 +109,65 @@ def _validate_inputs(p: Poset, chain_a, chain_b) -> tuple[Chain, Chain]:
 
 
 def _match(p: Poset, c: Sequence[int], d: Sequence[int], keep_trace: bool
-           ) -> tuple[list[int], list[tuple[str, str]], tuple[RecursionFrame, ...] | None]:
-    # Level k matches c_k..c_n against d lifted into the up-set of c_k.  Joins
-    # of two elements of an up-set are the same there as in p, and its covers
-    # are covers of p, so every level reads p's join table by index (a join
-    # semilattice, as _validate_inputs has checked: no sentinel is read).
+           ) -> tuple[list[int], list[tuple[int, int]], tuple[RecursionFrame, ...] | None]:
+    """pi, the witnesses by index and (with keep_trace) the frames, read off
+    the join matrix of two maximal index chains of equal length of a
+    validated poset, so no join sentinel is read."""
     J = sl._join_rows(p)
     covers, names = p._covers, p.elements
     n = len(c) - 1
-    splits: list[int] = []
-    witnesses: list[tuple[str, str]] = []
-    lifted_chains: list[list[int]] = []
-    for k in range(n):
-        c1 = c[k + 1]
-        m = len(d) - 1
-        row = J[c1]
-        lifted = [row[j] for j in d]
-        # c_1 <= d_j exactly when c_1 ∨ d_j = d_j.
-        not_below = [j for j in range(m + 1) if lifted[j] != d[j]]
-        if not not_below or len(not_below) == m + 1:
-            raise InternalInvariantError("c_1 must be above d_0 and below d_m")
-        l = not_below[-1]
-
-        # Past l the lifted chain is d itself, by the choice of l.
-        if lifted[0] != c1 or lifted[l] != d[l + 1]:
-            raise InternalInvariantError("lifted chain does not collapse onto the tail of d")
-        collapses = [j for j in range(m) if lifted[j] == lifted[j + 1]]
-        if collapses != [l]:
-            raise InternalInvariantError(f"expected the unique collapse at {l}, found {collapses}")
-        dedup = lifted[: l + 1] + lifted[l + 2 :]
-        for u, v in zip(dedup, dedup[1:]):
-            if not covers[u, v]:
-                raise InternalInvariantError(f"lifted step ({names[u]}, {names[v]}) is not a cover")
-        # It starts at c_1 and climbs by covers, so reaching the top is
-        # exactly maximality in the up-set of c_1.
-        if dedup[-1] != c[-1]:
-            raise InternalInvariantError("lifted chain is not maximal above c_1")
-
-        splits.append(l)
-        witnesses.append((names[d[l]], names[d[l + 1]]))
-        if keep_trace:
-            lifted_chains.append(dedup)
-        d = dedup
-
-    # Compose pi from the top level down: position s of the lifted chain at
-    # level k names interval s of that level's d when s <= l_k, and s+1 past
-    # the collapse.
-    pi: list[int] = []
-    frames: list[RecursionFrame] = []
-    for k in reversed(range(n)):
-        l = splits[k]
-        sigma = [s + (s > l) for s in pi]
-        if keep_trace and sigma:
-            frames.append(RecursionFrame(k, l, tuple(names[i] for i in lifted_chains[k]),
-                                         tuple(enumerate(sigma, start=2))))
-        pi = [l + 1] + sigma
-    return pi, witnesses, tuple(reversed(frames)) if keep_trace else None
+    M = [[J[ci][j] for j in d] for ci in c]
+    flat = [list(map(eq, row, row[1:])) for row in M]  # flat[i][k-1]: row i repeats at column k
+    if M[0] != list(d):  # c_0 is the bottom
+        raise InternalInvariantError("row 0 of the join matrix is not the second chain")
+    pi, witnesses = [], []
+    for i in range(1, n + 1):
+        prev, row = M[i - 1], M[i]
+        if row[0] != c[i] or row[n] != d[n]:
+            raise InternalInvariantError(f"row {i} does not run from c_{i} to the top")
+        # pi(i) is the least j with c_i <= c_{i-1} ∨ d_j.  From j on row i is
+        # row i-1, and it repeats where row i-1 does and at j, so pi is a
+        # permutation: the repeats only grow, by one new column per row.
+        j = list(map(eq, row, prev)).index(True)
+        if (j == 0 or flat[i - 1][j - 1] or row[j:] != prev[j:]
+                or flat[i] != flat[i - 1][:j - 1] + [True] + flat[i - 1][j:]):
+            raise InternalInvariantError(f"row {i} does not add exactly one collapse, at {j}")
+        # Steps past j are those of row i-1, and row 0 is the maximal chain d.
+        for u, v in zip(row, row[1:j]):
+            if u != v and not covers[u, v]:
+                raise InternalInvariantError(f"row {i} steps {names[u]} -> {names[v]}, no cover")
+        x, y = prev[j - 1], prev[j]
+        a, b, e, f = c[i - 1], c[i], d[j - 1], d[j]
+        if x == y or J[a][x] != x or J[b][x] != y or J[e][x] != x or J[f][x] != y:
+            raise InternalInvariantError(f"index {i}: witness ({names[x]}, {names[y]}) fails on "
+                                         f"[{names[a]}, {names[b]}] or [{names[e]}, {names[f]}]")
+        pi.append(j)
+        witnesses.append((x, y))
+    if not keep_trace:
+        return pi, witnesses, None
+    frames = []
+    for k in range(n - 1):
+        # The steps of row k, repeats removed, numbered by the column they end at.
+        step = list(accumulate(map(not_, flat[k]), initial=0))
+        image = [step[j] for j in pi[k:]]
+        frames.append(RecursionFrame(k, image[0] - 1, tuple(names[e] for e, _ in groupby(M[k + 1])),
+                                     tuple(enumerate(image[1:], start=2))))
+    return pi, witnesses, tuple(frames)
 
 
 def jh_match(p: Poset, chain_a, chain_b, keep_trace: bool = False) -> MatchingResult:
     """Match the prime intervals of two maximal chains of p.
 
     Validates that p is a semimodular join semilattice with bottom and top
-    and that both chains are maximal of equal length, then runs the inductive
-    construction.  The result is re-verified with `verify_matching` before
-    returning: pi is a permutation and every witness satisfies the
-    up-projectivity checks against both chains.
+    and that both chains are maximal of equal length, then reads the matching
+    off the join matrix of the chains.  The result is re-verified with
+    `verify_matching` before returning: pi is a permutation and every witness
+    satisfies the up-projectivity checks against both chains.
     """
     C, D = _validate_inputs(p, chain_a, chain_b)
     pi, witnesses, trace = _match(p, list(map(p.index, C)), list(map(p.index, D)), keep_trace)
-    result = MatchingResult(n=C.length, pi=tuple(pi), witnesses=tuple(witnesses), trace=trace)
+    result = MatchingResult(n=C.length, pi=tuple(pi), trace=trace, witnesses=tuple(
+        (p.elements[x], p.elements[y]) for x, y in witnesses))
     check = verify_matching(p, C, D, result)
     if not check.ok:
         raise InternalInvariantError("; ".join(check.failures))

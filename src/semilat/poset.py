@@ -118,7 +118,7 @@ class Poset:
         for pair in covers:
             a, b = pair
             for x in (a, b):
-                if x not in index:
+                if not isinstance(x, str) or x not in index:
                     raise PosetConstructionError(f"unknown endpoint {x!r} in cover ({a}, {b})")
             if a == b:
                 raise PosetConstructionError(f"cycle: self-cover ({a}, {b})")
@@ -184,9 +184,6 @@ class Poset:
 
     def upper_covers(self, a: str) -> list[str]:
         return [self.elements[j] for j in np.flatnonzero(self._covers[self.index(a)])]
-
-    def lower_covers(self, a: str) -> list[str]:
-        return [self.elements[i] for i in np.flatnonzero(self._covers[:, self.index(a)])]
 
     # -- bounds and height ---------------------------------------------------
 

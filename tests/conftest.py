@@ -7,12 +7,15 @@ import pytest
 
 from semilat import (
     Graph,
+    Poset,
     boolean_lattice,
     chain_product,
     graphic_flat_lattice,
     partition_lattice,
 )
+from semilat import semilattice as sl
 from semilat.cli import run as cli_run
+from semilat.matching import _match
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -63,3 +66,12 @@ def read_golden(name: str) -> str:
 
 def golden_json(name: str):
     return json.loads(read_golden(name))
+
+
+def break_witness_entry(p: Poset, c: list[int], d: list[int]) -> None:
+    """Corrupt, in p's cached join rows, the entry c_{i-1} ∨ x for the first
+    witness (x, y) with x off the chain d.  The join matrix of c and d never
+    reads that entry, so only the matcher's witness re-check can notice."""
+    _, witnesses, _ = _match(p, c, d, False)
+    i, (x, y) = next((i, w) for i, w in enumerate(witnesses, start=1) if w[0] not in d)
+    sl._join_rows(p)[c[i - 1]][x] = y

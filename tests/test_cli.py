@@ -137,6 +137,14 @@ class TestExitCodes:
             code, _, _ = run_cli("validate", path)
             assert code == 1
 
+    def test_cover_endpoint_that_is_not_a_name(self, run_cli, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"name": "p", "elements": ["a", "b"],
+                                    "covers": [[["a"], "b"]]}), encoding="utf-8")
+        code, out, err = run_cli("validate", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: unknown endpoint ['a'] in cover (['a'], b)\n"
+
     def test_count_chains_of_a_1200_element_chain(self, run_cli, tmp_path):
         names = [str(k) for k in range(1200)]
         path = tmp_path / "c1200.json"
@@ -285,6 +293,19 @@ class TestGroupCommands:
         code, out, err = run_cli("group", "subgroups", str(path))
         assert (code, out) == (2, "")
         assert err == f"error: {path}: group tables are limited to order <= 120, got 3600\n"
+
+    @pytest.mark.parametrize("name, table, message", [
+        ("s", [[0, "1"], ["1", 0]], "table entries must be integers"),
+        ("s", [[0, None], [None, 0]], "table entries must be integers"),
+        ("s", [0, 1], "table rows must be arrays"),
+        (5, [[0, 1], [1, 0]], "field 'name' must be a string"),
+    ], ids=["string-entries", "null-entries", "flat-table", "numeric-name"])
+    def test_malformed_group_file(self, run_cli, tmp_path, name, table, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"name": name, "order": 2, "table": table}), encoding="utf-8")
+        code, out, err = run_cli("group", "subgroups", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: {message}\n"
 
     def test_oversize_builtin_refused_before_building(self, run_cli, tmp_path):
         out = tmp_path / "big.json"

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from semilat import (
     Chain,
     GroupValidationError,
+    InternalInvariantError,
     NotMaximalChainError,
     Poset,
     PreconditionError,
@@ -25,6 +26,8 @@ from semilat import (
     normal_closure,
     subnormal_lattice,
 )
+from semilat import groups, matching
+from conftest import break_witness_entry
 from strategies import GENERATED, direct_products
 
 # Acceptance-frozen subgroup counts; S3xZ2 was computed by the subset oracle
@@ -346,6 +349,16 @@ class TestCompositionAnalysis:
     def test_generated_groups(self, g):
         assert composition_analysis(g).ok, g.name
 
+    @settings(GENERATED, max_examples=10)
+    @given(direct_products())
+    def test_generated_pairs_match_series_by_series(self, g):
+        report = composition_analysis(g)
+        lattice = subnormal_lattice(g)
+        chains = [Chain(s) for s in report.series]
+        assert [pair.pi for pair in report.pairs] == [
+            match_series(lattice, chains[i], chains[j])
+            for i in range(len(chains)) for j in range(i, len(chains))]
+
 
 class TestPerPairWork:
     def test_chains_validated_once_not_per_pair(self, monkeypatch):
@@ -371,3 +384,38 @@ class TestPerPairWork:
                 match_series(lattice, short, maximal)
             with pytest.raises(NotMaximalChainError):
                 match_series(lattice, maximal, short)
+
+    def test_no_per_pair_jh_match_or_name_lookups(self, monkeypatch):
+        calls: dict[str, int] = {}
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def counting(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counting)
+
+        for owner, name in ((groups, "jh_match"), (groups, "match_series"),
+                            (matching, "verify_matching"), (matching, "prime_up_projective"),
+                            (Poset, "index")):
+            count(owner, name)
+        report = composition_analysis(builtin_group("D4xZ2"))
+        assert len(report.pairs) == 2850
+        assert [calls.get(name, 0) for name in ("jh_match", "match_series", "verify_matching",
+                                                "prime_up_projective")] == [0, 0, 0, 0]
+        # Names are resolved per series, not per pair.
+        assert calls["index"] <= 2 * len(report.series) * (report.length + 1)
+
+    def test_broken_join_entry_caught_by_the_witness_recheck(self):
+        g = builtin_group("Z12")  # a fresh group: its lattice's join rows get corrupted
+        dual = subnormal_lattice(g).dual()
+        series_a = ["0", "0.6", "0.3.6.9", "0.1.2.3.4.5.6.7.8.9.10.11"]
+        series_b = ["0", "0.4.8", "0.2.4.6.8.10", "0.1.2.3.4.5.6.7.8.9.10.11"]
+        break_witness_entry(dual, [dual.index(e) for e in reversed(series_a)],
+                            [dual.index(e) for e in reversed(series_b)])
+        with pytest.raises(InternalInvariantError, match=r"witness \(.*\) fails on \["):
+            composition_analysis(g, series_a, series_b)
+        with pytest.raises(InternalInvariantError):
+            composition_analysis(g)

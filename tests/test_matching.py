@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import inspect
+import random
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semilat import (
+    InternalInvariantError,
     MatchingResult,
     NotJoinSemilatticeError,
     NotMaximalChainError,
@@ -13,15 +16,25 @@ from semilat import (
     Poset,
     boolean_lattice,
     chain_product,
+    check_theorem,
+    count_consistent_permutations,
     is_maximal_chain,
+    is_semimodular,
     jh_match,
     maximal_chains,
     named_counterexample,
     partition_lattice,
     prime_up_projective,
+    projectivity_relation,
     random_maximal_chain,
+    subnormal_lattice,
     verify_matching,
 )
+from semilat.matching import _match
+from semilat.oracle import COUNTING_LIMIT
+
+from conftest import break_witness_entry
+from strategies import GENERATED, chain_products, closure_lattices, direct_products, graphic_flats
 
 B2 = Poset.from_cover_list(
     "b2", ["0", "a", "b", "1"], [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
@@ -29,6 +42,24 @@ B3 = boolean_lattice(3)
 
 B3_CHAIN_A = ["000", "100", "110", "111"]
 B3_CHAIN_B = ["000", "010", "110", "111"]
+
+SEMIMODULAR = st.one_of(chain_products(), graphic_flats(),
+                        closure_lattices().filter(lambda p: is_semimodular(p).holds))
+
+
+def index_chain(p, chain):
+    return [p.index(e) for e in chain]
+
+
+def assert_theorem_holds(p, a, b):
+    """The join-matrix pi of (a, b) is the oracle's one consistent
+    permutation, and it is maximal."""
+    pi, _, _ = _match(p, index_chain(p, a), index_chain(p, b), False)
+    rel = projectivity_relation(p, a, b)
+    assert count_consistent_permutations(rel) == 1
+    assert all(rel.related[i][pi[i] - 1] for i in range(rel.n))
+    assert not any(rel.related[i][j] for i in range(rel.n) for j in range(pi[i], rel.n))
+    assert check_theorem(p, a, b).ok
 
 
 class TestWorkedFixtures:
@@ -208,3 +239,30 @@ class TestEqualLengthGuarantee:
                 result = jh_match(pi4, chains[i], chains[j])
                 assert sorted(result.pi) == list(range(1, result.n + 1))
                 assert is_maximal_chain(pi4, chains[i])
+
+
+class TestJoinMatrix:
+    """pi read off the join matrix M[i][j] = c_i ∨ d_j, against the oracle."""
+
+    @settings(GENERATED, max_examples=60)
+    @given(SEMIMODULAR.filter(lambda p: p.height() <= COUNTING_LIMIT), st.integers(0, 10 ** 6))
+    def test_generated_lattices(self, p, seed):
+        a = random_maximal_chain(p, 2 * seed)
+        b = random_maximal_chain(p, 2 * seed + 1)
+        assert_theorem_holds(p, a, b)
+
+    @settings(GENERATED, max_examples=10)
+    @given(direct_products(), st.integers(0, 10 ** 6))
+    def test_dual_subnormal_lattices(self, g, seed):
+        lattice = subnormal_lattice(g)
+        chains = maximal_chains(lattice)
+        rng = random.Random(seed)
+        for _ in range(3):
+            a, b = rng.choice(chains), rng.choice(chains)
+            assert_theorem_holds(lattice.dual(), a.reversed(), b.reversed())
+
+    def test_broken_join_entry_caught_by_the_witness_recheck(self):
+        p = boolean_lattice(3)  # a fresh lattice: its cached join rows get corrupted
+        break_witness_entry(p, index_chain(p, B3_CHAIN_A), index_chain(p, B3_CHAIN_B))
+        with pytest.raises(InternalInvariantError, match=r"witness \(.*\) fails on \["):
+            jh_match(p, B3_CHAIN_A, B3_CHAIN_B)
