@@ -46,7 +46,7 @@ from .oracle import (
     CheckEntry,
     ProjectivityRelation,
     TheoremReport,
-    all_consistent_permutations,
+    check_pairs,
     check_theorem,
     count_consistent_permutations,
     interval_updown_witness,

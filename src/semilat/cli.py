@@ -200,14 +200,8 @@ def _cmd_verify(args) -> int:
         pairs, pair_seeds = _sample_chain_pairs(p, count, args.seed)
         mode = f"samples={count}"
 
-    cache: dict = {}
-    reports = []
-    failures = 0
-    for a, b in pairs:
-        report = oracle.check_theorem(p, a, b, cache=cache)
-        reports.append((list(a), list(b), report))
-        if not report.ok:
-            failures += 1
+    reports = [(list(a), list(b), r) for (a, b), r in zip(pairs, oracle.check_pairs(p, pairs))]
+    failures = sum(not r.ok for _, _, r in reports)
 
     if args.json:
         _emit_json({

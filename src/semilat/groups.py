@@ -236,6 +236,8 @@ def group_from_dict(data: dict) -> Group:
             raise GroupValidationError(f"group JSON lacks field {field!r}")
     if not isinstance(data["name"], str):
         raise GroupValidationError("field 'name' must be a string")
+    if not isinstance(data["order"], int) or isinstance(data["order"], bool):
+        raise GroupValidationError("field 'order' must be an integer")
     table = data["table"]
     if not isinstance(table, list) or len(table) != data["order"]:
         raise GroupValidationError("field 'table' must be an order x order array")

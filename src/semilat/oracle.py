@@ -1,11 +1,14 @@
 """Brute-force ground truth for the chain-matching theorem.
 
-Everything here is deliberately dumb: witness existence is decided by one
-exhaustive mask over all element pairs (x, y), read off the join table, and
-uniqueness of the matching permutation by counting the consistent
-permutations of the relation matrix.  The oracle reads only the `Poset` and
-its join table: it calls neither the projectivity predicates nor the
-matcher's internals, so an agreement between the two is meaningful evidence.
+Everything here is deliberately dumb: witness existence for a relation cell
+is decided by one exhaustive mask over all element pairs (x, y), read off
+the join table, and uniqueness of the matching permutation by counting the
+consistent permutations of the relation matrix.  `check_pairs` checks a
+whole pair set in one pass: the preconditions once, each distinct chain
+once, and every cell the pairs need in one batch of masks, evaluated in
+blocks.  The oracle reads only the `Poset` and its join table: it calls
+neither the projectivity predicates nor the matcher's internals, so an
+agreement between the two is meaningful evidence.
 """
 
 from __future__ import annotations
@@ -16,11 +19,11 @@ import numpy as np
 
 from .errors import ChainLengthMismatchError, NotPrimeIntervalError, SizeLimitError
 from .matching import jh_match
-from .poset import Poset
+from .poset import Chain, Poset
 from . import semilattice as sl
 
-ENUMERATION_LIMIT = 8   # full n! sweep
 COUNTING_LIMIT = 20     # perfect-matching count with column-set memo
+_MASK_BLOCK = 2 ** 20   # mask entries evaluated at once
 
 
 @dataclass(frozen=True)
@@ -37,6 +40,39 @@ class ProjectivityRelation:
     witnesses: tuple[tuple[tuple[str, str] | None, ...], ...]
 
 
+def _evaluate_cells(p: Poset, cells: list[tuple[int, int, int, int]], cache: dict) -> None:
+    """Set cache[(a, b, c, d)], for each index cell of two prime intervals
+    [a, b] and [c, d], to the lexicographically first of all |p|^2 pairs
+    (x, y) with x != y, a∨x = c∨x = x and b∨x = d∨x = y, as names, or None.
+
+    The cells share one mask over the join table, in blocks of about
+    _MASK_BLOCK entries.  Raises NoJoinError unless p is a join semilattice.
+    """
+    if not cells:
+        return
+    J = sl._joins(p)
+    names, size = p.elements, len(p)
+    xs = np.arange(size)
+    step = max(1, _MASK_BLOCK // size ** 2)
+    for start in range(0, len(cells), step):
+        block = cells[start:start + step]
+        a, b, c, d = np.array(block).T
+        # Cell k, row x, column y: every condition, evaluated on every pair.
+        mask = J[b][:, :, None] == xs
+        mask &= J[d][:, :, None] == xs
+        mask &= ((J[a] == xs) & (J[c] == xs))[:, :, None]
+        mask &= xs[:, None] != xs
+        mask = mask.reshape(len(block), -1)
+        first = mask.argmax(axis=1)
+        found = mask[np.arange(len(block)), first]
+        for cell, f, hit in zip(block, first.tolist(), found.tolist()):
+            cache[cell] = (names[f // size], names[f % size]) if hit else None
+
+
+def _not_prime(p: Poset, lo: str, hi: str) -> NotPrimeIntervalError:
+    return NotPrimeIntervalError(f"[{lo}, {hi}] is not a prime interval of {p.name!r}")
+
+
 def interval_updown_witness(p: Poset, source, target) -> tuple[str, str] | None:
     """The lexicographically first of all |p|^2 pairs (x, y) with x != y,
     a∨x = c∨x = x and b∨x = d∨x = y, for the prime intervals
@@ -46,17 +82,11 @@ def interval_updown_witness(p: Poset, source, target) -> tuple[str, str] | None:
     """
     for lo, hi in (source, target):
         if not p.is_cover(lo, hi):
-            raise NotPrimeIntervalError(f"[{lo}, {hi}] is not a prime interval of {p.name!r}")
-    (a, b), (c, d) = map(p.index, source), map(p.index, target)
-    J = sl._joins(p)
-    xs = np.arange(len(p))
-    # Row x, column y: every condition, evaluated on every pair.
-    mask = (((J[a] == xs) & (J[c] == xs))[:, None] & (J[b][:, None] == xs)
-            & (J[d][:, None] == xs) & (xs[:, None] != xs))
-    if not mask.any():
-        return None
-    x, y = divmod(int(mask.argmax()), len(p))
-    return p.elements[x], p.elements[y]
+            raise _not_prime(p, lo, hi)
+    cell = (*map(p.index, source), *map(p.index, target))
+    cache: dict = {}
+    _evaluate_cells(p, [cell], cache)
+    return cache[cell]
 
 
 def projectivity_relation(p: Poset, chain_a, chain_b,
@@ -64,7 +94,9 @@ def projectivity_relation(p: Poset, chain_a, chain_b,
     """Relation matrix between the prime intervals of two equal-length chains.
 
     `cache` may be shared across calls on the same poset: cells depend only on
-    the two intervals, so chain pairs with common steps reuse the searches.
+    the two intervals, keyed by their indices (a, b, c, d), so chain pairs
+    with common steps reuse the searches.  The cells missing from it are
+    evaluated together.
     """
     C = tuple(chain_a)
     D = tuple(chain_b)
@@ -72,53 +104,21 @@ def projectivity_relation(p: Poset, chain_a, chain_b,
         raise ChainLengthMismatchError(
             f"chains of lengths {len(C) - 1} and {len(D) - 1}")
     n = len(C) - 1
-    related = []
-    witnesses = []
-    for i in range(1, n + 1):
-        src = (C[i - 1], C[i])
-        rel_row = []
-        wit_row = []
-        for j in range(1, n + 1):
-            tgt = (D[j - 1], D[j])
-            if cache is not None and (src, tgt) in cache:
-                w = cache[(src, tgt)]
-            else:
-                w = interval_updown_witness(p, src, tgt)
-                if cache is not None:
-                    cache[(src, tgt)] = w
-            rel_row.append(w is not None)
-            wit_row.append(w)
-        related.append(tuple(rel_row))
-        witnesses.append(tuple(wit_row))
-    return ProjectivityRelation(n, tuple(related), tuple(witnesses))
+    cache = {} if cache is None else cache
+    c, d = list(map(p.index, C)), list(map(p.index, D))
+    cells = [(a, b, e, f) for a, b in zip(c, c[1:]) for e, f in zip(d, d[1:])]
+    missing = list(dict.fromkeys(cell for cell in cells if cell not in cache))
+    for a, b, e, f in missing:
+        for lo, hi in ((a, b), (e, f)):
+            if not p._covers[lo, hi]:
+                raise _not_prime(p, p.elements[lo], p.elements[hi])
+    _evaluate_cells(p, missing, cache)
+    witnesses = list(map(cache.__getitem__, cells))
 
+    def square(flat: list) -> tuple:
+        return tuple(tuple(flat[i * n:i * n + n]) for i in range(n))
 
-def all_consistent_permutations(rel: ProjectivityRelation) -> list[tuple[int, ...]]:
-    """Every permutation pi with related[i][pi(i)] for all i, by backtracking.
-
-    Guarded at n <= 8; the result is sorted lexicographically.
-    """
-    n = rel.n
-    if n > ENUMERATION_LIMIT:
-        raise SizeLimitError(f"permutation enumeration is limited to n <= {ENUMERATION_LIMIT}")
-    out: list[tuple[int, ...]] = []
-    chosen: list[int] = []
-    used = [False] * (n + 1)
-
-    def backtrack(i: int) -> None:
-        if i > n:
-            out.append(tuple(chosen))
-            return
-        for j in range(1, n + 1):
-            if not used[j] and rel.related[i - 1][j - 1]:
-                used[j] = True
-                chosen.append(j)
-                backtrack(i + 1)
-                chosen.pop()
-                used[j] = False
-
-    backtrack(1)
-    return out
+    return ProjectivityRelation(n, square([w is not None for w in witnesses]), square(witnesses))
 
 
 def count_consistent_permutations(rel: ProjectivityRelation) -> int:
@@ -177,6 +177,94 @@ class TheoremReport:
         return {"ok": self.ok, "entries": [e.to_dict() for e in self.entries]}
 
 
+def _poset_preconditions(p: Poset) -> str | None:
+    """Why p is not a semimodular join semilattice with bounds, or None."""
+    ok, pair = sl.is_join_semilattice(p)
+    if not ok:
+        return f"not a join semilattice: no join for {pair}"
+    report = sl.is_semimodular(p)
+    if not report.holds:
+        return f"not semimodular: counterexample {report.counterexample}"
+    if p.bottom() is None or p.top() is None:
+        return "missing bottom or top"
+    return None
+
+
+def check_pairs(p: Poset, pairs, cache: dict | None = None) -> list[TheoremReport]:
+    """`check_theorem` on every chain pair, in order, in one pass.
+
+    The poset preconditions are checked once, and each distinct chain is
+    checked for maximality and indexed once.  Every relation cell that the
+    evaluable pairs (preconditions met, equal lengths) need is then
+    evaluated in one batch, so each pair reads its relation off the cache.
+    Chains longer than COUNTING_LIMIT raise SizeLimitError before any cell
+    is computed.
+    """
+    cache = {} if cache is None else cache
+    poset_failure = _poset_preconditions(p)
+    maximal: dict[tuple[str, ...], bool] = {}
+    entries: list[list[CheckEntry]] = []
+    evaluable = []
+    for chain_a, chain_b in pairs:
+        C, D = tuple(chain_a), tuple(chain_b)
+        pre_ok, pre_msg = poset_failure is None, poset_failure
+        if pre_ok:
+            pre_msg = "semimodular join semilattice; both chains maximal"
+            for label, ch in (("first", C), ("second", D)):
+                if ch not in maximal:
+                    maximal[ch] = sl.is_maximal_chain(p, ch)
+                if not maximal[ch]:
+                    pre_ok, pre_msg = False, f"{label} chain is not maximal"
+                    break
+        lengths_equal = len(C) == len(D)
+        entries.append([CheckEntry("preconditions", pre_ok, pre_msg),
+                        CheckEntry("equal-length", lengths_equal,
+                                   f"lengths {len(C) - 1} and {len(D) - 1}")])
+        if not (pre_ok and lengths_equal):
+            skipped = "not evaluated (preconditions failed)"
+            entries[-1] += [CheckEntry("unique-permutation", False, skipped),
+                            CheckEntry("maximality", False, skipped)]
+        elif len(C) - 1 > COUNTING_LIMIT:
+            raise SizeLimitError(f"permutation counting is limited to n <= {COUNTING_LIMIT}")
+        else:
+            evaluable.append((entries[-1], C, D))
+
+    # Each chain left is maximal, so its steps are prime intervals.  A step
+    # of a first chain meets every step of that chain's partners.
+    chains: dict[tuple[str, ...], tuple[Chain, list[int]]] = {}
+    partners: dict[tuple[str, ...], dict] = {}
+    for _, C, D in evaluable:
+        for ch in (C, D):
+            if ch not in chains:
+                chains[ch] = p.chain(ch), list(map(p.index, ch))
+        d = chains[D][1]
+        partners.setdefault(C, {}).update(dict.fromkeys(zip(d, d[1:])))
+    needed: dict[tuple[int, int, int, int], None] = {}
+    for C, steps in partners.items():
+        c = chains[C][1]
+        needed.update(dict.fromkeys((a, b, e, f) for a, b in zip(c, c[1:]) for e, f in steps))
+    _evaluate_cells(p, [cell for cell in needed if cell not in cache], cache)
+
+    for out, C, D in evaluable:
+        rel = projectivity_relation(p, C, D, cache=cache)
+        result = jh_match(p, chains[C][0], chains[D][0])
+        n = rel.n
+        count = count_consistent_permutations(rel)
+        consistent = all(rel.related[i - 1][result.pi[i - 1] - 1] for i in range(1, n + 1))
+        out.append(CheckEntry(
+            "unique-permutation", count == 1 and consistent,
+            f"matching count {count}; computed permutation consistent: {consistent}"))
+        violations = [(i, j)
+                      for i in range(1, n + 1)
+                      for j in range(1, n + 1)
+                      if rel.related[i - 1][j - 1] and j > result.pi[i - 1]]
+        out.append(CheckEntry(
+            "maximality", not violations,
+            "every related j satisfies j <= pi(i)" if not violations
+            else f"violated at (i, j) pairs {violations}"))
+    return [TheoremReport(tuple(e)) for e in entries]
+
+
 def check_theorem(p: Poset, chain_a, chain_b,
                   cache: dict | None = None) -> TheoremReport:
     """Verify all three claims for one chain pair against the brute-force
@@ -188,56 +276,4 @@ def check_theorem(p: Poset, chain_a, chain_b,
     produce evidence rather than crashes.  Chains longer than COUNTING_LIMIT
     raise SizeLimitError before any relation cell is computed.
     """
-    C = tuple(chain_a)
-    D = tuple(chain_b)
-    entries: list[CheckEntry] = []
-
-    pre_ok, pre_msg = True, "semimodular join semilattice; both chains maximal"
-    ok, pair = sl.is_join_semilattice(p)
-    if not ok:
-        pre_ok, pre_msg = False, f"not a join semilattice: no join for {pair}"
-    else:
-        report = sl.is_semimodular(p)
-        if not report.holds:
-            pre_ok, pre_msg = False, f"not semimodular: counterexample {report.counterexample}"
-        elif p.bottom() is None or p.top() is None:
-            pre_ok, pre_msg = False, "missing bottom or top"
-        else:
-            for label, ch in (("first", C), ("second", D)):
-                if not sl.is_maximal_chain(p, ch):
-                    pre_ok, pre_msg = False, f"{label} chain is not maximal"
-                    break
-    entries.append(CheckEntry("preconditions", pre_ok, pre_msg))
-
-    lengths_equal = len(C) == len(D)
-    entries.append(CheckEntry(
-        "equal-length", lengths_equal,
-        f"lengths {len(C) - 1} and {len(D) - 1}"))
-
-    if not (pre_ok and lengths_equal):
-        skipped = "not evaluated (preconditions failed)"
-        entries.append(CheckEntry("unique-permutation", False, skipped))
-        entries.append(CheckEntry("maximality", False, skipped))
-        return TheoremReport(tuple(entries))
-
-    if len(C) - 1 > COUNTING_LIMIT:
-        raise SizeLimitError(f"permutation counting is limited to n <= {COUNTING_LIMIT}")
-    rel = projectivity_relation(p, C, D, cache=cache)
-    result = jh_match(p, p.chain(C), p.chain(D))
-    n = rel.n
-
-    count = count_consistent_permutations(rel)
-    consistent = all(rel.related[i - 1][result.pi[i - 1] - 1] for i in range(1, n + 1))
-    entries.append(CheckEntry(
-        "unique-permutation", count == 1 and consistent,
-        f"matching count {count}; computed permutation consistent: {consistent}"))
-
-    violations = [(i, j)
-                  for i in range(1, n + 1)
-                  for j in range(1, n + 1)
-                  if rel.related[i - 1][j - 1] and j > result.pi[i - 1]]
-    entries.append(CheckEntry(
-        "maximality", not violations,
-        "every related j satisfies j <= pi(i)" if not violations
-        else f"violated at (i, j) pairs {violations}"))
-    return TheoremReport(tuple(entries))
+    return check_pairs(p, [(chain_a, chain_b)], cache=cache)[0]

@@ -16,7 +16,7 @@ from semilat import (
     NotSemimodularError,
     all_subgroups,
     builtin_group,
-    check_theorem,
+    check_pairs,
     composition_analysis,
     is_join_semilattice,
     is_semimodular,
@@ -61,9 +61,7 @@ def test_criterion_1_theorem_suite(corpus):
             pairs = [(a, b) for a in chains for b in chains]
         else:
             pairs = _sampled_pairs(p, SAMPLES, seed=0)
-        cache: dict = {}
-        for a, b in pairs:
-            report = check_theorem(p, a, b, cache=cache)
+        for (a, b), report in zip(pairs, check_pairs(p, pairs)):
             if not report.ok:
                 failures.append((p.name, list(a), list(b),
                                  [e.to_dict() for e in report.entries if not e.passed]))

@@ -294,15 +294,19 @@ class TestGroupCommands:
         assert (code, out) == (2, "")
         assert err == f"error: {path}: group tables are limited to order <= 120, got 3600\n"
 
-    @pytest.mark.parametrize("name, table, message", [
-        ("s", [[0, "1"], ["1", 0]], "table entries must be integers"),
-        ("s", [[0, None], [None, 0]], "table entries must be integers"),
-        ("s", [0, 1], "table rows must be arrays"),
-        (5, [[0, 1], [1, 0]], "field 'name' must be a string"),
-    ], ids=["string-entries", "null-entries", "flat-table", "numeric-name"])
-    def test_malformed_group_file(self, run_cli, tmp_path, name, table, message):
+    @pytest.mark.parametrize("name, order, table, message", [
+        ("s", 2, [[0, "1"], ["1", 0]], "table entries must be integers"),
+        ("s", 2, [[0, None], [None, 0]], "table entries must be integers"),
+        ("s", 2, [0, 1], "table rows must be arrays"),
+        (5, 2, [[0, 1], [1, 0]], "field 'name' must be a string"),
+        ("s", True, [[0]], "field 'order' must be an integer"),
+        ("s", 2.0, [[0, 1], [1, 0]], "field 'order' must be an integer"),
+    ], ids=["string-entries", "null-entries", "flat-table", "numeric-name", "boolean-order",
+            "float-order"])
+    def test_malformed_group_file(self, run_cli, tmp_path, name, order, table, message):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"name": name, "order": 2, "table": table}), encoding="utf-8")
+        path.write_text(json.dumps({"name": name, "order": order, "table": table}),
+                        encoding="utf-8")
         code, out, err = run_cli("group", "subgroups", str(path))
         assert (code, out) == (2, "")
         assert err == f"error: {path}: {message}\n"

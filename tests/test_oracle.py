@@ -11,9 +11,9 @@ from semilat import (
     Poset,
     ProjectivityRelation,
     SizeLimitError,
-    all_consistent_permutations,
     boolean_lattice,
     chain_product,
+    check_pairs,
     check_theorem,
     count_consistent_permutations,
     interval_updown_witness,
@@ -27,6 +27,7 @@ from semilat import (
 )
 from semilat import oracle
 
+from enumeration import all_consistent_permutations
 from strategies import GENERATED, chain_products, graphic_flats
 
 SEMIMODULAR = st.one_of(chain_products(), graphic_flats())
@@ -125,10 +126,6 @@ class TestPermutationEnumeration:
                 count_consistent_permutations(rel)
 
     def test_size_guards(self):
-        big = ProjectivityRelation(9, tuple((True,) * 9 for _ in range(9)),
-                                   tuple((None,) * 9 for _ in range(9)))
-        with pytest.raises(SizeLimitError):
-            all_consistent_permutations(big)
         huge = ProjectivityRelation(21, tuple((True,) * 21 for _ in range(21)),
                                     tuple((None,) * 21 for _ in range(21)))
         with pytest.raises(SizeLimitError):
@@ -157,10 +154,14 @@ class TestCheckTheorem:
             raise AssertionError("relation computed")
 
         monkeypatch.setattr(oracle, "projectivity_relation", relation)
+        monkeypatch.setattr(oracle, "_evaluate_cells", relation)
         p = chain_product([23])
         (chain,) = maximal_chains(p)
         with pytest.raises(SizeLimitError, match="n <= 20"):
             check_theorem(p, chain, chain)
+        # One long pair anywhere in the set refuses the whole set.
+        with pytest.raises(SizeLimitError, match="n <= 20"):
+            check_pairs(p, [(chain, chain.elements[:3]), (chain, chain)])
 
     @GENERATED
     @given(SEMIMODULAR, st.integers(0, 10 ** 6))
@@ -201,3 +202,63 @@ class TestCheckTheorem:
                     for i in range(1, result.n + 1):
                         assert rel.related[i - 1][result.pi[i - 1] - 1], \
                             (p.name, list(C), list(D), i)
+
+
+def _glued_n5() -> Poset:
+    """B2 with an N5 glued on at its top: a lattice, not semimodular, whose
+    maximal chains have lengths 4 and 5."""
+    return Poset.from_cover_list(
+        "b2+n5", ["0", "a", "b", "m", "p", "q", "r", "1"],
+        [("0", "a"), ("0", "b"), ("a", "m"), ("b", "m"),
+         ("m", "p"), ("p", "r"), ("r", "1"), ("m", "q"), ("q", "1")])
+
+
+def _mixed_pairs(p, seed: int) -> list:
+    """Seeded maximal chains, a repeated chain, and, where the height allows,
+    a non-maximal chain one step shorter, paired every way."""
+    chains = [random_maximal_chain(p, seed + k).elements for k in range(3)]
+    chains.append(chains[0])
+    if len(chains[0]) >= 3:
+        chains.append(chains[1][:1] + chains[1][2:])
+    return [(a, b) for a in chains for b in chains]
+
+
+class TestCheckPairs:
+    @settings(GENERATED, max_examples=20)
+    @given(SEMIMODULAR.filter(lambda p: p.height() <= oracle.COUNTING_LIMIT),
+           st.integers(0, 10 ** 6))
+    def test_generated_reports_match_check_theorem(self, p, seed):
+        pairs = _mixed_pairs(p, seed)
+        cache: dict = {}
+        assert [r.to_dict() for r in check_pairs(p, pairs)] == \
+            [check_theorem(p, a, b, cache=cache).to_dict() for a, b in pairs], p.name
+
+    @pytest.mark.parametrize("p", [named_counterexample("n5"), _glued_n5()], ids=["n5", "glued-n5"])
+    def test_negative_controls_match_check_theorem(self, p):
+        pairs = [(a, b) for a in maximal_chains(p) for b in maximal_chains(p)]
+        reports = check_pairs(p, pairs)
+        assert [r.to_dict() for r in reports] == \
+            [check_theorem(p, a, b).to_dict() for a, b in pairs]
+        assert all("not semimodular" in r.entry("preconditions").detail for r in reports)
+        assert any(not r.entry("equal-length").passed for r in reports)
+
+    def test_each_cell_evaluated_once(self, monkeypatch):
+        rows = []
+        evaluate = oracle._evaluate_cells
+
+        def counting(p, cells, cache):
+            rows.extend(cells)
+            evaluate(p, cells, cache)
+
+        monkeypatch.setattr(oracle, "_evaluate_cells", counting)
+        b4 = boolean_lattice(4)
+        chains = maximal_chains(b4)
+        pairs = [(a, b) for a in chains for b in chains]
+        cache: dict = {}
+        assert all(r.ok for r in check_pairs(b4, pairs, cache=cache))
+        steps = {(s, t) for a, b in pairs
+                 for s in zip(a, a.elements[1:]) for t in zip(b, b.elements[1:])}
+        assert len(rows) == len(set(rows)) == len(steps) == len(b4.cover_pairs()) ** 2
+        rows.clear()
+        check_pairs(b4, pairs[:5], cache=cache)
+        assert rows == []
