@@ -25,7 +25,6 @@ from .poset import Chain, Poset, from_dict, load_poset, save_poset
 from .semilattice import (
     SemimodularityReport,
     count_maximal_chains,
-    extend_to_maximal_chain,
     is_join_semilattice,
     is_maximal_chain,
     is_semimodular,
@@ -34,9 +33,7 @@ from .semilattice import (
     meet,
 )
 from .projectivity import (
-    PrimeInterval,
     ProjectivityWitness,
-    compose_up,
     lattice_up_projective,
     prime_up_projective,
     updown_projective,

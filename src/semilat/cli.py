@@ -114,6 +114,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_chains(args) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise _InputError(f"--limit must be at least 0, got {args.limit}")
     p = _load(load_poset, args.poset)
     if args.count:
         total = sl.count_maximal_chains(p)
@@ -186,6 +188,8 @@ def _sample_chain_pairs(p: Poset, samples: int, seed: int):
 
 
 def _cmd_verify(args) -> int:
+    if args.samples is not None and args.samples < 1:
+        raise _InputError(f"--samples must be at least 1, got {args.samples}")
     p = _load(load_poset, args.poset)
     pair_seeds = None
     # Default policy: exhaustive when the ordered-pair count is modest,

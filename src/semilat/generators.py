@@ -8,12 +8,13 @@ across runs.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import SizeLimitError, UnknownNameError
 from .poset import Chain, Poset
-from .semilattice import extend_to_maximal_chain
+from .semilattice import _require_bounds
 
 
 @dataclass(frozen=True)
@@ -196,6 +197,10 @@ def named_counterexample(name: str) -> Poset:
 
 def random_maximal_chain(p: Poset, seed: int) -> Chain:
     """Seeded uniform cover-walk from bottom to top; deterministic per seed."""
-    # extend_to_maximal_chain checks the bounds before reading the chain, so
-    # a missing bottom raises MissingBoundsError, not a lookup error.
-    return extend_to_maximal_chain(p, [p.bottom()], seed)
+    bottom, top = _require_bounds(p)
+    rng = random.Random(seed)
+    out = [bottom]
+    while out[-1] != top:
+        options = p.upper_covers(out[-1])
+        out.append(options[rng.randrange(len(options))])
+    return Chain(tuple(out))

@@ -22,7 +22,6 @@ from . import semilattice as sl
 from .errors import (
     ChainLengthMismatchError,
     InternalInvariantError,
-    MissingBoundsError,
     NotMaximalChainError,
     NotSemimodularError,
 )
@@ -90,8 +89,7 @@ def _validate_poset(p: Poset) -> None:
     report = sl.is_semimodular(p)  # raises NotJoinSemilatticeError first
     if not report.holds:
         raise NotSemimodularError(report.counterexample)
-    if p.bottom() is None or p.top() is None:
-        raise MissingBoundsError(f"poset {p.name!r} lacks a bottom or top element")
+    sl._require_bounds(p)
 
 
 def _validate_inputs(p: Poset, chain_a, chain_b) -> tuple[Chain, Chain]:

@@ -280,7 +280,7 @@ class Poset:
         }
 
 
-def from_dict(data: dict, mode: str = "strict") -> Poset:
+def from_dict(data: dict) -> Poset:
     """Inverse of Poset.to_dict; validates the JSON object shape."""
     if not isinstance(data, dict):
         raise PosetConstructionError("poset JSON must be an object")
@@ -297,12 +297,12 @@ def from_dict(data: dict, mode: str = "strict") -> Poset:
     if not isinstance(covers, list) or any(
             not isinstance(c, list) or len(c) != 2 for c in covers):
         raise PosetConstructionError("field 'covers' must be an array of [lower, upper] pairs")
-    return Poset.from_cover_list(name, elements, covers, mode=mode)
+    return Poset.from_cover_list(name, elements, covers)
 
 
-def load_poset(path: str, mode: str = "strict") -> Poset:
+def load_poset(path: str) -> Poset:
     with open(path, encoding="utf-8") as fh:
-        return from_dict(json.load(fh), mode=mode)
+        return from_dict(json.load(fh))
 
 
 def save_poset(p: Poset, path: str) -> None:

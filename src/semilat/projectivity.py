@@ -17,25 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import semilattice as sl
-from .errors import (
-    InternalInvariantError,
-    NoMeetError,
-    NotPrimeIntervalError,
-    PreconditionError,
-)
+from .errors import NoMeetError, NotPrimeIntervalError
 from .poset import Poset
-
-
-@dataclass(frozen=True)
-class PrimeInterval:
-    """A cover pair [lower, upper] of some ambient poset."""
-
-    lower: str
-    upper: str
-
-    def __iter__(self):
-        yield self.lower
-        yield self.upper
 
 
 @dataclass(frozen=True)
@@ -101,27 +84,3 @@ def updown_projective(p: Poset, source, target) -> ProjectivityWitness | None:
         return None
     x = hits[0]
     return ProjectivityWitness(p.elements[x], p.elements[y[x]])
-
-
-def compose_up(p: Poset, ab, cd, ef) -> bool:
-    """Transitivity of up-projectivity in a semimodular join semilattice.
-
-    Preconditions are re-verified rather than trusted: the poset must be
-    semimodular, [a,b] prime, and both given up-projectivities must hold.
-    Under those the result is guaranteed true; callers treat False as a bug.
-    """
-    report = sl.is_semimodular(p)
-    if not report.holds:
-        raise PreconditionError(
-            f"compose_up needs a semimodular poset; counterexample {report.counterexample}")
-    a, b = ab
-    if not prime_up_projective(p, ab, cd):
-        raise PreconditionError(f"[{a}, {b}] is not up-projective to {tuple(cd)}")
-    c, d = cd
-    # Semimodularity forces c ⋖ d here; if not, a theorem broke, not the caller.
-    if not p.is_cover(c, d):
-        raise InternalInvariantError(
-            f"({c}, {d}) should be a cover pair under semimodularity")
-    if not prime_up_projective(p, cd, ef):
-        raise PreconditionError(f"[{c}, {d}] is not up-projective to {tuple(ef)}")
-    return prime_up_projective(p, ab, ef)

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -170,26 +169,16 @@ def maximal_chains(p: Poset, limit: int | None = None) -> list[Chain]:
     """All maximal chains in lexicographic element order, optionally truncated."""
     bottom, top = _require_bounds(p)
     out: list[Chain] = []
-    path: list[str] = [bottom]
-    # branches[i] yields the upper covers of path[i] not yet explored.
-    branches: list = []
-    while True:
+    # Partial chains from the bottom; pushing the extensions in reverse order
+    # pops them in lexicographic order.
+    stack = [(bottom,)]
+    while stack and (limit is None or len(out) < limit):
+        path = stack.pop()
         if path[-1] == top:
-            out.append(Chain(tuple(path)))
-            if limit is not None and len(out) >= limit:
-                return out
-            path.pop()
+            out.append(Chain(path))
         else:
-            branches.append(iter(p.upper_covers(path[-1])))
-        while branches:
-            nxt = next(branches[-1], None)
-            if nxt is not None:
-                path.append(nxt)
-                break
-            branches.pop()
-            path.pop()
-        else:
-            return out
+            stack.extend(path + (u,) for u in reversed(p.upper_covers(path[-1])))
+    return out
 
 
 def count_maximal_chains(p: Poset) -> int:
@@ -201,25 +190,3 @@ def count_maximal_chains(p: Poset) -> int:
     for x in sorted(p.elements, key=heights.__getitem__, reverse=True):
         counts[x] = 1 if x == top else sum(counts[y] for y in p.upper_covers(x))
     return counts[bottom]
-
-
-def extend_to_maximal_chain(p: Poset, partial: Chain | Iterable[str],
-                            seed: int = 0) -> Chain:
-    """Extend a chain to a maximal one, chosen deterministically from seed."""
-    bottom, top = _require_bounds(p)
-    part = partial if isinstance(partial, Chain) else p.chain(partial)
-    rng = random.Random(seed)
-    anchors = list(part.elements)
-    if anchors[0] != bottom:
-        anchors.insert(0, bottom)
-    if anchors[-1] != top:
-        anchors.append(top)
-    out = [anchors[0]]
-    for target in anchors[1:]:
-        cur = out[-1]
-        while cur != target:
-            # Covers of cur inside [cur, target] are covers of p below target.
-            options = [w for w in p.upper_covers(cur) if p.leq(w, target)]
-            cur = options[rng.randrange(len(options))]
-            out.append(cur)
-    return Chain(tuple(out))

@@ -11,6 +11,7 @@ from semilat import groups
 B2 = str(DATA / "b2.json")
 B3 = str(DATA / "b3.json")
 N5 = str(DATA / "n5.json")
+GLUED_N5 = str(DATA / "glued_n5.json")
 ANTICHAIN = str(DATA / "antichain2.json")
 TWO_TOPS = str(DATA / "two_tops.json")
 Z12 = str(DATA / "z12.json")
@@ -127,6 +128,26 @@ class TestExitCodes:
         code, out, _ = run_cli("verify", N5, "--all-pairs")
         assert code == 1
         assert "('0', 'b', 'a')" in out
+
+    def test_verify_glued_n5_fails(self, run_cli):
+        # Not semimodular, with maximal chains of lengths 4 and 5.
+        assert run_cli("verify", GLUED_N5)[0] == 1
+        code, out, _ = run_cli("verify", GLUED_N5, "--json")
+        assert code == 1
+        assert json.loads(out)["failures"] > 0
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", B3, "--samples", "0"], "--samples must be at least 1, got 0"),
+        (["verify", B3, "--samples", "-3"], "--samples must be at least 1, got -3"),
+        (["chains", B3, "--limit", "-2"], "--limit must be at least 0, got -2"),
+    ], ids=["samples-zero", "samples-negative", "limit-negative"])
+    def test_bad_count_is_an_input_error(self, run_cli, argv, message):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+    def test_chains_limit_zero_prints_nothing(self, run_cli):
+        assert run_cli("chains", B3, "--limit", "0") == (0, "", "")
 
     def test_validate_ok_exit_zero(self, run_cli):
         code, _, _ = run_cli("validate", B3)

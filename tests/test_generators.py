@@ -11,7 +11,6 @@ from semilat import (
     UnknownNameError,
     boolean_lattice,
     chain_product,
-    extend_to_maximal_chain,
     graphic_flat_lattice,
     is_join_semilattice,
     is_maximal_chain,
@@ -241,7 +240,7 @@ class TestRandomMaximalChain:
         with pytest.raises(MissingBoundsError):
             random_maximal_chain(named_counterexample("antichain2"), 0)
 
-    def test_same_walk_as_extending_the_bottom(self):
+    def test_same_walk_as_the_plain_cover_walk(self):
         # The plain cover walk fixes the seeded draws behind the goldens.
         def cover_walk(p, seed):
             rng = random.Random(seed)
@@ -254,5 +253,4 @@ class TestRandomMaximalChain:
         for p in (boolean_lattice(4), partition_lattice(4)):
             for seed in range(100):
                 chain = random_maximal_chain(p, seed)
-                assert chain == extend_to_maximal_chain(p, [p.bottom()], seed)
                 assert chain.elements == cover_walk(p, seed), (p.name, seed)

@@ -18,6 +18,7 @@ from semilat import (
     count_consistent_permutations,
     interval_updown_witness,
     jh_match,
+    load_poset,
     maximal_chains,
     named_counterexample,
     partition_lattice,
@@ -27,6 +28,7 @@ from semilat import (
 )
 from semilat import oracle
 
+from conftest import DATA
 from enumeration import all_consistent_permutations
 from strategies import GENERATED, chain_products, graphic_flats
 
@@ -206,11 +208,8 @@ class TestCheckTheorem:
 
 def _glued_n5() -> Poset:
     """B2 with an N5 glued on at its top: a lattice, not semimodular, whose
-    maximal chains have lengths 4 and 5."""
-    return Poset.from_cover_list(
-        "b2+n5", ["0", "a", "b", "m", "p", "q", "r", "1"],
-        [("0", "a"), ("0", "b"), ("a", "m"), ("b", "m"),
-         ("m", "p"), ("p", "r"), ("r", "1"), ("m", "q"), ("q", "1")])
+    maximal chains have lengths 4 and 5.  The CLI tests read the same file."""
+    return load_poset(str(DATA / "glued_n5.json"))
 
 
 def _mixed_pairs(p, seed: int) -> list:

@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from semilat import semilattice as sl
 from semilat import (
+    Chain,
     MissingBoundsError,
     NoJoinError,
     NotJoinSemilatticeError,
@@ -13,7 +14,6 @@ from semilat import (
     boolean_lattice,
     chain_product,
     count_maximal_chains,
-    extend_to_maximal_chain,
     is_join_semilattice,
     is_maximal_chain,
     is_semimodular,
@@ -24,7 +24,7 @@ from semilat import (
     partition_lattice,
 )
 
-from strategies import GENERATED, closure_lattices, posets
+from strategies import GENERATED, chain_products, closure_lattices, graphic_flats, posets
 
 B2 = Poset.from_cover_list(
     "b2", ["0", "a", "b", "1"], [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
@@ -70,6 +70,32 @@ def assert_tables_exact(p) -> None:
                                       (sl._table(p, "meet"), [list(r) for r in zip(*leq)])):
         assert table.dtype == np.int32 and table.shape == (len(p), len(p))
         assert (table.tolist(), first_bad) == reference_bounds(order), p.name
+
+
+def iterator_stack_chains(p, limit=None) -> list:
+    """Reference enumeration of maximal chains: a path from the bottom with
+    one iterator over the unexplored upper covers per element on it."""
+    bottom, top = p.bottom(), p.top()
+    out = []
+    path = [bottom]
+    branches = []
+    while True:
+        if path[-1] == top:
+            out.append(Chain(tuple(path)))
+            if limit is not None and len(out) >= limit:
+                return out
+            path.pop()
+        else:
+            branches.append(iter(p.upper_covers(path[-1])))
+        while branches:
+            nxt = next(branches[-1], None)
+            if nxt is not None:
+                path.append(nxt)
+                break
+            branches.pop()
+            path.pop()
+        else:
+            return out
 
 
 def scalar_counterexample(p):
@@ -254,6 +280,7 @@ class TestMaximalChains:
         chains = maximal_chains(b3)
         assert [list(c) for c in chains] == sorted([list(c) for c in chains])
         assert maximal_chains(b3, limit=2) == chains[:2]
+        assert maximal_chains(b3, limit=0) == []
         assert count_maximal_chains(b3) == len(chains)
 
     def test_count_matches_enumeration(self, corpus):
@@ -275,6 +302,18 @@ class TestMaximalChains:
                 lengths = {c.length for c in maximal_chains(sub, limit=100)}
                 assert len(lengths) == 1, (p.name, x)
 
+    def test_same_chains_as_the_iterator_stack_on_the_corpus(self, corpus):
+        for p in corpus:
+            # limit=0 is left out: the reference still returns one chain there.
+            for limit in (None, 1, 7):
+                assert maximal_chains(p, limit) == iterator_stack_chains(p, limit), \
+                    (p.name, limit)
+
+    @GENERATED
+    @given(st.one_of(chain_products(), graphic_flats()), st.none() | st.integers(1, 50))
+    def test_same_chains_as_the_iterator_stack(self, p, limit):
+        assert maximal_chains(p, limit) == iterator_stack_chains(p, limit)
+
     def test_n5_unequal_lengths(self):
         assert {c.length for c in maximal_chains(N5)} == {2, 3}
 
@@ -284,22 +323,3 @@ class TestMaximalChains:
         chains = maximal_chains(p)
         assert len(chains) == 1
         assert chains[0].length == 1199
-
-
-class TestExtendToMaximalChain:
-    def test_contains_partial_and_is_maximal(self):
-        b3 = boolean_lattice(3)
-        for seed in range(5):
-            ch = extend_to_maximal_chain(b3, ["100"], seed=seed)
-            assert "100" in set(ch)
-            assert is_maximal_chain(b3, ch)
-
-    def test_gap_filling(self):
-        b3 = boolean_lattice(3)
-        ch = extend_to_maximal_chain(b3, ["000", "111"], seed=1)
-        assert is_maximal_chain(b3, ch)
-
-    def test_deterministic(self):
-        b3 = boolean_lattice(3)
-        assert extend_to_maximal_chain(b3, ["100"], seed=7) == \
-            extend_to_maximal_chain(b3, ["100"], seed=7)
