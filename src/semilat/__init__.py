@@ -33,7 +33,6 @@ from .semilattice import (
     meet,
 )
 from .projectivity import (
-    ProjectivityWitness,
     lattice_up_projective,
     prime_up_projective,
     updown_projective,

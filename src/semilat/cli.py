@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 mathematical property violation or verification
 failure, 2 usage or input error (bad flags, unreadable/malformed files,
-unknown element names, sizes beyond a guard).  With --json, stdout is a
-stable machine-readable object; the human format makes no stability promise.
+unwritable outputs, unknown element names, sizes beyond a guard).  With
+--json, stdout is a stable machine-readable object; the human format makes no
+stability promise.
 """
 
 from __future__ import annotations
@@ -38,8 +39,27 @@ def _load(loader, path: str):
         raise _InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise _InputError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+    except UnicodeDecodeError as exc:
+        raise _InputError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    except RecursionError as exc:
+        raise _InputError(f"{path}: JSON nested too deeply to decode") from exc
     except SemilatError as exc:
         raise _InputError(f"{path}: {exc}") from exc
+
+
+def _save(save, obj, path: str, what: str) -> int:
+    """Write obj to path with `save` and report it; a failed write is exit 2."""
+    try:
+        save(obj, path)
+    except OSError as exc:
+        raise _InputError(f"cannot write {path}: {exc}") from exc
+    print(f"wrote {what} to {path}")
+    return OK
+
+
+def _write_text(text: str, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _parse_elements(p: Poset, text: str, flag: str) -> list[str]:
@@ -249,11 +269,8 @@ def _cmd_gen(args) -> int:
             with open(args.params[0], encoding="utf-8") as fh:
                 graph = generators.Graph.from_edge_list_text(fh.read())
             p = generators.graphic_flat_lattice(graph)
-        elif family == "counter":
+        else:  # "counter": argparse's choices admit no other family
             p = generators.named_counterexample(args.params[0])
-        else:
-            raise _InputError(f"unknown family {family!r}; "
-                              "choose from boolean, chainprod, partition, graphic, counter")
     except (IndexError, ValueError, SemilatError) as exc:
         raise _InputError(f"bad parameters for family {family!r}: {exc}") from exc
     except OSError as exc:
@@ -262,9 +279,7 @@ def _cmd_gen(args) -> int:
         data = p.to_dict()
         data["name"] = args.name
         p = from_dict(data)
-    save_poset(p, args.output)
-    print(f"wrote {p.name!r} ({len(p)} elements) to {args.output}")
-    return OK
+    return _save(save_poset, p, args.output, f"{p.name!r} ({len(p)} elements)")
 
 
 def _cmd_group(args) -> int:
@@ -273,9 +288,7 @@ def _cmd_group(args) -> int:
             g = groups.builtin_group(args.name)
         except SemilatError as exc:
             raise _InputError(str(exc)) from exc
-        groups.save_group(g, args.output)
-        print(f"wrote {g.name!r} (order {g.order}) to {args.output}")
-        return OK
+        return _save(groups.save_group, g, args.output, f"{g.name!r} (order {g.order})")
 
     g = _load(groups.load_group, args.group)
     if args.group_cmd == "subgroups":
@@ -291,35 +304,33 @@ def _cmd_group(args) -> int:
         return OK
     if args.group_cmd == "subnormal-lattice":
         lattice = groups.subnormal_lattice(g)
-        save_poset(lattice, args.output)
-        print(f"wrote {lattice.name!r} ({len(lattice)} elements) to {args.output}")
-        return OK
-    if args.group_cmd == "composition":
-        series_a = series_b = None
-        if args.series_a or args.series_b:
-            if not (args.series_a and args.series_b):
-                raise _InputError("provide both --series-a and --series-b or neither")
-            lattice = groups.subnormal_lattice(g)
-            series_a = _parse_elements(lattice, args.series_a, "--series-a")
-            series_b = _parse_elements(lattice, args.series_b, "--series-b")
-        report = groups.composition_analysis(g, series_a, series_b)
-        if args.json:
-            _emit_json(report.to_dict())
-        else:
-            print(f"group: {report.group} (order {report.order})")
-            print(f"composition length: {report.length}")
-            for idx, (series, factors) in enumerate(
-                    zip(report.series, report.factor_multisets)):
-                print(f"series {idx}: {' < '.join('{' + s + '}' for s in series)}"
-                      f"   factors {sorted(factors)}")
-            for pair in report.pairs:
-                status = "ok" if pair.factors_equal else "MISMATCH"
-                print(f"pair ({pair.index_a}, {pair.index_b}): pi = {list(pair.pi)}  "
-                      f"factor pairs {[list(fp) for fp in pair.factor_pairs]}  {status}")
-            print(f"factor multiset chain-independent: "
-                  f"{'yes' if report.multiset_independent else 'no'}")
-        return OK if report.ok else VIOLATION
-    raise _InputError(f"unknown group subcommand {args.group_cmd!r}")
+        return _save(save_poset, lattice, args.output,
+                     f"{lattice.name!r} ({len(lattice)} elements)")
+    # composition: the group subcommands are required, so nothing else is left.
+    series_a = series_b = None
+    if args.series_a or args.series_b:
+        if not (args.series_a and args.series_b):
+            raise _InputError("provide both --series-a and --series-b or neither")
+        lattice = groups.subnormal_lattice(g)
+        series_a = _parse_elements(lattice, args.series_a, "--series-a")
+        series_b = _parse_elements(lattice, args.series_b, "--series-b")
+    report = groups.composition_analysis(g, series_a, series_b)
+    if args.json:
+        _emit_json(report.to_dict())
+    else:
+        print(f"group: {report.group} (order {report.order})")
+        print(f"composition length: {report.length}")
+        for idx, (series, factors) in enumerate(
+                zip(report.series, report.factor_multisets)):
+            print(f"series {idx}: {' < '.join('{' + s + '}' for s in series)}"
+                  f"   factors {sorted(factors)}")
+        for pair in report.pairs:
+            status = "ok" if pair.factors_equal else "MISMATCH"
+            print(f"pair ({pair.index_a}, {pair.index_b}): pi = {list(pair.pi)}  "
+                  f"factor pairs {[list(fp) for fp in pair.factor_pairs]}  {status}")
+        print(f"factor multiset chain-independent: "
+              f"{'yes' if report.multiset_independent else 'no'}")
+    return OK if report.ok else VIOLATION
 
 
 def _cmd_export_dot(args) -> int:
@@ -333,11 +344,8 @@ def _cmd_export_dot(args) -> int:
         matching = jh_match(p, chain_a, chain_b)
     text = export_dot(p, chain_a, chain_b, matching)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote DOT to {args.output}")
-    else:
-        sys.stdout.write(text)
+        return _save(_write_text, text, args.output, "DOT")
+    sys.stdout.write(text)
     return OK
 
 

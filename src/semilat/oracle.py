@@ -6,7 +6,8 @@ the join table, and uniqueness of the matching permutation by counting the
 consistent permutations of the relation matrix.  `check_pairs` checks a
 whole pair set in one pass: the preconditions once, each distinct chain
 once, and every cell the pairs need in one batch of masks, evaluated in
-blocks.  The oracle reads only the `Poset` and its join table: it calls
+blocks.  Cells are cached on the poset, which holds one table of them for
+every caller.  The oracle reads only the `Poset` and its join table: it calls
 neither the projectivity predicates nor the matcher's internals, so an
 agreement between the two is meaningful evidence.
 """
@@ -40,37 +41,42 @@ class ProjectivityRelation:
     witnesses: tuple[tuple[tuple[str, str] | None, ...], ...]
 
 
-def _evaluate_cells(p: Poset, cells: list[tuple[int, int, int, int]], cache: dict) -> None:
-    """Set cache[(a, b, c, d)], for each index cell of two prime intervals
-    [a, b] and [c, d], to the lexicographically first of all |p|^2 pairs
-    (x, y) with x != y, a∨x = c∨x = x and b∨x = d∨x = y, as names, or None.
+def _witnesses(p: Poset, cells: list[tuple[int, int, int, int]]) -> list:
+    """The witness of each index cell (a, b, c, d) of two prime intervals
+    [a, b] and [c, d]: the lexicographically first of all |p|^2 pairs (x, y)
+    with x != y, a∨x = c∨x = x and b∨x = d∨x = y, as names, or None.
 
-    The cells share one mask over the join table, in blocks of about
-    _MASK_BLOCK entries.  Raises NoJoinError unless p is a join semilattice.
+    This is the one gate to p's cell table: cells already in it are read,
+    the others are checked to be prime steps, in the order given, evaluated
+    once in blocks of about _MASK_BLOCK mask entries over the join table,
+    and added to it.  Raises NoJoinError unless p is a join semilattice.
     """
-    if not cells:
-        return
-    J = sl._joins(p)
-    names, size = p.elements, len(p)
-    xs = np.arange(size)
-    step = max(1, _MASK_BLOCK // size ** 2)
-    for start in range(0, len(cells), step):
-        block = cells[start:start + step]
-        a, b, c, d = np.array(block).T
-        # Cell k, row x, column y: every condition, evaluated on every pair.
-        mask = J[b][:, :, None] == xs
-        mask &= J[d][:, :, None] == xs
-        mask &= ((J[a] == xs) & (J[c] == xs))[:, :, None]
-        mask &= xs[:, None] != xs
-        mask = mask.reshape(len(block), -1)
-        first = mask.argmax(axis=1)
-        found = mask[np.arange(len(block)), first]
-        for cell, f, hit in zip(block, first.tolist(), found.tolist()):
-            cache[cell] = (names[f // size], names[f % size]) if hit else None
-
-
-def _not_prime(p: Poset, lo: str, hi: str) -> NotPrimeIntervalError:
-    return NotPrimeIntervalError(f"[{lo}, {hi}] is not a prime interval of {p.name!r}")
+    table = p._cache.setdefault("updown_cells", {})
+    missing = list(dict.fromkeys(cell for cell in cells if cell not in table))
+    if missing:
+        todo = np.array(missing)
+        intervals = todo.reshape(-1, 2)
+        bad = np.flatnonzero(~p._covers[intervals[:, 0], intervals[:, 1]])
+        if len(bad):
+            lo, hi = (p.elements[i] for i in intervals[bad[0]])
+            raise NotPrimeIntervalError(f"[{lo}, {hi}] is not a prime interval of {p.name!r}")
+        J = sl._joins(p)
+        names, size = p.elements, len(p)
+        xs = np.arange(size)
+        step = max(1, _MASK_BLOCK // size ** 2)
+        for start in range(0, len(missing), step):
+            a, b, c, d = todo[start:start + step].T
+            # Cell k, row x, column y: every condition, evaluated on every pair.
+            mask = J[b][:, :, None] == xs
+            mask &= J[d][:, :, None] == xs
+            mask &= ((J[a] == xs) & (J[c] == xs))[:, :, None]
+            mask &= xs[:, None] != xs
+            mask = mask.reshape(len(a), -1)
+            first = mask.argmax(axis=1)
+            found = mask[np.arange(len(a)), first]
+            for cell, f, hit in zip(missing[start:start + step], first.tolist(), found.tolist()):
+                table[cell] = (names[f // size], names[f % size]) if hit else None
+    return list(map(table.__getitem__, cells))
 
 
 def interval_updown_witness(p: Poset, source, target) -> tuple[str, str] | None:
@@ -80,23 +86,14 @@ def interval_updown_witness(p: Poset, source, target) -> tuple[str, str] | None:
 
     Raises NoJoinError unless p is a join semilattice.
     """
-    for lo, hi in (source, target):
-        if not p.is_cover(lo, hi):
-            raise _not_prime(p, lo, hi)
-    cell = (*map(p.index, source), *map(p.index, target))
-    cache: dict = {}
-    _evaluate_cells(p, [cell], cache)
-    return cache[cell]
+    return _witnesses(p, [(*map(p.index, source), *map(p.index, target))])[0]
 
 
-def projectivity_relation(p: Poset, chain_a, chain_b,
-                          cache: dict | None = None) -> ProjectivityRelation:
+def projectivity_relation(p: Poset, chain_a, chain_b) -> ProjectivityRelation:
     """Relation matrix between the prime intervals of two equal-length chains.
 
-    `cache` may be shared across calls on the same poset: cells depend only on
-    the two intervals, keyed by their indices (a, b, c, d), so chain pairs
-    with common steps reuse the searches.  The cells missing from it are
-    evaluated together.
+    Cells depend only on the two intervals, so they are cached on p: chain
+    pairs with common steps reuse the searches.
     """
     C = tuple(chain_a)
     D = tuple(chain_b)
@@ -104,16 +101,8 @@ def projectivity_relation(p: Poset, chain_a, chain_b,
         raise ChainLengthMismatchError(
             f"chains of lengths {len(C) - 1} and {len(D) - 1}")
     n = len(C) - 1
-    cache = {} if cache is None else cache
     c, d = list(map(p.index, C)), list(map(p.index, D))
-    cells = [(a, b, e, f) for a, b in zip(c, c[1:]) for e, f in zip(d, d[1:])]
-    missing = list(dict.fromkeys(cell for cell in cells if cell not in cache))
-    for a, b, e, f in missing:
-        for lo, hi in ((a, b), (e, f)):
-            if not p._covers[lo, hi]:
-                raise _not_prime(p, p.elements[lo], p.elements[hi])
-    _evaluate_cells(p, missing, cache)
-    witnesses = list(map(cache.__getitem__, cells))
+    witnesses = _witnesses(p, [(a, b, e, f) for a, b in zip(c, c[1:]) for e, f in zip(d, d[1:])])
 
     def square(flat: list) -> tuple:
         return tuple(tuple(flat[i * n:i * n + n]) for i in range(n))
@@ -190,17 +179,16 @@ def _poset_preconditions(p: Poset) -> str | None:
     return None
 
 
-def check_pairs(p: Poset, pairs, cache: dict | None = None) -> list[TheoremReport]:
+def check_pairs(p: Poset, pairs) -> list[TheoremReport]:
     """`check_theorem` on every chain pair, in order, in one pass.
 
     The poset preconditions are checked once, and each distinct chain is
     checked for maximality and indexed once.  Every relation cell that the
     evaluable pairs (preconditions met, equal lengths) need is then
-    evaluated in one batch, so each pair reads its relation off the cache.
+    evaluated in one batch, so each pair reads its relation off p's cells.
     Chains longer than COUNTING_LIMIT raise SizeLimitError before any cell
     is computed.
     """
-    cache = {} if cache is None else cache
     poset_failure = _poset_preconditions(p)
     maximal: dict[tuple[str, ...], bool] = {}
     entries: list[list[CheckEntry]] = []
@@ -239,14 +227,14 @@ def check_pairs(p: Poset, pairs, cache: dict | None = None) -> list[TheoremRepor
                 chains[ch] = p.chain(ch), list(map(p.index, ch))
         d = chains[D][1]
         partners.setdefault(C, {}).update(dict.fromkeys(zip(d, d[1:])))
-    needed: dict[tuple[int, int, int, int], None] = {}
+    needed = []
     for C, steps in partners.items():
         c = chains[C][1]
-        needed.update(dict.fromkeys((a, b, e, f) for a, b in zip(c, c[1:]) for e, f in steps))
-    _evaluate_cells(p, [cell for cell in needed if cell not in cache], cache)
+        needed += [(a, b, e, f) for a, b in zip(c, c[1:]) for e, f in steps]
+    _witnesses(p, needed)
 
     for out, C, D in evaluable:
-        rel = projectivity_relation(p, C, D, cache=cache)
+        rel = projectivity_relation(p, C, D)
         result = jh_match(p, chains[C][0], chains[D][0])
         n = rel.n
         count = count_consistent_permutations(rel)
@@ -265,8 +253,7 @@ def check_pairs(p: Poset, pairs, cache: dict | None = None) -> list[TheoremRepor
     return [TheoremReport(tuple(e)) for e in entries]
 
 
-def check_theorem(p: Poset, chain_a, chain_b,
-                  cache: dict | None = None) -> TheoremReport:
+def check_theorem(p: Poset, chain_a, chain_b) -> TheoremReport:
     """Verify all three claims for one chain pair against the brute-force
     relation: equal lengths, a unique consistent permutation equal to the
     constructive one, and maximality of that permutation.
@@ -276,4 +263,4 @@ def check_theorem(p: Poset, chain_a, chain_b,
     produce evidence rather than crashes.  Chains longer than COUNTING_LIMIT
     raise SizeLimitError before any relation cell is computed.
     """
-    return check_pairs(p, [(chain_a, chain_b)], cache=cache)[0]
+    return check_pairs(p, [(chain_a, chain_b)])[0]

@@ -70,7 +70,9 @@ class Poset:
     can be shared freely between threads.  Derived tables (joins, meets,
     semimodularity, heights, bottom and top) are cached on first use; each
     cache entry is written exactly once, so concurrent readers see either
-    nothing or the finished table.
+    nothing or the finished table.  The oracle's cell table is the one entry
+    that grows: it only gains cells, and each cell is written with its one
+    possible value, so a reader sees a cell either missing or final.
     """
 
     def __init__(self, name: str, elements: tuple[str, ...], leq: np.ndarray,
@@ -114,7 +116,7 @@ class Poset:
         index = {e: i for i, e in enumerate(ordered)}
         n = len(ordered)
 
-        edges = []
+        rel = np.zeros((n, n), dtype=bool)
         for pair in covers:
             a, b = pair
             for x in (a, b):
@@ -122,11 +124,7 @@ class Poset:
                     raise PosetConstructionError(f"unknown endpoint {x!r} in cover ({a}, {b})")
             if a == b:
                 raise PosetConstructionError(f"cycle: self-cover ({a}, {b})")
-            edges.append((index[a], index[b]))
-
-        rel = np.zeros((n, n), dtype=bool)
-        for i, j in edges:
-            rel[i, j] = True
+            rel[index[a], index[b]] = True
         leq = _reflexive_transitive_closure(rel)
         mutual = leq & leq.T & ~np.eye(n, dtype=bool)
         if mutual.any():
@@ -136,8 +134,8 @@ class Poset:
 
         reduction = _transitive_reduction(leq)
         if mode == "strict":
-            extra = sorted(set(edges) - {(int(i), int(j)) for i, j in np.argwhere(reduction)})
-            if extra:
+            extra = np.argwhere(rel & ~reduction)
+            if len(extra):
                 i, j = extra[0]
                 raise PosetConstructionError(
                     f"non-cover edge ({ordered[i]}, {ordered[j]})")

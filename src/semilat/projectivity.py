@@ -12,25 +12,11 @@ semilattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import semilattice as sl
 from .errors import NoMeetError, NotPrimeIntervalError
 from .poset import Poset
-
-
-@dataclass(frozen=True)
-class ProjectivityWitness:
-    """The middle interval (x, y) realizing source up to (x,y) down to target."""
-
-    x: str
-    y: str
-
-    def __iter__(self):
-        yield self.x
-        yield self.y
 
 
 def _require_prime(p: Poset, interval) -> tuple[int, int]:
@@ -65,7 +51,7 @@ def prime_up_projective(p: Poset, ab, xy) -> bool:
     return x != y and sl.join(p, a, x) == x and sl.join(p, b, x) == y
 
 
-def updown_projective(p: Poset, source, target) -> ProjectivityWitness | None:
+def updown_projective(p: Poset, source, target) -> tuple[str, str] | None:
     """First witness (x, y), in lexicographic pair order, with both
     prime_up_projective(source, (x,y)) and prime_up_projective(target, (x,y)).
 
@@ -83,4 +69,4 @@ def updown_projective(p: Poset, source, target) -> ProjectivityWitness | None:
     if not len(hits):
         return None
     x = hits[0]
-    return ProjectivityWitness(p.elements[x], p.elements[y[x]])
+    return p.elements[x], p.elements[y[x]]

@@ -81,9 +81,11 @@ class TestDeterminism:
 
 
 class TestExitCodes:
-    def test_usage_error_unknown_subcommand(self, run_cli):
-        code, _, _ = run_cli("frobnicate")
-        assert code == 2
+    def test_usage_error_unknown_subcommand(self, run_cli, tmp_path):
+        for argv in (["frobnicate"], ["gen", "nosuch", "-o", str(tmp_path / "x.json")],
+                     ["group", "nosuch"]):
+            code, _, _ = run_cli(*argv)
+            assert code == 2, argv
 
     def test_usage_error_missing_file(self, run_cli):
         code, _, err = run_cli("validate", "no-such-file.json")
@@ -96,6 +98,32 @@ class TestExitCodes:
         code, _, err = run_cli("validate", str(bad))
         assert code == 2
         assert "line 1" in err
+
+    @pytest.mark.parametrize("command", [("validate",), ("group", "subgroups")],
+                             ids=["poset", "group"])
+    @pytest.mark.parametrize("content, message", [
+        (b'{"name": "\xff"}', "not UTF-8 text: invalid start byte at byte 10"),
+        (b"[" * 200_000, "JSON nested too deeply to decode"),
+    ], ids=["not-utf8", "deep-nesting"])
+    def test_undecodable_input(self, run_cli, tmp_path, command, content, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, out, err = run_cli(*command, str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("gen", "boolean", "2"),
+        ("group", "builtin", "Z4"),
+        ("group", "subnormal-lattice", A4),
+        ("export-dot", B2),
+    ], ids=["gen", "group-builtin", "subnormal-lattice", "export-dot"])
+    def test_unwritable_output(self, run_cli, tmp_path, argv):
+        target = tmp_path / "no-such-dir" / "out"
+        code, out, err = run_cli(*argv, "-o", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert err.count("\n") == 1
 
     def test_usage_error_unknown_element(self, run_cli):
         code, _, err = run_cli("match", B2, "--chain-a", "0,zz,1", "--chain-b", "0,b,1")

@@ -16,6 +16,7 @@ from semilat import (
     check_pairs,
     check_theorem,
     count_consistent_permutations,
+    from_dict,
     interval_updown_witness,
     jh_match,
     load_poset,
@@ -98,12 +99,29 @@ class TestRelation:
                     (None if direct is None else tuple(direct)), (p.name, src, tgt)
 
     def test_cache_reuse_is_transparent(self):
-        cache: dict = {}
-        with_cache = projectivity_relation(B3, B3_A, B3_B, cache=cache)
-        again = projectivity_relation(B3, B3_A, B3_B, cache=cache)
-        plain = projectivity_relation(B3, B3_A, B3_B)
-        assert with_cache == again == plain
-        assert cache
+        p = boolean_lattice(3)
+        first = projectivity_relation(p, B3_A, B3_B)
+        again = projectivity_relation(p, B3_A, B3_B)
+        fresh = projectivity_relation(boolean_lattice(3), B3_A, B3_B)
+        assert first == again == fresh
+        assert len(p._cache["updown_cells"]) == 9
+
+    def test_cells_stay_with_their_poset(self):
+        # B3 and C2x4 both have 8 elements, so an index cell of one is a
+        # valid cell of the other; each must still answer from its own.
+        posets = [boolean_lattice(3), chain_product([2, 4])]
+        pairs = [[(a, b) for a in maximal_chains(p) for b in maximal_chains(p)] for p in posets]
+        got: list[list] = [[], []]
+        for k in range(max(map(len, pairs))):
+            for side, p in enumerate(posets):
+                if k < len(pairs[side]):
+                    a, b = pairs[side][k]
+                    got[side].append((projectivity_relation(p, a, b), check_theorem(p, a, b)))
+        for side, p in enumerate(posets):
+            fresh, fresh_reports = from_dict(p.to_dict()), from_dict(p.to_dict())
+            assert got[side] == [(projectivity_relation(fresh, a, b),
+                                  check_theorem(fresh_reports, a, b)) for a, b in pairs[side]]
+            assert all(report.ok for _, report in got[side]), p.name
 
 
 class TestPermutationEnumeration:
@@ -143,20 +161,19 @@ class TestCheckTheorem:
 
     def test_pi4_sampled_pairs(self):
         pi4 = partition_lattice(4)
-        cache: dict = {}
         rng = random.Random(0)
         chains = maximal_chains(pi4)
         for _ in range(50):
             a = chains[rng.randrange(len(chains))]
             b = chains[rng.randrange(len(chains))]
-            assert check_theorem(pi4, a, b, cache=cache).ok
+            assert check_theorem(pi4, a, b).ok
 
     def test_long_chains_refused_before_the_relation(self, monkeypatch):
         def relation(*args, **kwargs):
             raise AssertionError("relation computed")
 
         monkeypatch.setattr(oracle, "projectivity_relation", relation)
-        monkeypatch.setattr(oracle, "_evaluate_cells", relation)
+        monkeypatch.setattr(oracle, "_witnesses", relation)
         p = chain_product([23])
         (chain,) = maximal_chains(p)
         with pytest.raises(SizeLimitError, match="n <= 20"):
@@ -228,9 +245,9 @@ class TestCheckPairs:
            st.integers(0, 10 ** 6))
     def test_generated_reports_match_check_theorem(self, p, seed):
         pairs = _mixed_pairs(p, seed)
-        cache: dict = {}
+        fresh = from_dict(p.to_dict())  # an equal poset that shares no cells with p
         assert [r.to_dict() for r in check_pairs(p, pairs)] == \
-            [check_theorem(p, a, b, cache=cache).to_dict() for a, b in pairs], p.name
+            [check_theorem(fresh, a, b).to_dict() for a, b in pairs], p.name
 
     @pytest.mark.parametrize("p", [named_counterexample("n5"), _glued_n5()], ids=["n5", "glued-n5"])
     def test_negative_controls_match_check_theorem(self, p):
@@ -241,23 +258,22 @@ class TestCheckPairs:
         assert all("not semimodular" in r.entry("preconditions").detail for r in reports)
         assert any(not r.entry("equal-length").passed for r in reports)
 
-    def test_each_cell_evaluated_once(self, monkeypatch):
-        rows = []
-        evaluate = oracle._evaluate_cells
+    def test_each_cell_evaluated_once(self):
+        written = []
 
-        def counting(p, cells, cache):
-            rows.extend(cells)
-            evaluate(p, cells, cache)
+        class Recording(dict):
+            def __setitem__(self, cell, witness):
+                written.append(cell)
+                super().__setitem__(cell, witness)
 
-        monkeypatch.setattr(oracle, "_evaluate_cells", counting)
         b4 = boolean_lattice(4)
+        b4._cache["updown_cells"] = Recording()
         chains = maximal_chains(b4)
         pairs = [(a, b) for a in chains for b in chains]
-        cache: dict = {}
-        assert all(r.ok for r in check_pairs(b4, pairs, cache=cache))
+        assert all(r.ok for r in check_pairs(b4, pairs))
         steps = {(s, t) for a, b in pairs
                  for s in zip(a, a.elements[1:]) for t in zip(b, b.elements[1:])}
-        assert len(rows) == len(set(rows)) == len(steps) == len(b4.cover_pairs()) ** 2
-        rows.clear()
-        check_pairs(b4, pairs[:5], cache=cache)
-        assert rows == []
+        assert len(written) == len(set(written)) == len(steps) == len(b4.cover_pairs()) ** 2 == 1024
+        written.clear()
+        assert all(r.ok for r in check_pairs(b4, pairs))
+        assert written == []

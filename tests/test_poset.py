@@ -43,6 +43,12 @@ class TestConstruction:
             Poset.from_cover_list("x", ["0", "a", "1"],
                                   [("0", "a"), ("a", "1"), ("0", "1")])
 
+    def test_strict_names_the_first_non_cover_edge(self):
+        # Two redundant edges, the later one first in row-major order.
+        with pytest.raises(PosetConstructionError, match=r"non-cover edge \(a, c\)"):
+            Poset.from_cover_list("x", ["a", "b", "c", "d"],
+                                  [("a", "b"), ("b", "c"), ("c", "d"), ("b", "d"), ("a", "c")])
+
     def test_lenient_drops_redundant_edge(self):
         p = Poset.from_cover_list("x", ["0", "a", "1"],
                                   [("0", "a"), ("a", "1"), ("0", "1")], mode="lenient")

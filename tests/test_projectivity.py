@@ -81,8 +81,7 @@ class TestUpdownWitness:
         assert updown_projective(B2, ("0", "a"), ("0", "b")) is None
 
     def test_b2_witness(self):
-        w = updown_projective(B2, ("0", "a"), ("b", "1"))
-        assert tuple(w) == ("b", "1")
+        assert updown_projective(B2, ("0", "a"), ("b", "1")) == ("b", "1")
 
     def test_self_projectivity_always_witnessed(self, small_corpus):
         for p in small_corpus[:10]:
