@@ -215,12 +215,14 @@ def _cmd_verify(args) -> int:
     # Default policy: exhaustive when the ordered-pair count is modest,
     # otherwise 200 seeded samples.  Explicit flags override.
     total = sl.count_maximal_chains(p) ** 2
-    if args.all_pairs or (args.samples is None and total <= 5000):
+    exhaustive = args.all_pairs or (args.samples is None and total <= 5000)
+    count = total if exhaustive else args.samples or 200
+    sl._check_pair_count(count)
+    if exhaustive:
         chains = sl.maximal_chains(p)
         pairs = [(a, b) for a in chains for b in chains]
         mode = "all-pairs"
     else:
-        count = args.samples if args.samples is not None else 200
         pairs, pair_seeds = _sample_chain_pairs(p, count, args.seed)
         mode = f"samples={count}"
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from .errors import NotAChainError
 from .matching import MatchingResult
 from .poset import Poset
 
@@ -20,14 +21,17 @@ def export_dot(p: Poset, chain_a: Sequence[str] | None = None,
                matching: MatchingResult | None = None) -> str:
     """Render the cover digraph, drawn upward and ranked by element height.
 
-    Consecutive cover pairs of the first chain are red, of the second blue
-    (both at once gives a two-color edge).  When a matching is given, every
-    element occurring in a witness pair is annotated with the 1-indexed
-    witness numbers it serves.  Identical inputs produce identical bytes.
+    Each chain must step by covers but need not be maximal; the first one's
+    edges are red, the second's blue (both at once gives a two-color edge).
+    With a matching, every element of a witness pair is annotated with the
+    1-indexed witness numbers it serves.  Identical inputs give identical bytes.
     """
     for ch in (chain_a or ()), (chain_b or ()):
         for e in ch:
             p.index(e)
+        for a, b in zip(ch, ch[1:]):
+            if not p.is_cover(a, b):
+                raise NotAChainError(f"not a chain of covers at ({a}, {b})")
 
     roles: dict[str, list[str]] = {}
     if matching is not None:

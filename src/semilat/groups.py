@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Collection
+from collections.abc import Callable, Collection
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -95,9 +95,9 @@ def group_from_table(name: str, table) -> Group:
         if sorted(row) != full:
             raise GroupValidationError(f"not a Latin square: row {i} is not a permutation")
     T = np.array(rows)
-    for j in range(n):
-        if sorted(rows[i][j] for i in range(n)) != full:
-            raise GroupValidationError(f"not a Latin square: column {j} is not a permutation")
+    bad = np.flatnonzero((np.sort(T, axis=0) != np.arange(n)[:, None]).any(axis=0))
+    if len(bad):
+        raise GroupValidationError(f"not a Latin square: column {bad[0]} is not a permutation")
     if any(rows[0][j] != j for j in range(n)) or any(rows[i][0] != i for i in range(n)):
         raise GroupValidationError("identity not at index 0")
     for i in range(n):
@@ -122,93 +122,45 @@ def _check_order(order: int) -> None:
 # -- builtin corpus ----------------------------------------------------------
 
 
-def _cyclic_table(n: int) -> list[list[int]]:
-    return [[(i + j) % n for j in range(n)] for i in range(n)]
+def _cayley(elements: list, product: Callable) -> list[list[int]]:
+    """Entry (i, j) is the position of product(elements[i], elements[j])."""
+    index = {x: i for i, x in enumerate(elements)}
+    return [[index[product(x, y)] for y in elements] for x in elements]
 
 
-def _dihedral_table(n: int) -> list[list[int]]:
-    # Index s*n + r encodes t^s rho^r with t rho t = rho^{-1}.
-    def mul(x, y):
-        s1, r1 = divmod(x, n)
-        s2, r2 = divmod(y, n)
-        r = (r2 - r1 if s2 else r1 + r2) % n
-        return ((s1 + s2) % 2) * n + r
-    return [[mul(i, j) for j in range(2 * n)] for i in range(2 * n)]
+def _hamilton(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+    """Product of quaternions a + bi + cj + dk given as (a, b, c, d)."""
+    a1, b1, c1, d1 = x
+    a2, b2, c2, d2 = y
+    return (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
 
 
-def _perm_table(perms: list[tuple[int, ...]]) -> list[list[int]]:
-    index = {p: i for i, p in enumerate(perms)}
-    table = []
-    for p in perms:
-        table.append([index[tuple(p[q[k]] for k in range(len(p)))] for q in perms])
-    return table
-
-
-def _symmetric_perms(n: int) -> list[tuple[int, ...]]:
-    from itertools import permutations
-    return sorted(permutations(range(n)))
-
-
-def _is_even(p: tuple[int, ...]) -> bool:
-    inv = sum(1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j])
-    return inv % 2 == 0
-
-
-_QUATERNION_AXES = "eijk"
-_QUATERNION_RULES = {
-    ("i", "j"): (1, "k"), ("j", "k"): (1, "i"), ("k", "i"): (1, "j"),
-    ("j", "i"): (-1, "k"), ("k", "j"): (-1, "i"), ("i", "k"): (-1, "j"),
-}
-
-
-def _quaternion_table() -> list[list[int]]:
-    # Elements 1, -1, i, -i, j, -j, k, -k in that order.
-    def unpack(idx):
-        return (1 if idx % 2 == 0 else -1), _QUATERNION_AXES[idx // 2]
-
-    def pack(sign, axis):
-        return _QUATERNION_AXES.index(axis) * 2 + (0 if sign == 1 else 1)
-
-    def mul(x, y):
-        sx, ax = unpack(x)
-        sy, ay = unpack(y)
-        if ax == "e":
-            return pack(sx * sy, ay)
-        if ay == "e":
-            return pack(sx * sy, ax)
-        if ax == ay:
-            return pack(-sx * sy, "e")
-        sign, axis = _QUATERNION_RULES[(ax, ay)]
-        return pack(sign * sx * sy, axis)
-
-    return [[mul(i, j) for j in range(8)] for i in range(8)]
-
-
-def _direct_product(g: Group, h: Group, name: str) -> Group:
-    n, m = g.order, h.order
-    table = [[0] * (n * m) for _ in range(n * m)]
-    for (a, b), (c, d) in product(product(range(n), range(m)), repeat=2):
-        table[a * m + b][c * m + d] = g.mul(a, c) * m + h.mul(b, d)
-    return Group(name, table)
-
-
-def _builtin_atom(name: str) -> Group:
+def _builtin_atom(name: str) -> tuple[list, Callable]:
+    """The elements of a builtin atom, in table order, and their product."""
     if name.startswith("Z") and name[1:].isdigit():
         n = int(name[1:])
         if not 1 <= n <= 60:
             raise UnknownNameError(f"cyclic groups are limited to Z1..Z60, got {name}")
-        return Group(name, _cyclic_table(n))
+        return list(range(n)), lambda a, b: (a + b) % n
     if name.startswith("D") and name[1:].isdigit():
         n = int(name[1:])
         if not 1 <= n <= 12:
             raise UnknownNameError(f"dihedral groups are limited to D1..D12, got {name}")
-        return Group(name, _dihedral_table(n))
-    if name in ("S3", "S4"):
-        return Group(name, _perm_table(_symmetric_perms(int(name[1]))))
-    if name == "A4":
-        return Group(name, _perm_table([p for p in _symmetric_perms(4) if _is_even(p)]))
+        # (s, r) is t^s rho^r with t rho t = rho^{-1}.
+        return ([(s, r) for s in range(2) for r in range(n)],
+                lambda x, y: ((x[0] + y[0]) % 2, (y[1] - x[1] if y[0] else x[1] + y[1]) % n))
+    if name in ("S3", "S4", "A4"):
+        perms = list(permutations(range(int(name[1]))))   # in lexicographic order
+        if name == "A4":   # the even permutations: an even number of inversions
+            perms = [p for p in perms if sum(a > b for a, b in combinations(p, 2)) % 2 == 0]
+        return perms, lambda p, q: tuple(p[k] for k in q)   # (p∘q)(k) = p(q(k))
     if name == "Q8":
-        return Group(name, _quaternion_table())
+        # 1, -1, i, -i, j, -j, k, -k in that order.
+        return ([tuple(s * (k == axis) for k in range(4)) for axis in range(4) for s in (1, -1)],
+                _hamilton)
     raise UnknownNameError(f"unknown builtin group {name!r}")
 
 
@@ -216,13 +168,14 @@ def builtin_group(name: str) -> Group:
     """Builtin corpus: Zn (n <= 60), Dn (order 2n, n <= 12), S3, S4, A4, Q8,
     and x-joined direct products such as Z2xZ2 or S3xZ2."""
     atoms = [_builtin_atom(part) for part in name.split("x")]
-    _check_order(math.prod(atom.order for atom in atoms))
-    group = atoms[0]
-    for atom in atoms[1:]:
-        group = _direct_product(group, atom, name)
-    group.name = name
+    _check_order(math.prod(len(elements) for elements, _ in atoms))
+    table = np.zeros((1, 1), dtype=np.int64)
+    for elements, mul in atoms:
+        atom, m = np.array(_cayley(elements, mul)), len(elements)
+        # Element (a, b) of the product is a * m + b.
+        table = (table[:, None, :, None] * m + atom[None, :, None, :]).reshape(len(table) * m, -1)
     # Builtins go through the same validation as user tables.
-    return group_from_table(name, group.table)
+    return group_from_table(name, table.tolist())
 
 
 # -- serialization -----------------------------------------------------------
@@ -426,8 +379,8 @@ def composition_analysis(g: Group, series_a=None, series_b=None) -> CompositionR
     equal lengths, order-matched factors under the computed permutation, and a
     chain-independent multiset of factor orders.
 
-    With explicit series, only that ordered pair is matched; otherwise all
-    maximal chains are enumerated and every ordered pair (i <= j) is checked.
+    With explicit series, only that ordered pair is matched; otherwise every
+    ordered pair (i <= j) of maximal chains is, up to sl.PAIR_LIMIT pairs.
     The dual lattice and the series are validated once; each pair runs the
     index matcher, which asserts its invariants and re-verifies its witnesses.
     """
@@ -444,6 +397,8 @@ def composition_analysis(g: Group, series_a=None, series_b=None) -> CompositionR
                     f"series {list(ch)} is not a maximal chain of {lattice.name!r}")
         pair_indices = [(0, 1)]
     else:
+        count = sl.count_maximal_chains(lattice)
+        sl._check_pair_count(count * (count + 1) // 2)
         chains = sl.maximal_chains(lattice)
         pair_indices = [(i, j) for i in range(len(chains))
                         for j in range(i, len(chains))]

@@ -7,12 +7,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import MissingBoundsError, NoJoinError, NotJoinSemilatticeError
+from .errors import MissingBoundsError, NoJoinError, NotJoinSemilatticeError, SizeLimitError
 from .poset import Chain, Poset
 
 # Sentinels inside the bound tables.
 _NONE = -1        # no common bound at all
 _AMBIGUOUS = -2   # several minimal/maximal common bounds
+
+# On a shared 2-vCPU machine: the 49,770 series pairs of Z2xZ2xZ2xZ2 take 3 s
+# in composition; the 32,400 chain pairs of Pi5 take 6 s in verify.
+PAIR_LIMIT = 50_000
 
 
 def _bounds_table(leq: np.ndarray) -> tuple[np.ndarray, tuple[int, int] | None]:
@@ -41,12 +45,11 @@ def _bounds_table(leq: np.ndarray) -> tuple[np.ndarray, tuple[int, int] | None]:
     return table, (divmod(int(bad.argmax()), n) if bad.any() else None)
 
 
-def _table(p: Poset, kind: str) -> tuple[np.ndarray, tuple[int, int] | None]:
-    """The cached "join" or "meet" table of p and its first failing pair."""
-    cached = p._cache.get(kind)
+def _table(p: Poset) -> tuple[np.ndarray, tuple[int, int] | None]:
+    """The cached join table of p and its first failing pair."""
+    cached = p._cache.get("join")
     if cached is None:
-        leq = p._leq if kind == "join" else np.ascontiguousarray(p._leq.T)
-        cached = p._cache[kind] = _bounds_table(leq)
+        cached = p._cache["join"] = _bounds_table(p._leq)
     return cached
 
 
@@ -55,7 +58,7 @@ def _join_rows(p: Poset) -> list[list[int]]:
     scalar reads: indexing a list is several times cheaper than numpy's."""
     rows = p._cache.get("join_rows")
     if rows is None:
-        rows = p._cache["join_rows"] = _table(p, "join")[0].tolist()
+        rows = p._cache["join_rows"] = _table(p)[0].tolist()
     return rows
 
 
@@ -68,7 +71,7 @@ def _joins(p: Poset) -> np.ndarray:
     """The join table of p by index, for whole-row reads.  Raises NoJoinError
     for the first failing pair unless p is a join semilattice, so no caller
     reads a sentinel as an element."""
-    table, first_bad = _table(p, "join")
+    table, first_bad = _table(p)
     if first_bad is not None:
         i, j = first_bad
         raise _no_join(p, p.elements[i], p.elements[j], table[i, j])
@@ -89,13 +92,13 @@ def meet(p: Poset, a: str, b: str) -> str | None:
     Meets are optional in a join semilattice, so absence is a value here,
     never an error.
     """
-    v = _table(p, "meet")[0][p.index(a), p.index(b)]
+    v = _table(p.dual())[0][p.index(a), p.index(b)]
     return None if v < 0 else p.elements[v]
 
 
 def is_join_semilattice(p: Poset) -> tuple[bool, tuple[str, str] | None]:
     """Whether every pair has a join; on failure also the first offending pair."""
-    _, first_bad = _table(p, "join")
+    _, first_bad = _table(p)
     if first_bad is None:
         return True, None
     i, j = first_bad
@@ -126,7 +129,7 @@ def is_semimodular(p: Poset) -> SemimodularityReport:
     ok, pair = is_join_semilattice(p)
     if not ok:
         raise NotJoinSemilatticeError(pair)
-    table, _ = _table(p, "join")
+    table, _ = _table(p)
     covers = p._covers
     n = len(p)
     lo, hi = np.nonzero(covers)   # cover pairs in row-major order
@@ -190,3 +193,8 @@ def count_maximal_chains(p: Poset) -> int:
     for x in sorted(p.elements, key=heights.__getitem__, reverse=True):
         counts[x] = 1 if x == top else sum(counts[y] for y in p.upper_covers(x))
     return counts[bottom]
+
+
+def _check_pair_count(count: int) -> None:
+    if count > PAIR_LIMIT:
+        raise SizeLimitError(f"matching is limited to <= {PAIR_LIMIT} chain pairs, got {count}")

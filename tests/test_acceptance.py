@@ -15,6 +15,7 @@ from semilat import (
     NotJoinSemilatticeError,
     NotSemimodularError,
     all_subgroups,
+    boolean_lattice,
     builtin_group,
     check_pairs,
     composition_analysis,
@@ -25,6 +26,7 @@ from semilat import (
     lattice_up_projective,
     maximal_chains,
     named_counterexample,
+    partition_lattice,
     prime_up_projective,
     random_maximal_chain,
     subnormal_lattice,
@@ -52,10 +54,10 @@ def _sampled_pairs(p, count, seed):
 
 
 def test_criterion_1_theorem_suite(corpus):
-    """All three claims hold on every corpus lattice over every chain pair
-    (or 200 seeded samples when the pair count exceeds 5000)."""
+    """All three claims hold on every corpus lattice, and on B5 and Pi5, over
+    every chain pair (or 200 seeded samples when the pair count exceeds 5000)."""
     failures = []
-    for p in corpus:
+    for p in corpus + [boolean_lattice(5), partition_lattice(5)]:
         chains = maximal_chains(p)
         if len(chains) ** 2 <= PAIR_BUDGET:
             pairs = [(a, b) for a in chains for b in chains]

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from conftest import DATA, GOLDEN, read_golden
-from semilat import groups
+from semilat import groups, semilattice as sl
 
 B2 = str(DATA / "b2.json")
 B3 = str(DATA / "b3.json")
@@ -213,6 +213,32 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == "error: permutation counting is limited to n <= 20\n"
 
+    @pytest.mark.parametrize("make, argv, pairs", [
+        (["gen", "boolean", "6"], ["verify", "--all-pairs"], 518_400),
+        (["gen", "boolean", "6"], ["verify", "--samples", "100000000"], 100_000_000),
+        (["group", "builtin", "Z2xZ2xZ2xZ2xZ2"], ["group", "composition"], 47_682_495),
+    ], ids=["all-pairs", "samples", "composition"])
+    def test_pair_limit_refuses_before_enumerating(self, run_cli, tmp_path, make, argv, pairs):
+        path = str(tmp_path / "input.json")
+        assert run_cli(*make, "-o", path)[0] == 0
+        start = time.perf_counter()
+        code, out, err = run_cli(*argv, path)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == f"error: matching is limited to <= 50000 chain pairs, got {pairs}\n"
+
+    @pytest.mark.parametrize("argv, pairs", [
+        (["verify", B2, "--all-pairs"], 4),
+        (["group", "composition", Z12], 6),
+    ], ids=["verify", "composition"])
+    def test_pair_limit_boundary(self, run_cli, monkeypatch, argv, pairs):
+        monkeypatch.setattr(sl, "PAIR_LIMIT", pairs)
+        assert run_cli(*argv)[0] == 0
+        monkeypatch.setattr(sl, "PAIR_LIMIT", pairs - 1)
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: matching is limited to <= {pairs - 1} chain pairs, got {pairs}\n"
+
     def test_validate_a_600_element_chain(self, run_cli, tmp_path):
         path = str(tmp_path / "c600.json")
         assert run_cli("gen", "chainprod", "600", "-o", path)[0] == 0
@@ -389,6 +415,23 @@ class TestExportDot:
                                "--chain-b", "0,a,1")
         assert code == 0
         assert out.count('color="red:blue"') == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--chain-a", "1,0"], "not a chain of covers at (1, 0)"),
+        (["--chain-a", "0,1"], "not a chain of covers at (0, 1)"),
+        (["--chain-b", "0,a,b"], "not a chain of covers at (a, b)"),
+        # The matcher runs first, so --witnesses keeps its messages.
+        (["--chain-a", "0,1", "--chain-b", "0,b,1", "--witnesses"],
+         "first chain ['0', '1'] is not maximal in 'b2'"),
+    ], ids=["decreasing", "not-a-cover", "incomparable", "witnesses"])
+    def test_chain_that_does_not_step_by_covers(self, run_cli, argv, message):
+        code, out, err = run_cli("export-dot", B2, *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_partial_cover_chain(self, run_cli):
+        code, out, _ = run_cli("export-dot", B2, "--chain-a", "0,a")
+        assert code == 0
+        assert out.count("color=red") == 1
 
     def test_unknown_highlight_element(self, run_cli):
         code, _, _ = run_cli("export-dot", B2, "--chain-a", "0,zz,1")

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 from itertools import combinations
 
 import pytest
@@ -35,6 +37,24 @@ from strategies import GENERATED, direct_products
 SUBGROUP_COUNTS = {"Z12": 6, "S3": 6, "A4": 10, "D4": 10, "Q8": 6, "S3xZ2": 16}
 
 FACTOR_MULTISETS = {"Z12": (2, 2, 3), "A4": (2, 2, 3), "S3": (2, 3)}
+
+PINNED_BUILTINS = ([f"Z{n}" for n in range(1, 61)] + [f"D{n}" for n in range(1, 13)]
+                   + ["S3", "S4", "A4", "Q8", "Q8xZ2", "D4xZ2", "S3xZ3", "Z2xZ2xZ2",
+                      "S3xZ2xZ2", "S4xZ5", "A4xZ2xZ5"])
+# SHA-256 of json.dumps of their to_dict()s, frozen from the per-family table
+# builders that the one Cayley-table helper replaced.
+PINNED_DIGEST = "534fc93485e21c92c9df98bd8cade52feeb69e9f8dc769dc0904bb4ae60dfdfd"
+PINNED_REFUSALS = {
+    "Z0": (UnknownNameError, "cyclic groups are limited to Z1..Z60, got Z0"),
+    "Z61": (UnknownNameError, "cyclic groups are limited to Z1..Z60, got Z61"),
+    "D0": (UnknownNameError, "dihedral groups are limited to D1..D12, got D0"),
+    "D13": (UnknownNameError, "dihedral groups are limited to D1..D12, got D13"),
+    "S5": (UnknownNameError, "unknown builtin group 'S5'"),
+    "Z": (UnknownNameError, "unknown builtin group 'Z'"),
+    "Z2x": (UnknownNameError, "unknown builtin group ''"),
+    "xZ2": (UnknownNameError, "unknown builtin group ''"),
+    "Z60xZ60": (SizeLimitError, "group tables are limited to order <= 120, got 3600"),
+}
 
 
 def subgroups_by_subset_scan(g):
@@ -138,6 +158,12 @@ class TestTableValidation:
         with pytest.raises(GroupValidationError, match="Latin"):
             group_from_table("x", [[0, 0], [1, 1]])
 
+    def test_names_the_first_column_that_is_not_a_permutation(self):
+        # Every row is a permutation; columns 1 and 2 are not.
+        with pytest.raises(GroupValidationError) as info:
+            group_from_table("x", [[0, 1, 2], [1, 2, 0], [2, 1, 0]])
+        assert str(info.value) == "not a Latin square: column 1 is not a permutation"
+
     def test_non_integer_entries(self):
         for table in ([[0.0, 1.0], [1.0, 0.0]], [[False, True], [True, False]]):
             with pytest.raises(GroupValidationError, match="integers"):
@@ -182,6 +208,14 @@ class TestBuiltins:
     def test_q8_single_involution(self):
         q8 = builtin_group("Q8")
         assert sum(1 for x in range(1, 8) if q8.mul(x, x) == 0) == 1
+
+    def test_tables_and_refusals_are_pinned(self):
+        tables = [builtin_group(name).to_dict() for name in PINNED_BUILTINS]
+        assert hashlib.sha256(json.dumps(tables).encode()).hexdigest() == PINNED_DIGEST
+        for name, (error, message) in PINNED_REFUSALS.items():
+            with pytest.raises(error) as info:
+                builtin_group(name)
+            assert (type(info.value), str(info.value)) == (error, message), name
 
     def test_unknown(self):
         with pytest.raises(UnknownNameError):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from semilat import (
     NotAChainError,
@@ -11,8 +12,11 @@ from semilat import (
     boolean_lattice,
     chain_product,
     from_dict,
+    load_poset,
     named_counterexample,
+    save_poset,
 )
+from strategies import GENERATED, closure_lattices, posets
 
 B2 = Poset.from_cover_list(
     "b2", ["0", "a", "b", "1"], [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
@@ -167,6 +171,11 @@ class TestDual:
             assert back.name == p.name
             assert back.cover_pairs() == p.cover_pairs()
 
+    @GENERATED
+    @given(st.one_of(posets(), closure_lattices()))
+    def test_generated_dual_of_dual_is_the_poset(self, p):
+        assert p.dual().dual() is p
+
     def test_covers_reversed(self):
         n5 = named_counterexample("n5")
         assert set(n5.dual().cover_pairs()) == {(b, a) for a, b in n5.cover_pairs()}
@@ -233,6 +242,15 @@ class TestSerialization:
             assert back == p
             assert back.name == p.name
             assert back.cover_pairs() == p.cover_pairs()
+
+    @GENERATED
+    @given(st.one_of(posets(), closure_lattices()))
+    def test_generated_round_trips_are_lossless(self, tmp_path_factory, p):
+        path = str(tmp_path_factory.mktemp("round_trip") / "p.json")
+        save_poset(p, path)
+        for back in (from_dict(p.to_dict()), load_poset(path)):
+            assert back == p
+            assert (back.name, back.cover_pairs()) == (p.name, p.cover_pairs())
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(PosetConstructionError):

@@ -66,8 +66,8 @@ def reference_bounds(leq) -> tuple[list[list[int]], tuple[int, int] | None]:
 
 def assert_tables_exact(p) -> None:
     leq = p._leq.tolist()
-    for (table, first_bad), order in ((sl._table(p, "join"), leq),
-                                      (sl._table(p, "meet"), [list(r) for r in zip(*leq)])):
+    for (table, first_bad), order in ((sl._table(p), leq),
+                                      (sl._table(p.dual()), [list(r) for r in zip(*leq)])):
         assert table.dtype == np.int32 and table.shape == (len(p), len(p))
         assert (table.tolist(), first_bad) == reference_bounds(order), p.name
 
@@ -118,7 +118,7 @@ class TestBoundTables:
             assert_tables_exact(p)
 
     def test_both_sentinels(self):
-        table, first_bad = sl._table(BOWTIE, "join")
+        table, first_bad = sl._table(BOWTIE)
         assert table.tolist() == [[0, -2, 2, 3], [-2, 1, 2, 3], [2, 2, 2, -1], [3, 3, -1, 3]]
         assert first_bad == (0, 1)
         with pytest.raises(NoJoinError, match="several minimal"):
