@@ -32,11 +32,7 @@ from .semilattice import (
     maximal_chains,
     meet,
 )
-from .projectivity import (
-    lattice_up_projective,
-    prime_up_projective,
-    updown_projective,
-)
+from .projectivity import lattice_up_projective, prime_up_projective
 from .matching import MatchingCheck, MatchingResult, RecursionFrame, jh_match, verify_matching
 from .oracle import (
     CheckEntry,

@@ -10,6 +10,7 @@ stability promise.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -18,7 +19,6 @@ from .dot import export_dot
 from .errors import SemilatError, SizeLimitError, UnknownElementError
 from .matching import jh_match
 from .poset import Poset, from_dict, load_poset, save_poset
-from .projectivity import updown_projective
 
 OK, VIOLATION, USAGE = 0, 1, 2
 
@@ -185,7 +185,7 @@ def _cmd_project(args) -> int:
     target = _parse_elements(p, args.target, "--target")
     if len(source) != 2 or len(target) != 2:
         raise _InputError("--source and --target each need exactly two elements")
-    witness = updown_projective(p, tuple(source), tuple(target))
+    witness = oracle.interval_updown_witness(p, source, target)
     if args.json:
         _emit_json({
             "poset": p.name,
@@ -354,7 +354,9 @@ def _cmd_export_dot(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="semilat",
         description="Chain matching and projectivity in semimodular join semilattices.")

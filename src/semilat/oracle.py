@@ -1,13 +1,16 @@
 """Brute-force ground truth for the chain-matching theorem.
 
 Everything here is deliberately dumb: witness existence for a relation cell
-is decided by one exhaustive mask over all element pairs (x, y), read off
-the join table, and uniqueness of the matching permutation by counting the
-consistent permutations of the relation matrix.  `check_pairs` checks a
-whole pair set in one pass: the preconditions once, each distinct chain
-once, and every cell the pairs need in one batch of masks, evaluated in
-blocks.  Cells are cached on the poset, which holds one table of them for
-every caller.  The oracle reads only the `Poset` and its join table: it calls
+is decided by one exhaustive scan over every element x, read off the join
+table, and uniqueness of the matching permutation by counting the consistent
+permutations of the relation matrix.  The scan needs no y: a witness (x, y)
+for [a, b] -> [c, d] has b∨x = y, so each x admits exactly one candidate y,
+and testing every x with that y tests every pair (x, y).  `check_pairs`
+checks a whole pair set in one pass: the preconditions once, each distinct
+chain once, every cell the pairs need in one batch of scans, evaluated in
+blocks, and each pair's relation read from that batch by chain index.
+Cells are cached on the poset, which holds one table of them for every
+caller.  The oracle reads only the `Poset` and its join table: it calls
 neither the projectivity predicates nor the matcher's internals, so an
 agreement between the two is meaningful evidence.
 """
@@ -24,7 +27,7 @@ from .poset import Chain, Poset
 from . import semilattice as sl
 
 COUNTING_LIMIT = 20     # perfect-matching count with column-set memo
-_MASK_BLOCK = 2 ** 20   # mask entries evaluated at once
+_MASK_BLOCK = 2 ** 16   # (cell, x) entries evaluated at once
 
 
 @dataclass(frozen=True)
@@ -46,10 +49,15 @@ def _witnesses(p: Poset, cells: list[tuple[int, int, int, int]]) -> list:
     [a, b] and [c, d]: the lexicographically first of all |p|^2 pairs (x, y)
     with x != y, a∨x = c∨x = x and b∨x = d∨x = y, as names, or None.
 
+    For a given x, b∨x = y leaves one candidate, y = b∨x, so every x is
+    tested with it: a∨x = c∨x = x, b∨x != x and d∨x = b∨x.  That covers
+    every pair (x, y), and the first x that passes gives the first pair.
+
     This is the one gate to p's cell table: cells already in it are read,
     the others are checked to be prime steps, in the order given, evaluated
-    once in blocks of about _MASK_BLOCK mask entries over the join table,
-    and added to it.  Raises NoJoinError unless p is a join semilattice.
+    once in blocks of about _MASK_BLOCK (cell, x) entries over the join
+    table, and added to it.  Raises NoJoinError unless p is a join
+    semilattice.
     """
     table = p._cache.setdefault("updown_cells", {})
     missing = list(dict.fromkeys(cell for cell in cells if cell not in table))
@@ -61,32 +69,55 @@ def _witnesses(p: Poset, cells: list[tuple[int, int, int, int]]) -> list:
             lo, hi = (p.elements[i] for i in intervals[bad[0]])
             raise NotPrimeIntervalError(f"[{lo}, {hi}] is not a prime interval of {p.name!r}")
         J = sl._joins(p)
-        names, size = p.elements, len(p)
-        xs = np.arange(size)
-        step = max(1, _MASK_BLOCK // size ** 2)
+        names = p.elements
+        xs = np.arange(len(p))
+        step = max(1, _MASK_BLOCK // len(p))
         for start in range(0, len(missing), step):
             a, b, c, d = todo[start:start + step].T
-            # Cell k, row x, column y: every condition, evaluated on every pair.
-            mask = J[b][:, :, None] == xs
-            mask &= J[d][:, :, None] == xs
-            mask &= ((J[a] == xs) & (J[c] == xs))[:, :, None]
-            mask &= xs[:, None] != xs
-            mask = mask.reshape(len(a), -1)
+            # Cell k, column x: every condition, with y = b∨x forced.
+            y = J[b]
+            mask = (J[a] == xs) & (J[c] == xs) & (y != xs) & (J[d] == y)
             first = mask.argmax(axis=1)
-            found = mask[np.arange(len(a)), first]
-            for cell, f, hit in zip(missing[start:start + step], first.tolist(), found.tolist()):
-                table[cell] = (names[f // size], names[f % size]) if hit else None
+            rows = np.arange(len(a))
+            hits, ys = mask[rows, first].tolist(), y[rows, first].tolist()
+            for cell, x, hit, bx in zip(missing[start:start + step], first.tolist(), hits, ys):
+                table[cell] = (names[x], names[bx]) if hit else None
     return list(map(table.__getitem__, cells))
 
 
 def interval_updown_witness(p: Poset, source, target) -> tuple[str, str] | None:
     """The lexicographically first of all |p|^2 pairs (x, y) with x != y,
     a∨x = c∨x = x and b∨x = d∨x = y, for the prime intervals
-    source = [a, b] and target = [c, d].
+    source = [a, b] and target = [c, d], or None.
 
-    Raises NoJoinError unless p is a join semilattice.
+    Found by the scan over x with y = b∨x forced, which is exhaustive: no
+    other y can satisfy b∨x = y.  Raises NotPrimeIntervalError for the first
+    of source and target that is not a prime interval, and NoJoinError
+    unless p is a join semilattice.
     """
     return _witnesses(p, [(*map(p.index, source), *map(p.index, target))])[0]
+
+
+def _steps(p: Poset, chain) -> list[tuple[int, int]]:
+    """The steps of a chain of names, as index pairs."""
+    c = list(map(p.index, chain))
+    return list(zip(c, c[1:]))
+
+
+def _found(p: Poset, cells: list[tuple[int, int, int, int]]) -> dict:
+    """Step (a, b) -> step (c, d) -> the witness of the cell (a, b, c, d),
+    for the given cells, read through `_witnesses`."""
+    found: dict = {}
+    for cell, w in zip(cells, _witnesses(p, cells)):
+        found.setdefault(cell[:2], {})[cell[2:]] = w
+    return found
+
+
+def _relation(found: dict, c: list, d: list) -> ProjectivityRelation:
+    """The relation between the chains with index steps c and d, from `_found`."""
+    rows = tuple(tuple(map(found[s].__getitem__, d)) for s in c)
+    related = tuple(tuple(w is not None for w in row) for row in rows)
+    return ProjectivityRelation(len(c), related, rows)
 
 
 def projectivity_relation(p: Poset, chain_a, chain_b) -> ProjectivityRelation:
@@ -100,14 +131,8 @@ def projectivity_relation(p: Poset, chain_a, chain_b) -> ProjectivityRelation:
     if len(C) != len(D):
         raise ChainLengthMismatchError(
             f"chains of lengths {len(C) - 1} and {len(D) - 1}")
-    n = len(C) - 1
-    c, d = list(map(p.index, C)), list(map(p.index, D))
-    witnesses = _witnesses(p, [(a, b, e, f) for a, b in zip(c, c[1:]) for e, f in zip(d, d[1:])])
-
-    def square(flat: list) -> tuple:
-        return tuple(tuple(flat[i * n:i * n + n]) for i in range(n))
-
-    return ProjectivityRelation(n, square([w is not None for w in witnesses]), square(witnesses))
+    c, d = _steps(p, C), _steps(p, D)
+    return _relation(_found(p, [(*s, *t) for s in c for t in d]), c, d)
 
 
 def count_consistent_permutations(rel: ProjectivityRelation) -> int:
@@ -185,7 +210,8 @@ def check_pairs(p: Poset, pairs) -> list[TheoremReport]:
     The poset preconditions are checked once, and each distinct chain is
     checked for maximality and indexed once.  Every relation cell that the
     evaluable pairs (preconditions met, equal lengths) need is then
-    evaluated in one batch, so each pair reads its relation off p's cells.
+    evaluated in one batch, and each pair reads its relation from that batch
+    by chain index.  Each distinct relation is counted once.
     Chains longer than COUNTING_LIMIT raise SizeLimitError before any cell
     is computed.
     """
@@ -219,33 +245,31 @@ def check_pairs(p: Poset, pairs) -> list[TheoremReport]:
 
     # Each chain left is maximal, so its steps are prime intervals.  A step
     # of a first chain meets every step of that chain's partners.
-    chains: dict[tuple[str, ...], tuple[Chain, list[int]]] = {}
+    chains: dict[tuple[str, ...], tuple[Chain, list[tuple[int, int]]]] = {}
     partners: dict[tuple[str, ...], dict] = {}
     for _, C, D in evaluable:
         for ch in (C, D):
             if ch not in chains:
-                chains[ch] = p.chain(ch), list(map(p.index, ch))
-        d = chains[D][1]
-        partners.setdefault(C, {}).update(dict.fromkeys(zip(d, d[1:])))
-    needed = []
-    for C, steps in partners.items():
-        c = chains[C][1]
-        needed += [(a, b, e, f) for a, b in zip(c, c[1:]) for e, f in steps]
-    _witnesses(p, needed)
+                chains[ch] = p.chain(ch), _steps(p, ch)
+        partners.setdefault(C, {}).update(dict.fromkeys(chains[D][1]))
+    found = _found(p, list(dict.fromkeys(
+        (*s, *t) for C, steps in partners.items() for s in chains[C][1] for t in steps)))
 
+    counts: dict[tuple, int] = {}  # equal relations have equal counts
     for out, C, D in evaluable:
-        rel = projectivity_relation(p, C, D)
-        result = jh_match(p, chains[C][0], chains[D][0])
-        n = rel.n
-        count = count_consistent_permutations(rel)
-        consistent = all(rel.related[i - 1][result.pi[i - 1] - 1] for i in range(1, n + 1))
+        n = len(C) - 1
+        rel = _relation(found, chains[C][1], chains[D][1])
+        related = rel.related
+        if related not in counts:
+            counts[related] = count_consistent_permutations(rel)
+        count = counts[related]
+        pi = jh_match(p, chains[C][0], chains[D][0]).pi
+        consistent = all(related[i][pi[i] - 1] for i in range(n))
         out.append(CheckEntry(
             "unique-permutation", count == 1 and consistent,
             f"matching count {count}; computed permutation consistent: {consistent}"))
-        violations = [(i, j)
-                      for i in range(1, n + 1)
-                      for j in range(1, n + 1)
-                      if rel.related[i - 1][j - 1] and j > result.pi[i - 1]]
+        violations = [(i + 1, j + 1) for i in range(n) for j in range(n)
+                      if related[i][j] and j >= pi[i]]
         out.append(CheckEntry(
             "maximality", not violations,
             "every related j satisfies j <= pi(i)" if not violations

@@ -19,6 +19,7 @@ from semilat import (
     builtin_group,
     check_pairs,
     composition_analysis,
+    interval_updown_witness,
     is_join_semilattice,
     is_semimodular,
     jh_match,
@@ -30,7 +31,6 @@ from semilat import (
     prime_up_projective,
     random_maximal_chain,
     subnormal_lattice,
-    updown_projective,
 )
 from semilat.generators import graphic_flat_lattice
 from semilat.poset import Poset
@@ -254,7 +254,7 @@ def test_criterion_7_matroid_components():
 
     for a in atoms:
         for b in atoms:
-            witness = updown_projective(flats, (bottom, a), (bottom, b))
+            witness = interval_updown_witness(flats, (bottom, a), (bottom, b))
             if (witness is not None) != (component(a) == component(b)):
                 failures.append(("two triangles", a, b, witness))
 
@@ -263,7 +263,7 @@ def test_criterion_7_matroid_components():
     k4_atoms = [e for e in k4.elements if k4.is_cover(k4_bottom, e)]
     for a in k4_atoms:
         for b in k4_atoms:
-            if updown_projective(k4, (k4_bottom, a), (k4_bottom, b)) is None:
+            if interval_updown_witness(k4, (k4_bottom, a), (k4_bottom, b)) is None:
                 failures.append(("K4", a, b))
 
     _report(7, "matroid component criterion", failures)

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from conftest import DATA, GOLDEN, read_golden
-from semilat import groups, semilattice as sl
+from semilat import cli, groups, semilattice as sl
 
 B2 = str(DATA / "b2.json")
 B3 = str(DATA / "b3.json")
@@ -78,6 +78,29 @@ class TestDeterminism:
         second = run_cli(*argv)
         assert first == second
         assert first[0] == 0
+
+    # Each call's defaults differ from the call before it, and a usage error
+    # follows successful runs and precedes one.
+    PARSER_SEQUENCE = [
+        (["chains", B3, "--limit", "1"], 0),
+        (["chains", B3], 0),
+        (["verify", B3, "--samples", "2", "--seed", "3"], 0),
+        (["verify", B3], 0),
+        (["verify", B3, "--all-pairs", "--samples", "2"], 2),
+        (["chains", B3, "--limit", "1"], 0),
+    ]
+
+    def test_reused_parser_answers_like_a_fresh_one(self, run_cli):
+        fresh = []
+        for argv, _ in self.PARSER_SEQUENCE:
+            cli._build_parser.cache_clear()
+            fresh.append(run_cli(*argv))
+        cli._build_parser.cache_clear()
+        reused = [run_cli(*argv) for argv, _ in self.PARSER_SEQUENCE]
+        assert cli._build_parser.cache_info().misses == 1
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [code for _, code in self.PARSER_SEQUENCE]
+        assert len(reused[1][1].splitlines()) == 6
 
 
 class TestExitCodes:

@@ -12,6 +12,7 @@ from semilat import (
     boolean_lattice,
     chain_product,
     graphic_flat_lattice,
+    interval_updown_witness,
     is_join_semilattice,
     is_maximal_chain,
     is_semimodular,
@@ -19,7 +20,6 @@ from semilat import (
     named_counterexample,
     partition_lattice,
     random_maximal_chain,
-    updown_projective,
 )
 from conftest import K4, P4, TRIANGLE, TWO_TRIANGLES
 
@@ -178,7 +178,7 @@ class TestMatroidComponents:
         assert len(atoms) == 6
         for a in atoms:
             for b in atoms:
-                witness = updown_projective(flats, (bottom, a), (bottom, b))
+                witness = interval_updown_witness(flats, (bottom, a), (bottom, b))
                 same_component = self.component_of(a) == self.component_of(b)
                 assert (witness is not None) == same_component, (a, b)
 
@@ -189,7 +189,7 @@ class TestMatroidComponents:
         assert len(atoms) == 6
         for a in atoms:
             for b in atoms:
-                assert updown_projective(flats, (bottom, a), (bottom, b)) is not None
+                assert interval_updown_witness(flats, (bottom, a), (bottom, b)) is not None
 
 
 class TestFamiliesAreSemimodular:

@@ -25,13 +25,13 @@ from semilat import (
     partition_lattice,
     projectivity_relation,
     random_maximal_chain,
-    updown_projective,
 )
 from semilat import oracle
 
 from conftest import DATA
 from enumeration import all_consistent_permutations
 from strategies import GENERATED, chain_products, graphic_flats
+from witness_mask import cover_cells, mask_witnesses
 
 SEMIMODULAR = st.one_of(chain_products(), graphic_flats())
 
@@ -69,18 +69,19 @@ class TestRelation:
             projectivity_relation(B3, B3_A, ["000", "100", "111"])
 
     def test_agrees_with_witness_search(self, small_corpus):
-        # The dumb pairwise scan and the directed search must coincide, both
-        # in existence and in the identity of the first witness.
+        # The scan over x and the mask over every pair (x, y) must coincide,
+        # both in existence and in the identity of the first witness.
         for p in small_corpus[:8]:
-            covers = p.cover_pairs()
-            for src in covers:
-                for tgt in covers:
-                    brute = interval_updown_witness(p, src, tgt)
-                    direct = updown_projective(p, src, tgt)
-                    if brute is None:
-                        assert direct is None, (p.name, src, tgt)
-                    else:
-                        assert direct is not None and tuple(direct) == brute
+            cells = cover_cells(p)
+            assert oracle._witnesses(p, cells) == mask_witnesses(p, cells), p.name
+
+    @pytest.mark.parametrize("p", [boolean_lattice(4), partition_lattice(4), boolean_lattice(5)],
+                             ids=["B4", "Pi4", "B5"])
+    def test_every_cover_cell_agrees_with_the_reference_mask(self, p):
+        cells = cover_cells(p)
+        got = oracle._witnesses(p, cells)
+        assert got == mask_witnesses(p, cells), p.name
+        assert None in got and any(got)
 
     def test_refused_without_all_joins(self):
         with pytest.raises(NoJoinError, match=r"no common upper bound for \(a, b\)"):
@@ -89,14 +90,10 @@ class TestRelation:
     @settings(GENERATED, max_examples=30)
     @given(SEMIMODULAR.filter(lambda p: len(p) <= 30))
     def test_generated_witness_searches_agree(self, p):
-        # The exhaustive mask and the directed search, on every pair of
-        # prime intervals: same existence and same first witness.
-        covers = p.cover_pairs()
-        for src in covers:
-            for tgt in covers:
-                direct = updown_projective(p, src, tgt)
-                assert interval_updown_witness(p, src, tgt) == \
-                    (None if direct is None else tuple(direct)), (p.name, src, tgt)
+        # The scan over x and the reference mask, on every pair of prime
+        # intervals: same existence and same first witness.
+        cells = cover_cells(p)
+        assert oracle._witnesses(p, cells) == mask_witnesses(p, cells), p.name
 
     def test_cache_reuse_is_transparent(self):
         p = boolean_lattice(3)
@@ -194,10 +191,9 @@ class TestCheckTheorem:
             assert check_theorem(p, a, b).ok, (p.name, list(a), list(b))
 
     def test_two_consistent_permutations_fail_uniqueness(self, monkeypatch):
-        # A relation that admits both permutations of B2's two intervals.
-        full = ProjectivityRelation(2, ((True, True), (True, True)),
-                                    ((("b", "1"), ("b", "1")), (("a", "1"), ("a", "1"))))
-        monkeypatch.setattr(oracle, "projectivity_relation", lambda *args, **kwargs: full)
+        # Every cell of B2 witnessed: a relation that admits both
+        # permutations of B2's two intervals.
+        monkeypatch.setattr(oracle, "_witnesses", lambda p, cells: [("b", "1")] * len(cells))
         entry = check_theorem(B2, B2_A, B2_B).entry("unique-permutation")
         assert not entry.passed
         assert entry.detail == "matching count 2; computed permutation consistent: True"

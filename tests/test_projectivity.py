@@ -9,12 +9,12 @@ from semilat import (
     NotPrimeIntervalError,
     Poset,
     boolean_lattice,
+    interval_updown_witness,
     join,
     lattice_up_projective,
     named_counterexample,
     partition_lattice,
     prime_up_projective,
-    updown_projective,
 )
 
 B2 = Poset.from_cover_list(
@@ -70,31 +70,31 @@ class TestWithoutAllJoins:
             prime_up_projective(self.TWO_TOPS, ("0", "a"), ("b", "a"))
 
     def test_updown_refused(self):
-        # updown_projective reads whole rows of the join table, so it refuses
+        # The witness search reads whole rows of the join table, so it refuses
         # every poset where some pair lacks a join.
         with pytest.raises(NoJoinError, match=r"no common upper bound for \(a, b\)"):
-            updown_projective(self.TWO_TOPS, ("0", "a"), ("0", "b"))
+            interval_updown_witness(self.TWO_TOPS, ("0", "a"), ("0", "b"))
 
 
 class TestUpdownWitness:
     def test_b2_no_witness_between_atom_intervals(self):
-        assert updown_projective(B2, ("0", "a"), ("0", "b")) is None
+        assert interval_updown_witness(B2, ("0", "a"), ("0", "b")) is None
 
     def test_b2_witness(self):
-        assert updown_projective(B2, ("0", "a"), ("b", "1")) == ("b", "1")
+        assert interval_updown_witness(B2, ("0", "a"), ("b", "1")) == ("b", "1")
 
     def test_self_projectivity_always_witnessed(self, small_corpus):
         for p in small_corpus[:10]:
             for ab in p.cover_pairs():
-                assert updown_projective(p, ab, ab) is not None
+                assert interval_updown_witness(p, ab, ab) is not None
 
     def test_witness_deterministic(self):
         pi4 = partition_lattice(4)
         covers = pi4.cover_pairs()
         for src in covers[:3]:
             for tgt in covers[:3]:
-                first = updown_projective(pi4, src, tgt)
-                second = updown_projective(pi4, src, tgt)
+                first = interval_updown_witness(pi4, src, tgt)
+                second = interval_updown_witness(pi4, src, tgt)
                 assert first == second
 
 
