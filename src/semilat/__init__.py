@@ -33,7 +33,14 @@ from .semilattice import (
     meet,
 )
 from .projectivity import lattice_up_projective, prime_up_projective
-from .matching import MatchingCheck, MatchingResult, RecursionFrame, jh_match, verify_matching
+from .matching import (
+    MatchingCheck,
+    MatchingResult,
+    RecursionFrame,
+    jh_match,
+    jh_match_pairs,
+    verify_matching,
+)
 from .oracle import (
     CheckEntry,
     ProjectivityRelation,

@@ -381,8 +381,9 @@ def composition_analysis(g: Group, series_a=None, series_b=None) -> CompositionR
 
     With explicit series, only that ordered pair is matched; otherwise every
     ordered pair (i <= j) of maximal chains is, up to sl.PAIR_LIMIT pairs.
-    The dual lattice and the series are validated once; each pair runs the
-    index matcher, which asserts its invariants and re-verifies its witnesses.
+    The dual lattice and the series are validated once; then every pair runs
+    through one batch of the index matcher, which asserts its invariants and
+    re-verifies every witness.
     """
     if (series_a is None) != (series_b is None):
         raise PreconditionError("provide both series or neither")
@@ -408,18 +409,18 @@ def composition_analysis(g: Group, series_a=None, series_b=None) -> CompositionR
         raise InternalInvariantError(
             f"composition series of {g.name} have unequal lengths {sorted(lengths)}")
 
-    factors = [_series_factors(ch.elements) for ch in chains]
+    factors = np.array([_series_factors(ch.elements) for ch in chains], dtype=np.intp)
     # Each series read top-down is a maximal chain of the dual.
-    down = [[dual.index(e) for e in reversed(ch.elements)] for ch in chains]
-    pairs = []
-    for i, j in pair_indices:
-        pi = _ascending(_match(dual, down[i], down[j], False)[0])
-        fp = tuple((factors[i][k - 1], factors[j][pi[k - 1] - 1])
-                   for k in range(1, len(pi) + 1))
-        pairs.append(SeriesPair(i, j, pi, fp))
+    down = np.array([[dual.index(e) for e in reversed(ch.elements)] for ch in chains])
+    first, second = np.array(pair_indices).T
+    pi, _ = _match(dual, down[first], down[second])
+    up = pi.shape[1] + 1 - pi[:, ::-1]   # ascending-series indexing
+    fp = np.stack((factors[first], np.take_along_axis(factors[second], up - 1, 1)), axis=2)
+    pairs = [SeriesPair(i, j, tuple(pi_k), tuple(map(tuple, fp_k)))
+             for i, j, pi_k, fp_k in zip(first.tolist(), second.tolist(), up.tolist(), fp.tolist())]
 
     return CompositionReport(
         group=g.name, order=g.order, length=lengths.pop(),
         series=tuple(ch.elements for ch in chains),
-        factor_multisets=tuple(tuple(sorted(f)) for f in factors),
+        factor_multisets=tuple(tuple(sorted(f)) for f in factors.tolist()),
         pairs=tuple(pairs))

@@ -8,15 +8,23 @@ matrix M[i][j] = c_i ∨ d_j (Grätzer and Nation): pi(i) is the least j with
 c_i ≤ c_{i-1} ∨ d_j, the first column where row i equals row i-1, and the
 witness is the step [M[i-1][j-1], M[i-1][j]] of row i-1.  No witness search
 happens anywhere: the structural facts about M are asserted and every
-witness is re-verified against both of its intervals.
+witness is re-verified by index against both of its intervals.
+
+There is one matcher, `_match`, and it works on a batch: the join matrices
+of many index chain pairs are read from the join table as one numpy array
+and every check is made on all of them at once.  `jh_match_pairs` is the
+public batch entry point; `jh_match` is that entry point on one pair, plus
+the `--trace` frames and a second, name-level re-check by `verify_matching`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate, groupby
-from operator import eq, not_
+from operator import ne
 from typing import Sequence
+
+import numpy as np
 
 from . import semilattice as sl
 from .errors import (
@@ -27,6 +35,9 @@ from .errors import (
 )
 from .poset import Chain, Poset
 from .projectivity import prime_up_projective
+
+_MATRIX_BLOCK = 2 ** 16   # join-matrix entries matched at once
+_STEP = np.array([-1, 0])   # a step [k-1, k] as offsets from k
 
 
 @dataclass(frozen=True)
@@ -92,65 +103,132 @@ def _validate_poset(p: Poset) -> None:
     sl._require_bounds(p)
 
 
-def _validate_inputs(p: Poset, chain_a, chain_b) -> tuple[Chain, Chain]:
-    _validate_poset(p)
-    C = chain_a if isinstance(chain_a, Chain) else p.chain(chain_a)
-    D = chain_b if isinstance(chain_b, Chain) else p.chain(chain_b)
-    for label, ch in (("first", C), ("second", D)):
-        if not sl.is_maximal_chain(p, ch):
-            raise NotMaximalChainError(f"{label} chain {list(ch)} is not maximal in {p.name!r}")
-    if C.length != D.length:
-        raise ChainLengthMismatchError(
-            f"maximal chains of lengths {C.length} and {D.length}; "
-            f"equal length is guaranteed for valid inputs, so a precondition is broken")
-    return C, D
-
-
-def _match(p: Poset, c: Sequence[int], d: Sequence[int], keep_trace: bool
-           ) -> tuple[list[int], list[tuple[int, int]], tuple[RecursionFrame, ...] | None]:
-    """pi, the witnesses by index and (with keep_trace) the frames, read off
-    the join matrix of two maximal index chains of equal length of a
-    validated poset, so no join sentinel is read."""
-    J = sl._join_rows(p)
-    covers, names = p._covers, p.elements
-    n = len(c) - 1
-    M = [[J[ci][j] for j in d] for ci in c]
-    flat = [list(map(eq, row, row[1:])) for row in M]  # flat[i][k-1]: row i repeats at column k
-    if M[0] != list(d):  # c_0 is the bottom
-        raise InternalInvariantError("row 0 of the join matrix is not the second chain")
-    pi, witnesses = [], []
-    for i in range(1, n + 1):
-        prev, row = M[i - 1], M[i]
-        if row[0] != c[i] or row[n] != d[n]:
-            raise InternalInvariantError(f"row {i} does not run from c_{i} to the top")
+def _match(p: Poset, C: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """pi and the witnesses by index, shapes (P, n) and (P, n, 2), for the
+    P pairs of maximal index chains of equal length n in the rows of C and
+    D, shape (P, n+1), of a validated poset, so no join sentinel is read.
+    The pairs are matched in blocks of about _MATRIX_BLOCK matrix entries;
+    the first (pair, row) at which a fact about M or a witness fails raises
+    InternalInvariantError, the checks of a row in the order listed below."""
+    J, covers = sl._joins(p), p._covers
+    P, m = C.shape
+    n = m - 1
+    pi = np.empty((P, n), dtype=np.intp)
+    W = np.empty((P, n, 2), dtype=np.intp)
+    cols, rows = np.arange(m), np.arange(n)
+    steps = cols[1:, None] + _STEP   # the steps of a chain, as column pairs
+    block = max(1, _MATRIX_BLOCK // (m * m))   # pairs
+    for start in range(0, P, block):
+        c, d = C[start:start + block], D[start:start + block]
+        ks = np.arange(len(c))[:, None, None]
+        M = J[c[:, :, None], d[:, None, :]]
+        prev, row = M[:, :-1], M[:, 1:]   # rows i-1 and i, for i = 1..n
+        flat = M[:, :, 1:] == M[:, :, :-1]   # flat[:, i, k-1]: row i repeats at column k
         # pi(i) is the least j with c_i <= c_{i-1} ∨ d_j.  From j on row i is
         # row i-1, and it repeats where row i-1 does and at j, so pi is a
         # permutation: the repeats only grow, by one new column per row.
-        j = list(map(eq, row, prev)).index(True)
-        if (j == 0 or flat[i - 1][j - 1] or row[j:] != prev[j:]
-                or flat[i] != flat[i - 1][:j - 1] + [True] + flat[i - 1][j:]):
-            raise InternalInvariantError(f"row {i} does not add exactly one collapse, at {j}")
-        # Steps past j are those of row i-1, and row 0 is the maximal chain d.
-        for u, v in zip(row, row[1:j]):
-            if u != v and not covers[u, v]:
+        same = row == prev
+        j = same.argmax(axis=2)
+        jj = j[:, :, None] + _STEP   # (j-1, j); j = 0 reads column -1, but fails check 1 first
+        xy = prev[ks, rows[:, None], jj]   # the witness (x, y), and the steps it meets:
+        ab, ef = c[:, steps], d[ks, jj]    # [c_{i-1}, c_i] and [d_{j-1}, d_j]
+        x, jm = xy[:, :, :1], jj[:, :, :1]   # x and j-1, to broadcast over a row
+        # Row i repeats where row i-1 does and newly at j exactly when this is
+        # the unit vector at column j-1.
+        grew = flat[:, 1:].view(np.int8) - flat[:, :-1].view(np.int8)
+        first_row = M[:, 0] != d   # c_0 is the bottom
+        # For each check of row i, in order, the masks whose set entries fail it.
+        checks = (
+            # Row i runs from c_i to the top.
+            (row[:, :, 0] != ab[:, :, 1], row[:, :, n] != d[:, n:]),
+            # Row i adds exactly one collapse, at j, and equals row i-1 from j on.
+            (j == 0, ~same & (cols >= j[:, :, None]), grew != (rows == jm)),
+            # Steps past j are those of row i-1, and row 0 is the maximal chain d.
+            (~(flat[:, 1:] | covers[row[:, :, :-1], row[:, :, 1:]] | (rows >= jm)),),
+            # The witness (x, y) against both intervals: a∨x = e∨x = x, b∨x = f∨x = y.
+            (xy[:, :, 0] == xy[:, :, 1], J[ab, x] != xy, J[ef, x] != xy),
+        )
+        if np.count_nonzero(first_row) or any(map(np.count_nonzero, sum(checks, ()))):
+            # The first failing (pair, row), row 0 first, and the first check it fails.
+            fails = np.array([np.logical_or.reduce([mask.any(axis=tuple(range(2, mask.ndim)))
+                                                    for mask in masks]) for masks in checks])
+            k, i = divmod(int(np.c_[first_row.any(axis=1), fails.any(axis=0)].argmax()), m)
+            if i == 0:
+                raise InternalInvariantError("row 0 of the join matrix is not the second chain")
+            r, names = i - 1, p.elements
+            check, jk = int(fails[:, k, r].argmax()), j[k, r]
+            if check == 0:
+                raise InternalInvariantError(f"row {i} does not run from c_{i} to the top")
+            if check == 1:
+                raise InternalInvariantError(f"row {i} does not add exactly one collapse, at {jk}")
+            if check == 2:
+                u, v = next((u, v) for u, v in zip(row[k, r], row[k, r, 1:jk])
+                            if u != v and not covers[u, v])
                 raise InternalInvariantError(f"row {i} steps {names[u]} -> {names[v]}, no cover")
-        x, y = prev[j - 1], prev[j]
-        a, b, e, f = c[i - 1], c[i], d[j - 1], d[j]
-        if x == y or J[a][x] != x or J[b][x] != y or J[e][x] != x or J[f][x] != y:
-            raise InternalInvariantError(f"index {i}: witness ({names[x]}, {names[y]}) fails on "
-                                         f"[{names[a]}, {names[b]}] or [{names[e]}, {names[f]}]")
-        pi.append(j)
-        witnesses.append((x, y))
-    if not keep_trace:
-        return pi, witnesses, None
+            (xn, yn), (an, bn), (en, fn) = ((names[v] for v in t[k, r]) for t in (xy, ab, ef))
+            raise InternalInvariantError(f"index {i}: witness ({xn}, {yn}) fails on "
+                                         f"[{an}, {bn}] or [{en}, {fn}]")
+        pi[start:start + block] = j
+        W[start:start + block] = xy
+    return pi, W
+
+
+def _frames(p: Poset, chain_a, chain_b, pi: Sequence[int]) -> tuple[RecursionFrame, ...]:
+    """The `--trace` frames of one matched pair, read off its join matrix."""
+    c, d = list(map(p.index, chain_a)), list(map(p.index, chain_b))
+    M = sl._joins(p)[np.ix_(c, d)].tolist()
+    names = p.elements
     frames = []
-    for k in range(n - 1):
+    for k in range(len(c) - 2):
         # The steps of row k, repeats removed, numbered by the column they end at.
-        step = list(accumulate(map(not_, flat[k]), initial=0))
+        step = list(accumulate(map(ne, M[k], M[k][1:]), initial=0))
         image = [step[j] for j in pi[k:]]
         frames.append(RecursionFrame(k, image[0] - 1, tuple(names[e] for e, _ in groupby(M[k + 1])),
                                      tuple(enumerate(image[1:], start=2))))
-    return pi, witnesses, tuple(frames)
+    return tuple(frames)
+
+
+def jh_match_pairs(p: Poset, pairs) -> list[MatchingResult]:
+    """`jh_match` on every chain pair, in order, in one pass, without the
+    trace and the name-level re-check.
+
+    Validates p once and each distinct chain once, raising for the first
+    pair that `jh_match` would refuse, before any pair is matched; then
+    matches the pairs of each length in one batch of `_match`.
+    """
+    _validate_poset(p)
+    indexed: dict[tuple[str, ...], list[int]] = {}
+    index_pairs, by_length = [], {}
+    for pair in pairs:
+        keys = [tuple(ch) for ch in pair]
+        for ch, key in zip(pair, keys):
+            if key not in indexed and not isinstance(ch, Chain):
+                p.chain(key)   # raises unless the names form a chain of p
+        for label, key in zip(("first", "second"), keys):
+            if key not in indexed:
+                if not sl.is_maximal_chain(p, key):
+                    raise NotMaximalChainError(f"{label} chain {list(key)} is not maximal in {p.name!r}")
+                indexed[key] = list(map(p.index, key))
+        c, d = (indexed[key] for key in keys)
+        if len(c) != len(d):
+            raise ChainLengthMismatchError(
+                f"maximal chains of lengths {len(c) - 1} and {len(d) - 1}; "
+                f"equal length is guaranteed for valid inputs, so a precondition is broken")
+        by_length.setdefault(len(c), []).append(len(index_pairs))
+        index_pairs.append((c, d))
+    names, size = p.elements, len(p)
+    # One name pair per distinct witness x·|p| + y, shared by every result
+    # that holds it, so a large batch does not hold a tuple per witness.
+    named: dict[int, tuple[str, str]] = {}
+    results: list[MatchingResult] = [None] * len(index_pairs)
+    for ks in by_length.values():
+        pi, W = _match(p, *(np.array([index_pairs[k][s] for k in ks]) for s in (0, 1)))
+        for k, pi_k, ws in zip(ks, pi.tolist(), (W[:, :, 0] * size + W[:, :, 1]).tolist()):
+            for w in ws:
+                if w not in named:
+                    named[w] = names[w // size], names[w % size]
+            results[k] = MatchingResult(len(pi_k), tuple(pi_k), tuple(map(named.__getitem__, ws)))
+    return results
 
 
 def jh_match(p: Poset, chain_a, chain_b, keep_trace: bool = False) -> MatchingResult:
@@ -158,15 +236,16 @@ def jh_match(p: Poset, chain_a, chain_b, keep_trace: bool = False) -> MatchingRe
 
     Validates that p is a semimodular join semilattice with bottom and top
     and that both chains are maximal of equal length, then reads the matching
-    off the join matrix of the chains.  The result is re-verified with
-    `verify_matching` before returning: pi is a permutation and every witness
-    satisfies the up-projectivity checks against both chains.
+    off the join matrix of the chains, as `jh_match_pairs` on this one pair.
+    The result is re-verified with `verify_matching` before returning: pi is
+    a permutation and every witness satisfies the up-projectivity checks
+    against both chains, read by name.
     """
-    C, D = _validate_inputs(p, chain_a, chain_b)
-    pi, witnesses, trace = _match(p, list(map(p.index, C)), list(map(p.index, D)), keep_trace)
-    result = MatchingResult(n=C.length, pi=tuple(pi), trace=trace, witnesses=tuple(
-        (p.elements[x], p.elements[y]) for x, y in witnesses))
-    check = verify_matching(p, C, D, result)
+    chain_a, chain_b = (ch if isinstance(ch, Chain) else tuple(ch) for ch in (chain_a, chain_b))
+    result = jh_match_pairs(p, [(chain_a, chain_b)])[0]
+    if keep_trace:
+        result = replace(result, trace=_frames(p, chain_a, chain_b, result.pi))
+    check = verify_matching(p, chain_a, chain_b, result)
     if not check.ok:
         raise InternalInvariantError("; ".join(check.failures))
     return result

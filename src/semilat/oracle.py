@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChainLengthMismatchError, NotPrimeIntervalError, SizeLimitError
-from .matching import jh_match
+from .matching import jh_match_pairs
 from .poset import Chain, Poset
 from . import semilattice as sl
 
@@ -211,7 +211,8 @@ def check_pairs(p: Poset, pairs) -> list[TheoremReport]:
     checked for maximality and indexed once.  Every relation cell that the
     evaluable pairs (preconditions met, equal lengths) need is then
     evaluated in one batch, and each pair reads its relation from that batch
-    by chain index.  Each distinct relation is counted once.
+    by chain index.  Each distinct relation is counted once, and the
+    evaluable pairs are matched in one `jh_match_pairs` call.
     Chains longer than COUNTING_LIMIT raise SizeLimitError before any cell
     is computed.
     """
@@ -255,15 +256,16 @@ def check_pairs(p: Poset, pairs) -> list[TheoremReport]:
     found = _found(p, list(dict.fromkeys(
         (*s, *t) for C, steps in partners.items() for s in chains[C][1] for t in steps)))
 
+    matched = jh_match_pairs(p, [(chains[C][0], chains[D][0]) for _, C, D in evaluable]
+                             ) if evaluable else []
     counts: dict[tuple, int] = {}  # equal relations have equal counts
-    for out, C, D in evaluable:
-        n = len(C) - 1
+    for (out, C, D), match in zip(evaluable, matched):
+        n, pi = match.n, match.pi
         rel = _relation(found, chains[C][1], chains[D][1])
         related = rel.related
         if related not in counts:
             counts[related] = count_consistent_permutations(rel)
         count = counts[related]
-        pi = jh_match(p, chains[C][0], chains[D][0]).pi
         consistent = all(related[i][pi[i] - 1] for i in range(n))
         out.append(CheckEntry(
             "unique-permutation", count == 1 and consistent,

@@ -14,8 +14,9 @@ from .poset import Chain, Poset
 _NONE = -1        # no common bound at all
 _AMBIGUOUS = -2   # several minimal/maximal common bounds
 
-# On a shared 2-vCPU machine: the 49,770 series pairs of Z2xZ2xZ2xZ2 take 3 s
-# in composition; the 32,400 chain pairs of Pi5 take 6 s in verify.
+# On a shared 2-vCPU machine: the 49,770 series pairs of Z2xZ2xZ2xZ2 take
+# 3.6 s in `group composition --json`, 0.3 s of it in composition_analysis;
+# the 32,400 chain pairs of Pi5 take 2.2 s in `verify --all-pairs`.
 PAIR_LIMIT = 50_000
 
 

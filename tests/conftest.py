@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from semilat import (
@@ -15,7 +16,7 @@ from semilat import (
 )
 from semilat import semilattice as sl
 from semilat.cli import run as cli_run
-from semilat.matching import _match
+from semilat.matching import _match, _validate_poset
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -68,10 +69,14 @@ def golden_json(name: str):
     return json.loads(read_golden(name))
 
 
-def break_witness_entry(p: Poset, c: list[int], d: list[int]) -> None:
-    """Corrupt, in p's cached join rows, the entry c_{i-1} ∨ x for the first
-    witness (x, y) with x off the chain d.  The join matrix of c and d never
-    reads that entry, so only the matcher's witness re-check can notice."""
-    _, witnesses, _ = _match(p, c, d, False)
-    i, (x, y) = next((i, w) for i, w in enumerate(witnesses, start=1) if w[0] not in d)
-    sl._join_rows(p)[c[i - 1]][x] = y
+def break_witness_entry(p: Poset, c: list[int], d: list[int]) -> tuple[int, int, int]:
+    """Corrupt, in p's join table, the entry c_{i-1} ∨ x for the first
+    witness (x, y) with x off the chain d, and return (i, x, y).  The join
+    matrix of c and d never reads that entry, and p is validated first, so
+    that its cached semimodularity report is of the intact table: only the
+    matcher's witness re-check can notice."""
+    _validate_poset(p)
+    _, witnesses = _match(p, np.array([c]), np.array([d]))
+    i, (x, y) = next((i, w) for i, w in enumerate(witnesses[0].tolist(), start=1) if w[0] not in d)
+    sl._joins(p)[c[i - 1], x] = y
+    return i, x, y

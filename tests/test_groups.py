@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -29,6 +31,7 @@ from semilat import (
     subnormal_lattice,
 )
 from semilat import groups, matching
+from semilat.matching import _match
 from conftest import break_witness_entry
 from strategies import GENERATED, direct_products
 
@@ -441,6 +444,25 @@ class TestPerPairWork:
                                                 "prime_up_projective")] == [0, 0, 0, 0]
         # Names are resolved per series, not per pair.
         assert calls["index"] <= 2 * len(report.series) * (report.length + 1)
+
+    def test_broken_entry_of_a_middle_pair_reported_for_that_pair(self):
+        g = builtin_group("Z2xZ6")  # a fresh group: its lattice's join table gets corrupted
+        report = composition_analysis(g)
+        dual = subnormal_lattice(g).dual()
+        down = [[dual.index(e) for e in reversed(series)] for series in report.series]
+        pairs = [(down[pair.index_a], down[pair.index_b]) for pair in report.pairs]
+        middle = 19
+        assert len(pairs) == 45
+        c, d = pairs[middle]
+        i, x, y = break_witness_entry(dual, c, d)
+        # No pair before the middle one reads the broken entry.
+        _match(dual, np.array([a for a, _ in pairs[:middle]]),
+               np.array([b for _, b in pairs[:middle]]))
+        names = dual.elements
+        expected = (f"index {i}: witness ({names[x]}, {names[y]}) fails on "
+                    f"[{names[c[i - 1]]}, {names[c[i]]}] or [")
+        with pytest.raises(InternalInvariantError, match=re.escape(expected)):
+            composition_analysis(g)
 
     def test_broken_join_entry_caught_by_the_witness_recheck(self):
         g = builtin_group("Z12")  # a fresh group: its lattice's join rows get corrupted

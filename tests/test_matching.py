@@ -3,24 +3,30 @@ from __future__ import annotations
 import inspect
 import random
 import sys
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from semilat import (
     InternalInvariantError,
     MatchingResult,
+    NotAChainError,
     NotJoinSemilatticeError,
     NotMaximalChainError,
     NotSemimodularError,
     Poset,
+    UnknownElementError,
     boolean_lattice,
     chain_product,
     check_theorem,
     count_consistent_permutations,
+    from_dict,
     is_maximal_chain,
     is_semimodular,
     jh_match,
+    jh_match_pairs,
     maximal_chains,
     named_counterexample,
     partition_lattice,
@@ -30,10 +36,12 @@ from semilat import (
     subnormal_lattice,
     verify_matching,
 )
+from semilat import matching, semilattice as sl
 from semilat.matching import _match
 from semilat.oracle import COUNTING_LIMIT
 
 from conftest import break_witness_entry
+from scalar_match import scalar_match
 from strategies import GENERATED, chain_products, closure_lattices, direct_products, graphic_flats
 
 B2 = Poset.from_cover_list(
@@ -54,7 +62,7 @@ def index_chain(p, chain):
 def assert_theorem_holds(p, a, b):
     """The join-matrix pi of (a, b) is the oracle's one consistent
     permutation, and it is maximal."""
-    pi, _, _ = _match(p, index_chain(p, a), index_chain(p, b), False)
+    pi = _match(p, np.array([index_chain(p, a)]), np.array([index_chain(p, b)]))[0][0]
     rel = projectivity_relation(p, a, b)
     assert count_consistent_permutations(rel) == 1
     assert all(rel.related[i][pi[i] - 1] for i in range(rel.n))
@@ -266,3 +274,106 @@ class TestJoinMatrix:
         break_witness_entry(p, index_chain(p, B3_CHAIN_A), index_chain(p, B3_CHAIN_B))
         with pytest.raises(InternalInvariantError, match=r"witness \(.*\) fails on \["):
             jh_match(p, B3_CHAIN_A, B3_CHAIN_B)
+
+
+def match_batch(p, pairs):
+    """pi and the witnesses of each index pair, matched in one batch."""
+    pi, W = _match(p, np.array([c for c, _ in pairs]), np.array([d for _, d in pairs]))
+    assert pi.shape == (len(pairs), len(pairs[0][0]) - 1)
+    return list(zip(pi.tolist(), W.tolist()))
+
+
+def assert_batch_is_pairwise(p, pairs):
+    """_match on the batch gives, pair for pair, what it gives on each alone."""
+    assert match_batch(p, pairs) == [match_batch(p, [pair])[0] for pair in pairs]
+
+
+class TestBatch:
+    """One matcher over a batch of index chain pairs, in blocks."""
+
+    @settings(GENERATED, max_examples=30)
+    @given(SEMIMODULAR, st.integers(0, 10 ** 6), st.integers(1, 8), st.sampled_from([2 ** 16, 1, 40]))
+    def test_generated_batches_match_pair_by_pair(self, p, seed, k, block):
+        chains = [index_chain(p, random_maximal_chain(p, seed + t)) for t in range(k + 1)]
+        pairs = [(chains[t], chains[(t + 1 + seed) % len(chains)]) for t in range(k)]
+        with mock.patch.object(matching, "_MATRIX_BLOCK", block):
+            assert_batch_is_pairwise(p, pairs)
+
+    @settings(GENERATED, max_examples=8)
+    @given(direct_products(), st.integers(0, 10 ** 6))
+    def test_dual_subnormal_batches_match_pair_by_pair(self, g, seed):
+        lattice = subnormal_lattice(g)
+        dual = lattice.dual()
+        chains = [index_chain(dual, ch.reversed()) for ch in maximal_chains(lattice)]
+        rng = random.Random(seed)
+        pairs = [(rng.choice(chains), rng.choice(chains)) for _ in range(6)]
+        with mock.patch.object(matching, "_MATRIX_BLOCK", rng.choice([2 ** 16, 30])):
+            assert_batch_is_pairwise(dual, pairs)
+
+    def test_batch_over_several_blocks(self):
+        p = boolean_lattice(4)  # n = 4: 2,621 pairs to a block of 2 ** 16 entries
+        chains = [index_chain(p, ch) for ch in maximal_chains(p)]
+        distinct = [(c, d) for c in chains for d in chains]
+        pairs = distinct * 5
+        assert len(pairs) > matching._MATRIX_BLOCK // 25
+        assert match_batch(p, pairs) == [match_batch(p, [pair])[0] for pair in distinct] * 5
+
+    @settings(GENERATED, max_examples=40)
+    @given(SEMIMODULAR, st.integers(0, 10 ** 6), st.integers(0, 3))
+    def test_corrupted_tables_fail_as_the_row_loop_does(self, p, seed, corrupted):
+        """With a few join-table entries overwritten, the batch returns or
+        raises what the reference row loop gives on its pairs in order: the
+        first failing pair, row and check, with the same message."""
+        p = from_dict(p.to_dict())  # a fresh poset: its join table gets corrupted
+        rng = random.Random(seed)
+        chains = [index_chain(p, random_maximal_chain(p, seed + t)) for t in range(4)]
+        pairs = [(rng.choice(chains), rng.choice(chains)) for _ in range(rng.randint(1, 8))]
+        J = sl._joins(p)
+        for _ in range(corrupted):
+            J[rng.randrange(len(p)), rng.randrange(len(p))] = rng.randrange(len(p))
+
+        def outcome(match):
+            try:
+                return match()
+            except InternalInvariantError as e:
+                return str(e)
+
+        expected = outcome(lambda: [scalar_match(p, c, d) for c, d in pairs])
+        with mock.patch.object(matching, "_MATRIX_BLOCK", rng.choice([2 ** 16, 1, 40])):
+            assert outcome(lambda: match_batch(p, pairs)) == expected
+
+    def test_singleton_lattice(self):
+        b0 = boolean_lattice(0)
+        pi, W = _match(b0, np.zeros((3, 1), dtype=int), np.zeros((3, 1), dtype=int))
+        assert pi.shape == (3, 0) and W.shape == (3, 0, 2)
+        assert jh_match_pairs(b0, [(["0"], ["0"])] * 2) == [MatchingResult(0, (), ())] * 2
+
+    def test_pairs_equal_jh_match_one_by_one(self):
+        p = partition_lattice(4)
+        chains = maximal_chains(p)
+        pairs = [(chains[i], chains[j]) for i in range(0, len(chains), 2)
+                 for j in range(0, len(chains), 3)]
+        assert jh_match_pairs(p, pairs) == [jh_match(p, a, b) for a, b in pairs]
+        assert jh_match_pairs(p, []) == []
+
+    def test_each_distinct_chain_validated_once(self, monkeypatch):
+        calls = []
+        original = sl.is_maximal_chain
+        monkeypatch.setattr(sl, "is_maximal_chain", lambda p, ch: calls.append(1) or original(p, ch))
+        p = boolean_lattice(3)
+        chains = maximal_chains(p)
+        jh_match_pairs(p, [(a, b) for a in chains for b in chains])
+        assert len(calls) == len(chains)
+
+    @pytest.mark.parametrize("pair, error, message", [
+        ((B3_CHAIN_A, ["000", "110", "111"]), NotMaximalChainError, "second chain"),
+        ((["000", "110", "111"], B3_CHAIN_B), NotMaximalChainError, "first chain"),
+        ((["000", "100", "110", "111"], ["000", "110", "100"]), NotAChainError, "110, 100"),
+        ((["000", "100", "110", "111"], ["000", "x", "111"]), UnknownElementError, "'x'"),
+    ])
+    def test_refusals_are_those_of_jh_match(self, pair, error, message):
+        with pytest.raises(error, match=message) as single:
+            jh_match(B3, *pair)
+        with pytest.raises(type(single.value)) as batch:
+            jh_match_pairs(B3, [(B3_CHAIN_A, B3_CHAIN_B), pair, (["0"], ["1"])])
+        assert str(batch.value) == str(single.value)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from semilat import (
+    Chain,
     ChainLengthMismatchError,
     NoJoinError,
     Poset,
@@ -15,6 +16,7 @@ from semilat import (
     chain_product,
     check_pairs,
     check_theorem,
+    composition_analysis,
     count_consistent_permutations,
     from_dict,
     interval_updown_witness,
@@ -25,12 +27,13 @@ from semilat import (
     partition_lattice,
     projectivity_relation,
     random_maximal_chain,
+    subnormal_lattice,
 )
-from semilat import oracle
+from semilat import groups, matching, oracle, projectivity
 
 from conftest import DATA
 from enumeration import all_consistent_permutations
-from strategies import GENERATED, chain_products, graphic_flats
+from strategies import GENERATED, chain_products, direct_products, graphic_flats
 from witness_mask import cover_cells, mask_witnesses
 
 SEMIMODULAR = st.one_of(chain_products(), graphic_flats())
@@ -273,3 +276,39 @@ class TestCheckPairs:
         written.clear()
         assert all(r.ok for r in check_pairs(b4, pairs))
         assert written == []
+
+    def test_one_batch_match_and_no_per_pair_work(self, monkeypatch):
+        calls: dict[str, int] = {}
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def counting(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counting)
+
+        for owner in (oracle, matching, projectivity):
+            for name in ("jh_match_pairs", "jh_match", "verify_matching", "prime_up_projective"):
+                if hasattr(owner, name):
+                    count(owner, name)
+        b4 = boolean_lattice(4)
+        chains = maximal_chains(b4)
+        reports = check_pairs(b4, [(a, b) for a in chains for b in chains])
+        assert len(reports) == 576 and all(r.ok for r in reports)
+        assert [calls.get(name, 0) for name in ("jh_match_pairs", "jh_match", "verify_matching",
+                                                "prime_up_projective")] == [1, 0, 0, 0]
+
+    @settings(GENERATED, max_examples=6)
+    @given(direct_products())
+    def test_dual_subnormal_lattices_agree_with_composition(self, g):
+        report = composition_analysis(g)
+        dual = subnormal_lattice(g).dual()
+        series = [Chain(s).reversed() for s in report.series]
+        matched = report.pairs[::max(1, len(report.pairs) // 30)]
+        pairs = [(series[pair.index_a], series[pair.index_b]) for pair in matched]
+        assert all(r.ok for r in check_pairs(dual, pairs)), g.name
+        for pair, (a, b) in zip(matched, pairs):
+            (pi,) = all_consistent_permutations(projectivity_relation(dual, a, b))
+            assert groups._ascending(pi) == pair.pi, (g.name, pair.index_a, pair.index_b)
