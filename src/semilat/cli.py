@@ -18,7 +18,7 @@ from . import generators, groups, oracle, semilattice as sl
 from .dot import export_dot
 from .errors import SemilatError, SizeLimitError, UnknownElementError
 from .matching import jh_match
-from .poset import Poset, from_dict, load_poset, save_poset
+from .poset import Poset, _json_text, from_dict, load_poset, save_poset
 
 OK, VIOLATION, USAGE = 0, 1, 2
 
@@ -28,7 +28,7 @@ class _InputError(Exception):
 
 
 def _emit_json(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(_json_text(payload))
 
 
 def _load(loader, path: str):

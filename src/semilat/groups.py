@@ -13,6 +13,7 @@ import json
 import math
 from collections.abc import Callable, Collection
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, permutations
 
 import numpy as np
@@ -27,7 +28,7 @@ from .errors import (
     UnknownNameError,
 )
 from .matching import _match, _validate_poset, jh_match
-from .poset import Chain, Poset
+from .poset import Chain, Poset, _json_text
 
 SUBGROUP_ORDER_LIMIT = 60
 # Validating a table takes about 0.09 s at order 120 and 0.7 s at order 240.
@@ -204,7 +205,7 @@ def load_group(path: str) -> Group:
 
 def save_group(g: Group, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(g.to_dict(), indent=2, sort_keys=True) + "\n")
+        fh.write(_json_text(g.to_dict()) + "\n")
 
 
 # -- subgroups ---------------------------------------------------------------
@@ -319,7 +320,7 @@ class SeriesPair:
     pi: tuple[int, ...]
     factor_pairs: tuple[tuple[int, int], ...]
 
-    @property
+    @cached_property
     def factors_equal(self) -> bool:
         return all(x == y for x, y in self.factor_pairs)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -16,8 +17,13 @@ import numpy as np
 from .errors import (
     NotAChainError,
     PosetConstructionError,
+    SizeLimitError,
     UnknownElementError,
 )
+
+# Largest poset a file or a generator may describe: `semilat validate` takes
+# about 5.6 s on a 2000-element chain (11 s on 2500).
+ELEMENT_LIMIT = 2000
 
 
 def _bool_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -291,6 +297,9 @@ def from_dict(data: dict) -> Poset:
     elements = data["elements"]
     if not isinstance(elements, list):
         raise PosetConstructionError("field 'elements' must be an array of strings")
+    if len(elements) > ELEMENT_LIMIT:
+        raise SizeLimitError(
+            f"posets are limited to {ELEMENT_LIMIT} elements, got {len(elements)}")
     covers = data["covers"]
     if not isinstance(covers, list) or any(
             not isinstance(c, list) or len(c) != 2 for c in covers):
@@ -303,6 +312,63 @@ def load_poset(path: str) -> Poset:
         return from_dict(json.load(fh))
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_fallback = json.JSONEncoder(indent=2, sort_keys=True)
+# Writers of the values json prints on one line, by exact type: a bool is no int.
+_SCALARS = {str: _encode_str, int: int.__repr__, bool: lambda b: "true" if b else "false",
+            type(None): lambda _: "null"}
+
+
+def _json_text(obj) -> str:
+    """The text ``json.dumps`` writes with ``indent=2, sort_keys=True``, byte
+    for byte.
+
+    ``indent=`` makes ``json`` use its pure-Python encoder; this writer walks
+    plain dicts, lists, tuples, strings, ints, booleans and None itself and
+    hands anything else (floats, subclasses, non-string keys, empty
+    containers) to ``json``.
+    A list of ints is written once per call for each value and depth.
+    """
+    out: list[str] = []
+    int_lists: dict = {}
+
+    def write(o, nl: str) -> None:  # nl: a newline and the current indentation
+        t = type(o)
+        scalar = _SCALARS.get(t)
+        if scalar is not None:
+            out.append(scalar(o))
+            return
+        inner = nl + "  "
+        if (t is list or t is tuple) and o:
+            if type(o[0]) is int and set(map(type, o)) == {int}:
+                key = (inner, tuple(o))
+                text = int_lists.get(key)
+                if text is None:
+                    text = int_lists[key] = (
+                        "[" + inner + ("," + inner).join(map(int.__repr__, o)) + nl + "]")
+                out.append(text)
+                return
+            brackets, items = "[]", zip(repeat(""), o)
+        elif t is dict and o and all(type(k) is str for k in o):
+            brackets, items = "{}", ((_encode_str(k) + ": ", v) for k, v in sorted(o.items()))
+        else:
+            out.append(_fallback.encode(o).replace("\n", nl))
+            return
+        sep = brackets[0] + inner
+        for prefix, v in items:
+            scalar = _SCALARS.get(type(v))
+            if scalar is None:
+                out.append(sep + prefix)
+                write(v, inner)
+            else:
+                out.append(sep + prefix + scalar(v))
+            sep = "," + inner
+        out.append(nl + brackets[1])
+
+    write(obj, "\n")
+    return "".join(out)
+
+
 def save_poset(p: Poset, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(p.to_dict(), indent=2, sort_keys=True) + "\n")
+        fh.write(_json_text(p.to_dict()) + "\n")

@@ -1,12 +1,19 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import semilat
 from conftest import DATA, GOLDEN, read_golden
-from semilat import cli, groups, semilattice as sl
+from semilat import Poset, cli, groups, semilattice as sl
+from semilat.poset import ELEMENT_LIMIT
 
 B2 = str(DATA / "b2.json")
 B3 = str(DATA / "b3.json")
@@ -56,6 +63,34 @@ class TestGoldenFiles:
         assert payload["pi"] == [2, 1, 3]
         assert payload["witnesses"] == [["010", "110"], ["100", "110"], ["110", "111"]]
         assert payload["trace"][0]["l"] == 1
+
+
+class TestLargeOutputPins:
+    """SHA-256 of outputs too large for a golden file, frozen from the text
+    `json.dumps(..., indent=2, sort_keys=True)` wrote for them; an indentation
+    slip deep in the composition pairs changes the digest."""
+
+    @pytest.mark.parametrize("name, digest", [
+        ("D4xZ2", "66123229d8c213e1183ecc97a4714a8256ef270809473f85394a2065f76f2ccf"),
+        ("Q8xZ2", "8e0e2c788c35a2e8128662e2c8be7dd6a833f1a706b8555ce55a33084d7c0365"),
+    ], ids=["D4xZ2", "Q8xZ2"])
+    def test_composition_stdout(self, run_cli, tmp_path, name, digest):
+        path = str(tmp_path / "g.json")
+        assert run_cli("group", "builtin", name, "-o", path)[0] == 0
+        code, out, err = run_cli("group", "composition", path, "--json")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["group", "builtin", "D4xZ2"],
+         "feec6000ae7d85f4b6d8c139d64a7715c2711e07efe99db6a0e14bb9d45ecefc"),
+        (["gen", "partition", "5"],
+         "541341f2d7bbf25c51478bdeb2c4c388dd363e85d33ad03ebd310db8c555f89c"),
+    ], ids=["builtin-D4xZ2", "gen-partition-5"])
+    def test_written_file(self, run_cli, tmp_path, argv, digest):
+        out = tmp_path / "out.json"
+        assert run_cli(*argv, "-o", str(out))[0] == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestDeterminism:
@@ -226,6 +261,22 @@ class TestExitCodes:
         code, out, err = run_cli("chains", str(path), "--count")
         assert (code, out, err) == (0, "1\n", "")
 
+    def test_file_guard_refuses_before_building(self, run_cli, tmp_path, monkeypatch):
+        def build(*args, **kwargs):
+            raise AssertionError("poset built")
+
+        names = [str(k) for k in range(ELEMENT_LIMIT + 1)]
+        path = tmp_path / "c2001.json"
+        path.write_text(json.dumps({"name": "C2001", "elements": names,
+                                    "covers": [list(e) for e in zip(names, names[1:])]}),
+                        encoding="utf-8")
+        monkeypatch.setattr(Poset, "from_cover_list", build)
+        start = time.perf_counter()
+        code, out, err = run_cli("validate", str(path))
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: posets are limited to 2000 elements, got 2001\n"
+
     @pytest.mark.parametrize("length", [23, 300])
     def test_verify_refuses_long_chains_early(self, run_cli, tmp_path, length):
         path = str(tmp_path / "chain.json")
@@ -307,8 +358,6 @@ class TestGen:
 
     def test_chain_product_guard_refuses_before_building(self, run_cli, tmp_path,
                                                           monkeypatch):
-        from semilat import Poset
-
         def build(*args, **kwargs):
             raise AssertionError("poset built")
 
@@ -465,3 +514,12 @@ class TestExportDot:
         code, _, _ = run_cli("export-dot", B2, "-o", str(target))
         assert code == 0
         assert target.read_text().startswith("digraph")
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(semilat.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "semilat", "validate", B3, "--json"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, read_golden("validate_b3.json"), "")
