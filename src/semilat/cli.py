@@ -226,8 +226,8 @@ def _cmd_verify(args) -> int:
         pairs, pair_seeds = _sample_chain_pairs(p, count, args.seed)
         mode = f"samples={count}"
 
-    reports = [(list(a), list(b), r) for (a, b), r in zip(pairs, oracle.check_pairs(p, pairs))]
-    failures = sum(not r.ok for _, _, r in reports)
+    reports = oracle.check_pairs(p, pairs)
+    failures = sum(not r.ok for r in reports)
 
     if args.json:
         _emit_json({
@@ -238,7 +238,8 @@ def _cmd_verify(args) -> int:
             "pairs": len(reports),
             "failures": failures,
             "reports": [
-                {"chain_a": a, "chain_b": b, **r.to_dict()} for a, b, r in reports
+                {"chain_a": list(a), "chain_b": list(b), **r.to_dict()}
+                for (a, b), r in zip(pairs, reports)
             ] if args.full or failures else None,
         })
     else:
@@ -246,7 +247,7 @@ def _cmd_verify(args) -> int:
         if pair_seeds is not None:
             print(f"seed: {args.seed} (pair seeds derived deterministically)")
         if failures:
-            for a, b, r in reports:
+            for (a, b), r in zip(pairs, reports):
                 if r.ok:
                     continue
                 print(f"FAIL  {','.join(a)}  vs  {','.join(b)}")

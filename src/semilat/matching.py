@@ -194,40 +194,45 @@ def jh_match_pairs(p: Poset, pairs) -> list[MatchingResult]:
 
     Validates p once and each distinct chain once, raising for the first
     pair that `jh_match` would refuse, before any pair is matched; then
-    matches the pairs of each length in one batch of `_match`.
+    matches the pairs of each length in one batch of `_match`, their rows
+    gathered from one table of the index chains of that length.
     """
     _validate_poset(p)
-    indexed: dict[tuple[str, ...], list[int]] = {}
-    index_pairs, by_length = [], {}
-    for pair in pairs:
-        keys = [tuple(ch) for ch in pair]
-        for ch, key in zip(pair, keys):
-            if key not in indexed and not isinstance(ch, Chain):
-                p.chain(key)   # raises unless the names form a chain of p
-        for label, key in zip(("first", "second"), keys):
-            if key not in indexed:
-                if not sl.is_maximal_chain(p, key):
-                    raise NotMaximalChainError(f"{label} chain {list(key)} is not maximal in {p.name!r}")
-                indexed[key] = list(map(p.index, key))
-        c, d = (indexed[key] for key in keys)
-        if len(c) != len(d):
+    ids: dict[tuple[str, ...], int] = {}      # chain -> its row in the table of its length
+    tables: dict[int, list[list[int]]] = {}   # chain length -> index chains
+    by_length: dict[int, list[tuple[int, int, int]]] = {}   # (position, row, row)
+    for k, pair in enumerate(pairs):
+        chain_a, chain_b = pair
+        ka = chain_a.elements if isinstance(chain_a, Chain) else tuple(chain_a)
+        kb = chain_b.elements if isinstance(chain_b, Chain) else tuple(chain_b)
+        if ka not in ids or kb not in ids:
+            for ch, key in zip(pair, (ka, kb)):
+                if key not in ids and not isinstance(ch, Chain):
+                    p.chain(key)   # raises unless the names form a chain of p
+            for label, key in zip(("first", "second"), (ka, kb)):
+                if key not in ids:
+                    if not sl.is_maximal_chain(p, key):
+                        raise NotMaximalChainError(f"{label} chain {list(key)} is not maximal in {p.name!r}")
+                    table = tables.setdefault(len(key), [])
+                    ids[key] = len(table)
+                    table.append(list(map(p.index, key)))
+        if len(ka) != len(kb):
             raise ChainLengthMismatchError(
-                f"maximal chains of lengths {len(c) - 1} and {len(d) - 1}; "
+                f"maximal chains of lengths {len(ka) - 1} and {len(kb) - 1}; "
                 f"equal length is guaranteed for valid inputs, so a precondition is broken")
-        by_length.setdefault(len(c), []).append(len(index_pairs))
-        index_pairs.append((c, d))
+        by_length.setdefault(len(ka), []).append((k, ids[ka], ids[kb]))
     names, size = p.elements, len(p)
-    # One name pair per distinct witness x·|p| + y, shared by every result
-    # that holds it, so a large batch does not hold a tuple per witness.
-    named: dict[int, tuple[str, str]] = {}
-    results: list[MatchingResult] = [None] * len(index_pairs)
-    for ks in by_length.values():
-        pi, W = _match(p, *(np.array([index_pairs[k][s] for k in ks]) for s in (0, 1)))
-        for k, pi_k, ws in zip(ks, pi.tolist(), (W[:, :, 0] * size + W[:, :, 1]).tolist()):
-            for w in ws:
-                if w not in named:
-                    named[w] = names[w // size], names[w % size]
-            results[k] = MatchingResult(len(pi_k), tuple(pi_k), tuple(map(named.__getitem__, ws)))
+    results: list[MatchingResult] = [None] * sum(map(len, by_length.values()))
+    for m, group in by_length.items():
+        ks, a, b = np.array(group, dtype=np.intp).T
+        X = np.array(tables[m], dtype=np.intp)
+        pi, W = _match(p, X[a], X[b])
+        codes = (W[:, :, 0] * size + W[:, :, 1]).tolist()
+        # One name pair per distinct witness x·|p| + y, shared by every result
+        # that holds it, so a large batch does not hold a tuple per witness.
+        named = {w: (names[w // size], names[w % size]) for w in set().union(*codes)}
+        for k, pi_k, ws in zip(ks.tolist(), pi.tolist(), codes):
+            results[k] = MatchingResult(m - 1, tuple(pi_k), tuple(map(named.__getitem__, ws)))
     return results
 
 

@@ -8,7 +8,8 @@ for [a, b] -> [c, d] has b∨x = y, so each x admits exactly one candidate y,
 and testing every x with that y tests every pair (x, y).  `check_pairs`
 checks a whole pair set in one pass: the preconditions once, each distinct
 chain once, every cell the pairs need in one batch of scans, evaluated in
-blocks, and each pair's relation read from that batch by chain index.
+blocks, and the relations, counts and scans of all pairs as array work on
+the step ids of their chains.
 Cells are cached on the poset, which holds one table of them for every
 caller.  The oracle reads only the `Poset` and its join table: it calls
 neither the projectivity predicates nor the matcher's internals, so an
@@ -18,6 +19,7 @@ agreement between the two is meaningful evidence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -104,22 +106,6 @@ def _steps(p: Poset, chain) -> list[tuple[int, int]]:
     return list(zip(c, c[1:]))
 
 
-def _found(p: Poset, cells: list[tuple[int, int, int, int]]) -> dict:
-    """Step (a, b) -> step (c, d) -> the witness of the cell (a, b, c, d),
-    for the given cells, read through `_witnesses`."""
-    found: dict = {}
-    for cell, w in zip(cells, _witnesses(p, cells)):
-        found.setdefault(cell[:2], {})[cell[2:]] = w
-    return found
-
-
-def _relation(found: dict, c: list, d: list) -> ProjectivityRelation:
-    """The relation between the chains with index steps c and d, from `_found`."""
-    rows = tuple(tuple(map(found[s].__getitem__, d)) for s in c)
-    related = tuple(tuple(w is not None for w in row) for row in rows)
-    return ProjectivityRelation(len(c), related, rows)
-
-
 def projectivity_relation(p: Poset, chain_a, chain_b) -> ProjectivityRelation:
     """Relation matrix between the prime intervals of two equal-length chains.
 
@@ -132,7 +118,10 @@ def projectivity_relation(p: Poset, chain_a, chain_b) -> ProjectivityRelation:
         raise ChainLengthMismatchError(
             f"chains of lengths {len(C) - 1} and {len(D) - 1}")
     c, d = _steps(p, C), _steps(p, D)
-    return _relation(_found(p, [(*s, *t) for s in c for t in d]), c, d)
+    found = iter(_witnesses(p, [(*s, *t) for s in c for t in d]))
+    rows = tuple(tuple(next(found) for _ in d) for _ in c)
+    related = tuple(tuple(w is not None for w in row) for row in rows)
+    return ProjectivityRelation(len(c), related, rows)
 
 
 def count_consistent_permutations(rel: ProjectivityRelation) -> int:
@@ -140,9 +129,14 @@ def count_consistent_permutations(rel: ProjectivityRelation) -> int:
 
     check_theorem decides uniqueness with it for every n; guarded at n <= 20.
     """
-    n = rel.n
-    if n > COUNTING_LIMIT:
+    if rel.n > COUNTING_LIMIT:
         raise SizeLimitError(f"permutation counting is limited to n <= {COUNTING_LIMIT}")
+    return _count(rel.related)
+
+
+def _count(related) -> int:
+    """`count_consistent_permutations` on the rows of a relation matrix."""
+    n = len(related)
     memo: dict[int, int] = {}
 
     def count(i: int, used_cols: int) -> int:
@@ -153,7 +147,7 @@ def count_consistent_permutations(rel: ProjectivityRelation) -> int:
             return memo[key]
         total = 0
         for j in range(n):
-            if not used_cols >> j & 1 and rel.related[i - 1][j]:
+            if not used_cols >> j & 1 and related[i - 1][j]:
                 total += count(i + 1, used_cols | 1 << j)
         memo[key] = total
         return total
@@ -177,7 +171,7 @@ class TheoremReport:
 
     entries: tuple[CheckEntry, ...]
 
-    @property
+    @cached_property
     def ok(self) -> bool:
         return all(e.passed for e in self.entries)
 
@@ -204,79 +198,119 @@ def _poset_preconditions(p: Poset) -> str | None:
     return None
 
 
-def check_pairs(p: Poset, pairs) -> list[TheoremReport]:
-    """`check_theorem` on every chain pair, in order, in one pass.
+_SKIPPED = "not evaluated (preconditions failed)"
 
-    The poset preconditions are checked once, and each distinct chain is
-    checked for maximality and indexed once.  Every relation cell that the
-    evaluable pairs (preconditions met, equal lengths) need is then
-    evaluated in one batch, and each pair reads its relation from that batch
-    by chain index.  Each distinct relation is counted once, and the
-    evaluable pairs are matched in one `jh_match_pairs` call.
-    Chains longer than COUNTING_LIMIT raise SizeLimitError before any cell
-    is computed.
+
+@lru_cache(maxsize=1024)
+def _report(pre: str | None, n: int, m: int, count: int | None = None,
+            consistent: bool = False, violations: tuple = ()) -> TheoremReport:
+    """The report on a pair of chains of n and m steps whose preconditions
+    fail with the message pre, or hold (pre is None).  count is None unless
+    the pair was evaluated; then violations are its (i, j) maximality
+    violations."""
+    entries = (CheckEntry("preconditions", pre is None,
+                          pre or "semimodular join semilattice; both chains maximal"),
+               CheckEntry("equal-length", n == m, f"lengths {n} and {m}"))
+    if count is None:
+        return TheoremReport(entries + (CheckEntry("unique-permutation", False, _SKIPPED),
+                                        CheckEntry("maximality", False, _SKIPPED)))
+    return TheoremReport(entries + (
+        CheckEntry("unique-permutation", count == 1 and consistent,
+                   f"matching count {count}; computed permutation consistent: {consistent}"),
+        CheckEntry("maximality", not violations,
+                   f"violated at (i, j) pairs {list(violations)}" if violations
+                   else "every related j satisfies j <= pi(i)")))
+
+
+def check_pairs(p: Poset, pairs) -> list[TheoremReport]:
+    """`check_theorem` on every chain pair, in order, in one pass on chain ids.
+
+    The poset preconditions are checked once.  Each distinct chain is
+    checked for maximality once, when a pair first needs it: a second chain
+    only after a maximal first one.  Chains longer than
+    COUNTING_LIMIT raise SizeLimitError before any cell is computed.  The
+    evaluable pairs (preconditions met, equal lengths) are then decided as
+    arrays: every relation cell they need is evaluated in one batch into a
+    step-by-step hit matrix, each pair's relation is read from it by the
+    step ids of its chains, the computed permutations of all of them come
+    from one `jh_match_pairs` call, and each distinct relation is counted
+    once.  Pairs with equal outcomes share one frozen report.
     """
     poset_failure = _poset_preconditions(p)
     maximal: dict[tuple[str, ...], bool] = {}
-    entries: list[list[CheckEntry]] = []
-    evaluable = []
-    for chain_a, chain_b in pairs:
-        C, D = tuple(chain_a), tuple(chain_b)
-        pre_ok, pre_msg = poset_failure is None, poset_failure
-        if pre_ok:
-            pre_msg = "semimodular join semilattice; both chains maximal"
-            for label, ch in (("first", C), ("second", D)):
-                if ch not in maximal:
-                    maximal[ch] = sl.is_maximal_chain(p, ch)
-                if not maximal[ch]:
-                    pre_ok, pre_msg = False, f"{label} chain is not maximal"
-                    break
-        lengths_equal = len(C) == len(D)
-        entries.append([CheckEntry("preconditions", pre_ok, pre_msg),
-                        CheckEntry("equal-length", lengths_equal,
-                                   f"lengths {len(C) - 1} and {len(D) - 1}")])
-        if not (pre_ok and lengths_equal):
-            skipped = "not evaluated (preconditions failed)"
-            entries[-1] += [CheckEntry("unique-permutation", False, skipped),
-                            CheckEntry("maximality", False, skipped)]
-        elif len(C) - 1 > COUNTING_LIMIT:
-            raise SizeLimitError(f"permutation counting is limited to n <= {COUNTING_LIMIT}")
-        else:
-            evaluable.append((entries[-1], C, D))
 
-    # Each chain left is maximal, so its steps are prime intervals.  A step
-    # of a first chain meets every step of that chain's partners.
-    chains: dict[tuple[str, ...], tuple[Chain, list[tuple[int, int]]]] = {}
-    partners: dict[tuple[str, ...], dict] = {}
-    for _, C, D in evaluable:
-        for ch in (C, D):
-            if ch not in chains:
-                chains[ch] = p.chain(ch), _steps(p, ch)
-        partners.setdefault(C, {}).update(dict.fromkeys(chains[D][1]))
-    found = _found(p, list(dict.fromkeys(
-        (*s, *t) for C, steps in partners.items() for s in chains[C][1] for t in steps)))
+    def is_maximal(chain: tuple[str, ...]) -> bool:
+        if chain not in maximal:
+            maximal[chain] = sl.is_maximal_chain(p, chain)
+        return maximal[chain]
 
-    matched = jh_match_pairs(p, [(chains[C][0], chains[D][0]) for _, C, D in evaluable]
-                             ) if evaluable else []
-    counts: dict[tuple, int] = {}  # equal relations have equal counts
-    for (out, C, D), match in zip(evaluable, matched):
-        n, pi = match.n, match.pi
-        rel = _relation(found, chains[C][1], chains[D][1])
-        related = rel.related
-        if related not in counts:
-            counts[related] = count_consistent_permutations(rel)
-        count = counts[related]
-        consistent = all(related[i][pi[i] - 1] for i in range(n))
-        out.append(CheckEntry(
-            "unique-permutation", count == 1 and consistent,
-            f"matching count {count}; computed permutation consistent: {consistent}"))
-        violations = [(i + 1, j + 1) for i in range(n) for j in range(n)
-                      if related[i][j] and j >= pi[i]]
-        out.append(CheckEntry(
-            "maximality", not violations,
-            "every related j satisfies j <= pi(i)" if not violations
-            else f"violated at (i, j) pairs {violations}"))
-    return [TheoremReport(tuple(e)) for e in entries]
+    # Each pair's outcome, as the arguments of its `_report`; the evaluable
+    # pairs of n steps are by_length[n], as (position, chain, chain).
+    outcomes: list[tuple] = []
+    by_length: dict[int, list[tuple[int, tuple, tuple]]] = {}
+    for k, (chain_a, chain_b) in enumerate(pairs):
+        C = chain_a.elements if isinstance(chain_a, Chain) else tuple(chain_a)
+        D = chain_b.elements if isinstance(chain_b, Chain) else tuple(chain_b)
+        n, m = len(C) - 1, len(D) - 1
+        pre = poset_failure
+        if pre is None and not is_maximal(C):
+            pre = "first chain is not maximal"
+        elif pre is None and not is_maximal(D):
+            pre = "second chain is not maximal"
+        if pre is None and n == m:
+            if n > COUNTING_LIMIT:
+                raise SizeLimitError(f"permutation counting is limited to n <= {COUNTING_LIMIT}")
+            by_length.setdefault(n, []).append((k, C, D))
+        outcomes.append((pre, n, m))
+    if by_length:
+        _evaluate(p, [chain for chain, ok in maximal.items() if ok], by_length, outcomes)
+    reports = {outcome: _report(*outcome) for outcome in set(outcomes)}
+    return [reports[outcome] for outcome in outcomes]
+
+
+def _evaluate(p: Poset, maximal: list[tuple[str, ...]], by_length: dict, outcomes: list) -> None:
+    """Write the outcome of every evaluable pair of `check_pairs`, given its
+    maximal chains, whose steps are numbered once."""
+    steps: dict[tuple[int, int], int] = {}
+    rows = {chain: [steps.setdefault(s, len(steps)) for s in _steps(p, chain)] for chain in maximal}
+    # Each group's step ids: cs[k, i, 0] of step i of pair k's first chain,
+    # ds[k, 0, j] of step j of its second.
+    groups = [(n, [k for k, _, _ in group],
+               np.array([rows[a] for _, a, _ in group], dtype=np.intp).reshape(len(group), n, 1),
+               np.array([rows[b] for _, _, b in group], dtype=np.intp).reshape(len(group), 1, n))
+              for n, group in by_length.items()]
+
+    # Every cell the pairs need, in one batch: H[s, t] is whether step s has
+    # an up-and-down witness onto step t.
+    H = np.zeros((len(steps), len(steps)), dtype=bool)
+    for _, _, cs, ds in groups:
+        H[cs, ds] = True
+    s, t = H.nonzero()
+    named = list(steps)
+    H[s, t] = [w is not None for w in _witnesses(
+        p, [named[i] + named[j] for i, j in zip(s.tolist(), t.tolist())])]
+
+    chain = {ch: Chain(ch) for ch in maximal}   # maximal, so chains of p
+    matched = jh_match_pairs(p, [(chain[C], chain[D]) for group in by_length.values()
+                                 for _, C, D in group])
+    counts: dict[bytes, int] = {}   # equal relations have equal counts
+    start = 0
+    for n, ks, cs, ds in groups:
+        P = len(ks)
+        R = H[cs, ds]   # R[k, i, j]: step i of pair k's first chain onto step j of its second
+        pi = np.array([m.pi for m in matched[start:start + P]], dtype=np.intp).reshape(P, n, 1)
+        start += P
+        past = np.arange(1, n + 1) - pi   # j - pi(i), 1-indexed
+        consistent = R[past == 0].reshape(P, n).all(axis=1)
+        late = R & (past > 0)
+        raw = R.tobytes()
+        for e, (k, ok, bad) in enumerate(zip(ks, consistent.tolist(),
+                                             late.reshape(P, -1).any(axis=1).tolist())):
+            key = raw[e * n * n:(e + 1) * n * n]
+            if key not in counts:
+                counts[key] = _count(R[e].tolist())
+            violations = tuple(map(tuple, (np.argwhere(late[e]) + 1).tolist())) if bad else ()
+            outcomes[k] = (None, n, n, counts[key], ok, violations)
 
 
 def check_theorem(p: Poset, chain_a, chain_b) -> TheoremReport:

@@ -12,6 +12,7 @@ from semilat import (
     Poset,
     ProjectivityRelation,
     SizeLimitError,
+    UnknownElementError,
     boolean_lattice,
     chain_product,
     check_pairs,
@@ -20,6 +21,7 @@ from semilat import (
     count_consistent_permutations,
     from_dict,
     interval_updown_witness,
+    MatchingResult,
     jh_match,
     load_poset,
     maximal_chains,
@@ -33,6 +35,7 @@ from semilat import groups, matching, oracle, projectivity
 
 from conftest import DATA
 from enumeration import all_consistent_permutations
+from pairwise_oracle import pairwise_reports
 from strategies import GENERATED, chain_products, direct_products, graphic_flats
 from witness_mask import cover_cells, mask_witnesses
 
@@ -245,8 +248,75 @@ class TestCheckPairs:
     def test_generated_reports_match_check_theorem(self, p, seed):
         pairs = _mixed_pairs(p, seed)
         fresh = from_dict(p.to_dict())  # an equal poset that shares no cells with p
-        assert [r.to_dict() for r in check_pairs(p, pairs)] == \
-            [check_theorem(fresh, a, b).to_dict() for a, b in pairs], p.name
+        reports = [r.to_dict() for r in check_pairs(p, pairs)]
+        assert reports == [check_theorem(fresh, a, b).to_dict() for a, b in pairs], p.name
+        assert reports == [r.to_dict() for r in pairwise_reports(from_dict(p.to_dict()), pairs)]
+
+    @pytest.mark.parametrize("p", [boolean_lattice(4), partition_lattice(4),
+                                   named_counterexample("n5"), _glued_n5()],
+                             ids=["B4", "Pi4", "n5", "glued-n5"])
+    def test_all_pairs_match_the_pairwise_reference(self, p):
+        pairs = [(a, b) for a in maximal_chains(p) for b in maximal_chains(p)]
+        reports = check_pairs(p, pairs)
+        assert [r.to_dict() for r in reports] == \
+            [r.to_dict() for r in pairwise_reports(from_dict(p.to_dict()), pairs)], p.name
+        # Pairs with equal outcomes share one report.
+        assert len({id(r) for r in reports}) == len({repr(r) for r in reports})
+
+    def test_second_chain_read_only_after_a_maximal_first(self):
+        # A non-maximal first chain decides the pair: the unknown name in
+        # the second is never looked up, so nothing raises.
+        (report,) = check_pairs(B3, [(["000", "111"], ["000", "zzz", "111"])])
+        assert report.entry("preconditions").detail == "first chain is not maximal"
+        assert not report.entry("equal-length").passed
+        with pytest.raises(UnknownElementError, match="'zzz'"):
+            check_pairs(B3, [(B3_A, ["000", "zzz", "111"])])
+        # A failed poset precondition decides every pair: no chain is read.
+        (report,) = check_pairs(named_counterexample("n5"), [(["0", "zzz", "1"], ["zzz"])])
+        assert "not semimodular" in report.entry("preconditions").detail
+
+    def test_scrambled_relations_match_the_pairwise_reference(self, monkeypatch):
+        # A made-up cell pattern: relations with 0, 2 or 6 consistent
+        # permutations, and computed permutations that miss or undercut them.
+        monkeypatch.setattr(oracle, "_witnesses", lambda p, cells: [
+            ("000", "111") if sum(cell) % 3 else None for cell in cells])
+        chains = maximal_chains(B3)
+        pairs = [(a, b) for a in chains for b in chains]
+        reports = check_pairs(B3, pairs)
+        assert [r.to_dict() for r in reports] == [r.to_dict() for r in pairwise_reports(B3, pairs)]
+        details = {r.entry(name).detail for r in reports for name in ("unique-permutation", "maximality")}
+        assert len({d.split(";")[0] for d in details if d.startswith("matching count")}) == 3
+        assert any(d.startswith("violated at") for d in details)
+        assert any(d.endswith("consistent: False") for d in details)
+
+    def test_long_pair_after_unevaluable_pairs_refused_before_any_cell(self, monkeypatch):
+        def cells(*args, **kwargs):
+            raise AssertionError("cell computed")
+
+        monkeypatch.setattr(oracle, "_witnesses", cells)
+        p = chain_product([23])
+        (chain,) = maximal_chains(p)
+        short = chain.elements[:3]
+        with pytest.raises(SizeLimitError, match="n <= 20"):
+            check_pairs(p, [(short, ["0", "zzz"]), (chain, short), (chain, chain)])
+
+    def test_evaluable_pairs_of_two_lengths(self, monkeypatch):
+        # The glued N5 has maximal chains of 4 and 5 steps.  With its
+        # preconditions waived and an identity matcher, the equal-length
+        # pairs of both lengths are evaluated in one pass.
+        p = _glued_n5()
+        monkeypatch.setattr(oracle, "_poset_preconditions", lambda p: None)
+        monkeypatch.setattr(oracle, "jh_match_pairs", lambda p, pairs: [
+            MatchingResult(len(C) - 1, tuple(range(1, len(C))), ()) for C, _ in pairs])
+        chains = maximal_chains(p)
+        assert {c.length for c in chains} == {4, 5}
+        pairs = [(a, b) for a in chains for b in chains] + [(chains[0], chains[0].elements[:-1])]
+        reports = check_pairs(p, pairs)
+        assert [r.to_dict() for r in reports] == [r.to_dict() for r in pairwise_reports(p, pairs)]
+        lengths = {r.entry("equal-length").detail for r in reports
+                   if r.entry("unique-permutation").detail != oracle._SKIPPED}
+        assert lengths == {"lengths 4 and 4", "lengths 5 and 5"}
+        assert reports[-1].entry("preconditions").detail == "second chain is not maximal"
 
     @pytest.mark.parametrize("p", [named_counterexample("n5"), _glued_n5()], ids=["n5", "glued-n5"])
     def test_negative_controls_match_check_theorem(self, p):
