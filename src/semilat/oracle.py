@@ -5,21 +5,23 @@ is decided by one exhaustive scan over every element x, read off the join
 table, and uniqueness of the matching permutation by counting the consistent
 permutations of the relation matrix.  The scan needs no y: a witness (x, y)
 for [a, b] -> [c, d] has b∨x = y, so each x admits exactly one candidate y,
-and testing every x with that y tests every pair (x, y).  `check_pairs`
+and testing every x with that y tests every pair (x, y).  Cells are index
+rows in and witness x's out; names appear only in the witnesses of
+`interval_updown_witness` and `projectivity_relation`.  `check_pairs`
 checks a whole pair set in one pass: the preconditions once, each distinct
-chain once, every cell the pairs need in one batch of scans, evaluated in
-blocks, and the relations, counts and scans of all pairs as array work on
-the step ids of their chains.
-Cells are cached on the poset, which holds one table of them for every
-caller.  The oracle reads only the `Poset` and its join table: it calls
-neither the projectivity predicates nor the matcher's internals, so an
-agreement between the two is meaningful evidence.
+chain once, every distinct cell the pairs need in one batch of scans,
+evaluated in blocks, and the relations, counts and scans of all pairs as
+array work on the step ids of their chains.  Nothing is cached: each call
+evaluates its own cells.
+The oracle reads only the `Poset` and its join table: it calls neither the
+projectivity predicates nor the matcher's internals, so an agreement
+between the two is meaningful evidence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -46,45 +48,47 @@ class ProjectivityRelation:
     witnesses: tuple[tuple[tuple[str, str] | None, ...], ...]
 
 
-def _witnesses(p: Poset, cells: list[tuple[int, int, int, int]]) -> list:
-    """The witness of each index cell (a, b, c, d) of two prime intervals
-    [a, b] and [c, d]: the lexicographically first of all |p|^2 pairs (x, y)
-    with x != y, a∨x = c∨x = x and b∨x = d∨x = y, as names, or None.
+def _witnesses(p: Poset, cells) -> np.ndarray:
+    """For each index row (a, b, c, d) of two prime intervals [a, b] and
+    [c, d], the x of the lexicographically first of all |p|^2 pairs (x, y)
+    with x != y, a∨x = c∨x = x and b∨x = d∨x = y, or -1; its y is b∨x.
 
     For a given x, b∨x = y leaves one candidate, y = b∨x, so every x is
     tested with it: a∨x = c∨x = x, b∨x != x and d∨x = b∨x.  That covers
     every pair (x, y), and the first x that passes gives the first pair.
 
-    This is the one gate to p's cell table: cells already in it are read,
-    the others are checked to be prime steps, in the order given, evaluated
-    once in blocks of about _MASK_BLOCK (cell, x) entries over the join
-    table, and added to it.  Raises NoJoinError unless p is a join
-    semilattice.
+    The rows are checked to be prime steps, in the order given, then
+    evaluated in blocks of about _MASK_BLOCK (cell, x) entries over the join
+    table.  Raises NoJoinError unless p is a join semilattice.
     """
-    table = p._cache.setdefault("updown_cells", {})
-    missing = list(dict.fromkeys(cell for cell in cells if cell not in table))
-    if missing:
-        todo = np.array(missing)
-        intervals = todo.reshape(-1, 2)
-        bad = np.flatnonzero(~p._covers[intervals[:, 0], intervals[:, 1]])
-        if len(bad):
-            lo, hi = (p.elements[i] for i in intervals[bad[0]])
-            raise NotPrimeIntervalError(f"[{lo}, {hi}] is not a prime interval of {p.name!r}")
-        J = sl._joins(p)
-        names = p.elements
-        xs = np.arange(len(p))
-        step = max(1, _MASK_BLOCK // len(p))
-        for start in range(0, len(missing), step):
-            a, b, c, d = todo[start:start + step].T
-            # Cell k, column x: every condition, with y = b∨x forced.
-            y = J[b]
-            mask = (J[a] == xs) & (J[c] == xs) & (y != xs) & (J[d] == y)
-            first = mask.argmax(axis=1)
-            rows = np.arange(len(a))
-            hits, ys = mask[rows, first].tolist(), y[rows, first].tolist()
-            for cell, x, hit, bx in zip(missing[start:start + step], first.tolist(), hits, ys):
-                table[cell] = (names[x], names[bx]) if hit else None
-    return list(map(table.__getitem__, cells))
+    cells = np.asarray(cells, dtype=np.intp).reshape(-1, 4)
+    intervals = cells.reshape(-1, 2)
+    bad = np.flatnonzero(~p._covers[intervals[:, 0], intervals[:, 1]])
+    if len(bad):
+        lo, hi = (p.elements[i] for i in intervals[bad[0]])
+        raise NotPrimeIntervalError(f"[{lo}, {hi}] is not a prime interval of {p.name!r}")
+    found = np.full(len(cells), -1, dtype=np.intp)
+    if not len(cells):
+        return found
+    J = sl._joins(p)
+    xs = np.arange(len(p))
+    step = max(1, _MASK_BLOCK // len(p))
+    for start in range(0, len(cells), step):
+        a, b, c, d = cells[start:start + step].T
+        # Cell k, column x: every condition, with y = b∨x forced.
+        y = J[b]
+        mask = (J[a] == xs) & (J[c] == xs) & (y != xs) & (J[d] == y)
+        first = mask.argmax(axis=1)
+        found[start:start + step] = np.where(mask[np.arange(len(a)), first], first, -1)
+    return found
+
+
+def _named(p: Poset, b, x) -> list:
+    """The witnesses (x, b∨x) of cells whose first steps end in b, as
+    names, or None where x is -1."""
+    names = p.elements
+    y = sl._table(p)[0][b, x]
+    return [(names[i], names[j]) if i >= 0 else None for i, j in zip(x.tolist(), y.tolist())]
 
 
 def interval_updown_witness(p: Poset, source, target) -> tuple[str, str] | None:
@@ -97,7 +101,8 @@ def interval_updown_witness(p: Poset, source, target) -> tuple[str, str] | None:
     of source and target that is not a prime interval, and NoJoinError
     unless p is a join semilattice.
     """
-    return _witnesses(p, [(*map(p.index, source), *map(p.index, target))])[0]
+    cell = np.array([*map(p.index, source), *map(p.index, target)], dtype=np.intp)
+    return _named(p, cell[1:2], _witnesses(p, cell))[0]
 
 
 def _steps(p: Poset, chain) -> list[tuple[int, int]]:
@@ -107,30 +112,33 @@ def _steps(p: Poset, chain) -> list[tuple[int, int]]:
 
 
 def projectivity_relation(p: Poset, chain_a, chain_b) -> ProjectivityRelation:
-    """Relation matrix between the prime intervals of two equal-length chains.
-
-    Cells depend only on the two intervals, so they are cached on p: chain
-    pairs with common steps reuse the searches.
-    """
+    """Relation matrix between the prime intervals of two equal-length chains."""
     C = tuple(chain_a)
     D = tuple(chain_b)
     if len(C) != len(D):
         raise ChainLengthMismatchError(
             f"chains of lengths {len(C) - 1} and {len(D) - 1}")
     c, d = _steps(p, C), _steps(p, D)
-    found = iter(_witnesses(p, [(*s, *t) for s in c for t in d]))
+    cells = np.array([(*s, *t) for s in c for t in d], dtype=np.intp).reshape(-1, 4)
+    found = iter(_named(p, cells[:, 1], _witnesses(p, cells)))
     rows = tuple(tuple(next(found) for _ in d) for _ in c)
     related = tuple(tuple(w is not None for w in row) for row in rows)
     return ProjectivityRelation(len(c), related, rows)
 
 
+def _refuse_long(n: int) -> None:
+    """Raise SizeLimitError for relations of more than COUNTING_LIMIT steps."""
+    if n > COUNTING_LIMIT:
+        raise SizeLimitError(f"permutation counting is limited to n <= {COUNTING_LIMIT}")
+
+
 def count_consistent_permutations(rel: ProjectivityRelation) -> int:
     """Number of consistent permutations, via memoized perfect-matching count.
 
-    check_theorem decides uniqueness with it for every n; guarded at n <= 20.
+    Guarded at n <= COUNTING_LIMIT.  `check_pairs` counts its relations with
+    the same `_count`, after the same guard.
     """
-    if rel.n > COUNTING_LIMIT:
-        raise SizeLimitError(f"permutation counting is limited to n <= {COUNTING_LIMIT}")
+    _refuse_long(rel.n)
     return _count(rel.related)
 
 
@@ -201,7 +209,6 @@ def _poset_preconditions(p: Poset) -> str | None:
 _SKIPPED = "not evaluated (preconditions failed)"
 
 
-@lru_cache(maxsize=1024)
 def _report(pre: str | None, n: int, m: int, count: int | None = None,
             consistent: bool = False, violations: tuple = ()) -> TheoremReport:
     """The report on a pair of chains of n and m steps whose preconditions
@@ -258,8 +265,7 @@ def check_pairs(p: Poset, pairs) -> list[TheoremReport]:
         elif pre is None and not is_maximal(D):
             pre = "second chain is not maximal"
         if pre is None and n == m:
-            if n > COUNTING_LIMIT:
-                raise SizeLimitError(f"permutation counting is limited to n <= {COUNTING_LIMIT}")
+            _refuse_long(n)
             by_length.setdefault(n, []).append((k, C, D))
         outcomes.append((pre, n, m))
     if by_length:
@@ -286,9 +292,8 @@ def _evaluate(p: Poset, maximal: list[tuple[str, ...]], by_length: dict, outcome
     for _, _, cs, ds in groups:
         H[cs, ds] = True
     s, t = H.nonzero()
-    named = list(steps)
-    H[s, t] = [w is not None for w in _witnesses(
-        p, [named[i] + named[j] for i, j in zip(s.tolist(), t.tolist())])]
+    ends = np.array(list(steps), dtype=np.intp).reshape(-1, 2)
+    H[s, t] = _witnesses(p, np.hstack([ends[s], ends[t]])) >= 0
 
     chain = {ch: Chain(ch) for ch in maximal}   # maximal, so chains of p
     matched = jh_match_pairs(p, [(chain[C], chain[D]) for group in by_length.values()

@@ -76,9 +76,7 @@ class Poset:
     can be shared freely between threads.  Derived tables (joins, meets,
     semimodularity, heights, bottom and top) are cached on first use; each
     cache entry is written exactly once, so concurrent readers see either
-    nothing or the finished table.  The oracle's cell table is the one entry
-    that grows: it only gains cells, and each cell is written with its one
-    possible value, so a reader sees a cell either missing or final.
+    nothing or the finished table.
     """
 
     def __init__(self, name: str, elements: tuple[str, ...], leq: np.ndarray,

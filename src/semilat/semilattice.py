@@ -56,15 +56,6 @@ def _table(p: Poset) -> tuple[np.ndarray, tuple[int, int] | None]:
     return cached
 
 
-def _join_rows(p: Poset) -> list[list[int]]:
-    """The join table of p as a cached list copy, sentinels included, for
-    scalar reads: indexing a list is several times cheaper than numpy's."""
-    rows = p._cache.get("join_rows")
-    if rows is None:
-        rows = p._cache["join_rows"] = _table(p)[0].tolist()
-    return rows
-
-
 def _no_join(p: Poset, a: str, b: str, sentinel: int) -> NoJoinError:
     what = "no common upper bound" if sentinel == _NONE else "several minimal common upper bounds"
     return NoJoinError(f"{what} for ({a}, {b}) in {p.name!r}")
@@ -83,7 +74,7 @@ def _joins(p: Poset) -> np.ndarray:
 
 def join(p: Poset, a: str, b: str) -> str:
     """Least upper bound of a and b."""
-    v = _join_rows(p)[p.index(a)][p.index(b)]
+    v = _table(p)[0][p.index(a), p.index(b)]
     if v < 0:
         raise _no_join(p, a, b, v)
     return p.elements[v]
@@ -165,7 +156,7 @@ def is_maximal_chain(p: Poset, chain: Chain | Sequence[str]) -> bool:
     """True iff the sequence runs from bottom to top through covers only."""
     bottom, top = _require_bounds(p)
     idx = [p.index(e) for e in chain]
-    if idx[0] != p.index(bottom) or idx[-1] != p.index(top):
+    if not idx or idx[0] != p.index(bottom) or idx[-1] != p.index(top):
         return False
     covers = p._covers
     return all(covers[a, b] for a, b in zip(idx, idx[1:]))

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import ast
 import random
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -32,6 +35,7 @@ from semilat import (
     subnormal_lattice,
 )
 from semilat import groups, matching, oracle, projectivity
+from semilat import semilattice as sl
 
 from conftest import DATA
 from enumeration import all_consistent_permutations
@@ -49,6 +53,14 @@ B2_A = ["0", "a", "1"]
 B2_B = ["0", "b", "1"]
 B3_A = ["000", "100", "110", "111"]
 B3_B = ["000", "010", "110", "111"]
+
+
+def named_witnesses(p, cells) -> list:
+    """`oracle._witnesses` on index cells, each x named with b∨x as a pair,
+    or None where it found no x."""
+    J, names = sl._joins(p), p.elements
+    return [(names[x], names[J[b, x]]) if x >= 0 else None
+            for (_, b, _, _), x in zip(cells, oracle._witnesses(p, cells).tolist())]
 
 
 class TestRelation:
@@ -79,13 +91,13 @@ class TestRelation:
         # both in existence and in the identity of the first witness.
         for p in small_corpus[:8]:
             cells = cover_cells(p)
-            assert oracle._witnesses(p, cells) == mask_witnesses(p, cells), p.name
+            assert named_witnesses(p, cells) == mask_witnesses(p, cells), p.name
 
     @pytest.mark.parametrize("p", [boolean_lattice(4), partition_lattice(4), boolean_lattice(5)],
                              ids=["B4", "Pi4", "B5"])
     def test_every_cover_cell_agrees_with_the_reference_mask(self, p):
         cells = cover_cells(p)
-        got = oracle._witnesses(p, cells)
+        got = named_witnesses(p, cells)
         assert got == mask_witnesses(p, cells), p.name
         assert None in got and any(got)
 
@@ -99,7 +111,7 @@ class TestRelation:
         # The scan over x and the reference mask, on every pair of prime
         # intervals: same existence and same first witness.
         cells = cover_cells(p)
-        assert oracle._witnesses(p, cells) == mask_witnesses(p, cells), p.name
+        assert named_witnesses(p, cells) == mask_witnesses(p, cells), p.name
 
     def test_cache_reuse_is_transparent(self):
         p = boolean_lattice(3)
@@ -107,7 +119,6 @@ class TestRelation:
         again = projectivity_relation(p, B3_A, B3_B)
         fresh = projectivity_relation(boolean_lattice(3), B3_A, B3_B)
         assert first == again == fresh
-        assert len(p._cache["updown_cells"]) == 9
 
     def test_cells_stay_with_their_poset(self):
         # B3 and C2x4 both have 8 elements, so an index cell of one is a
@@ -199,7 +210,7 @@ class TestCheckTheorem:
     def test_two_consistent_permutations_fail_uniqueness(self, monkeypatch):
         # Every cell of B2 witnessed: a relation that admits both
         # permutations of B2's two intervals.
-        monkeypatch.setattr(oracle, "_witnesses", lambda p, cells: [("b", "1")] * len(cells))
+        monkeypatch.setattr(oracle, "_witnesses", lambda p, cells: np.full(len(cells), p.index("b")))
         entry = check_theorem(B2, B2_A, B2_B).entry("unique-permutation")
         assert not entry.passed
         assert entry.detail == "matching count 2; computed permutation consistent: True"
@@ -278,8 +289,8 @@ class TestCheckPairs:
     def test_scrambled_relations_match_the_pairwise_reference(self, monkeypatch):
         # A made-up cell pattern: relations with 0, 2 or 6 consistent
         # permutations, and computed permutations that miss or undercut them.
-        monkeypatch.setattr(oracle, "_witnesses", lambda p, cells: [
-            ("000", "111") if sum(cell) % 3 else None for cell in cells])
+        monkeypatch.setattr(oracle, "_witnesses", lambda p, cells: np.where(
+            np.sum(cells, axis=1) % 3, p.index("000"), -1))
         chains = maximal_chains(B3)
         pairs = [(a, b) for a in chains for b in chains]
         reports = check_pairs(B3, pairs)
@@ -288,6 +299,13 @@ class TestCheckPairs:
         assert len({d.split(";")[0] for d in details if d.startswith("matching count")}) == 3
         assert any(d.startswith("violated at") for d in details)
         assert any(d.endswith("consistent: False") for d in details)
+
+    @pytest.mark.parametrize("position", ["first", "second"])
+    def test_empty_chain_reported_not_maximal(self, position):
+        pair = ((), B3_A) if position == "first" else (B3_A, ())
+        for report in (check_theorem(B3, *pair), *check_pairs(B3, [pair, pair])):
+            assert report.entry("preconditions").detail == f"{position} chain is not maximal"
+            assert not report.ok
 
     def test_long_pair_after_unevaluable_pairs_refused_before_any_cell(self, monkeypatch):
         def cells(*args, **kwargs):
@@ -327,25 +345,36 @@ class TestCheckPairs:
         assert all("not semimodular" in r.entry("preconditions").detail for r in reports)
         assert any(not r.entry("equal-length").passed for r in reports)
 
-    def test_each_cell_evaluated_once(self):
-        written = []
+    def test_each_cell_evaluated_once(self, monkeypatch):
+        passed, witnesses = [], oracle._witnesses
 
-        class Recording(dict):
-            def __setitem__(self, cell, witness):
-                written.append(cell)
-                super().__setitem__(cell, witness)
+        def recording(p, cells):
+            passed.append([tuple(cell) for cell in cells.tolist()])
+            return witnesses(p, cells)
 
+        monkeypatch.setattr(oracle, "_witnesses", recording)
         b4 = boolean_lattice(4)
-        b4._cache["updown_cells"] = Recording()
         chains = maximal_chains(b4)
         pairs = [(a, b) for a in chains for b in chains]
-        assert all(r.ok for r in check_pairs(b4, pairs))
-        steps = {(s, t) for a, b in pairs
+        steps = {(*map(b4.index, s), *map(b4.index, t)) for a, b in pairs
                  for s in zip(a, a.elements[1:]) for t in zip(b, b.elements[1:])}
-        assert len(written) == len(set(written)) == len(steps) == len(b4.cover_pairs()) ** 2 == 1024
-        written.clear()
-        assert all(r.ok for r in check_pairs(b4, pairs))
-        assert written == []
+        assert len(steps) == len(b4.cover_pairs()) ** 2 == 1024
+        for _ in range(2):
+            passed.clear()
+            assert all(r.ok for r in check_pairs(b4, pairs))
+            (cells,) = passed
+            assert len(cells) == len(set(cells)) and set(cells) == steps
+
+    def test_oracle_calls_add_no_cache_entry(self):
+        # A first pair decided by its preconditions builds the poset's own
+        # tables; evaluating cells afterwards adds nothing to the poset.
+        b4 = boolean_lattice(4)
+        chains = maximal_chains(b4)
+        check_pairs(b4, [(chains[0], chains[1].elements[:-1])])
+        keys = set(b4._cache)
+        assert all(r.ok for r in check_pairs(b4, [(a, b) for a in chains[:3] for b in chains[:3]]))
+        assert interval_updown_witness(b4, ("0000", "0001"), ("0010", "0011")) == ("0010", "0011")
+        assert set(b4._cache) == keys
 
     def test_one_batch_match_and_no_per_pair_work(self, monkeypatch):
         calls: dict[str, int] = {}
@@ -382,3 +411,23 @@ class TestCheckPairs:
         for pair, (a, b) in zip(matched, pairs):
             (pi,) = all_consistent_permutations(projectivity_relation(dual, a, b))
             assert groups._ascending(pi) == pair.pi, (g.name, pair.index_a, pair.index_b)
+
+
+def test_oracle_reads_no_projectivity_and_no_matcher_internals():
+    # The oracle stays independent evidence: nothing from `projectivity`,
+    # only public names from `matching`.
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.startswith(("semilat.projectivity", "semilat.matching"))
+                           for a in node.names), ast.unparse(node)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level:   # absolute: semilat, semilat.matching, ...
+                module = module.removeprefix("semilat").lstrip(".")
+            names = [a.name for a in node.names]
+            assert module != "projectivity", ast.unparse(node)
+            if module == "matching":
+                assert not any(n.startswith("_") or n == "*" for n in names), ast.unparse(node)
+            if not module:
+                assert not {"projectivity", "matching"} & set(names), ast.unparse(node)

@@ -262,6 +262,7 @@ class TestMaximalChains:
         assert not is_maximal_chain(B2, ["0", "a"])
         b3 = boolean_lattice(3)
         assert is_maximal_chain(b3, ["000", "100", "110", "111"])
+        assert not is_maximal_chain(B2, ())
 
     def test_missing_bounds(self):
         with pytest.raises(MissingBoundsError):
