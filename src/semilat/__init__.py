@@ -39,6 +39,7 @@ from .matching import (
     RecursionFrame,
     jh_match,
     jh_match_pairs,
+    match_index_chains,
     verify_matching,
 )
 from .oracle import (

@@ -27,7 +27,7 @@ from .errors import (
     SizeLimitError,
     UnknownNameError,
 )
-from .matching import _match, _validate_poset, jh_match
+from .matching import jh_match, match_index_chains
 from .poset import Chain, Poset, _json_text
 
 SUBGROUP_ORDER_LIMIT = 60
@@ -382,15 +382,13 @@ def composition_analysis(g: Group, series_a=None, series_b=None) -> CompositionR
 
     With explicit series, only that ordered pair is matched; otherwise every
     ordered pair (i <= j) of maximal chains is, up to sl.PAIR_LIMIT pairs.
-    The dual lattice and the series are validated once; then every pair runs
-    through one batch of the index matcher, which asserts its invariants and
-    re-verifies every witness.
+    All pairs go through one `match_index_chains` call on the dual, which
+    validates it and the series once and re-verifies every witness.
     """
     if (series_a is None) != (series_b is None):
         raise PreconditionError("provide both series or neither")
     lattice = subnormal_lattice(g)
     dual = lattice.dual()
-    _validate_poset(dual)
     if series_a is not None:
         chains = [lattice.chain(series_a), lattice.chain(series_b)]
         for ch in chains:
@@ -414,7 +412,7 @@ def composition_analysis(g: Group, series_a=None, series_b=None) -> CompositionR
     # Each series read top-down is a maximal chain of the dual.
     down = np.array([[dual.index(e) for e in reversed(ch.elements)] for ch in chains])
     first, second = np.array(pair_indices).T
-    pi, _ = _match(dual, down[first], down[second])
+    pi, _ = match_index_chains(dual, down[first], down[second])
     up = pi.shape[1] + 1 - pi[:, ::-1]   # ascending-series indexing
     fp = np.stack((factors[first], np.take_along_axis(factors[second], up - 1, 1)), axis=2)
     pairs = [SeriesPair(i, j, tuple(pi_k), tuple(map(tuple, fp_k)))

@@ -10,11 +10,10 @@ witness is the step [M[i-1][j-1], M[i-1][j]] of row i-1.  No witness search
 happens anywhere: the structural facts about M are asserted and every
 witness is re-verified by index against both of its intervals.
 
-There is one matcher, `_match`, and it works on a batch: the join matrices
-of many index chain pairs are read from the join table as one numpy array
-and every check is made on all of them at once.  `jh_match_pairs` is the
-public batch entry point; `jh_match` is that entry point on one pair, plus
-the `--trace` frames and a second, name-level re-check by `verify_matching`.
+There is one matcher, `_match`, on a batch of index chain pairs whose join
+matrices are one numpy array.  `match_index_chains` (index arrays) and
+`jh_match_pairs` (names) validate their input once and call it; `jh_match` is
+`jh_match_pairs` on one pair, plus `--trace` frames and a name-level re-check.
 """
 
 from __future__ import annotations
@@ -32,6 +31,8 @@ from .errors import (
     InternalInvariantError,
     NotMaximalChainError,
     NotSemimodularError,
+    PreconditionError,
+    UnknownElementError,
 )
 from .poset import Chain, Poset
 from .projectivity import prime_up_projective
@@ -95,12 +96,12 @@ class MatchingCheck:
     failures: tuple[str, ...]
 
 
-def _validate_poset(p: Poset) -> None:
-    """p is a semimodular join semilattice with bottom and top."""
+def _validate_poset(p: Poset) -> tuple[str, str]:
+    """p is a semimodular join semilattice with bottom and top; returns them."""
     report = sl.is_semimodular(p)  # raises NotJoinSemilatticeError first
     if not report.holds:
         raise NotSemimodularError(report.counterexample)
-    sl._require_bounds(p)
+    return sl._require_bounds(p)
 
 
 def _match(p: Poset, C: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -188,51 +189,64 @@ def _frames(p: Poset, chain_a, chain_b, pi: Sequence[int]) -> tuple[RecursionFra
     return tuple(frames)
 
 
+def match_index_chains(p: Poset, C, D) -> tuple[np.ndarray, np.ndarray]:
+    """pi, 1-indexed, and the witnesses by index, shapes (P, n) and (P, n, 2),
+    for the P pairs (row k of C, row k of D) of the integer arrays C and D of
+    index chains, shape (P, n+1).
+
+    Validates p as `jh_match` does, then the rows of C and then of D: each
+    holds element indices (else UnknownElementError) and runs from the bottom
+    to the top by covers (else NotMaximalChainError for the first such row).
+    """
+    ends = list(map(p.index, _validate_poset(p)))
+    arrays = all(isinstance(X, np.ndarray) and X.dtype.kind in "iu" for X in (C, D))
+    if not arrays or C.ndim != 2 or C.shape != D.shape or not C.shape[1]:
+        raise PreconditionError("C and D must be integer arrays of one shape (P, n+1), n >= 0")
+    for label, X in (("first", C), ("second", D)):
+        outside = ((X < 0) | (X >= len(p))).any(1)
+        if outside.any():
+            raise UnknownElementError(f"{label} chain {X[outside.argmax()].tolist()} holds an "
+                                      f"index outside 0..{len(p) - 1} of {p.name!r}")
+        maximal = (X[:, [0, -1]] == ends).all(1) & p._covers[X[:, :-1], X[:, 1:]].all(1)
+        if not maximal.all():
+            names = [p.elements[i] for i in X[maximal.argmin()]]
+            raise NotMaximalChainError(f"{label} chain {names} is not maximal in {p.name!r}")
+    return _match(p, C, D)
+
+
 def jh_match_pairs(p: Poset, pairs) -> list[MatchingResult]:
     """`jh_match` on every chain pair, in order, in one pass, without the
     trace and the name-level re-check.
 
     Validates p once and each distinct chain once, raising for the first
     pair that `jh_match` would refuse, before any pair is matched; then
-    matches the pairs of each length in one batch of `_match`, their rows
-    gathered from one table of the index chains of that length.
+    matches the pairs of each length in one batch of `_match`.
     """
     _validate_poset(p)
-    ids: dict[tuple[str, ...], int] = {}      # chain -> its row in the table of its length
-    tables: dict[int, list[list[int]]] = {}   # chain length -> index chains
-    by_length: dict[int, list[tuple[int, int, int]]] = {}   # (position, row, row)
+    rows: dict[tuple[str, ...], list[int]] = {}   # each validated chain's index row
+    by_length: dict[int, list[tuple[int, list[int], list[int]]]] = {}   # (position, row, row)
     for k, pair in enumerate(pairs):
-        chain_a, chain_b = pair
-        ka = chain_a.elements if isinstance(chain_a, Chain) else tuple(chain_a)
-        kb = chain_b.elements if isinstance(chain_b, Chain) else tuple(chain_b)
-        if ka not in ids or kb not in ids:
-            for ch, key in zip(pair, (ka, kb)):
-                if key not in ids and not isinstance(ch, Chain):
-                    p.chain(key)   # raises unless the names form a chain of p
-            for label, key in zip(("first", "second"), (ka, kb)):
-                if key not in ids:
-                    if not sl.is_maximal_chain(p, key):
-                        raise NotMaximalChainError(f"{label} chain {list(key)} is not maximal in {p.name!r}")
-                    table = tables.setdefault(len(key), [])
-                    ids[key] = len(table)
-                    table.append(list(map(p.index, key)))
+        ka, kb = (ch.elements if isinstance(ch, Chain) else tuple(ch) for ch in pair)
+        for ch, key in zip(pair, (ka, kb)):
+            if key not in rows and not isinstance(ch, Chain):
+                p.chain(key)   # raises unless the names form a chain of p
+        for label, key in zip(("first", "second"), (ka, kb)):
+            if key not in rows:
+                if not sl.is_maximal_chain(p, key):
+                    raise NotMaximalChainError(f"{label} chain {list(key)} is not maximal in {p.name!r}")
+                rows[key] = list(map(p.index, key))
         if len(ka) != len(kb):
             raise ChainLengthMismatchError(
                 f"maximal chains of lengths {len(ka) - 1} and {len(kb) - 1}; "
                 f"equal length is guaranteed for valid inputs, so a precondition is broken")
-        by_length.setdefault(len(ka), []).append((k, ids[ka], ids[kb]))
-    names, size = p.elements, len(p)
+        by_length.setdefault(len(ka) - 1, []).append((k, rows[ka], rows[kb]))
+    names = p.elements
     results: list[MatchingResult] = [None] * sum(map(len, by_length.values()))
-    for m, group in by_length.items():
-        ks, a, b = np.array(group, dtype=np.intp).T
-        X = np.array(tables[m], dtype=np.intp)
-        pi, W = _match(p, X[a], X[b])
-        codes = (W[:, :, 0] * size + W[:, :, 1]).tolist()
-        # One name pair per distinct witness x·|p| + y, shared by every result
-        # that holds it, so a large batch does not hold a tuple per witness.
-        named = {w: (names[w // size], names[w % size]) for w in set().union(*codes)}
-        for k, pi_k, ws in zip(ks.tolist(), pi.tolist(), codes):
-            results[k] = MatchingResult(m - 1, tuple(pi_k), tuple(map(named.__getitem__, ws)))
+    for n, group in by_length.items():
+        ks, c, d = zip(*group)
+        pi, W = _match(p, np.array(c, dtype=np.intp), np.array(d, dtype=np.intp))
+        for k, pi_k, ws in zip(ks, pi.tolist(), W.tolist()):
+            results[k] = MatchingResult(n, tuple(pi_k), tuple((names[x], names[y]) for x, y in ws))
     return results
 
 

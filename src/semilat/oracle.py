@@ -26,8 +26,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ChainLengthMismatchError, NotPrimeIntervalError, SizeLimitError
-from .matching import jh_match_pairs
-from .poset import Chain, Poset
+from .matching import match_index_chains
+from .poset import Poset
 from . import semilattice as sl
 
 COUNTING_LIMIT = 20     # perfect-matching count with column-set memo
@@ -97,18 +97,14 @@ def interval_updown_witness(p: Poset, source, target) -> tuple[str, str] | None:
     source = [a, b] and target = [c, d], or None.
 
     Found by the scan over x with y = b∨x forced, which is exhaustive: no
-    other y can satisfy b∨x = y.  Raises NotPrimeIntervalError for the first
-    of source and target that is not a prime interval, and NoJoinError
-    unless p is a join semilattice.
+    other y can satisfy b∨x = y.  Raises NotPrimeIntervalError unless source
+    and target are two names each, then for the first of them that is not a
+    prime interval, and NoJoinError unless p is a join semilattice.
     """
+    if len(source) != 2 or len(target) != 2:
+        raise NotPrimeIntervalError(f"source and target must be two names each: {source}, {target}")
     cell = np.array([*map(p.index, source), *map(p.index, target)], dtype=np.intp)
     return _named(p, cell[1:2], _witnesses(p, cell))[0]
-
-
-def _steps(p: Poset, chain) -> list[tuple[int, int]]:
-    """The steps of a chain of names, as index pairs."""
-    c = list(map(p.index, chain))
-    return list(zip(c, c[1:]))
 
 
 def projectivity_relation(p: Poset, chain_a, chain_b) -> ProjectivityRelation:
@@ -118,7 +114,7 @@ def projectivity_relation(p: Poset, chain_a, chain_b) -> ProjectivityRelation:
     if len(C) != len(D):
         raise ChainLengthMismatchError(
             f"chains of lengths {len(C) - 1} and {len(D) - 1}")
-    c, d = _steps(p, C), _steps(p, D)
+    c, d = ([(p.index(a), p.index(b)) for a, b in zip(chain, chain[1:])] for chain in (C, D))
     cells = np.array([(*s, *t) for s in c for t in d], dtype=np.intp).reshape(-1, 4)
     found = iter(_named(p, cells[:, 1], _witnesses(p, cells)))
     rows = tuple(tuple(next(found) for _ in d) for _ in c)
@@ -234,77 +230,68 @@ def check_pairs(p: Poset, pairs) -> list[TheoremReport]:
 
     The poset preconditions are checked once.  Each distinct chain is
     checked for maximality once, when a pair first needs it: a second chain
-    only after a maximal first one.  Chains longer than
-    COUNTING_LIMIT raise SizeLimitError before any cell is computed.  The
-    evaluable pairs (preconditions met, equal lengths) are then decided as
-    arrays: every relation cell they need is evaluated in one batch into a
-    step-by-step hit matrix, each pair's relation is read from it by the
-    step ids of its chains, the computed permutations of all of them come
-    from one `jh_match_pairs` call, and each distinct relation is counted
-    once.  Pairs with equal outcomes share one frozen report.
+    only after a maximal first one.  Chains longer than COUNTING_LIMIT raise
+    SizeLimitError before any cell is computed.  The evaluable pairs
+    (preconditions met, equal lengths) are then decided as arrays: every
+    relation cell they need is evaluated in one batch into a step-by-step
+    hit matrix, each pair's relation is read from it by the step ids of its
+    chains, the computed permutations of each length come from one
+    `match_index_chains` call on its index rows, and each distinct relation
+    is counted once.  Pairs with equal outcomes share one frozen report.
     """
     poset_failure = _poset_preconditions(p)
-    maximal: dict[tuple[str, ...], bool] = {}
-
-    def is_maximal(chain: tuple[str, ...]) -> bool:
-        if chain not in maximal:
-            maximal[chain] = sl.is_maximal_chain(p, chain)
-        return maximal[chain]
-
+    rows: dict[tuple[str, ...], list[int] | None] = {}   # chain -> its index row if maximal
     # Each pair's outcome, as the arguments of its `_report`; the evaluable
     # pairs of n steps are by_length[n], as (position, chain, chain).
     outcomes: list[tuple] = []
     by_length: dict[int, list[tuple[int, tuple, tuple]]] = {}
     for k, (chain_a, chain_b) in enumerate(pairs):
-        C = chain_a.elements if isinstance(chain_a, Chain) else tuple(chain_a)
-        D = chain_b.elements if isinstance(chain_b, Chain) else tuple(chain_b)
-        n, m = len(C) - 1, len(D) - 1
+        C, D = tuple(chain_a), tuple(chain_b)
+        n, m = max(len(C) - 1, 0), max(len(D) - 1, 0)
         pre = poset_failure
-        if pre is None and not is_maximal(C):
-            pre = "first chain is not maximal"
-        elif pre is None and not is_maximal(D):
-            pre = "second chain is not maximal"
+        for label, chain in (("first", C), ("second", D)):
+            if pre is None and chain not in rows:
+                rows[chain] = list(map(p.index, chain)) if sl.is_maximal_chain(p, chain) else None
+            if pre is None and rows[chain] is None:
+                pre = f"{label} chain is not maximal"
         if pre is None and n == m:
             _refuse_long(n)
             by_length.setdefault(n, []).append((k, C, D))
         outcomes.append((pre, n, m))
-    if by_length:
-        _evaluate(p, [chain for chain, ok in maximal.items() if ok], by_length, outcomes)
+    _evaluate(p, rows, by_length, outcomes)
     reports = {outcome: _report(*outcome) for outcome in set(outcomes)}
     return [reports[outcome] for outcome in outcomes]
 
 
-def _evaluate(p: Poset, maximal: list[tuple[str, ...]], by_length: dict, outcomes: list) -> None:
-    """Write the outcome of every evaluable pair of `check_pairs`, given its
-    maximal chains, whose steps are numbered once."""
+def _evaluate(p: Poset, rows: dict, by_length: dict, outcomes: list) -> None:
+    """Write the outcome of every evaluable pair of `check_pairs`; `rows` maps
+    each chain it checked to the chain's index row if maximal, else None."""
     steps: dict[tuple[int, int], int] = {}
-    rows = {chain: [steps.setdefault(s, len(steps)) for s in _steps(p, chain)] for chain in maximal}
-    # Each group's step ids: cs[k, i, 0] of step i of pair k's first chain,
-    # ds[k, 0, j] of step j of its second.
-    groups = [(n, [k for k, _, _ in group],
-               np.array([rows[a] for _, a, _ in group], dtype=np.intp).reshape(len(group), n, 1),
-               np.array([rows[b] for _, _, b in group], dtype=np.intp).reshape(len(group), 1, n))
-              for n, group in by_length.items()]
+    ids = {chain: [steps.setdefault(s, len(steps)) for s in zip(row, row[1:])]
+           for chain, row in rows.items() if row is not None}
+    # Each group's index rows, and its step ids: cs[k, i, 0] of step i of
+    # pair k's first chain, ds[k, 0, j] of step j of its second.
+    groups = []
+    for n, group in by_length.items():
+        ks, *sides = zip(*group)
+        c, d, cs, ds = (np.array([table[ch] for ch in side], dtype=np.intp)
+                        for table in (rows, ids) for side in sides)
+        groups.append((n, ks, c, d, cs.reshape(len(ks), n, 1), ds.reshape(len(ks), 1, n)))
 
     # Every cell the pairs need, in one batch: H[s, t] is whether step s has
     # an up-and-down witness onto step t.
     H = np.zeros((len(steps), len(steps)), dtype=bool)
-    for _, _, cs, ds in groups:
+    for *_, cs, ds in groups:
         H[cs, ds] = True
     s, t = H.nonzero()
     ends = np.array(list(steps), dtype=np.intp).reshape(-1, 2)
     H[s, t] = _witnesses(p, np.hstack([ends[s], ends[t]])) >= 0
 
-    chain = {ch: Chain(ch) for ch in maximal}   # maximal, so chains of p
-    matched = jh_match_pairs(p, [(chain[C], chain[D]) for group in by_length.values()
-                                 for _, C, D in group])
     counts: dict[bytes, int] = {}   # equal relations have equal counts
-    start = 0
-    for n, ks, cs, ds in groups:
+    for n, ks, c, d, cs, ds in groups:
         P = len(ks)
         R = H[cs, ds]   # R[k, i, j]: step i of pair k's first chain onto step j of its second
-        pi = np.array([m.pi for m in matched[start:start + P]], dtype=np.intp).reshape(P, n, 1)
-        start += P
+        pi = match_index_chains(p, c, d)[0].reshape(P, n, 1)
         past = np.arange(1, n + 1) - pi   # j - pi(i), 1-indexed
         consistent = R[past == 0].reshape(P, n).all(axis=1)
         late = R & (past > 0)

@@ -16,7 +16,7 @@ from semilat import (
 )
 from semilat import semilattice as sl
 from semilat.cli import run as cli_run
-from semilat.matching import _match, _validate_poset
+from semilat.matching import match_index_chains
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -75,8 +75,7 @@ def break_witness_entry(p: Poset, c: list[int], d: list[int]) -> tuple[int, int,
     matrix of c and d never reads that entry, and p is validated first, so
     that its cached semimodularity report is of the intact table: only the
     matcher's witness re-check can notice."""
-    _validate_poset(p)
-    _, witnesses = _match(p, np.array([c]), np.array([d]))
+    _, witnesses = match_index_chains(p, np.array([c]), np.array([d]))
     i, (x, y) = next((i, w) for i, w in enumerate(witnesses[0].tolist(), start=1) if w[0] not in d)
     sl._joins(p)[c[i - 1], x] = y
     return i, x, y

@@ -3,11 +3,13 @@
 `oracle.check_pairs` decides a whole pair set at once on chain ids.  This is
 the pass it replaced: a relation, a count and a list scan per pair, and four
 fresh entries per report, so the tests can compare the two report by report.
-It reads the poset preconditions and the matcher through the `oracle` module,
-so a test that patches them there patches both passes.
+It reads the poset preconditions and the matcher's index entry through the
+`oracle` module, so a test that patches them there patches both passes.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from semilat import (
     CheckEntry,
@@ -28,6 +30,7 @@ def pairwise_reports(p, pairs) -> list[TheoremReport]:
     evaluable = []
     for chain_a, chain_b in pairs:
         C, D = tuple(chain_a), tuple(chain_b)
+        n, m = max(len(C) - 1, 0), max(len(D) - 1, 0)
         pre_ok, pre_msg = poset_failure is None, poset_failure
         if pre_ok:
             pre_msg = "semimodular join semilattice; both chains maximal"
@@ -37,22 +40,21 @@ def pairwise_reports(p, pairs) -> list[TheoremReport]:
                 if not maximal[ch]:
                     pre_ok, pre_msg = False, f"{label} chain is not maximal"
                     break
-        lengths_equal = len(C) == len(D)
         entries.append([CheckEntry("preconditions", pre_ok, pre_msg),
-                        CheckEntry("equal-length", lengths_equal,
-                                   f"lengths {len(C) - 1} and {len(D) - 1}")])
-        if not (pre_ok and lengths_equal):
+                        CheckEntry("equal-length", n == m, f"lengths {n} and {m}")])
+        if not (pre_ok and n == m):
             skipped = "not evaluated (preconditions failed)"
             entries[-1] += [CheckEntry("unique-permutation", False, skipped),
                             CheckEntry("maximality", False, skipped)]
-        elif len(C) - 1 > oracle.COUNTING_LIMIT:
+        elif n > oracle.COUNTING_LIMIT:
             raise SizeLimitError(f"permutation counting is limited to n <= {oracle.COUNTING_LIMIT}")
         else:
             evaluable.append((entries[-1], C, D))
 
-    matched = oracle.jh_match_pairs(p, [(C, D) for _, C, D in evaluable]) if evaluable else []
-    for (out, C, D), match in zip(evaluable, matched):
-        n, pi = match.n, match.pi
+    for out, C, D in evaluable:
+        rows = (np.array([[p.index(e) for e in ch]]) for ch in (C, D))
+        pi = oracle.match_index_chains(p, *rows)[0][0].tolist()
+        n = len(pi)
         rel = projectivity_relation(p, C, D)
         related = rel.related
         count = count_consistent_permutations(rel)

@@ -17,6 +17,8 @@ from semilat import (
     NotMaximalChainError,
     NotSemimodularError,
     Poset,
+    PreconditionError,
+    SemilatError,
     UnknownElementError,
     boolean_lattice,
     chain_product,
@@ -27,6 +29,7 @@ from semilat import (
     is_semimodular,
     jh_match,
     jh_match_pairs,
+    match_index_chains,
     maximal_chains,
     named_counterexample,
     partition_lattice,
@@ -276,9 +279,9 @@ class TestJoinMatrix:
             jh_match(p, B3_CHAIN_A, B3_CHAIN_B)
 
 
-def match_batch(p, pairs):
+def match_batch(p, pairs, match=_match):
     """pi and the witnesses of each index pair, matched in one batch."""
-    pi, W = _match(p, np.array([c for c, _ in pairs]), np.array([d for _, d in pairs]))
+    pi, W = match(p, np.array([c for c, _ in pairs]), np.array([d for _, d in pairs]))
     assert pi.shape == (len(pairs), len(pairs[0][0]) - 1)
     return list(zip(pi.tolist(), W.tolist()))
 
@@ -321,10 +324,12 @@ class TestBatch:
     @settings(GENERATED, max_examples=40)
     @given(SEMIMODULAR, st.integers(0, 10 ** 6), st.integers(0, 3))
     def test_corrupted_tables_fail_as_the_row_loop_does(self, p, seed, corrupted):
-        """With a few join-table entries overwritten, the batch returns or
-        raises what the reference row loop gives on its pairs in order: the
-        first failing pair, row and check, with the same message."""
+        """With a few join-table entries overwritten, the batch, bare or
+        through the public index entry, returns or raises what the reference
+        row loop gives on its pairs in order: the first failing pair, row and
+        check, with the same message."""
         p = from_dict(p.to_dict())  # a fresh poset: its join table gets corrupted
+        assert is_semimodular(p).holds   # cached, so the entry validates the intact table
         rng = random.Random(seed)
         chains = [index_chain(p, random_maximal_chain(p, seed + t)) for t in range(4)]
         pairs = [(rng.choice(chains), rng.choice(chains)) for _ in range(rng.randint(1, 8))]
@@ -340,12 +345,14 @@ class TestBatch:
 
         expected = outcome(lambda: [scalar_match(p, c, d) for c, d in pairs])
         with mock.patch.object(matching, "_MATRIX_BLOCK", rng.choice([2 ** 16, 1, 40])):
-            assert outcome(lambda: match_batch(p, pairs)) == expected
+            for match in (_match, match_index_chains):
+                assert outcome(lambda: match_batch(p, pairs, match)) == expected
 
     def test_singleton_lattice(self):
         b0 = boolean_lattice(0)
-        pi, W = _match(b0, np.zeros((3, 1), dtype=int), np.zeros((3, 1), dtype=int))
-        assert pi.shape == (3, 0) and W.shape == (3, 0, 2)
+        for match in (_match, match_index_chains):
+            pi, W = match(b0, np.zeros((3, 1), dtype=int), np.zeros((3, 1), dtype=int))
+            assert pi.shape == (3, 0) and W.shape == (3, 0, 2)
         assert jh_match_pairs(b0, [(["0"], ["0"])] * 2) == [MatchingResult(0, (), ())] * 2
 
     def test_pairs_equal_jh_match_one_by_one(self):
@@ -377,3 +384,50 @@ class TestBatch:
         with pytest.raises(type(single.value)) as batch:
             jh_match_pairs(B3, [(B3_CHAIN_A, B3_CHAIN_B), pair, (["0"], ["1"])])
         assert str(batch.value) == str(single.value)
+
+
+A3, B3_ROW_B = index_chain(B3, B3_CHAIN_A), index_chain(B3, B3_CHAIN_B)
+
+
+class TestIndexEntry:
+    """`match_index_chains` refuses every bad input with a SemilatError."""
+
+    @pytest.mark.parametrize("C, D, error", [
+        ([0, 4, 6, 7], [0, 2, 6, 7], PreconditionError),             # 1-D
+        ([A3], [A3, B3_ROW_B], PreconditionError),                    # shapes differ
+        ([A3], [[0, 2, 7]], PreconditionError),                       # widths differ
+        (np.zeros((2, 0), dtype=int), np.zeros((2, 0), dtype=int), PreconditionError),
+        ([[0.0, 4.0, 6.0, 7.0]], [B3_ROW_B], PreconditionError),      # not integers
+        ([A3], [[True, False, True, True]], PreconditionError),      # booleans
+        ([[-8, 4, 6, 7]], [B3_ROW_B], UnknownElementError),           # negative
+        ([A3], [[0, 2, 6, 8]], UnknownElementError),                  # >= |p|
+        ([A3, [0, 6, 6, 7]], [B3_ROW_B, A3], NotMaximalChainError),   # C, row 1
+        ([[4, 6, 7]], [[0, 4, 6]], NotMaximalChainError),            # covers, not from the bottom
+        ([[0, 4, 6]], [[0, 4, 6]], NotMaximalChainError),            # covers, not to the top
+        ([A3, B3_ROW_B], [B3_ROW_B, [0, 4, 6, 6]], NotMaximalChainError),   # D, row 1
+    ])
+    def test_bad_input_refused(self, C, D, error):
+        with pytest.raises(error) as refused:
+            match_index_chains(B3, np.array(C), np.array(D))
+        assert isinstance(refused.value, SemilatError)
+
+    @pytest.mark.parametrize("C", [[A3], [A3, [0, 4]]], ids=["list", "ragged"])
+    def test_lists_refused(self, C):
+        # Arrays only: numpy itself refuses to make an array of ragged rows.
+        with pytest.raises(PreconditionError):
+            match_index_chains(B3, C, np.array([A3] * len(C)))
+
+    def test_first_bad_row_of_the_first_chains_named(self):
+        # Rows of C are checked before rows of D, and a non-maximal chain is
+        # named as jh_match_pairs names it.
+        bad = ["000", "110", "111"]
+        with pytest.raises(NotMaximalChainError) as named:
+            jh_match_pairs(B3, [(bad, bad)])
+        with pytest.raises(NotMaximalChainError) as indexed:
+            match_index_chains(B3, np.array([index_chain(B3, bad)]), np.array([[0, 9, 7]]))
+        assert str(indexed.value) == str(named.value) == \
+            "first chain ['000', '110', '111'] is not maximal in 'B3'"
+        with pytest.raises(NotMaximalChainError, match=r"^first chain \['000', '110', '110', '111'\]"):
+            match_index_chains(B3, np.array([A3, [0, 6, 6, 7], [0, 0, 6, 7]]), np.array([A3] * 3))
+        with pytest.raises(NotMaximalChainError, match=r"^second chain \['000', '100', '100', '111'\]"):
+            match_index_chains(B3, np.array([A3]), np.array([[0, 4, 4, 7]]))

@@ -12,6 +12,7 @@ from semilat import (
     Chain,
     ChainLengthMismatchError,
     NoJoinError,
+    NotPrimeIntervalError,
     Poset,
     ProjectivityRelation,
     SizeLimitError,
@@ -24,7 +25,6 @@ from semilat import (
     count_consistent_permutations,
     from_dict,
     interval_updown_witness,
-    MatchingResult,
     jh_match,
     load_poset,
     maximal_chains,
@@ -104,6 +104,16 @@ class TestRelation:
     def test_refused_without_all_joins(self):
         with pytest.raises(NoJoinError, match=r"no common upper bound for \(a, b\)"):
             interval_updown_witness(named_counterexample("two_tops"), ("0", "a"), ("0", "b"))
+
+    @pytest.mark.parametrize("source, target", [
+        (("000", "100", "110"), ("000", "010")),
+        (("000", "100"), ("000", "010", "110")),
+        (("000",), ("000", "010")),
+        (("000", "100"), ("110",)),
+    ])
+    def test_refused_unless_two_names_each(self, source, target):
+        with pytest.raises(NotPrimeIntervalError, match=r"^source and target must be two names each"):
+            interval_updown_witness(B3, source, target)
 
     @settings(GENERATED, max_examples=30)
     @given(SEMIMODULAR.filter(lambda p: len(p) <= 30))
@@ -303,8 +313,11 @@ class TestCheckPairs:
     @pytest.mark.parametrize("position", ["first", "second"])
     def test_empty_chain_reported_not_maximal(self, position):
         pair = ((), B3_A) if position == "first" else (B3_A, ())
-        for report in (check_theorem(B3, *pair), *check_pairs(B3, [pair, pair])):
+        lengths = "lengths 0 and 3" if position == "first" else "lengths 3 and 0"
+        for report in (check_theorem(B3, *pair), *check_pairs(B3, [pair, pair]),
+                       *pairwise_reports(B3, [pair])):
             assert report.entry("preconditions").detail == f"{position} chain is not maximal"
+            assert report.entry("equal-length").detail == lengths
             assert not report.ok
 
     def test_long_pair_after_unevaluable_pairs_refused_before_any_cell(self, monkeypatch):
@@ -324,8 +337,8 @@ class TestCheckPairs:
         # pairs of both lengths are evaluated in one pass.
         p = _glued_n5()
         monkeypatch.setattr(oracle, "_poset_preconditions", lambda p: None)
-        monkeypatch.setattr(oracle, "jh_match_pairs", lambda p, pairs: [
-            MatchingResult(len(C) - 1, tuple(range(1, len(C))), ()) for C, _ in pairs])
+        monkeypatch.setattr(oracle, "match_index_chains", lambda p, C, D: (
+            np.tile(np.arange(1, C.shape[1]), (len(C), 1)), None))
         chains = maximal_chains(p)
         assert {c.length for c in chains} == {4, 5}
         pairs = [(a, b) for a in chains for b in chains] + [(chains[0], chains[0].elements[:-1])]
@@ -388,16 +401,19 @@ class TestCheckPairs:
 
             monkeypatch.setattr(owner, name, counting)
 
-        for owner in (oracle, matching, projectivity):
-            for name in ("jh_match_pairs", "jh_match", "verify_matching", "prime_up_projective"):
+        names = ("match_index_chains", "jh_match_pairs", "jh_match", "verify_matching",
+                 "prime_up_projective", "is_maximal_chain")
+        for owner in (oracle, matching, projectivity, sl):
+            for name in names:
                 if hasattr(owner, name):
                     count(owner, name)
         b4 = boolean_lattice(4)
         chains = maximal_chains(b4)
         reports = check_pairs(b4, [(a, b) for a in chains for b in chains])
         assert len(reports) == 576 and all(r.ok for r in reports)
-        assert [calls.get(name, 0) for name in ("jh_match_pairs", "jh_match", "verify_matching",
-                                                "prime_up_projective")] == [1, 0, 0, 0]
+        # One entry call for the one chain length, and each distinct chain
+        # checked for maximality once, by name, only by the oracle.
+        assert [calls.get(name, 0) for name in names] == [1, 0, 0, 0, 0, 24]
 
     @settings(GENERATED, max_examples=6)
     @given(direct_products())
@@ -413,21 +429,49 @@ class TestCheckPairs:
             assert groups._ascending(pi) == pair.pi, (g.name, pair.index_a, pair.index_b)
 
 
-def test_oracle_reads_no_projectivity_and_no_matcher_internals():
-    # The oracle stays independent evidence: nothing from `projectivity`,
-    # only public names from `matching`.
-    tree = ast.parse(Path(oracle.__file__).read_text())
-    for node in ast.walk(tree):
+def _package_imports(path: Path):
+    """Each import of a `semilat` module in the source file at path, as the
+    imported module relative to the package ("" for the package itself),
+    the imported names and the node."""
+    for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
-            assert not any(a.name.startswith(("semilat.projectivity", "semilat.matching"))
-                           for a in node.names), ast.unparse(node)
+            for a in node.names:
+                if a.name.startswith("semilat"):
+                    yield a.name.removeprefix("semilat").lstrip("."), [], node
         elif isinstance(node, ast.ImportFrom):
             module = node.module or ""
             if not node.level:   # absolute: semilat, semilat.matching, ...
+                if not module.startswith("semilat"):
+                    continue
                 module = module.removeprefix("semilat").lstrip(".")
-            names = [a.name for a in node.names]
-            assert module != "projectivity", ast.unparse(node)
-            if module == "matching":
-                assert not any(n.startswith("_") or n == "*" for n in names), ast.unparse(node)
-            if not module:
-                assert not {"projectivity", "matching"} & set(names), ast.unparse(node)
+            yield module, [a.name for a in node.names], node
+
+
+def _assert_matcher_public(path: Path) -> None:
+    """The module at path imports only public names from `matching`, and
+    not the module itself."""
+    for module, names, node in _package_imports(path):
+        if module == "matching":
+            assert names and not any(n.startswith("_") or n == "*" for n in names), \
+                (path.name, ast.unparse(node))
+        if not module:
+            assert "matching" not in names, (path.name, ast.unparse(node))
+
+
+def test_oracle_reads_no_projectivity_and_no_matcher_internals():
+    # The oracle stays independent evidence: nothing from `projectivity`,
+    # only public names from `matching`.
+    path = Path(oracle.__file__)
+    for module, names, node in _package_imports(path):
+        assert module != "projectivity", ast.unparse(node)
+        assert module or "projectivity" not in names, ast.unparse(node)
+    _assert_matcher_public(path)
+
+
+def test_no_module_imports_matcher_internals():
+    # The matcher's private names stay in `matching`.
+    paths = sorted(Path(oracle.__file__).parent.glob("*.py"))
+    assert {"groups.py", "oracle.py", "cli.py", "__init__.py"} <= {p.name for p in paths}
+    for path in paths:
+        if path.name != "matching.py":
+            _assert_matcher_public(path)
