@@ -38,7 +38,6 @@ from .matching import (
     MatchingResult,
     RecursionFrame,
     jh_match,
-    jh_match_pairs,
     match_index_chains,
     verify_matching,
 )
@@ -72,7 +71,6 @@ from .groups import (
     group_from_table,
     is_subnormal,
     load_group,
-    match_series,
     normal_closure,
     save_group,
     subnormal_lattice,

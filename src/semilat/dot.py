@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import NotAChainError
+from .errors import NotAChainError, PreconditionError
 from .matching import MatchingResult
 from .poset import Poset
 
@@ -35,8 +35,10 @@ def export_dot(p: Poset, chain_a: Sequence[str] | None = None,
 
     roles: dict[str, list[str]] = {}
     if matching is not None:
-        for i, (x, y) in enumerate(matching.witnesses, start=1):
-            for e in (x, y):
+        for i, w in enumerate(matching.witnesses, start=1):
+            if not isinstance(w, (tuple, list)) or len(w) != 2:
+                raise PreconditionError(f"witness {i} {w!r} is not two names")
+            for e in w:
                 p.index(e)
                 roles.setdefault(e, []).append(str(i))
 

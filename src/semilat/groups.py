@@ -1,8 +1,10 @@
 """Finite groups as Cayley tables: subgroup enumeration, subnormality, the
 subnormal-subgroup lattice, and composition-series matching.
 
-The subnormal lattice is dually semimodular, so the chain-matching algorithm
-runs on its dual; indices and factors are mapped back afterwards.  Factor
+The subnormal lattice is dually semimodular, so the chain matcher runs on
+its dual: `composition_analysis` reads every series top-down as an index
+chain of the dual and matches all its pairs in one `match_index_chains` call;
+pi and the factors are mapped back to ascending series afterwards.  Factor
 "isomorphism" is checked as order equality, which is exact for the small
 solvable test corpus where all composition factors are cyclic of prime order.
 """
@@ -27,8 +29,8 @@ from .errors import (
     SizeLimitError,
     UnknownNameError,
 )
-from .matching import jh_match, match_index_chains
-from .poset import Chain, Poset, _json_text
+from .matching import match_index_chains
+from .poset import Poset, _json_text
 
 SUBGROUP_ORDER_LIMIT = 60
 # Validating a table takes about 0.09 s at order 120 and 0.7 s at order 240.
@@ -362,17 +364,6 @@ class CompositionReport:
 def _series_factors(series: tuple[str, ...]) -> list[int]:
     sizes = [s.count(".") + 1 for s in series]  # members are dot-joined
     return [b // a for a, b in zip(sizes, sizes[1:])]
-
-
-def _ascending(pi) -> tuple[int, ...]:
-    """A pi matched on the dual, in ascending-series indexing."""
-    return tuple(len(pi) + 1 - j for j in reversed(pi))
-
-
-def match_series(lattice: Poset, series_a: Chain, series_b: Chain) -> tuple[int, ...]:
-    """Match two maximal chains of a dually semimodular lattice by running the
-    chain matcher on the dual; returns pi in ascending-series indexing."""
-    return _ascending(jh_match(lattice.dual(), series_a.reversed(), series_b.reversed()).pi)
 
 
 def composition_analysis(g: Group, series_a=None, series_b=None) -> CompositionReport:

@@ -11,14 +11,15 @@ happens anywhere: the structural facts about M are asserted and every
 witness is re-verified by index against both of its intervals.
 
 There is one matcher, `_match`, on a batch of index chain pairs whose join
-matrices are one numpy array.  `match_index_chains` (index arrays) and
-`jh_match_pairs` (names) validate their input once and call it; `jh_match` is
-`jh_match_pairs` on one pair, plus `--trace` frames and a name-level re-check.
+matrices are one numpy array, and one public entry per input form, each
+validating its input once: `match_index_chains` for a batch of index arrays,
+and `jh_match` for one pair of chains of names, with `--trace` frames and a
+name-level re-check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate, groupby
 from operator import ne
 from typing import Sequence
@@ -174,9 +175,9 @@ def _match(p: Poset, C: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return pi, W
 
 
-def _frames(p: Poset, chain_a, chain_b, pi: Sequence[int]) -> tuple[RecursionFrame, ...]:
-    """The `--trace` frames of one matched pair, read off its join matrix."""
-    c, d = list(map(p.index, chain_a)), list(map(p.index, chain_b))
+def _frames(p: Poset, c: list[int], d: list[int], pi: Sequence[int]) -> tuple[RecursionFrame, ...]:
+    """The `--trace` frames of one matched pair of index chains, read off
+    its join matrix."""
     M = sl._joins(p)[np.ix_(c, d)].tolist()
     names = p.elements
     frames = []
@@ -214,57 +215,31 @@ def match_index_chains(p: Poset, C, D) -> tuple[np.ndarray, np.ndarray]:
     return _match(p, C, D)
 
 
-def jh_match_pairs(p: Poset, pairs) -> list[MatchingResult]:
-    """`jh_match` on every chain pair, in order, in one pass, without the
-    trace and the name-level re-check.
-
-    Validates p once and each distinct chain once, raising for the first
-    pair that `jh_match` would refuse, before any pair is matched; then
-    matches the pairs of each length in one batch of `_match`.
-    """
-    _validate_poset(p)
-    rows: dict[tuple[str, ...], list[int]] = {}   # each validated chain's index row
-    by_length: dict[int, list[tuple[int, list[int], list[int]]]] = {}   # (position, row, row)
-    for k, pair in enumerate(pairs):
-        ka, kb = (ch.elements if isinstance(ch, Chain) else tuple(ch) for ch in pair)
-        for ch, key in zip(pair, (ka, kb)):
-            if key not in rows and not isinstance(ch, Chain):
-                p.chain(key)   # raises unless the names form a chain of p
-        for label, key in zip(("first", "second"), (ka, kb)):
-            if key not in rows:
-                if not sl.is_maximal_chain(p, key):
-                    raise NotMaximalChainError(f"{label} chain {list(key)} is not maximal in {p.name!r}")
-                rows[key] = list(map(p.index, key))
-        if len(ka) != len(kb):
-            raise ChainLengthMismatchError(
-                f"maximal chains of lengths {len(ka) - 1} and {len(kb) - 1}; "
-                f"equal length is guaranteed for valid inputs, so a precondition is broken")
-        by_length.setdefault(len(ka) - 1, []).append((k, rows[ka], rows[kb]))
-    names = p.elements
-    results: list[MatchingResult] = [None] * sum(map(len, by_length.values()))
-    for n, group in by_length.items():
-        ks, c, d = zip(*group)
-        pi, W = _match(p, np.array(c, dtype=np.intp), np.array(d, dtype=np.intp))
-        for k, pi_k, ws in zip(ks, pi.tolist(), W.tolist()):
-            results[k] = MatchingResult(n, tuple(pi_k), tuple((names[x], names[y]) for x, y in ws))
-    return results
-
-
 def jh_match(p: Poset, chain_a, chain_b, keep_trace: bool = False) -> MatchingResult:
     """Match the prime intervals of two maximal chains of p.
 
-    Validates that p is a semimodular join semilattice with bottom and top
-    and that both chains are maximal of equal length, then reads the matching
-    off the join matrix of the chains, as `jh_match_pairs` on this one pair.
-    The result is re-verified with `verify_matching` before returning: pi is
-    a permutation and every witness satisfies the up-projectivity checks
-    against both chains, read by name.
+    Validates that p is a semimodular join semilattice with bottom and top,
+    that both chains are chains of p (the first, then the second) and that
+    both are maximal, then reads the matching off the join matrix of their
+    index rows.  The result is re-verified with `verify_matching` before
+    returning: pi is a permutation and every witness satisfies the
+    up-projectivity checks against both chains, read by name.
     """
-    chain_a, chain_b = (ch if isinstance(ch, Chain) else tuple(ch) for ch in (chain_a, chain_b))
-    result = jh_match_pairs(p, [(chain_a, chain_b)])[0]
-    if keep_trace:
-        result = replace(result, trace=_frames(p, chain_a, chain_b, result.pi))
-    check = verify_matching(p, chain_a, chain_b, result)
+    _validate_poset(p)
+    C, D = (ch if isinstance(ch, Chain) else p.chain(ch) for ch in (chain_a, chain_b))
+    for label, ch in (("first", C), ("second", D)):
+        if not sl.is_maximal_chain(p, ch):
+            raise NotMaximalChainError(f"{label} chain {list(ch)} is not maximal in {p.name!r}")
+    if len(C) != len(D):
+        raise ChainLengthMismatchError(
+            f"maximal chains of lengths {C.length} and {D.length}; "
+            f"equal length is guaranteed for valid inputs, so a precondition is broken")
+    c, d = (list(map(p.index, ch)) for ch in (C, D))
+    pi, W = _match(p, np.array([c], dtype=np.intp), np.array([d], dtype=np.intp))
+    pi, names = tuple(pi[0].tolist()), p.elements
+    result = MatchingResult(C.length, pi, tuple((names[x], names[y]) for x, y in W[0].tolist()),
+                            _frames(p, c, d, pi) if keep_trace else None)
+    check = verify_matching(p, C, D, result)
     if not check.ok:
         raise InternalInvariantError("; ".join(check.failures))
     return result
@@ -290,6 +265,9 @@ def verify_matching(p: Poset, chain_a, chain_b, result: MatchingResult) -> Match
     for i in range(1, min(n, len(result.witnesses)) + 1):
         w = result.witnesses[i - 1]
         j = result.pi[i - 1]
+        if not isinstance(w, (tuple, list)) or len(w) != 2:
+            failures.append(f"index {i}: witness {w!r} is not two names")
+            continue
         if not (1 <= j <= n):
             continue
         src = (C.elements[i - 1], C.elements[i])

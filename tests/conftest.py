@@ -16,7 +16,7 @@ from semilat import (
 )
 from semilat import semilattice as sl
 from semilat.cli import run as cli_run
-from semilat.matching import match_index_chains
+from semilat.matching import jh_match, match_index_chains
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -67,6 +67,19 @@ def read_golden(name: str) -> str:
 
 def golden_json(name: str):
     return json.loads(read_golden(name))
+
+
+def ascending(pi) -> tuple[int, ...]:
+    """A pi matched on the dual of a subnormal lattice, in ascending-series
+    indexing."""
+    return tuple(len(pi) + 1 - j for j in reversed(pi))
+
+
+def match_series(lattice: Poset, series_a, series_b) -> tuple[int, ...]:
+    """The reference pi of one pair of composition series, read the way
+    `composition_analysis` reads it: `jh_match` on the dual with both series
+    reversed, pi read back in ascending-series indexing."""
+    return ascending(jh_match(lattice.dual(), series_a.reversed(), series_b.reversed()).pi)
 
 
 def break_witness_entry(p: Poset, c: list[int], d: list[int]) -> tuple[int, int, int]:

@@ -515,6 +515,11 @@ class TestExportDot:
         assert code == 0
         assert target.read_text().startswith("digraph")
 
+    def test_witness_not_two_names_refused(self):
+        tampered = semilat.MatchingResult(3, (1, 2, 3), (("000",), ("100", "110"), ("110", "111")))
+        with pytest.raises(semilat.PreconditionError, match=r"^witness 1 \('000',\) is not two names$"):
+            semilat.export_dot(semilat.boolean_lattice(3), matching=tampered)
+
 
 def test_python_dash_m_runs_the_cli():
     src = str(Path(semilat.__file__).resolve().parent.parent)
@@ -523,3 +528,30 @@ def test_python_dash_m_runs_the_cli():
     proc = subprocess.run([sys.executable, "-m", "semilat", "validate", B3, "--json"],
                           capture_output=True, text=True, env=env, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, read_golden("validate_b3.json"), "")
+
+
+# The public names of `semilat`, the submodules its __init__ imports included.
+# A name is added here or removed from here only on purpose.
+PUBLIC_NAMES = [
+    "Chain", "ChainLengthMismatchError", "CheckEntry", "CompositionReport", "Graph", "Group",
+    "GroupValidationError", "InternalInvariantError", "MatchingCheck", "MatchingResult",
+    "MissingBoundsError", "NoJoinError", "NoMeetError", "NotAChainError",
+    "NotJoinSemilatticeError", "NotMaximalChainError", "NotPrimeIntervalError",
+    "NotSemimodularError", "Poset", "PosetConstructionError", "PreconditionError",
+    "ProjectivityRelation", "RecursionFrame", "SemilatError", "SemimodularityReport",
+    "SeriesPair", "SizeLimitError", "Subgroup", "TheoremReport", "UnknownElementError",
+    "UnknownNameError", "all_subgroups", "boolean_lattice", "builtin_group", "chain_product",
+    "check_pairs", "check_theorem", "composition_analysis", "count_consistent_permutations",
+    "count_maximal_chains", "dot", "errors", "export_dot", "from_dict", "generators",
+    "graphic_flat_lattice", "group_from_table", "groups", "interval_updown_witness",
+    "is_join_semilattice", "is_maximal_chain", "is_semimodular", "is_subnormal", "jh_match",
+    "join", "lattice_up_projective", "load_group", "load_poset", "match_index_chains",
+    "matching", "maximal_chains", "meet", "named_counterexample", "normal_closure", "oracle",
+    "partition_lattice", "poset", "prime_up_projective", "projectivity",
+    "projectivity_relation", "random_maximal_chain", "save_group", "save_poset", "semilattice",
+    "subnormal_lattice", "verify_matching",
+]
+
+
+def test_public_names_are_pinned():
+    assert sorted(semilat.__all__) == PUBLIC_NAMES

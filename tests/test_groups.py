@@ -25,14 +25,13 @@ from semilat import (
     group_from_table,
     is_semimodular,
     is_subnormal,
-    match_series,
     maximal_chains,
     normal_closure,
     subnormal_lattice,
 )
-from semilat import groups, matching
+from semilat import matching
 from semilat.matching import _match
-from conftest import break_witness_entry
+from conftest import break_witness_entry, match_series
 from strategies import GENERATED, direct_products
 
 # Acceptance-frozen subgroup counts; S3xZ2 was computed by the subset oracle
@@ -377,9 +376,12 @@ class TestCompositionAnalysis:
         g = builtin_group("Z12")
         with pytest.raises(PreconditionError):
             composition_analysis(g, ["0"], None)
-        with pytest.raises(NotMaximalChainError):
-            composition_analysis(g, ["0", "0.1.2.3.4.5.6.7.8.9.10.11"],
-                                 ["0", "0.1.2.3.4.5.6.7.8.9.10.11"])
+        full = "0.1.2.3.4.5.6.7.8.9.10.11"
+        maximal = ["0", "0.6", "0.3.6.9", full]
+        for short in (["0", full], ["0", "0.6", "0.3.6.9"]):
+            for pair in ((short, maximal), (maximal, short)):
+                with pytest.raises(NotMaximalChainError, match="^" + re.escape(f"series {short}")):
+                    composition_analysis(g, *pair)
 
     @settings(GENERATED, max_examples=10)
     @given(direct_products())
@@ -412,16 +414,6 @@ class TestPerPairWork:
         assert len(report.pairs) == 75 * 76 // 2
         assert len(calls) <= len(report.series)
 
-    def test_match_series_refuses_a_non_maximal_series(self):
-        lattice = subnormal_lattice(builtin_group("Z12"))
-        full = "0.1.2.3.4.5.6.7.8.9.10.11"
-        maximal = Chain(("0", "0.6", "0.3.6.9", full))
-        for short in (Chain(("0", full)), Chain(("0", "0.6", "0.3.6.9"))):
-            with pytest.raises(NotMaximalChainError):
-                match_series(lattice, short, maximal)
-            with pytest.raises(NotMaximalChainError):
-                match_series(lattice, maximal, short)
-
     def test_no_per_pair_jh_match_or_name_lookups(self, monkeypatch):
         calls: dict[str, int] = {}
 
@@ -434,14 +426,13 @@ class TestPerPairWork:
 
             monkeypatch.setattr(owner, name, counting)
 
-        for owner, name in ((groups, "jh_match"), (groups, "match_series"),
-                            (matching, "verify_matching"), (matching, "prime_up_projective"),
-                            (Poset, "index")):
+        for owner, name in ((matching, "jh_match"), (matching, "verify_matching"),
+                            (matching, "prime_up_projective"), (Poset, "index")):
             count(owner, name)
         report = composition_analysis(builtin_group("D4xZ2"))
         assert len(report.pairs) == 2850
-        assert [calls.get(name, 0) for name in ("jh_match", "match_series", "verify_matching",
-                                                "prime_up_projective")] == [0, 0, 0, 0]
+        assert [calls.get(name, 0) for name in ("jh_match", "verify_matching",
+                                                "prime_up_projective")] == [0, 0, 0]
         # Names are resolved per series, not per pair.
         assert calls["index"] <= 2 * len(report.series) * (report.length + 1)
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from semilat import (
     InternalInvariantError,
+    MatchingCheck,
     MatchingResult,
     NotAChainError,
     NotJoinSemilatticeError,
@@ -28,7 +29,6 @@ from semilat import (
     is_maximal_chain,
     is_semimodular,
     jh_match,
-    jh_match_pairs,
     match_index_chains,
     maximal_chains,
     named_counterexample,
@@ -223,6 +223,11 @@ class TestVerifyMatching:
         assert not check.ok
         assert any("index 1" in f for f in check.failures)
 
+    def test_witness_not_two_names_reported(self):
+        tampered = MatchingResult(3, (1, 2, 3), (("000",), ("100", "110"), ("110", "111")))
+        check = verify_matching(B3, B3_CHAIN_A, B3_CHAIN_A, tampered)
+        assert check == MatchingCheck(False, ("index 1: witness ('000',) is not two names",))
+
     def test_non_bijection_caught(self):
         tampered = MatchingResult(n=2, pi=(2, 2),
                                   witnesses=(("b", "1"), ("a", "1")))
@@ -353,24 +358,6 @@ class TestBatch:
         for match in (_match, match_index_chains):
             pi, W = match(b0, np.zeros((3, 1), dtype=int), np.zeros((3, 1), dtype=int))
             assert pi.shape == (3, 0) and W.shape == (3, 0, 2)
-        assert jh_match_pairs(b0, [(["0"], ["0"])] * 2) == [MatchingResult(0, (), ())] * 2
-
-    def test_pairs_equal_jh_match_one_by_one(self):
-        p = partition_lattice(4)
-        chains = maximal_chains(p)
-        pairs = [(chains[i], chains[j]) for i in range(0, len(chains), 2)
-                 for j in range(0, len(chains), 3)]
-        assert jh_match_pairs(p, pairs) == [jh_match(p, a, b) for a, b in pairs]
-        assert jh_match_pairs(p, []) == []
-
-    def test_each_distinct_chain_validated_once(self, monkeypatch):
-        calls = []
-        original = sl.is_maximal_chain
-        monkeypatch.setattr(sl, "is_maximal_chain", lambda p, ch: calls.append(1) or original(p, ch))
-        p = boolean_lattice(3)
-        chains = maximal_chains(p)
-        jh_match_pairs(p, [(a, b) for a in chains for b in chains])
-        assert len(calls) == len(chains)
 
     @pytest.mark.parametrize("pair, error, message", [
         ((B3_CHAIN_A, ["000", "110", "111"]), NotMaximalChainError, "second chain"),
@@ -379,11 +366,14 @@ class TestBatch:
         ((["000", "100", "110", "111"], ["000", "x", "111"]), UnknownElementError, "'x'"),
     ])
     def test_refusals_are_those_of_jh_match(self, pair, error, message):
-        with pytest.raises(error, match=message) as single:
+        # The exact type and text of each refusal, keyed by the part matched.
+        texts = {"second chain": "second chain ['000', '110', '111'] is not maximal in 'B3'",
+                 "first chain": "first chain ['000', '110', '111'] is not maximal in 'B3'",
+                 "110, 100": "not strictly increasing at (110, 100)",
+                 "'x'": "element 'x' is not in poset 'B3'"}
+        with pytest.raises(error, match=message) as refused:
             jh_match(B3, *pair)
-        with pytest.raises(type(single.value)) as batch:
-            jh_match_pairs(B3, [(B3_CHAIN_A, B3_CHAIN_B), pair, (["0"], ["1"])])
-        assert str(batch.value) == str(single.value)
+        assert (type(refused.value), str(refused.value)) == (error, texts[message])
 
 
 A3, B3_ROW_B = index_chain(B3, B3_CHAIN_A), index_chain(B3, B3_CHAIN_B)
@@ -419,10 +409,10 @@ class TestIndexEntry:
 
     def test_first_bad_row_of_the_first_chains_named(self):
         # Rows of C are checked before rows of D, and a non-maximal chain is
-        # named as jh_match_pairs names it.
+        # named as jh_match names it.
         bad = ["000", "110", "111"]
         with pytest.raises(NotMaximalChainError) as named:
-            jh_match_pairs(B3, [(bad, bad)])
+            jh_match(B3, bad, bad)
         with pytest.raises(NotMaximalChainError) as indexed:
             match_index_chains(B3, np.array([index_chain(B3, bad)]), np.array([[0, 9, 7]]))
         assert str(indexed.value) == str(named.value) == \
