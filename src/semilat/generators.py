@@ -8,6 +8,7 @@ across runs.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from itertools import combinations
@@ -81,9 +82,7 @@ def chain_product(lengths: list[int]) -> Poset:
     """Direct product of chains with the componentwise order."""
     if not lengths or any(l < 1 for l in lengths):
         raise SizeLimitError("each chain factor needs at least one element")
-    size = 1
-    for l in lengths:
-        size *= l
+    size = math.prod(lengths)
     if size > ELEMENT_LIMIT:
         raise SizeLimitError(
             f"product of size {size} exceeds the {ELEMENT_LIMIT}-element guard")
@@ -198,9 +197,9 @@ def named_counterexample(name: str) -> Poset:
 def random_maximal_chain(p: Poset, seed: int) -> Chain:
     """Seeded uniform cover-walk from bottom to top; deterministic per seed."""
     bottom, top = _require_bounds(p)
-    rng = random.Random(seed)
+    ups, rng = p._view()[0], random.Random(seed)
     out = [bottom]
     while out[-1] != top:
-        options = p.upper_covers(out[-1])
+        options = ups[out[-1]]
         out.append(options[rng.randrange(len(options))])
-    return Chain(tuple(out))
+    return Chain(tuple(map(p.elements.__getitem__, out)))

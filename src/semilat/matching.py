@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate, groupby
 from operator import ne
-from typing import Sequence
 
 import numpy as np
 
@@ -97,12 +96,12 @@ class MatchingCheck:
     failures: tuple[str, ...]
 
 
-def _validate_poset(p: Poset) -> tuple[str, str]:
-    """p is a semimodular join semilattice with bottom and top; returns them."""
+def _validate_poset(p: Poset) -> None:
+    """p is a semimodular join semilattice with bottom and top."""
     report = sl.is_semimodular(p)  # raises NotJoinSemilatticeError first
     if not report.holds:
         raise NotSemimodularError(report.counterexample)
-    return sl._require_bounds(p)
+    sl._require_bounds(p)
 
 
 def _match(p: Poset, C: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -175,7 +174,7 @@ def _match(p: Poset, C: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return pi, W
 
 
-def _frames(p: Poset, c: list[int], d: list[int], pi: Sequence[int]) -> tuple[RecursionFrame, ...]:
+def _frames(p: Poset, c: np.ndarray, d: np.ndarray, pi: tuple) -> tuple[RecursionFrame, ...]:
     """The `--trace` frames of one matched pair of index chains, read off
     its join matrix."""
     M = sl._joins(p)[np.ix_(c, d)].tolist()
@@ -199,7 +198,7 @@ def match_index_chains(p: Poset, C, D) -> tuple[np.ndarray, np.ndarray]:
     holds element indices (else UnknownElementError) and runs from the bottom
     to the top by covers (else NotMaximalChainError for the first such row).
     """
-    ends = list(map(p.index, _validate_poset(p)))
+    _validate_poset(p)
     arrays = all(isinstance(X, np.ndarray) and X.dtype.kind in "iu" for X in (C, D))
     if not arrays or C.ndim != 2 or C.shape != D.shape or not C.shape[1]:
         raise PreconditionError("C and D must be integer arrays of one shape (P, n+1), n >= 0")
@@ -208,7 +207,7 @@ def match_index_chains(p: Poset, C, D) -> tuple[np.ndarray, np.ndarray]:
         if outside.any():
             raise UnknownElementError(f"{label} chain {X[outside.argmax()].tolist()} holds an "
                                       f"index outside 0..{len(p) - 1} of {p.name!r}")
-        maximal = (X[:, [0, -1]] == ends).all(1) & p._covers[X[:, :-1], X[:, 1:]].all(1)
+        maximal = sl._maximal_rows(p, X)
         if not maximal.all():
             names = [p.elements[i] for i in X[maximal.argmin()]]
             raise NotMaximalChainError(f"{label} chain {names} is not maximal in {p.name!r}")
@@ -227,18 +226,19 @@ def jh_match(p: Poset, chain_a, chain_b, keep_trace: bool = False) -> MatchingRe
     """
     _validate_poset(p)
     C, D = (ch if isinstance(ch, Chain) else p.chain(ch) for ch in (chain_a, chain_b))
+    rows = []
     for label, ch in (("first", C), ("second", D)):
-        if not sl.is_maximal_chain(p, ch):
+        rows.append(np.array([list(map(p.index, ch))], dtype=np.intp))
+        if not sl._maximal_rows(p, rows[-1])[0]:
             raise NotMaximalChainError(f"{label} chain {list(ch)} is not maximal in {p.name!r}")
     if len(C) != len(D):
         raise ChainLengthMismatchError(
             f"maximal chains of lengths {C.length} and {D.length}; "
             f"equal length is guaranteed for valid inputs, so a precondition is broken")
-    c, d = (list(map(p.index, ch)) for ch in (C, D))
-    pi, W = _match(p, np.array([c], dtype=np.intp), np.array([d], dtype=np.intp))
+    pi, W = _match(p, *rows)
     pi, names = tuple(pi[0].tolist()), p.elements
     result = MatchingResult(C.length, pi, tuple((names[x], names[y]) for x, y in W[0].tolist()),
-                            _frames(p, c, d, pi) if keep_trace else None)
+                            _frames(p, rows[0][0], rows[1][0], pi) if keep_trace else None)
     check = verify_matching(p, C, D, result)
     if not check.ok:
         raise InternalInvariantError("; ".join(check.failures))
@@ -250,30 +250,26 @@ def verify_matching(p: Poset, chain_a, chain_b, result: MatchingResult) -> Match
 
     Maximality of pi needs the independent relation; `oracle.check_theorem`
     checks it."""
-    C = chain_a if isinstance(chain_a, Chain) else p.chain(chain_a)
-    D = chain_b if isinstance(chain_b, Chain) else p.chain(chain_b)
-    failures: list[str] = []
+    C, D = (ch if isinstance(ch, Chain) else p.chain(ch) for ch in (chain_a, chain_b))
     n = result.n
     if n != C.length or n != D.length:
-        failures.append(f"result size {n} does not match chain lengths "
-                        f"{C.length} and {D.length}")
-        return MatchingCheck(False, tuple(failures))
-    if sorted(result.pi) != list(range(1, n + 1)):
-        failures.append(f"pi is not a bijection on 1..{n}: {list(result.pi)}")
+        return MatchingCheck(False, (f"result size {n} does not match chain lengths "
+                                     f"{C.length} and {D.length}",))
+    failures: list[str] = []
+    pi = list(result.pi)
+    if any(type(j) is not int for j in pi) or sorted(pi) != list(range(1, n + 1)):
+        failures.append(f"pi is not a bijection on 1..{n}: {pi}")
     if len(result.witnesses) != n:
         failures.append(f"expected {n} witnesses, got {len(result.witnesses)}")
-    for i in range(1, min(n, len(result.witnesses)) + 1):
-        w = result.witnesses[i - 1]
-        j = result.pi[i - 1]
+    for i, w in enumerate(result.witnesses[:n], start=1):
+        j = pi[i - 1] if i <= len(pi) else None
         if not isinstance(w, (tuple, list)) or len(w) != 2:
             failures.append(f"index {i}: witness {w!r} is not two names")
-            continue
-        if not (1 <= j <= n):
-            continue
-        src = (C.elements[i - 1], C.elements[i])
-        tgt = (D.elements[j - 1], D.elements[j])
-        if not prime_up_projective(p, src, w):
-            failures.append(f"index {i}: witness {tuple(w)} fails on the source interval {src}")
-        elif not prime_up_projective(p, tgt, w):
-            failures.append(f"index {i}: witness {tuple(w)} fails on the target interval {tgt}")
+        elif type(j) is int and 1 <= j <= n:
+            src = (C.elements[i - 1], C.elements[i])
+            tgt = (D.elements[j - 1], D.elements[j])
+            if not prime_up_projective(p, src, w):
+                failures.append(f"index {i}: witness {tuple(w)} fails on the source interval {src}")
+            elif not prime_up_projective(p, tgt, w):
+                failures.append(f"index {i}: witness {tuple(w)} fails on the target interval {tgt}")
     return MatchingCheck(not failures, tuple(failures))

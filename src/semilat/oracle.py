@@ -251,7 +251,8 @@ def check_pairs(p: Poset, pairs) -> list[TheoremReport]:
         pre = poset_failure
         for label, chain in (("first", C), ("second", D)):
             if pre is None and chain not in rows:
-                rows[chain] = list(map(p.index, chain)) if sl.is_maximal_chain(p, chain) else None
+                row = list(map(p.index, chain))
+                rows[chain] = row if sl._maximal_rows(p, [row])[0] else None
             if pre is None and rows[chain] is None:
                 pre = f"{label} chain is not maximal"
         if pre is None and n == m:

@@ -3,6 +3,7 @@
 Elements are nonempty strings kept in canonical (sorted) order, so every
 derived output of the package is deterministic.  The order relation lives in
 a read-only boolean matrix; the cover relation is its transitive reduction.
+Chain walks read `_view`: upper-cover index lists and the rank order, built once.
 """
 
 from __future__ import annotations
@@ -185,7 +186,14 @@ class Poset:
                 for i, j in np.argwhere(self._covers)]
 
     def upper_covers(self, a: str) -> list[str]:
-        return [self.elements[j] for j in np.flatnonzero(self._covers[self.index(a)])]
+        return [self.elements[j] for j in self._view()[0][self.index(a)]]
+
+    def _view(self) -> tuple[list[list[int]], np.ndarray]:
+        """Upper-cover index lists, and the rank order: each element after those below it."""
+        if "view" not in self._cache:
+            self._cache["view"] = ([np.flatnonzero(row).tolist() for row in self._covers],
+                                   np.argsort(self._leq.sum(axis=0), kind="stable"))
+        return self._cache["view"]
 
     # -- bounds and height ---------------------------------------------------
 
@@ -205,17 +213,14 @@ class Poset:
 
     def element_heights(self) -> dict[str, int]:
         """Longest cover-path length from a minimal element to each element."""
-        heights = self._cache.get("heights")
-        if heights is None:
-            n = len(self)
-            below = (self._leq & ~np.eye(n, dtype=bool)).sum(axis=0)
-            h = [0] * n
-            for i in np.argsort(below, kind="stable"):
-                lows = np.flatnonzero(self._covers[:, i])
-                h[i] = 1 + max((h[k] for k in lows), default=-1)
-            heights = {self.elements[i]: h[i] for i in range(n)}
-            self._cache["heights"] = heights
-        return heights
+        if "heights" not in self._cache:
+            ups, order = self._view()
+            h = [0] * len(self)
+            for i in order.tolist():   # each height is final before it is read
+                for u in ups[i]:
+                    h[u] = max(h[u], h[i] + 1)
+            self._cache["heights"] = dict(zip(self.elements, h))
+        return self._cache["heights"]
 
     def height(self) -> int:
         """Length of a longest chain (element count minus one)."""
@@ -265,10 +270,9 @@ class Poset:
         elems = tuple(elements)
         if not elems:
             raise NotAChainError("a chain needs at least one element")
-        for e in elems:
-            self.index(e)
-        for a, b in zip(elems, elems[1:]):
-            if a == b or not self.leq(a, b):
+        idx = [self.index(e) for e in elems]
+        for a, b, i, j in zip(elems, elems[1:], idx, idx[1:]):
+            if i == j or not self._leq[i, j]:
                 raise NotAChainError(f"not strictly increasing at ({a}, {b})")
         return Chain(elems)
 

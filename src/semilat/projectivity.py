@@ -16,13 +16,11 @@ from .errors import NoMeetError, NotPrimeIntervalError
 from .poset import Poset
 
 
-def _require_prime(p: Poset, interval) -> tuple[int, int]:
-    """Indices of the endpoints of a prime interval of p."""
-    lo, hi = interval
-    i, j = p.index(lo), p.index(hi)
-    if not p._covers[i, j]:
-        raise NotPrimeIntervalError(f"[{lo}, {hi}] is not a prime interval of {p.name!r}")
-    return i, j
+def _names(ab, xy) -> tuple:
+    """a, b, x, y of a source [a, b] and a witness (x, y), each two names."""
+    if len(ab) != 2 or len(xy) != 2:
+        raise NotPrimeIntervalError(f"source and witness must be two names each: {ab}, {xy}")
+    return (*ab, *xy)
 
 
 def lattice_up_projective(p: Poset, ab, xy) -> bool:
@@ -30,8 +28,7 @@ def lattice_up_projective(p: Poset, ab, xy) -> bool:
 
     Works for general intervals; requires meet(b, x) to exist.
     """
-    a, b = ab
-    x, y = xy
+    a, b, x, y = _names(ab, xy)
     m = sl.meet(p, b, x)
     if m is None:
         raise NoMeetError(f"meet({b}, {x}) does not exist in {p.name!r}")
@@ -43,7 +40,7 @@ def prime_up_projective(p: Poset, ab, xy) -> bool:
 
     Raises NoJoinError when one of the two joins it reads does not exist.
     """
-    _require_prime(p, ab)
-    (a, b), (x, y) = ab, xy
+    a, b, x, y = _names(ab, xy)
+    if not p._covers[p.index(a), p.index(b)]:
+        raise NotPrimeIntervalError(f"[{a}, {b}] is not a prime interval of {p.name!r}")
     return x != y and sl.join(p, a, x) == x and sl.join(p, b, x) == y
-

@@ -1,4 +1,5 @@
-"""Joins, meets, the semimodularity law, and maximal-chain machinery."""
+"""Joins, meets, the semimodularity law, and maximal chains walked, counted
+and tested by index, with element names built only for the chains returned."""
 
 from __future__ import annotations
 
@@ -22,16 +23,18 @@ _AMBIGUOUS = -2   # several minimal/maximal common bounds
 PAIR_LIMIT = 50_000
 
 
-def _bounds_table(leq: np.ndarray) -> tuple[np.ndarray, tuple[int, int] | None]:
-    """Least-upper-bound table for the order `leq`, as an n x n int32 array
+def _table(p: Poset) -> tuple[np.ndarray, tuple[int, int] | None]:
+    """The least-upper-bound table of p, cached, as an n x n int32 array
     (sentinels where the lub does not exist), and the first pair, row-major
     over the upper triangle, at which it fails.
 
-    Of the common upper bounds of i and j, the one with the smallest down-set
-    is the lub exactly when its up-set is all of them.
+    Of the common upper bounds of i and j, the first in the rank order is the
+    lub exactly when its up-set is all of them.
     """
-    n = leq.shape[0]
-    order = np.argsort(leq.sum(axis=0), kind="stable")
+    if "join" in p._cache:
+        return p._cache["join"]
+    leq, order = p._leq, p._view()[1]
+    n = len(p)
     by_rank = leq[:, order]   # columns from the smallest down-set upwards
     up_size = leq.sum(axis=1)
     table = np.empty((n, n), dtype=np.int32)
@@ -45,15 +48,8 @@ def _bounds_table(leq: np.ndarray) -> tuple[np.ndarray, tuple[int, int] | None]:
         table[i, i:] = row
         table[i:, i] = row
     bad = np.triu(table < 0)
-    return table, (divmod(int(bad.argmax()), n) if bad.any() else None)
-
-
-def _table(p: Poset) -> tuple[np.ndarray, tuple[int, int] | None]:
-    """The cached join table of p and its first failing pair."""
-    cached = p._cache.get("join")
-    if cached is None:
-        cached = p._cache["join"] = _bounds_table(p._leq)
-    return cached
+    p._cache["join"] = table, (divmod(int(bad.argmax()), n) if bad.any() else None)
+    return p._cache["join"]
 
 
 def _no_join(p: Poset, a: str, b: str, sentinel: int) -> NoJoinError:
@@ -145,47 +141,53 @@ def is_semimodular(p: Poset) -> SemimodularityReport:
 # -- maximal chains ---------------------------------------------------------
 
 
-def _require_bounds(p: Poset) -> tuple[str, str]:
+def _require_bounds(p: Poset) -> tuple[int, int]:
     bottom, top = p.bottom(), p.top()
     if bottom is None or top is None:
         raise MissingBoundsError(f"poset {p.name!r} lacks a bottom or top element")
-    return bottom, top
+    return p.index(bottom), p.index(top)
+
+
+def _maximal_rows(p: Poset, X) -> np.ndarray:
+    """The one maximality test: which rows of X, element indices of shape
+    (P, m), run from the bottom to the top of p by covers (none if m = 0)."""
+    bottom, top = _require_bounds(p)
+    X = np.asarray(X, dtype=np.intp)
+    ends = (X[:, :1] == bottom).any(1) & (X[:, -1:] == top).any(1)
+    return ends & p._covers[X[:, :-1], X[:, 1:]].all(1)
 
 
 def is_maximal_chain(p: Poset, chain: Chain | Sequence[str]) -> bool:
     """True iff the sequence runs from bottom to top through covers only."""
-    bottom, top = _require_bounds(p)
-    idx = [p.index(e) for e in chain]
-    if not idx or idx[0] != p.index(bottom) or idx[-1] != p.index(top):
-        return False
-    covers = p._covers
-    return all(covers[a, b] for a, b in zip(idx, idx[1:]))
+    _require_bounds(p)   # before any name is looked up
+    return bool(_maximal_rows(p, [[p.index(e) for e in chain]])[0])
 
 
 def maximal_chains(p: Poset, limit: int | None = None) -> list[Chain]:
     """All maximal chains in lexicographic element order, optionally truncated."""
     bottom, top = _require_bounds(p)
+    ups, names = p._view()[0], p.elements
     out: list[Chain] = []
-    # Partial chains from the bottom; pushing the extensions in reverse order
-    # pops them in lexicographic order.
+    # Partial index chains from the bottom; pushing the extensions in reverse
+    # order pops them in lexicographic order.
     stack = [(bottom,)]
     while stack and (limit is None or len(out) < limit):
         path = stack.pop()
         if path[-1] == top:
-            out.append(Chain(path))
+            out.append(Chain(tuple(map(names.__getitem__, path))))
         else:
-            stack.extend(path + (u,) for u in reversed(p.upper_covers(path[-1])))
+            stack.extend(path + (u,) for u in reversed(ups[path[-1]]))
     return out
 
 
 def count_maximal_chains(p: Poset) -> int:
     """Number of maximal chains (bottom-to-top cover paths)."""
     bottom, top = _require_bounds(p)
-    heights = p.element_heights()
-    counts: dict[str, int] = {}
-    # Every upper cover is higher, so it is counted before the elements below it.
-    for x in sorted(p.elements, key=heights.__getitem__, reverse=True):
-        counts[x] = 1 if x == top else sum(counts[y] for y in p.upper_covers(x))
+    ups, order = p._view()
+    counts = [0] * len(p)
+    # Every upper cover comes later in the rank order, so it is counted first.
+    for x in reversed(order.tolist()):
+        counts[x] = 1 if x == top else sum(counts[u] for u in ups[x])
     return counts[bottom]
 
 

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from semilat import (
@@ -22,6 +20,7 @@ from semilat import (
     random_maximal_chain,
 )
 from conftest import K4, P4, TRIANGLE, TWO_TRIANGLES
+from walks import cover_walk
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
 
@@ -241,15 +240,6 @@ class TestRandomMaximalChain:
             random_maximal_chain(named_counterexample("antichain2"), 0)
 
     def test_same_walk_as_the_plain_cover_walk(self):
-        # The plain cover walk fixes the seeded draws behind the goldens.
-        def cover_walk(p, seed):
-            rng = random.Random(seed)
-            out = [p.bottom()]
-            while out[-1] != p.top():
-                ups = p.upper_covers(out[-1])
-                out.append(ups[rng.randrange(len(ups))])
-            return tuple(out)
-
         for p in (boolean_lattice(4), partition_lattice(4)):
             for seed in range(100):
                 chain = random_maximal_chain(p, seed)

@@ -228,6 +228,13 @@ class TestVerifyMatching:
         check = verify_matching(B3, B3_CHAIN_A, B3_CHAIN_A, tampered)
         assert check == MatchingCheck(False, ("index 1: witness ('000',) is not two names",))
 
+    @pytest.mark.parametrize("pi", [(1, 2), (1.0, 2, 3), (True, 2, 3), ("1", 2, 3)])
+    def test_pi_of_the_wrong_length_or_type_reported(self, pi):
+        # Each of these once raised a bare IndexError or TypeError.
+        valid = jh_match(B3, B3_CHAIN_A, B3_CHAIN_A)
+        check = verify_matching(B3, B3_CHAIN_A, B3_CHAIN_A, MatchingResult(3, pi, valid.witnesses))
+        assert check == MatchingCheck(False, (f"pi is not a bijection on 1..3: {list(pi)}",))
+
     def test_non_bijection_caught(self):
         tampered = MatchingResult(n=2, pi=(2, 2),
                                   witnesses=(("b", "1"), ("a", "1")))

@@ -402,7 +402,7 @@ class TestCheckPairs:
             monkeypatch.setattr(owner, name, counting)
 
         names = ("match_index_chains", "jh_match", "verify_matching",
-                 "prime_up_projective", "is_maximal_chain")
+                 "prime_up_projective", "is_maximal_chain", "_maximal_rows")
         for owner in (oracle, matching, projectivity, sl):
             for name in names:
                 if hasattr(owner, name):
@@ -411,9 +411,10 @@ class TestCheckPairs:
         chains = maximal_chains(b4)
         reports = check_pairs(b4, [(a, b) for a in chains for b in chains])
         assert len(reports) == 576 and all(r.ok for r in reports)
-        # One entry call for the one chain length, and each distinct chain
-        # checked for maximality once, by name, only by the oracle.
-        assert [calls.get(name, 0) for name in names] == [1, 0, 0, 0, 24]
+        # One entry call for the one chain length; each distinct chain is
+        # checked for maximality once by the oracle, on its index row, and
+        # each side of the batch once more by the entry.
+        assert [calls.get(name, 0) for name in names] == [1, 0, 0, 0, 0, 24 + 2]
 
     @settings(GENERATED, max_examples=6)
     @given(direct_products())

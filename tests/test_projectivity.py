@@ -61,6 +61,16 @@ class TestPrimeForm:
                             (p.name, a, b, x, y)
 
 
+@pytest.mark.parametrize("form", [prime_up_projective, lattice_up_projective])
+@pytest.mark.parametrize("ab, xy", [(("000",), ("010", "110")),
+                                    (("000", "100"), ("010",)),
+                                    (("000", "100", "110"), ("010", "110")),
+                                    (("000", "100"), ("010", "110", "111"))])
+def test_source_and_witness_must_be_two_names(form, ab, xy):
+    with pytest.raises(NotPrimeIntervalError, match="two names each"):
+        form(B3, ab, xy)
+
+
 class TestWithoutAllJoins:
     TWO_TOPS = named_counterexample("two_tops")
 

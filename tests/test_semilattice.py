@@ -1,19 +1,26 @@
 from __future__ import annotations
 
+import ast
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from semilat import semilattice as sl
 from semilat import (
-    Chain,
     MissingBoundsError,
     NoJoinError,
     NotJoinSemilatticeError,
     Poset,
     boolean_lattice,
+    builtin_group,
     chain_product,
+    composition_analysis,
     count_maximal_chains,
+    graphic_flat_lattice,
     is_join_semilattice,
     is_maximal_chain,
     is_semimodular,
@@ -22,9 +29,15 @@ from semilat import (
     meet,
     named_counterexample,
     partition_lattice,
+    random_maximal_chain,
+    save_poset,
+    subnormal_lattice,
 )
+from semilat.cli import run as cli_run
 
+from conftest import K4
 from strategies import GENERATED, chain_products, closure_lattices, graphic_flats, posets
+from walks import cover_heights, cover_walk, iterator_stack_chains
 
 B2 = Poset.from_cover_list(
     "b2", ["0", "a", "b", "1"], [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
@@ -70,32 +83,6 @@ def assert_tables_exact(p) -> None:
                                       (sl._table(p.dual()), [list(r) for r in zip(*leq)])):
         assert table.dtype == np.int32 and table.shape == (len(p), len(p))
         assert (table.tolist(), first_bad) == reference_bounds(order), p.name
-
-
-def iterator_stack_chains(p, limit=None) -> list:
-    """Reference enumeration of maximal chains: a path from the bottom with
-    one iterator over the unexplored upper covers per element on it."""
-    bottom, top = p.bottom(), p.top()
-    out = []
-    path = [bottom]
-    branches = []
-    while True:
-        if path[-1] == top:
-            out.append(Chain(tuple(path)))
-            if limit is not None and len(out) >= limit:
-                return out
-            path.pop()
-        else:
-            branches.append(iter(p.upper_covers(path[-1])))
-        while branches:
-            nxt = next(branches[-1], None)
-            if nxt is not None:
-                path.append(nxt)
-                break
-            branches.pop()
-            path.pop()
-        else:
-            return out
 
 
 def scalar_counterexample(p):
@@ -324,3 +311,58 @@ class TestMaximalChains:
         chains = maximal_chains(p)
         assert len(chains) == 1
         assert chains[0].length == 1199
+
+    def test_exact_count_beyond_64_bits(self):
+        # C(68, 34) > 2**63, so the count must be exact in Python ints.
+        assert count_maximal_chains(chain_product([35, 35])) == math.comb(68, 34)
+
+
+class TestIndexWalks:
+    """The chain walks read the poset's cover index lists: with
+    `Poset.upper_covers` raising, they still give the name-level answers."""
+
+    @staticmethod
+    def lattices():
+        return [boolean_lattice(4), partition_lattice(4), chain_product([2, 3, 3]),
+                graphic_flat_lattice(K4)]
+
+    def test_no_walk_reads_upper_covers(self, monkeypatch, tmp_path, capsys):
+        expected = [(iterator_stack_chains(p), iterator_stack_chains(p, 7), cover_heights(p),
+                     [cover_walk(p, seed) for seed in range(20)]) for p in self.lattices()]
+        series = iterator_stack_chains(subnormal_lattice(builtin_group("Z2xZ2xZ2")))
+        b4 = boolean_lattice(4)
+        save_poset(b4, str(tmp_path / "b4.json"))
+
+        def refuse(poset, element):
+            raise AssertionError("a chain walk read upper_covers")
+
+        monkeypatch.setattr(Poset, "upper_covers", refuse)
+        for p, (chains, first7, heights, walks) in zip(self.lattices(), expected):
+            assert maximal_chains(p) == chains and maximal_chains(p, 7) == first7, p.name
+            assert count_maximal_chains(p) == len(chains), p.name
+            assert p.element_heights() == heights, p.name
+            assert [random_maximal_chain(p, seed).elements for seed in range(20)] == walks, p.name
+        report = composition_analysis(builtin_group("Z2xZ2xZ2"))
+        assert report.ok and report.series == tuple(ch.elements for ch in series)
+        capsys.readouterr()
+        assert cli_run(["verify", str(tmp_path / "b4.json"), "--samples", "30", "--seed", "2",
+                        "--json", "--full"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        monkeypatch.undo()   # the reference walks read upper_covers
+        assert out["failures"] == 0
+        assert [(tuple(r["chain_a"]), tuple(r["chain_b"])) for r in out["reports"]] == \
+            [(cover_walk(b4, sa), cover_walk(b4, sb)) for sa, sb in out["pair_seeds"]]
+
+
+def test_only_poset_reads_upper_covers():
+    # Chain walks stay on index lists: no other module of the package names
+    # `Poset.upper_covers`.
+    paths = sorted(Path(sl.__file__).parent.glob("*.py"))
+    assert {"poset.py", "semilattice.py", "generators.py", "cli.py"} <= {p.name for p in paths}
+    for path in paths:
+        if path.name == "poset.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            named = (node.attr if isinstance(node, ast.Attribute)
+                     else node.id if isinstance(node, ast.Name) else None)
+            assert named != "upper_covers", (path.name, node.lineno)
