@@ -119,33 +119,27 @@ def _partition_name(blocks) -> str:
     return "|".join("".join(str(x) for x in b) for b in ordered)
 
 
-def _blocks_of(name: str) -> list[list[int]]:
-    return [[int(ch) for ch in part] for part in name.split("|")]
-
-
-def _merge_covers(names: list[str], mergeable) -> list[tuple[str, str]]:
-    """Cover edges of a refinement order: merge two blocks allowed by `mergeable`."""
-    valid = set(names)
+def _merge_covers(parts: list[list[list[int]]],
+                  mergeable) -> tuple[list[str], list[tuple[str, str]]]:
+    """The names of `parts`, and the cover edges of their refinement order:
+    merge two blocks allowed by `mergeable`.  Each such merge must again be
+    one of `parts`."""
+    names = [_partition_name(blocks) for blocks in parts]
     covers = []
-    for nm in names:
-        blocks = _blocks_of(nm)
+    for nm, blocks in zip(names, parts):
         for i, j in combinations(range(len(blocks)), 2):
-            if not mergeable(blocks[i], blocks[j]):
-                continue
-            merged = [b for k, b in enumerate(blocks) if k not in (i, j)]
-            merged.append(blocks[i] + blocks[j])
-            upper = _partition_name(merged)
-            if upper in valid:
-                covers.append((nm, upper))
-    return covers
+            if mergeable(blocks[i], blocks[j]):
+                rest = [b for k, b in enumerate(blocks) if k not in (i, j)]
+                covers.append((nm, _partition_name(rest + [blocks[i] + blocks[j]])))
+    return names, covers
 
 
 def partition_lattice(n: int) -> Poset:
     """Set partitions of {1..n} ordered by refinement (finer below coarser)."""
     if not 1 <= n <= 6:
         raise SizeLimitError(f"partition lattice supports 1 <= n <= 6, got {n}")
-    names = [_partition_name(part) for part in _partitions(list(range(1, n + 1)))]
-    covers = _merge_covers(names, lambda a, b: True)
+    # Merging two blocks of a partition gives a partition.
+    names, covers = _merge_covers(_partitions(list(range(1, n + 1))), lambda a, b: True)
     return Poset.from_cover_list(f"Pi{n}", names, covers)
 
 
@@ -167,13 +161,12 @@ def graphic_flat_lattice(g: Graph) -> Poset:
                     todo.append(y)
         return len(seen) == len(block)
 
-    names = [_partition_name(part) for part in _partitions(list(range(g.vertices)))
-             if all(connected(b) for b in part)]
-
     def touches(a: list[int], b: list[int]) -> bool:
         return any((u, v) in adjacent for u in a for v in b)
 
-    covers = _merge_covers(names, touches)
+    # Merging two touching connected blocks gives a connected block.
+    names, covers = _merge_covers([part for part in _partitions(list(range(g.vertices)))
+                                   if all(connected(b) for b in part)], touches)
     label = "flats(" + "+".join(f"{u}{v}" for u, v in g.edges) + ")"
     return Poset.from_cover_list(label, names, covers)
 

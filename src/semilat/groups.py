@@ -1,10 +1,12 @@
 """Finite groups as Cayley tables: subgroup enumeration, subnormality, the
 subnormal-subgroup lattice, and composition-series matching.
 
-The subnormal lattice is dually semimodular, so the chain matcher runs on
-its dual: `composition_analysis` reads every series top-down as an index
-chain of the dual and matches all its pairs in one `match_index_chains` call;
-pi and the factors are mapped back to ascending series afterwards.  Factor
+Normal closures take one generation step from the conjugates.  The subnormal
+lattice is dually semimodular, so the chain matcher runs on its dual:
+`composition_analysis` reads every series as one index row of the lattice,
+top-down a chain of the dual, and matches all its pairs in one
+`match_index_chains` call; factor orders come from the members' counts by
+index, and pi and the factors are mapped back to ascending series.  Factor
 "isomorphism" is checked as order equality, which is exact for the small
 solvable test corpus where all composition factors are cyclic of prime order.
 """
@@ -15,7 +17,6 @@ import json
 import math
 from collections.abc import Callable, Collection
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations, permutations
 
 import numpy as np
@@ -45,9 +46,6 @@ class Subgroup:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def __contains__(self, idx: int) -> bool:
-        return idx in set(self.members)
 
     @property
     def name(self) -> str:
@@ -261,17 +259,14 @@ def all_subgroups(g: Group) -> list[Subgroup]:
 
 def normal_closure(g: Group, sub: Subgroup, ambient: Subgroup) -> Subgroup:
     """Smallest subgroup of `ambient` containing `sub` and closed under
-    conjugation by `ambient`."""
+    conjugation by `ambient`: the one the conjugates k h k^-1 generate."""
     if not set(sub.members) <= set(ambient.members):
         raise PreconditionError(f"{sub.name} is not contained in {ambient.name}")
+    if not all(0 <= k < g.order for k in ambient.members):
+        raise PreconditionError(f"{ambient.name} holds an element outside 0..{g.order - 1}")
     conjugators = [(g.table[k], g.inv(k)) for k in ambient.members]
-    members = frozenset(sub.members)
-    while True:
-        conjugates = {g.table[row[h]][k_inv] for row, k_inv in conjugators for h in members}
-        grown = _close(g, members | conjugates)
-        if grown == members:
-            return Subgroup(tuple(sorted(members)))
-        members = grown
+    conjugates = {g.table[row[h]][k_inv] for row, k_inv in conjugators for h in sub.members}
+    return Subgroup(tuple(sorted(_close(g, conjugates))))
 
 
 def is_subnormal(g: Group, sub: Subgroup) -> bool:
@@ -321,10 +316,7 @@ class SeriesPair:
     index_b: int
     pi: tuple[int, ...]
     factor_pairs: tuple[tuple[int, int], ...]
-
-    @cached_property
-    def factors_equal(self) -> bool:
-        return all(x == y for x, y in self.factor_pairs)
+    factors_equal: bool
 
     def to_dict(self) -> dict:
         return {"series_a": self.index_a, "series_b": self.index_b,
@@ -361,11 +353,6 @@ class CompositionReport:
                 "ok": self.ok}
 
 
-def _series_factors(series: tuple[str, ...]) -> list[int]:
-    sizes = [s.count(".") + 1 for s in series]  # members are dot-joined
-    return [b // a for a, b in zip(sizes, sizes[1:])]
-
-
 def composition_analysis(g: Group, series_a=None, series_b=None) -> CompositionReport:
     """Check the classical composition-series facts on the subnormal lattice:
     equal lengths, order-matched factors under the computed permutation, and a
@@ -379,7 +366,6 @@ def composition_analysis(g: Group, series_a=None, series_b=None) -> CompositionR
     if (series_a is None) != (series_b is None):
         raise PreconditionError("provide both series or neither")
     lattice = subnormal_lattice(g)
-    dual = lattice.dual()
     if series_a is not None:
         chains = [lattice.chain(series_a), lattice.chain(series_b)]
         for ch in chains:
@@ -399,15 +385,18 @@ def composition_analysis(g: Group, series_a=None, series_b=None) -> CompositionR
         raise InternalInvariantError(
             f"composition series of {g.name} have unequal lengths {sorted(lengths)}")
 
-    factors = np.array([_series_factors(ch.elements) for ch in chains], dtype=np.intp)
-    # Each series read top-down is a maximal chain of the dual.
-    down = np.array([[dual.index(e) for e in reversed(ch.elements)] for ch in chains])
+    rows = np.array([list(map(lattice.index, ch)) for ch in chains])
+    sizes = np.array([e.count(".") + 1 for e in lattice.elements])   # members are dot-joined
+    factors = sizes[rows[:, 1:]] // sizes[rows[:, :-1]]
     first, second = np.array(pair_indices).T
-    pi, _ = match_index_chains(dual, down[first], down[second])
+    # The dual keeps the element order, so each row read top-down is a maximal chain of it.
+    pi, _ = match_index_chains(lattice.dual(), rows[first, ::-1], rows[second, ::-1])
     up = pi.shape[1] + 1 - pi[:, ::-1]   # ascending-series indexing
     fp = np.stack((factors[first], np.take_along_axis(factors[second], up - 1, 1)), axis=2)
-    pairs = [SeriesPair(i, j, tuple(pi_k), tuple(map(tuple, fp_k)))
-             for i, j, pi_k, fp_k in zip(first.tolist(), second.tolist(), up.tolist(), fp.tolist())]
+    equal = (fp[..., 0] == fp[..., 1]).all(axis=1)
+    pairs = [SeriesPair(i, j, tuple(pi_k), tuple(map(tuple, fp_k)), eq)
+             for i, j, pi_k, fp_k, eq in zip(first.tolist(), second.tolist(), up.tolist(),
+                                              fp.tolist(), equal.tolist())]
 
     return CompositionReport(
         group=g.name, order=g.order, length=lengths.pop(),

@@ -25,7 +25,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ChainLengthMismatchError, NotPrimeIntervalError, SizeLimitError
+from .errors import (ChainLengthMismatchError, NotPrimeIntervalError, PreconditionError,
+                     SizeLimitError)
 from .matching import match_index_chains
 from .poset import Poset
 from . import semilattice as sl
@@ -245,8 +246,11 @@ def check_pairs(p: Poset, pairs) -> list[TheoremReport]:
     # pairs of n steps are by_length[n], as (position, chain, chain).
     outcomes: list[tuple] = []
     by_length: dict[int, list[tuple[int, tuple, tuple]]] = {}
-    for k, (chain_a, chain_b) in enumerate(pairs):
-        C, D = tuple(chain_a), tuple(chain_b)
+    for k, pair in enumerate(pairs):
+        try:
+            C, D = map(tuple, pair)
+        except (TypeError, ValueError):
+            raise PreconditionError(f"pair {k} is not two chains") from None
         n, m = max(len(C) - 1, 0), max(len(D) - 1, 0)
         pre = poset_failure
         for label, chain in (("first", C), ("second", D)):

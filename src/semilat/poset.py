@@ -123,7 +123,10 @@ class Poset:
 
         rel = np.zeros((n, n), dtype=bool)
         for pair in covers:
-            a, b = pair
+            try:
+                a, b = pair
+            except (TypeError, ValueError):
+                raise PosetConstructionError(f"cover {pair!r} is not two names") from None
             for x in (a, b):
                 if not isinstance(x, str) or x not in index:
                     raise PosetConstructionError(f"unknown endpoint {x!r} in cover ({a}, {b})")

@@ -16,10 +16,9 @@ _NONE = -1        # no common bound at all
 _AMBIGUOUS = -2   # several minimal/maximal common bounds
 
 # On a shared 2-vCPU machine (subprocess wall time): the 49,770 series pairs
-# of Z2xZ2xZ2xZ2 take 3.0-3.2 s in `group composition --json`, 0.6 s of it
-# in composition_analysis; the 32,400 chain pairs of Pi5 take 0.9-1.1 s in
-# `verify --all-pairs --json` (3.2-3.8 s before the oracle's pair pass ran
-# on chain ids, on the same machine at the same time).
+# of Z2xZ2xZ2xZ2 take 1.9-2.4 s in `group composition --json`, 0.5 s of it
+# in composition_analysis; the 32,400 chain pairs of Pi5 take 0.74-0.76 s in
+# `verify --all-pairs --json`.
 PAIR_LIMIT = 50_000
 
 

@@ -86,8 +86,28 @@ class TestLargeOutputPins:
          "feec6000ae7d85f4b6d8c139d64a7715c2711e07efe99db6a0e14bb9d45ecefc"),
         (["gen", "partition", "5"],
          "541341f2d7bbf25c51478bdeb2c4c388dd363e85d33ad03ebd310db8c555f89c"),
-    ], ids=["builtin-D4xZ2", "gen-partition-5"])
+        (["gen", "partition", "6"],
+         "92b262f56dc414b3b2e80d26d6f1673b8fdf9b0cf2a525976928e969bfb0bcf2"),
+        (["gen", "graphic", "{K5}"],
+         "fc0074172c234925b3c2044b6dc3e7731c275cf0e1cbd9d6f22ce6a1dac8900f"),
+        (["group", "subnormal-lattice", "{D4xZ2}"],
+         "b91116d39c3981d5a02c8a7ab37fbe9bb09e974308be127a78f557db2984d6d2"),
+        (["group", "subnormal-lattice", "{Z2xZ2xZ2xZ2}"],
+         "b97ba2ff7159a889815497c19ce7cb1144c01fa3a683ef575dbc706fc9afca1d"),
+    ], ids=["builtin-D4xZ2", "gen-partition-5", "gen-partition-6", "gen-graphic-K5",
+            "subnormal-lattice-D4xZ2", "subnormal-lattice-Z2xZ2xZ2xZ2"])
     def test_written_file(self, run_cli, tmp_path, argv, digest):
+        # "{K5}" stands for a file with K5's edge list, "{G}" for one with
+        # builtin group G's table.
+        argv = list(argv)
+        for k, arg in enumerate(argv):
+            if arg == "{K5}":
+                path = tmp_path / "k5.txt"
+                path.write_text("".join(f"{u} {v}\n" for u in range(5) for v in range(u + 1, 5)))
+                argv[k] = str(path)
+            elif arg.startswith("{"):
+                argv[k] = str(tmp_path / "g.json")
+                assert run_cli("group", "builtin", arg[1:-1], "-o", argv[k])[0] == 0
         out = tmp_path / "out.json"
         assert run_cli(*argv, "-o", str(out))[0] == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

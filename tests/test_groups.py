@@ -106,18 +106,24 @@ def subgroups_by_pairwise_closure(g):
     return sorted((tuple(sorted(H)) for H in seen), key=lambda m: (len(m), m))
 
 
+def normal_closure_by_reference(g, members, ambient):
+    """Reference normal closure: conjugate with `g.inv` for every pair and
+    close pairwise, until nothing new appears."""
+    closure = frozenset(members)
+    while True:
+        conjugates = {g.mul(g.mul(k, h), g.inv(k)) for k in ambient for h in closure}
+        grown = pairwise_closure(g, closure | conjugates)
+        if grown == closure:
+            return closure
+        closure = grown
+
+
 def subnormal_by_reference(g, members):
     """Reference subnormality: iterate the normal closure of `members` in
-    the full group, conjugating with `g.inv` for every pair."""
+    the full group."""
     current = frozenset(range(g.order))
     while True:
-        closure = frozenset(members)
-        while True:
-            conjugates = {g.mul(g.mul(k, h), g.inv(k)) for k in current for h in closure}
-            grown = pairwise_closure(g, closure | conjugates)
-            if grown == closure:
-                break
-            closure = grown
+        closure = normal_closure_by_reference(g, members, current)
         if closure == current:
             return current == frozenset(members)
         current = closure
@@ -280,6 +286,10 @@ class TestNormalClosureAndSubnormality:
         with pytest.raises(PreconditionError):
             normal_closure(s3, small[0], small[1])
 
+    def test_ambient_outside_the_group_refused(self):
+        with pytest.raises(PreconditionError, match=r"^0\.7\.8 holds an element outside 0\.\.3$"):
+            normal_closure(builtin_group("Z4"), Subgroup((0, 7)), Subgroup((0, 7, 8)))
+
     def test_subnormality(self):
         s3 = builtin_group("S3")
         for sub in all_subgroups(s3):
@@ -297,6 +307,16 @@ class TestNormalClosureAndSubnormality:
     def test_generated_against_reference(self, g):
         for sub in all_subgroups(g):
             assert is_subnormal(g, sub) == subnormal_by_reference(g, sub.members), sub.name
+
+    @settings(GENERATED, max_examples=10)
+    @given(direct_products())
+    def test_generated_closures_against_reference(self, g):
+        subs = all_subgroups(g)
+        for K in subs:
+            for H in subs:
+                if set(H.members) <= set(K.members):
+                    expected = sorted(normal_closure_by_reference(g, H.members, K.members))
+                    assert list(normal_closure(g, H, K).members) == expected, (H.name, K.name)
 
 
 class TestSubnormalLattice:
@@ -386,7 +406,10 @@ class TestCompositionAnalysis:
     @settings(GENERATED, max_examples=10)
     @given(direct_products())
     def test_generated_groups(self, g):
-        assert composition_analysis(g).ok, g.name
+        report = composition_analysis(g)
+        assert report.ok, g.name
+        for pair in report.pairs:
+            assert pair.factors_equal == all(x == y for x, y in pair.factor_pairs)
 
     @settings(GENERATED, max_examples=10)
     @given(direct_products())

@@ -14,6 +14,7 @@ from semilat import (
     NoJoinError,
     NotPrimeIntervalError,
     Poset,
+    PreconditionError,
     ProjectivityRelation,
     SizeLimitError,
     UnknownElementError,
@@ -283,6 +284,11 @@ class TestCheckPairs:
             [r.to_dict() for r in pairwise_reports(from_dict(p.to_dict()), pairs)], p.name
         # Pairs with equal outcomes share one report.
         assert len({id(r) for r in reports}) == len({repr(r) for r in reports})
+
+    @pytest.mark.parametrize("pair", [("000",), (B3_A, B3_A, B3_A), 7, (B3_A, 7)])
+    def test_pair_that_is_not_two_chains(self, pair):
+        with pytest.raises(PreconditionError, match="^pair 1 is not two chains$"):
+            check_pairs(B3, [(B3_A, B3_A), pair])
 
     def test_second_chain_read_only_after_a_maximal_first(self):
         # A non-maximal first chain decides the pair: the unknown name in

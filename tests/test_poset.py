@@ -82,6 +82,11 @@ class TestConstruction:
         with pytest.raises(PosetConstructionError):
             Poset.from_cover_list("x", [""], [])
 
+    @pytest.mark.parametrize("cover", [("a",), ("a", "b", "c"), 7])
+    def test_cover_that_is_not_two_names(self, cover):
+        with pytest.raises(PosetConstructionError, match=r"^cover .* is not two names$"):
+            Poset.from_cover_list("x", ["a", "b"], [("a", "b"), cover])
+
 
 class TestOrderQueries:
     def test_leq(self):
