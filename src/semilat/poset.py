@@ -23,7 +23,8 @@ from .errors import (
 )
 
 # Largest poset a file or a generator may describe: `semilat validate` takes
-# about 5.6 s on a 2000-element chain (11 s on 2500).
+# 2.7-4.3 s on a 2000-element chain (subprocess wall time, shared 2-vCPU
+# machine), about 1.45 s of it in the order closure.
 ELEMENT_LIMIT = 2000
 
 

@@ -21,6 +21,9 @@ _AMBIGUOUS = -2   # several minimal/maximal common bounds
 # `verify --all-pairs --json`.
 PAIR_LIMIT = 50_000
 
+# Entries (pairs, or cover pairs x elements) per block of the join table and
+# of the semimodularity scan: the bound on each block's numpy temporaries.
+_BLOCK = 2 ** 14
 
 def _table(p: Poset) -> tuple[np.ndarray, tuple[int, int] | None]:
     """The least-upper-bound table of p, cached, as an n x n int32 array
@@ -28,24 +31,35 @@ def _table(p: Poset) -> tuple[np.ndarray, tuple[int, int] | None]:
     over the upper triangle, at which it fails.
 
     Of the common upper bounds of i and j, the first in the rank order is the
-    lub exactly when its up-set is all of them.
+    lub exactly when its up-set is all of them.  Up-set i is a row of uint64
+    words, bit r set when the r-th element by rank is above i; one AND per word
+    gives a block of pairs popcounts to sum and a lowest set bit to find first.
     """
     if "join" in p._cache:
         return p._cache["join"]
     leq, order = p._leq, p._view()[1]
-    n = len(p)
-    by_rank = leq[:, order]   # columns from the smallest down-set upwards
+    n, w = len(p), -(-len(p) // 64)
     up_size = leq.sum(axis=1)
+    by_rank = np.zeros((n, 64 * w), dtype=bool)   # C order, whole words
+    by_rank[:, :n] = leq[:, order]
+    words = np.packbits(by_rank, axis=1, bitorder="little").view("<u8")
     table = np.empty((n, n), dtype=np.int32)
-    for i in range(n):
-        cols = np.flatnonzero(by_rank[i])   # the up-set of i, by rank
-        ub = by_rank[i:, cols]              # row k: common upper bounds of i, i+k
-        first = ub.argmax(axis=1)
-        cand = order[cols[first]]
-        row = np.where(np.count_nonzero(ub, axis=1) == up_size[cand], cand, _AMBIGUOUS)
-        row[~ub[np.arange(n - i), first]] = _NONE
-        table[i, i:] = row
-        table[i:, i] = row
+    step = max(1, _BLOCK // n)
+    for s in range(0, n, step):   # rows s:s+step against rows s:, then mirrored
+        count = np.zeros((min(step, n - s), n - s), dtype=np.intp)
+        first = np.ones_like(count, dtype=np.uint64)   # the first nonzero word
+        at = np.zeros_like(count)                       # and its index
+        for k in reversed(range(w)):
+            both = words[s:s + step, None, k] & words[None, s:, k]
+            count += np.bitwise_count(both)
+            nonzero = both != 0
+            np.copyto(first, both, where=nonzero)
+            np.copyto(at, k, where=nonzero)
+        cand = order[64 * at + np.bitwise_count(first ^ (first - 1)) - 1]
+        block = np.where(count == up_size[cand], cand, _AMBIGUOUS)
+        block[count == 0] = _NONE
+        table[s:s + step, s:] = block
+        table[s:, s:s + step] = block.T
     bad = np.triu(table < 0)
     p._cache["join"] = table, (divmod(int(bad.argmax()), n) if bad.any() else None)
     return p._cache["join"]
@@ -123,8 +137,7 @@ def is_semimodular(p: Poset) -> SemimodularityReport:
     n = len(p)
     lo, hi = np.nonzero(covers)   # cover pairs in row-major order
     report = SemimodularityReport(True)
-    # Blocks of cover pairs keep the index temporaries near 2**14 entries.
-    step = max(1, 2 ** 14 // n)
+    step = max(1, _BLOCK // n)
     for start in range(0, len(lo), step):
         u, v = table[lo[start:start + step]], table[hi[start:start + step]]
         bad = (u != v) & ~covers[u, v]

@@ -1,7 +1,9 @@
 """Hypothesis strategies for generated posets and lattices.
 
 `posets` draws arbitrary finite posets, so most of them lack some joins and
-some have pairs with several minimal upper bounds.  `closure_lattices` draws
+some have pairs with several minimal upper bounds.  `wide_posets` draws
+larger ones, whose up-sets span several 64-bit words, each with a bowtie so
+that both kinds of missing join occur.  `closure_lattices` draws
 lattices: a family of subsets of a small ground set, closed under
 intersection and holding the whole set, ordered by inclusion.  Many of those
 are not semimodular.  `chain_products` and `graphic_flats` draw semimodular
@@ -11,6 +13,7 @@ finite groups, whose subnormal lattices are dually semimodular.
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 from hypothesis import settings, strategies as st
@@ -39,6 +42,25 @@ def posets(draw, max_size: int = 10) -> Poset:
     edges = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n)
              if draw(st.integers(0, 7)) < density]
     return Poset.from_cover_list("generated", names, edges, mode="lenient")
+
+
+@st.composite
+def wide_posets(draw, min_size: int = 60, max_size: int = 200) -> Poset:
+    """A random sparse DAG plus a separate bowtie (two minimal elements below
+    two maximal ones), min_size..max_size elements on shuffled names.
+
+    The DAG is drawn from one seed, not edge by edge, to keep large examples
+    cheap.
+    """
+    n = draw(st.integers(min_size, max_size))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    names = draw(st.permutations([f"e{k:03d}" for k in range(n)]))
+    density = draw(st.integers(1, 4)) / n
+    edges = [(names[i], names[j]) for i in range(n - 4) for j in range(i + 1, n - 4)
+             if rng.random() < density]
+    a, b, c, d = names[-4:]
+    edges += [(a, c), (a, d), (b, c), (b, d)]
+    return Poset.from_cover_list("wide", names, edges, mode="lenient")
 
 
 @st.composite

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from semilat import semilattice as sl
 from semilat import (
@@ -36,7 +36,15 @@ from semilat import (
 from semilat.cli import run as cli_run
 
 from conftest import K4
-from strategies import GENERATED, chain_products, closure_lattices, graphic_flats, posets
+from row_table import row_by_row_table
+from strategies import (
+    GENERATED,
+    chain_products,
+    closure_lattices,
+    graphic_flats,
+    posets,
+    wide_posets,
+)
 from walks import cover_heights, cover_walk, iterator_stack_chains
 
 B2 = Poset.from_cover_list(
@@ -85,6 +93,15 @@ def assert_tables_exact(p) -> None:
         assert (table.tolist(), first_bad) == reference_bounds(order), p.name
 
 
+def assert_tables_match_rows(p) -> None:
+    """The packed-word table of p and of its dual equal the row-by-row
+    reference in dtype, values and first failing pair."""
+    for q in (p, p.dual()):
+        (table, first_bad), (ref, ref_bad) = sl._table(q), row_by_row_table(q)
+        assert table.dtype == ref.dtype == np.int32
+        assert np.array_equal(table, ref) and first_bad == ref_bad, q.name
+
+
 def scalar_counterexample(p):
     """First (a, b, c) violating the covering law, by nested scalar loops."""
     for a, b in p.cover_pairs():
@@ -97,6 +114,11 @@ def scalar_counterexample(p):
 
 BOWTIE = Poset.from_cover_list(
     "bowtie", ["a", "b", "c", "d"], [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
+_CHAIN = [f"c{k:02d}" for k in range(70)]
+CHAIN_BOWTIE = Poset.from_cover_list(
+    "chain+bowtie", _CHAIN + ["x0", "x1", "y0", "y1"],
+    list(zip(_CHAIN, _CHAIN[1:])) + [("c69", "x0"), ("c69", "x1")]
+    + [(x, y) for x in ("x0", "x1") for y in ("y0", "y1")])
 
 
 class TestBoundTables:
@@ -123,6 +145,22 @@ class TestBoundTables:
         first_bad = reference_bounds(p._leq.tolist())[1]
         assert ok == (first_bad is None)
         assert pair == (None if ok else tuple(p.elements[k] for k in first_bad))
+
+    @settings(GENERATED, max_examples=8)
+    @given(wide_posets())
+    def test_packed_words_equal_the_row_reference(self, p):
+        assert_tables_match_rows(p)
+        for q in (p, p.dual()):
+            assert np.isin([sl._NONE, sl._AMBIGUOUS], sl._table(q)[0]).all()
+
+    def test_word_boundaries(self):
+        for p in [*(chain_product([k]) for k in (64, 65, 128, 129)), CHAIN_BOWTIE]:
+            assert_tables_match_rows(p)
+        # The first sentinel lies past the first word, by index and by rank.
+        table, first_bad = sl._table(CHAIN_BOWTIE)
+        assert first_bad == (70, 71) and table[70, 71] == sl._AMBIGUOUS
+        assert table[72, 73] == sl._NONE
+        assert CHAIN_BOWTIE._view()[1].tolist()[70:] == [70, 71, 72, 73]
 
     def test_counterexample_beyond_the_first_block(self):
         # An N5 on top of a 196-element chain: its covers come last, past the
