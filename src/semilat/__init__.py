@@ -21,7 +21,7 @@ from .errors import (
     UnknownElementError,
     UnknownNameError,
 )
-from .poset import Chain, Poset, from_dict, load_poset, save_poset
+from .poset import Poset, from_dict, load_poset, save_poset
 from .semilattice import (
     SemimodularityReport,
     count_maximal_chains,

@@ -15,7 +15,7 @@ class UnknownElementError(SemilatError):
 
 
 class NotAChainError(SemilatError):
-    """A sequence of elements is not strictly increasing."""
+    """A value is not a strictly increasing sequence of elements."""
 
 
 class MissingBoundsError(SemilatError):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import SizeLimitError, UnknownNameError
-from .poset import ELEMENT_LIMIT, Chain, Poset
+from .poset import ELEMENT_LIMIT, Poset
 from .semilattice import _require_bounds
 
 
@@ -187,7 +187,7 @@ def named_counterexample(name: str) -> Poset:
                            "choose from n5, antichain2, two_tops")
 
 
-def random_maximal_chain(p: Poset, seed: int) -> Chain:
+def random_maximal_chain(p: Poset, seed: int) -> tuple[str, ...]:
     """Seeded uniform cover-walk from bottom to top; deterministic per seed."""
     bottom, top = _require_bounds(p)
     ups, rng = p._view()[0], random.Random(seed)
@@ -195,4 +195,4 @@ def random_maximal_chain(p: Poset, seed: int) -> Chain:
     while out[-1] != top:
         options = ups[out[-1]]
         out.append(options[rng.randrange(len(options))])
-    return Chain(tuple(map(p.elements.__getitem__, out)))
+    return tuple(map(p.elements.__getitem__, out))

@@ -260,10 +260,17 @@ def all_subgroups(g: Group) -> list[Subgroup]:
 def normal_closure(g: Group, sub: Subgroup, ambient: Subgroup) -> Subgroup:
     """Smallest subgroup of `ambient` containing `sub` and closed under
     conjugation by `ambient`: the one the conjugates k h k^-1 generate."""
+    return _normal_closure(g, sub, ambient, generated=False)
+
+
+def _normal_closure(g: Group, sub: Subgroup, ambient: Subgroup, generated: bool) -> Subgroup:
+    """`normal_closure`, whose |ambient|^2 closure scan a `generated` ambient skips."""
     if not set(sub.members) <= set(ambient.members):
         raise PreconditionError(f"{sub.name} is not contained in {ambient.name}")
     if not all(0 <= k < g.order for k in ambient.members):
         raise PreconditionError(f"{ambient.name} holds an element outside 0..{g.order - 1}")
+    if not generated and _close(g, ambient.members) != set(ambient.members):
+        raise PreconditionError(f"{ambient.name} is not a subgroup of {g.name}")
     conjugators = [(g.table[k], g.inv(k)) for k in ambient.members]
     conjugates = {g.table[row[h]][k_inv] for row, k_inv in conjugators for h in sub.members}
     return Subgroup(tuple(sorted(_close(g, conjugates))))
@@ -274,7 +281,7 @@ def is_subnormal(g: Group, sub: Subgroup) -> bool:
     descending fixpoint equals the subgroup itself."""
     current = Subgroup(tuple(range(g.order)))
     while True:
-        nxt = normal_closure(g, sub, current)
+        nxt = _normal_closure(g, sub, current, generated=True)
         if nxt.members == current.members:
             return current.members == sub.members
         current = nxt
@@ -380,7 +387,7 @@ def composition_analysis(g: Group, series_a=None, series_b=None) -> CompositionR
         pair_indices = [(i, j) for i in range(len(chains))
                         for j in range(i, len(chains))]
 
-    lengths = {ch.length for ch in chains}
+    lengths = {len(ch) - 1 for ch in chains}
     if len(lengths) != 1:
         raise InternalInvariantError(
             f"composition series of {g.name} have unequal lengths {sorted(lengths)}")
@@ -400,6 +407,6 @@ def composition_analysis(g: Group, series_a=None, series_b=None) -> CompositionR
 
     return CompositionReport(
         group=g.name, order=g.order, length=lengths.pop(),
-        series=tuple(ch.elements for ch in chains),
+        series=tuple(chains),
         factor_multisets=tuple(tuple(sorted(f)) for f in factors.tolist()),
         pairs=tuple(pairs))

@@ -12,9 +12,9 @@ witness is re-verified by index against both of its intervals.
 
 There is one matcher, `_match`, on a batch of index chain pairs whose join
 matrices are one numpy array, and one public entry per input form, each
-validating its input once: `match_index_chains` for a batch of index arrays,
-and `jh_match` for one pair of chains of names, with `--trace` frames and a
-name-level re-check.
+validating its input once, both through one row check: `match_index_chains`
+for a batch of index arrays, and `jh_match` for one pair of chains of names,
+each checked by `Poset.chain`, with `--trace` frames and a name-level re-check.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .errors import (
     PreconditionError,
     UnknownElementError,
 )
-from .poset import Chain, Poset
+from .poset import Poset
 from .projectivity import prime_up_projective
 
 _MATRIX_BLOCK = 2 ** 16   # join-matrix entries matched at once
@@ -189,6 +189,19 @@ def _frames(p: Poset, c: np.ndarray, d: np.ndarray, pi: tuple) -> tuple[Recursio
     return tuple(frames)
 
 
+def _check_rows(p: Poset, C: np.ndarray, D: np.ndarray) -> None:
+    """Refuse the first row of C, then of D, outside p or not a maximal chain of p."""
+    for label, X in (("first", C), ("second", D)):
+        outside = ((X < 0) | (X >= len(p))).any(1)
+        if outside.any():
+            raise UnknownElementError(f"{label} chain {X[outside.argmax()].tolist()} holds an "
+                                      f"index outside 0..{len(p) - 1} of {p.name!r}")
+        maximal = sl._maximal_rows(p, X)
+        if not maximal.all():
+            names = [p.elements[i] for i in X[maximal.argmin()]]
+            raise NotMaximalChainError(f"{label} chain {names} is not maximal in {p.name!r}")
+
+
 def match_index_chains(p: Poset, C, D) -> tuple[np.ndarray, np.ndarray]:
     """pi, 1-indexed, and the witnesses by index, shapes (P, n) and (P, n, 2),
     for the P pairs (row k of C, row k of D) of the integer arrays C and D of
@@ -202,15 +215,7 @@ def match_index_chains(p: Poset, C, D) -> tuple[np.ndarray, np.ndarray]:
     arrays = all(isinstance(X, np.ndarray) and X.dtype.kind in "iu" for X in (C, D))
     if not arrays or C.ndim != 2 or C.shape != D.shape or not C.shape[1]:
         raise PreconditionError("C and D must be integer arrays of one shape (P, n+1), n >= 0")
-    for label, X in (("first", C), ("second", D)):
-        outside = ((X < 0) | (X >= len(p))).any(1)
-        if outside.any():
-            raise UnknownElementError(f"{label} chain {X[outside.argmax()].tolist()} holds an "
-                                      f"index outside 0..{len(p) - 1} of {p.name!r}")
-        maximal = sl._maximal_rows(p, X)
-        if not maximal.all():
-            names = [p.elements[i] for i in X[maximal.argmin()]]
-            raise NotMaximalChainError(f"{label} chain {names} is not maximal in {p.name!r}")
+    _check_rows(p, C, D)
     return _match(p, C, D)
 
 
@@ -218,26 +223,23 @@ def jh_match(p: Poset, chain_a, chain_b, keep_trace: bool = False) -> MatchingRe
     """Match the prime intervals of two maximal chains of p.
 
     Validates that p is a semimodular join semilattice with bottom and top,
-    that both chains are chains of p (the first, then the second) and that
-    both are maximal, then reads the matching off the join matrix of their
-    index rows.  The result is re-verified with `verify_matching` before
+    that both chains of names pass `Poset.chain` (the first, then the second)
+    and that both are maximal, then reads the matching off the join matrix of
+    their index rows.  The result is re-verified with `verify_matching` before
     returning: pi is a permutation and every witness satisfies the
     up-projectivity checks against both chains, read by name.
     """
     _validate_poset(p)
-    C, D = (ch if isinstance(ch, Chain) else p.chain(ch) for ch in (chain_a, chain_b))
-    rows = []
-    for label, ch in (("first", C), ("second", D)):
-        rows.append(np.array([list(map(p.index, ch))], dtype=np.intp))
-        if not sl._maximal_rows(p, rows[-1])[0]:
-            raise NotMaximalChainError(f"{label} chain {list(ch)} is not maximal in {p.name!r}")
+    C, D = p.chain(chain_a), p.chain(chain_b)
+    rows = [np.array([list(map(p.index, ch))], dtype=np.intp) for ch in (C, D)]
+    _check_rows(p, *rows)
     if len(C) != len(D):
         raise ChainLengthMismatchError(
-            f"maximal chains of lengths {C.length} and {D.length}; "
+            f"maximal chains of lengths {len(C) - 1} and {len(D) - 1}; "
             f"equal length is guaranteed for valid inputs, so a precondition is broken")
     pi, W = _match(p, *rows)
     pi, names = tuple(pi[0].tolist()), p.elements
-    result = MatchingResult(C.length, pi, tuple((names[x], names[y]) for x, y in W[0].tolist()),
+    result = MatchingResult(len(C) - 1, pi, tuple((names[x], names[y]) for x, y in W[0].tolist()),
                             _frames(p, rows[0][0], rows[1][0], pi) if keep_trace else None)
     check = verify_matching(p, C, D, result)
     if not check.ok:
@@ -250,11 +252,11 @@ def verify_matching(p: Poset, chain_a, chain_b, result: MatchingResult) -> Match
 
     Maximality of pi needs the independent relation; `oracle.check_theorem`
     checks it."""
-    C, D = (ch if isinstance(ch, Chain) else p.chain(ch) for ch in (chain_a, chain_b))
+    C, D = p.chain(chain_a), p.chain(chain_b)
     n = result.n
-    if n != C.length or n != D.length:
+    if n != len(C) - 1 or n != len(D) - 1:
         return MatchingCheck(False, (f"result size {n} does not match chain lengths "
-                                     f"{C.length} and {D.length}",))
+                                     f"{len(C) - 1} and {len(D) - 1}",))
     failures: list[str] = []
     pi = list(result.pi)
     if any(type(j) is not int for j in pi) or sorted(pi) != list(range(1, n + 1)):
@@ -266,8 +268,7 @@ def verify_matching(p: Poset, chain_a, chain_b, result: MatchingResult) -> Match
         if not isinstance(w, (tuple, list)) or len(w) != 2:
             failures.append(f"index {i}: witness {w!r} is not two names")
         elif type(j) is int and 1 <= j <= n:
-            src = (C.elements[i - 1], C.elements[i])
-            tgt = (D.elements[j - 1], D.elements[j])
+            src, tgt = C[i - 1:i + 1], D[j - 1:j + 1]
             if not prime_up_projective(p, src, w):
                 failures.append(f"index {i}: witness {tuple(w)} fails on the source interval {src}")
             elif not prime_up_projective(p, tgt, w):

@@ -3,13 +3,13 @@
 Elements are nonempty strings kept in canonical (sorted) order, so every
 derived output of the package is deterministic.  The order relation lives in
 a read-only boolean matrix; the cover relation is its transitive reduction.
+A chain of names is a plain tuple, checked in one place: `Poset.chain`.
 Chain walks read `_view`: upper-cover index lists and the rank order, built once.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Sequence
 
@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     NotAChainError,
     PosetConstructionError,
+    PreconditionError,
     SizeLimitError,
     UnknownElementError,
 )
@@ -47,27 +48,6 @@ def _transitive_reduction(leq: np.ndarray) -> np.ndarray:
     """Cover matrix of a partial order given as a reflexive leq matrix."""
     strict = leq & ~np.eye(leq.shape[0], dtype=bool)
     return strict & ~_bool_matmul(strict, strict)
-
-
-@dataclass(frozen=True)
-class Chain:
-    """Strictly increasing element sequence; build one via Poset.chain()."""
-
-    elements: tuple[str, ...]
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    @property
-    def length(self) -> int:
-        """Number of steps (element count minus one)."""
-        return len(self.elements) - 1
-
-    def reversed(self) -> "Chain":
-        return Chain(tuple(reversed(self.elements)))
 
 
 class Poset:
@@ -107,7 +87,7 @@ class Poset:
         reduction is recomputed.
         """
         if mode not in ("strict", "lenient"):
-            raise ValueError(f"mode must be 'strict' or 'lenient', got {mode!r}")
+            raise PreconditionError(f"mode must be 'strict' or 'lenient', got {mode!r}")
         elems = list(elements)
         if not elems:
             raise PosetConstructionError("empty posets are not supported")
@@ -169,7 +149,7 @@ class Poset:
     def index(self, element: str) -> int:
         try:
             return self._index[element]
-        except KeyError:
+        except (KeyError, TypeError):   # TypeError: an unhashable value
             raise UnknownElementError(
                 f"element {element!r} is not in poset {self.name!r}") from None
 
@@ -269,16 +249,19 @@ class Poset:
 
     # -- chains --------------------------------------------------------------
 
-    def chain(self, elements: Iterable[str]) -> Chain:
-        """Validate a strictly increasing sequence and wrap it as a Chain."""
-        elems = tuple(elements)
+    def chain(self, elements: Iterable[str]) -> tuple[str, ...]:
+        """The one check of a chain of names: `elements`, strictly increasing, as a tuple."""
+        try:
+            elems = tuple(elements)
+        except TypeError:
+            raise NotAChainError(f"a chain must be iterable, got {type(elements).__name__}") from None
         if not elems:
             raise NotAChainError("a chain needs at least one element")
         idx = [self.index(e) for e in elems]
         for a, b, i, j in zip(elems, elems[1:], idx, idx[1:]):
             if i == j or not self._leq[i, j]:
                 raise NotAChainError(f"not strictly increasing at ({a}, {b})")
-        return Chain(elems)
+        return elems
 
     # -- serialization ---------------------------------------------------------
 

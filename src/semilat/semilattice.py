@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import MissingBoundsError, NoJoinError, NotJoinSemilatticeError, SizeLimitError
-from .poset import Chain, Poset
+from .poset import Poset
 
 # Sentinels inside the bound tables.
 _NONE = -1        # no common bound at all
@@ -169,24 +169,24 @@ def _maximal_rows(p: Poset, X) -> np.ndarray:
     return ends & p._covers[X[:, :-1], X[:, 1:]].all(1)
 
 
-def is_maximal_chain(p: Poset, chain: Chain | Sequence[str]) -> bool:
+def is_maximal_chain(p: Poset, chain: Sequence[str]) -> bool:
     """True iff the sequence runs from bottom to top through covers only."""
     _require_bounds(p)   # before any name is looked up
     return bool(_maximal_rows(p, [[p.index(e) for e in chain]])[0])
 
 
-def maximal_chains(p: Poset, limit: int | None = None) -> list[Chain]:
+def maximal_chains(p: Poset, limit: int | None = None) -> list[tuple[str, ...]]:
     """All maximal chains in lexicographic element order, optionally truncated."""
     bottom, top = _require_bounds(p)
     ups, names = p._view()[0], p.elements
-    out: list[Chain] = []
+    out = []
     # Partial index chains from the bottom; pushing the extensions in reverse
     # order pops them in lexicographic order.
     stack = [(bottom,)]
     while stack and (limit is None or len(out) < limit):
         path = stack.pop()
         if path[-1] == top:
-            out.append(Chain(tuple(map(names.__getitem__, path))))
+            out.append(tuple(map(names.__getitem__, path)))
         else:
             stack.extend(path + (u,) for u in reversed(ups[path[-1]]))
     return out

@@ -79,7 +79,7 @@ def match_series(lattice: Poset, series_a, series_b) -> tuple[int, ...]:
     """The reference pi of one pair of composition series, read the way
     `composition_analysis` reads it: `jh_match` on the dual with both series
     reversed, pi read back in ascending-series indexing."""
-    return ascending(jh_match(lattice.dual(), series_a.reversed(), series_b.reversed()).pi)
+    return ascending(jh_match(lattice.dual(), series_a[::-1], series_b[::-1]).pi)
 
 
 def break_witness_entry(p: Poset, c: list[int], d: list[int]) -> tuple[int, int, int]:

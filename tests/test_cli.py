@@ -553,7 +553,7 @@ def test_python_dash_m_runs_the_cli():
 # The public names of `semilat`, the submodules its __init__ imports included.
 # A name is added here or removed from here only on purpose.
 PUBLIC_NAMES = [
-    "Chain", "ChainLengthMismatchError", "CheckEntry", "CompositionReport", "Graph", "Group",
+    "ChainLengthMismatchError", "CheckEntry", "CompositionReport", "Graph", "Group",
     "GroupValidationError", "InternalInvariantError", "MatchingCheck", "MatchingResult",
     "MissingBoundsError", "NoJoinError", "NoMeetError", "NotAChainError",
     "NotJoinSemilatticeError", "NotMaximalChainError", "NotPrimeIntervalError",

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 
 from semilat import (
-    Chain,
     GroupValidationError,
     InternalInvariantError,
     NotMaximalChainError,
@@ -29,7 +28,7 @@ from semilat import (
     normal_closure,
     subnormal_lattice,
 )
-from semilat import matching
+from semilat import groups, matching
 from semilat.matching import _match
 from conftest import break_witness_entry, match_series
 from strategies import GENERATED, direct_products
@@ -285,10 +284,36 @@ class TestNormalClosureAndSubnormality:
         small = [s for s in subs if len(s) == 2]
         with pytest.raises(PreconditionError):
             normal_closure(s3, small[0], small[1])
+        with pytest.raises(PreconditionError, match=r"^0\.9 is not contained in 0\.1\.2\.3\.4\.5$"):
+            is_subnormal(s3, Subgroup((0, 9)))
 
     def test_ambient_outside_the_group_refused(self):
         with pytest.raises(PreconditionError, match=r"^0\.7\.8 holds an element outside 0\.\.3$"):
             normal_closure(builtin_group("Z4"), Subgroup((0, 7)), Subgroup((0, 7, 8)))
+
+    def test_ambient_not_a_subgroup_refused(self):
+        # (0, 1, 7, 10) is not closed under the product of S4.
+        with pytest.raises(PreconditionError, match=r"^0\.1\.7\.10 is not a subgroup of S4$"):
+            normal_closure(builtin_group("S4"), Subgroup((0, 1)), Subgroup((0, 1, 7, 10)))
+        with pytest.raises(PreconditionError, match=r"^ is not a subgroup of S4$"):
+            normal_closure(builtin_group("S4"), Subgroup(()), Subgroup(()))
+
+    def test_only_the_public_call_scans_the_ambient(self, monkeypatch):
+        # normal_closure scans its ambient for closure once; is_subnormal
+        # descends through generated subgroups and closes once per step.
+        closes, steps = [], []
+        close, step = groups._close, groups._normal_closure
+        monkeypatch.setattr(groups, "_close", lambda g, seed: closes.append(1) or close(g, seed))
+        monkeypatch.setattr(groups, "_normal_closure",
+                            lambda *args, **kwargs: steps.append(1) or step(*args, **kwargs))
+        s4 = builtin_group("S4")
+        normal_closure(s4, Subgroup((0, 1)), Subgroup(tuple(range(24))))
+        assert (len(closes), len(steps)) == (2, 1)
+        for sub in all_subgroups(s4):
+            closes.clear()
+            steps.clear()
+            is_subnormal(s4, sub)
+            assert len(closes) == len(steps) >= 1, sub.name
 
     def test_subnormality(self):
         s3 = builtin_group("S3")
@@ -387,7 +412,7 @@ class TestCompositionAnalysis:
                      "A4", "Q8", "Z2xZ2", "S3xZ2"):
             g = builtin_group(name)
             lattice = subnormal_lattice(g)
-            lengths = {c.length for c in maximal_chains(lattice)}
+            lengths = {len(c) - 1 for c in maximal_chains(lattice)}
             assert len(lengths) == 1, name
             report = composition_analysis(g)
             assert report.ok, name
@@ -416,7 +441,7 @@ class TestCompositionAnalysis:
     def test_generated_pairs_match_series_by_series(self, g):
         report = composition_analysis(g)
         lattice = subnormal_lattice(g)
-        chains = [Chain(s) for s in report.series]
+        chains = [tuple(s) for s in report.series]
         assert [pair.pi for pair in report.pairs] == [
             match_series(lattice, chains[i], chains[j])
             for i in range(len(chains)) for j in range(i, len(chains))]

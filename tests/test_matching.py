@@ -22,8 +22,10 @@ from semilat import (
     SemilatError,
     UnknownElementError,
     boolean_lattice,
+    builtin_group,
     chain_product,
     check_theorem,
+    composition_analysis,
     count_consistent_permutations,
     from_dict,
     is_maximal_chain,
@@ -53,6 +55,19 @@ B3 = boolean_lattice(3)
 
 B3_CHAIN_A = ["000", "100", "110", "111"]
 B3_CHAIN_B = ["000", "010", "110", "111"]
+
+Z4 = builtin_group("Z4")
+Z4_SERIES = ["0", "0.2", "0.1.2.3"]
+
+# Each entry that takes chains of names: the poset that checks them, a
+# valid first chain, and the call with a given first chain.
+CHAIN_ENTRIES = {
+    "jh_match": (B3, B3_CHAIN_A, lambda ch: jh_match(B3, ch, B3_CHAIN_B)),
+    "verify_matching": (B3, B3_CHAIN_A, lambda ch: verify_matching(
+        B3, ch, B3_CHAIN_B, jh_match(B3, B3_CHAIN_A, B3_CHAIN_B))),
+    "composition_analysis": (subnormal_lattice(Z4), Z4_SERIES, lambda ch: composition_analysis(
+        Z4, series_a=ch, series_b=Z4_SERIES)),
+}
 
 SEMIMODULAR = st.one_of(chain_products(), graphic_flats(),
                         closure_lattices().filter(lambda p: is_semimodular(p).holds))
@@ -91,7 +106,7 @@ class TestWorkedFixtures:
             result = jh_match(p, chain, chain)
             assert result.pi == tuple(range(1, result.n + 1)), p.name
             assert result.witnesses == tuple(
-                (chain.elements[i], chain.elements[i + 1]) for i in range(result.n))
+                (chain[i], chain[i + 1]) for i in range(result.n))
 
     def test_singleton_lattice(self):
         b0 = boolean_lattice(0)
@@ -113,8 +128,8 @@ class TestWitnessValidity:
                     for i in range(1, result.n + 1):
                         w = result.witnesses[i - 1]
                         j = result.pi[i - 1]
-                        src = (C.elements[i - 1], C.elements[i])
-                        tgt = (D.elements[j - 1], D.elements[j])
+                        src = (C[i - 1], C[i])
+                        tgt = (D[j - 1], D[j])
                         assert prime_up_projective(p, src, w)
                         assert prime_up_projective(p, tgt, w)
 
@@ -210,6 +225,30 @@ class TestRefusals:
             jh_match(B3, ["000", "100", "110", "111"], ["000", "110", "111"])
 
 
+    @pytest.mark.parametrize("entry", list(CHAIN_ENTRIES))
+    @pytest.mark.parametrize("bad, error", [
+        (lambda c: c[:2] + c[1:], NotAChainError),
+        (lambda c: [c[0], c[2], c[1], *c[3:]], NotAChainError),
+        (lambda c: [c[0], "zzz", *c[1:]], UnknownElementError),
+        (lambda c: 5, NotAChainError),
+    ], ids=["repeated", "out-of-order", "unknown-name", "not-iterable"])
+    def test_same_chain_same_error(self, entry, bad, error):
+        # A bad chain of names, as a list, a tuple or a generator, is refused
+        # by every entry exactly as `Poset.chain` refuses it.
+        poset, valid, call = CHAIN_ENTRIES[entry]
+        names = bad(valid)
+        forms = [names, tuple(names), (e for e in names)] if isinstance(names, list) else [names]
+
+        def refusal(run):
+            with pytest.raises(SemilatError) as refused:
+                run()
+            return type(refused.value), str(refused.value)
+
+        expected = refusal(lambda: poset.chain(names))
+        assert expected[0] is error
+        assert [refusal(lambda: call(form)) for form in forms] == [expected] * len(forms)
+
+
 class TestVerifyMatching:
     def test_valid_result_passes(self):
         result = jh_match(B2, ["0", "a", "1"], ["0", "b", "1"])
@@ -282,7 +321,7 @@ class TestJoinMatrix:
         rng = random.Random(seed)
         for _ in range(3):
             a, b = rng.choice(chains), rng.choice(chains)
-            assert_theorem_holds(lattice.dual(), a.reversed(), b.reversed())
+            assert_theorem_holds(lattice.dual(), a[::-1], b[::-1])
 
     def test_broken_join_entry_caught_by_the_witness_recheck(self):
         p = boolean_lattice(3)  # a fresh lattice: its cached join rows get corrupted
@@ -319,7 +358,7 @@ class TestBatch:
     def test_dual_subnormal_batches_match_pair_by_pair(self, g, seed):
         lattice = subnormal_lattice(g)
         dual = lattice.dual()
-        chains = [index_chain(dual, ch.reversed()) for ch in maximal_chains(lattice)]
+        chains = [index_chain(dual, ch[::-1]) for ch in maximal_chains(lattice)]
         rng = random.Random(seed)
         pairs = [(rng.choice(chains), rng.choice(chains)) for _ in range(6)]
         with mock.patch.object(matching, "_MATRIX_BLOCK", rng.choice([2 ** 16, 30])):

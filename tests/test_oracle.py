@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from semilat import (
-    Chain,
     ChainLengthMismatchError,
     NoJoinError,
     NotPrimeIntervalError,
@@ -205,7 +204,7 @@ class TestCheckTheorem:
             check_theorem(p, chain, chain)
         # One long pair anywhere in the set refuses the whole set.
         with pytest.raises(SizeLimitError, match="n <= 20"):
-            check_pairs(p, [(chain, chain.elements[:3]), (chain, chain)])
+            check_pairs(p, [(chain, chain[:3]), (chain, chain)])
 
     @GENERATED
     @given(SEMIMODULAR, st.integers(0, 10 ** 6))
@@ -256,7 +255,7 @@ def _glued_n5() -> Poset:
 def _mixed_pairs(p, seed: int) -> list:
     """Seeded maximal chains, a repeated chain, and, where the height allows,
     a non-maximal chain one step shorter, paired every way."""
-    chains = [random_maximal_chain(p, seed + k).elements for k in range(3)]
+    chains = [random_maximal_chain(p, seed + k) for k in range(3)]
     chains.append(chains[0])
     if len(chains[0]) >= 3:
         chains.append(chains[1][:1] + chains[1][2:])
@@ -333,7 +332,7 @@ class TestCheckPairs:
         monkeypatch.setattr(oracle, "_witnesses", cells)
         p = chain_product([23])
         (chain,) = maximal_chains(p)
-        short = chain.elements[:3]
+        short = chain[:3]
         with pytest.raises(SizeLimitError, match="n <= 20"):
             check_pairs(p, [(short, ["0", "zzz"]), (chain, short), (chain, chain)])
 
@@ -346,8 +345,8 @@ class TestCheckPairs:
         monkeypatch.setattr(oracle, "match_index_chains", lambda p, C, D: (
             np.tile(np.arange(1, C.shape[1]), (len(C), 1)), None))
         chains = maximal_chains(p)
-        assert {c.length for c in chains} == {4, 5}
-        pairs = [(a, b) for a in chains for b in chains] + [(chains[0], chains[0].elements[:-1])]
+        assert {len(c) - 1 for c in chains} == {4, 5}
+        pairs = [(a, b) for a in chains for b in chains] + [(chains[0], chains[0][:-1])]
         reports = check_pairs(p, pairs)
         assert [r.to_dict() for r in reports] == [r.to_dict() for r in pairwise_reports(p, pairs)]
         lengths = {r.entry("equal-length").detail for r in reports
@@ -376,7 +375,7 @@ class TestCheckPairs:
         chains = maximal_chains(b4)
         pairs = [(a, b) for a in chains for b in chains]
         steps = {(*map(b4.index, s), *map(b4.index, t)) for a, b in pairs
-                 for s in zip(a, a.elements[1:]) for t in zip(b, b.elements[1:])}
+                 for s in zip(a, a[1:]) for t in zip(b, b[1:])}
         assert len(steps) == len(b4.cover_pairs()) ** 2 == 1024
         for _ in range(2):
             passed.clear()
@@ -389,7 +388,7 @@ class TestCheckPairs:
         # tables; evaluating cells afterwards adds nothing to the poset.
         b4 = boolean_lattice(4)
         chains = maximal_chains(b4)
-        check_pairs(b4, [(chains[0], chains[1].elements[:-1])])
+        check_pairs(b4, [(chains[0], chains[1][:-1])])
         keys = set(b4._cache)
         assert all(r.ok for r in check_pairs(b4, [(a, b) for a in chains[:3] for b in chains[:3]]))
         assert interval_updown_witness(b4, ("0000", "0001"), ("0010", "0011")) == ("0010", "0011")
@@ -427,7 +426,7 @@ class TestCheckPairs:
     def test_dual_subnormal_lattices_agree_with_composition(self, g):
         report = composition_analysis(g)
         dual = subnormal_lattice(g).dual()
-        series = [Chain(s).reversed() for s in report.series]
+        series = [tuple(s)[::-1] for s in report.series]
         matched = report.pairs[::max(1, len(report.pairs) // 30)]
         pairs = [(series[pair.index_a], series[pair.index_b]) for pair in matched]
         assert all(r.ok for r in check_pairs(dual, pairs)), g.name

@@ -8,6 +8,7 @@ from semilat import (
     NotAChainError,
     Poset,
     PosetConstructionError,
+    PreconditionError,
     UnknownElementError,
     boolean_lattice,
     chain_product,
@@ -73,6 +74,11 @@ class TestConstruction:
     def test_unknown_endpoint(self):
         with pytest.raises(PosetConstructionError, match="unknown endpoint"):
             Poset.from_cover_list("x", ["a"], [("a", "b")])
+
+    def test_unknown_mode_refused(self):
+        with pytest.raises(PreconditionError,
+                           match=r"^mode must be 'strict' or 'lenient', got 'bogus'$"):
+            Poset.from_cover_list("x", ["a"], [], mode="bogus")
 
     def test_empty_poset_rejected(self):
         with pytest.raises(PosetConstructionError, match="empty"):
@@ -229,7 +235,7 @@ class TestHeightAndBounds:
 class TestChains:
     def test_chain_validation(self):
         ch = B2.chain(["0", "a", "1"])
-        assert ch.length == 2
+        assert len(ch) - 1 == 2
         with pytest.raises(NotAChainError):
             B2.chain(["0", "b", "a"])
         with pytest.raises(NotAChainError):
@@ -238,6 +244,21 @@ class TestChains:
             B2.chain([])
         with pytest.raises(UnknownElementError):
             B2.chain(["0", "z"])
+
+    def test_chain_is_the_tuple_of_names(self):
+        names = ("0", "a", "1")
+        for given_as in (list(names), names, (e for e in names)):
+            chain = B2.chain(given_as)
+            assert type(chain) is tuple and chain == names
+
+    @pytest.mark.parametrize("value, kind", [(None, "NoneType"), (5, "int")])
+    def test_not_iterable_refused(self, value, kind):
+        with pytest.raises(NotAChainError, match=rf"^a chain must be iterable, got {kind}$"):
+            B2.chain(value)
+
+    def test_unhashable_name_refused(self):
+        with pytest.raises(UnknownElementError, match=r"^element \['0'\] is not in poset 'b2'$"):
+            B2.chain([["0"], "1"])
 
 
 class TestSerialization:

@@ -317,7 +317,7 @@ class TestMaximalChains:
     def test_equal_length_on_semimodular_corpus(self, corpus):
         # Chain enumeration check, independent of the matching algorithm.
         for p in corpus:
-            lengths = {c.length for c in maximal_chains(p, limit=500)}
+            lengths = {len(c) - 1 for c in maximal_chains(p, limit=500)}
             assert len(lengths) == 1, p.name
 
     def test_equal_length_in_intervals(self, small_corpus):
@@ -325,7 +325,7 @@ class TestMaximalChains:
             top = p.top()
             for x in p.elements:
                 sub = p.interval(x, top)
-                lengths = {c.length for c in maximal_chains(sub, limit=100)}
+                lengths = {len(c) - 1 for c in maximal_chains(sub, limit=100)}
                 assert len(lengths) == 1, (p.name, x)
 
     def test_same_chains_as_the_iterator_stack_on_the_corpus(self, corpus):
@@ -341,14 +341,14 @@ class TestMaximalChains:
         assert maximal_chains(p, limit) == iterator_stack_chains(p, limit)
 
     def test_n5_unequal_lengths(self):
-        assert {c.length for c in maximal_chains(N5)} == {2, 3}
+        assert {len(c) - 1 for c in maximal_chains(N5)} == {2, 3}
 
     def test_height_beyond_the_recursion_limit(self):
         p = chain_product([1200])
         assert count_maximal_chains(p) == 1
         chains = maximal_chains(p)
         assert len(chains) == 1
-        assert chains[0].length == 1199
+        assert len(chains[0]) - 1 == 1199
 
     def test_exact_count_beyond_64_bits(self):
         # C(68, 34) > 2**63, so the count must be exact in Python ints.
@@ -379,9 +379,9 @@ class TestIndexWalks:
             assert maximal_chains(p) == chains and maximal_chains(p, 7) == first7, p.name
             assert count_maximal_chains(p) == len(chains), p.name
             assert p.element_heights() == heights, p.name
-            assert [random_maximal_chain(p, seed).elements for seed in range(20)] == walks, p.name
+            assert [random_maximal_chain(p, seed) for seed in range(20)] == walks, p.name
         report = composition_analysis(builtin_group("Z2xZ2xZ2"))
-        assert report.ok and report.series == tuple(ch.elements for ch in series)
+        assert report.ok and report.series == tuple(series)
         capsys.readouterr()
         assert cli_run(["verify", str(tmp_path / "b4.json"), "--samples", "30", "--seed", "2",
                         "--json", "--full"]) == 0

@@ -7,8 +7,6 @@ from __future__ import annotations
 
 import random
 
-from semilat import Chain
-
 
 def iterator_stack_chains(p, limit=None) -> list:
     """Reference enumeration of maximal chains: a path from the bottom with
@@ -19,7 +17,7 @@ def iterator_stack_chains(p, limit=None) -> list:
     branches = []
     while True:
         if path[-1] == top:
-            out.append(Chain(tuple(path)))
+            out.append(tuple(path))
             if limit is not None and len(out) >= limit:
                 return out
             path.pop()
