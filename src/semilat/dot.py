@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable
 
 from .errors import NotAChainError, PreconditionError
 from .matching import MatchingResult
@@ -16,22 +16,25 @@ def _quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def export_dot(p: Poset, chain_a: Sequence[str] | None = None,
-               chain_b: Sequence[str] | None = None,
+def export_dot(p: Poset, chain_a: Iterable[str] | None = None,
+               chain_b: Iterable[str] | None = None,
                matching: MatchingResult | None = None) -> str:
     """Render the cover digraph, drawn upward and ranked by element height.
 
-    Each chain must step by covers but need not be maximal; the first one's
-    edges are red, the second's blue (both at once gives a two-color edge).
+    Each chain, checked by `Poset.chain`, must step by covers but need not be
+    maximal; the first one's edges are red, the second's blue (both at once
+    gives a two-color edge).
     With a matching, every element of a witness pair is annotated with the
     1-indexed witness numbers it serves.  Identical inputs give identical bytes.
     """
-    for ch in (chain_a or ()), (chain_b or ()):
-        for e in ch:
-            p.index(e)
+    steps = []
+    for ch in chain_a, chain_b:   # None or an empty sequence highlights nothing
+        ch = p.chain(ch) if ch else ()
         for a, b in zip(ch, ch[1:]):
             if not p.is_cover(a, b):
                 raise NotAChainError(f"not a chain of covers at ({a}, {b})")
+        steps.append(set(zip(ch, ch[1:])))
+    a_edges, b_edges = steps
 
     roles: dict[str, list[str]] = {}
     if matching is not None:
@@ -41,9 +44,6 @@ def export_dot(p: Poset, chain_a: Sequence[str] | None = None,
             for e in w:
                 p.index(e)
                 roles.setdefault(e, []).append(str(i))
-
-    a_edges = set(zip(chain_a, chain_a[1:])) if chain_a else set()
-    b_edges = set(zip(chain_b, chain_b[1:])) if chain_b else set()
 
     lines = [f"digraph {_quote(p.name)} {{", "  rankdir=BT;", "  node [shape=box];"]
     for e in p.elements:

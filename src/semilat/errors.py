@@ -7,7 +7,7 @@ class SemilatError(Exception):
 
 class PosetConstructionError(SemilatError):
     """Bad poset input: duplicate/empty elements, unknown cover endpoints,
-    cycles, or (in strict mode) cover edges that are not actual covers."""
+    cycles, or cover edges that are not actual covers."""
 
 
 class UnknownElementError(SemilatError):

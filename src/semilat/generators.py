@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import SizeLimitError, UnknownNameError
+from .errors import PreconditionError, SizeLimitError, UnknownNameError
 from .poset import ELEMENT_LIMIT, Poset
 from .semilattice import _require_bounds
 
@@ -29,12 +29,12 @@ class Graph:
         norm = []
         for u, v in self.edges:
             if u == v:
-                raise ValueError(f"loop at vertex {u}")
+                raise PreconditionError(f"loop at vertex {u}")
             if not (0 <= u < self.vertices and 0 <= v < self.vertices):
-                raise ValueError(f"edge ({u}, {v}) outside vertex range")
+                raise PreconditionError(f"edge ({u}, {v}) outside vertex range")
             norm.append((min(u, v), max(u, v)))
         if len(set(norm)) != len(norm):
-            raise ValueError("duplicate edges")
+            raise PreconditionError("duplicate edges")
         object.__setattr__(self, "edges", tuple(sorted(norm)))
 
     @classmethod
@@ -47,16 +47,16 @@ class Graph:
                 continue
             parts = line.split()
             if len(parts) != 2:
-                raise ValueError(f"line {lineno}: expected 'u v', got {line!r}")
+                raise PreconditionError(f"line {lineno}: expected 'u v', got {line!r}")
             try:
                 u, v = int(parts[0]), int(parts[1])
             except ValueError:
-                raise ValueError(f"line {lineno}: vertices must be integers") from None
+                raise PreconditionError(f"line {lineno}: vertices must be integers") from None
             if u < 0 or v < 0:
-                raise ValueError(f"line {lineno}: vertices must be non-negative")
+                raise PreconditionError(f"line {lineno}: vertices must be non-negative")
             edges.append((u, v))
         if not edges:
-            raise ValueError("edge list is empty")
+            raise PreconditionError("edge list is empty")
         n = max(max(u, v) for u, v in edges) + 1
         return cls(n, tuple(edges))
 

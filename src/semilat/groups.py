@@ -2,7 +2,8 @@
 subnormal-subgroup lattice, and composition-series matching.
 
 Normal closures take one generation step from the conjugates.  The subnormal
-lattice is dually semimodular, so the chain matcher runs on its dual:
+lattice is read off one member matrix.  It is dually semimodular, so the
+chain matcher runs on its dual:
 `composition_analysis` reads every series as one index row of the lattice,
 top-down a chain of the dual, and matches all its pairs in one
 `match_index_chains` call; factor orders come from the members' counts by
@@ -31,7 +32,7 @@ from .errors import (
     UnknownNameError,
 )
 from .matching import match_index_chains
-from .poset import Poset, _json_text
+from .poset import Poset, _json_text, _transitive_reduction
 
 SUBGROUP_ORDER_LIMIT = 60
 # Validating a table takes about 0.09 s at order 120 and 0.7 s at order 240.
@@ -290,19 +291,22 @@ def is_subnormal(g: Group, sub: Subgroup) -> bool:
 def subnormal_lattice(g: Group) -> Poset:
     """Poset of subnormal subgroups under inclusion, named by member lists.
 
-    The dual of this poset must be semimodular; a failure is reported as a
-    broken-theorem sentinel, not as bad input.  The lattice is built once per
-    group and cached on it.
+    Its order is read off the 0/1 member matrix M, a row per subgroup in name
+    order: H <= K iff |H & K| = |H|, so leq is `M @ M.T == |row|`, already
+    closed, and its reduction gives the covers.  The dual must be semimodular;
+    a failure is reported as a broken-theorem sentinel, not as bad input.
+    The lattice is built once per group and cached on it.
     """
     cached = g._cache.get("subnormal")
     if cached is not None:
         return cached
-    subs = [s for s in all_subgroups(g) if is_subnormal(g, s)]
-    sets = {s.name: set(s.members) for s in subs}
-    strictly_below = [(a, b) for a in sets for b in sets if sets[a] < sets[b]]
-    # Lenient mode reduces the strict order to its covers.
-    lattice = Poset.from_cover_list(f"subnormal({g.name})", list(sets), strictly_below,
-                                    mode="lenient")
+    subs = sorted((s for s in all_subgroups(g) if is_subnormal(g, s)), key=lambda s: s.name)
+    member = np.zeros((len(subs), g.order), dtype=np.float32)
+    for row, s in zip(member, subs):
+        row[list(s.members)] = 1
+    leq = member @ member.T == member.sum(axis=1)[:, None]   # float32 counts are exact
+    lattice = Poset(f"subnormal({g.name})", tuple(s.name for s in subs), leq,
+                    _transitive_reduction(leq))
     report = sl.is_semimodular(lattice.dual())
     if not report.holds:
         raise InternalInvariantError(

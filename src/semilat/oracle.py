@@ -110,8 +110,7 @@ def interval_updown_witness(p: Poset, source, target) -> tuple[str, str] | None:
 
 def projectivity_relation(p: Poset, chain_a, chain_b) -> ProjectivityRelation:
     """Relation matrix between the prime intervals of two equal-length chains."""
-    C = tuple(chain_a)
-    D = tuple(chain_b)
+    C, D = p.chain(chain_a), p.chain(chain_b)
     if len(C) != len(D):
         raise ChainLengthMismatchError(
             f"chains of lengths {len(C) - 1} and {len(D) - 1}")

@@ -18,7 +18,6 @@ import numpy as np
 from .errors import (
     NotAChainError,
     PosetConstructionError,
-    PreconditionError,
     SizeLimitError,
     UnknownElementError,
 )
@@ -54,7 +53,8 @@ class Poset:
     """Immutable finite poset over string element names.
 
     Instances are constructed through :meth:`from_cover_list`, :meth:`interval`
-    or :meth:`dual`; after construction everything is a pure read, so posets
+    or :meth:`dual`, or from an order a caller has already closed (the
+    subnormal lattice); after construction everything is a pure read, so posets
     can be shared freely between threads.  Derived tables (joins, meets,
     semimodularity, heights, bottom and top) are cached on first use; each
     cache entry is written exactly once, so concurrent readers see either
@@ -78,16 +78,13 @@ class Poset:
 
     @classmethod
     def from_cover_list(cls, name: str, elements: Iterable[str],
-                        covers: Iterable[Sequence[str]],
-                        mode: str = "strict") -> "Poset":
-        """Build a poset from its elements and (claimed) cover edges.
+                        covers: Iterable[Sequence[str]]) -> "Poset":
+        """Build a poset from its elements and its cover edges.
 
-        In ``strict`` mode the edges must be exactly the covers of the order
-        they generate; in ``lenient`` mode redundant edges are dropped and the
-        reduction is recomputed.
+        The edges must be exactly the covers of the order they generate: an
+        edge implied by others is refused, so a DAG is reduced to its covers
+        before it is read.
         """
-        if mode not in ("strict", "lenient"):
-            raise PreconditionError(f"mode must be 'strict' or 'lenient', got {mode!r}")
         elems = list(elements)
         if not elems:
             raise PosetConstructionError("empty posets are not supported")
@@ -122,12 +119,10 @@ class Poset:
                 f"cycle detected through {ordered[i]!r} and {ordered[j]!r}")
 
         reduction = _transitive_reduction(leq)
-        if mode == "strict":
-            extra = np.argwhere(rel & ~reduction)
-            if len(extra):
-                i, j = extra[0]
-                raise PosetConstructionError(
-                    f"non-cover edge ({ordered[i]}, {ordered[j]})")
+        extra = np.argwhere(rel & ~reduction)
+        if len(extra):
+            i, j = extra[0]
+            raise PosetConstructionError(f"non-cover edge ({ordered[i]}, {ordered[j]})")
         return cls(name, ordered, leq, reduction)
 
     # -- basics ------------------------------------------------------------

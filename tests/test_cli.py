@@ -362,11 +362,22 @@ class TestGen:
             assert code == 0
             assert len(json.loads(out.read_text())["elements"]) == elements
 
-    def test_gen_name_override(self, run_cli, tmp_path):
-        out = tmp_path / "named.json"
-        code, _, _ = run_cli("gen", "boolean", "2", "-o", str(out), "--name", "diamond")
-        assert code == 0
-        assert json.loads(out.read_text())["name"] == "diamond"
+    def test_gen_name_override(self, run_cli, tmp_path, monkeypatch):
+        plain, named = tmp_path / "plain.json", tmp_path / "named.json"
+        assert run_cli("gen", "boolean", "2", "-o", str(plain))[0] == 0
+        builds = []
+        build = Poset.from_cover_list
+
+        def counted(*args):
+            builds.append(args[0])
+            return build(*args)
+
+        monkeypatch.setattr(Poset, "from_cover_list", counted)
+        code, stdout, _ = run_cli("gen", "boolean", "2", "-o", str(named), "--name", "diamond")
+        assert (code, stdout) == (0, f"wrote 'diamond' (4 elements) to {named}\n")
+        assert builds == ["B2"]
+        assert named.read_text() == plain.read_text().replace('"name": "B2"', '"name": "diamond"')
+        assert json.loads(named.read_text())["name"] == "diamond"
 
     def test_gen_bad_params(self, run_cli, tmp_path):
         code, _, _ = run_cli("gen", "boolean", "seven", "-o", str(tmp_path / "x.json"))
@@ -509,9 +520,10 @@ class TestExportDot:
         assert out.count('color="red:blue"') == 2
 
     @pytest.mark.parametrize("argv, message", [
-        (["--chain-a", "1,0"], "not a chain of covers at (1, 0)"),
+        # `Poset.chain` runs first, so a chain that does not increase gets its message.
+        (["--chain-a", "1,0"], "not strictly increasing at (1, 0)"),
         (["--chain-a", "0,1"], "not a chain of covers at (0, 1)"),
-        (["--chain-b", "0,a,b"], "not a chain of covers at (a, b)"),
+        (["--chain-b", "0,a,b"], "not strictly increasing at (a, b)"),
         # The matcher runs first, so --witnesses keeps its messages.
         (["--chain-a", "0,1", "--chain-b", "0,b,1", "--witnesses"],
          "first chain ['0', '1'] is not maximal in 'b2'"),
@@ -534,6 +546,17 @@ class TestExportDot:
         code, _, _ = run_cli("export-dot", B2, "-o", str(target))
         assert code == 0
         assert target.read_text().startswith("digraph")
+
+    def test_chain_of_any_iterable_rendered(self):
+        b3 = semilat.boolean_lattice(3)
+        chain = ["000", "100", "110", "111"]
+        assert (semilat.export_dot(b3, (e for e in chain))
+                == semilat.export_dot(b3, chain)
+                != semilat.export_dot(b3, []) == semilat.export_dot(b3, None))
+
+    def test_chain_that_is_not_iterable_refused(self):
+        with pytest.raises(semilat.NotAChainError, match=r"^a chain must be iterable, got int$"):
+            semilat.export_dot(semilat.boolean_lattice(3), 5)
 
     def test_witness_not_two_names_refused(self):
         tampered = semilat.MatchingResult(3, (1, 2, 3), (("000",), ("100", "110"), ("110", "111")))

@@ -5,6 +5,7 @@ import pytest
 from semilat import (
     Graph,
     MissingBoundsError,
+    PreconditionError,
     SizeLimitError,
     UnknownNameError,
     boolean_lattice,
@@ -144,20 +145,20 @@ class TestGraphicFlats:
             graphic_flat_lattice(Graph(8, ((0, 1),)))
 
     def test_graph_validation(self):
-        with pytest.raises(ValueError, match="loop"):
+        with pytest.raises(PreconditionError, match="loop"):
             Graph(2, ((0, 0),))
-        with pytest.raises(ValueError, match="duplicate"):
+        with pytest.raises(PreconditionError, match="duplicate"):
             Graph(2, ((0, 1), (1, 0)))
-        with pytest.raises(ValueError, match="range"):
+        with pytest.raises(PreconditionError, match="range"):
             Graph(2, ((0, 2),))
 
     def test_edge_list_parsing(self):
         g = Graph.from_edge_list_text("0 1\n\n2 3\n")
         assert g.vertices == 4
         assert g.edges == ((0, 1), (2, 3))
-        with pytest.raises(ValueError, match="line 1"):
+        with pytest.raises(PreconditionError, match="line 1"):
             Graph.from_edge_list_text("0 1 2\n")
-        with pytest.raises(ValueError, match="empty"):
+        with pytest.raises(PreconditionError, match="empty"):
             Graph.from_edge_list_text("\n")
 
 

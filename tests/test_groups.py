@@ -31,7 +31,7 @@ from semilat import (
 from semilat import groups, matching
 from semilat.matching import _match
 from conftest import break_witness_entry, match_series
-from strategies import GENERATED, direct_products
+from strategies import GENERATED, dag_poset, direct_products
 
 # Acceptance-frozen subgroup counts; S3xZ2 was computed by the subset oracle
 # below before being frozen here.
@@ -126,6 +126,14 @@ def subnormal_by_reference(g, members):
         if closure == current:
             return current == frozenset(members)
         current = closure
+
+
+def subnormal_lattice_by_reference(g):
+    """The lattice as the member-set construction built it: compare every
+    pair of subnormal member sets, then reduce that order to its covers."""
+    sets = {s.name: set(s.members) for s in all_subgroups(g) if is_subnormal(g, s)}
+    strictly_below = [(a, b) for a in sets for b in sets if sets[a] < sets[b]]
+    return dag_poset(f"subnormal({g.name})", list(sets), strictly_below)
 
 
 def first_associativity_failure(table):
@@ -367,6 +375,30 @@ class TestSubnormalLattice:
     def test_built_once_per_group(self):
         g = builtin_group("A4")
         assert subnormal_lattice(g) is subnormal_lattice(g)
+
+    @staticmethod
+    def assert_matches_reference(g):
+        lattice, expected = subnormal_lattice(g), subnormal_lattice_by_reference(g)
+        assert (lattice.name, lattice.elements) == (expected.name, expected.elements)
+        assert lattice == expected
+        assert lattice.cover_pairs() == expected.cover_pairs()
+
+    @pytest.mark.parametrize("name", ["S3", "S4", "A4", "Q8", "D12", "Z60", "Q8xZ2", "D4xZ2",
+                                      "S3xZ3", "Z2xZ2xZ2", "Z2xZ2xZ2xZ2"])
+    def test_builtins_match_the_member_set_reference(self, name):
+        self.assert_matches_reference(builtin_group(name))
+
+    @settings(GENERATED, max_examples=15)
+    @given(direct_products())
+    def test_generated_match_the_member_set_reference(self, g):
+        self.assert_matches_reference(g)
+
+    def test_built_from_the_member_matrix_alone(self, monkeypatch):
+        def build(*args, **kwargs):
+            raise AssertionError("lattice read from a cover list")
+
+        monkeypatch.setattr(Poset, "from_cover_list", build)
+        assert len(subnormal_lattice(builtin_group("D4xZ2"))) == 35
 
 
 class TestCompositionAnalysis:

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from semilat import (
     ChainLengthMismatchError,
     NoJoinError,
+    NotAChainError,
     NotPrimeIntervalError,
     Poset,
     PreconditionError,
@@ -85,6 +86,15 @@ class TestRelation:
     def test_length_mismatch(self):
         with pytest.raises(ChainLengthMismatchError):
             projectivity_relation(B3, B3_A, ["000", "100", "111"])
+
+    @pytest.mark.parametrize("chain_a, chain_b, message", [
+        (None, ["000"], "a chain must be iterable, got NoneType"),
+        # Equal lengths: the prime-interval check would have refused it first.
+        (B3_A[::-1], B3_B, r"not strictly increasing at \(111, 110\)"),
+    ], ids=["none", "decreasing"])
+    def test_chains_checked_by_the_poset(self, chain_a, chain_b, message):
+        with pytest.raises(NotAChainError, match=f"^{message}$"):
+            projectivity_relation(B3, chain_a, chain_b)
 
     def test_agrees_with_witness_search(self, small_corpus):
         # The scan over x and the mask over every pair (x, y) must coincide,

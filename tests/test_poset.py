@@ -8,7 +8,6 @@ from semilat import (
     NotAChainError,
     Poset,
     PosetConstructionError,
-    PreconditionError,
     UnknownElementError,
     boolean_lattice,
     chain_product,
@@ -54,11 +53,6 @@ class TestConstruction:
             Poset.from_cover_list("x", ["a", "b", "c", "d"],
                                   [("a", "b"), ("b", "c"), ("c", "d"), ("b", "d"), ("a", "c")])
 
-    def test_lenient_drops_redundant_edge(self):
-        p = Poset.from_cover_list("x", ["0", "a", "1"],
-                                  [("0", "a"), ("a", "1"), ("0", "1")], mode="lenient")
-        assert p.cover_pairs() == [("0", "a"), ("a", "1")]
-
     def test_cycle_rejected(self):
         with pytest.raises(PosetConstructionError, match="cycle"):
             Poset.from_cover_list("x", ["0", "a"], [("0", "a"), ("a", "0")])
@@ -74,11 +68,6 @@ class TestConstruction:
     def test_unknown_endpoint(self):
         with pytest.raises(PosetConstructionError, match="unknown endpoint"):
             Poset.from_cover_list("x", ["a"], [("a", "b")])
-
-    def test_unknown_mode_refused(self):
-        with pytest.raises(PreconditionError,
-                           match=r"^mode must be 'strict' or 'lenient', got 'bogus'$"):
-            Poset.from_cover_list("x", ["a"], [], mode="bogus")
 
     def test_empty_poset_rejected(self):
         with pytest.raises(PosetConstructionError, match="empty"):
@@ -118,7 +107,7 @@ def _wide_height_two(extra_edges=()) -> Poset:
     """0 below 256 atoms below 1: 256 paths from 0 to 1."""
     atoms = [f"a{k:03d}" for k in range(256)]
     covers = [("0", a) for a in atoms] + [(a, "1") for a in atoms] + list(extra_edges)
-    return Poset.from_cover_list("wide", ["0", "1"] + atoms, covers, mode="lenient")
+    return Poset.from_cover_list("wide", ["0", "1"] + atoms, covers)
 
 
 class TestClosureIsExact:
@@ -133,9 +122,8 @@ class TestClosureIsExact:
         assert _wide_height_two().leq("0", "1")
 
     def test_redundant_edge_over_256_atoms_is_not_a_cover(self):
-        p = _wide_height_two(extra_edges=[("0", "1")])
-        assert not p.is_cover("0", "1")
-        assert ("0", "1") not in p.cover_pairs()
+        with pytest.raises(PosetConstructionError, match=r"^non-cover edge \(0, 1\)$"):
+            _wide_height_two(extra_edges=[("0", "1")])
 
 
 class TestInterval:
