@@ -18,7 +18,7 @@ from . import generators, groups, oracle, semilattice as sl
 from .dot import export_dot
 from .errors import SemilatError, SizeLimitError, UnknownElementError
 from .matching import jh_match
-from .poset import Poset, _json_text, load_poset, save_poset
+from .poset import Poset, _json_text, _save_json, load_poset, save_poset
 
 OK, VIOLATION, USAGE = 0, 1, 2
 
@@ -278,10 +278,8 @@ def _cmd_gen(args) -> int:
         raise _InputError(f"bad parameters for family {family!r}: {exc}") from exc
     except OSError as exc:
         raise _InputError(str(exc)) from exc
-    # `save_poset`'s text, with the name overridden in the payload.
     data = {**p.to_dict(), "name": args.name or p.name}
-    return _save(_write_text, _json_text(data) + "\n", args.output,
-                 f"{data['name']!r} ({len(p)} elements)")
+    return _save(_save_json, data, args.output, f"{data['name']!r} ({len(p)} elements)")
 
 
 def _cmd_group(args) -> int:

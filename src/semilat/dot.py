@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 from .errors import NotAChainError, PreconditionError
 from .matching import MatchingResult
@@ -16,6 +16,12 @@ def _quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+# The attributes of a cover edge, by whether it steps along chain a and chain b.
+_EDGE_ATTRS = {(False, False): "", (True, False): f" [color={CHAIN_A_COLOR}]",
+               (False, True): f" [color={CHAIN_B_COLOR}]",
+               (True, True): f' [color="{CHAIN_A_COLOR}:{CHAIN_B_COLOR}"]'}
+
+
 def export_dot(p: Poset, chain_a: Iterable[str] | None = None,
                chain_b: Iterable[str] | None = None,
                matching: MatchingResult | None = None) -> str:
@@ -23,13 +29,14 @@ def export_dot(p: Poset, chain_a: Iterable[str] | None = None,
 
     Each chain, checked by `Poset.chain`, must step by covers but need not be
     maximal; the first one's edges are red, the second's blue (both at once
-    gives a two-color edge).
+    gives a two-color edge).  None or an empty iterable highlights nothing.
     With a matching, every element of a witness pair is annotated with the
     1-indexed witness numbers it serves.  Identical inputs give identical bytes.
     """
     steps = []
-    for ch in chain_a, chain_b:   # None or an empty sequence highlights nothing
-        ch = p.chain(ch) if ch else ()
+    for ch in chain_a, chain_b:
+        ch = tuple(ch) if isinstance(ch, Iterable) else ch   # `Poset.chain` refuses the rest
+        ch = () if ch is None or ch == () else p.chain(ch)
         for a, b in zip(ch, ch[1:]):
             if not p.is_cover(a, b):
                 raise NotAChainError(f"not a chain of covers at ({a}, {b})")
@@ -45,32 +52,19 @@ def export_dot(p: Poset, chain_a: Iterable[str] | None = None,
                 p.index(e)
                 roles.setdefault(e, []).append(str(i))
 
+    quoted = {e: _quote(e) for e in p.elements}
     lines = [f"digraph {_quote(p.name)} {{", "  rankdir=BT;", "  node [shape=box];"]
-    for e in p.elements:
+    ranks = [[] for _ in range(p.height() + 1)]
+    for e, h in p.element_heights().items():   # in name order
+        q = quoted[e]
+        ranks[h].append(q + ";")
         if e in roles:
             # \n inside the label is a DOT line break, kept out of _quote's escaping.
-            label = _quote(e)[1:-1] + "\\nw:" + ",".join(roles[e])
-            lines.append(f'  {_quote(e)} [label="{label}"];')
+            lines.append(f'  {q} [label="{q[1:-1]}\\nw:{",".join(roles[e])}"];')
         else:
-            lines.append(f"  {_quote(e)};")
-
-    heights = p.element_heights()
-    for level in range(max(heights.values()) + 1):
-        members = sorted(e for e, h in heights.items() if h == level)
-        if members:
-            lines.append("  { rank=same; " + " ".join(_quote(e) + ";" for e in members) + " }")
-
-    for a, b in p.cover_pairs():
-        attrs = []
-        in_a = (a, b) in a_edges
-        in_b = (a, b) in b_edges
-        if in_a and in_b:
-            attrs.append(f'color="{CHAIN_A_COLOR}:{CHAIN_B_COLOR}"')
-        elif in_a:
-            attrs.append(f"color={CHAIN_A_COLOR}")
-        elif in_b:
-            attrs.append(f"color={CHAIN_B_COLOR}")
-        suffix = f" [{', '.join(attrs)}]" if attrs else ""
-        lines.append(f"  {_quote(a)} -> {_quote(b)}{suffix};")
+            lines.append(f"  {q};")
+    lines += ["  { rank=same; " + " ".join(rank) + " }" for rank in ranks]
+    lines += [f"  {quoted[a]} -> {quoted[b]}{_EDGE_ATTRS[(a, b) in a_edges, (a, b) in b_edges]};"
+              for a, b in p.cover_pairs()]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -9,13 +9,23 @@ across runs.
 from __future__ import annotations
 
 import math
+import operator
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import PreconditionError, SizeLimitError, UnknownNameError
 from .poset import ELEMENT_LIMIT, Poset
 from .semilattice import _require_bounds
+
+
+def _int(value, what: str) -> int:
+    """`value` as an int, if it is an integer (anything `operator.index` takes)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise PreconditionError(f"{what} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -26,8 +36,17 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "vertices", _int(self.vertices, "the vertex count"))
+        if self.vertices < 1:
+            raise PreconditionError(f"a graph needs at least one vertex, got {self.vertices}")
+        if not isinstance(self.edges, Iterable):
+            raise PreconditionError(f"edges must be an iterable of pairs, got {self.edges!r}")
         norm = []
-        for u, v in self.edges:
+        for e in self.edges:
+            try:
+                u, v = (_int(x, "a vertex") for x in e)
+            except (TypeError, ValueError):
+                raise PreconditionError(f"edge {e!r} is not two vertices") from None
             if u == v:
                 raise PreconditionError(f"loop at vertex {u}")
             if not (0 <= u < self.vertices and 0 <= v < self.vertices):
@@ -66,6 +85,7 @@ def boolean_lattice(n: int) -> Poset:
 
     The n = 0 lattice has the single element "0".
     """
+    n = _int(n, "n")
     if not 0 <= n <= 6:
         raise SizeLimitError(f"boolean lattice supports 0 <= n <= 6, got {n}")
     if n == 0:
@@ -80,6 +100,9 @@ def boolean_lattice(n: int) -> Poset:
 
 def chain_product(lengths: list[int]) -> Poset:
     """Direct product of chains with the componentwise order."""
+    if not isinstance(lengths, Iterable):
+        raise PreconditionError(f"chain lengths must be an iterable, got {lengths!r}")
+    lengths = [_int(l, "a chain length") for l in lengths]
     if not lengths or any(l < 1 for l in lengths):
         raise SizeLimitError("each chain factor needs at least one element")
     size = math.prod(lengths)
@@ -136,6 +159,7 @@ def _merge_covers(parts: list[list[list[int]]],
 
 def partition_lattice(n: int) -> Poset:
     """Set partitions of {1..n} ordered by refinement (finer below coarser)."""
+    n = _int(n, "n")
     if not 1 <= n <= 6:
         raise SizeLimitError(f"partition lattice supports 1 <= n <= 6, got {n}")
     # Merging two blocks of a partition gives a partition.

@@ -32,7 +32,7 @@ from .errors import (
     UnknownNameError,
 )
 from .matching import match_index_chains
-from .poset import Poset, _json_text, _transitive_reduction
+from .poset import Poset, _save_json, _transitive_reduction
 
 SUBGROUP_ORDER_LIMIT = 60
 # Validating a table takes about 0.09 s at order 120 and 0.7 s at order 240.
@@ -205,8 +205,7 @@ def load_group(path: str) -> Group:
 
 
 def save_group(g: Group, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_json_text(g.to_dict()) + "\n")
+    _save_json(g.to_dict(), path)
 
 
 # -- subgroups ---------------------------------------------------------------

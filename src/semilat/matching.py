@@ -37,7 +37,6 @@ from .errors import (
 from .poset import Poset
 from .projectivity import prime_up_projective
 
-_MATRIX_BLOCK = 2 ** 16   # join-matrix entries matched at once
 _STEP = np.array([-1, 0])   # a step [k-1, k] as offsets from k
 
 
@@ -108,7 +107,7 @@ def _match(p: Poset, C: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """pi and the witnesses by index, shapes (P, n) and (P, n, 2), for the
     P pairs of maximal index chains of equal length n in the rows of C and
     D, shape (P, n+1), of a validated poset, so no join sentinel is read.
-    The pairs are matched in blocks of about _MATRIX_BLOCK matrix entries;
+    The pairs are matched in blocks of about sl._BLOCK join-matrix entries;
     the first (pair, row) at which a fact about M or a witness fails raises
     InternalInvariantError, the checks of a row in the order listed below."""
     J, covers = sl._joins(p), p._covers
@@ -118,7 +117,7 @@ def _match(p: Poset, C: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, np.ndarr
     W = np.empty((P, n, 2), dtype=np.intp)
     cols, rows = np.arange(m), np.arange(n)
     steps = cols[1:, None] + _STEP   # the steps of a chain, as column pairs
-    block = max(1, _MATRIX_BLOCK // (m * m))   # pairs
+    block = max(1, sl._BLOCK // (m * m))   # pairs
     for start in range(0, P, block):
         c, d = C[start:start + block], D[start:start + block]
         ks = np.arange(len(c))[:, None, None]

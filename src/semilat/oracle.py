@@ -20,6 +20,7 @@ between the two is meaningful evidence.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,7 +33,6 @@ from .poset import Poset
 from . import semilattice as sl
 
 COUNTING_LIMIT = 20     # perfect-matching count with column-set memo
-_MASK_BLOCK = 2 ** 16   # (cell, x) entries evaluated at once
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ def _witnesses(p: Poset, cells) -> np.ndarray:
     every pair (x, y), and the first x that passes gives the first pair.
 
     The rows are checked to be prime steps, in the order given, then
-    evaluated in blocks of about _MASK_BLOCK (cell, x) entries over the join
+    evaluated in blocks of about sl._BLOCK (cell, x) entries over the join
     table.  Raises NoJoinError unless p is a join semilattice.
     """
     cells = np.asarray(cells, dtype=np.intp).reshape(-1, 4)
@@ -73,7 +73,7 @@ def _witnesses(p: Poset, cells) -> np.ndarray:
         return found
     J = sl._joins(p)
     xs = np.arange(len(p))
-    step = max(1, _MASK_BLOCK // len(p))
+    step = max(1, sl._BLOCK // len(p))
     for start in range(0, len(cells), step):
         a, b, c, d = cells[start:start + step].T
         # Cell k, column x: every condition, with y = b∨x forced.
@@ -102,9 +102,10 @@ def interval_updown_witness(p: Poset, source, target) -> tuple[str, str] | None:
     and target are two names each, then for the first of them that is not a
     prime interval, and NoJoinError unless p is a join semilattice.
     """
-    if len(source) != 2 or len(target) != 2:
+    ends = [tuple(v) if isinstance(v, Iterable) else () for v in (source, target)]
+    if any(len(v) != 2 for v in ends):
         raise NotPrimeIntervalError(f"source and target must be two names each: {source}, {target}")
-    cell = np.array([*map(p.index, source), *map(p.index, target)], dtype=np.intp)
+    cell = np.array([p.index(e) for v in ends for e in v], dtype=np.intp)
     return _named(p, cell[1:2], _witnesses(p, cell))[0]
 
 
@@ -239,6 +240,8 @@ def check_pairs(p: Poset, pairs) -> list[TheoremReport]:
     `match_index_chains` call on its index rows, and each distinct relation
     is counted once.  Pairs with equal outcomes share one frozen report.
     """
+    if not isinstance(pairs, Iterable):
+        raise PreconditionError(f"pairs must be iterable, got {type(pairs).__name__}")
     poset_failure = _poset_preconditions(p)
     rows: dict[tuple[str, ...], list[int] | None] = {}   # chain -> its index row if maximal
     # Each pair's outcome, as the arguments of its `_report`; the evaluable

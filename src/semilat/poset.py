@@ -22,9 +22,9 @@ from .errors import (
     UnknownElementError,
 )
 
-# Largest poset a file or a generator may describe: `semilat validate` takes
-# 2.7-4.3 s on a 2000-element chain (subprocess wall time, shared 2-vCPU
-# machine), about 1.45 s of it in the order closure.
+# Largest poset `Poset.from_cover_list` builds: `semilat validate` takes
+# 2.2-2.6 s on a 2000-element chain (subprocess wall time, shared 2-vCPU
+# machine), 1.4-1.6 s of it in the order closure.
 ELEMENT_LIMIT = 2000
 
 
@@ -83,11 +83,14 @@ class Poset:
 
         The edges must be exactly the covers of the order they generate: an
         edge implied by others is refused, so a DAG is reduced to its covers
-        before it is read.
+        before it is read.  More than ELEMENT_LIMIT elements raise
+        SizeLimitError before any matrix is built.
         """
         elems = list(elements)
         if not elems:
             raise PosetConstructionError("empty posets are not supported")
+        if len(elems) > ELEMENT_LIMIT:
+            raise SizeLimitError(f"posets are limited to {ELEMENT_LIMIT} elements, got {len(elems)}")
         seen = set()
         for e in elems:
             if not isinstance(e, str) or not e:
@@ -281,9 +284,6 @@ def from_dict(data: dict) -> Poset:
     elements = data["elements"]
     if not isinstance(elements, list):
         raise PosetConstructionError("field 'elements' must be an array of strings")
-    if len(elements) > ELEMENT_LIMIT:
-        raise SizeLimitError(
-            f"posets are limited to {ELEMENT_LIMIT} elements, got {len(elements)}")
     covers = data["covers"]
     if not isinstance(covers, list) or any(
             not isinstance(c, list) or len(c) != 2 for c in covers):
@@ -353,6 +353,11 @@ def _json_text(obj) -> str:
     return "".join(out)
 
 
-def save_poset(p: Poset, path: str) -> None:
+def _save_json(payload, path: str) -> None:
+    """The one writer of JSON files: poset and group files and `semilat gen`."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_json_text(p.to_dict()) + "\n")
+        fh.write(_json_text(payload) + "\n")
+
+
+def save_poset(p: Poset, path: str) -> None:
+    _save_json(p.to_dict(), path)

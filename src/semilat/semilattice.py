@@ -3,12 +3,13 @@ and tested by index, with element names built only for the chains returned."""
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .errors import MissingBoundsError, NoJoinError, NotJoinSemilatticeError, SizeLimitError
+from .errors import (MissingBoundsError, NoJoinError, NotAChainError, NotJoinSemilatticeError,
+                     SizeLimitError)
 from .poset import Poset
 
 # Sentinels inside the bound tables.
@@ -16,13 +17,15 @@ _NONE = -1        # no common bound at all
 _AMBIGUOUS = -2   # several minimal/maximal common bounds
 
 # On a shared 2-vCPU machine (subprocess wall time): the 49,770 series pairs
-# of Z2xZ2xZ2xZ2 take 1.9-2.4 s in `group composition --json`, 0.5 s of it
-# in composition_analysis; the 32,400 chain pairs of Pi5 take 0.74-0.76 s in
+# of Z2xZ2xZ2xZ2 take 1.6-1.9 s in `group composition --json`, 0.5 s of it
+# in composition_analysis; the 32,400 chain pairs of Pi5 take 0.43-0.46 s in
 # `verify --all-pairs --json`.
 PAIR_LIMIT = 50_000
 
-# Entries (pairs, or cover pairs x elements) per block of the join table and
-# of the semimodularity scan: the bound on each block's numpy temporaries.
+# The one bound, in entries, on the numpy temporaries of each block of the join
+# table, the semimodularity scan, the matcher and the oracle's cell scan.  At
+# 2^16 the first two took 1.35-1.6x as long on Pi6, C4x4x4x4 and C300, and the
+# last two stayed within 5% (medians of 15 runs, shared 2-vCPU Xeon).
 _BLOCK = 2 ** 14
 
 def _table(p: Poset) -> tuple[np.ndarray, tuple[int, int] | None]:
@@ -169,9 +172,11 @@ def _maximal_rows(p: Poset, X) -> np.ndarray:
     return ends & p._covers[X[:, :-1], X[:, 1:]].all(1)
 
 
-def is_maximal_chain(p: Poset, chain: Sequence[str]) -> bool:
+def is_maximal_chain(p: Poset, chain: Iterable[str]) -> bool:
     """True iff the sequence runs from bottom to top through covers only."""
     _require_bounds(p)   # before any name is looked up
+    if not isinstance(chain, Iterable):
+        raise NotAChainError(f"a chain must be iterable, got {type(chain).__name__}")
     return bool(_maximal_rows(p, [[p.index(e) for e in chain]])[0])
 
 

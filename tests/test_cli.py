@@ -8,11 +8,12 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import semilat
 from conftest import DATA, GOLDEN, read_golden
-from semilat import Poset, cli, groups, semilattice as sl
+from semilat import Poset, cli, groups, poset, semilattice as sl
 from semilat.poset import ELEMENT_LIMIT
 
 B2 = str(DATA / "b2.json")
@@ -290,7 +291,7 @@ class TestExitCodes:
         path.write_text(json.dumps({"name": "C2001", "elements": names,
                                     "covers": [list(e) for e in zip(names, names[1:])]}),
                         encoding="utf-8")
-        monkeypatch.setattr(Poset, "from_cover_list", build)
+        monkeypatch.setattr(poset, "_reflexive_transitive_closure", build)
         start = time.perf_counter()
         code, out, err = run_cli("validate", str(path))
         assert time.perf_counter() - start < 1
@@ -553,6 +554,21 @@ class TestExportDot:
         assert (semilat.export_dot(b3, (e for e in chain))
                 == semilat.export_dot(b3, chain)
                 != semilat.export_dot(b3, []) == semilat.export_dot(b3, None))
+
+    def test_chain_as_a_numpy_array_rendered(self):
+        b2 = semilat.boolean_lattice(2)
+        assert semilat.export_dot(b2, np.array(["00", "01"])) == semilat.export_dot(b2, ["00", "01"])
+        assert (semilat.export_dot(b2, np.array([], dtype=str), np.array([]))
+                == semilat.export_dot(b2) != semilat.export_dot(b2, ["00", "01"]))
+
+    def test_each_name_quoted_once(self, monkeypatch):
+        quoted = []
+        quote = semilat.dot._quote
+        monkeypatch.setattr(semilat.dot, "_quote", lambda s: quoted.append(s) or quote(s))
+        p = semilat.partition_lattice(4)
+        chains = semilat.maximal_chains(p)
+        semilat.export_dot(p, chains[0], chains[-1], semilat.jh_match(p, chains[0], chains[-1]))
+        assert sorted(quoted) == sorted([p.name, *p.elements])
 
     def test_chain_that_is_not_iterable_refused(self):
         with pytest.raises(semilat.NotAChainError, match=r"^a chain must be iterable, got int$"):

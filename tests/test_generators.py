@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from semilat import (
@@ -245,3 +246,38 @@ class TestRandomMaximalChain:
             for seed in range(100):
                 chain = random_maximal_chain(p, seed)
                 assert chain == cover_walk(p, seed), (p.name, seed)
+
+
+class TestMalformedArguments:
+    """Every generator refuses a malformed argument with a package error."""
+
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda: Graph(3, ((0,),)), PreconditionError, r"^edge \(0,\) is not two vertices$"),
+        (lambda: Graph(3, ((0, 1, 2),)), PreconditionError, "is not two vertices"),
+        (lambda: Graph(3, (5,)), PreconditionError, "^edge 5 is not two vertices$"),
+        (lambda: Graph(3, 5), PreconditionError, "^edges must be an iterable of pairs, got 5$"),
+        (lambda: Graph("3", ((0, 1),)), PreconditionError, "^the vertex count must be an integer"),
+        (lambda: Graph(3, ((0, "1"),)), PreconditionError, "^a vertex must be an integer, got '1'$"),
+        (lambda: Graph(3, ((0.0, 1),)), PreconditionError, "^a vertex must be an integer, got 0.0$"),
+        (lambda: Graph(0, ()), PreconditionError, "^a graph needs at least one vertex, got 0$"),
+        (lambda: Graph(-1, ()), PreconditionError, "^a graph needs at least one vertex, got -1$"),
+        (lambda: boolean_lattice("3"), PreconditionError, "^n must be an integer, got '3'$"),
+        (lambda: boolean_lattice(2.0), PreconditionError, "^n must be an integer"),
+        (lambda: partition_lattice(None), PreconditionError, "^n must be an integer, got None$"),
+        (lambda: chain_product(5), PreconditionError, "^chain lengths must be an iterable, got 5$"),
+        (lambda: chain_product([2.5]), PreconditionError, "^a chain length must be an integer"),
+        (lambda: chain_product(["2", 3]), PreconditionError, "^a chain length must be an integer"),
+        (lambda: chain_product([]), SizeLimitError, "at least one element"),
+    ], ids=["short-edge", "long-edge", "int-edge", "int-edges", "str-count", "str-vertex",
+            "float-vertex", "no-vertices", "negative-vertices", "str-rank", "float-rank",
+            "none-rank", "int-lengths", "float-length", "str-length", "no-lengths"])
+    def test_malformed_arguments_raise_package_errors(self, make, error, message):
+        with pytest.raises(error, match=message):
+            make()
+
+    def test_integer_like_arguments_are_read_as_ints(self):
+        g = Graph(3, ((np.int64(2), 0), [1, np.int8(2)]))
+        assert g.edges == ((0, 2), (1, 2)) and all(type(v) is int for e in g.edges for v in e)
+        assert type(Graph(np.int64(3), ()).vertices) is int
+        assert boolean_lattice(np.int64(2)) == boolean_lattice(2)
+        assert chain_product(np.array([2, 3])) == chain_product((2, 3))

@@ -41,7 +41,7 @@ from semilat import (
     subnormal_lattice,
     verify_matching,
 )
-from semilat import matching, semilattice as sl
+from semilat import semilattice as sl
 from semilat.matching import _match
 from semilat.oracle import COUNTING_LIMIT
 
@@ -350,7 +350,7 @@ class TestBatch:
     def test_generated_batches_match_pair_by_pair(self, p, seed, k, block):
         chains = [index_chain(p, random_maximal_chain(p, seed + t)) for t in range(k + 1)]
         pairs = [(chains[t], chains[(t + 1 + seed) % len(chains)]) for t in range(k)]
-        with mock.patch.object(matching, "_MATRIX_BLOCK", block):
+        with mock.patch.object(sl, "_BLOCK", block):
             assert_batch_is_pairwise(p, pairs)
 
     @settings(GENERATED, max_examples=8)
@@ -361,15 +361,15 @@ class TestBatch:
         chains = [index_chain(dual, ch[::-1]) for ch in maximal_chains(lattice)]
         rng = random.Random(seed)
         pairs = [(rng.choice(chains), rng.choice(chains)) for _ in range(6)]
-        with mock.patch.object(matching, "_MATRIX_BLOCK", rng.choice([2 ** 16, 30])):
+        with mock.patch.object(sl, "_BLOCK", rng.choice([2 ** 16, 30])):
             assert_batch_is_pairwise(dual, pairs)
 
     def test_batch_over_several_blocks(self):
-        p = boolean_lattice(4)  # n = 4: 2,621 pairs to a block of 2 ** 16 entries
+        p = boolean_lattice(4)  # n = 4: 655 pairs to a block of 2 ** 14 entries
         chains = [index_chain(p, ch) for ch in maximal_chains(p)]
         distinct = [(c, d) for c in chains for d in chains]
         pairs = distinct * 5
-        assert len(pairs) > matching._MATRIX_BLOCK // 25
+        assert len(pairs) > sl._BLOCK // 25
         assert match_batch(p, pairs) == [match_batch(p, [pair])[0] for pair in distinct] * 5
 
     @settings(GENERATED, max_examples=40)
@@ -395,7 +395,7 @@ class TestBatch:
                 return str(e)
 
         expected = outcome(lambda: [scalar_match(p, c, d) for c, d in pairs])
-        with mock.patch.object(matching, "_MATRIX_BLOCK", rng.choice([2 ** 16, 1, 40])):
+        with mock.patch.object(sl, "_BLOCK", rng.choice([2 ** 16, 1, 40])):
             for match in (_match, match_index_chains):
                 assert outcome(lambda: match_batch(p, pairs, match)) == expected
 

@@ -125,6 +125,15 @@ class TestRelation:
         with pytest.raises(NotPrimeIntervalError, match=r"^source and target must be two names each"):
             interval_updown_witness(B3, source, target)
 
+    @pytest.mark.parametrize("source, target", [(5, ("000", "100")), (("000", "100"), None)])
+    def test_refused_unless_both_are_iterable(self, source, target):
+        with pytest.raises(NotPrimeIntervalError, match=r"^source and target must be two names each"):
+            interval_updown_witness(B3, source, target)
+
+    def test_interval_from_any_iterable(self):
+        assert (interval_updown_witness(B3, iter(["000", "100"]), "000 001".split())
+                == interval_updown_witness(B3, ("000", "100"), ("000", "001")))
+
     @settings(GENERATED, max_examples=30)
     @given(SEMIMODULAR.filter(lambda p: len(p) <= 30))
     def test_generated_witness_searches_agree(self, p):
@@ -298,6 +307,10 @@ class TestCheckPairs:
     def test_pair_that_is_not_two_chains(self, pair):
         with pytest.raises(PreconditionError, match="^pair 1 is not two chains$"):
             check_pairs(B3, [(B3_A, B3_A), pair])
+
+    def test_pairs_that_are_not_iterable(self):
+        with pytest.raises(PreconditionError, match="^pairs must be iterable, got int$"):
+            check_pairs(B3, 5)
 
     def test_second_chain_read_only_after_a_maximal_first(self):
         # A non-maximal first chain decides the pair: the unknown name in

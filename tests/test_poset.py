@@ -8,6 +8,7 @@ from semilat import (
     NotAChainError,
     Poset,
     PosetConstructionError,
+    SizeLimitError,
     UnknownElementError,
     boolean_lattice,
     chain_product,
@@ -16,6 +17,8 @@ from semilat import (
     named_counterexample,
     save_poset,
 )
+from semilat import poset
+from semilat.poset import ELEMENT_LIMIT
 from strategies import GENERATED, closure_lattices, posets
 
 B2 = Poset.from_cover_list(
@@ -52,6 +55,18 @@ class TestConstruction:
         with pytest.raises(PosetConstructionError, match=r"non-cover edge \(a, c\)"):
             Poset.from_cover_list("x", ["a", "b", "c", "d"],
                                   [("a", "b"), ("b", "c"), ("c", "d"), ("b", "d"), ("a", "c")])
+
+    def test_element_limit_checked_before_the_closure(self, monkeypatch):
+        def closure(rel):
+            raise AssertionError(f"closure of {len(rel)} elements")
+
+        monkeypatch.setattr(poset, "_reflexive_transitive_closure", closure)
+        names = [str(k) for k in range(ELEMENT_LIMIT + 1)]
+        with pytest.raises(SizeLimitError, match=f"^posets are limited to {ELEMENT_LIMIT} "
+                                                 f"elements, got {ELEMENT_LIMIT + 1}$"):
+            Poset.from_cover_list("C2001", names, zip(names, names[1:]))
+        with pytest.raises(AssertionError, match=f"^closure of {ELEMENT_LIMIT} elements$"):
+            Poset.from_cover_list("C2000", names[:-1], zip(names, names[1:-1]))
 
     def test_cycle_rejected(self):
         with pytest.raises(PosetConstructionError, match="cycle"):

@@ -4,6 +4,7 @@ import ast
 import json
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,13 +14,17 @@ from semilat import semilattice as sl
 from semilat import (
     MissingBoundsError,
     NoJoinError,
+    NotAChainError,
     NotJoinSemilatticeError,
     Poset,
+    SemilatError,
+    SemimodularityReport,
     boolean_lattice,
     builtin_group,
     chain_product,
     composition_analysis,
     count_maximal_chains,
+    from_dict,
     graphic_flat_lattice,
     is_join_semilattice,
     is_maximal_chain,
@@ -34,6 +39,8 @@ from semilat import (
     subnormal_lattice,
 )
 from semilat.cli import run as cli_run
+from semilat.matching import _match
+from semilat.oracle import _witnesses
 
 from conftest import K4
 from row_table import row_by_row_table
@@ -181,6 +188,54 @@ class TestBoundTables:
         assert report.counterexample == expected
 
 
+class TestOneBlockBound:
+    """`sl._BLOCK` bounds the blocks of all four blocked loops: the join table,
+    the semimodularity scan, the oracle's cell scan and the matcher.  No value
+    of it changes an answer."""
+
+    LATTICES = {"B4": boolean_lattice(4), "Pi4": partition_lattice(4),
+                "dual-Pi4": partition_lattice(4).dual(), "C5x5x5": chain_product([5, 5, 5]),
+                "bowtie": BOWTIE}
+
+    @staticmethod
+    def outcomes(p) -> list:
+        """What each blocked loop gives on a fresh copy of p, errors as text."""
+        p = from_dict(p.to_dict())
+
+        def attempt(f):
+            try:
+                return f()
+            except SemilatError as e:
+                return f"{type(e).__name__}: {e}"
+
+        table, first_bad = sl._table(p)
+        report = attempt(lambda: is_semimodular(p))
+        covers = np.argwhere(p._covers)[:40]
+        cells = np.hstack([np.repeat(covers, len(covers), axis=0), np.tile(covers, (len(covers), 1))])
+        found = [table.tolist(), first_bad, report, attempt(lambda: _witnesses(p, cells).tolist())]
+        if report == SemimodularityReport(True):
+            rows = np.array([[p.index(e) for e in random_maximal_chain(p, seed)]
+                             for seed in range(24)])
+            found.append([a.tolist() for a in _match(p, rows[:12], rows[12:])])
+        return found
+
+    @pytest.mark.parametrize("name", LATTICES)
+    def test_every_blocked_loop_ignores_the_bound(self, name):
+        p = self.LATTICES[name]
+        expected = self.outcomes(p)
+        assert len(expected) == (4 if name in ("dual-Pi4", "bowtie") else 5)
+        for block in (1, 7, 64):
+            with mock.patch.object(sl, "_BLOCK", block):
+                assert self.outcomes(p) == expected, (name, block)
+
+    def test_the_bound_is_the_only_one(self):
+        src = Path(sl.__file__).parent
+        assert [(path.name, line.split("=")[0].strip())
+                for path in sorted(src.glob("*.py"))
+                for line in path.read_text(encoding="utf-8").splitlines()
+                if "BLOCK" in line and "=" in line and not line.startswith(" ")] == \
+            [("semilattice.py", "_BLOCK")]
+
 class TestJoinMeet:
     def test_b2_joins(self):
         assert join(B2, "a", "b") == "1"
@@ -292,6 +347,10 @@ class TestMaximalChains:
     def test_missing_bounds(self):
         with pytest.raises(MissingBoundsError):
             is_maximal_chain(ANTICHAIN, ["a"])
+
+    def test_chain_that_is_not_iterable(self):
+        with pytest.raises(NotAChainError, match="^a chain must be iterable, got int$"):
+            is_maximal_chain(boolean_lattice(3), 5)
 
     def test_counts(self):
         assert len(maximal_chains(boolean_lattice(3))) == 6
