@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 mathematical property violation or verification
 failure, 2 usage or input error (bad flags, unreadable/malformed files,
-unwritable outputs, unknown element names, sizes beyond a guard).  With
---json, stdout is a stable machine-readable object; the human format makes no
-stability promise.
+unwritable outputs, unknown element names, which the library resolves and
+`run` classifies, sizes beyond a guard).  With --json, stdout is a stable
+machine-readable object; the human format makes no stability promise.
 """
 
 from __future__ import annotations
@@ -60,18 +60,6 @@ def _save(save, obj, path: str, what: str) -> int:
 def _write_text(text: str, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
-
-
-def _parse_elements(p: Poset, text: str, flag: str) -> list[str]:
-    """Split a comma-separated element list and resolve names up front, so a
-    typo is an input error rather than a property violation."""
-    names = text.split(",")
-    for name in names:
-        try:
-            p.index(name)
-        except UnknownElementError as exc:
-            raise _InputError(f"{flag}: {exc}") from exc
-    return names
 
 
 def _cycle_form(pi) -> str:
@@ -155,8 +143,7 @@ def _cmd_chains(args) -> int:
 
 def _cmd_match(args) -> int:
     p = _load(load_poset, args.poset)
-    chain_a = _parse_elements(p, args.chain_a, "--chain-a")
-    chain_b = _parse_elements(p, args.chain_b, "--chain-b")
+    chain_a, chain_b = args.chain_a.split(","), args.chain_b.split(",")
     result = jh_match(p, chain_a, chain_b, keep_trace=args.trace)
     if args.json:
         payload = result.to_dict()
@@ -181,8 +168,7 @@ def _cmd_match(args) -> int:
 
 def _cmd_project(args) -> int:
     p = _load(load_poset, args.poset)
-    source = _parse_elements(p, args.source, "--source")
-    target = _parse_elements(p, args.target, "--target")
+    source, target = args.source.split(","), args.target.split(",")
     if len(source) != 2 or len(target) != 2:
         raise _InputError("--source and --target each need exactly two elements")
     witness = oracle.interval_updown_witness(p, source, target)
@@ -307,14 +293,10 @@ def _cmd_group(args) -> int:
         return _save(save_poset, lattice, args.output,
                      f"{lattice.name!r} ({len(lattice)} elements)")
     # composition: the group subcommands are required, so nothing else is left.
-    series_a = series_b = None
-    if args.series_a or args.series_b:
-        if not (args.series_a and args.series_b):
-            raise _InputError("provide both --series-a and --series-b or neither")
-        lattice = groups.subnormal_lattice(g)
-        series_a = _parse_elements(lattice, args.series_a, "--series-a")
-        series_b = _parse_elements(lattice, args.series_b, "--series-b")
-    report = groups.composition_analysis(g, series_a, series_b)
+    series = [text.split(",") for text in (args.series_a, args.series_b) if text]
+    if len(series) == 1:
+        raise _InputError("provide both --series-a and --series-b or neither")
+    report = groups.composition_analysis(g, *series)
     if args.json:
         _emit_json(report.to_dict())
     else:
@@ -335,8 +317,7 @@ def _cmd_group(args) -> int:
 
 def _cmd_export_dot(args) -> int:
     p = _load(load_poset, args.poset)
-    chain_a = _parse_elements(p, args.chain_a, "--chain-a") if args.chain_a else None
-    chain_b = _parse_elements(p, args.chain_b, "--chain-b") if args.chain_b else None
+    chain_a, chain_b = (text.split(",") if text else None for text in (args.chain_a, args.chain_b))
     matching = None
     if args.witnesses:
         if not (chain_a and chain_b):
@@ -448,7 +429,7 @@ def run(argv) -> int:
         return USAGE if exc.code else OK
     try:
         return args.func(args)
-    except (_InputError, SizeLimitError) as exc:
+    except (_InputError, SizeLimitError, UnknownElementError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     except SemilatError as exc:

@@ -27,7 +27,7 @@ def export_dot(p: Poset, chain_a: Iterable[str] | None = None,
                matching: MatchingResult | None = None) -> str:
     """Render the cover digraph, drawn upward and ranked by element height.
 
-    Each chain, checked by `Poset.chain`, must step by covers but need not be
+    Each chain, checked by `Poset._row`, must step by covers but need not be
     maximal; the first one's edges are red, the second's blue (both at once
     gives a two-color edge).  None or an empty iterable highlights nothing.
     With a matching, every element of a witness pair is annotated with the
@@ -35,12 +35,12 @@ def export_dot(p: Poset, chain_a: Iterable[str] | None = None,
     """
     steps = []
     for ch in chain_a, chain_b:
-        ch = tuple(ch) if isinstance(ch, Iterable) else ch   # `Poset.chain` refuses the rest
-        ch = () if ch is None or ch == () else p.chain(ch)
-        for a, b in zip(ch, ch[1:]):
-            if not p.is_cover(a, b):
-                raise NotAChainError(f"not a chain of covers at ({a}, {b})")
-        steps.append(set(zip(ch, ch[1:])))
+        ch = tuple(ch) if isinstance(ch, Iterable) else ch   # `Poset._row` refuses the rest
+        row = [] if ch is None or ch == () else p._row(ch)
+        for i, j in zip(row, row[1:]):
+            if not p._covers[i, j]:
+                raise NotAChainError(f"not a chain of covers at ({p.elements[i]}, {p.elements[j]})")
+        steps.append({(p.elements[i], p.elements[j]) for i, j in zip(row, row[1:])})
     a_edges, b_edges = steps
 
     roles: dict[str, list[str]] = {}

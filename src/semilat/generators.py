@@ -9,23 +9,14 @@ across runs.
 from __future__ import annotations
 
 import math
-import operator
 import random
 from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import PreconditionError, SizeLimitError, UnknownNameError
-from .poset import ELEMENT_LIMIT, Poset
+from .poset import ELEMENT_LIMIT, Poset, _int
 from .semilattice import _require_bounds
-
-
-def _int(value, what: str) -> int:
-    """`value` as an int, if it is an integer (anything `operator.index` takes)."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise PreconditionError(f"{what} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -170,6 +161,8 @@ def partition_lattice(n: int) -> Poset:
 def graphic_flat_lattice(g: Graph) -> Poset:
     """Flats of the cycle matroid of g: vertex partitions whose blocks induce
     connected subgraphs, ordered by refinement.  Geometric, hence semimodular."""
+    if not isinstance(g, Graph):
+        raise PreconditionError(f"graphic flats need a Graph, got {g!r}")
     if g.vertices > 7:
         raise SizeLimitError(f"graphic flats support at most 7 vertices, got {g.vertices}")
     adjacent = {(u, v) for u, v in g.edges} | {(v, u) for u, v in g.edges}
@@ -214,7 +207,7 @@ def named_counterexample(name: str) -> Poset:
 def random_maximal_chain(p: Poset, seed: int) -> tuple[str, ...]:
     """Seeded uniform cover-walk from bottom to top; deterministic per seed."""
     bottom, top = _require_bounds(p)
-    ups, rng = p._view()[0], random.Random(seed)
+    ups, rng = p._view()[0], random.Random(_int(seed, "the seed"))
     out = [bottom]
     while out[-1] != top:
         options = ups[out[-1]]

@@ -26,13 +26,12 @@ from . import semilattice as sl
 from .errors import (
     GroupValidationError,
     InternalInvariantError,
-    NotMaximalChainError,
     PreconditionError,
     SizeLimitError,
     UnknownNameError,
 )
 from .matching import match_index_chains
-from .poset import Poset, _save_json, _transitive_reduction
+from .poset import Poset, _fields, _save_json, _transitive_reduction
 
 SUBGROUP_ORDER_LIMIT = 60
 # Validating a table takes about 0.09 s at order 120 and 0.7 s at order 240.
@@ -83,36 +82,35 @@ def group_from_table(name: str, table) -> Group:
     _check_order(len(table))
     if not all(isinstance(r, (list, tuple)) for r in table):
         raise GroupValidationError("table rows must be arrays")
-    rows = [list(r) for r in table]
-    n = len(rows)
+    n = len(table)
     if n == 0:
         raise GroupValidationError("empty table")
-    full = list(range(n))
-    for i, row in enumerate(rows):
-        if len(row) != n:
-            raise GroupValidationError(f"row {i} has length {len(row)}, expected {n}")
-        # 1.0 == True == 1 would pass the Latin test; numpy reads booleans as a mask.
-        if any(type(x) is not int for x in row):
-            raise GroupValidationError("table entries must be integers")
-        if sorted(row) != full:
-            raise GroupValidationError(f"not a Latin square: row {i} is not a permutation")
-    T = np.array(rows)
-    bad = np.flatnonzero((np.sort(T, axis=0) != np.arange(n)[:, None]).any(axis=0))
-    if len(bad):
-        raise GroupValidationError(f"not a Latin square: column {bad[0]} is not a permutation")
-    if any(rows[0][j] != j for j in range(n)) or any(rows[i][0] != i for i in range(n)):
+    # A row of the wrong length or entry type (1.0 == True == 1 would pass the Latin test,
+    # and numpy reads booleans as a mask) reads as -1s, so it fails in its place.
+    typed = [len(r) == n and all(type(x) is int for x in r) for r in table]
+    T, everyone = np.array([r if ok else [-1] * n for r, ok in zip(table, typed)]), np.arange(n)
+    latin = (np.sort(np.stack((T, T.T)), axis=2) == everyone).all(axis=2)   # rows, columns
+    if not latin.all():
+        side, i = divmod(int(latin.argmin()), n)   # a bad column only after every row is good
+        if side or typed[i]:
+            raise GroupValidationError(
+                f"not a Latin square: {('row', 'column')[side]} {i} is not a permutation")
+        if len(table[i]) != n:
+            raise GroupValidationError(f"row {i} has length {len(table[i])}, expected {n}")
+        raise GroupValidationError("table entries must be integers")
+    if (T[0] != everyone).any() or (T[:, 0] != everyone).any():
         raise GroupValidationError("identity not at index 0")
-    for i in range(n):
-        j = rows[i].index(0)
-        if rows[j][i] != 0:
-            raise GroupValidationError(f"element {i} has no two-sided inverse")
+    # Each row is a permutation, so its least entry, 0, is at the right inverse.
+    one_sided = np.flatnonzero(T[T.argmin(axis=1), everyone] != 0)
+    if len(one_sided):
+        raise GroupValidationError(f"element {one_sided[0]} has no two-sided inverse")
     for a in range(n):
         # Entry (b, c) of T[T[a]] is (ab)c and of T[a][T] is a(bc).
         bad = T[T[a]] != T[a][T]
         if bad.any():
             b, c = divmod(int(bad.argmax()), n)
             raise GroupValidationError(f"associativity fails at ({a}, {b}, {c})")
-    return Group(name, rows)
+    return Group(name, table)
 
 
 def _check_order(order: int) -> None:
@@ -184,19 +182,12 @@ def builtin_group(name: str) -> Group:
 
 
 def group_from_dict(data: dict) -> Group:
-    if not isinstance(data, dict):
-        raise GroupValidationError("group JSON must be an object")
-    for field in ("name", "order", "table"):
-        if field not in data:
-            raise GroupValidationError(f"group JSON lacks field {field!r}")
-    if not isinstance(data["name"], str):
-        raise GroupValidationError("field 'name' must be a string")
-    if not isinstance(data["order"], int) or isinstance(data["order"], bool):
+    name, order, table = _fields(data, "group", GroupValidationError, "order", "table")
+    if not isinstance(order, int) or isinstance(order, bool):
         raise GroupValidationError("field 'order' must be an integer")
-    table = data["table"]
-    if not isinstance(table, list) or len(table) != data["order"]:
+    if not isinstance(table, list) or len(table) != order:
         raise GroupValidationError("field 'table' must be an order x order array")
-    return group_from_table(data["name"], table)
+    return group_from_table(name, table)
 
 
 def load_group(path: str) -> Group:
@@ -368,34 +359,31 @@ def composition_analysis(g: Group, series_a=None, series_b=None) -> CompositionR
     equal lengths, order-matched factors under the computed permutation, and a
     chain-independent multiset of factor orders.
 
-    With explicit series, only that ordered pair is matched; otherwise every
-    ordered pair (i <= j) of maximal chains is, up to sl.PAIR_LIMIT pairs.
-    All pairs go through one `match_index_chains` call on the dual, which
-    validates it and the series once and re-verifies every witness.
+    With explicit series, only that ordered pair is matched, both read by
+    `Poset._row` before `semilattice._check_rows` checks either; otherwise
+    every ordered pair (i <= j) of maximal chains is, up to sl.PAIR_LIMIT
+    pairs.  All go through one `match_index_chains` call on the dual.
     """
     if (series_a is None) != (series_b is None):
         raise PreconditionError("provide both series or neither")
     lattice = subnormal_lattice(g)
     if series_a is not None:
-        chains = [lattice.chain(series_a), lattice.chain(series_b)]
-        for ch in chains:
-            if not sl.is_maximal_chain(lattice, ch):
-                raise NotMaximalChainError(
-                    f"series {list(ch)} is not a maximal chain of {lattice.name!r}")
+        rows = [lattice._row(series_a), lattice._row(series_b)]   # both, before either is maximal
+        for row in rows:
+            sl._check_rows(lattice, np.array([row]), "series")
         pair_indices = [(0, 1)]
     else:
         count = sl.count_maximal_chains(lattice)
         sl._check_pair_count(count * (count + 1) // 2)
-        chains = sl.maximal_chains(lattice)
-        pair_indices = [(i, j) for i in range(len(chains))
-                        for j in range(i, len(chains))]
+        rows = list(sl._chain_rows(lattice))
+        pair_indices = [(i, j) for i in range(len(rows)) for j in range(i, len(rows))]
 
-    lengths = {len(ch) - 1 for ch in chains}
+    lengths = {len(row) - 1 for row in rows}
     if len(lengths) != 1:
         raise InternalInvariantError(
             f"composition series of {g.name} have unequal lengths {sorted(lengths)}")
 
-    rows = np.array([list(map(lattice.index, ch)) for ch in chains])
+    rows = np.array(rows)
     sizes = np.array([e.count(".") + 1 for e in lattice.elements])   # members are dot-joined
     factors = sizes[rows[:, 1:]] // sizes[rows[:, :-1]]
     first, second = np.array(pair_indices).T
@@ -410,6 +398,6 @@ def composition_analysis(g: Group, series_a=None, series_b=None) -> CompositionR
 
     return CompositionReport(
         group=g.name, order=g.order, length=lengths.pop(),
-        series=tuple(chains),
+        series=tuple(tuple(map(lattice.elements.__getitem__, row)) for row in rows.tolist()),
         factor_multisets=tuple(tuple(sorted(f)) for f in factors.tolist()),
         pairs=tuple(pairs))

@@ -12,9 +12,9 @@ witness is re-verified by index against both of its intervals.
 
 There is one matcher, `_match`, on a batch of index chain pairs whose join
 matrices are one numpy array, and one public entry per input form, each
-validating its input once, both through one row check: `match_index_chains`
-for a batch of index arrays, and `jh_match` for one pair of chains of names,
-each checked by `Poset.chain`, with `--trace` frames and a name-level re-check.
+validating its input once, both through one row check, `semilattice._check_rows`:
+`match_index_chains` for a batch of index arrays, and `jh_match` for one pair of chains
+of names, each read by `Poset._row` first, with `--trace` frames and a name-level re-check.
 """
 
 from __future__ import annotations
@@ -29,10 +29,8 @@ from . import semilattice as sl
 from .errors import (
     ChainLengthMismatchError,
     InternalInvariantError,
-    NotMaximalChainError,
     NotSemimodularError,
     PreconditionError,
-    UnknownElementError,
 )
 from .poset import Poset
 from .projectivity import prime_up_projective
@@ -188,19 +186,6 @@ def _frames(p: Poset, c: np.ndarray, d: np.ndarray, pi: tuple) -> tuple[Recursio
     return tuple(frames)
 
 
-def _check_rows(p: Poset, C: np.ndarray, D: np.ndarray) -> None:
-    """Refuse the first row of C, then of D, outside p or not a maximal chain of p."""
-    for label, X in (("first", C), ("second", D)):
-        outside = ((X < 0) | (X >= len(p))).any(1)
-        if outside.any():
-            raise UnknownElementError(f"{label} chain {X[outside.argmax()].tolist()} holds an "
-                                      f"index outside 0..{len(p) - 1} of {p.name!r}")
-        maximal = sl._maximal_rows(p, X)
-        if not maximal.all():
-            names = [p.elements[i] for i in X[maximal.argmin()]]
-            raise NotMaximalChainError(f"{label} chain {names} is not maximal in {p.name!r}")
-
-
 def match_index_chains(p: Poset, C, D) -> tuple[np.ndarray, np.ndarray]:
     """pi, 1-indexed, and the witnesses by index, shapes (P, n) and (P, n, 2),
     for the P pairs (row k of C, row k of D) of the integer arrays C and D of
@@ -214,33 +199,34 @@ def match_index_chains(p: Poset, C, D) -> tuple[np.ndarray, np.ndarray]:
     arrays = all(isinstance(X, np.ndarray) and X.dtype.kind in "iu" for X in (C, D))
     if not arrays or C.ndim != 2 or C.shape != D.shape or not C.shape[1]:
         raise PreconditionError("C and D must be integer arrays of one shape (P, n+1), n >= 0")
-    _check_rows(p, C, D)
+    sl._check_rows(p, C, "first chain")
+    sl._check_rows(p, D, "second chain")
     return _match(p, C, D)
 
 
 def jh_match(p: Poset, chain_a, chain_b, keep_trace: bool = False) -> MatchingResult:
     """Match the prime intervals of two maximal chains of p.
 
-    Validates that p is a semimodular join semilattice with bottom and top,
-    that both chains of names pass `Poset.chain` (the first, then the second)
-    and that both are maximal, then reads the matching off the join matrix of
-    their index rows.  The result is re-verified with `verify_matching` before
-    returning: pi is a permutation and every witness satisfies the
-    up-projectivity checks against both chains, read by name.
+    Checks both chains of names by `Poset._row` (the first, then the second)
+    before p: then that p is a semimodular join semilattice with bottom and
+    top, and both index rows by the row check of `match_index_chains`; then
+    reads the matching off their join matrix.  The result is re-verified with
+    `verify_matching` before returning: pi is a permutation and every witness
+    satisfies the up-projectivity checks against both chains, read by name.
     """
+    C, D = (np.array([p._row(ch)], dtype=np.intp) for ch in (chain_a, chain_b))
     _validate_poset(p)
-    C, D = p.chain(chain_a), p.chain(chain_b)
-    rows = [np.array([list(map(p.index, ch))], dtype=np.intp) for ch in (C, D)]
-    _check_rows(p, *rows)
-    if len(C) != len(D):
+    sl._check_rows(p, C, "first chain")
+    sl._check_rows(p, D, "second chain")
+    if C.shape != D.shape:
         raise ChainLengthMismatchError(
-            f"maximal chains of lengths {len(C) - 1} and {len(D) - 1}; "
+            f"maximal chains of lengths {C.shape[1] - 1} and {D.shape[1] - 1}; "
             f"equal length is guaranteed for valid inputs, so a precondition is broken")
-    pi, W = _match(p, *rows)
+    pi, W = _match(p, C, D)
     pi, names = tuple(pi[0].tolist()), p.elements
-    result = MatchingResult(len(C) - 1, pi, tuple((names[x], names[y]) for x, y in W[0].tolist()),
-                            _frames(p, rows[0][0], rows[1][0], pi) if keep_trace else None)
-    check = verify_matching(p, C, D, result)
+    result = MatchingResult(len(pi), pi, tuple((names[x], names[y]) for x, y in W[0].tolist()),
+                            _frames(p, C[0], D[0], pi) if keep_trace else None)
+    check = verify_matching(p, *([names[i] for i in X[0].tolist()] for X in (C, D)), result)
     if not check.ok:
         raise InternalInvariantError("; ".join(check.failures))
     return result

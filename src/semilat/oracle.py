@@ -98,24 +98,20 @@ def interval_updown_witness(p: Poset, source, target) -> tuple[str, str] | None:
     source = [a, b] and target = [c, d], or None.
 
     Found by the scan over x with y = b∨x forced, which is exhaustive: no
-    other y can satisfy b∨x = y.  Raises NotPrimeIntervalError unless source
-    and target are two names each, then for the first of them that is not a
-    prime interval, and NoJoinError unless p is a join semilattice.
+    other y can satisfy b∨x = y.  Raises what `Poset._pairs` raises for source
+    and target, then NotPrimeIntervalError for the first of them that is not
+    a prime interval, and NoJoinError unless p is a join semilattice.
     """
-    ends = [tuple(v) if isinstance(v, Iterable) else () for v in (source, target)]
-    if any(len(v) != 2 for v in ends):
-        raise NotPrimeIntervalError(f"source and target must be two names each: {source}, {target}")
-    cell = np.array([p.index(e) for v in ends for e in v], dtype=np.intp)
+    cell = np.array(p._pairs("source and target", source, target), dtype=np.intp).ravel()
     return _named(p, cell[1:2], _witnesses(p, cell))[0]
 
 
 def projectivity_relation(p: Poset, chain_a, chain_b) -> ProjectivityRelation:
     """Relation matrix between the prime intervals of two equal-length chains."""
-    C, D = p.chain(chain_a), p.chain(chain_b)
+    C, D = p._row(chain_a), p._row(chain_b)
     if len(C) != len(D):
-        raise ChainLengthMismatchError(
-            f"chains of lengths {len(C) - 1} and {len(D) - 1}")
-    c, d = ([(p.index(a), p.index(b)) for a, b in zip(chain, chain[1:])] for chain in (C, D))
+        raise ChainLengthMismatchError(f"chains of lengths {len(C) - 1} and {len(D) - 1}")
+    c, d = (list(zip(row, row[1:])) for row in (C, D))
     cells = np.array([(*s, *t) for s in c for t in d], dtype=np.intp).reshape(-1, 4)
     found = iter(_named(p, cells[:, 1], _witnesses(p, cells)))
     rows = tuple(tuple(next(found) for _ in d) for _ in c)
@@ -251,16 +247,16 @@ def check_pairs(p: Poset, pairs) -> list[TheoremReport]:
     for k, pair in enumerate(pairs):
         try:
             C, D = map(tuple, pair)
+            n, m = max(len(C) - 1, 0), max(len(D) - 1, 0)
+            pre = poset_failure
+            for label, chain in (("first", C), ("second", D)):
+                if pre is None and chain not in rows:   # TypeError for an unhashable name
+                    row = list(map(p.index, chain))
+                    rows[chain] = row if sl._maximal_rows(p, [row])[0] else None
+                if pre is None and rows[chain] is None:
+                    pre = f"{label} chain is not maximal"
         except (TypeError, ValueError):
             raise PreconditionError(f"pair {k} is not two chains") from None
-        n, m = max(len(C) - 1, 0), max(len(D) - 1, 0)
-        pre = poset_failure
-        for label, chain in (("first", C), ("second", D)):
-            if pre is None and chain not in rows:
-                row = list(map(p.index, chain))
-                rows[chain] = row if sl._maximal_rows(p, [row])[0] else None
-            if pre is None and rows[chain] is None:
-                pre = f"{label} chain is not maximal"
         if pre is None and n == m:
             _refuse_long(n)
             by_length.setdefault(n, []).append((k, C, D))

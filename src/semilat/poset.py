@@ -3,13 +3,14 @@
 Elements are nonempty strings kept in canonical (sorted) order, so every
 derived output of the package is deterministic.  The order relation lives in
 a read-only boolean matrix; the cover relation is its transitive reduction.
-A chain of names is a plain tuple, checked in one place: `Poset.chain`.
+A chain of names is a plain tuple, checked in one place: `Poset._row`.
 Chain walks read `_view`: upper-cover index lists and the rank order, built once.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from itertools import repeat
 from typing import Iterable, Sequence
 
@@ -17,7 +18,9 @@ import numpy as np
 
 from .errors import (
     NotAChainError,
+    NotPrimeIntervalError,
     PosetConstructionError,
+    PreconditionError,
     SizeLimitError,
     UnknownElementError,
 )
@@ -247,19 +250,30 @@ class Poset:
 
     # -- chains --------------------------------------------------------------
 
-    def chain(self, elements: Iterable[str]) -> tuple[str, ...]:
-        """The one check of a chain of names: `elements`, strictly increasing, as a tuple."""
+    def _row(self, elements) -> list[int]:
+        """The one check of a chain of names: the index row of `elements`, strictly increasing."""
         try:
             elems = tuple(elements)
         except TypeError:
             raise NotAChainError(f"a chain must be iterable, got {type(elements).__name__}") from None
         if not elems:
             raise NotAChainError("a chain needs at least one element")
-        idx = [self.index(e) for e in elems]
-        for a, b, i, j in zip(elems, elems[1:], idx, idx[1:]):
+        row = [self.index(e) for e in elems]
+        for a, b, i, j in zip(elems, elems[1:], row, row[1:]):
             if i == j or not self._leq[i, j]:
                 raise NotAChainError(f"not strictly increasing at ({a}, {b})")
-        return elems
+        return row
+
+    def chain(self, elements: Iterable[str]) -> tuple[str, ...]:
+        """`elements`, checked by `_row`, as a tuple of names."""
+        return tuple(map(self.elements.__getitem__, self._row(elements)))
+
+    def _pairs(self, what: str, first, second) -> list[list[int]]:
+        """The one check of pairs of names: both as index pairs, each checked as two names first."""
+        ends = [tuple(v) if isinstance(v, Iterable) else () for v in (first, second)]
+        if any(len(v) != 2 for v in ends):
+            raise NotPrimeIntervalError(f"{what} must be two names each: {first}, {second}")
+        return [[self.index(e) for e in v] for v in ends]
 
     # -- serialization ---------------------------------------------------------
 
@@ -271,20 +285,31 @@ class Poset:
         }
 
 
+def _int(value, what: str) -> int:
+    """`value` as an int, if it is an integer (anything `operator.index` takes)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise PreconditionError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _fields(data, what: str, error: type, *fields: str) -> list:
+    """The one check of a JSON object from a file: the values of a string "name" and `fields`."""
+    if not isinstance(data, dict):
+        raise error(f"{what} JSON must be an object")
+    for field in ("name", *fields):
+        if field not in data:
+            raise error(f"{what} JSON lacks field {field!r}")
+    if not isinstance(data["name"], str):
+        raise error("field 'name' must be a string")
+    return [data[field] for field in ("name", *fields)]
+
+
 def from_dict(data: dict) -> Poset:
     """Inverse of Poset.to_dict; validates the JSON object shape."""
-    if not isinstance(data, dict):
-        raise PosetConstructionError("poset JSON must be an object")
-    for field in ("name", "elements", "covers"):
-        if field not in data:
-            raise PosetConstructionError(f"poset JSON lacks field {field!r}")
-    name = data["name"]
-    if not isinstance(name, str):
-        raise PosetConstructionError("field 'name' must be a string")
-    elements = data["elements"]
+    name, elements, covers = _fields(data, "poset", PosetConstructionError, "elements", "covers")
     if not isinstance(elements, list):
         raise PosetConstructionError("field 'elements' must be an array of strings")
-    covers = data["covers"]
     if not isinstance(covers, list) or any(
             not isinstance(c, list) or len(c) != 2 for c in covers):
         raise PosetConstructionError("field 'covers' must be an array of [lower, upper] pairs")

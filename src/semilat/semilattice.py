@@ -3,14 +3,14 @@ and tested by index, with element names built only for the chains returned."""
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (MissingBoundsError, NoJoinError, NotAChainError, NotJoinSemilatticeError,
-                     SizeLimitError)
-from .poset import Poset
+                     NotMaximalChainError, SizeLimitError, UnknownElementError)
+from .poset import Poset, _int
 
 # Sentinels inside the bound tables.
 _NONE = -1        # no common bound at all
@@ -172,6 +172,19 @@ def _maximal_rows(p: Poset, X) -> np.ndarray:
     return ends & p._covers[X[:, :-1], X[:, 1:]].all(1)
 
 
+def _check_rows(p: Poset, X: np.ndarray, label: str) -> None:
+    """The one raising row check: the first row of X, indices of shape (P, m), outside p
+    (UnknownElementError) or not a maximal chain of p (NotMaximalChainError), named `label`."""
+    outside = ((X < 0) | (X >= len(p))).any(1)
+    if outside.any():
+        raise UnknownElementError(f"{label} {X[outside.argmax()].tolist()} holds an index "
+                                  f"outside 0..{len(p) - 1} of {p.name!r}")
+    maximal = _maximal_rows(p, X)
+    if not maximal.all():
+        names = [p.elements[i] for i in X[maximal.argmin()]]
+        raise NotMaximalChainError(f"{label} {names} is not maximal in {p.name!r}")
+
+
 def is_maximal_chain(p: Poset, chain: Iterable[str]) -> bool:
     """True iff the sequence runs from bottom to top through covers only."""
     _require_bounds(p)   # before any name is looked up
@@ -182,19 +195,24 @@ def is_maximal_chain(p: Poset, chain: Iterable[str]) -> bool:
 
 def maximal_chains(p: Poset, limit: int | None = None) -> list[tuple[str, ...]]:
     """All maximal chains in lexicographic element order, optionally truncated."""
+    return [tuple(map(p.elements.__getitem__, row)) for row in _chain_rows(p, limit)]
+
+
+def _chain_rows(p: Poset, limit: int | None = None) -> Iterator[tuple[int, ...]]:
+    """`maximal_chains` as index rows, one at a time, so no list of them is held."""
     bottom, top = _require_bounds(p)
-    ups, names = p._view()[0], p.elements
-    out = []
+    limit = None if limit is None else _int(limit, "limit")
+    ups, found = p._view()[0], 0
     # Partial index chains from the bottom; pushing the extensions in reverse
     # order pops them in lexicographic order.
     stack = [(bottom,)]
-    while stack and (limit is None or len(out) < limit):
+    while stack and (limit is None or found < limit):
         path = stack.pop()
         if path[-1] == top:
-            out.append(tuple(map(names.__getitem__, path)))
+            found += 1
+            yield path
         else:
             stack.extend(path + (u,) for u in reversed(ups[path[-1]]))
-    return out
 
 
 def count_maximal_chains(p: Poset) -> int:

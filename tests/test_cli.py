@@ -209,6 +209,30 @@ class TestExitCodes:
         assert code == 2
         assert "zz" in err
 
+    @pytest.mark.parametrize("argv, code, err", [
+        (("match", N5, "--chain-a", "0,zz,1", "--chain-b", "0,b,1"), 2,
+         "element 'zz' is not in poset 'n5'"),
+        (("match", B3, "--chain-a", "000,100,110,111", "--chain-b", "000,zz,110,111"), 2,
+         "element 'zz' is not in poset 'B3'"),
+        # The first chain is refused before the second's names are read.
+        (("match", B3, "--chain-a", "111,110,100,000", "--chain-b", "000,zz,110,111"), 1,
+         "not strictly increasing at (111, 110)"),
+        (("export-dot", B2, "--chain-a", "0,a", "--chain-b", "zz"), 2,
+         "element 'zz' is not in poset 'b2'"),
+        (("project", B2, "--source", "0,a", "--target", "b,zz"), 2,
+         "element 'zz' is not in poset 'b2'"),
+        (("group", "composition", Z12, "--series-a", "0,0.6,0.3.6.9,0.1.2.3.4.5.6.7.8.9.10.11",
+          "--series-b", "0,zz"), 2, "element 'zz' is not in poset 'subnormal(Z12)'"),
+        (("group", "composition", Z12, "--series-a", "0,0.2.4.6.8.10",
+          "--series-b", "0,zz"), 2, "element 'zz' is not in poset 'subnormal(Z12)'"),
+        (("group", "composition", Z12, "--series-a", "0,0.2.4.6.8.10",
+          "--series-b", "0,0.6,0.3.6.9,0.1.2.3.4.5.6.7.8.9.10.11"), 1,
+         "series ['0', '0.2.4.6.8.10'] is not maximal in 'subnormal(Z12)'"),
+    ], ids=["match-n5", "match-second", "match-order-first", "export-dot", "project",
+            "series", "series-both-named-first", "series-not-maximal"])
+    def test_names_resolved_by_the_library(self, run_cli, argv, code, err):
+        assert run_cli(*argv) == (code, "", f"error: {err}\n")
+
     def test_violation_not_semimodular(self, run_cli):
         code, _, err = run_cli("match", N5, "--chain-a", "0,b,1", "--chain-b", "0,b,1")
         assert code == 1

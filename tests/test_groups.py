@@ -179,6 +179,33 @@ class TestTableValidation:
             group_from_table("x", [[0, 1, 2], [1, 2, 0], [2, 1, 0]])
         assert str(info.value) == "not a Latin square: column 1 is not a permutation"
 
+    @pytest.mark.parametrize("table, message", [
+        ([[0, 1, 2], [1, 2, 2**70], [2, 0, 1]], "not a Latin square: row 1 is not a permutation"),
+        ([[0, 1, 2], [1, 2, 0], [2, 0, -1]], "not a Latin square: row 2 is not a permutation"),
+        ([[0, 1, 3], [1, 2, 0], [2, 0, 1]], "not a Latin square: row 0 is not a permutation"),
+        ([[0, 1, 2], [2**63, -1, 0], [2, 0, 1]], "not a Latin square: row 1 is not a permutation"),
+        ([[0, 1, 2], [1, 2.0, 0], [2, 0, 1]], "table entries must be integers"),
+        ([[0, True, 2], [1, 2, 0], [2, 0, 1]], "table entries must be integers"),
+        ([[0, 0, 2], [1, 2], [2, 0, 1]], "not a Latin square: row 0 is not a permutation"),
+        ([[0, 1, 1], [1, 2, 0.0], [2, 0, 1]], "not a Latin square: row 0 is not a permutation"),
+        ([[0, 1, 2], [1, 2], [2, 2, 1]], "row 1 has length 2, expected 3"),
+        ([[0, 1, 2], [1, 2, 0, 3], [2, 0, 1]], "row 1 has length 4, expected 3"),
+    ], ids=["huge", "negative", "order", "huge-and-negative", "float", "bool",
+            "short-after-bad", "float-after-bad", "short-before-bad", "long"])
+    def test_first_bad_row_named(self, table, message):
+        # Rows are read in order; within a row: its length, its entry types, then the values.
+        with pytest.raises(GroupValidationError) as info:
+            group_from_table("x", table)
+        assert str(info.value) == message
+
+    def test_one_sided_inverse(self):
+        # A loop of order 5: Latin, identity at 0, but 1 * 2 = 0 while 2 * 1 = 3.
+        table = [[0, 1, 2, 3, 4], [1, 2, 0, 4, 3], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0],
+                 [4, 0, 3, 1, 2]]
+        with pytest.raises(GroupValidationError) as info:
+            group_from_table("x", table)
+        assert str(info.value) == "element 1 has no two-sided inverse"
+
     def test_non_integer_entries(self):
         for table in ([[0.0, 1.0], [1.0, 0.0]], [[False, True], [True, False]]):
             with pytest.raises(GroupValidationError, match="integers"):
