@@ -8,7 +8,6 @@ from .errors import (
     InternalInvariantError,
     MissingBoundsError,
     NoJoinError,
-    NoMeetError,
     NotAChainError,
     NotJoinSemilatticeError,
     NotMaximalChainError,
@@ -32,7 +31,7 @@ from .semilattice import (
     maximal_chains,
     meet,
 )
-from .projectivity import lattice_up_projective, prime_up_projective
+from .projectivity import prime_up_projective
 from .matching import (
     MatchingCheck,
     MatchingResult,
@@ -64,7 +63,6 @@ from .groups import (
     CompositionReport,
     Group,
     SeriesPair,
-    Subgroup,
     all_subgroups,
     builtin_group,
     composition_analysis,
@@ -73,6 +71,7 @@ from .groups import (
     load_group,
     normal_closure,
     save_group,
+    subgroup_name,
     subnormal_lattice,
 )
 from .dot import export_dot

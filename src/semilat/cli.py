@@ -281,12 +281,12 @@ def _cmd_group(args) -> int:
         subs = groups.all_subgroups(g)
         if args.json:
             _emit_json({"group": g.name, "order": g.order, "count": len(subs),
-                        "subgroups": [list(s.members) for s in subs]})
+                        "subgroups": [list(s) for s in subs]})
         else:
             print(f"group: {g.name} (order {g.order})")
             print(f"subgroups: {len(subs)}")
             for s in subs:
-                print(f"  order {len(s.members):>3}  {{{s.name}}}")
+                print(f"  order {len(s):>3}  {{{groups.subgroup_name(s)}}}")
         return OK
     if args.group_cmd == "subnormal-lattice":
         lattice = groups.subnormal_lattice(g)

@@ -6,7 +6,7 @@ from collections.abc import Iterable
 
 from .errors import NotAChainError, PreconditionError
 from .matching import MatchingResult
-from .poset import Poset
+from .poset import Poset, _sequence
 
 CHAIN_A_COLOR = "red"
 CHAIN_B_COLOR = "blue"
@@ -35,8 +35,9 @@ def export_dot(p: Poset, chain_a: Iterable[str] | None = None,
     """
     steps = []
     for ch in chain_a, chain_b:
-        ch = tuple(ch) if isinstance(ch, Iterable) else ch   # `Poset._row` refuses the rest
-        row = [] if ch is None or ch == () else p._row(ch)
+        ch = () if ch is None else _sequence(ch, NotAChainError, "a chain must be iterable, got {}",
+                                             type(ch).__name__)
+        row = p._row(ch) if ch else []
         for i, j in zip(row, row[1:]):
             if not p._covers[i, j]:
                 raise NotAChainError(f"not a chain of covers at ({p.elements[i]}, {p.elements[j]})")
@@ -45,6 +46,9 @@ def export_dot(p: Poset, chain_a: Iterable[str] | None = None,
 
     roles: dict[str, list[str]] = {}
     if matching is not None:
+        if not isinstance(matching, MatchingResult):
+            raise PreconditionError(
+                f"matching must be a MatchingResult, got {type(matching).__name__}")
         for i, w in enumerate(matching.witnesses, start=1):
             if not isinstance(w, (tuple, list)) or len(w) != 2:
                 raise PreconditionError(f"witness {i} {w!r} is not two names")

@@ -26,10 +26,6 @@ class NoJoinError(SemilatError):
     """A pair has no least upper bound (none exists, or several minimal ones)."""
 
 
-class NoMeetError(SemilatError):
-    """A pair has no greatest lower bound where one is required."""
-
-
 class NotJoinSemilatticeError(SemilatError):
     """Some pair of elements has no join."""
 

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import PreconditionError, SizeLimitError, UnknownNameError
-from .poset import ELEMENT_LIMIT, Poset, _int
+from .poset import ELEMENT_LIMIT, Poset, _int, _sequence
 from .semilattice import _require_bounds
 
 
@@ -30,10 +29,9 @@ class Graph:
         object.__setattr__(self, "vertices", _int(self.vertices, "the vertex count"))
         if self.vertices < 1:
             raise PreconditionError(f"a graph needs at least one vertex, got {self.vertices}")
-        if not isinstance(self.edges, Iterable):
-            raise PreconditionError(f"edges must be an iterable of pairs, got {self.edges!r}")
         norm = []
-        for e in self.edges:
+        for e in _sequence(self.edges, PreconditionError,
+                           "edges must be an iterable of pairs, got {!r}", self.edges):
             try:
                 u, v = (_int(x, "a vertex") for x in e)
             except (TypeError, ValueError):
@@ -91,9 +89,8 @@ def boolean_lattice(n: int) -> Poset:
 
 def chain_product(lengths: list[int]) -> Poset:
     """Direct product of chains with the componentwise order."""
-    if not isinstance(lengths, Iterable):
-        raise PreconditionError(f"chain lengths must be an iterable, got {lengths!r}")
-    lengths = [_int(l, "a chain length") for l in lengths]
+    lengths = [_int(l, "a chain length") for l in _sequence(
+        lengths, PreconditionError, "chain lengths must be an iterable, got {!r}", lengths)]
     if not lengths or any(l < 1 for l in lengths):
         raise SizeLimitError("each chain factor needs at least one element")
     size = math.prod(lengths)

@@ -31,25 +31,11 @@ from .errors import (
     UnknownNameError,
 )
 from .matching import match_index_chains
-from .poset import Poset, _fields, _save_json, _transitive_reduction
+from .poset import Poset, _fields, _int, _save_json, _sequence, _transitive_reduction
 
 SUBGROUP_ORDER_LIMIT = 60
 # Validating a table takes about 0.09 s at order 120 and 0.7 s at order 240.
 GROUP_ORDER_LIMIT = 120
-
-
-@dataclass(frozen=True)
-class Subgroup:
-    """Sorted element-index set, closed under the ambient group's product."""
-
-    members: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    @property
-    def name(self) -> str:
-        return ".".join(str(m) for m in self.members)
 
 
 class Group:
@@ -79,6 +65,8 @@ def group_from_table(name: str, table) -> Group:
     """Validate a Cayley table: Latin square, identity at index 0, inverses,
     and full associativity (O(n^3), n^2 triples per numpy step).  Orders
     above GROUP_ORDER_LIMIT are refused before any of that."""
+    table = _sequence(table, GroupValidationError, "table must be an array of rows, got {}",
+                      type(table).__name__)
     _check_order(len(table))
     if not all(isinstance(r, (list, tuple)) for r in table):
         raise GroupValidationError("table rows must be arrays")
@@ -167,6 +155,8 @@ def _builtin_atom(name: str) -> tuple[list, Callable]:
 def builtin_group(name: str) -> Group:
     """Builtin corpus: Zn (n <= 60), Dn (order 2n, n <= 12), S3, S4, A4, Q8,
     and x-joined direct products such as Z2xZ2 or S3xZ2."""
+    if not isinstance(name, str):
+        raise UnknownNameError(f"unknown builtin group {name!r}")
     atoms = [_builtin_atom(part) for part in name.split("x")]
     _check_order(math.prod(len(elements) for elements, _ in atoms))
     table = np.zeros((1, 1), dtype=np.int64)
@@ -218,8 +208,13 @@ def _close(g: Group, seed: Collection[int]) -> frozenset[int]:
     return frozenset(members)
 
 
-def all_subgroups(g: Group) -> list[Subgroup]:
-    """Every subgroup, by breadth-first closure of one-element extensions.
+def subgroup_name(members) -> str:
+    """The name of a subgroup: its member indices joined by dots."""
+    return ".".join(map(str, members))
+
+
+def all_subgroups(g: Group) -> list[tuple[int, ...]]:
+    """Every subgroup, as sorted member indices, by closure of one-element extensions.
 
     Each subgroup keeps the generators it was reached by.  <H, hx> = <H, x>
     for h in H, so H is extended once per right coset Hx.
@@ -244,38 +239,47 @@ def all_subgroups(g: Group) -> list[Subgroup]:
                     gens[extended] = seed
                     fresh.append(extended)
         frontier = fresh
-    return sorted((Subgroup(tuple(sorted(H))) for H in gens),
-                  key=lambda s: (len(s.members), s.members))
+    return sorted((tuple(sorted(H)) for H in gens), key=lambda s: (len(s), s))
 
 
-def normal_closure(g: Group, sub: Subgroup, ambient: Subgroup) -> Subgroup:
+def _members(sub, ambient) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The one read of subgroup arguments: each its distinct integer members,
+    sorted, with `sub` inside `ambient`."""
+    sub, ambient = (tuple(sorted({_int(k, "a subgroup member") for k in _sequence(
+        v, PreconditionError, "a subgroup must be a sequence of element indices, got {}",
+        type(v).__name__)})) for v in (sub, ambient))
+    if not set(sub) <= set(ambient):
+        raise PreconditionError(
+            f"{subgroup_name(sub)} is not contained in {subgroup_name(ambient)}")
+    return sub, ambient
+
+
+def normal_closure(g: Group, sub, ambient) -> tuple[int, ...]:
     """Smallest subgroup of `ambient` containing `sub` and closed under
     conjugation by `ambient`: the one the conjugates k h k^-1 generate."""
-    return _normal_closure(g, sub, ambient, generated=False)
+    sub, ambient = _members(sub, ambient)
+    name = subgroup_name(ambient)
+    if not all(0 <= k < g.order for k in ambient):
+        raise PreconditionError(f"{name} holds an element outside 0..{g.order - 1}")
+    if _close(g, ambient) != set(ambient):
+        raise PreconditionError(f"{name} is not a subgroup of {g.name}")
+    return _normal_closure(g, sub, ambient)
 
 
-def _normal_closure(g: Group, sub: Subgroup, ambient: Subgroup, generated: bool) -> Subgroup:
-    """`normal_closure`, whose |ambient|^2 closure scan a `generated` ambient skips."""
-    if not set(sub.members) <= set(ambient.members):
-        raise PreconditionError(f"{sub.name} is not contained in {ambient.name}")
-    if not all(0 <= k < g.order for k in ambient.members):
-        raise PreconditionError(f"{ambient.name} holds an element outside 0..{g.order - 1}")
-    if not generated and _close(g, ambient.members) != set(ambient.members):
-        raise PreconditionError(f"{ambient.name} is not a subgroup of {g.name}")
-    conjugators = [(g.table[k], g.inv(k)) for k in ambient.members]
-    conjugates = {g.table[row[h]][k_inv] for row, k_inv in conjugators for h in sub.members}
-    return Subgroup(tuple(sorted(_close(g, conjugates))))
+def _normal_closure(g: Group, sub: tuple[int, ...], ambient: tuple[int, ...]) -> tuple[int, ...]:
+    """The unchecked closure step: the subgroup the conjugates of `sub` under `ambient` generate."""
+    conjugators = [(g.table[k], g.inv(k)) for k in ambient]
+    conjugates = {g.table[row[h]][k_inv] for row, k_inv in conjugators for h in sub}
+    return tuple(sorted(_close(g, conjugates)))
 
 
-def is_subnormal(g: Group, sub: Subgroup) -> bool:
+def is_subnormal(g: Group, sub) -> bool:
     """Iterated normal closure from the full group; subnormal iff the
     descending fixpoint equals the subgroup itself."""
-    current = Subgroup(tuple(range(g.order)))
-    while True:
-        nxt = _normal_closure(g, sub, current, generated=True)
-        if nxt.members == current.members:
-            return current.members == sub.members
+    sub, current = _members(sub, range(g.order))
+    while (nxt := _normal_closure(g, sub, current)) != current:
         current = nxt
+    return current == sub
 
 
 def subnormal_lattice(g: Group) -> Poset:
@@ -285,24 +289,25 @@ def subnormal_lattice(g: Group) -> Poset:
     order: H <= K iff |H & K| = |H|, so leq is `M @ M.T == |row|`, already
     closed, and its reduction gives the covers.  The dual must be semimodular;
     a failure is reported as a broken-theorem sentinel, not as bad input.
-    The lattice is built once per group and cached on it.
+    It is built once per group and cached on it with its elements' orders.
     """
     cached = g._cache.get("subnormal")
     if cached is not None:
-        return cached
-    subs = sorted((s for s in all_subgroups(g) if is_subnormal(g, s)), key=lambda s: s.name)
+        return cached[0]
+    subs = sorted((s for s in all_subgroups(g) if is_subnormal(g, s)), key=subgroup_name)
     member = np.zeros((len(subs), g.order), dtype=np.float32)
     for row, s in zip(member, subs):
-        row[list(s.members)] = 1
-    leq = member @ member.T == member.sum(axis=1)[:, None]   # float32 counts are exact
-    lattice = Poset(f"subnormal({g.name})", tuple(s.name for s in subs), leq,
+        row[list(s)] = 1
+    orders = member.sum(axis=1)   # float32 counts are exact
+    leq = member @ member.T == orders[:, None]
+    lattice = Poset(f"subnormal({g.name})", tuple(map(subgroup_name, subs)), leq,
                     _transitive_reduction(leq))
     report = sl.is_semimodular(lattice.dual())
     if not report.holds:
         raise InternalInvariantError(
             f"dual of the subnormal lattice of {g.name} is not semimodular: "
             f"counterexample {report.counterexample}")
-    g._cache["subnormal"] = lattice
+    g._cache["subnormal"] = lattice, orders.astype(np.intp)   # and each element's order
     return lattice
 
 
@@ -384,7 +389,7 @@ def composition_analysis(g: Group, series_a=None, series_b=None) -> CompositionR
             f"composition series of {g.name} have unequal lengths {sorted(lengths)}")
 
     rows = np.array(rows)
-    sizes = np.array([e.count(".") + 1 for e in lattice.elements])   # members are dot-joined
+    sizes = g._cache["subnormal"][1]   # each element's order, from the member matrix
     factors = sizes[rows[:, 1:]] // sizes[rows[:, :-1]]
     first, second = np.array(pair_indices).T
     # The dual keeps the element order, so each row read top-down is a maximal chain of it.

@@ -238,6 +238,8 @@ def verify_matching(p: Poset, chain_a, chain_b, result: MatchingResult) -> Match
     Maximality of pi needs the independent relation; `oracle.check_theorem`
     checks it."""
     C, D = p.chain(chain_a), p.chain(chain_b)
+    if not isinstance(result, MatchingResult):
+        raise PreconditionError(f"result must be a MatchingResult, got {type(result).__name__}")
     n = result.n
     if n != len(C) - 1 or n != len(D) - 1:
         return MatchingCheck(False, (f"result size {n} does not match chain lengths "

@@ -20,7 +20,6 @@ between the two is meaningful evidence.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,7 +28,7 @@ import numpy as np
 from .errors import (ChainLengthMismatchError, NotPrimeIntervalError, PreconditionError,
                      SizeLimitError)
 from .matching import match_index_chains
-from .poset import Poset
+from .poset import Poset, _sequence
 from . import semilattice as sl
 
 COUNTING_LIMIT = 20     # perfect-matching count with column-set memo
@@ -236,8 +235,8 @@ def check_pairs(p: Poset, pairs) -> list[TheoremReport]:
     `match_index_chains` call on its index rows, and each distinct relation
     is counted once.  Pairs with equal outcomes share one frozen report.
     """
-    if not isinstance(pairs, Iterable):
-        raise PreconditionError(f"pairs must be iterable, got {type(pairs).__name__}")
+    pairs = _sequence(pairs, PreconditionError, "pairs must be iterable, got {}",
+                      type(pairs).__name__)
     poset_failure = _poset_preconditions(p)
     rows: dict[tuple[str, ...], list[int] | None] = {}   # chain -> its index row if maximal
     # Each pair's outcome, as the arguments of its `_report`; the evaluable

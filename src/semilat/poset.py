@@ -31,16 +31,17 @@ from .errors import (
 ELEMENT_LIMIT = 2000
 
 
-def _bool_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _bool_square(a: np.ndarray) -> np.ndarray:
     # float32 path counts cannot wrap to 0 as a small integer type would: a
     # sum of non-negative terms is > 0 exactly when one term is.
-    return (a.astype(np.float32) @ b.astype(np.float32)) > 0
+    f = a.astype(np.float32)
+    return (f @ f) > 0
 
 
 def _reflexive_transitive_closure(rel: np.ndarray) -> np.ndarray:
     reach = rel | np.eye(rel.shape[0], dtype=bool)
     while True:
-        nxt = reach | _bool_matmul(reach, reach)
+        nxt = _bool_square(reach)   # reach is reflexive, so its square contains it
         if np.array_equal(nxt, reach):
             return reach
         reach = nxt
@@ -49,7 +50,7 @@ def _reflexive_transitive_closure(rel: np.ndarray) -> np.ndarray:
 def _transitive_reduction(leq: np.ndarray) -> np.ndarray:
     """Cover matrix of a partial order given as a reflexive leq matrix."""
     strict = leq & ~np.eye(leq.shape[0], dtype=bool)
-    return strict & ~_bool_matmul(strict, strict)
+    return strict & ~_bool_square(strict)
 
 
 class Poset:
@@ -252,10 +253,8 @@ class Poset:
 
     def _row(self, elements) -> list[int]:
         """The one check of a chain of names: the index row of `elements`, strictly increasing."""
-        try:
-            elems = tuple(elements)
-        except TypeError:
-            raise NotAChainError(f"a chain must be iterable, got {type(elements).__name__}") from None
+        elems = _sequence(elements, NotAChainError, "a chain must be iterable, got {}",
+                          type(elements).__name__)
         if not elems:
             raise NotAChainError("a chain needs at least one element")
         row = [self.index(e) for e in elems]
@@ -270,9 +269,11 @@ class Poset:
 
     def _pairs(self, what: str, first, second) -> list[list[int]]:
         """The one check of pairs of names: both as index pairs, each checked as two names first."""
-        ends = [tuple(v) if isinstance(v, Iterable) else () for v in (first, second)]
+        message = "{} must be two names each: {}, {}"
+        ends = [_sequence(v, NotPrimeIntervalError, message, what, first, second)
+                for v in (first, second)]
         if any(len(v) != 2 for v in ends):
-            raise NotPrimeIntervalError(f"{what} must be two names each: {first}, {second}")
+            raise NotPrimeIntervalError(message.format(what, first, second))
         return [[self.index(e) for e in v] for v in ends]
 
     # -- serialization ---------------------------------------------------------
@@ -283,6 +284,14 @@ class Poset:
             "elements": list(self.elements),
             "covers": [[a, b] for a, b in self.cover_pairs()],
         }
+
+
+def _sequence(value, error: type, message: str, *args) -> tuple:
+    """The one sequence test: `value` as a tuple, else `error(message.format(*args))`."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise error(message.format(*args)) from None
 
 
 def _int(value, what: str) -> int:

@@ -1,11 +1,12 @@
-"""Up-projectivity of prime intervals.
+"""Up-projectivity of prime intervals, in its join-only form.
 
-For a prime interval [a, b] the lattice definition of [a,b] up-projective to
-[x,y] (meet(b,x) = a and join(b,x) = y) is equivalent to the join-only form
-x != y, join(a,x) = x, join(b,x) = y, which is the one that makes sense in a
-join semilattice.  Both are exposed; property tests pin their agreement.
-Both check their source and witness as two names each by `Poset._pairs`.
-`prime_up_projective` checks one given witness through two `join` calls.
+For a prime interval [a, b], [a, b] is up-projective to [x, y] when x != y,
+join(a, x) = x and join(b, x) = y: the form that makes sense in a join
+semilattice, where meets need not exist.  On a lattice it agrees with the
+lattice form meet(b, x) = a, join(b, x) = y, which the tests keep as the
+reference it is checked against.
+`prime_up_projective` checks its source and witness as two names each by
+`Poset._pairs`, and one given witness through two `join` calls.
 The search for an up-and-down witness between two prime intervals is
 `oracle.interval_updown_witness`.
 """
@@ -13,20 +14,8 @@ The search for an up-and-down witness between two prime intervals is
 from __future__ import annotations
 
 from . import semilattice as sl
-from .errors import NoMeetError, NotPrimeIntervalError
+from .errors import NotPrimeIntervalError
 from .poset import Poset
-
-
-def lattice_up_projective(p: Poset, ab, xy) -> bool:
-    """Lattice form: meet(b, x) == a and join(b, x) == y.
-
-    Works for general intervals; requires meet(b, x) to exist.
-    """
-    a, b, x, y = (p.elements[i] for pair in p._pairs("source and witness", ab, xy) for i in pair)
-    m = sl.meet(p, b, x)
-    if m is None:
-        raise NoMeetError(f"meet({b}, {x}) does not exist in {p.name!r}")
-    return m == a and sl.join(p, b, x) == y
 
 
 def prime_up_projective(p: Poset, ab, xy) -> bool:

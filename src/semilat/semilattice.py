@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import (MissingBoundsError, NoJoinError, NotAChainError, NotJoinSemilatticeError,
                      NotMaximalChainError, SizeLimitError, UnknownElementError)
-from .poset import Poset, _int
+from .poset import Poset, _int, _sequence
 
 # Sentinels inside the bound tables.
 _NONE = -1        # no common bound at all
@@ -188,8 +188,8 @@ def _check_rows(p: Poset, X: np.ndarray, label: str) -> None:
 def is_maximal_chain(p: Poset, chain: Iterable[str]) -> bool:
     """True iff the sequence runs from bottom to top through covers only."""
     _require_bounds(p)   # before any name is looked up
-    if not isinstance(chain, Iterable):
-        raise NotAChainError(f"a chain must be iterable, got {type(chain).__name__}")
+    chain = _sequence(chain, NotAChainError, "a chain must be iterable, got {}",
+                      type(chain).__name__)
     return bool(_maximal_rows(p, [[p.index(e) for e in chain]])[0])
 
 

@@ -24,7 +24,6 @@ from semilat import (
     is_semimodular,
     jh_match,
     join,
-    lattice_up_projective,
     maximal_chains,
     named_counterexample,
     partition_lattice,
@@ -36,6 +35,7 @@ from semilat.generators import graphic_flat_lattice
 from semilat.poset import Poset
 
 from conftest import DATA, K4, TWO_TRIANGLES, read_golden
+from lattice_form import lattice_up_projective
 
 PAIR_BUDGET = 5000
 SAMPLES = 200

@@ -1,12 +1,14 @@
 """Every public function that reads a chain, an interval, a pair list, an
-integer or a graph refuses a malformed one with the package's own error,
-never a bare TypeError, ValueError, IndexError or AttributeError; and the
-argument checks run in the order the callers rely on."""
+integer, a graph, a subgroup, a group table or a matching result refuses a
+malformed one with the package's own error, never a bare TypeError,
+ValueError, IndexError or AttributeError; and the argument checks run in the
+order the callers rely on."""
 
 from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,6 +22,7 @@ from semilat import (
     PreconditionError,
     SemilatError,
     UnknownElementError,
+    UnknownNameError,
     boolean_lattice,
     builtin_group,
     chain_product,
@@ -28,12 +31,14 @@ from semilat import (
     export_dot,
     from_dict,
     graphic_flat_lattice,
+    group_from_table,
     interval_updown_witness,
     is_maximal_chain,
+    is_subnormal,
     jh_match,
-    lattice_up_projective,
     maximal_chains,
     named_counterexample,
+    normal_closure,
     partition_lattice,
     prime_up_projective,
     projectivity_relation,
@@ -42,6 +47,7 @@ from semilat import (
     verify_matching,
 )
 from semilat.groups import group_from_dict
+from lattice_form import lattice_up_projective
 from strategies import GENERATED
 
 B3 = boolean_lattice(3)
@@ -50,8 +56,10 @@ SOURCE, WITNESS = ("000", "100"), ("010", "110")
 RESULT = jh_match(B3, CHAIN, OTHER)
 Z12 = builtin_group("Z12")
 SERIES = maximal_chains(subnormal_lattice(Z12))[0]
+Z6_IN_Z12, ALL_OF_Z12 = (0, 2, 4, 6, 8, 10), tuple(range(12))
 
-NON_ITERABLE = st.one_of(st.integers(), st.floats(), st.none(), st.booleans(), st.builds(object))
+NON_ITERABLE = st.one_of(st.integers(), st.floats(), st.none(), st.booleans(), st.builds(object),
+                         st.just(np.array(5)))   # a 0-d array has __iter__ but cannot iterate
 NOT_AN_INT = st.one_of(st.floats(), st.text(max_size=3), st.none())
 # Names of neither B3 nor the subnormal lattice of Z12, unhashable ones too.
 UNKNOWN = st.one_of(st.text("xyz", max_size=3), st.integers(), st.none(),
@@ -84,6 +92,11 @@ def chain(base: tuple) -> dict:
     return {"non-iterable": NON_ITERABLE, "unknown-name": unknown(base)}
 
 
+def members(base: tuple) -> dict:
+    """The malformed forms of a subgroup's member indices."""
+    return {"non-iterable": NON_ITERABLE, "not-an-int": NOT_AN_INT.map(lambda v: base + (v,))}
+
+
 # Each slot: a call with the value in one argument, a value it accepts there,
 # and the malformed forms it must refuse.
 SLOTS = {
@@ -95,10 +108,14 @@ SLOTS = {
     "jh_match-b": (lambda v: jh_match(B3, CHAIN, v), OTHER, sequences(OTHER)),
     "verify_matching-a": (lambda v: verify_matching(B3, v, OTHER, RESULT), CHAIN, chain(CHAIN)),
     "verify_matching-b": (lambda v: verify_matching(B3, CHAIN, v, RESULT), OTHER, chain(OTHER)),
+    "verify_matching-result": (lambda v: verify_matching(B3, CHAIN, OTHER, v), RESULT,
+                               {"not-a-result": NON_ITERABLE}),
     "prime_up_projective-source": (lambda v: prime_up_projective(B3, v, WITNESS), SOURCE,
                                    sequences(SOURCE, not_two)),
     "prime_up_projective-witness": (lambda v: prime_up_projective(B3, SOURCE, v), WITNESS,
                                     sequences(WITNESS, not_two)),
+    # The lattice form is the tests' reference (lattice_form.py); it reads
+    # source and witness as the prime form does.
     "lattice_up_projective-source": (lambda v: lattice_up_projective(B3, v, WITNESS), SOURCE,
                                      sequences(SOURCE, not_two)),
     "lattice_up_projective-witness": (lambda v: lattice_up_projective(B3, SOURCE, v), WITNESS,
@@ -123,10 +140,20 @@ SLOTS = {
     "export_dot-witness": (
         lambda v: export_dot(B3, CHAIN, OTHER, replace(RESULT, witnesses=(v,) + RESULT.witnesses[1:])),
         RESULT.witnesses[0], sequences(RESULT.witnesses[0], not_two)),
+    "export_dot-matching": (lambda v: export_dot(B3, CHAIN, OTHER, v), RESULT,   # None: no matching
+                            {"not-a-result": NON_ITERABLE.filter(lambda v: v is not None)}),
     "composition_analysis-a": (lambda v: composition_analysis(Z12, v, SERIES), SERIES,
                                sequences(SERIES)),
     "composition_analysis-b": (lambda v: composition_analysis(Z12, SERIES, v), SERIES,
                                sequences(SERIES)),
+    "normal_closure-sub": (lambda v: normal_closure(Z12, v, ALL_OF_Z12), Z6_IN_Z12,
+                           members(Z6_IN_Z12)),
+    "normal_closure-ambient": (lambda v: normal_closure(Z12, Z6_IN_Z12, v), ALL_OF_Z12,
+                               members(ALL_OF_Z12)),
+    "is_subnormal": (lambda v: is_subnormal(Z12, v), Z6_IN_Z12, members(Z6_IN_Z12)),
+    "group_from_table": (lambda v: group_from_table("t", v), [[0, 1], [1, 0]],
+                         {"non-iterable": NON_ITERABLE}),
+    "builtin_group": (builtin_group, "Z2", {"unknown-name": UNKNOWN}),
     "boolean_lattice": (boolean_lattice, 2, {"not-an-int": NOT_AN_INT}),
     "partition_lattice": (partition_lattice, 3, {"not-an-int": NOT_AN_INT}),
     "chain_product": (chain_product, [2, 3], {"non-iterable": NON_ITERABLE,
@@ -162,6 +189,15 @@ def test_malformed_argument_raises_a_package_error(call, values, data):
         call(bad)
 
 
+NON_ITERABLE_SLOTS = {slot: call for slot, (call, _, forms) in SLOTS.items() if "non-iterable" in forms}
+
+
+@pytest.mark.parametrize("call", list(NON_ITERABLE_SLOTS.values()), ids=list(NON_ITERABLE_SLOTS))
+def test_a_0d_array_is_refused_as_a_sequence(call):
+    with pytest.raises(SemilatError):   # every slot, whatever the draws above pick
+        call(np.array(5))
+
+
 @pytest.mark.parametrize("call, error, message", [
     (lambda: prime_up_projective(B3, 5, SOURCE), NotPrimeIntervalError,
      r"^source and witness must be two names each: 5, \('000', '100'\)$"),
@@ -176,8 +212,20 @@ def test_malformed_argument_raises_a_package_error(call, values, data):
      r"^element 'zz' is not in poset 'B3'$"),
     (lambda: lattice_up_projective(B3, ("zz", "100"), WITNESS), UnknownElementError,
      r"^element 'zz' is not in poset 'B3'$"),
+    (lambda: group_from_table("x", 5), GroupValidationError,
+     r"^table must be an array of rows, got int$"),
+    (lambda: builtin_group(5), UnknownNameError, r"^unknown builtin group 5$"),
+    (lambda: verify_matching(B3, CHAIN, OTHER, 5), PreconditionError,
+     r"^result must be a MatchingResult, got int$"),
+    (lambda: export_dot(B3, None, None, 5), PreconditionError,
+     r"^matching must be a MatchingResult, got int$"),
+    (lambda: is_subnormal(Z12, 6), PreconditionError,
+     r"^a subgroup must be a sequence of element indices, got int$"),
+    (lambda: normal_closure(Z12, (0, 6.0), ALL_OF_Z12), PreconditionError,
+     r"^a subgroup member must be an integer, got 6\.0$"),
 ], ids=["prime-form-int", "lattice-form-int", "limit-string", "graph-int", "seed-none",
-        "prime-form-unknown-y", "lattice-form-unknown-a"])
+        "prime-form-unknown-y", "lattice-form-unknown-a", "table-int", "builtin-int",
+        "verify-result-int", "dot-matching-int", "subgroup-int", "member-float"])
 def test_refused_with_the_package_error(call, error, message):
     with pytest.raises(error, match=message):
         call()

@@ -618,21 +618,21 @@ def test_python_dash_m_runs_the_cli():
 PUBLIC_NAMES = [
     "ChainLengthMismatchError", "CheckEntry", "CompositionReport", "Graph", "Group",
     "GroupValidationError", "InternalInvariantError", "MatchingCheck", "MatchingResult",
-    "MissingBoundsError", "NoJoinError", "NoMeetError", "NotAChainError",
+    "MissingBoundsError", "NoJoinError", "NotAChainError",
     "NotJoinSemilatticeError", "NotMaximalChainError", "NotPrimeIntervalError",
     "NotSemimodularError", "Poset", "PosetConstructionError", "PreconditionError",
     "ProjectivityRelation", "RecursionFrame", "SemilatError", "SemimodularityReport",
-    "SeriesPair", "SizeLimitError", "Subgroup", "TheoremReport", "UnknownElementError",
+    "SeriesPair", "SizeLimitError", "TheoremReport", "UnknownElementError",
     "UnknownNameError", "all_subgroups", "boolean_lattice", "builtin_group", "chain_product",
     "check_pairs", "check_theorem", "composition_analysis", "count_consistent_permutations",
     "count_maximal_chains", "dot", "errors", "export_dot", "from_dict", "generators",
     "graphic_flat_lattice", "group_from_table", "groups", "interval_updown_witness",
     "is_join_semilattice", "is_maximal_chain", "is_semimodular", "is_subnormal", "jh_match",
-    "join", "lattice_up_projective", "load_group", "load_poset", "match_index_chains",
+    "join", "load_group", "load_poset", "match_index_chains",
     "matching", "maximal_chains", "meet", "named_counterexample", "normal_closure", "oracle",
     "partition_lattice", "poset", "prime_up_projective", "projectivity",
     "projectivity_relation", "random_maximal_chain", "save_group", "save_poset", "semilattice",
-    "subnormal_lattice", "verify_matching",
+    "subgroup_name", "subnormal_lattice", "verify_matching",
 ]
 
 

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from semilat import (
     GroupValidationError,
@@ -16,7 +16,6 @@ from semilat import (
     Poset,
     PreconditionError,
     SizeLimitError,
-    Subgroup,
     UnknownNameError,
     all_subgroups,
     builtin_group,
@@ -26,6 +25,7 @@ from semilat import (
     is_subnormal,
     maximal_chains,
     normal_closure,
+    subgroup_name,
     subnormal_lattice,
 )
 from semilat import groups, matching
@@ -131,7 +131,7 @@ def subnormal_by_reference(g, members):
 def subnormal_lattice_by_reference(g):
     """The lattice as the member-set construction built it: compare every
     pair of subnormal member sets, then reduce that order to its covers."""
-    sets = {s.name: set(s.members) for s in all_subgroups(g) if is_subnormal(g, s)}
+    sets = {subgroup_name(s): set(s) for s in all_subgroups(g) if is_subnormal(g, s)}
     strictly_below = [(a, b) for a in sets for b in sets if sets[a] < sets[b]]
     return dag_poset(f"subnormal({g.name})", list(sets), strictly_below)
 
@@ -276,7 +276,7 @@ class TestSubgroups:
     def test_against_subset_oracle(self):
         for name in ("S3", "D4", "Q8", "Z12", "A4", "S3xZ2"):
             g = builtin_group(name)
-            ours = [s.members for s in all_subgroups(g)]
+            ours = all_subgroups(g)
             assert sorted(ours, key=lambda m: (len(m), m)) == subgroups_by_subset_scan(g)
 
     def test_order_guard(self):
@@ -286,29 +286,29 @@ class TestSubgroups:
     @settings(GENERATED, max_examples=15)
     @given(direct_products(max_order=12))
     def test_generated_against_subset_oracle(self, g):
-        assert [s.members for s in all_subgroups(g)] == subgroups_by_subset_scan(g)
+        assert all_subgroups(g) == subgroups_by_subset_scan(g)
 
     @settings(GENERATED, max_examples=10)
     @given(direct_products())
     def test_generated_against_pairwise_closure(self, g):
-        assert [s.members for s in all_subgroups(g)] == subgroups_by_pairwise_closure(g)
+        assert all_subgroups(g) == subgroups_by_pairwise_closure(g)
 
 
 class TestNormalClosureAndSubnormality:
     def test_transposition_closure_is_s3(self):
         s3 = builtin_group("S3")
-        full = Subgroup(tuple(range(6)))
+        full = tuple(range(6))
         transposition = next(s for s in all_subgroups(s3) if len(s) == 2)
-        assert normal_closure(s3, transposition, full).members == tuple(range(6))
+        assert normal_closure(s3, transposition, full) == tuple(range(6))
 
     def test_closure_of_self(self):
         s3 = builtin_group("S3")
         for sub in all_subgroups(s3):
-            assert normal_closure(s3, sub, sub).members == sub.members
+            assert normal_closure(s3, sub, sub) == sub
 
     def test_a4_z2_closure_is_v4(self):
         a4 = builtin_group("A4")
-        full = Subgroup(tuple(range(12)))
+        full = tuple(range(12))
         z2 = next(s for s in all_subgroups(a4) if len(s) == 2)
         v4 = normal_closure(a4, z2, full)
         assert len(v4) == 4
@@ -320,18 +320,18 @@ class TestNormalClosureAndSubnormality:
         with pytest.raises(PreconditionError):
             normal_closure(s3, small[0], small[1])
         with pytest.raises(PreconditionError, match=r"^0\.9 is not contained in 0\.1\.2\.3\.4\.5$"):
-            is_subnormal(s3, Subgroup((0, 9)))
+            is_subnormal(s3, (0, 9))
 
     def test_ambient_outside_the_group_refused(self):
         with pytest.raises(PreconditionError, match=r"^0\.7\.8 holds an element outside 0\.\.3$"):
-            normal_closure(builtin_group("Z4"), Subgroup((0, 7)), Subgroup((0, 7, 8)))
+            normal_closure(builtin_group("Z4"), (0, 7), (0, 7, 8))
 
     def test_ambient_not_a_subgroup_refused(self):
         # (0, 1, 7, 10) is not closed under the product of S4.
         with pytest.raises(PreconditionError, match=r"^0\.1\.7\.10 is not a subgroup of S4$"):
-            normal_closure(builtin_group("S4"), Subgroup((0, 1)), Subgroup((0, 1, 7, 10)))
+            normal_closure(builtin_group("S4"), (0, 1), (0, 1, 7, 10))
         with pytest.raises(PreconditionError, match=r"^ is not a subgroup of S4$"):
-            normal_closure(builtin_group("S4"), Subgroup(()), Subgroup(()))
+            normal_closure(builtin_group("S4"), (), ())
 
     def test_only_the_public_call_scans_the_ambient(self, monkeypatch):
         # normal_closure scans its ambient for closure once; is_subnormal
@@ -342,19 +342,19 @@ class TestNormalClosureAndSubnormality:
         monkeypatch.setattr(groups, "_normal_closure",
                             lambda *args, **kwargs: steps.append(1) or step(*args, **kwargs))
         s4 = builtin_group("S4")
-        normal_closure(s4, Subgroup((0, 1)), Subgroup(tuple(range(24))))
+        normal_closure(s4, (0, 1), tuple(range(24)))
         assert (len(closes), len(steps)) == (2, 1)
         for sub in all_subgroups(s4):
             closes.clear()
             steps.clear()
             is_subnormal(s4, sub)
-            assert len(closes) == len(steps) >= 1, sub.name
+            assert len(closes) == len(steps) >= 1, subgroup_name(sub)
 
     def test_subnormality(self):
         s3 = builtin_group("S3")
         for sub in all_subgroups(s3):
             expected = len(sub) in (1, 3, 6)  # 1, A3, S3
-            assert is_subnormal(s3, sub) == expected, sub.members
+            assert is_subnormal(s3, sub) == expected, sub
         a4 = builtin_group("A4")
         for sub in all_subgroups(a4):
             if len(sub) == 2:
@@ -366,7 +366,7 @@ class TestNormalClosureAndSubnormality:
     @given(direct_products())
     def test_generated_against_reference(self, g):
         for sub in all_subgroups(g):
-            assert is_subnormal(g, sub) == subnormal_by_reference(g, sub.members), sub.name
+            assert is_subnormal(g, sub) == subnormal_by_reference(g, sub), subgroup_name(sub)
 
     @settings(GENERATED, max_examples=10)
     @given(direct_products())
@@ -374,9 +374,55 @@ class TestNormalClosureAndSubnormality:
         subs = all_subgroups(g)
         for K in subs:
             for H in subs:
-                if set(H.members) <= set(K.members):
-                    expected = sorted(normal_closure_by_reference(g, H.members, K.members))
-                    assert list(normal_closure(g, H, K).members) == expected, (H.name, K.name)
+                if set(H) <= set(K):
+                    expected = sorted(normal_closure_by_reference(g, H, K))
+                    assert list(normal_closure(g, H, K)) == expected, (subgroup_name(H),
+                                                                       subgroup_name(K))
+
+
+def spellings(members: tuple) -> list[tuple]:
+    """The same member set spelled four other ways: reversed, rotated, and with repeats."""
+    return [members[::-1], members[1:] + members[:1], members + members[::-1],
+            members[:1] * 3 + members]
+
+
+def spelled(members: tuple) -> st.SearchStrategy:
+    """`members` in any order, each at least once."""
+    return st.lists(st.sampled_from(members), max_size=4).flatmap(
+        lambda extra: st.permutations(members + tuple(extra))).map(tuple)
+
+
+# Every builtin group of order at most 24, the order of S4.
+SMALL_BUILTINS = ([f"Z{n}" for n in range(1, 25)] + [f"D{n}" for n in range(1, 13)]
+                  + ["S3", "A4", "Q8", "S4"])
+
+
+class TestMemberSpelling:
+    """A subgroup argument is its set of members: is_subnormal and
+    normal_closure answer alike for every order and repetition of them."""
+
+    @pytest.mark.parametrize("name", SMALL_BUILTINS)
+    def test_builtins(self, name):
+        g = builtin_group(name)
+        subs = all_subgroups(g)
+        for H in subs:
+            expected = is_subnormal(g, H)
+            assert all(is_subnormal(g, form) == expected for form in spellings(H)), H
+            for K in subs:
+                if set(H) <= set(K):
+                    closure = normal_closure(g, H, K)
+                    for h, k in zip(spellings(H), spellings(K)):
+                        assert normal_closure(g, h, k) == closure, (h, k)
+
+    @settings(GENERATED, max_examples=10)
+    @given(direct_products(), st.data())
+    def test_generated(self, g, data):
+        subs = all_subgroups(g)
+        for H in subs:
+            assert is_subnormal(g, data.draw(spelled(H))) == is_subnormal(g, H), H
+            K = data.draw(st.sampled_from([K for K in subs if set(H) <= set(K)]))
+            assert normal_closure(g, data.draw(spelled(H)), data.draw(spelled(K))) == \
+                normal_closure(g, H, K), (H, K)
 
 
 class TestSubnormalLattice:

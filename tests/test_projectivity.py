@@ -11,11 +11,11 @@ from semilat import (
     boolean_lattice,
     interval_updown_witness,
     join,
-    lattice_up_projective,
     named_counterexample,
     partition_lattice,
     prime_up_projective,
 )
+from lattice_form import lattice_up_projective
 
 B2 = Poset.from_cover_list(
     "b2", ["0", "a", "b", "1"], [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
