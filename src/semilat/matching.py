@@ -7,8 +7,9 @@ unique permutation pi with [c_{i-1}, c_i] up-and-down projective to
 matrix M[i][j] = c_i ∨ d_j (Grätzer and Nation): pi(i) is the least j with
 c_i ≤ c_{i-1} ∨ d_j, the first column where row i equals row i-1, and the
 witness is the step [M[i-1][j-1], M[i-1][j]] of row i-1.  No witness search
-happens anywhere: the structural facts about M are asserted and every
-witness is re-verified by index against both of its intervals.
+happens anywhere: M is checked by one rank law on the heights of its entries,
+h(c_i ∨ d_j) = j + #{k <= i : pi(k) > j}, and every witness is re-verified by
+index against both of its intervals.
 
 There is one matcher, `_match`, on a batch of index chain pairs whose join
 matrices are one numpy array, and one public entry per input form, each
@@ -105,12 +106,17 @@ def _match(p: Poset, C: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """pi and the witnesses by index, shapes (P, n) and (P, n, 2), for the
     P pairs of maximal index chains of equal length n in the rows of C and
     D, shape (P, n+1), of a validated poset, so no join sentinel is read.
-    The pairs are matched in blocks of about sl._BLOCK join-matrix entries;
-    the first (pair, row) at which a fact about M or a witness fails raises
+    The pairs are matched in blocks of about sl._BLOCK join-matrix entries.
+
+    M is checked by one rank law: row 0 is d; row i starts at c_i, rises in
+    the order from row i-1 and along itself, and has the heights
+    h(c_i ∨ d_j) = j + #{k <= i : pi(k) > j} of the slim lattice of pi
+    (Czédli and Schmidt), so its steps are covers or repeats and pi is a
+    permutation.  The first (pair, row) failing a check or its witness raises
     InternalInvariantError, the checks of a row in the order listed below."""
-    J, covers = sl._joins(p), p._covers
+    J, leq, h = sl._joins(p), p._leq.ravel(), p._view()[2]
     P, m = C.shape
-    n = m - 1
+    n, size = m - 1, len(p)
     pi = np.empty((P, n), dtype=np.intp)
     W = np.empty((P, n, 2), dtype=np.intp)
     cols, rows = np.arange(m), np.arange(n)
@@ -121,30 +127,20 @@ def _match(p: Poset, C: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, np.ndarr
         ks = np.arange(len(c))[:, None, None]
         M = J[c[:, :, None], d[:, None, :]]
         prev, row = M[:, :-1], M[:, 1:]   # rows i-1 and i, for i = 1..n
-        flat = M[:, :, 1:] == M[:, :, :-1]   # flat[:, i, k-1]: row i repeats at column k
-        # pi(i) is the least j with c_i <= c_{i-1} ∨ d_j.  From j on row i is
-        # row i-1, and it repeats where row i-1 does and at j, so pi is a
-        # permutation: the repeats only grow, by one new column per row.
-        same = row == prev
-        j = same.argmax(axis=2)
-        jj = j[:, :, None] + _STEP   # (j-1, j); j = 0 reads column -1, but fails check 1 first
+        j = (row == prev).argmax(axis=2)   # pi(i): the least j with c_i <= c_{i-1} ∨ d_j
+        jj = j[:, :, None] + _STEP   # (j-1, j); j = 0 reads column -1, but breaks the law first
         xy = prev[ks, rows[:, None], jj]   # the witness (x, y), and the steps it meets:
         ab, ef = c[:, steps], d[ks, jj]    # [c_{i-1}, c_i] and [d_{j-1}, d_j]
-        x, jm = xy[:, :, :1], jj[:, :, :1]   # x and j-1, to broadcast over a row
-        # Row i repeats where row i-1 does and newly at j exactly when this is
-        # the unit vector at column j-1.
-        grew = flat[:, 1:].view(np.int8) - flat[:, :-1].view(np.int8)
         first_row = M[:, 0] != d   # c_0 is the bottom
         # For each check of row i, in order, the masks whose set entries fail it.
         checks = (
-            # Row i runs from c_i to the top.
-            (row[:, :, 0] != ab[:, :, 1], row[:, :, n] != d[:, n:]),
-            # Row i adds exactly one collapse, at j, and equals row i-1 from j on.
-            (j == 0, ~same & (cols >= j[:, :, None]), grew != (rows == jm)),
-            # Steps past j are those of row i-1, and row 0 is the maximal chain d.
-            (~(flat[:, 1:] | covers[row[:, :, :-1], row[:, :, 1:]] | (rows >= jm)),),
+            # Row i starts at c_i and rises from row i-1 and along itself.
+            (row[:, :, 0] != ab[:, :, 1], ~leq[prev * size + row],
+             ~leq[row[:, :, :-1] * size + row[:, :, 1:]]),
+            # The rank law: h(c_i ∨ d_j) = j + #{k <= i : pi(k) > j}.
+            (h[row] != cols + np.cumsum(j[:, :, None] > cols, axis=1),),
             # The witness (x, y) against both intervals: a∨x = e∨x = x, b∨x = f∨x = y.
-            (xy[:, :, 0] == xy[:, :, 1], J[ab, x] != xy, J[ef, x] != xy),
+            (xy[:, :, 0] == xy[:, :, 1], J[ab, xy[:, :, :1]] != xy, J[ef, xy[:, :, :1]] != xy),
         )
         if np.count_nonzero(first_row) or any(map(np.count_nonzero, sum(checks, ()))):
             # The first failing (pair, row), row 0 first, and the first check it fails.
@@ -153,17 +149,12 @@ def _match(p: Poset, C: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, np.ndarr
             k, i = divmod(int(np.c_[first_row.any(axis=1), fails.any(axis=0)].argmax()), m)
             if i == 0:
                 raise InternalInvariantError("row 0 of the join matrix is not the second chain")
-            r, names = i - 1, p.elements
-            check, jk = int(fails[:, k, r].argmax()), j[k, r]
+            check, names = int(fails[:, k, i - 1].argmax()), p.elements
             if check == 0:
-                raise InternalInvariantError(f"row {i} does not run from c_{i} to the top")
+                raise InternalInvariantError(f"row {i} does not rise from c_{i} in the order")
             if check == 1:
-                raise InternalInvariantError(f"row {i} does not add exactly one collapse, at {jk}")
-            if check == 2:
-                u, v = next((u, v) for u, v in zip(row[k, r], row[k, r, 1:jk])
-                            if u != v and not covers[u, v])
-                raise InternalInvariantError(f"row {i} steps {names[u]} -> {names[v]}, no cover")
-            (xn, yn), (an, bn), (en, fn) = ((names[v] for v in t[k, r]) for t in (xy, ab, ef))
+                raise InternalInvariantError(f"row {i} breaks the rank law")
+            (xn, yn), (an, bn), (en, fn) = ((names[v] for v in t[k, i - 1]) for t in (xy, ab, ef))
             raise InternalInvariantError(f"index {i}: witness ({xn}, {yn}) fails on "
                                          f"[{an}, {bn}] or [{en}, {fn}]")
         pi[start:start + block] = j

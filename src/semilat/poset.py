@@ -4,7 +4,7 @@ Elements are nonempty strings kept in canonical (sorted) order, so every
 derived output of the package is deterministic.  The order relation lives in
 a read-only boolean matrix; the cover relation is its transitive reduction.
 A chain of names is a plain tuple, checked in one place: `Poset._row`.
-Chain walks read `_view`: upper-cover index lists and the rank order, built once.
+Chain walks read `_view`: upper covers, rank order and heights by index, built once.
 """
 
 from __future__ import annotations
@@ -174,11 +174,17 @@ class Poset:
     def upper_covers(self, a: str) -> list[str]:
         return [self.elements[j] for j in self._view()[0][self.index(a)]]
 
-    def _view(self) -> tuple[list[list[int]], np.ndarray]:
-        """Upper-cover index lists, and the rank order: each element after those below it."""
+    def _view(self) -> tuple[list[list[int]], np.ndarray, np.ndarray]:
+        """Upper-cover index lists, the rank order (each element after those below
+        it), and the heights: longest cover paths from a minimal element."""
         if "view" not in self._cache:
-            self._cache["view"] = ([np.flatnonzero(row).tolist() for row in self._covers],
-                                   np.argsort(self._leq.sum(axis=0), kind="stable"))
+            ups = [np.flatnonzero(row).tolist() for row in self._covers]
+            order = np.argsort(self._leq.sum(axis=0), kind="stable")
+            h = [0] * len(self)
+            for i in order.tolist():   # each height is final before it is read
+                for u in ups[i]:
+                    h[u] = max(h[u], h[i] + 1)
+            self._cache["view"] = ups, order, np.array(h, dtype=np.intp)
         return self._cache["view"]
 
     # -- bounds and height ---------------------------------------------------
@@ -199,18 +205,11 @@ class Poset:
 
     def element_heights(self) -> dict[str, int]:
         """Longest cover-path length from a minimal element to each element."""
-        if "heights" not in self._cache:
-            ups, order = self._view()
-            h = [0] * len(self)
-            for i in order.tolist():   # each height is final before it is read
-                for u in ups[i]:
-                    h[u] = max(h[u], h[i] + 1)
-            self._cache["heights"] = dict(zip(self.elements, h))
-        return self._cache["heights"]
+        return dict(zip(self.elements, self._view()[2].tolist()))
 
     def height(self) -> int:
         """Length of a longest chain (element count minus one)."""
-        return max(self.element_heights().values())
+        return int(self._view()[2].max())
 
     # -- derived posets ------------------------------------------------------
 

@@ -22,6 +22,11 @@ _AMBIGUOUS = -2   # several minimal/maximal common bounds
 # `verify --all-pairs --json`.
 PAIR_LIMIT = 50_000
 
+# Most maximal chains walked: in-process `semilat chains --json` on a shared 2-vCPU
+# machine lists the 90,720 of chain_product([2]*5 + [3, 3]) in 0.74 s at 167 MiB peak
+# (22 MB written), and the 181,440 of chain_product([2]*7 + [3]) in 1.48 s at 306 MiB.
+CHAIN_LIMIT = 100_000
+
 # The one bound, in entries, on the numpy temporaries of each block of the join
 # table, the semimodularity scan, the matcher and the oracle's cell scan.  At
 # 2^16 the first two took 1.35-1.6x as long on Pi6, C4x4x4x4 and C300, and the
@@ -194,7 +199,8 @@ def is_maximal_chain(p: Poset, chain: Iterable[str]) -> bool:
 
 
 def maximal_chains(p: Poset, limit: int | None = None) -> list[tuple[str, ...]]:
-    """All maximal chains in lexicographic element order, optionally truncated."""
+    """All maximal chains in lexicographic element order, optionally truncated.
+    Raises SizeLimitError before the walk if it would list more than CHAIN_LIMIT."""
     return [tuple(map(p.elements.__getitem__, row)) for row in _chain_rows(p, limit)]
 
 
@@ -202,6 +208,9 @@ def _chain_rows(p: Poset, limit: int | None = None) -> Iterator[tuple[int, ...]]
     """`maximal_chains` as index rows, one at a time, so no list of them is held."""
     bottom, top = _require_bounds(p)
     limit = None if limit is None else _int(limit, "limit")
+    if ((limit is None or limit > CHAIN_LIMIT)
+            and (count := count_maximal_chains(p)) > CHAIN_LIMIT):
+        raise SizeLimitError(f"listing is limited to <= {CHAIN_LIMIT} maximal chains, got {count}")
     ups, found = p._view()[0], 0
     # Partial index chains from the bottom; pushing the extensions in reverse
     # order pops them in lexicographic order.
@@ -218,7 +227,7 @@ def _chain_rows(p: Poset, limit: int | None = None) -> Iterator[tuple[int, ...]]
 def count_maximal_chains(p: Poset) -> int:
     """Number of maximal chains (bottom-to-top cover paths)."""
     bottom, top = _require_bounds(p)
-    ups, order = p._view()
+    ups, order, _ = p._view()
     counts = [0] * len(p)
     # Every upper cover comes later in the rank order, so it is counted first.
     for x in reversed(order.tolist()):

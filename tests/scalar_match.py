@@ -2,9 +2,12 @@
 batched `matching._match`.
 
 `scalar_match` reads the join matrix M[i][j] = c_i ∨ d_j of one pair of
-index chains row by row, with the checks that `_match` makes on a whole
-batch, in the same order and with the same messages, and returns pi and
-the witnesses by index.
+index chains row by row and returns pi and the witnesses by index.  It keeps
+the checks that `_match` made before it checked M by one rank law: each row
+runs from c_i to the top, adds exactly one collapse, and steps by covers
+before it.  The witness check is the same in both.  Where this reference
+raises, `_match` raises too, though perhaps at another (pair, row) and with
+another message; `_match` also refuses some tables this reference lets pass.
 """
 
 from __future__ import annotations

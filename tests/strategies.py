@@ -7,8 +7,10 @@ that both kinds of missing join occur.  `closure_lattices` draws
 lattices: a family of subsets of a small ground set, closed under
 intersection and holding the whole set, ordered by inclusion.  Many of those
 are not semimodular.  `chain_products` and `graphic_flats` draw semimodular
-lattices, the ones the matching theorem speaks about.  `direct_products` draws
-finite groups, whose subnormal lattices are dually semimodular.
+lattices, the ones the matching theorem speaks about.  `antimatroids` draws
+semimodular lattices whose matchings are known in closed form, and whose
+duals are the negative controls.  `direct_products` draws finite groups,
+whose subnormal lattices are dually semimodular.
 """
 
 from __future__ import annotations
@@ -131,6 +133,37 @@ def graphic_flats(draw, max_vertices: int = 5) -> Poset:
     pairs = list(combinations(range(k), 2))
     edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
     return graphic_flat_lattice(Graph(k, tuple(edges)))
+
+
+def letter_set_name(s: int, n: int) -> str:
+    """The name of a set of the letters 0..n-1: character x is 1 when x is in it."""
+    return "".join("1" if s >> x & 1 else "0" for x in range(n))
+
+
+def antimatroid_lattice(words: Sequence[Sequence[int]]) -> Poset:
+    """The union closure of the prefixes of `words`, each a permutation of the
+    letters 0..n-1, n >= 1, ordered by inclusion.  That family is an
+    antimatroid, so its lattice is join-distributive, hence semimodular
+    (Edelman and Jamison, 1985).  Each cover adds one letter, so the covers
+    are read off the family, independently of `poset`'s matrix closure.
+    """
+    n = len(words[0])
+    family = {0}
+    for prefix in {sum(1 << x for x in w[:t]) for w in words for t in range(1, n + 1)}:
+        family |= {s | prefix for s in family}
+    names = {s: letter_set_name(s, n) for s in family}
+    covers = [(names[s], names[s | 1 << x]) for s in family for x in range(n)
+              if not s >> x & 1 and s | 1 << x in family]
+    return Poset.from_cover_list("antimatroid", names.values(), covers)
+
+
+@st.composite
+def antimatroids(draw, max_letters: int = 8, max_words: int = 4) -> Poset:
+    """The antimatroid lattice of 2..max_words words over 3..max_letters
+    letters.  The words are drawn from one seed, so that few of them repeat."""
+    n, k = draw(st.integers(3, max_letters)), draw(st.integers(2, max_words))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    return antimatroid_lattice([rng.sample(range(n), n) for _ in range(k)])
 
 
 @st.composite

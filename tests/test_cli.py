@@ -358,6 +358,26 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == f"error: matching is limited to <= {pairs - 1} chain pairs, got {pairs}\n"
 
+    def test_chain_limit_refuses_before_the_walk(self, run_cli, tmp_path):
+        path = str(tmp_path / "input.json")
+        assert run_cli("gen", "chainprod", "2,2,2,2,2,2,2,3", "-o", path)[0] == 0
+        refused = (2, "", "error: listing is limited to <= 100000 maximal chains, got 181440\n")
+        start = time.perf_counter()
+        for argv in ([], ["--json"], ["--limit", "100001"]):
+            assert run_cli("chains", path, *argv) == refused
+        assert time.perf_counter() - start < 1
+        assert run_cli("chains", path, "--count") == (0, "181440\n", "")
+        code, out, _ = run_cli("chains", path, "--limit", "3")
+        assert (code, len(out.splitlines())) == (0, 3)
+
+    def test_chain_limit_boundary(self, run_cli, monkeypatch):
+        monkeypatch.setattr(sl, "CHAIN_LIMIT", 6)   # B3 has 6 maximal chains
+        assert run_cli("chains", B3)[0] == 0
+        monkeypatch.setattr(sl, "CHAIN_LIMIT", 5)
+        assert run_cli("chains", B3) == (
+            2, "", "error: listing is limited to <= 5 maximal chains, got 6\n")
+        assert run_cli("chains", B3, "--limit", "5")[0] == 0
+
     def test_validate_a_600_element_chain(self, run_cli, tmp_path):
         path = str(tmp_path / "c600.json")
         assert run_cli("gen", "chainprod", "600", "-o", path)[0] == 0

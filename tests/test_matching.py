@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import inspect
+import io
 import random
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -24,6 +28,7 @@ from semilat import (
     boolean_lattice,
     builtin_group,
     chain_product,
+    check_pairs,
     check_theorem,
     composition_analysis,
     count_consistent_permutations,
@@ -38,16 +43,19 @@ from semilat import (
     prime_up_projective,
     projectivity_relation,
     random_maximal_chain,
+    save_poset,
     subnormal_lattice,
     verify_matching,
 )
 from semilat import semilattice as sl
+from semilat.cli import run as cli_run
 from semilat.matching import _match
 from semilat.oracle import COUNTING_LIMIT
 
 from conftest import break_witness_entry
 from scalar_match import scalar_match
-from strategies import GENERATED, chain_products, closure_lattices, direct_products, graphic_flats
+from strategies import (GENERATED, antimatroid_lattice, antimatroids, chain_products,
+                        closure_lattices, direct_products, graphic_flats, letter_set_name)
 
 B2 = Poset.from_cover_list(
     "b2", ["0", "a", "b", "1"], [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
@@ -114,6 +122,73 @@ class TestWorkedFixtures:
         assert result.n == 0
         assert result.pi == ()
         assert result.witnesses == ()
+
+
+def step_letters(chain) -> list[int]:
+    """The letter each step of a maximal chain of an antimatroid lattice adds."""
+    return [next(x for x, (u, v) in enumerate(zip(s, t)) if u != v) for s, t in zip(chain, chain[1:])]
+
+
+def closed_form(a, b) -> tuple[tuple[int, ...], tuple[tuple[str, str], ...]]:
+    """pi and the witnesses of two maximal chains of an antimatroid lattice:
+    if a adds the letter x at step i, then b adds it at step pi(i), and the
+    witness is (X, X ∪ {x}) with X = a_{i-1} ∪ b_{pi(i)-1}."""
+    n, bits = len(a[0]), (lambda name: int(name[::-1], 2))
+    step_b = {x: j for j, x in enumerate(step_letters(b), start=1)}
+    pi = [step_b[x] for x in step_letters(a)]
+    cores = [bits(a[i - 1]) | bits(b[j - 1]) for i, j in enumerate(pi, start=1)]
+    return tuple(pi), tuple((letter_set_name(X, n), letter_set_name(X | 1 << x, n))
+                            for X, x in zip(cores, step_letters(a)))
+
+
+class TestAntimatroids:
+    """Antimatroid lattices, whose matching is known in closed form, so no
+    oracle is needed; their duals are the negative controls."""
+
+    @settings(GENERATED, max_examples=60)
+    @given(antimatroids(), st.integers(0, 10 ** 6))
+    def test_closed_form(self, p, seed):
+        chains = [random_maximal_chain(p, seed + t) for t in range(4)]
+        pairs = [(a, b) for a in chains[:2] for b in chains[2:]]
+        expected = [closed_form(a, b) for a, b in pairs]
+        assert [(r.pi, r.witnesses) for r in (jh_match(p, a, b) for a, b in pairs)] == expected
+        pi, W = match_index_chains(p, *(np.array([index_chain(p, pair[k]) for pair in pairs])
+                                        for k in (0, 1)))
+        names = p.elements
+        assert [(tuple(row), tuple((names[x], names[y]) for x, y in w))
+                for row, w in zip(pi.tolist(), W.tolist())] == expected
+        assert all(report.ok for report in check_pairs(p, pairs))   # n <= 8 <= COUNTING_LIMIT
+
+    def test_two_words_beyond_the_oracle(self):
+        n = 40
+        sigma = random.Random(n).sample(range(n), n)
+        p = antimatroid_lattice([list(range(n)), sigma])
+        a, b = ([letter_set_name(sum(1 << x for x in w[:t]), n) for t in range(n + 1)]
+                for w in (range(n), sigma))
+        assert n > COUNTING_LIMIT and len(p) > 400
+        result = jh_match(p, a, b)
+        # The prefixes of 0..n-1 against those of sigma: pi is sigma's inverse.
+        assert result.pi == tuple(sigma.index(x) + 1 for x in range(n))
+        assert (result.pi, result.witnesses) == closed_form(a, b)
+
+    @settings(GENERATED, max_examples=30)
+    @given(antimatroids(), st.integers(0, 10 ** 6))
+    def test_duals(self, p, seed):
+        """A dual is semimodular exactly when the family is closed under
+        intersection: a poset antimatroid, whose lattice is distributive.
+        On every other dual, `match` refuses and `verify` reports failures."""
+        family = {int(name[::-1], 2) for name in p.elements}
+        distributive = all(s & t in family for s in family for t in family)
+        dual = p.dual()
+        assert is_semimodular(dual).holds == distributive
+        a, b = (",".join(random_maximal_chain(dual, seed + t)) for t in range(2))
+        with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()), \
+                redirect_stderr(io.StringIO()) as err:
+            path = str(Path(tmp) / "dual.json")
+            save_poset(dual, path)
+            assert cli_run(["match", path, "--chain-a", a, "--chain-b", b]) == (not distributive)
+            assert cli_run(["verify", path]) == (not distributive)
+        assert ("not semimodular" in err.getvalue()) == (not distributive)
 
 
 class TestWitnessValidity:
@@ -376,17 +451,21 @@ class TestBatch:
     @given(SEMIMODULAR, st.integers(0, 10 ** 6), st.integers(0, 3))
     def test_corrupted_tables_fail_as_the_row_loop_does(self, p, seed, corrupted):
         """With a few join-table entries overwritten, the batch, bare or
-        through the public index entry, returns or raises what the reference
-        row loop gives on its pairs in order: the first failing pair, row and
-        check, with the same message."""
+        through the public index entry, raises wherever the reference row
+        loop raises on some pair, though perhaps at another (pair, row).
+        Where the reference returns, the batch returns its pi and witnesses,
+        or refuses a join matrix that reads an overwritten entry by the order
+        or the rank law, which the reference does not check."""
         p = from_dict(p.to_dict())  # a fresh poset: its join table gets corrupted
         assert is_semimodular(p).holds   # cached, so the entry validates the intact table
         rng = random.Random(seed)
         chains = [index_chain(p, random_maximal_chain(p, seed + t)) for t in range(4)]
         pairs = [(rng.choice(chains), rng.choice(chains)) for _ in range(rng.randint(1, 8))]
         J = sl._joins(p)
+        intact = J.copy()
         for _ in range(corrupted):
             J[rng.randrange(len(p)), rng.randrange(len(p))] = rng.randrange(len(p))
+        reads_a_change = any((J[np.ix_(c, d)] != intact[np.ix_(c, d)]).any() for c, d in pairs)
 
         def outcome(match):
             try:
@@ -397,7 +476,31 @@ class TestBatch:
         expected = outcome(lambda: [scalar_match(p, c, d) for c, d in pairs])
         with mock.patch.object(sl, "_BLOCK", rng.choice([2 ** 16, 1, 40])):
             for match in (_match, match_index_chains):
-                assert outcome(lambda: match_batch(p, pairs, match)) == expected
+                found = outcome(lambda: match_batch(p, pairs, match))
+                if isinstance(expected, str):
+                    assert isinstance(found, str)
+                elif isinstance(found, str):
+                    assert reads_a_change and not found.startswith("index "), found
+                else:
+                    assert found == expected
+
+    def test_a_join_off_the_order_is_refused(self):
+        """B4's join of 0100 and 0010 set to 0011: its height is right, so the
+        reference row loop matches the pair, but 0011 is not above 0100."""
+        p = boolean_lattice(4)  # a fresh lattice: its cached join table gets corrupted
+        assert is_semimodular(p).holds
+        a = ["0000", "0010", "1010", "1011", "1111"]
+        b = ["0000", "0100", "0101", "0111", "1111"]
+        J, (x, y, z) = sl._joins(p), index_chain(p, ["0100", "0010", "0011"])
+        J[x, y] = J[y, x] = z
+        c, d = index_chain(p, a), index_chain(p, b)
+        assert scalar_match(p, c, d)[0] == [3, 4, 2, 1]
+        refused = "^row 1 does not rise from c_1 in the order$"
+        for match in (_match, match_index_chains):
+            with pytest.raises(InternalInvariantError, match=refused):
+                match(p, np.array([c]), np.array([d]))
+        with pytest.raises(InternalInvariantError, match=refused):
+            jh_match(p, a, b)
 
     def test_singleton_lattice(self):
         b0 = boolean_lattice(0)

@@ -19,6 +19,7 @@ from semilat import (
     Poset,
     SemilatError,
     SemimodularityReport,
+    SizeLimitError,
     boolean_lattice,
     builtin_group,
     chain_product,
@@ -367,6 +368,15 @@ class TestMaximalChains:
         assert maximal_chains(b3, limit=2) == chains[:2]
         assert maximal_chains(b3, limit=0) == []
         assert count_maximal_chains(b3) == len(chains)
+
+    def test_listing_refused_by_the_count(self):
+        p = chain_product([2] * 7 + [3])   # 384 elements
+        assert count_maximal_chains(p) == 181_440 > sl.CHAIN_LIMIT
+        message = f"^listing is limited to <= {sl.CHAIN_LIMIT} maximal chains, got 181440$"
+        for limit in (None, sl.CHAIN_LIMIT + 1):
+            with pytest.raises(SizeLimitError, match=message):
+                maximal_chains(p, limit)
+        assert maximal_chains(p, 7) == iterator_stack_chains(p, 7)
 
     def test_count_matches_enumeration(self, corpus):
         for p in corpus:
