@@ -46,7 +46,6 @@ from .oracle import (
     TheoremReport,
     check_pairs,
     check_theorem,
-    count_consistent_permutations,
     interval_updown_witness,
     projectivity_relation,
 )

@@ -158,10 +158,13 @@ def antimatroid_lattice(words: Sequence[Sequence[int]]) -> Poset:
 
 
 @st.composite
-def antimatroids(draw, max_letters: int = 8, max_words: int = 4) -> Poset:
-    """The antimatroid lattice of 2..max_words words over 3..max_letters
-    letters.  The words are drawn from one seed, so that few of them repeat."""
-    n, k = draw(st.integers(3, max_letters)), draw(st.integers(2, max_words))
+def antimatroids(draw, max_letters: int = 8, max_words: int = 4,
+                 min_letters: int = 3) -> Poset:
+    """The antimatroid lattice of 2..max_words words over
+    min_letters..max_letters letters.  The words are drawn from one seed, so
+    that few of them repeat."""
+    n = draw(st.integers(min_letters, max_letters))
+    k = draw(st.integers(2, max_words))
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     return antimatroid_lattice([rng.sample(range(n), n) for _ in range(k)])
 

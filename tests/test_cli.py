@@ -13,7 +13,7 @@ import pytest
 
 import semilat
 from conftest import DATA, GOLDEN, read_golden
-from semilat import Poset, cli, groups, poset, semilattice as sl
+from semilat import Poset, cli, groups, oracle, poset, semilattice as sl
 from semilat.poset import ELEMENT_LIMIT
 
 B2 = str(DATA / "b2.json")
@@ -323,14 +323,26 @@ class TestExitCodes:
         assert err == f"error: {path}: posets are limited to 2000 elements, got 2001\n"
 
     @pytest.mark.parametrize("length", [23, 300])
-    def test_verify_refuses_long_chains_early(self, run_cli, tmp_path, length):
+    def test_verify_decides_long_chains(self, run_cli, tmp_path, length):
         path = str(tmp_path / "chain.json")
         assert run_cli("gen", "chainprod", str(length), "-o", path)[0] == 0
         start = time.perf_counter()
         code, out, err = run_cli("verify", path)
-        assert time.perf_counter() - start < 2
-        assert (code, out) == (2, "")
-        assert err == "error: permutation counting is limited to n <= 20\n"
+        assert time.perf_counter() - start < 1
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == "result: all checks passed"
+
+    def test_oracle_work_limit_refuses_before_any_cell(self, run_cli, tmp_path, monkeypatch):
+        def cells(*args, **kwargs):
+            raise AssertionError("cell computed")
+
+        # One pair of 699 steps on 700 elements: 699^2 * 700 > 3 * 10^8.
+        path = str(tmp_path / "chain.json")
+        assert run_cli("gen", "chainprod", "700", "-o", path)[0] == 0
+        monkeypatch.setattr(oracle, "_witnesses", cells)
+        assert run_cli("verify", path) == (2, "", (
+            "error: the oracle is limited to <= 300000000 cell scan steps "
+            "(n^2 * |p| summed over the pairs), exceeded at pair 0\n"))
 
     @pytest.mark.parametrize("make, argv, pairs", [
         (["gen", "boolean", "6"], ["verify", "--all-pairs"], 518_400),
@@ -644,7 +656,7 @@ PUBLIC_NAMES = [
     "ProjectivityRelation", "RecursionFrame", "SemilatError", "SemimodularityReport",
     "SeriesPair", "SizeLimitError", "TheoremReport", "UnknownElementError",
     "UnknownNameError", "all_subgroups", "boolean_lattice", "builtin_group", "chain_product",
-    "check_pairs", "check_theorem", "composition_analysis", "count_consistent_permutations",
+    "check_pairs", "check_theorem", "composition_analysis",
     "count_maximal_chains", "dot", "errors", "export_dot", "from_dict", "generators",
     "graphic_flat_lattice", "group_from_table", "groups", "interval_updown_witness",
     "is_join_semilattice", "is_maximal_chain", "is_semimodular", "is_subnormal", "jh_match",

@@ -31,7 +31,6 @@ from semilat import (
     check_pairs,
     check_theorem,
     composition_analysis,
-    count_consistent_permutations,
     from_dict,
     is_maximal_chain,
     is_semimodular,
@@ -50,9 +49,9 @@ from semilat import (
 from semilat import semilattice as sl
 from semilat.cli import run as cli_run
 from semilat.matching import _match
-from semilat.oracle import COUNTING_LIMIT
 
 from conftest import break_witness_entry
+from enumeration import COUNTING_LIMIT, count_consistent_permutations
 from scalar_match import scalar_match
 from strategies import (GENERATED, antimatroid_lattice, antimatroids, chain_products,
                         closure_lattices, direct_products, graphic_flats, letter_set_name)
@@ -148,6 +147,17 @@ class TestAntimatroids:
     @settings(GENERATED, max_examples=60)
     @given(antimatroids(), st.integers(0, 10 ** 6))
     def test_closed_form(self, p, seed):
+        self.assert_closed_form(p, seed)
+
+    @settings(GENERATED, max_examples=15)
+    @given(antimatroids(min_letters=COUNTING_LIMIT + 1, max_letters=24, max_words=3),
+           st.integers(0, 10 ** 6))
+    def test_closed_form_beyond_the_reference_count(self, p, seed):
+        """Past the reference count's 20 steps the oracle still decides."""
+        self.assert_closed_form(p, seed)
+
+    @staticmethod
+    def assert_closed_form(p, seed):
         chains = [random_maximal_chain(p, seed + t) for t in range(4)]
         pairs = [(a, b) for a in chains[:2] for b in chains[2:]]
         expected = [closed_form(a, b) for a, b in pairs]
@@ -157,7 +167,7 @@ class TestAntimatroids:
         names = p.elements
         assert [(tuple(row), tuple((names[x], names[y]) for x, y in w))
                 for row, w in zip(pi.tolist(), W.tolist())] == expected
-        assert all(report.ok for report in check_pairs(p, pairs))   # n <= 8 <= COUNTING_LIMIT
+        assert all(report.ok for report in check_pairs(p, pairs))
 
     def test_two_words_beyond_the_oracle(self):
         n = 40
@@ -170,6 +180,9 @@ class TestAntimatroids:
         # The prefixes of 0..n-1 against those of sigma: pi is sigma's inverse.
         assert result.pi == tuple(sigma.index(x) + 1 for x in range(n))
         assert (result.pi, result.witnesses) == closed_form(a, b)
+        # The oracle decides uniqueness without counting, so at every length.
+        (report,) = check_pairs(p, [(a, b)])
+        assert report.ok, report.to_dict()
 
     @settings(GENERATED, max_examples=30)
     @given(antimatroids(), st.integers(0, 10 ** 6))

@@ -23,7 +23,6 @@ from semilat import (
     check_pairs,
     check_theorem,
     composition_analysis,
-    count_consistent_permutations,
     from_dict,
     interval_updown_witness,
     jh_match,
@@ -39,7 +38,7 @@ from semilat import matching, oracle, projectivity
 from semilat import semilattice as sl
 
 from conftest import DATA, ascending
-from enumeration import all_consistent_permutations
+from enumeration import COUNTING_LIMIT, all_consistent_permutations, count_consistent_permutations
 from pairwise_oracle import pairwise_reports
 from strategies import GENERATED, chain_products, direct_products, graphic_flats
 from witness_mask import cover_cells, mask_witnesses
@@ -219,22 +218,26 @@ class TestCheckTheorem:
         monkeypatch.setattr(oracle, "_witnesses", relation)
         p = chain_product([23])
         (chain,) = maximal_chains(p)
-        with pytest.raises(SizeLimitError, match="n <= 20"):
+        work = 22 * 22 * 23   # n^2 cells of |p| scan steps each
+        monkeypatch.setattr(oracle, "WORK_LIMIT", work - 1)
+        with pytest.raises(SizeLimitError, match=rf"^the oracle is limited to <= {work - 1} "
+                                                 r"cell scan steps \(n\^2 \* \|p\| summed over "
+                                                 r"the pairs\), exceeded at pair 0$"):
             check_theorem(p, chain, chain)
-        # One long pair anywhere in the set refuses the whole set.
-        with pytest.raises(SizeLimitError, match="n <= 20"):
-            check_pairs(p, [(chain, chain[:3]), (chain, chain)])
+        # The budget is for the whole set: two pairs that fit one by one are refused.
+        monkeypatch.setattr(oracle, "WORK_LIMIT", work)
+        with pytest.raises(SizeLimitError, match="exceeded at pair 2$"):
+            check_pairs(p, [(chain, chain), (chain, chain[:3]), (chain, chain)])
 
     @GENERATED
     @given(SEMIMODULAR, st.integers(0, 10 ** 6))
     def test_generated_lattices(self, p, seed):
         a = random_maximal_chain(p, 2 * seed)
         b = random_maximal_chain(p, 2 * seed + 1)
-        if p.height() > oracle.COUNTING_LIMIT:
-            with pytest.raises(SizeLimitError):
-                check_theorem(p, a, b)
-        else:
-            assert check_theorem(p, a, b).ok, (p.name, list(a), list(b))
+        report = check_theorem(p, a, b)
+        # pi is always inside the relation, so uniqueness is always decided.
+        assert report.entry("unique-permutation").detail.endswith("consistent: True")
+        assert report.ok, (p.name, list(a), list(b))
 
     def test_two_consistent_permutations_fail_uniqueness(self, monkeypatch):
         # Every cell of B2 witnessed: a relation that admits both
@@ -242,7 +245,7 @@ class TestCheckTheorem:
         monkeypatch.setattr(oracle, "_witnesses", lambda p, cells: np.full(len(cells), p.index("b")))
         entry = check_theorem(B2, B2_A, B2_B).entry("unique-permutation")
         assert not entry.passed
-        assert entry.detail == "matching count 2; computed permutation consistent: True"
+        assert entry.detail == "matching count at least 2; computed permutation consistent: True"
 
     def test_n5_reported_not_raised(self):
         n5 = named_counterexample("n5")
@@ -283,7 +286,7 @@ def _mixed_pairs(p, seed: int) -> list:
 
 class TestCheckPairs:
     @settings(GENERATED, max_examples=20)
-    @given(SEMIMODULAR.filter(lambda p: p.height() <= oracle.COUNTING_LIMIT),
+    @given(SEMIMODULAR.filter(lambda p: p.height() <= COUNTING_LIMIT),
            st.integers(0, 10 ** 6))
     def test_generated_reports_match_check_theorem(self, p, seed):
         pairs = _mixed_pairs(p, seed)
@@ -334,9 +337,46 @@ class TestCheckPairs:
         reports = check_pairs(B3, pairs)
         assert [r.to_dict() for r in reports] == [r.to_dict() for r in pairwise_reports(B3, pairs)]
         details = {r.entry(name).detail for r in reports for name in ("unique-permutation", "maximality")}
-        assert len({d.split(";")[0] for d in details if d.startswith("matching count")}) == 3
+        assert {d.split(";")[0] for d in details if d.startswith("matching count")} == \
+            {"matching count at least 2", "matching count not decided"}
         assert any(d.startswith("violated at") for d in details)
         assert any(d.endswith("consistent: False") for d in details)
+
+    @pytest.mark.parametrize("p, step", [(B3, 1), (boolean_lattice(4), 5)], ids=["B3", "B4"])
+    def test_seeded_cell_patterns_match_the_reference(self, monkeypatch, p, step):
+        # The true relations with seeded cells flipped, each by a hash of its
+        # indices, so that both passes see one pattern: relations with 0, 1
+        # and at least 2 matchings, and computed permutations inside them and
+        # outside.  The certificate must agree with the reference count.
+        witnesses = oracle._witnesses
+        chains = maximal_chains(p)
+        pairs = [(a, b) for a in chains[::step] for b in chains]
+        seen = set()
+        for seed in range(6):
+            def scrambled(p, cells, weights=np.random.default_rng(seed).integers(1, 1 << 20, 4)):
+                flipped = (np.reshape(cells, (-1, 4)) @ weights) % 9 < 1 + seed % 3
+                return np.where((witnesses(p, cells) >= 0) ^ flipped, 0, -1)
+
+            monkeypatch.setattr(oracle, "_witnesses", scrambled)
+            reports = check_pairs(p, pairs)
+            assert [r.to_dict() for r in reports] == [r.to_dict() for r in pairwise_reports(p, pairs)]
+            for (a, b), r in zip(pairs, reports):
+                count = count_consistent_permutations(projectivity_relation(p, a, b))
+                seen.add((min(count, 2), r.entry("unique-permutation").detail.endswith("True")))
+        assert seen == {(0, False), (1, False), (1, True), (2, False), (2, True)}
+
+    def test_computed_permutation_checked_not_trusted(self, monkeypatch):
+        # Every cell related, and a pi that sends every step to column 1:
+        # each pi(i) is related, but pi is no permutation, so not a matching.
+        monkeypatch.setattr(oracle, "_witnesses", lambda p, cells: np.zeros(len(cells), dtype=np.intp))
+        monkeypatch.setattr(oracle, "match_index_chains", lambda p, C, D: (
+            np.ones((len(C), C.shape[1] - 1), dtype=np.intp), None))
+        chains = maximal_chains(B3)
+        pairs = [(a, b) for a in chains for b in chains]
+        reports = check_pairs(B3, pairs)
+        assert [r.to_dict() for r in reports] == [r.to_dict() for r in pairwise_reports(B3, pairs)]
+        assert {r.entry("unique-permutation").detail for r in reports} == \
+            {"matching count not decided; computed permutation consistent: False"}
 
     @pytest.mark.parametrize("position", ["first", "second"])
     def test_empty_chain_reported_not_maximal(self, position):
@@ -353,10 +393,12 @@ class TestCheckPairs:
             raise AssertionError("cell computed")
 
         monkeypatch.setattr(oracle, "_witnesses", cells)
+        monkeypatch.setattr(oracle, "WORK_LIMIT", 22 * 22 * 23 - 1)
         p = chain_product([23])
         (chain,) = maximal_chains(p)
         short = chain[:3]
-        with pytest.raises(SizeLimitError, match="n <= 20"):
+        # The pairs that are not evaluable cost nothing; the long pair exceeds the budget.
+        with pytest.raises(SizeLimitError, match="exceeded at pair 2$"):
             check_pairs(p, [(short, ["0", "zzz"]), (chain, short), (chain, chain)])
 
     def test_evaluable_pairs_of_two_lengths(self, monkeypatch):
