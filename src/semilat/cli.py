@@ -204,6 +204,7 @@ def _cmd_verify(args) -> int:
     exhaustive = args.all_pairs or (args.samples is None and total <= 5000)
     count = total if exhaustive else args.samples or 200
     sl._check_pair_count(count)
+    oracle._charge_maximal_pairs(p, count)   # before any chain is enumerated or drawn
     if exhaustive:
         chains = sl.maximal_chains(p)
         pairs = [(a, b) for a in chains for b in chains]
@@ -298,7 +299,7 @@ def _cmd_group(args) -> int:
         raise _InputError("provide both --series-a and --series-b or neither")
     report = groups.composition_analysis(g, *series)
     if args.json:
-        _emit_json(report.to_dict())
+        _emit_json(report._payload())
     else:
         print(f"group: {report.group} (order {report.order})")
         print(f"composition length: {report.length}")
@@ -306,10 +307,8 @@ def _cmd_group(args) -> int:
                 zip(report.series, report.factor_multisets)):
             print(f"series {idx}: {' < '.join('{' + s + '}' for s in series)}"
                   f"   factors {sorted(factors)}")
-        for pair in report.pairs:
-            status = "ok" if pair.factors_equal else "MISMATCH"
-            print(f"pair ({pair.index_a}, {pair.index_b}): pi = {list(pair.pi)}  "
-                  f"factor pairs {[list(fp) for fp in pair.factor_pairs]}  {status}")
+        for (i, j), pi, fp, equal in report._lists():
+            print(f"pair ({i}, {j}): pi = {pi}  factor pairs {fp}  {'ok' if equal else 'MISMATCH'}")
         print(f"factor multiset chain-independent: "
               f"{'yes' if report.multiset_independent else 'no'}")
     return OK if report.ok else VIOLATION

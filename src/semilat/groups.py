@@ -18,6 +18,7 @@ import json
 import math
 from collections.abc import Callable, Collection
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, permutations
 
 import numpy as np
@@ -31,7 +32,8 @@ from .errors import (
     UnknownNameError,
 )
 from .matching import match_index_chains
-from .poset import Poset, _fields, _int, _save_json, _sequence, _transitive_reduction
+from .poset import (Poset, _fields, _int, _json_text, _Rows, _save_json, _sequence,
+                    _transitive_reduction)
 
 SUBGROUP_ORDER_LIMIT = 60
 # Validating a table takes about 0.09 s at order 120 and 0.7 s at order 240.
@@ -99,6 +101,13 @@ def group_from_table(name: str, table) -> Group:
             b, c = divmod(int(bad.argmax()), n)
             raise GroupValidationError(f"associativity fails at ({a}, {b}, {c})")
     return Group(name, table)
+
+
+def _group(g) -> Group:
+    """The one check of a group argument, where each public function first reads it."""
+    if not isinstance(g, Group):
+        raise PreconditionError(f"the group must be a Group, got {type(g).__name__}")
+    return g
 
 
 def _check_order(order: int) -> None:
@@ -219,7 +228,7 @@ def all_subgroups(g: Group) -> list[tuple[int, ...]]:
     Each subgroup keeps the generators it was reached by.  <H, hx> = <H, x>
     for h in H, so H is extended once per right coset Hx.
     """
-    if g.order > SUBGROUP_ORDER_LIMIT:
+    if _group(g).order > SUBGROUP_ORDER_LIMIT:
         raise SizeLimitError(
             f"subgroup enumeration is limited to order <= {SUBGROUP_ORDER_LIMIT}")
     trivial = frozenset({0})
@@ -258,9 +267,9 @@ def normal_closure(g: Group, sub, ambient) -> tuple[int, ...]:
     """Smallest subgroup of `ambient` containing `sub` and closed under
     conjugation by `ambient`: the one the conjugates k h k^-1 generate."""
     sub, ambient = _members(sub, ambient)
-    name = subgroup_name(ambient)
-    if not all(0 <= k < g.order for k in ambient):
-        raise PreconditionError(f"{name} holds an element outside 0..{g.order - 1}")
+    name, order = subgroup_name(ambient), _group(g).order
+    if not all(0 <= k < order for k in ambient):
+        raise PreconditionError(f"{name} holds an element outside 0..{order - 1}")
     if _close(g, ambient) != set(ambient):
         raise PreconditionError(f"{name} is not a subgroup of {g.name}")
     return _normal_closure(g, sub, ambient)
@@ -276,7 +285,7 @@ def _normal_closure(g: Group, sub: tuple[int, ...], ambient: tuple[int, ...]) ->
 def is_subnormal(g: Group, sub) -> bool:
     """Iterated normal closure from the full group; subnormal iff the
     descending fixpoint equals the subgroup itself."""
-    sub, current = _members(sub, range(g.order))
+    sub, current = _members(sub, range(_group(g).order))
     while (nxt := _normal_closure(g, sub, current)) != current:
         current = nxt
     return current == sub
@@ -291,7 +300,7 @@ def subnormal_lattice(g: Group) -> Poset:
     a failure is reported as a broken-theorem sentinel, not as bad input.
     It is built once per group and cached on it with its elements' orders.
     """
-    cached = g._cache.get("subnormal")
+    cached = _group(g)._cache.get("subnormal")
     if cached is not None:
         return cached[0]
     subs = sorted((s for s in all_subgroups(g) if is_subnormal(g, s)), key=subgroup_name)
@@ -331,16 +340,31 @@ class SeriesPair:
                 "factors_equal": self.factors_equal}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompositionReport:
-    """Composition-series analysis of a finite group."""
+    """Composition-series analysis of a finite group.  Pair k matches series
+    pair_series[k] = (a, b) by the ascending pi pair_pi[k], with the factor
+    orders pair_factors[k, i] = (a's, b's) at step i and the verdict pair_equal[k]."""
 
     group: str
     order: int
     length: int
     series: tuple[tuple[str, ...], ...]
     factor_multisets: tuple[tuple[int, ...], ...]
-    pairs: tuple[SeriesPair, ...]
+    pair_series: np.ndarray
+    pair_pi: np.ndarray
+    pair_factors: np.ndarray
+    pair_equal: np.ndarray
+
+    @cached_property
+    def pairs(self) -> tuple[SeriesPair, ...]:
+        """The pairs as SeriesPair objects, built on first access."""
+        return tuple(SeriesPair(i, j, tuple(pi), tuple(map(tuple, fp)), equal)
+                     for (i, j), pi, fp, equal in self._lists())
+
+    def _lists(self):
+        arrays = (self.pair_series, self.pair_pi, self.pair_factors, self.pair_equal)
+        return zip(*(a.tolist() for a in arrays))
 
     @property
     def multiset_independent(self) -> bool:
@@ -348,13 +372,27 @@ class CompositionReport:
 
     @property
     def ok(self) -> bool:
-        return self.multiset_independent and all(p.factors_equal for p in self.pairs)
+        return self.multiset_independent and bool(self.pair_equal.all())
 
     def to_dict(self) -> dict:
+        return self._payload([p.to_dict() for p in self.pairs])
+
+    def _payload(self, pairs=None) -> dict:
+        """`to_dict()` with `pairs` in its place, by default a `_Rows` of the
+        arrays under a marker pair that numbers their values."""
+        if pairs is None:
+            n, k = self.length, [f"%{i}" for i in range(3 * self.length + 3)]
+            marker = SeriesPair(k[0], k[1], k[2:n + 2], zip(k[n + 2:-1:2], k[n + 3:-1:2]), k[-1])
+            verdicts = [_json_text(equal) for equal in (False, True)]
+            rows = np.hstack((self.pair_series, self.pair_pi,
+                              self.pair_factors.reshape(len(self.pair_pi), -1))).tolist()
+            for row, equal in zip(rows, self.pair_equal.tolist()):
+                row.append(verdicts[equal])
+            pairs = _Rows(marker.to_dict(), rows)
         return {"group": self.group, "order": self.order, "length": self.length,
                 "series": [list(s) for s in self.series],
                 "factor_multisets": [list(m) for m in self.factor_multisets],
-                "pairs": [p.to_dict() for p in self.pairs],
+                "pairs": pairs,
                 "factor_multiset_independent": self.multiset_independent,
                 "ok": self.ok}
 
@@ -367,7 +405,10 @@ def composition_analysis(g: Group, series_a=None, series_b=None) -> CompositionR
     With explicit series, only that ordered pair is matched, both read by
     `Poset._row` before `semilattice._check_rows` checks either; otherwise
     every ordered pair (i <= j) of maximal chains is, up to sl.PAIR_LIMIT
-    pairs.  All go through one `match_index_chains` call on the dual.
+    pairs.  All go through one `match_index_chains` call on the dual.  The
+    report keeps each pair's series indices, ascending pi, factor pairs and
+    verdict as arrays; its `pairs` are built from them on first access, and
+    `group composition --json` writes them through one template per report.
     """
     if (series_a is None) != (series_b is None):
         raise PreconditionError("provide both series or neither")
@@ -376,12 +417,12 @@ def composition_analysis(g: Group, series_a=None, series_b=None) -> CompositionR
         rows = [lattice._row(series_a), lattice._row(series_b)]   # both, before either is maximal
         for row in rows:
             sl._check_rows(lattice, np.array([row]), "series")
-        pair_indices = [(0, 1)]
+        pair_series = np.array([[0, 1]])
     else:
         count = sl.count_maximal_chains(lattice)
         sl._check_pair_count(count * (count + 1) // 2)
         rows = list(sl._chain_rows(lattice))
-        pair_indices = [(i, j) for i in range(len(rows)) for j in range(i, len(rows))]
+        pair_series = np.transpose(np.triu_indices(len(rows)))   # (i, j), i <= j, row by row
 
     lengths = {len(row) - 1 for row in rows}
     if len(lengths) != 1:
@@ -391,18 +432,14 @@ def composition_analysis(g: Group, series_a=None, series_b=None) -> CompositionR
     rows = np.array(rows)
     sizes = g._cache["subnormal"][1]   # each element's order, from the member matrix
     factors = sizes[rows[:, 1:]] // sizes[rows[:, :-1]]
-    first, second = np.array(pair_indices).T
+    first, second = pair_series.T
     # The dual keeps the element order, so each row read top-down is a maximal chain of it.
     pi, _ = match_index_chains(lattice.dual(), rows[first, ::-1], rows[second, ::-1])
     up = pi.shape[1] + 1 - pi[:, ::-1]   # ascending-series indexing
     fp = np.stack((factors[first], np.take_along_axis(factors[second], up - 1, 1)), axis=2)
-    equal = (fp[..., 0] == fp[..., 1]).all(axis=1)
-    pairs = [SeriesPair(i, j, tuple(pi_k), tuple(map(tuple, fp_k)), eq)
-             for i, j, pi_k, fp_k, eq in zip(first.tolist(), second.tolist(), up.tolist(),
-                                              fp.tolist(), equal.tolist())]
-
     return CompositionReport(
         group=g.name, order=g.order, length=lengths.pop(),
         series=tuple(tuple(map(lattice.elements.__getitem__, row)) for row in rows.tolist()),
         factor_multisets=tuple(tuple(sorted(f)) for f in factors.tolist()),
-        pairs=tuple(pairs))
+        pair_series=pair_series, pair_pi=up, pair_factors=fp,
+        pair_equal=(fp[..., 0] == fp[..., 1]).all(axis=1))

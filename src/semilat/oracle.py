@@ -229,15 +229,30 @@ def check_pairs(p: Poset, pairs) -> list[TheoremReport]:
         except (TypeError, ValueError):
             raise PreconditionError(f"pair {k} is not two chains") from None
         if pre is None and n == m:
-            work += n * n * size
-            if work > WORK_LIMIT:
-                raise SizeLimitError(f"the oracle is limited to <= {WORK_LIMIT} cell scan steps "
-                                     f"(n^2 * |p| summed over the pairs), exceeded at pair {k}")
+            work = _charge(work, n * n * size, k)
             by_length.setdefault(n, []).append((k, C, D))
         outcomes.append((pre, n, m))
     _evaluate(p, rows, by_length, outcomes)
     reports = {outcome: _report(*outcome) for outcome in set(outcomes)}
     return [reports[outcome] for outcome in outcomes]
+
+
+def _charge(work: int, cost: int, k: int, pairs: int = 1) -> int:
+    """`work` plus `pairs` pairs of `cost` scan steps each, the first of them
+    pair k; SizeLimitError names the first pair past WORK_LIMIT."""
+    if work + pairs * cost > WORK_LIMIT:
+        raise SizeLimitError(f"the oracle is limited to <= {WORK_LIMIT} cell scan steps "
+                             f"(n^2 * |p| summed over the pairs), exceeded at pair "
+                             f"{k + (WORK_LIMIT - work) // cost}")
+    return work + pairs * cost
+
+
+def _charge_maximal_pairs(p: Poset, pairs: int) -> None:
+    """Refuse `pairs` pairs of maximal chains of p before they are drawn, at
+    the pair `check_pairs` would refuse: when p meets the preconditions, every
+    maximal chain has p's height (Jordan-Dedekind), so each pair costs the same."""
+    if _poset_preconditions(p) is None:
+        _charge(0, p.height() ** 2 * len(p), 0, pairs)
 
 
 def _evaluate(p: Poset, rows: dict, by_length: dict, outcomes: list) -> None:

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import json
 import operator
+import re
 from itertools import repeat
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -336,6 +337,14 @@ _SCALARS = {str: _encode_str, int: int.__repr__, bool: lambda b: "true" if b els
             type(None): lambda _: "null"}
 
 
+class _Rows(NamedTuple):
+    """A JSON array with an item per row: `marker`, each string "%k" in it
+    replaced by value k of the row (an int or a JSON text); no other "%"."""
+
+    marker: object
+    rows: Sequence[Sequence]
+
+
 def _json_text(obj) -> str:
     """The text ``json.dumps`` writes with ``indent=2, sort_keys=True``, byte
     for byte.
@@ -344,7 +353,8 @@ def _json_text(obj) -> str:
     plain dicts, lists, tuples, strings, ints, booleans and None itself and
     hands anything else (floats, subclasses, non-string keys, empty
     containers) to ``json``.
-    A list of ints is written once per call for each value and depth.
+    A list of ints is written once per call for each value and depth, and a
+    `_Rows` by one %-format per row into the marker's text at its depth.
     """
     out: list[str] = []
     int_lists: dict = {}
@@ -356,6 +366,13 @@ def _json_text(obj) -> str:
             out.append(scalar(o))
             return
         inner = nl + "  "
+        if t is _Rows:
+            text = _json_text(o.marker).replace("\n", inner)
+            take = operator.itemgetter(*map(int, re.findall(r'"%(\d+)"', text)))
+            template = re.sub(r'"%\d+"', "%s", text)
+            body = ("," + inner).join([template % take(row) for row in o.rows])
+            out.append("[" + inner + body + nl + "]" if body else "[]")
+            return
         if (t is list or t is tuple) and o:
             if type(o[0]) is int and set(map(type, o)) == {int}:
                 key = (inner, tuple(o))

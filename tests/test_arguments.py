@@ -1,5 +1,5 @@
 """Every public function that reads a chain, an interval, a pair list, an
-integer, a graph, a subgroup, a group table or a matching result refuses a
+integer, a graph, a group, a subgroup, a group table or a matching result refuses a
 malformed one with the package's own error, never a bare TypeError,
 ValueError, IndexError or AttributeError; and the argument checks run in the
 order the callers rely on."""
@@ -23,6 +23,7 @@ from semilat import (
     SemilatError,
     UnknownElementError,
     UnknownNameError,
+    all_subgroups,
     boolean_lattice,
     builtin_group,
     chain_product,
@@ -92,6 +93,10 @@ def chain(base: tuple) -> dict:
     return {"non-iterable": NON_ITERABLE, "unknown-name": unknown(base)}
 
 
+# Anything but a Group, a poset and an integer among them.
+NOT_A_GROUP = {"not-a-group": st.one_of(NON_ITERABLE, st.text(max_size=3), st.just(B3))}
+
+
 def members(base: tuple) -> dict:
     """The malformed forms of a subgroup's member indices."""
     return {"non-iterable": NON_ITERABLE, "not-an-int": NOT_AN_INT.map(lambda v: base + (v,))}
@@ -146,6 +151,11 @@ SLOTS = {
                                sequences(SERIES)),
     "composition_analysis-b": (lambda v: composition_analysis(Z12, SERIES, v), SERIES,
                                sequences(SERIES)),
+    "all_subgroups": (all_subgroups, Z12, NOT_A_GROUP),
+    "normal_closure-g": (lambda v: normal_closure(v, Z6_IN_Z12, ALL_OF_Z12), Z12, NOT_A_GROUP),
+    "is_subnormal-g": (lambda v: is_subnormal(v, Z6_IN_Z12), Z12, NOT_A_GROUP),
+    "subnormal_lattice": (subnormal_lattice, Z12, NOT_A_GROUP),
+    "composition_analysis-g": (composition_analysis, Z12, NOT_A_GROUP),
     "normal_closure-sub": (lambda v: normal_closure(Z12, v, ALL_OF_Z12), Z6_IN_Z12,
                            members(Z6_IN_Z12)),
     "normal_closure-ambient": (lambda v: normal_closure(Z12, Z6_IN_Z12, v), ALL_OF_Z12,
@@ -223,9 +233,14 @@ def test_a_0d_array_is_refused_as_a_sequence(call):
      r"^a subgroup must be a sequence of element indices, got int$"),
     (lambda: normal_closure(Z12, (0, 6.0), ALL_OF_Z12), PreconditionError,
      r"^a subgroup member must be an integer, got 6\.0$"),
+    (lambda: all_subgroups(5), PreconditionError, r"^the group must be a Group, got int$"),
+    (lambda: composition_analysis(None), PreconditionError,
+     r"^the group must be a Group, got NoneType$"),
+    (lambda: normal_closure(B3, (), ()), PreconditionError, r"^the group must be a Group, got Poset$"),
 ], ids=["prime-form-int", "lattice-form-int", "limit-string", "graph-int", "seed-none",
         "prime-form-unknown-y", "lattice-form-unknown-a", "table-int", "builtin-int",
-        "verify-result-int", "dot-matching-int", "subgroup-int", "member-float"])
+        "verify-result-int", "dot-matching-int", "subgroup-int", "member-float",
+        "group-int", "group-none", "group-poset-empty-subgroups"])
 def test_refused_with_the_package_error(call, error, message):
     with pytest.raises(error, match=message):
         call()

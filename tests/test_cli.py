@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 
 import semilat
 from conftest import DATA, GOLDEN, read_golden
-from semilat import Poset, cli, groups, oracle, poset, semilattice as sl
+from semilat import Poset, cli, generators, groups, oracle, poset, semilattice as sl
 from semilat.poset import ELEMENT_LIMIT
 
 B2 = str(DATA / "b2.json")
@@ -344,6 +345,21 @@ class TestExitCodes:
             "error: the oracle is limited to <= 300000000 cell scan steps "
             "(n^2 * |p| summed over the pairs), exceeded at pair 0\n"))
 
+    def test_sampled_verify_refused_before_drawing(self, run_cli, tmp_path, monkeypatch):
+        def draw(*args):
+            raise AssertionError("chain drawn")
+
+        # 15^2 * 500 scan steps a pair: 300,000,000 // 112,500 = 2,666 pairs fit.
+        path = str(tmp_path / "c5554.json")
+        assert run_cli("gen", "chainprod", "5,5,5,4", "-o", path)[0] == 0
+        monkeypatch.setattr(generators, "random_maximal_chain", draw)
+        start = time.perf_counter()
+        code, out, err = run_cli("verify", path, "--samples", "50000")
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (2, "", (
+            "error: the oracle is limited to <= 300000000 cell scan steps "
+            "(n^2 * |p| summed over the pairs), exceeded at pair 2666\n"))
+
     @pytest.mark.parametrize("make, argv, pairs", [
         (["gen", "boolean", "6"], ["verify", "--all-pairs"], 518_400),
         (["gen", "boolean", "6"], ["verify", "--samples", "100000000"], 100_000_000),
@@ -554,6 +570,74 @@ class TestGroupCommands:
         assert (code, stdout, out.exists()) == (2, "", False)
         assert err == "error: group tables are limited to order <= 120, got 3600\n"
 
+
+
+def reference_dict(report) -> dict:
+    """The report as `json.dumps` reads it, built here from `report.pairs`."""
+    return {"group": report.group, "order": report.order, "length": report.length,
+            "series": [list(s) for s in report.series],
+            "factor_multisets": [list(m) for m in report.factor_multisets],
+            "pairs": [{"series_a": p.index_a, "series_b": p.index_b, "pi": list(p.pi),
+                       "factor_pairs": [list(f) for f in p.factor_pairs],
+                       "factors_equal": p.factors_equal} for p in report.pairs],
+            "factor_multiset_independent": report.multiset_independent, "ok": report.ok}
+
+
+def reference_text(report) -> str:
+    """The human report, one pair line per `report.pairs` entry."""
+    lines = [f"group: {report.group} (order {report.order})",
+             f"composition length: {report.length}"]
+    lines += [f"series {k}: {' < '.join('{' + s + '}' for s in series)}   factors {sorted(factors)}"
+              for k, (series, factors) in enumerate(zip(report.series, report.factor_multisets))]
+    lines += [f"pair ({p.index_a}, {p.index_b}): pi = {list(p.pi)}  "
+              f"factor pairs {[list(f) for f in p.factor_pairs]}  "
+              f"{'ok' if p.factors_equal else 'MISMATCH'}" for p in report.pairs]
+    lines.append("factor multiset chain-independent: "
+                 f"{'yes' if report.multiset_independent else 'no'}")
+    return "\n".join(lines) + "\n"
+
+
+class TestCompositionOutput:
+    """`group composition` writes its pairs from the report's arrays; the
+    references here read `report.pairs` and write with `json.dumps`."""
+
+    @pytest.mark.parametrize("name", ["Z1", "S3", "Q8", "Z12", "A4", "S4", "D12", "Z60",
+                                      "S3xZ3", "Z2xZ2xZ2", "Q8xZ2", "D4xZ2"])
+    def test_json_equals_json_dumps_of_the_pairs(self, run_cli, tmp_path, name):
+        path = str(tmp_path / "g.json")
+        assert run_cli("group", "builtin", name, "-o", path)[0] == 0
+        code, out, err = run_cli("group", "composition", path, "--json")
+        assert (code, err) == (0, "")
+        report = groups.composition_analysis(groups.load_group(path))
+        assert out == json.dumps(reference_dict(report), indent=2, sort_keys=True) + "\n"
+
+    def test_explicit_series(self, run_cli):
+        series = ("0,0.6,0.3.6.9,0.1.2.3.4.5.6.7.8.9.10.11",
+                  "0,0.4.8,0.2.4.6.8.10,0.1.2.3.4.5.6.7.8.9.10.11")
+        report = groups.composition_analysis(groups.load_group(Z12),
+                                             *(text.split(",") for text in series))
+        argv = ["group", "composition", Z12, "--series-a", series[0], "--series-b", series[1]]
+        assert run_cli(*argv, "--json") == (
+            0, json.dumps(reference_dict(report), indent=2, sort_keys=True) + "\n", "")
+        assert run_cli(*argv) == (0, reference_text(report), "")
+
+    def test_mismatch_written_from_the_verdicts(self, run_cli, monkeypatch):
+        report = groups.composition_analysis(groups.load_group(Z12))
+        forged = replace(report, pair_equal=np.arange(len(report.pair_equal)) % 2 == 0)
+        monkeypatch.setattr(groups, "composition_analysis", lambda *args: forged)
+        assert [p.factors_equal for p in forged.pairs] == [True, False] * 3 and not forged.ok
+        assert run_cli("group", "composition", Z12, "--json") == (
+            1, json.dumps(reference_dict(forged), indent=2, sort_keys=True) + "\n", "")
+        code, out, _ = run_cli("group", "composition", Z12)
+        assert (code, out) == (1, reference_text(forged))
+        assert out.count("  MISMATCH\n") == 3
+
+    def test_text_equals_a_loop_over_the_pairs(self, run_cli, tmp_path):
+        path = str(tmp_path / "g.json")
+        assert run_cli("group", "builtin", "D4xZ2", "-o", path)[0] == 0
+        report = groups.composition_analysis(groups.load_group(path))
+        assert len(report.pairs) == 2850
+        assert run_cli("group", "composition", path) == (0, reference_text(report), "")
 
 
 class TestExportDot:

@@ -15,6 +15,7 @@ from semilat import (
     NotMaximalChainError,
     Poset,
     PreconditionError,
+    SeriesPair,
     SizeLimitError,
     UnknownNameError,
     all_subgroups,
@@ -550,6 +551,26 @@ class TestCompositionAnalysis:
         assert [pair.pi for pair in report.pairs] == [
             match_series(lattice, chains[i], chains[j])
             for i in range(len(chains)) for j in range(i, len(chains))]
+
+
+    @pytest.mark.parametrize("name", ["Z1", "S3", "Z12", "A4", "Q8", "S3xZ3", "Z2xZ2xZ2"])
+    def test_lazy_pairs_equal_an_eager_reference(self, name):
+        """Each pair rebuilt from the series' names: pi by `jh_match` on the
+        dual, factor orders from the member counts in the names."""
+        g = builtin_group(name)
+        report = composition_analysis(g)
+        lattice = subnormal_lattice(g)
+        orders = [[len(s.split(".")) for s in series] for series in report.series]
+        factors = [[b // a for a, b in zip(o, o[1:])] for o in orders]
+        expected, m = [], len(report.series)
+        for i, j in ((i, j) for i in range(m) for j in range(i, m)):
+            pi = match_series(lattice, report.series[i], report.series[j])
+            fp = tuple((factors[i][k], factors[j][pi[k] - 1]) for k in range(len(pi)))
+            expected.append(SeriesPair(i, j, pi, fp, all(a == b for a, b in fp)))
+        assert "pairs" not in vars(report)   # built on first access, then kept
+        assert report.pairs == tuple(expected)
+        assert report.pairs is report.pairs
+        assert report.ok == all(p.factors_equal for p in expected)
 
 
 class TestPerPairWork:

@@ -401,6 +401,27 @@ class TestCheckPairs:
         with pytest.raises(SizeLimitError, match="exceeded at pair 2$"):
             check_pairs(p, [(short, ["0", "zzz"]), (chain, short), (chain, chain)])
 
+    @pytest.mark.parametrize("pairs", [1, 5, 6, 40])
+    def test_pairs_of_maximal_chains_refused_as_check_pairs_refuses(self, monkeypatch, pairs):
+        # B3: 3^2 * 8 = 72 scan steps a pair, so five pairs fit and pair 5 is refused.
+        b3 = boolean_lattice(3)
+        monkeypatch.setattr(oracle, "WORK_LIMIT", 5 * 72 + 71)
+        drawn = [(random_maximal_chain(b3, 2 * k), random_maximal_chain(b3, 2 * k + 1))
+                 for k in range(pairs)]
+        if pairs <= 5:
+            oracle._charge_maximal_pairs(b3, pairs)
+            check_pairs(b3, drawn)
+            return
+        with pytest.raises(SizeLimitError, match="exceeded at pair 5$") as early:
+            oracle._charge_maximal_pairs(b3, pairs)
+        with pytest.raises(SizeLimitError) as late:
+            check_pairs(b3, drawn)
+        assert str(early.value) == str(late.value)
+
+    def test_no_charge_where_no_pair_is_evaluable(self, monkeypatch):
+        monkeypatch.setattr(oracle, "WORK_LIMIT", 0)
+        oracle._charge_maximal_pairs(named_counterexample("n5"), 10**9)   # not semimodular
+
     def test_evaluable_pairs_of_two_lengths(self, monkeypatch):
         # The glued N5 has maximal chains of 4 and 5 steps.  With its
         # preconditions waived and an identity matcher, the equal-length
