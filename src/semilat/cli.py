@@ -5,6 +5,8 @@ failure, 2 usage or input error (bad flags, unreadable/malformed files,
 unwritable outputs, unknown element names, which the library resolves and
 `run` classifies, sizes beyond a guard).  With --json, stdout is a stable
 machine-readable object; the human format makes no stability promise.
+The console script ends quietly on SIGPIPE when its reader closes stdout early,
+as `cat` does.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import signal
 import sys
 
 from . import generators, groups, oracle, semilattice as sl
@@ -437,6 +440,8 @@ def run(argv) -> int:
 
 
 def main() -> None:
+    if hasattr(signal, "SIGPIPE"):   # not on Windows
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run(sys.argv[1:]))
 
 

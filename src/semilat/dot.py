@@ -6,7 +6,7 @@ from collections.abc import Iterable
 
 from .errors import NotAChainError, PreconditionError
 from .matching import MatchingResult
-from .poset import Poset, _sequence
+from .poset import Poset, _poset, _sequence
 
 CHAIN_A_COLOR = "red"
 CHAIN_B_COLOR = "blue"
@@ -33,6 +33,7 @@ def export_dot(p: Poset, chain_a: Iterable[str] | None = None,
     With a matching, every element of a witness pair is annotated with the
     1-indexed witness numbers it serves.  Identical inputs give identical bytes.
     """
+    quoted = {e: _quote(e) for e in _poset(p).elements}
     steps = []
     for ch in chain_a, chain_b:
         ch = () if ch is None else _sequence(ch, NotAChainError, "a chain must be iterable, got {}",
@@ -56,7 +57,6 @@ def export_dot(p: Poset, chain_a: Iterable[str] | None = None,
                 p.index(e)
                 roles.setdefault(e, []).append(str(i))
 
-    quoted = {e: _quote(e) for e in p.elements}
     lines = [f"digraph {_quote(p.name)} {{", "  rankdir=BT;", "  node [shape=box];"]
     ranks = [[] for _ in range(p.height() + 1)]
     for e, h in p.element_heights().items():   # in name order

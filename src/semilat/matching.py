@@ -12,10 +12,10 @@ h(c_i ∨ d_j) = j + #{k <= i : pi(k) > j}, and every witness is re-verified by
 index against both of its intervals.
 
 There is one matcher, `_match`, on a batch of index chain pairs whose join
-matrices are one numpy array, and one public entry per input form, each
-validating its input once, both through one row check, `semilattice._check_rows`:
-`match_index_chains` for a batch of index arrays, and `jh_match` for one pair of chains
-of names, each read by `Poset._row` first, with `--trace` frames and a name-level re-check.
+matrices are one numpy array, and one way into it, `match_index_chains`, which
+checks the poset and the index rows.  `jh_match` reads its two chains of names
+into index rows by `Poset._row` and hands them to it, then adds `--trace`
+frames and a name-level re-check.
 """
 
 from __future__ import annotations
@@ -27,13 +27,8 @@ from operator import ne
 import numpy as np
 
 from . import semilattice as sl
-from .errors import (
-    ChainLengthMismatchError,
-    InternalInvariantError,
-    NotSemimodularError,
-    PreconditionError,
-)
-from .poset import Poset
+from .errors import InternalInvariantError, NotSemimodularError, PreconditionError
+from .poset import Poset, _poset
 from .projectivity import prime_up_projective
 
 _STEP = np.array([-1, 0])   # a step [k-1, k] as offsets from k
@@ -92,14 +87,6 @@ class MatchingCheck:
 
     ok: bool
     failures: tuple[str, ...]
-
-
-def _validate_poset(p: Poset) -> None:
-    """p is a semimodular join semilattice with bottom and top."""
-    report = sl.is_semimodular(p)  # raises NotJoinSemilatticeError first
-    if not report.holds:
-        raise NotSemimodularError(report.counterexample)
-    sl._require_bounds(p)
 
 
 def _match(p: Poset, C: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -182,38 +169,39 @@ def match_index_chains(p: Poset, C, D) -> tuple[np.ndarray, np.ndarray]:
     for the P pairs (row k of C, row k of D) of the integer arrays C and D of
     index chains, shape (P, n+1).
 
-    Validates p as `jh_match` does, then the rows of C and then of D: each
-    holds element indices (else UnknownElementError) and runs from the bottom
-    to the top by covers (else NotMaximalChainError for the first such row).
+    The one check of the matcher's input, in this order: p is a semimodular
+    join semilattice with bottom and top; C and D are integer 2-D arrays of
+    width >= 1; each row of C, then of D, holds element indices (else
+    UnknownElementError) and runs from the bottom to the top by covers (else
+    NotMaximalChainError for the first such row); C and D have one shape.
     """
-    _validate_poset(p)
-    arrays = all(isinstance(X, np.ndarray) and X.dtype.kind in "iu" for X in (C, D))
-    if not arrays or C.ndim != 2 or C.shape != D.shape or not C.shape[1]:
-        raise PreconditionError("C and D must be integer arrays of one shape (P, n+1), n >= 0")
+    report = sl.is_semimodular(p)   # raises NotJoinSemilatticeError first
+    if not report.holds:
+        raise NotSemimodularError(report.counterexample)
+    sl._require_bounds(p)
+    shape = "C and D must be integer arrays of one shape (P, n+1), n >= 0"
+    if not all(isinstance(X, np.ndarray) and X.dtype.kind in "iu" and X.ndim == 2 and X.shape[1]
+               for X in (C, D)):
+        raise PreconditionError(shape)
     sl._check_rows(p, C, "first chain")
     sl._check_rows(p, D, "second chain")
+    if C.shape != D.shape:
+        raise PreconditionError(shape)
     return _match(p, C, D)
 
 
 def jh_match(p: Poset, chain_a, chain_b, keep_trace: bool = False) -> MatchingResult:
     """Match the prime intervals of two maximal chains of p.
 
-    Checks both chains of names by `Poset._row` (the first, then the second)
-    before p: then that p is a semimodular join semilattice with bottom and
-    top, and both index rows by the row check of `match_index_chains`; then
-    reads the matching off their join matrix.  The result is re-verified with
-    `verify_matching` before returning: pi is a permutation and every witness
-    satisfies the up-projectivity checks against both chains, read by name.
+    Reads both chains of names into index rows by `Poset._row` (the first,
+    then the second), hands them to `match_index_chains`, which checks p and
+    the rows, and so reads the matching off their join matrix.  The result
+    is re-verified with `verify_matching` before returning: pi is a
+    permutation and every witness satisfies the up-projectivity checks
+    against both chains, read by name.
     """
-    C, D = (np.array([p._row(ch)], dtype=np.intp) for ch in (chain_a, chain_b))
-    _validate_poset(p)
-    sl._check_rows(p, C, "first chain")
-    sl._check_rows(p, D, "second chain")
-    if C.shape != D.shape:
-        raise ChainLengthMismatchError(
-            f"maximal chains of lengths {C.shape[1] - 1} and {D.shape[1] - 1}; "
-            f"equal length is guaranteed for valid inputs, so a precondition is broken")
-    pi, W = _match(p, C, D)
+    C, D = (np.array([_poset(p)._row(ch)], dtype=np.intp) for ch in (chain_a, chain_b))
+    pi, W = match_index_chains(p, C, D)
     pi, names = tuple(pi[0].tolist()), p.elements
     result = MatchingResult(len(pi), pi, tuple((names[x], names[y]) for x, y in W[0].tolist()),
                             _frames(p, C[0], D[0], pi) if keep_trace else None)
@@ -228,7 +216,7 @@ def verify_matching(p: Poset, chain_a, chain_b, result: MatchingResult) -> Match
 
     Maximality of pi needs the independent relation; `oracle.check_theorem`
     checks it."""
-    C, D = p.chain(chain_a), p.chain(chain_b)
+    C, D = _poset(p).chain(chain_a), p.chain(chain_b)
     if not isinstance(result, MatchingResult):
         raise PreconditionError(f"result must be a MatchingResult, got {type(result).__name__}")
     n = result.n

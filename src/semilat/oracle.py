@@ -30,7 +30,7 @@ import numpy as np
 from .errors import (ChainLengthMismatchError, NotPrimeIntervalError, PreconditionError,
                      SizeLimitError)
 from .matching import match_index_chains
-from .poset import Poset, _sequence
+from .poset import Poset, _poset, _sequence
 from . import semilattice as sl
 
 # Oracle work: n^2 relation cells of |p| scan steps each, summed over the evaluable
@@ -106,13 +106,13 @@ def interval_updown_witness(p: Poset, source, target) -> tuple[str, str] | None:
     and target, then NotPrimeIntervalError for the first of them that is not
     a prime interval, and NoJoinError unless p is a join semilattice.
     """
-    cell = np.array(p._pairs("source and target", source, target), dtype=np.intp).ravel()
+    cell = np.array(_poset(p)._pairs("source and target", source, target), dtype=np.intp).ravel()
     return _named(p, cell[1:2], _witnesses(p, cell))[0]
 
 
 def projectivity_relation(p: Poset, chain_a, chain_b) -> ProjectivityRelation:
     """Relation matrix between the prime intervals of two equal-length chains."""
-    C, D = p._row(chain_a), p._row(chain_b)
+    C, D = _poset(p)._row(chain_a), p._row(chain_b)
     if len(C) != len(D):
         raise ChainLengthMismatchError(f"chains of lengths {len(C) - 1} and {len(D) - 1}")
     c, d = (list(zip(row, row[1:])) for row in (C, D))

@@ -215,23 +215,14 @@ class Poset:
     # -- derived posets ------------------------------------------------------
 
     def interval(self, x: str, y: str) -> "Poset":
-        """Subposet {z : x <= z <= y} with covers recomputed inside it.
-
-        Intervals are memoized per poset; repeated requests share one object
-        (and therefore its cached join/meet tables).
-        """
+        """Subposet {z : x <= z <= y} with covers recomputed inside it, built anew on each call."""
         ix, iy = self.index(x), self.index(y)
         if not self._leq[ix, iy]:
             raise PosetConstructionError(f"{x!r} is not below {y!r}; empty interval")
-        key = ("interval", x, y)
-        cached = self._cache.get(key)
-        if cached is None:
-            keep = np.flatnonzero(self._leq[ix] & self._leq[:, iy])
-            sub = self._leq[np.ix_(keep, keep)].copy()
-            elems = tuple(self.elements[i] for i in keep)
-            cached = Poset(f"{self.name}[{x},{y}]", elems, sub, _transitive_reduction(sub))
-            self._cache[key] = cached
-        return cached
+        keep = np.flatnonzero(self._leq[ix] & self._leq[:, iy])
+        sub = self._leq[np.ix_(keep, keep)].copy()
+        return Poset(f"{self.name}[{x},{y}]", tuple(self.elements[i] for i in keep), sub,
+                     _transitive_reduction(sub))
 
     def dual(self) -> "Poset":
         """Same carrier with the order reversed; an involution.
@@ -294,6 +285,13 @@ def _sequence(value, error: type, message: str, *args) -> tuple:
         raise error(message.format(*args)) from None
 
 
+def _poset(p) -> Poset:
+    """The one check of a poset argument, where each public function first reads it."""
+    if not isinstance(p, Poset):
+        raise PreconditionError(f"the poset must be a Poset, got {type(p).__name__}")
+    return p
+
+
 def _int(value, what: str) -> int:
     """`value` as an int, if it is an integer (anything `operator.index` takes)."""
     try:
@@ -353,11 +351,10 @@ def _json_text(obj) -> str:
     plain dicts, lists, tuples, strings, ints, booleans and None itself and
     hands anything else (floats, subclasses, non-string keys, empty
     containers) to ``json``.
-    A list of ints is written once per call for each value and depth, and a
-    `_Rows` by one %-format per row into the marker's text at its depth.
+    A list of ints is written by one join, and a `_Rows` by one %-format per
+    row into the marker's text at its depth.
     """
     out: list[str] = []
-    int_lists: dict = {}
 
     def write(o, nl: str) -> None:  # nl: a newline and the current indentation
         t = type(o)
@@ -375,12 +372,7 @@ def _json_text(obj) -> str:
             return
         if (t is list or t is tuple) and o:
             if type(o[0]) is int and set(map(type, o)) == {int}:
-                key = (inner, tuple(o))
-                text = int_lists.get(key)
-                if text is None:
-                    text = int_lists[key] = (
-                        "[" + inner + ("," + inner).join(map(int.__repr__, o)) + nl + "]")
-                out.append(text)
+                out.append("[" + inner + ("," + inner).join(map(int.__repr__, o)) + nl + "]")
                 return
             brackets, items = "[]", zip(repeat(""), o)
         elif t is dict and o and all(type(k) is str for k in o):
@@ -410,4 +402,4 @@ def _save_json(payload, path: str) -> None:
 
 
 def save_poset(p: Poset, path: str) -> None:
-    _save_json(p.to_dict(), path)
+    _save_json(_poset(p).to_dict(), path)

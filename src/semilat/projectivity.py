@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from . import semilattice as sl
 from .errors import NotPrimeIntervalError
-from .poset import Poset
+from .poset import Poset, _poset
 
 
 def prime_up_projective(p: Poset, ab, xy) -> bool:
@@ -23,7 +23,8 @@ def prime_up_projective(p: Poset, ab, xy) -> bool:
 
     Raises NoJoinError when one of the two joins it reads does not exist.
     """
-    a, b, x, y = (p.elements[i] for pair in p._pairs("source and witness", ab, xy) for i in pair)
+    pairs = _poset(p)._pairs("source and witness", ab, xy)
+    a, b, x, y = (p.elements[i] for pair in pairs for i in pair)
     if not p._covers[p.index(a), p.index(b)]:
         raise NotPrimeIntervalError(f"[{a}, {b}] is not a prime interval of {p.name!r}")
     return x != y and sl.join(p, a, x) == x and sl.join(p, b, x) == y

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import (MissingBoundsError, NoJoinError, NotAChainError, NotJoinSemilatticeError,
                      NotMaximalChainError, SizeLimitError, UnknownElementError)
-from .poset import Poset, _int, _sequence
+from .poset import Poset, _int, _poset, _sequence
 
 # Sentinels inside the bound tables.
 _NONE = -1        # no common bound at all
@@ -43,7 +43,7 @@ def _table(p: Poset) -> tuple[np.ndarray, tuple[int, int] | None]:
     words, bit r set when the r-th element by rank is above i; one AND per word
     gives a block of pairs popcounts to sum and a lowest set bit to find first.
     """
-    if "join" in p._cache:
+    if "join" in _poset(p)._cache:
         return p._cache["join"]
     leq, order = p._leq, p._view()[1]
     n, w = len(p), -(-len(p) // 64)
@@ -103,7 +103,7 @@ def meet(p: Poset, a: str, b: str) -> str | None:
     Meets are optional in a join semilattice, so absence is a value here,
     never an error.
     """
-    v = _table(p.dual())[0][p.index(a), p.index(b)]
+    v = _table(_poset(p).dual())[0][p.index(a), p.index(b)]
     return None if v < 0 else p.elements[v]
 
 
@@ -134,7 +134,7 @@ def is_semimodular(p: Poset) -> SemimodularityReport:
 
     Only cover pairs (a, b) are scanned; the a = b case of the law is vacuous.
     """
-    cached = p._cache.get("semimodular")
+    cached = _poset(p)._cache.get("semimodular")
     if cached is not None:
         return cached
     ok, pair = is_join_semilattice(p)
@@ -162,7 +162,7 @@ def is_semimodular(p: Poset) -> SemimodularityReport:
 
 
 def _require_bounds(p: Poset) -> tuple[int, int]:
-    bottom, top = p.bottom(), p.top()
+    bottom, top = _poset(p).bottom(), p.top()
     if bottom is None or top is None:
         raise MissingBoundsError(f"poset {p.name!r} lacks a bottom or top element")
     return p.index(bottom), p.index(top)

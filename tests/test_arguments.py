@@ -1,4 +1,4 @@
-"""Every public function that reads a chain, an interval, a pair list, an
+"""Every public function that reads a poset, a chain, an interval, a pair list, an
 integer, a graph, a group, a subgroup, a group table or a matching result refuses a
 malformed one with the package's own error, never a bare TypeError,
 ValueError, IndexError or AttributeError; and the argument checks run in the
@@ -6,6 +6,7 @@ order the callers rely on."""
 
 from __future__ import annotations
 
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -28,22 +29,30 @@ from semilat import (
     builtin_group,
     chain_product,
     check_pairs,
+    check_theorem,
     composition_analysis,
+    count_maximal_chains,
     export_dot,
     from_dict,
     graphic_flat_lattice,
     group_from_table,
     interval_updown_witness,
+    is_join_semilattice,
     is_maximal_chain,
+    is_semimodular,
     is_subnormal,
     jh_match,
+    join,
+    match_index_chains,
     maximal_chains,
+    meet,
     named_counterexample,
     normal_closure,
     partition_lattice,
     prime_up_projective,
     projectivity_relation,
     random_maximal_chain,
+    save_poset,
     subnormal_lattice,
     verify_matching,
 )
@@ -55,6 +64,7 @@ B3 = boolean_lattice(3)
 CHAIN, OTHER = ("000", "100", "110", "111"), ("000", "010", "011", "111")
 SOURCE, WITNESS = ("000", "100"), ("010", "110")
 RESULT = jh_match(B3, CHAIN, OTHER)
+ROW, OTHER_ROW = (np.array([[B3.index(e) for e in c]]) for c in (CHAIN, OTHER))
 Z12 = builtin_group("Z12")
 SERIES = maximal_chains(subnormal_lattice(Z12))[0]
 Z6_IN_Z12, ALL_OF_Z12 = (0, 2, 4, 6, 8, 10), tuple(range(12))
@@ -95,6 +105,10 @@ def chain(base: tuple) -> dict:
 
 # Anything but a Group, a poset and an integer among them.
 NOT_A_GROUP = {"not-a-group": st.one_of(NON_ITERABLE, st.text(max_size=3), st.just(B3))}
+# Anything but a Poset, a group among them.
+NOT_A_POSET = {"not-a-poset": st.one_of(NON_ITERABLE, st.text(max_size=3), st.just(Z12))}
+# The error each kind of malformed argument must raise, where narrower than SemilatError.
+KIND_ERRORS = {"not-a-group": PreconditionError, "not-a-poset": PreconditionError}
 
 
 def members(base: tuple) -> dict:
@@ -179,8 +193,28 @@ SLOTS = {
     "random_maximal_chain-seed": (lambda v: random_maximal_chain(B3, v), 0,
                                   {"not-an-int": NOT_AN_INT}),
     "named_counterexample": (named_counterexample, "n5", {"unknown-name": UNKNOWN}),
+    # The poset argument of each public function that takes one.
+    "join-p": (lambda v: join(v, *SOURCE), B3, NOT_A_POSET),
+    "meet-p": (lambda v: meet(v, *SOURCE), B3, NOT_A_POSET),
+    "is_join_semilattice": (is_join_semilattice, B3, NOT_A_POSET),
+    "is_semimodular": (is_semimodular, B3, NOT_A_POSET),
+    "is_maximal_chain-p": (lambda v: is_maximal_chain(v, CHAIN), B3, NOT_A_POSET),
+    "maximal_chains": (maximal_chains, B3, NOT_A_POSET),
+    "count_maximal_chains": (count_maximal_chains, B3, NOT_A_POSET),
+    "prime_up_projective-p": (lambda v: prime_up_projective(v, SOURCE, WITNESS), B3, NOT_A_POSET),
+    "match_index_chains-p": (lambda v: match_index_chains(v, ROW, OTHER_ROW), B3, NOT_A_POSET),
+    "jh_match-p": (lambda v: jh_match(v, CHAIN, OTHER), B3, NOT_A_POSET),
+    "verify_matching-p": (lambda v: verify_matching(v, CHAIN, OTHER, RESULT), B3, NOT_A_POSET),
+    "interval_updown_witness-p": (lambda v: interval_updown_witness(v, SOURCE, WITNESS), B3,
+                                  NOT_A_POSET),
+    "projectivity_relation-p": (lambda v: projectivity_relation(v, CHAIN, OTHER), B3, NOT_A_POSET),
+    "check_pairs-p": (lambda v: check_pairs(v, [(CHAIN, OTHER)]), B3, NOT_A_POSET),
+    "check_theorem-p": (lambda v: check_theorem(v, CHAIN, OTHER), B3, NOT_A_POSET),
+    "random_maximal_chain-p": (lambda v: random_maximal_chain(v, 0), B3, NOT_A_POSET),
+    "export_dot-p": (lambda v: export_dot(v, CHAIN, OTHER, RESULT), B3, NOT_A_POSET),
+    "save_poset-p": (lambda v: save_poset(v, os.devnull), B3, NOT_A_POSET),
 }
-CASES = [pytest.param(call, values, id=f"{slot}-{kind}")
+CASES = [pytest.param(call, values, KIND_ERRORS.get(kind, SemilatError), id=f"{slot}-{kind}")
          for slot, (call, _, forms) in SLOTS.items() for kind, values in forms.items()]
 
 
@@ -190,12 +224,12 @@ def test_the_well_formed_argument_is_accepted(call, valid):
     call(valid)   # so each refusal below is the malformed argument's
 
 
-@pytest.mark.parametrize("call, values", CASES)
+@pytest.mark.parametrize("call, values, error", CASES)
 @settings(GENERATED, max_examples=8)
 @given(data=st.data())
-def test_malformed_argument_raises_a_package_error(call, values, data):
+def test_malformed_argument_raises_a_package_error(call, values, error, data):
     bad = data.draw(values, label="argument")
-    with pytest.raises(SemilatError):
+    with pytest.raises(error):
         call(bad)
 
 
@@ -237,10 +271,13 @@ def test_a_0d_array_is_refused_as_a_sequence(call):
     (lambda: composition_analysis(None), PreconditionError,
      r"^the group must be a Group, got NoneType$"),
     (lambda: normal_closure(B3, (), ()), PreconditionError, r"^the group must be a Group, got Poset$"),
+    (lambda: jh_match("x", (), ()), PreconditionError, r"^the poset must be a Poset, got str$"),
+    (lambda: export_dot(Z12), PreconditionError, r"^the poset must be a Poset, got Group$"),
 ], ids=["prime-form-int", "lattice-form-int", "limit-string", "graph-int", "seed-none",
         "prime-form-unknown-y", "lattice-form-unknown-a", "table-int", "builtin-int",
         "verify-result-int", "dot-matching-int", "subgroup-int", "member-float",
-        "group-int", "group-none", "group-poset-empty-subgroups"])
+        "group-int", "group-none", "group-poset-empty-subgroups", "poset-str",
+        "poset-group"])
 def test_refused_with_the_package_error(call, error, message):
     with pytest.raises(error, match=message):
         call()

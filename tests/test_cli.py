@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -720,13 +721,33 @@ class TestExportDot:
             semilat.export_dot(semilat.boolean_lattice(3), matching=tampered)
 
 
-def test_python_dash_m_runs_the_cli():
+def _semilat_argv_env(*argv):
+    """The `python -m semilat` command line for argv, and an environment that imports this tree."""
     src = str(Path(semilat.__file__).resolve().parent.parent)
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "semilat", "validate", B3, "--json"],
-                          capture_output=True, text=True, env=env, timeout=60)
+    return [sys.executable, "-m", "semilat", *argv], env
+
+
+def test_python_dash_m_runs_the_cli():
+    argv, env = _semilat_argv_env("validate", B3, "--json")
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, read_golden("validate_b3.json"), "")
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_closed_stdout_ends_quietly(tmp_path):
+    # D4xZ2's --json is about 1 MB, far more than a pipe holds, so the CLI is
+    # still writing when the reader closes the pipe after one line.
+    group = str(tmp_path / "d4.json")
+    groups.save_group(groups.builtin_group("D4xZ2"), group)
+    argv, env = _semilat_argv_env("group", "composition", group, "--json")
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == -signal.SIGPIPE
+    assert stderr == b""
 
 
 # The public names of `semilat`, the submodules its __init__ imports included.

@@ -82,6 +82,7 @@ def test_rows_equal_their_items(value):
 @settings(GENERATED, max_examples=40)
 @given(VALUES)
 @example({"a": [1, 2], "b": [[1, 2], (1, 2)], "c": {"d": [1, 2]}})
+@example([[3, -1], [3, -1], [[3, -1]]])   # one int list twice at one depth, once deeper
 @example([True, 1, 1.0, False, 0, 0.0, None, [], {}, (), [True, 1], [0, False]])
 @example({"z": {}, "y": [], "": [[]], "x": 1.5, "w": [float("nan"), -0.0, 1e300]})
 def test_writer_equals_json_dumps(value):

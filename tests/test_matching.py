@@ -547,7 +547,7 @@ class TestIndexEntry:
     @pytest.mark.parametrize("C, D, error", [
         ([0, 4, 6, 7], [0, 2, 6, 7], PreconditionError),             # 1-D
         ([A3], [A3, B3_ROW_B], PreconditionError),                    # shapes differ
-        ([A3], [[0, 2, 7]], PreconditionError),                       # widths differ
+        ([A3], [[0, 2, 7]], NotMaximalChainError),                    # widths differ: rows first
         (np.zeros((2, 0), dtype=int), np.zeros((2, 0), dtype=int), PreconditionError),
         ([[0.0, 4.0, 6.0, 7.0]], [B3_ROW_B], PreconditionError),      # not integers
         ([A3], [[True, False, True, True]], PreconditionError),      # booleans
@@ -562,6 +562,19 @@ class TestIndexEntry:
         with pytest.raises(error) as refused:
             match_index_chains(B3, np.array(C), np.array(D))
         assert isinstance(refused.value, SemilatError)
+
+    @pytest.mark.parametrize("a, b", [(B3_CHAIN_A, ["000", "110", "111"]),
+                                      (["000", "111"], B3_CHAIN_B)],
+                             ids=["second-not-maximal", "first-not-maximal"])
+    def test_lengths_differ_refused_alike_by_both_entries(self, a, b):
+        # One check of the rows for both entries: the non-maximal chain is
+        # named before the lengths are compared.
+        with pytest.raises(SemilatError) as named:
+            jh_match(B3, a, b)
+        with pytest.raises(SemilatError) as indexed:
+            match_index_chains(B3, *(np.array([index_chain(B3, x)]) for x in (a, b)))
+        assert type(indexed.value) is type(named.value) is NotMaximalChainError
+        assert str(indexed.value) == str(named.value)
 
     @pytest.mark.parametrize("C", [[A3], [A3, [0, 4]]], ids=["list", "ragged"])
     def test_lists_refused(self, C):
