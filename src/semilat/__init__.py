@@ -61,7 +61,6 @@ from .generators import (
 from .groups import (
     CompositionReport,
     Group,
-    SeriesPair,
     all_subgroups,
     builtin_group,
     composition_analysis,

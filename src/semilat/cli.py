@@ -310,8 +310,10 @@ def _cmd_group(args) -> int:
                 zip(report.series, report.factor_multisets)):
             print(f"series {idx}: {' < '.join('{' + s + '}' for s in series)}"
                   f"   factors {sorted(factors)}")
-        for (i, j), pi, fp, equal in report._lists():
-            print(f"pair ({i}, {j}): pi = {pi}  factor pairs {fp}  {'ok' if equal else 'MISMATCH'}")
+        n = report.length
+        template = (f"pair (%d, %d): pi = [{', '.join(['%d'] * n)}]  "
+                    f"factor pairs [{', '.join(['[%d, %d]'] * n)}]  %s")
+        print("\n".join([template % tuple(row) for row in report._rows(("MISMATCH", "ok"))]))
         print(f"factor multiset chain-independent: "
               f"{'yes' if report.multiset_independent else 'no'}")
     return OK if report.ok else VIOLATION

@@ -7,9 +7,11 @@ chain matcher runs on its dual:
 `composition_analysis` reads every series as one index row of the lattice,
 top-down a chain of the dual, and matches all its pairs in one
 `match_index_chains` call; factor orders come from the members' counts by
-index, and pi and the factors are mapped back to ascending series.  Factor
-"isomorphism" is checked as order equality, which is exact for the small
-solvable test corpus where all composition factors are cyclic of prime order.
+index, and pi and the factors are mapped back to ascending series.  The
+report keeps the pairs as four arrays, and both output formats are written
+from one row list of them.  Factor "isomorphism" is checked as order
+equality, which is exact for the small solvable test corpus where all
+composition factors are cyclic of prime order.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import json
 import math
 from collections.abc import Callable, Collection
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations, permutations
 
 import numpy as np
@@ -323,28 +324,12 @@ def subnormal_lattice(g: Group) -> Poset:
 # -- composition series ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SeriesPair:
-    """Matching of one ordered pair of composition series."""
-
-    index_a: int
-    index_b: int
-    pi: tuple[int, ...]
-    factor_pairs: tuple[tuple[int, int], ...]
-    factors_equal: bool
-
-    def to_dict(self) -> dict:
-        return {"series_a": self.index_a, "series_b": self.index_b,
-                "pi": list(self.pi),
-                "factor_pairs": [list(p) for p in self.factor_pairs],
-                "factors_equal": self.factors_equal}
-
-
 @dataclass(frozen=True, eq=False)
 class CompositionReport:
     """Composition-series analysis of a finite group.  Pair k matches series
     pair_series[k] = (a, b) by the ascending pi pair_pi[k], with the factor
-    orders pair_factors[k, i] = (a's, b's) at step i and the verdict pair_equal[k]."""
+    orders pair_factors[k, i] = (a's, b's) at step i and the verdict pair_equal[k].
+    These four arrays are the pairs; `to_dict()["pairs"]` has them as JSON objects."""
 
     group: str
     order: int
@@ -356,16 +341,6 @@ class CompositionReport:
     pair_factors: np.ndarray
     pair_equal: np.ndarray
 
-    @cached_property
-    def pairs(self) -> tuple[SeriesPair, ...]:
-        """The pairs as SeriesPair objects, built on first access."""
-        return tuple(SeriesPair(i, j, tuple(pi), tuple(map(tuple, fp)), equal)
-                     for (i, j), pi, fp, equal in self._lists())
-
-    def _lists(self):
-        arrays = (self.pair_series, self.pair_pi, self.pair_factors, self.pair_equal)
-        return zip(*(a.tolist() for a in arrays))
-
     @property
     def multiset_independent(self) -> bool:
         return len(set(self.factor_multisets)) <= 1
@@ -375,24 +350,29 @@ class CompositionReport:
         return self.multiset_independent and bool(self.pair_equal.all())
 
     def to_dict(self) -> dict:
-        return self._payload([p.to_dict() for p in self.pairs])
+        """The object `group composition --json` prints, read back from its text."""
+        return json.loads(_json_text(self._payload()))
 
-    def _payload(self, pairs=None) -> dict:
-        """`to_dict()` with `pairs` in its place, by default a `_Rows` of the
-        arrays under a marker pair that numbers their values."""
-        if pairs is None:
-            n, k = self.length, [f"%{i}" for i in range(3 * self.length + 3)]
-            marker = SeriesPair(k[0], k[1], k[2:n + 2], zip(k[n + 2:-1:2], k[n + 3:-1:2]), k[-1])
-            verdicts = [_json_text(equal) for equal in (False, True)]
-            rows = np.hstack((self.pair_series, self.pair_pi,
-                              self.pair_factors.reshape(len(self.pair_pi), -1))).tolist()
-            for row, equal in zip(rows, self.pair_equal.tolist()):
-                row.append(verdicts[equal])
-            pairs = _Rows(marker.to_dict(), rows)
+    def _rows(self, verdicts) -> list[list]:
+        """Each pair's values in one flat row: series a and b, pi, the factor
+        pairs, and `verdicts[pair_equal[k]]`."""
+        rows = np.hstack((self.pair_series, self.pair_pi,
+                          self.pair_factors.reshape(len(self.pair_pi), -1))).tolist()
+        for row, equal in zip(rows, self.pair_equal.tolist()):
+            row.append(verdicts[equal])
+        return rows
+
+    def _payload(self) -> dict:
+        """The `--json` object; its pairs are a `_Rows` of `_rows` under a
+        marker, one pair's object with the slot "%k" for value k of a row."""
+        n, k = self.length, [f"%{i}" for i in range(3 * self.length + 3)]
+        marker = {"series_a": k[0], "series_b": k[1], "pi": k[2:n + 2],
+                  "factor_pairs": [list(f) for f in zip(k[n + 2:-1:2], k[n + 3:-1:2])],
+                  "factors_equal": k[-1]}
         return {"group": self.group, "order": self.order, "length": self.length,
                 "series": [list(s) for s in self.series],
                 "factor_multisets": [list(m) for m in self.factor_multisets],
-                "pairs": pairs,
+                "pairs": _Rows(marker, self._rows(("false", "true"))),
                 "factor_multiset_independent": self.multiset_independent,
                 "ok": self.ok}
 
@@ -407,8 +387,8 @@ def composition_analysis(g: Group, series_a=None, series_b=None) -> CompositionR
     every ordered pair (i <= j) of maximal chains is, up to sl.PAIR_LIMIT
     pairs.  All go through one `match_index_chains` call on the dual.  The
     report keeps each pair's series indices, ascending pi, factor pairs and
-    verdict as arrays; its `pairs` are built from them on first access, and
-    `group composition --json` writes them through one template per report.
+    verdict as arrays, and `group composition` writes both its formats from
+    one row list of them, through one template per report.
     """
     if (series_a is None) != (series_b is None):
         raise PreconditionError("provide both series or neither")

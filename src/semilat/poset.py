@@ -179,7 +179,10 @@ class Poset:
         """Upper-cover index lists, the rank order (each element after those below
         it), and the heights: longest cover paths from a minimal element."""
         if "view" not in self._cache:
-            ups = [np.flatnonzero(row).tolist() for row in self._covers]
+            below, above = np.nonzero(self._covers)   # row by row, so each row's covers are a slice
+            ends = np.bincount(below, minlength=len(self)).cumsum().tolist()
+            above = above.tolist()
+            ups = [above[a:b] for a, b in zip([0, *ends], ends)]
             order = np.argsort(self._leq.sum(axis=0), kind="stable")
             h = [0] * len(self)
             for i in order.tolist():   # each height is final before it is read

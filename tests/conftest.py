@@ -75,6 +75,14 @@ def ascending(pi) -> tuple[int, ...]:
     return tuple(len(pi) + 1 - j for j in reversed(pi))
 
 
+def pair_rows(report) -> list[tuple]:
+    """Each pair of a composition report as ((a, b), pi, factor pairs,
+    verdict), read from its four `pair_*` arrays, sequences as tuples."""
+    arrays = (report.pair_series, report.pair_pi, report.pair_factors, report.pair_equal)
+    return [((a, b), tuple(pi), tuple(map(tuple, fp)), equal)
+            for (a, b), pi, fp, equal in zip(*(x.tolist() for x in arrays))]
+
+
 def match_series(lattice: Poset, series_a, series_b) -> tuple[int, ...]:
     """The reference pi of one pair of composition series, read the way
     `composition_analysis` reads it: `jh_match` on the dual with both series

@@ -10,7 +10,9 @@ are not semimodular.  `chain_products` and `graphic_flats` draw semimodular
 lattices, the ones the matching theorem speaks about.  `antimatroids` draws
 semimodular lattices whose matchings are known in closed form, and whose
 duals are the negative controls.  `direct_products` draws finite groups,
-whose subnormal lattices are dually semimodular.
+whose subnormal lattices are dually semimodular.  `cli_invocations` draws
+JSON values shaped like poset and group files, most of them malformed, each
+with one subcommand to run on it.
 """
 
 from __future__ import annotations
@@ -181,3 +183,99 @@ def direct_products(draw, max_order: int = 24) -> Group:
         names.append(draw(st.sampled_from(fits)))
         order *= GROUP_ATOMS[names[-1]]
     return builtin_group("x".join(names))
+
+
+
+# Values of the wrong type for any field of an input file.
+JSON_JUNK = st.one_of(st.none(), st.booleans(), st.integers(-1, 3), st.just(2.5), st.just("a"),
+                      st.just([0, 1]), st.just({}))
+# Poset names in the order their drawn DAG follows, and the group tables drawn.
+FILE_NAMES = ("0", "a", "b", "1")
+FILE_TABLES = tuple(builtin_group(name).to_dict()["table"]
+                    for name in ("Z1", "Z2", "Z3", "Z4", "Z2xZ2", "S3"))
+# The argv of each subcommand that reads a file; "FILE" and "OUT" stand for
+# the input file and an output path.
+POSET_COMMANDS = (
+    ["validate", "FILE"], ["validate", "FILE", "--json"], ["chains", "FILE", "--count"],
+    ["chains", "FILE", "--limit", "2", "--json"],
+    ["match", "FILE", "--chain-a", "0,a,1", "--chain-b", "0,b,1", "--json"],
+    ["match", "FILE", "--chain-a", "0,1", "--chain-b", "0,a"],
+    ["project", "FILE", "--source", "0,a", "--target", "b,1"],
+    ["verify", "FILE"], ["verify", "FILE", "--samples", "2", "--json"],
+    ["export-dot", "FILE", "--chain-a", "0,a,1", "--chain-b", "0,b,1", "--witnesses"],
+)
+GROUP_COMMANDS = (
+    ["group", "subgroups", "FILE"], ["group", "composition", "FILE"],
+    ["group", "composition", "FILE", "--json"], ["group", "subnormal-lattice", "FILE", "-o", "OUT"],
+    ["group", "composition", "FILE", "--series-a", "0", "--series-b", "0"],
+)
+
+
+@st.composite
+def spoiled(draw, fields: dict):
+    """`fields` as a JSON object, or with one field dropped or of a wrong
+    type, or in its place a value that is not an object."""
+    how = draw(st.sampled_from(("keep", "keep", "keep", "drop", "wrong type", "no object")))
+    if how == "no object":
+        return draw(JSON_JUNK)
+    data = dict(fields)
+    if how != "keep":
+        key = draw(st.sampled_from(sorted(data)))
+        if how == "drop":
+            del data[key]
+        else:
+            data[key] = draw(JSON_JUNK)
+    return data
+
+
+@st.composite
+def poset_files(draw):
+    """A poset file: a DAG on up to four names, read through its covers, or
+    with one flaw: a repeated name, an unknown endpoint, a cycle, all of its
+    edges (some not covers) or a cover entry that is no pair."""
+    names = sorted(draw(st.sets(st.sampled_from(FILE_NAMES), min_size=1)), key=FILE_NAMES.index)
+    edges = [[a, b] for a, b in combinations(names, 2) if draw(st.booleans())]
+    covers = [list(e) for e in cover_edges(names, edges)]
+    flaw = draw(st.sampled_from(("none", "none", "none", "repeated name", "unknown endpoint",
+                                 "cycle", "all edges", "no pair")))
+    if flaw == "repeated name":
+        names.append(names[0])
+    elif flaw == "unknown endpoint":
+        covers.append([names[0], "z"])
+    elif flaw == "cycle":   # a self-cover on one name
+        covers.append([names[-1], names[0]])
+    elif flaw == "all edges":
+        covers = edges
+    elif flaw == "no pair":
+        covers.append(draw(JSON_JUNK))
+    return draw(spoiled({"name": "p", "elements": names, "covers": covers}))
+
+
+@st.composite
+def group_files(draw):
+    """A group file: a table of order 1 to 6, or with one flaw: an entry
+    changed, a row cut short, the identity's row moved, or an order that
+    does not fit."""
+    table = [list(row) for row in draw(st.sampled_from(FILE_TABLES))]
+    n, order = len(table), len(table)
+    flaw = draw(st.sampled_from(("none", "none", "entry", "short row", "rows swapped",
+                                 "order")))
+    if flaw == "entry":
+        table[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(
+            st.integers(-1, n) | JSON_JUNK)
+    elif flaw == "short row":
+        table[draw(st.integers(0, n - 1))].pop()
+    elif flaw == "rows swapped":
+        table[0], table[-1] = table[-1], table[0]
+    elif flaw == "order":
+        order += 1
+    return draw(spoiled({"name": "g", "order": order, "table": table}))
+
+
+@st.composite
+def cli_invocations(draw):
+    """A JSON value shaped like an input file and the argv of one subcommand
+    to run on it."""
+    if draw(st.booleans()):
+        return draw(poset_files()), draw(st.sampled_from(POSET_COMMANDS))
+    return draw(group_files()), draw(st.sampled_from(GROUP_COMMANDS))

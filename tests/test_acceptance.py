@@ -228,9 +228,9 @@ def test_criterion_6_group_suite():
             failures.append((name, "unequal composition lengths"))
 
         report = composition_analysis(g)
-        for pair in report.pairs:
-            if not pair.factors_equal:
-                failures.append((name, "factor mismatch", pair.to_dict()))
+        for pair in report.to_dict()["pairs"]:
+            if not pair["factors_equal"]:
+                failures.append((name, "factor mismatch", pair))
         if not report.multiset_independent:
             failures.append((name, "multiset depends on the chain"))
         expected_multiset = GROUP_FACTOR_MULTISETS.get(name)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import signal
@@ -12,11 +14,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import semilat
-from conftest import DATA, GOLDEN, read_golden
+from conftest import DATA, GOLDEN, pair_rows, read_golden
 from semilat import Poset, cli, generators, groups, oracle, poset, semilattice as sl
 from semilat.poset import ELEMENT_LIMIT
+from strategies import GENERATED, cli_invocations
 
 B2 = str(DATA / "b2.json")
 B3 = str(DATA / "b3.json")
@@ -167,6 +171,19 @@ class TestExitCodes:
                      ["group", "nosuch"]):
             code, _, _ = run_cli(*argv)
             assert code == 2, argv
+
+    @settings(GENERATED, max_examples=50)
+    @given(cli_invocations())
+    def test_generated_files_exit_0_1_or_2(self, tmp_path_factory, invocation):
+        """Every subcommand that reads a file returns an exit code, and raises
+        nothing, on files of the right shape and on broken ones."""
+        value, argv = invocation
+        folder = tmp_path_factory.getbasetemp()
+        path = folder / "input.json"
+        path.write_text(json.dumps(value), encoding="utf-8")
+        paths = {"FILE": str(path), "OUT": str(folder / "output.json")}
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.run([paths.get(a, a) for a in argv]) in (0, 1, 2)
 
     def test_usage_error_missing_file(self, run_cli):
         code, _, err = run_cli("validate", "no-such-file.json")
@@ -574,43 +591,46 @@ class TestGroupCommands:
 
 
 def reference_dict(report) -> dict:
-    """The report as `json.dumps` reads it, built here from `report.pairs`."""
+    """The report as `json.dumps` reads it, built here from the `pair_*` arrays."""
     return {"group": report.group, "order": report.order, "length": report.length,
             "series": [list(s) for s in report.series],
             "factor_multisets": [list(m) for m in report.factor_multisets],
-            "pairs": [{"series_a": p.index_a, "series_b": p.index_b, "pi": list(p.pi),
-                       "factor_pairs": [list(f) for f in p.factor_pairs],
-                       "factors_equal": p.factors_equal} for p in report.pairs],
+            "pairs": [{"series_a": a, "series_b": b, "pi": list(pi),
+                       "factor_pairs": [list(f) for f in fp], "factors_equal": equal}
+                      for (a, b), pi, fp, equal in pair_rows(report)],
             "factor_multiset_independent": report.multiset_independent, "ok": report.ok}
 
 
 def reference_text(report) -> str:
-    """The human report, one pair line per `report.pairs` entry."""
+    """The human report, one pair line per pair of the `pair_*` arrays."""
     lines = [f"group: {report.group} (order {report.order})",
              f"composition length: {report.length}"]
     lines += [f"series {k}: {' < '.join('{' + s + '}' for s in series)}   factors {sorted(factors)}"
               for k, (series, factors) in enumerate(zip(report.series, report.factor_multisets))]
-    lines += [f"pair ({p.index_a}, {p.index_b}): pi = {list(p.pi)}  "
-              f"factor pairs {[list(f) for f in p.factor_pairs]}  "
-              f"{'ok' if p.factors_equal else 'MISMATCH'}" for p in report.pairs]
+    lines += [f"pair ({a}, {b}): pi = {list(pi)}  factor pairs {[list(f) for f in fp]}  "
+              f"{'ok' if equal else 'MISMATCH'}" for (a, b), pi, fp, equal in pair_rows(report)]
     lines.append("factor multiset chain-independent: "
                  f"{'yes' if report.multiset_independent else 'no'}")
     return "\n".join(lines) + "\n"
 
 
 class TestCompositionOutput:
-    """`group composition` writes its pairs from the report's arrays; the
-    references here read `report.pairs` and write with `json.dumps`."""
+    """`group composition` writes both formats from the report's arrays; the
+    references here read the same arrays and write with `json.dumps`."""
 
     @pytest.mark.parametrize("name", ["Z1", "S3", "Q8", "Z12", "A4", "S4", "D12", "Z60",
                                       "S3xZ3", "Z2xZ2xZ2", "Q8xZ2", "D4xZ2"])
     def test_json_equals_json_dumps_of_the_pairs(self, run_cli, tmp_path, name):
+        """`--json` prints the reference, and `to_dict()` reads that text back."""
         path = str(tmp_path / "g.json")
         assert run_cli("group", "builtin", name, "-o", path)[0] == 0
         code, out, err = run_cli("group", "composition", path, "--json")
         assert (code, err) == (0, "")
         report = groups.composition_analysis(groups.load_group(path))
         assert out == json.dumps(reference_dict(report), indent=2, sort_keys=True) + "\n"
+        payload = report.to_dict()
+        assert payload == json.loads(out)
+        json.dumps(payload)   # plain JSON values only
 
     def test_explicit_series(self, run_cli):
         series = ("0,0.6,0.3.6.9,0.1.2.3.4.5.6.7.8.9.10.11",
@@ -624,9 +644,12 @@ class TestCompositionOutput:
 
     def test_mismatch_written_from_the_verdicts(self, run_cli, monkeypatch):
         report = groups.composition_analysis(groups.load_group(Z12))
-        forged = replace(report, pair_equal=np.arange(len(report.pair_equal)) % 2 == 0)
+        equal = np.arange(len(report.pair_equal)) % 2 == 0
+        factors = report.pair_factors.copy()
+        factors[~equal, :, 1] *= 5   # each mismatched pair's second series gets other factors
+        forged = replace(report, pair_equal=equal, pair_factors=factors)
         monkeypatch.setattr(groups, "composition_analysis", lambda *args: forged)
-        assert [p.factors_equal for p in forged.pairs] == [True, False] * 3 and not forged.ok
+        assert forged.pair_equal.tolist() == [True, False] * 3 and not forged.ok
         assert run_cli("group", "composition", Z12, "--json") == (
             1, json.dumps(reference_dict(forged), indent=2, sort_keys=True) + "\n", "")
         code, out, _ = run_cli("group", "composition", Z12)
@@ -634,11 +657,16 @@ class TestCompositionOutput:
         assert out.count("  MISMATCH\n") == 3
 
     def test_text_equals_a_loop_over_the_pairs(self, run_cli, tmp_path):
-        path = str(tmp_path / "g.json")
-        assert run_cli("group", "builtin", "D4xZ2", "-o", path)[0] == 0
-        report = groups.composition_analysis(groups.load_group(path))
-        assert len(report.pairs) == 2850
-        assert run_cli("group", "composition", path) == (0, reference_text(report), "")
+        out = {}
+        for name, count in (("Z1", 1), ("S4", 6), ("D4xZ2", 2850)):
+            path = str(tmp_path / f"{name}.json")
+            assert run_cli("group", "builtin", name, "-o", path)[0] == 0
+            report = groups.composition_analysis(groups.load_group(path))
+            assert len(report.pair_series) == count, name
+            code, out[name], err = run_cli("group", "composition", path)
+            assert (code, out[name], err) == (0, reference_text(report), ""), name
+        # The template's edge case: Z1's one pair has length 0.
+        assert "\npair (0, 0): pi = []  factor pairs []  ok\n" in out["Z1"]
 
 
 class TestExportDot:
@@ -759,7 +787,7 @@ PUBLIC_NAMES = [
     "NotJoinSemilatticeError", "NotMaximalChainError", "NotPrimeIntervalError",
     "NotSemimodularError", "Poset", "PosetConstructionError", "PreconditionError",
     "ProjectivityRelation", "RecursionFrame", "SemilatError", "SemimodularityReport",
-    "SeriesPair", "SizeLimitError", "TheoremReport", "UnknownElementError",
+    "SizeLimitError", "TheoremReport", "UnknownElementError",
     "UnknownNameError", "all_subgroups", "boolean_lattice", "builtin_group", "chain_product",
     "check_pairs", "check_theorem", "composition_analysis",
     "count_maximal_chains", "dot", "errors", "export_dot", "from_dict", "generators",

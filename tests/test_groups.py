@@ -15,7 +15,6 @@ from semilat import (
     NotMaximalChainError,
     Poset,
     PreconditionError,
-    SeriesPair,
     SizeLimitError,
     UnknownNameError,
     all_subgroups,
@@ -31,7 +30,7 @@ from semilat import (
 )
 from semilat import groups, matching
 from semilat.matching import _match
-from conftest import break_witness_entry, match_series
+from conftest import break_witness_entry, match_series, pair_rows
 from strategies import GENERATED, dag_poset, direct_products
 
 # Acceptance-frozen subgroup counts; S3xZ2 was computed by the subset oracle
@@ -486,11 +485,11 @@ class TestCompositionAnalysis:
         report = composition_analysis(g, series_a, series_b)
         assert report.ok
         assert report.factor_multisets == ((2, 2, 3), (2, 2, 3))
-        pair = report.pairs[0]
+        [(_, pi, factor_pairs, _)] = pair_rows(report)
         # the lone 3-factor of the first series (index 3) pairs with the
         # 3-factor of the second (index 1)
-        assert pair.pi[2] == 1
-        assert all(x == y for x, y in pair.factor_pairs)
+        assert pi[2] == 1
+        assert all(x == y for x, y in factor_pairs)
 
     def test_a4_all_pairs(self):
         report = composition_analysis(builtin_group("A4"))
@@ -503,8 +502,8 @@ class TestCompositionAnalysis:
         report = composition_analysis(builtin_group("S3"))
         assert report.ok
         assert len(report.series) == 1
-        assert report.pairs[0].pi == (1, 2)
-        assert [f for f in report.pairs[0].factor_pairs] == [(3, 3), (2, 2)]
+        assert report.pair_pi[0].tolist() == [1, 2]
+        assert report.pair_factors[0].tolist() == [[3, 3], [2, 2]]
         assert report.factor_multisets == ((2, 3),)
 
     def test_frozen_multisets(self):
@@ -539,8 +538,8 @@ class TestCompositionAnalysis:
     def test_generated_groups(self, g):
         report = composition_analysis(g)
         assert report.ok, g.name
-        for pair in report.pairs:
-            assert pair.factors_equal == all(x == y for x, y in pair.factor_pairs)
+        for _, _, factor_pairs, equal in pair_rows(report):
+            assert equal == all(x == y for x, y in factor_pairs)
 
     @settings(GENERATED, max_examples=10)
     @given(direct_products())
@@ -548,15 +547,15 @@ class TestCompositionAnalysis:
         report = composition_analysis(g)
         lattice = subnormal_lattice(g)
         chains = [tuple(s) for s in report.series]
-        assert [pair.pi for pair in report.pairs] == [
+        assert [pi for _, pi, _, _ in pair_rows(report)] == [
             match_series(lattice, chains[i], chains[j])
             for i in range(len(chains)) for j in range(i, len(chains))]
 
 
     @pytest.mark.parametrize("name", ["Z1", "S3", "Z12", "A4", "Q8", "S3xZ3", "Z2xZ2xZ2"])
     def test_lazy_pairs_equal_an_eager_reference(self, name):
-        """Each pair rebuilt from the series' names: pi by `jh_match` on the
-        dual, factor orders from the member counts in the names."""
+        """The pair arrays equal each pair rebuilt from the series' names: pi
+        by `jh_match` on the dual, factor orders from the member counts in the names."""
         g = builtin_group(name)
         report = composition_analysis(g)
         lattice = subnormal_lattice(g)
@@ -566,11 +565,9 @@ class TestCompositionAnalysis:
         for i, j in ((i, j) for i in range(m) for j in range(i, m)):
             pi = match_series(lattice, report.series[i], report.series[j])
             fp = tuple((factors[i][k], factors[j][pi[k] - 1]) for k in range(len(pi)))
-            expected.append(SeriesPair(i, j, pi, fp, all(a == b for a, b in fp)))
-        assert "pairs" not in vars(report)   # built on first access, then kept
-        assert report.pairs == tuple(expected)
-        assert report.pairs is report.pairs
-        assert report.ok == all(p.factors_equal for p in expected)
+            expected.append(((i, j), pi, fp, all(a == b for a, b in fp)))
+        assert pair_rows(report) == expected
+        assert report.ok == all(equal for *_, equal in expected)
 
 
 class TestPerPairWork:
@@ -585,7 +582,7 @@ class TestPerPairWork:
         monkeypatch.setattr(Poset, "chain", counting)
         report = composition_analysis(builtin_group("D4xZ2"))
         assert len(report.series) == 75
-        assert len(report.pairs) == 75 * 76 // 2
+        assert len(report.pair_series) == 75 * 76 // 2
         assert len(calls) <= len(report.series)
 
     def test_no_per_pair_jh_match_or_name_lookups(self, monkeypatch):
@@ -604,7 +601,7 @@ class TestPerPairWork:
                             (matching, "prime_up_projective"), (Poset, "index")):
             count(owner, name)
         report = composition_analysis(builtin_group("D4xZ2"))
-        assert len(report.pairs) == 2850
+        assert len(report.pair_series) == 2850
         assert [calls.get(name, 0) for name in ("jh_match", "verify_matching",
                                                 "prime_up_projective")] == [0, 0, 0]
         # Names are resolved per series, not per pair.
@@ -615,7 +612,7 @@ class TestPerPairWork:
         report = composition_analysis(g)
         dual = subnormal_lattice(g).dual()
         down = [[dual.index(e) for e in reversed(series)] for series in report.series]
-        pairs = [(down[pair.index_a], down[pair.index_b]) for pair in report.pairs]
+        pairs = [(down[a], down[b]) for a, b in report.pair_series.tolist()]
         middle = 19
         assert len(pairs) == 45
         c, d = pairs[middle]

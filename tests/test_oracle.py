@@ -37,7 +37,7 @@ from semilat import (
 from semilat import matching, oracle, projectivity
 from semilat import semilattice as sl
 
-from conftest import DATA, ascending
+from conftest import DATA, ascending, pair_rows
 from enumeration import COUNTING_LIMIT, all_consistent_permutations, count_consistent_permutations
 from pairwise_oracle import pairwise_reports
 from strategies import GENERATED, chain_products, direct_products, graphic_flats
@@ -513,12 +513,13 @@ class TestCheckPairs:
         report = composition_analysis(g)
         dual = subnormal_lattice(g).dual()
         series = [tuple(s)[::-1] for s in report.series]
-        matched = report.pairs[::max(1, len(report.pairs) // 30)]
-        pairs = [(series[pair.index_a], series[pair.index_b]) for pair in matched]
+        rows = pair_rows(report)
+        matched = rows[::max(1, len(rows) // 30)]
+        pairs = [(series[i], series[j]) for (i, j), *_ in matched]
         assert all(r.ok for r in check_pairs(dual, pairs)), g.name
-        for pair, (a, b) in zip(matched, pairs):
+        for ((i, j), expected, _, _), (a, b) in zip(matched, pairs):
             (pi,) = all_consistent_permutations(projectivity_relation(dual, a, b))
-            assert ascending(pi) == pair.pi, (g.name, pair.index_a, pair.index_b)
+            assert ascending(pi) == expected, (g.name, i, j)
 
 
 def _package_imports(path: Path):

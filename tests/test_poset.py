@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from semilat import (
     NotAChainError,
@@ -117,6 +117,13 @@ class TestOrderQueries:
         for p in corpus:
             assert set(p.cover_pairs()) == brute_force_reduction(p), p.name
 
+    @settings(GENERATED, max_examples=30)
+    @given(st.one_of(posets(), closure_lattices()))
+    def test_generated_upper_cover_lists_are_the_rows(self, p):
+        """`_view` slices one scan of the cover matrix; the reference scans each row."""
+        for q in (p, p.dual()):
+            assert q._view()[0] == [np.flatnonzero(row).tolist() for row in q._covers], q.name
+
 
 def _wide_height_two(extra_edges=()) -> Poset:
     """0 below 256 atoms below 1: 256 paths from 0 to 1."""
@@ -200,6 +207,7 @@ class TestDual:
         assert d.leq("1", "0")
         assert d.bottom() == "1"
         assert d.top() == "0"
+
 
 
 class TestHeightAndBounds:
