@@ -2,7 +2,10 @@
 
 Elements are nonempty strings kept in canonical (sorted) order, so every
 derived output of the package is deterministic.  The order relation lives in
-a read-only boolean matrix; the cover relation is its transitive reduction.
+a read-only boolean matrix, and the cover relation in another.  A cover list
+is read in one pass: each up-set is a Python int, built by peeling sinks, and
+an edge that a longer path implies is refused, so the covers are the edges.
+Intervals, whose order is already closed, get their covers by reduction.
 A chain of names is a plain tuple, checked in one place: `Poset._row`.
 Chain walks read `_view`: upper covers, rank order and heights by index, built once.
 """
@@ -12,7 +15,7 @@ from __future__ import annotations
 import json
 import operator
 import re
-from itertools import repeat
+from itertools import chain, compress, repeat
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -26,9 +29,9 @@ from .errors import (
     UnknownElementError,
 )
 
-# Largest poset `Poset.from_cover_list` builds: `semilat validate` takes
-# 2.2-2.6 s on a 2000-element chain (subprocess wall time, shared 2-vCPU
-# machine), 1.4-1.6 s of it in the order closure.
+# Largest poset `Poset.from_cover_list` builds: `semilat validate` takes 0.9-1.0 s
+# and 70 MiB on a 2000-element chain (subprocess, shared 2-vCPU machine): 0.61 s
+# in the join table, 0.07 s in semimodularity, 0.01-0.02 s loading the file.
 ELEMENT_LIMIT = 2000
 
 
@@ -39,13 +42,53 @@ def _bool_square(a: np.ndarray) -> np.ndarray:
     return (f @ f) > 0
 
 
-def _reflexive_transitive_closure(rel: np.ndarray) -> np.ndarray:
-    reach = rel | np.eye(rel.shape[0], dtype=bool)
-    while True:
-        nxt = _bool_square(reach)   # reach is reflexive, so its square contains it
-        if np.array_equal(nxt, reach):
-            return reach
-        reach = nxt
+def _reflexive_transitive_closure(succ: list[list[int]]) -> tuple[np.ndarray, list, bool]:
+    """The reach matrix of a digraph, its edges that longer paths imply, and
+    whether it has a cycle.  Sinks are peeled first (Kahn's algorithm): v's
+    strict up-set is an int, bit u set for each u above v; an edge (v, u) is implied
+    when u is above another successor of v.  Nodes never peeled reach a cycle;
+    the same rule is swept over them to a fixpoint, in the order a search back
+    from each meets them."""
+    n = len(succ)
+    pred: list[list[int]] = [[] for _ in range(n)]
+    for v, heads in enumerate(succ):
+        for u in heads:
+            pred[u].append(v)
+    left = list(map(len, succ))
+    above, implied = [0] * n, []
+    ready = [v for v in range(n) if not left[v]]
+    for v in ready:   # grows as the loop peels
+        up = bits = 0
+        for u in succ[v]:
+            up |= above[u]
+            bits |= 1 << u
+        if up & bits:
+            implied += [(v, u) for u in succ[v] if up >> u & 1]
+        above[v] = up | bits
+        for w in pred[v]:
+            left[w] -= 1
+            if not left[w]:
+                ready.append(w)
+    order, k = [], 0
+    for s in compress(range(n), left):   # search back from each node never peeled or met
+        left[s] = 0
+        order.append(s)
+        while k < len(order):
+            for w in pred[order[k]]:
+                if left[w]:
+                    left[w] = 0
+                    order.append(w)
+            k += 1
+    while order:   # sweeps in turns forward and backward
+        before = above[:]
+        for v in order:
+            for u in succ[v]:
+                above[v] |= above[u] | 1 << u
+        order = order[::-1] if above != before else []
+    rows = np.frombuffer(b"".join([a.to_bytes((n + 7) // 8, "little") for a in above]), np.uint8)
+    leq = np.unpackbits(rows.reshape(n, -1), axis=1, count=n, bitorder="little").view(bool)
+    np.fill_diagonal(leq, True)
+    return leq, implied, len(ready) < n
 
 
 def _transitive_reduction(leq: np.ndarray) -> np.ndarray:
@@ -107,7 +150,7 @@ class Poset:
         index = {e: i for i, e in enumerate(ordered)}
         n = len(ordered)
 
-        rel = np.zeros((n, n), dtype=bool)
+        succ: list[list[int]] = [[] for _ in range(n)]
         for pair in covers:
             try:
                 a, b = pair
@@ -118,20 +161,18 @@ class Poset:
                     raise PosetConstructionError(f"unknown endpoint {x!r} in cover ({a}, {b})")
             if a == b:
                 raise PosetConstructionError(f"cycle: self-cover ({a}, {b})")
-            rel[index[a], index[b]] = True
-        leq = _reflexive_transitive_closure(rel)
-        mutual = leq & leq.T & ~np.eye(n, dtype=bool)
-        if mutual.any():
-            i, j = np.argwhere(mutual)[0]
+            succ[index[a]].append(index[b])
+        leq, implied, cyclic = _reflexive_transitive_closure(succ)
+        if cyclic:
+            i, j = np.argwhere(leq & leq.T & ~np.eye(n, dtype=bool))[0]
             raise PosetConstructionError(
                 f"cycle detected through {ordered[i]!r} and {ordered[j]!r}")
-
-        reduction = _transitive_reduction(leq)
-        extra = np.argwhere(rel & ~reduction)
-        if len(extra):
-            i, j = extra[0]
+        if implied:
+            i, j = min(implied)
             raise PosetConstructionError(f"non-cover edge ({ordered[i]}, {ordered[j]})")
-        return cls(name, ordered, leq, reduction)
+        edges = np.zeros((n, n), dtype=bool)   # checked above: the edges are the covers
+        edges[np.repeat(np.arange(n), list(map(len, succ))), list(chain.from_iterable(succ))] = True
+        return cls(name, ordered, leq, edges)
 
     # -- basics ------------------------------------------------------------
 

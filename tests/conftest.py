@@ -13,10 +13,12 @@ from semilat import (
     chain_product,
     graphic_flat_lattice,
     partition_lattice,
+    prime_up_projective,
 )
 from semilat import semilattice as sl
 from semilat.cli import run as cli_run
 from semilat.matching import jh_match, match_index_chains
+from lattice_form import lattice_up_projective
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -49,6 +51,16 @@ def corpus():
 def small_corpus(corpus):
     """Corpus members small enough for exhaustive pair scans."""
     return [p for p in corpus if len(p) <= 30]
+
+
+@pytest.fixture(scope="session")
+def lemma_disagreements(small_corpus):
+    """Every (lattice, a, b, x, y) of `small_corpus` where the join-only and
+    the lattice form of up-projectivity disagree, over every cover pair (a, b)
+    and every pair of elements (x, y): one scan for the tests that read it."""
+    return [(p.name, a, b, x, y) for p in small_corpus for a, b in p.cover_pairs()
+            for x in p.elements for y in p.elements
+            if prime_up_projective(p, (a, b), (x, y)) != lattice_up_projective(p, (a, b), (x, y))]
 
 
 @pytest.fixture

@@ -35,7 +35,6 @@ from semilat.generators import graphic_flat_lattice
 from semilat.poset import Poset
 
 from conftest import DATA, K4, TWO_TRIANGLES, read_golden
-from lattice_form import lattice_up_projective
 
 PAIR_BUDGET = 5000
 SAMPLES = 200
@@ -70,19 +69,11 @@ def test_criterion_1_theorem_suite(corpus):
     _report(1, "theorem suite, claims 1-3", failures)
 
 
-def test_criterion_2_lemma_equivalence(small_corpus):
+def test_criterion_2_lemma_equivalence(lemma_disagreements):
     """Join-only and lattice forms of up-projectivity agree on every prime
     interval and every element pair of every corpus lattice with <= 30
     elements (all of which have a bottom, hence all meets)."""
-    failures = []
-    for p in small_corpus:
-        for a, b in p.cover_pairs():
-            for x in p.elements:
-                for y in p.elements:
-                    if prime_up_projective(p, (a, b), (x, y)) != \
-                            lattice_up_projective(p, (a, b), (x, y)):
-                        failures.append((p.name, a, b, x, y))
-    _report(2, "lemma equivalence", failures)
+    _report(2, "lemma equivalence", lemma_disagreements)
 
 
 def _up_steps(p, interval):

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from semilat import (
     NotAChainError,
@@ -19,7 +21,8 @@ from semilat import (
 )
 from semilat import poset
 from semilat.poset import ELEMENT_LIMIT
-from strategies import GENERATED, closure_lattices, posets
+from closure_reference import reference_build
+from strategies import GENERATED, chain_products, closure_lattices, posets, wide_posets
 
 B2 = Poset.from_cover_list(
     "b2", ["0", "a", "b", "1"], [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
@@ -146,6 +149,80 @@ class TestClosureIsExact:
     def test_redundant_edge_over_256_atoms_is_not_a_cover(self):
         with pytest.raises(PosetConstructionError, match=r"^non-cover edge \(0, 1\)$"):
             _wide_height_two(extra_edges=[("0", "1")])
+
+
+ONE_PASS_INPUTS = st.one_of(posets(), wide_posets(), closure_lattices(), chain_products())
+
+
+def _one_pass(elements, covers) -> tuple[np.ndarray, np.ndarray]:
+    p = Poset.from_cover_list("built", elements, covers)
+    return p._leq, p._covers
+
+
+def _outcome(build, elements, covers):
+    """Both matrices `build` gives for the cover list, or its error message."""
+    try:
+        leq, cov = build(elements, covers)
+    except PosetConstructionError as e:
+        return str(e)
+    return leq.shape, leq.tobytes(), cov.tobytes()
+
+
+class TestOnePassBuild:
+    """`from_cover_list` peels sinks; `closure_reference` squares the matrix."""
+
+    @settings(GENERATED, max_examples=60)
+    @given(ONE_PASS_INPUTS)
+    def test_generated_orders_and_covers_equal_the_reference(self, p):
+        for q in (p, p.dual()):
+            leq, covers = reference_build(q.elements, q.cover_pairs())
+            built = Poset.from_cover_list(q.name, q.elements, q.cover_pairs())
+            assert np.array_equal(built._leq, leq), q.name
+            assert np.array_equal(built._covers, covers), q.name
+
+    @settings(GENERATED, max_examples=60)
+    @given(ONE_PASS_INPUTS, st.sampled_from(["back", "implied", "duplicate"]),
+           st.integers(0, 2 ** 32), st.integers(0, 2 ** 32))
+    def test_one_added_edge_fails_as_the_reference_does(self, p, kind, pick, at):
+        """A back edge makes a cycle and a non-cover pair an implied edge; both
+        raise the reference's message.  A repeated cover is accepted."""
+        strict = [tuple(e) for e in np.argwhere(p._leq & ~np.eye(len(p), dtype=bool)).tolist()]
+        edges = {"back": [(j, i) for i, j in strict],
+                 "implied": [e for e in strict if not p._covers[e]],
+                 "duplicate": [e for e in strict if p._covers[e]]}[kind]
+        assume(edges)
+        i, j = edges[pick % len(edges)]
+        covers = p.cover_pairs()
+        covers.insert(at % (len(covers) + 1), (p.elements[i], p.elements[j]))
+        outcome = _outcome(_one_pass, p.elements, covers)
+        assert outcome == _outcome(reference_build, p.elements, covers)
+        assert isinstance(outcome, str) == (kind != "duplicate")
+
+    def test_c2000_is_the_upper_triangle(self):
+        start = time.perf_counter()
+        p = chain_product([2000])
+        assert time.perf_counter() - start < 1
+        rank = np.array([int(e) for e in p.elements])
+        assert np.array_equal(p._leq, rank[:, None] <= rank)
+        assert p._covers.sum() == 1999
+
+    def test_m1998_has_bottom_below_and_top_above_everything(self):
+        atoms = [f"a{k:04d}" for k in range(1998)]
+        start = time.perf_counter()
+        p = Poset.from_cover_list("M1998", ["0", "1"] + atoms,
+                                  [("0", a) for a in atoms] + [(a, "1") for a in atoms])
+        assert time.perf_counter() - start < 1
+        expected = np.eye(2000, dtype=bool)
+        expected[p.index("0")] = expected[:, p.index("1")] = True
+        assert np.array_equal(p._leq, expected)
+        assert p._covers.sum() == 2 * 1998
+
+    def test_c2000_back_edge_names_the_reference_pair(self):
+        names = [str(k) for k in range(2000)]
+        start = time.perf_counter()
+        with pytest.raises(PosetConstructionError, match=r"^cycle detected through '0' and '1'$"):
+            Poset.from_cover_list("x", names, list(zip(names, names[1:])) + [("1999", "0")])
+        assert time.perf_counter() - start < 1
 
 
 class TestInterval:

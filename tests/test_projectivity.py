@@ -47,18 +47,11 @@ class TestPrimeForm:
         with pytest.raises(NotPrimeIntervalError):
             prime_up_projective(B3, ("000", "110"), ("000", "100"))
 
-    def test_agrees_with_lattice_form(self, small_corpus):
+    def test_agrees_with_lattice_form(self, small_corpus, lemma_disagreements):
         # On lattices with bottom every pair has a meet, so both definitions
         # apply; they must agree on all prime sources and all pairs.
-        for p in small_corpus:
-            if p.bottom() is None:
-                continue
-            for a, b in p.cover_pairs():
-                for x in p.elements:
-                    for y in p.elements:
-                        assert prime_up_projective(p, (a, b), (x, y)) == \
-                            lattice_up_projective(p, (a, b), (x, y)), \
-                            (p.name, a, b, x, y)
+        assert all(p.bottom() is not None for p in small_corpus)
+        assert lemma_disagreements == []
 
 
 @pytest.mark.parametrize("form", [prime_up_projective, lattice_up_projective])
