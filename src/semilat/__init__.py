@@ -44,6 +44,7 @@ from .oracle import (
     CheckEntry,
     ProjectivityRelation,
     TheoremReport,
+    check_index_chains,
     check_pairs,
     check_theorem,
     interval_updown_witness,

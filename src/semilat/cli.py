@@ -17,11 +17,13 @@ import json
 import signal
 import sys
 
+import numpy as np
+
 from . import generators, groups, oracle, semilattice as sl
 from .dot import export_dot
 from .errors import SemilatError, SizeLimitError, UnknownElementError
 from .matching import jh_match
-from .poset import Poset, _json_text, _save_json, load_poset, save_poset
+from .poset import Poset, _json_text, _Rows, _save_json, load_poset, save_poset
 
 OK, VIOLATION, USAGE = 0, 1, 2
 
@@ -187,13 +189,23 @@ def _cmd_project(args) -> int:
     return OK
 
 
-def _sample_chain_pairs(p: Poset, samples: int, seed: int):
-    """Seeded chain-pair sampling via cover walks; pair seeds are reported."""
-    pair_seeds = [(seed * 1000003 + 2 * k, seed * 1000003 + 2 * k + 1)
-                  for k in range(samples)]
-    pairs = [(generators.random_maximal_chain(p, sa),
-              generators.random_maximal_chain(p, sb)) for sa, sb in pair_seeds]
-    return pairs, pair_seeds
+# One pair's object in `verify --json`: its chains' and its report's JSON texts.
+_REPORT = {"chain_a": "%0", "chain_b": "%1", "entries": "%2", "ok": "%3"}
+_AT = 3   # the depth of a pair's fields: inside the payload, its reports and the pair
+
+
+def _report_rows(p: Poset, rows: list, pairs: list, reports: list) -> _Rows:
+    """The `verify --json` reports: pair k is (rows[a], rows[b]) for (a, b) =
+    pairs[k], with reports[k]; the text of each distinct chain and report is
+    written once."""
+    names = p.elements
+    chains = {row: _Rows.text([names[i] for i in row], _AT) for row in set(rows)}
+    texts = [chains[row] for row in rows]
+    distinct = {id(r): r for r in reports}
+    written = {key: (_Rows.text([e.to_dict() for e in r.entries], _AT), _Rows.text(r.ok, _AT))
+               for key, r in distinct.items()}
+    return _Rows(_REPORT, [(texts[a], texts[b], *written[id(r)])
+                           for (a, b), r in zip(pairs, reports)])
 
 
 def _cmd_verify(args) -> int:
@@ -203,20 +215,32 @@ def _cmd_verify(args) -> int:
     pair_seeds = None
     # Default policy: exhaustive when the ordered-pair count is modest,
     # otherwise 200 seeded samples.  Explicit flags override.
-    total = sl.count_maximal_chains(p) ** 2
-    exhaustive = args.all_pairs or (args.samples is None and total <= 5000)
-    count = total if exhaustive else args.samples or 200
+    chain_count = sl.count_maximal_chains(p)
+    exhaustive = args.all_pairs or (args.samples is None and chain_count ** 2 <= 5000)
+    count = chain_count ** 2 if exhaustive else args.samples or 200
     sl._check_pair_count(count)
     oracle._charge_maximal_pairs(p, count)   # before any chain is enumerated or drawn
+    # The chains as index rows; pair k is (rows[first[k]], rows[second[k]]).
     if exhaustive:
-        chains = sl.maximal_chains(p)
-        pairs = [(a, b) for a in chains for b in chains]
+        rows = list(sl._chain_rows(p, limit=chain_count))   # all of them, not counted again
+        first = np.repeat(np.arange(chain_count), chain_count)
+        second = np.tile(np.arange(chain_count), chain_count)
         mode = "all-pairs"
     else:
-        pairs, pair_seeds = _sample_chain_pairs(p, count, args.seed)
+        # Seeded cover walks; the pair seeds are reported.
+        pair_seeds = [(args.seed * 1000003 + 2 * k, args.seed * 1000003 + 2 * k + 1)
+                      for k in range(count)]
+        rows = generators._random_chain_rows(p, (s for pair in pair_seeds for s in pair))
+        first, second = np.arange(0, 2 * count, 2), np.arange(1, 2 * count, 2)
         mode = f"samples={count}"
 
-    reports = oracle.check_pairs(p, pairs)
+    pairs = list(zip(first.tolist(), second.tolist()))
+    if len(set(map(len, rows))) == 1:
+        X = np.array(rows, dtype=np.intp)
+        reports = oracle.check_index_chains(p, X[first], X[second])
+    else:   # maximal chains of two lengths: p fails the preconditions, no cell is read
+        named = [[p.elements[i] for i in row] for row in rows]
+        reports = oracle.check_pairs(p, [(named[a], named[b]) for a, b in pairs])
     failures = sum(not r.ok for r in reports)
 
     if args.json:
@@ -227,10 +251,7 @@ def _cmd_verify(args) -> int:
             "pair_seeds": pair_seeds,
             "pairs": len(reports),
             "failures": failures,
-            "reports": [
-                {"chain_a": list(a), "chain_b": list(b), **r.to_dict()}
-                for (a, b), r in zip(pairs, reports)
-            ] if args.full or failures else None,
+            "reports": _report_rows(p, rows, pairs, reports) if args.full or failures else None,
         })
     else:
         print(f"poset: {p.name}   mode: {mode}   pairs: {len(reports)}")
@@ -240,7 +261,8 @@ def _cmd_verify(args) -> int:
             for (a, b), r in zip(pairs, reports):
                 if r.ok:
                     continue
-                print(f"FAIL  {','.join(a)}  vs  {','.join(b)}")
+                print(f"FAIL  {','.join(p.elements[i] for i in rows[a])}  "
+                      f"vs  {','.join(p.elements[i] for i in rows[b])}")
                 for e in r.entries:
                     if not e.passed:
                         print(f"      {e.name}: {e.detail}")

@@ -203,10 +203,20 @@ def named_counterexample(name: str) -> Poset:
 
 def random_maximal_chain(p: Poset, seed: int) -> tuple[str, ...]:
     """Seeded uniform cover-walk from bottom to top; deterministic per seed."""
+    (row,) = _random_chain_rows(p, [seed])
+    return tuple(map(p.elements.__getitem__, row))
+
+
+def _random_chain_rows(p: Poset, seeds) -> list[tuple[int, ...]]:
+    """The index row of `random_maximal_chain` for each seed, the same draws
+    from one `random.Random` re-seeded per chain; the bounds are read once."""
     bottom, top = _require_bounds(p)
-    ups, rng = p._view()[0], random.Random(_int(seed, "the seed"))
-    out = [bottom]
-    while out[-1] != top:
-        options = ups[out[-1]]
-        out.append(options[rng.randrange(len(options))])
-    return tuple(map(p.elements.__getitem__, out))
+    ups, rng, rows = p._view()[0], random.Random(0), []
+    for seed in seeds:
+        rng.seed(_int(seed, "the seed"))
+        row = [bottom]
+        while row[-1] != top:
+            options = ups[row[-1]]
+            row.append(options[rng.randrange(len(options))])
+        rows.append(tuple(row))
+    return rows

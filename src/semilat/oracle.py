@@ -1,23 +1,26 @@
 """Brute-force ground truth for the chain-matching theorem.
 
 Everything here is deliberately dumb: witness existence for a relation cell
-is decided by one exhaustive scan over every element x, read off the join
-table, and uniqueness of the matching permutation by a certificate: a
-consistent permutation is one perfect matching of the relation, which has a
-second one exactly when its rows can pass their columns round a cycle (an
-alternating cycle; Lovász and Plummer, *Matching Theory*, 1986).  The scan
+is decided by one exhaustive scan over every element x, read off the order
+and the join table, and uniqueness of the matching permutation by a
+certificate: a consistent permutation is one perfect matching of the
+relation, which has a second one exactly when its rows can pass their
+columns round a cycle (an alternating cycle; Lovász and Plummer, *Matching
+Theory*, 1986).  The scan
 needs no y: a witness (x, y) for [a, b] -> [c, d] has b∨x = y, so each x
 admits exactly one candidate y, and testing every x with that y tests every
 pair (x, y).  Cells are index rows in and witness x's out; names appear only
 in the witnesses of `interval_updown_witness` and `projectivity_relation`.
-`check_pairs` checks a whole pair set in one pass: the preconditions once,
-each distinct chain once, every distinct cell the pairs need in one batch of
-scans, evaluated in blocks, and the relations, cycle tests and scans of all
-pairs as array work on the step ids of their chains.  Nothing is cached:
-each call evaluates its own cells.
-The oracle reads only the `Poset` and its join table: it calls neither the
-projectivity predicates nor the matcher's internals, so an agreement
-between the two is meaningful evidence.
+`check_index_chains`, the oracle's one entry by index, checks a whole pair
+set of index chains in one pass: the preconditions once, each distinct chain
+once, every distinct cell the pairs need in one batch of scans, evaluated in
+blocks, and the relations, cycle tests and scans of all pairs as array work
+on the step ids of their chains.  `check_pairs` is its name wrapper, and
+`check_theorem` checks one pair through it.  Nothing is cached: each call
+evaluates its own cells.
+The oracle reads only the `Poset`, its order and its join table: it calls
+neither the projectivity predicates nor the matcher's internals, so an
+agreement between the two is meaningful evidence.
 """
 
 from __future__ import annotations
@@ -34,8 +37,9 @@ from .poset import Poset, _poset, _sequence
 from . import semilattice as sl
 
 # Oracle work: n^2 relation cells of |p| scan steps each, summed over the evaluable
-# pairs.  On a shared 2-vCPU machine `semilat verify` takes 1.5 s on chain_product([660])
-# (2.9 * 10^8) and 2.1 s on Pi6 with --samples 50000 (2.5 * 10^8).
+# pairs.  On a shared 2-vCPU machine `semilat verify` takes 0.75-0.9 s on
+# chain_product([660]) (2.9 * 10^8) and 1.5-1.65 s on Pi6 with --samples 50000
+# (2.5 * 10^8, 106 MiB peak), in a subprocess.
 WORK_LIMIT = 300_000_000
 
 
@@ -61,10 +65,13 @@ def _witnesses(p: Poset, cells) -> np.ndarray:
     For a given x, b∨x = y leaves one candidate, y = b∨x, so every x is
     tested with it: a∨x = c∨x = x, b∨x != x and d∨x = b∨x.  That covers
     every pair (x, y), and the first x that passes gives the first pair.
+    The first three read the order, since a∨x = x exactly when a <= x: one
+    boolean gather each, half the time of comparing join-table rows (Pi6,
+    81,367 cells: 38-42 ms against 81-89 ms).
 
     The rows are checked to be prime steps, in the order given, then
-    evaluated in blocks of about sl._BLOCK (cell, x) entries over the join
-    table.  Raises NoJoinError unless p is a join semilattice.
+    evaluated in blocks of about sl._BLOCK (cell, x) entries over the order
+    and the join table.  Raises NoJoinError unless p is a join semilattice.
     """
     cells = np.asarray(cells, dtype=np.intp).reshape(-1, 4)
     intervals = cells.reshape(-1, 2)
@@ -75,14 +82,12 @@ def _witnesses(p: Poset, cells) -> np.ndarray:
     found = np.full(len(cells), -1, dtype=np.intp)
     if not len(cells):
         return found
-    J = sl._joins(p)
-    xs = np.arange(len(p))
+    J, leq = sl._joins(p), p._leq
     step = max(1, sl._BLOCK // len(p))
     for start in range(0, len(cells), step):
         a, b, c, d = cells[start:start + step].T
         # Cell k, column x: every condition, with y = b∨x forced.
-        y = J[b]
-        mask = (J[a] == xs) & (J[c] == xs) & (y != xs) & (J[d] == y)
+        mask = leq[a] & leq[c] & ~leq[b] & (J[d] == J[b])
         first = mask.argmax(axis=1)
         found[start:start + step] = np.where(mask[np.arange(len(a)), first], first, -1)
     return found
@@ -190,30 +195,26 @@ def _report(pre: str | None, n: int, m: int, count: str | None = None,
 
 
 def check_pairs(p: Poset, pairs) -> list[TheoremReport]:
-    """`check_theorem` on every chain pair, in order, in one pass on chain ids.
+    """`check_theorem` on every chain pair, in order: the name wrapper of
+    `check_index_chains`.
 
-    The poset preconditions are checked once.  Each distinct chain is
-    checked for maximality once, when a pair first needs it: a second chain
-    only after a maximal first one.  The evaluable pairs (preconditions
-    met, equal lengths) cost n^2 cells of |p| scan steps each; past
-    WORK_LIMIT in all, SizeLimitError is raised before any cell is computed.
-    They are then decided as arrays: every relation cell they need is
-    evaluated in one batch into a step-by-step hit matrix, each pair's
-    relation is read from it by the step ids of its chains, and the computed
-    permutations of each length come from one `match_index_chains` call.
-    Each pi is checked, not trusted: "matching count 1" needs a permutation
-    inside the relation and no alternating cycle, "at least 2" means such a
-    pi with a cycle, and "not decided" a pi outside the relation.  Pairs
+    The poset preconditions are checked once.  Each distinct chain is read
+    into an index row and checked for maximality once, when a pair first
+    needs it: a second chain only after a maximal first one.  The evaluable
+    pairs (preconditions met, equal lengths) cost n^2 cells of |p| scan steps
+    each; the first pair past WORK_LIMIT in all raises SizeLimitError, before
+    any cell is computed.  The evaluable pairs of each length then go to
+    `check_index_chains` as two index arrays, one call per length.  Pairs
     with equal outcomes share one frozen report.
     """
     pairs = _sequence(pairs, PreconditionError, "pairs must be iterable, got {}",
                       type(pairs).__name__)
     poset_failure = _poset_preconditions(p)
     rows: dict[tuple[str, ...], list[int] | None] = {}   # chain -> its index row if maximal
-    # Each pair's outcome, as the arguments of its `_report`; the evaluable
-    # pairs of n steps are by_length[n], as (position, chain, chain).
-    outcomes: list[tuple] = []
-    by_length: dict[int, list[tuple[int, tuple, tuple]]] = {}
+    # Each pair's outcome, as the arguments of its `_report`, or None if it is
+    # evaluable; those of n steps are by_length[n], as (position, row, row).
+    outcomes: list[tuple | None] = []
+    by_length: dict[int, list[tuple[int, list, list]]] = {}
     work, size = 0, len(p)
     for k, pair in enumerate(pairs):
         try:
@@ -228,23 +229,28 @@ def check_pairs(p: Poset, pairs) -> list[TheoremReport]:
                     pre = f"{label} chain is not maximal"
         except (TypeError, ValueError):
             raise PreconditionError(f"pair {k} is not two chains") from None
-        if pre is None and n == m:
-            work = _charge(work, n * n * size, k)
-            by_length.setdefault(n, []).append((k, C, D))
-        outcomes.append((pre, n, m))
-    _evaluate(p, rows, by_length, outcomes)
-    reports = {outcome: _report(*outcome) for outcome in set(outcomes)}
-    return [reports[outcome] for outcome in outcomes]
+        evaluable = pre is None and n == m
+        if evaluable:
+            work = _charge(work, n * n * size, [k])
+            by_length.setdefault(n, []).append((k, rows[C], rows[D]))
+        outcomes.append(None if evaluable else (pre, n, m))
+    reports = {outcome: _report(*outcome) for outcome in set(outcomes) - {None}}
+    out = [reports.get(outcome) for outcome in outcomes]
+    for group in by_length.values():
+        ks, C, D = zip(*group)
+        for k, report in zip(ks, check_index_chains(p, np.array(C), np.array(D))):
+            out[k] = report
+    return out
 
 
-def _charge(work: int, cost: int, k: int, pairs: int = 1) -> int:
-    """`work` plus `pairs` pairs of `cost` scan steps each, the first of them
-    pair k; SizeLimitError names the first pair past WORK_LIMIT."""
-    if work + pairs * cost > WORK_LIMIT:
+def _charge(work: int, cost: int, at) -> int:
+    """`work` plus one pair of `cost` scan steps at each position in `at`, in
+    order; SizeLimitError names the first of them past WORK_LIMIT."""
+    if work + len(at) * cost > WORK_LIMIT:
         raise SizeLimitError(f"the oracle is limited to <= {WORK_LIMIT} cell scan steps "
                              f"(n^2 * |p| summed over the pairs), exceeded at pair "
-                             f"{k + (WORK_LIMIT - work) // cost}")
-    return work + pairs * cost
+                             f"{at[(WORK_LIMIT - work) // cost]}")
+    return work + len(at) * cost
 
 
 def _charge_maximal_pairs(p: Poset, pairs: int) -> None:
@@ -252,54 +258,120 @@ def _charge_maximal_pairs(p: Poset, pairs: int) -> None:
     the pair `check_pairs` would refuse: when p meets the preconditions, every
     maximal chain has p's height (Jordan-Dedekind), so each pair costs the same."""
     if _poset_preconditions(p) is None:
-        _charge(0, p.height() ** 2 * len(p), 0, pairs)
+        _charge(0, p.height() ** 2 * len(p), range(pairs))
 
 
-def _evaluate(p: Poset, rows: dict, by_length: dict, outcomes: list) -> None:
-    """Write the outcome of every evaluable pair of `check_pairs`; `rows` maps
-    each chain it checked to the chain's index row if maximal, else None."""
-    steps: dict[tuple[int, int], int] = {}
-    ids = {chain: [steps.setdefault(s, len(steps)) for s in zip(row, row[1:])]
-           for chain, row in rows.items() if row is not None}
-    # Each group's index rows, and its step ids: cs[k, i, 0] of step i of
-    # pair k's first chain, ds[k, 0, j] of step j of its second.
-    groups = []
-    for n, group in by_length.items():
-        ks, *sides = zip(*group)
-        c, d, cs, ds = (np.array([table[ch] for ch in side], dtype=np.intp)
-                        for table in (rows, ids) for side in sides)
-        groups.append((n, ks, c, d, cs.reshape(len(ks), n, 1), ds.reshape(len(ks), 1, n)))
+def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(X, axis=0, return_inverse=True) for a 2-D integer array:
+    the distinct rows in lexicographic order, and the index of each row of X
+    among them.  One lexsort over the columns, in place of np.unique's sort
+    of whole rows as bytes, which took ten times as long on 1,152 rows of
+    five indices and seven times on 64,800."""
+    order = np.lexsort(X.T[::-1])
+    ranked = X[order]
+    first = np.ones(len(X), dtype=bool)   # the first of each run of equal rows
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    at = np.empty(len(X), dtype=np.intp)
+    at[order] = np.cumsum(first) - 1
+    return ranked[first], at
+
+
+# The unique-permutation verdicts of evaluated pairs, by code: pi outside the
+# relation, pi inside it with no alternating cycle, and with one.
+_COUNTS = ("not decided", "1", "at least 2")
+
+
+def check_index_chains(p: Poset, C, D) -> list[TheoremReport]:
+    """`check_theorem` on the P pairs (row k of C, row k of D) of the integer
+    arrays C and D of index chains, shape (P, n+1), in one pass: the oracle's
+    entry by index, as `match_index_chains` is the matcher's.
+
+    p must be a Poset, and C and D integer 2-D arrays of one shape, n >= 0
+    (else PreconditionError), of indices of p (else UnknownElementError for
+    the first row outside, of C, then of D).  Whether p is a semimodular join
+    semilattice with bounds and whether each chain is maximal are reported,
+    not raised; the distinct chains are found by one sort over rows and
+    tested once each.  The evaluable pairs (both chains maximal) cost n^2
+    cells of |p| scan steps each; past WORK_LIMIT in all, SizeLimitError
+    names the first pair past it before any cell is computed.
+
+    Each evaluable pair is then decided as arrays on the step ids of its
+    chains: every relation cell the pairs need is evaluated in one batch into
+    a step-by-step hit matrix, each pair's relation is read from it, and the
+    computed permutations come from one `match_index_chains` call.  Each pi
+    is checked, not trusted: "matching count 1" needs a permutation inside
+    the relation and no alternating cycle, "at least 2" means such a pi with
+    a cycle, and "not decided" a pi outside the relation.  Pairs with equal
+    outcomes share one frozen report; only a pair with maximality violations
+    has its own.
+    """
+    size = len(_poset(p))
+    if not (all(isinstance(X, np.ndarray) and X.dtype.kind in "iu" and X.ndim == 2
+                and X.shape[1] for X in (C, D)) and C.shape == D.shape):
+        raise PreconditionError("C and D must be integer arrays of one shape (P, n+1), n >= 0")
+    sl._check_indices(p, C, "first chain")
+    sl._check_indices(p, D, "second chain")
+    P, n = len(C), C.shape[1] - 1
+    pre = _poset_preconditions(p)
+    if pre is not None:
+        return [_report(pre, n, n)] * P
+    chains, at = _distinct_rows(np.vstack([C, D]).astype(np.intp))
+    at = at.reshape(2, P)   # row k of C is chains[at[0, k]], row k of D chains[at[1, k]]
+    maximal = sl._maximal_rows(p, chains)
+    first, second = maximal[at]
+    ev = np.flatnonzero(first & second)   # the evaluable pairs
+    _charge(0, n * n * size, ev)
+    # Each pair's outcome, by code: a chain not maximal, the first or the
+    # second, or evaluated with the verdict _COUNTS[code - 2].
+    outcomes = [("first chain is not maximal", n, n), ("second chain is not maximal", n, n),
+                *((None, n, n, count, count != _COUNTS[0]) for count in _COUNTS)]
+    code = np.where(first, np.where(second, 2, 1), 0)
+
+    # The steps of the maximal chains, numbered: step s ends at ends[s], and
+    # cs[e, i, 0] is the id of step i of evaluable pair e's first chain,
+    # ds[e, 0, j] that of step j of its second.
+    steps = chains[:, :-1] * size + chains[:, 1:]
+    kept = steps[maximal]
+    ends, ids = np.unique(kept, return_inverse=True)
+    steps[maximal] = ids.reshape(kept.shape)
+    c, d = chains[at[:, ev]]
+    cs, ds = steps[at[0, ev], :, None], steps[at[1, ev], None, :]
 
     # Every cell the pairs need, in one batch: H[s, t] is whether step s has
     # an up-and-down witness onto step t.
-    H = np.zeros((len(steps), len(steps)), dtype=bool)
-    for *_, cs, ds in groups:
-        H[cs, ds] = True
+    H = np.zeros((len(ends), len(ends)), dtype=bool)
+    H[cs, ds] = True
     s, t = H.nonzero()
-    ends = np.array(list(steps), dtype=np.intp).reshape(-1, 2)
+    ends = np.stack(np.divmod(ends, size), axis=1)
     H[s, t] = _witnesses(p, np.hstack([ends[s], ends[t]])) >= 0
 
-    for n, ks, c, d, cs, ds in groups:
-        P = len(ks)
-        R = H[cs, ds]   # R[k, i, j]: step i of pair k's first chain onto step j of its second
-        pi = match_index_chains(p, c, d)[0]
-        past = np.arange(1, n + 1) - pi.reshape(P, n, 1)   # j - pi(i), 1-indexed
-        consistent = (R[past == 0].reshape(P, n).all(axis=1)
-                      & (np.sort(pi, axis=1) == np.arange(1, n + 1)).all(axis=1))
-        # Row i can hand its column on to row l when i is related to pi(l).
-        # A second matching exists exactly when hand-ons close a cycle, that
-        # is, when rows survive peeling each row with no live successor.
-        A = np.take_along_axis(R, pi.reshape(P, 1, n) - 1, axis=2)
-        A[:, np.arange(n), np.arange(n)] = False
-        live = np.ones((P, n), dtype=bool)
-        while (peeled := live & ~(A & live[:, None, :]).any(axis=2)).any():
-            live &= ~peeled
-        count = np.where(consistent, np.where(live.any(axis=1), "at least 2", "1"), "not decided")
-        late = R & (past > 0)
-        bad = late.reshape(P, -1).any(axis=1).tolist()
-        for e, verdict in enumerate(zip(count.tolist(), consistent.tolist())):
-            violations = tuple(map(tuple, (np.argwhere(late[e]) + 1).tolist())) if bad[e] else ()
-            outcomes[ks[e]] = (None, n, n, *verdict, violations)
+    E = len(ev)
+    R = H[cs, ds]   # R[e, i, j]: step i of pair e's first chain onto step j of its second
+    pi = match_index_chains(p, c, d)[0]
+    # A[e, i, l]: whether step i of pair e's first chain is related to step
+    # pi(l) of its second.  Its diagonal holds pi's own cells.
+    A = R[np.arange(E)[:, None, None], np.arange(n)[:, None], pi[:, None, :] - 1]
+    consistent = (A.diagonal(axis1=1, axis2=2).all(axis=1)
+                  & (np.sort(pi, axis=1) == np.arange(1, n + 1)).all(axis=1))
+    # Row i can hand its column on to row l when i is related to pi(l).
+    # A second matching exists exactly when hand-ons close a cycle, that
+    # is, when rows survive peeling each row with no live successor.
+    A[:, np.arange(n), np.arange(n)] = False
+    live = np.ones((E, n), dtype=bool)
+    while (peeled := live & ~(A & live[:, None, :]).any(axis=2)).any():
+        live &= ~peeled
+    code[ev] += consistent * (1 + live.any(axis=1))
+    codes = code.tolist()
+    shared = {k: _report(*outcomes[k]) for k in set(codes)}
+    reports = [shared[k] for k in codes]
+
+    late = R & (np.arange(1, n + 1) > pi.reshape(E, n, 1))   # j > pi(i), 1-indexed
+    violated: dict[tuple, TheoremReport] = {}
+    for e in np.flatnonzero(late.any(axis=(1, 2))).tolist():
+        k = int(ev[e])
+        outcome = (*outcomes[codes[k]], tuple(map(tuple, (np.argwhere(late[e]) + 1).tolist())))
+        reports[k] = violated.setdefault(outcome, _report(*outcome))
+    return reports
 
 
 def check_theorem(p: Poset, chain_a, chain_b) -> TheoremReport:

@@ -381,15 +381,22 @@ _SCALARS = {str: _encode_str, int: int.__repr__, bool: lambda b: "true" if b els
 
 class _Rows(NamedTuple):
     """A JSON array with an item per row: `marker`, each string "%k" in it
-    replaced by value k of the row (an int or a JSON text); no other "%"."""
+    replaced by value k of the row (an int or a JSON text, written by `text`
+    for the depth of the slot's line if it spans lines); no other "%"."""
 
     marker: object
     rows: Sequence[Sequence]
 
+    @staticmethod
+    def text(value, depth: int) -> str:
+        """The JSON text of `value` for a slot on a line `depth` levels deep."""
+        return _json_text(value, "\n" + "  " * depth)
 
-def _json_text(obj) -> str:
+
+def _json_text(obj, nl: str = "\n") -> str:
     """The text ``json.dumps`` writes with ``indent=2, sort_keys=True``, byte
-    for byte.
+    for byte; inside a document, as if on a line opened by `nl` (a newline
+    and the line's indentation).
 
     ``indent=`` makes ``json`` use its pure-Python encoder; this writer walks
     plain dicts, lists, tuples, strings, ints, booleans and None itself and
@@ -408,7 +415,7 @@ def _json_text(obj) -> str:
             return
         inner = nl + "  "
         if t is _Rows:
-            text = _json_text(o.marker).replace("\n", inner)
+            text = _json_text(o.marker, inner)
             take = operator.itemgetter(*map(int, re.findall(r'"%(\d+)"', text)))
             template = re.sub(r'"%\d+"', "%s", text)
             body = ("," + inner).join([template % take(row) for row in o.rows])
@@ -435,7 +442,7 @@ def _json_text(obj) -> str:
             sep = "," + inner
         out.append(nl + brackets[1])
 
-    write(obj, "\n")
+    write(obj, nl)
     return "".join(out)
 
 

@@ -18,8 +18,8 @@ _AMBIGUOUS = -2   # several minimal/maximal common bounds
 
 # On a shared 2-vCPU machine (subprocess wall time): the 49,770 series pairs
 # of Z2xZ2xZ2xZ2 take 1.6-1.9 s in `group composition --json`, 0.5 s of it
-# in composition_analysis; the 32,400 chain pairs of Pi5 take 0.43-0.46 s in
-# `verify --all-pairs --json`.
+# in composition_analysis; the 32,400 chain pairs of Pi5 take 0.29-0.31 s in
+# `verify --all-pairs --json` (46 MiB peak).
 PAIR_LIMIT = 50_000
 
 # Most maximal chains walked: in-process `semilat chains --json` on a shared 2-vCPU
@@ -141,14 +141,14 @@ def is_semimodular(p: Poset) -> SemimodularityReport:
     if not ok:
         raise NotJoinSemilatticeError(pair)
     table, _ = _table(p)
-    covers = p._covers
     n = len(p)
-    lo, hi = np.nonzero(covers)   # cover pairs in row-major order
+    lo, hi = np.nonzero(p._covers)   # cover pairs in row-major order
+    covers = p._covers.ravel()   # covers[u * n + v]: one flat gather; u * n + v < n^2 fits int32
     report = SemimodularityReport(True)
     step = max(1, _BLOCK // n)
     for start in range(0, len(lo), step):
         u, v = table[lo[start:start + step]], table[hi[start:start + step]]
-        bad = (u != v) & ~covers[u, v]
+        bad = (u != v) & ~covers[u * n + v]
         if bad.any():
             k, ic = divmod(int(bad.argmax()) + start * n, n)
             report = SemimodularityReport(False, (p.elements[lo[k]], p.elements[hi[k]],
@@ -177,13 +177,19 @@ def _maximal_rows(p: Poset, X) -> np.ndarray:
     return ends & p._covers[X[:, :-1], X[:, 1:]].all(1)
 
 
-def _check_rows(p: Poset, X: np.ndarray, label: str) -> None:
-    """The one raising row check: the first row of X, indices of shape (P, m), outside p
-    (UnknownElementError) or not a maximal chain of p (NotMaximalChainError), named `label`."""
+def _check_indices(p: Poset, X: np.ndarray, label: str) -> None:
+    """UnknownElementError for the first row of X, indices of shape (P, m),
+    holding an index outside p, named `label`."""
     outside = ((X < 0) | (X >= len(p))).any(1)
     if outside.any():
         raise UnknownElementError(f"{label} {X[outside.argmax()].tolist()} holds an index "
                                   f"outside 0..{len(p) - 1} of {p.name!r}")
+
+
+def _check_rows(p: Poset, X: np.ndarray, label: str) -> None:
+    """The one raising row check: the first row of X, indices of shape (P, m), outside p
+    (UnknownElementError) or not a maximal chain of p (NotMaximalChainError), named `label`."""
+    _check_indices(p, X, label)
     maximal = _maximal_rows(p, X)
     if not maximal.all():
         names = [p.elements[i] for i in X[maximal.argmin()]]

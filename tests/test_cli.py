@@ -119,6 +119,42 @@ class TestLargeOutputPins:
         assert run_cli(*argv, "-o", str(out))[0] == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("gen, mode, full, text", [
+        (["boolean", "4"], ["--all-pairs"],
+         "240913ffa91bdec9dd70b66eff4d365b2c28c61468a612725b26196b24381c82",
+         "2f332317b89204cb19f88b01dbe715a1ebe57ff994901171f634ab9ef9eea522"),
+        (["boolean", "4"], ["--samples", "300", "--seed", "7"],
+         "8613a1fcec7f20424c75f053c0bb821bb55395b1538ce8086e503282b1aefb9a",
+         "a120b7daf4e2b20e3f55395eeae8e8f026da78128efc562822e93f47e3fafa9b"),
+        (["partition", "4"], ["--all-pairs"],
+         "e859299ebc691447d324fb5ae81882a0b0aea3ea4c11941554b00ebc2e9d8fec",
+         "af57f7f839a4fddb5ecd67a4477388a8d30106ef8967642f65fef3c3318e7cea"),
+        (["partition", "4"], ["--samples", "300", "--seed", "7"],
+         "152b74892825f6e5bd296a1e46526c6b1cca0e13b2f284044455e1e84b6fd75a",
+         "cfcd6ce70e5935afcb901d602b18a2162068d8b78340fec80aa671f1c6e4f8ac"),
+        (["boolean", "5"], ["--all-pairs"],
+         "451c56e64fd69ce501b3989897741efe6a8ce365c864ca3b0f08a79063045943",
+         "4ffc46ed8d75559000373ad31518ed94b3da2703532fcf22362043d73d76a35f"),
+        (["boolean", "5"], ["--samples", "300", "--seed", "7"],
+         "db24ae342f82c1301e426e43525330c08f4f594006a19e9b9d800c647937a5c7",
+         "e08547df86b12378e52a45f2d7103fcfbcc85a874a00ae230578d74b95f924e6"),
+        (["chainprod", "3,3,2"], ["--all-pairs"],
+         "9a73dc0f9cb60d7f6b691c92504755b87c1a4b1503c86cffcee588a7e6bb3ae4",
+         "53af901df400d3e6017511ecb01a6df008466625e227917896f9c23ec5b2bd19"),
+        (["chainprod", "3,3,2"], ["--samples", "300", "--seed", "7"],
+         "cb8a0e939c6f430c0658951be542027ef3a8f0e69fe901155bcfb9c706b8a83b",
+         "275657b53af727c57ed4b59cfbab908e0de1761f419b5d35e9f24e6129edb427"),
+    ], ids=["B4-all", "B4-300", "Pi4-all", "Pi4-300", "B5-all", "B5-300",
+            "C3x3x2-all", "C3x3x2-300"])
+    def test_verify_stdout(self, run_cli, tmp_path, gen, mode, full, text):
+        # `verify --json --full` (B5 all pairs: 14,400 reports, 12.8 MB) and the text output.
+        path = str(tmp_path / "p.json")
+        assert run_cli("gen", *gen, "-o", path)[0] == 0
+        for tail, digest in ((["--json", "--full"], full), ([], text)):
+            code, out, err = run_cli("verify", path, *mode, *tail)
+            assert (code, err) == (0, "")
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, tail
+
 
 class TestDeterminism:
     REPEAT_CASES = [
@@ -371,6 +407,7 @@ class TestExitCodes:
         path = str(tmp_path / "c5554.json")
         assert run_cli("gen", "chainprod", "5,5,5,4", "-o", path)[0] == 0
         monkeypatch.setattr(generators, "random_maximal_chain", draw)
+        monkeypatch.setattr(generators, "_random_chain_rows", draw)
         start = time.perf_counter()
         code, out, err = run_cli("verify", path, "--samples", "50000")
         assert time.perf_counter() - start < 1
@@ -789,7 +826,7 @@ PUBLIC_NAMES = [
     "ProjectivityRelation", "RecursionFrame", "SemilatError", "SemimodularityReport",
     "SizeLimitError", "TheoremReport", "UnknownElementError",
     "UnknownNameError", "all_subgroups", "boolean_lattice", "builtin_group", "chain_product",
-    "check_pairs", "check_theorem", "composition_analysis",
+    "check_index_chains", "check_pairs", "check_theorem", "composition_analysis",
     "count_maximal_chains", "dot", "errors", "export_dot", "from_dict", "generators",
     "graphic_flat_lattice", "group_from_table", "groups", "interval_updown_witness",
     "is_join_semilattice", "is_maximal_chain", "is_semimodular", "is_subnormal", "jh_match",

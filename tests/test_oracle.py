@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import random
+import re
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from semilat import (
     UnknownElementError,
     boolean_lattice,
     chain_product,
+    check_index_chains,
     check_pairs,
     check_theorem,
     composition_analysis,
@@ -294,6 +296,15 @@ class TestCheckPairs:
         reports = [r.to_dict() for r in check_pairs(p, pairs)]
         assert reports == [check_theorem(fresh, a, b).to_dict() for a, b in pairs], p.name
         assert reports == [r.to_dict() for r in pairwise_reports(from_dict(p.to_dict()), pairs)]
+        # The pairs of equal lengths, non-maximal chains included, through the
+        # index entry: one call per length, on another equal poset.
+        fresh = from_dict(p.to_dict())
+        for n in {len(a) for a, b in pairs if len(a) == len(b)}:
+            ks = [k for k, (a, b) in enumerate(pairs) if len(a) == len(b) == n]
+            C, D = (np.array([[fresh.index(e) for e in pairs[k][side]] for k in ks])
+                    for side in (0, 1))
+            assert [r.to_dict() for r in check_index_chains(fresh, C, D)] == \
+                [reports[k] for k in ks], (p.name, n)
 
     @pytest.mark.parametrize("p", [boolean_lattice(4), partition_lattice(4),
                                    named_counterexample("n5"), _glued_n5()],
@@ -305,6 +316,11 @@ class TestCheckPairs:
             [r.to_dict() for r in pairwise_reports(from_dict(p.to_dict()), pairs)], p.name
         # Pairs with equal outcomes share one report.
         assert len({id(r) for r in reports}) == len({repr(r) for r in reports})
+        # The pairs of each length, by index: the same reports.
+        for n in {len(a) for a, _ in pairs}:
+            ks = [k for k, (a, b) in enumerate(pairs) if len(a) == len(b) == n]
+            C, D = (np.array([[p.index(e) for e in pairs[k][side]] for k in ks]) for side in (0, 1))
+            assert check_index_chains(p, C, D) == [reports[k] for k in ks], (p.name, n)
 
     @pytest.mark.parametrize("pair", [("000",), (B3_A, B3_A, B3_A), 7, (B3_A, 7)])
     def test_pair_that_is_not_two_chains(self, pair):
@@ -400,6 +416,43 @@ class TestCheckPairs:
         # The pairs that are not evaluable cost nothing; the long pair exceeds the budget.
         with pytest.raises(SizeLimitError, match="exceeded at pair 2$"):
             check_pairs(p, [(short, ["0", "zzz"]), (chain, short), (chain, chain)])
+
+    def test_index_entry_reports_and_refuses_as_check_pairs(self, monkeypatch):
+        # B3: 72 scan steps a pair.  Pairs 0 and 3 are evaluable; pairs 1 and
+        # 2 each hold a row that is no chain of covers, first or second, and
+        # cost nothing.  Past a budget of two pairs, pair 3 is refused.
+        bent = ["000", "100", "100", "111"]
+        pairs = [(B3_A, B3_B), (bent, B3_A), (B3_A, bent), (B3_B, B3_A)]
+        C, D = (np.array([[B3.index(e) for e in pair[side]] for pair in pairs]) for side in (0, 1))
+        reports = check_index_chains(B3, C, D)
+        assert [r.to_dict() for r in reports] == [r.to_dict() for r in check_pairs(B3, pairs)]
+        assert [r.entry("preconditions").detail for r in reports[1:3]] == \
+            ["first chain is not maximal", "second chain is not maximal"]
+        monkeypatch.setattr(oracle, "WORK_LIMIT", 2 * 72 - 1)
+        with pytest.raises(SizeLimitError, match="exceeded at pair 3$") as by_index:
+            check_index_chains(B3, C, D)
+        with pytest.raises(SizeLimitError) as by_name:
+            check_pairs(B3, pairs)
+        assert str(by_index.value) == str(by_name.value)
+
+    @pytest.mark.parametrize("side, row", [("first", [0, 1, 3, 8]), ("second", [-1, 1, 3, 7])])
+    def test_index_outside_the_poset_refused(self, side, row):
+        good = [B3.index(e) for e in B3_A]
+        C, D = (np.array([good, row]), np.array([good, good]))
+        if side == "second":
+            C, D = D, C
+        with pytest.raises(UnknownElementError, match=rf"^{side} chain {re.escape(str(row))} holds "
+                                                      r"an index outside 0\.\.7 of 'B3'$"):
+            check_index_chains(B3, C, D)
+
+    @pytest.mark.parametrize("C, D", [
+        (np.array([[0, 1]]), np.array([[0, 1, 3]])), (np.array([0, 1]), np.array([0, 1])),
+        (np.array([[0.0, 1.0]]), np.array([[0.0, 1.0]])),
+        (np.zeros((1, 0), dtype=int), np.zeros((1, 0), dtype=int)), ([[0, 1]], [[0, 1]]),
+    ], ids=["two-shapes", "one-dimensional", "floats", "empty-rows", "lists"])
+    def test_index_arrays_of_the_wrong_shape_refused(self, C, D):
+        with pytest.raises(PreconditionError, match=r"^C and D must be integer arrays"):
+            check_index_chains(B3, C, D)
 
     @pytest.mark.parametrize("pairs", [1, 5, 6, 40])
     def test_pairs_of_maximal_chains_refused_as_check_pairs_refuses(self, monkeypatch, pairs):
@@ -502,10 +555,11 @@ class TestCheckPairs:
         chains = maximal_chains(b4)
         reports = check_pairs(b4, [(a, b) for a in chains for b in chains])
         assert len(reports) == 576 and all(r.ok for r in reports)
-        # One entry call for the one chain length; each distinct chain is
-        # checked for maximality once by the oracle, on its index row, and
-        # each side of the batch once more by the entry.
-        assert [calls.get(name, 0) for name in names] == [1, 0, 0, 0, 0, 24 + 2]
+        # One matcher call for the one chain length; each distinct chain is
+        # checked for maximality once by `check_pairs`, on its index row, the
+        # distinct chains of the batch once more in one call by
+        # `check_index_chains`, and each side of the batch by the matcher.
+        assert [calls.get(name, 0) for name in names] == [1, 0, 0, 0, 0, 24 + 1 + 2]
 
     @settings(GENERATED, max_examples=6)
     @given(direct_products())
