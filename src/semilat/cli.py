@@ -68,22 +68,16 @@ def _write_text(text: str, path: str) -> None:
 
 
 def _cycle_form(pi) -> str:
-    n = len(pi)
-    seen = [False] * (n + 1)
-    cycles = []
-    for start in range(1, n + 1):
-        if seen[start]:
-            continue
-        cycle = [start]
-        seen[start] = True
-        nxt = pi[start - 1]
-        while nxt != start:
-            cycle.append(nxt)
-            seen[nxt] = True
-            nxt = pi[nxt - 1]
+    seen, cycles = set(), []
+    for k in range(1, len(pi) + 1):
+        cycle = []
+        while k not in seen:
+            seen.add(k)
+            cycle.append(k)
+            k = pi[k - 1]
         if len(cycle) > 1:
-            cycles.append("(" + " ".join(str(c) for c in cycle) + ")")
-    return "".join(cycles) if cycles else "()"
+            cycles.append("(" + " ".join(map(str, cycle)) + ")")
+    return "".join(cycles) or "()"
 
 
 # -- subcommands -------------------------------------------------------------

@@ -6,7 +6,7 @@ from collections.abc import Iterable
 
 from .errors import NotAChainError, PreconditionError
 from .matching import MatchingResult
-from .poset import Poset, _poset, _sequence
+from .poset import Poset, _chain_names, _poset
 
 CHAIN_A_COLOR = "red"
 CHAIN_B_COLOR = "blue"
@@ -36,8 +36,7 @@ def export_dot(p: Poset, chain_a: Iterable[str] | None = None,
     quoted = {e: _quote(e) for e in _poset(p).elements}
     steps = []
     for ch in chain_a, chain_b:
-        ch = () if ch is None else _sequence(ch, NotAChainError, "a chain must be iterable, got {}",
-                                             type(ch).__name__)
+        ch = () if ch is None else _chain_names(ch)
         row = p._row(ch) if ch else []
         for i, j in zip(row, row[1:]):
             if not p._covers[i, j]:

@@ -3,18 +3,19 @@ flat families, plus the standard negative controls.
 
 Element naming is canonical per family (subset bitstrings, dot-joined
 coordinates, partition block strings) so fixtures and DOT output are stable
-across runs.
+across runs.  Each family's closed-form size (2^n, Bell(n), the product of the
+chain lengths) passes the one poset-size guard before any element is built.
 """
 
 from __future__ import annotations
 
-import math
+import operator
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations, product
 
 from .errors import PreconditionError, SizeLimitError, UnknownNameError
-from .poset import ELEMENT_LIMIT, Poset, _int, _sequence
+from .poset import Poset, _check_size, _int, _sequence
 from .semilattice import _require_bounds
 
 
@@ -75,12 +76,11 @@ def boolean_lattice(n: int) -> Poset:
     The n = 0 lattice has the single element "0".
     """
     n = _int(n, "n")
-    if not 0 <= n <= 6:
-        raise SizeLimitError(f"boolean lattice supports 0 <= n <= 6, got {n}")
-    if n == 0:
-        return Poset.from_cover_list("B0", ["0"], [])
+    if n < 0:
+        raise SizeLimitError(f"boolean lattice needs n >= 0, got {n}")
+    _check_size(1 << k for k in range(n + 1))
     def name(mask: int) -> str:
-        return "".join("1" if mask >> i & 1 else "0" for i in range(n))
+        return "".join("1" if mask >> i & 1 else "0" for i in range(n)) or "0"
     elements = [name(m) for m in range(1 << n)]
     covers = [(name(m), name(m | 1 << i))
               for m in range(1 << n) for i in range(n) if not m >> i & 1]
@@ -93,24 +93,14 @@ def chain_product(lengths: list[int]) -> Poset:
         lengths, PreconditionError, "chain lengths must be an iterable, got {!r}", lengths)]
     if not lengths or any(l < 1 for l in lengths):
         raise SizeLimitError("each chain factor needs at least one element")
-    size = math.prod(lengths)
-    if size > ELEMENT_LIMIT:
-        raise SizeLimitError(
-            f"product of size {size} exceeds the {ELEMENT_LIMIT}-element guard")
+    _check_size(accumulate((l for l in lengths if l > 1), operator.mul, initial=1))
 
     def name(coords: tuple[int, ...]) -> str:
-        return ".".join(str(c) for c in coords)
-
-    points = [()]
-    for l in lengths:
-        points = [p + (i,) for p in points for i in range(l)]
-    covers = []
-    for pt in points:
-        for k, l in enumerate(lengths):
-            if pt[k] + 1 < l:
-                covers.append((name(pt), name(pt[:k] + (pt[k] + 1,) + pt[k + 1:])))
-    label = "C" + "x".join(str(l) for l in lengths)
-    return Poset.from_cover_list(label, [name(p) for p in points], covers)
+        return ".".join(map(str, coords))
+    points = list(product(*map(range, lengths)))   # in lexicographic order
+    covers = [(name(pt), name(pt[:k] + (pt[k] + 1,) + pt[k + 1:]))
+              for pt in points for k, l in enumerate(lengths) if pt[k] + 1 < l]
+    return Poset.from_cover_list("C" + "x".join(map(str, lengths)), list(map(name, points)), covers)
 
 
 def _partitions(items: list[int]) -> list[list[list[int]]]:
@@ -148,8 +138,11 @@ def _merge_covers(parts: list[list[list[int]]],
 def partition_lattice(n: int) -> Poset:
     """Set partitions of {1..n} ordered by refinement (finer below coarser)."""
     n = _int(n, "n")
-    if not 1 <= n <= 6:
-        raise SizeLimitError(f"partition lattice supports 1 <= n <= 6, got {n}")
+    if n < 1:
+        raise SizeLimitError(f"partition lattice needs n >= 1, got {n}")
+    # Bell(1), ..., Bell(n): the last entries of the first n rows of the Bell triangle.
+    _check_size(row[-1] for row in accumulate(
+        range(n - 1), lambda row, _: list(accumulate(row, initial=row[-1])), initial=[1]))
     # Merging two blocks of a partition gives a partition.
     names, covers = _merge_covers(_partitions(list(range(1, n + 1))), lambda a, b: True)
     return Poset.from_cover_list(f"Pi{n}", names, covers)

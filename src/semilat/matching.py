@@ -179,14 +179,10 @@ def match_index_chains(p: Poset, C, D) -> tuple[np.ndarray, np.ndarray]:
     if not report.holds:
         raise NotSemimodularError(report.counterexample)
     sl._require_bounds(p)
-    shape = "C and D must be integer arrays of one shape (P, n+1), n >= 0"
-    if not all(isinstance(X, np.ndarray) and X.dtype.kind in "iu" and X.ndim == 2 and X.shape[1]
-               for X in (C, D)):
-        raise PreconditionError(shape)
+    sl._check_index_arrays(C, D, same_shape=False)
     sl._check_rows(p, C, "first chain")
     sl._check_rows(p, D, "second chain")
-    if C.shape != D.shape:
-        raise PreconditionError(shape)
+    sl._check_index_arrays(C, D)
     return _match(p, C, D)
 
 

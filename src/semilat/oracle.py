@@ -306,9 +306,7 @@ def check_index_chains(p: Poset, C, D) -> list[TheoremReport]:
     has its own.
     """
     size = len(_poset(p))
-    if not (all(isinstance(X, np.ndarray) and X.dtype.kind in "iu" and X.ndim == 2
-                and X.shape[1] for X in (C, D)) and C.shape == D.shape):
-        raise PreconditionError("C and D must be integer arrays of one shape (P, n+1), n >= 0")
+    sl._check_index_arrays(C, D)
     sl._check_indices(p, C, "first chain")
     sl._check_indices(p, D, "second chain")
     P, n = len(C), C.shape[1] - 1

@@ -8,9 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (MissingBoundsError, NoJoinError, NotAChainError, NotJoinSemilatticeError,
-                     NotMaximalChainError, SizeLimitError, UnknownElementError)
-from .poset import Poset, _int, _poset, _sequence
+from .errors import (MissingBoundsError, NoJoinError, NotJoinSemilatticeError,
+                     NotMaximalChainError, PreconditionError, SizeLimitError, UnknownElementError)
+from .poset import Poset, _chain_names, _int, _poset
 
 # Sentinels inside the bound tables.
 _NONE = -1        # no common bound at all
@@ -177,6 +177,14 @@ def _maximal_rows(p: Poset, X) -> np.ndarray:
     return ends & p._covers[X[:, :-1], X[:, 1:]].all(1)
 
 
+def _check_index_arrays(C, D, same_shape: bool = True) -> None:
+    """PreconditionError unless C and D are integer 2-D arrays of width >= 1,
+    and, if `same_shape`, of one shape."""
+    if not (all(isinstance(X, np.ndarray) and X.dtype.kind in "iu" and X.ndim == 2
+                and X.shape[1] for X in (C, D)) and (C.shape == D.shape or not same_shape)):
+        raise PreconditionError("C and D must be integer arrays of one shape (P, n+1), n >= 0")
+
+
 def _check_indices(p: Poset, X: np.ndarray, label: str) -> None:
     """UnknownElementError for the first row of X, indices of shape (P, m),
     holding an index outside p, named `label`."""
@@ -199,9 +207,7 @@ def _check_rows(p: Poset, X: np.ndarray, label: str) -> None:
 def is_maximal_chain(p: Poset, chain: Iterable[str]) -> bool:
     """True iff the sequence runs from bottom to top through covers only."""
     _require_bounds(p)   # before any name is looked up
-    chain = _sequence(chain, NotAChainError, "a chain must be iterable, got {}",
-                      type(chain).__name__)
-    return bool(_maximal_rows(p, [[p.index(e) for e in chain]])[0])
+    return bool(_maximal_rows(p, [[p.index(e) for e in _chain_names(chain)]])[0])
 
 
 def maximal_chains(p: Poset, limit: int | None = None) -> list[tuple[str, ...]]:

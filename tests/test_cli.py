@@ -512,7 +512,7 @@ class TestGen:
         assert code == 2
         code, _, _ = run_cli("gen", "counter", "m3", "-o", str(tmp_path / "x.json"))
         assert code == 2
-        code, _, _ = run_cli("gen", "boolean", "9", "-o", str(tmp_path / "x.json"))
+        code, _, _ = run_cli("gen", "boolean", "11", "-o", str(tmp_path / "x.json"))
         assert code == 2
 
     def test_chain_product_guard_refuses_before_building(self, run_cli, tmp_path,
@@ -524,8 +524,32 @@ class TestGen:
         out = tmp_path / "c.json"
         code, stdout, err = run_cli("gen", "chainprod", "2001", "-o", str(out))
         assert (code, stdout, out.exists()) == (2, "", False)
-        assert err.endswith("product of size 2001 exceeds the 2000-element guard\n")
+        assert err.endswith(": posets are limited to 2000 elements, got 2001\n")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("family, param, size", [
+        ("boolean", "11", 2048), ("partition", "8", 4140), ("chainprod", "2001", 2001)])
+    def test_generator_guard_refuses_before_building(self, run_cli, tmp_path, monkeypatch,
+                                                     family, param, size):
+        def build(*args, **kwargs):
+            raise AssertionError("poset built")
+
+        monkeypatch.setattr(Poset, "from_cover_list", build)
+        monkeypatch.setattr(generators, "_partitions", build)
+        out = tmp_path / "g.json"
+        code, stdout, err = run_cli("gen", family, param, "-o", str(out))
+        assert (code, stdout, out.exists()) == (2, "", False)
+        assert err == (f"error: bad parameters for family {family!r}: "
+                       f"posets are limited to 2000 elements, got {size}\n")
+
+    @pytest.mark.parametrize("family, past", [("boolean", 2048), ("partition", 4140)])
+    def test_huge_generator_parameter_refused_at_once(self, run_cli, tmp_path, family, past):
+        start = time.perf_counter()
+        code, stdout, err = run_cli("gen", family, "1000000000", "-o", str(tmp_path / "g.json"))
+        assert time.perf_counter() - start < 1
+        assert (code, stdout) == (2, "")
+        assert err == (f"error: bad parameters for family {family!r}: "
+                       f"posets are limited to 2000 elements, got more than {past}\n")
 
 
 class TestGroupCommands:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -39,7 +41,7 @@ class TestBoolean:
 
     def test_bounds(self):
         with pytest.raises(SizeLimitError):
-            boolean_lattice(7)
+            boolean_lattice(11)
         with pytest.raises(SizeLimitError):
             boolean_lattice(-1)
 
@@ -66,11 +68,28 @@ class TestChainProduct:
         assert sorted((rename(a), rename(b)) for a, b in p.cover_pairs()) == \
             b3.cover_pairs()
 
+    def test_many_factors_of_length_one_build_in_linear_time(self):
+        start = time.perf_counter()
+        p = chain_product([1] * 50_000)
+        assert time.perf_counter() - start < 1
+        assert len(p) == 1 and p.height() == 0
+
     def test_size_guard(self):
         with pytest.raises(SizeLimitError):
             chain_product([101, 101])
         with pytest.raises(SizeLimitError):
             chain_product([0])
+
+    @pytest.mark.parametrize("build, got", [
+        (lambda: chain_product([2001, 1, 1]), "2001"),
+        (lambda: chain_product([1, 2, 1001]), "2002"),
+        (lambda: chain_product([10 ** 9] * 3), "more than 1000000000"),
+        (lambda: boolean_lattice(12), "more than 2048"),
+        (lambda: partition_lattice(9), "more than 4140"),
+    ])
+    def test_one_guard_message_on_the_closed_form_size(self, build, got):
+        with pytest.raises(SizeLimitError, match=f"^posets are limited to 2000 elements, got {got}$"):
+            build()
 
 
 class TestPartition:
@@ -96,6 +115,14 @@ class TestPartition:
 
     def test_pi1(self):
         assert len(partition_lattice(1)) == 1
+        with pytest.raises(SizeLimitError):
+            partition_lattice(0)
+
+
+def test_largest_boolean_and_partition_lattices_under_the_element_guard():
+    b10, pi7 = boolean_lattice(10), partition_lattice(7)
+    assert (len(b10), b10.height()) == (1024, 10)
+    assert (len(pi7), pi7.height()) == (877, 6)
 
 
 class TestGraphicFlats:
