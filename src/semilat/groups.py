@@ -1,9 +1,11 @@
 """Finite groups as Cayley tables: subgroup enumeration, subnormality, the
 subnormal-subgroup lattice, and composition-series matching.
 
-Normal closures take one generation step from the conjugates.  The subnormal
-lattice is read off one member matrix.  It is dually semimodular, so the
-chain matcher runs on its dual:
+Subgroups are enumerated by one-element extensions, one per cyclic subgroup
+outside each subgroup.  Normal closures take one generation step from the
+conjugates, but the subnormal lattice runs none: it decides subnormality for
+every subgroup at once from one normalizer matrix, and is read off one member
+matrix.  It is dually semimodular, so the chain matcher runs on its dual:
 `composition_analysis` reads every series as one index row of the lattice,
 top-down a chain of the dual, and matches all its pairs in one
 `match_index_chains` call; factor orders come from the members' counts by
@@ -226,25 +228,51 @@ def subgroup_name(members) -> str:
 def all_subgroups(g: Group) -> list[tuple[int, ...]]:
     """Every subgroup, as sorted member indices, by closure of one-element extensions.
 
-    Each subgroup keeps the generators it was reached by.  <H, hx> = <H, x>
-    for h in H, so H is extended once per right coset Hx.
+    Each subgroup keeps the generators it was reached by.  <H, x> depends on
+    x only through <x>, and <H, hx> = <H, x> for h in H, so H is extended once
+    per distinct cyclic subgroup among its right-coset representatives.  Each
+    <x> is read once per call as the powers of x, and each extension is closed
+    from H and Hx, multiplying only the new elements by the generators.
     """
     if _group(g).order > SUBGROUP_ORDER_LIMIT:
         raise SizeLimitError(
             f"subgroup enumeration is limited to order <= {SUBGROUP_ORDER_LIMIT}")
+    table, first = g.table, {}
+    cyclic = []   # each x's <x>, as the least element generating it
+    for x in range(g.order):
+        powers, y = {0}, x
+        while y not in powers:
+            powers.add(y)
+            y = table[y][x]
+        cyclic.append(first.setdefault(frozenset(powers), x))
     trivial = frozenset({0})
     gens = {trivial: ()}
     frontier = [trivial]
     while frontier:
         fresh = []
         for H in frontier:
-            done = set(H)
+            done, tried = set(H), set()
             for x in range(g.order):
                 if x in done:
                     continue
-                done.update(g.table[h][x] for h in H)
+                new = [table[h][x] for h in H]
+                done.update(new)
+                if cyclic[x] in tried:
+                    continue
+                tried.add(cyclic[x])
                 seed = gens[H] + (x,)
-                extended = _close(g, seed)
+                members = set(H)
+                members.update(new)
+                # As in _close, but from H and Hx: H times its generators is
+                # H and H times x is Hx, so only Hx and what it leads to are
+                # multiplied by the seed.
+                for z in new:
+                    row = table[z]
+                    for s in seed:
+                        if (w := row[s]) not in members:
+                            members.add(w)
+                            new.append(w)
+                extended = frozenset(members)
                 if extended not in gens:
                     gens[extended] = seed
                     fresh.append(extended)
@@ -295,22 +323,44 @@ def is_subnormal(g: Group, sub) -> bool:
 def subnormal_lattice(g: Group) -> Poset:
     """Poset of subnormal subgroups under inclusion, named by member lists.
 
-    Its order is read off the 0/1 member matrix M, a row per subgroup in name
-    order: H <= K iff |H & K| = |H|, so leq is `M @ M.T == |row|`, already
-    closed, and its reduction gives the covers.  The dual must be semimodular;
-    a failure is reported as a broken-theorem sentinel, not as bad input.
-    It is built once per group and cached on it with its elements' orders.
+    Subnormality is decided for every subgroup at once (Wielandt): H is
+    subnormal iff a chain of subgroups, each normal in the next, leads from
+    H up to G.  With M the 0/1 member matrix of all subgroups and N that of
+    their normalizers, a is normal in b iff M_a <= M_b <= N_a, and the
+    subnormal subgroups are those reached from G along that relation, with
+    no normal closure taken.  The order is the inclusion test on the reached
+    rows, in name order: H <= K iff |H & K| = |H|, so leq is
+    `M @ M.T == |row|`, already closed, and its reduction gives the covers.
+    The dual must be semimodular; a failure is reported as a broken-theorem
+    sentinel, not as bad input.  It is built once per group and cached on it
+    with its elements' orders.
     """
     cached = _group(g)._cache.get("subnormal")
     if cached is not None:
         return cached[0]
-    subs = sorted((s for s in all_subgroups(g) if is_subnormal(g, s)), key=subgroup_name)
-    member = np.zeros((len(subs), g.order), dtype=np.float32)
+    subs = all_subgroups(g)   # by size, so G is the last
+    table = np.array(g.table)
+    # conj[k, h] = k h k^-1; the 0 in row k sits at k^-1.
+    conj = table[table, table.argmin(axis=1)[:, None]]
+    member = np.zeros((len(subs), g.order), dtype=bool)
     for row, s in zip(member, subs):
-        row[list(s)] = 1
+        row[list(s)] = True
+    # k normalises a iff every h in a has k h k^-1 in a: one gather of
+    # subgroups x n x n booleans, at most 374 x 32 x 32 (Z2^5, 0.38 M) below
+    # SUBGROUP_ORDER_LIMIT.
+    normalizer = (member[:, conj] | ~member[:, None, :]).all(axis=2).astype(np.float32)
+    member = member.astype(np.float32)
     orders = member.sum(axis=1)   # float32 counts are exact
-    leq = member @ member.T == orders[:, None]
-    lattice = Poset(f"subnormal({g.name})", tuple(map(subgroup_name, subs)), leq,
+    inside = member @ member.T == orders[:, None]   # [a, b]: M_a <= M_b
+    normal = inside & (normalizer @ member.T == orders[None, :])   # and M_b <= N_a
+    reached, count = np.zeros(len(subs), dtype=bool), 0
+    reached[-1] = True   # G
+    while reached.sum() > count:   # add each subgroup normal in one already reached
+        count = reached.sum()
+        reached |= normal[:, reached].any(axis=1)
+    keep = sorted(np.flatnonzero(reached).tolist(), key=lambda a: subgroup_name(subs[a]))
+    orders, leq = orders[keep], inside[np.ix_(keep, keep)]
+    lattice = Poset(f"subnormal({g.name})", tuple(subgroup_name(subs[a]) for a in keep), leq,
                     _transitive_reduction(leq))
     report = sl.is_semimodular(lattice.dual())
     if not report.holds:
@@ -401,7 +451,7 @@ def composition_analysis(g: Group, series_a=None, series_b=None) -> CompositionR
     else:
         count = sl.count_maximal_chains(lattice)
         sl._check_pair_count(count * (count + 1) // 2)
-        rows = list(sl._chain_rows(lattice))
+        rows = list(sl._chain_rows(lattice, limit=count))   # all of them, not counted again
         pair_series = np.transpose(np.triu_indices(len(rows)))   # (i, j), i <= j, row by row
 
     lengths = {len(row) - 1 for row in rows}

@@ -101,8 +101,14 @@ class TestLargeOutputPins:
          "b91116d39c3981d5a02c8a7ab37fbe9bb09e974308be127a78f557db2984d6d2"),
         (["group", "subnormal-lattice", "{Z2xZ2xZ2xZ2}"],
          "b97ba2ff7159a889815497c19ce7cb1144c01fa3a683ef575dbc706fc9afca1d"),
+        # Not nilpotent, so some subgroups are left out.
+        (["group", "subnormal-lattice", "{S4}"],
+         "ce805725700c406c77cba3a2f10b74da222e258f57dfbb49347a5b525f1c90c1"),
+        (["group", "subnormal-lattice", "{D12}"],
+         "df28a5232487d02b2f2583b1c5d6deeb3b84b42a6d838f3b9ed42d8fb8d7a4d7"),
     ], ids=["builtin-D4xZ2", "gen-partition-5", "gen-partition-6", "gen-graphic-K5",
-            "subnormal-lattice-D4xZ2", "subnormal-lattice-Z2xZ2xZ2xZ2"])
+            "subnormal-lattice-D4xZ2", "subnormal-lattice-Z2xZ2xZ2xZ2",
+            "subnormal-lattice-S4", "subnormal-lattice-D12"])
     def test_written_file(self, run_cli, tmp_path, argv, digest):
         # "{K5}" stands for a file with K5's edge list, "{G}" for one with
         # builtin group G's table.

@@ -34,8 +34,11 @@ from conftest import break_witness_entry, match_series, pair_rows
 from strategies import GENERATED, dag_poset, direct_products
 
 # Acceptance-frozen subgroup counts; S3xZ2 was computed by the subset oracle
-# below before being frozen here.
-SUBGROUP_COUNTS = {"Z12": 6, "S3": 6, "A4": 10, "D4": 10, "Q8": 6, "S3xZ2": 16}
+# below before being frozen here.  The benchmark's groups follow, with the
+# counts bench/expected.json freezes: D12 has tau(12) + sigma(12) and Z60 tau(60).
+SUBGROUP_COUNTS = {"Z12": 6, "S3": 6, "A4": 10, "D4": 10, "Q8": 6, "S3xZ2": 16,
+                   "S4": 30, "D12": 34, "Z60": 12, "Q8xZ2": 19, "D4xZ2": 35, "S3xZ3": 14,
+                   "Z2xZ2xZ2": 16, "Z2xZ2xZ2xZ2": 67}
 
 FACTOR_MULTISETS = {"Z12": (2, 2, 3), "A4": (2, 2, 3), "S3": (2, 3)}
 
@@ -456,8 +459,9 @@ class TestSubnormalLattice:
         assert lattice == expected
         assert lattice.cover_pairs() == expected.cover_pairs()
 
-    @pytest.mark.parametrize("name", ["S3", "S4", "A4", "Q8", "D12", "Z60", "Q8xZ2", "D4xZ2",
-                                      "S3xZ3", "Z2xZ2xZ2", "Z2xZ2xZ2xZ2"])
+    @pytest.mark.parametrize("name", dict.fromkeys(
+        ["S3", "S4", "A4", "Q8", "D12", "Z60", "Q8xZ2", "D4xZ2", "S3xZ3", "Z2xZ2xZ2",
+         "Z2xZ2xZ2xZ2"] + SMALL_BUILTINS))
     def test_builtins_match_the_member_set_reference(self, name):
         self.assert_matches_reference(builtin_group(name))
 
@@ -471,6 +475,15 @@ class TestSubnormalLattice:
             raise AssertionError("lattice read from a cover list")
 
         monkeypatch.setattr(Poset, "from_cover_list", build)
+        assert len(subnormal_lattice(builtin_group("D4xZ2"))) == 35
+
+    def test_decided_without_normal_closures(self, monkeypatch):
+        def descend(*args, **kwargs):
+            raise AssertionError("subnormality decided by a normal-closure descent")
+
+        for name in ("is_subnormal", "normal_closure", "_normal_closure"):
+            monkeypatch.setattr(groups, name, descend)
+        assert len(subnormal_lattice(builtin_group("S4"))) == 7
         assert len(subnormal_lattice(builtin_group("D4xZ2"))) == 35
 
 
