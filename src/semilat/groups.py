@@ -12,17 +12,17 @@ top-down a chain of the dual, and matches all its pairs in one
 index, and pi and the factors are mapped back to ascending series.  The
 report keeps the pairs as four arrays, and both output formats are written
 from one row list of them.  Factor "isomorphism" is checked as order
-equality, which is exact for the small solvable test corpus where all
-composition factors are cyclic of prime order.
+equality, exact up to GROUP_ORDER_LIMIT since every factor is simple and no
+order <= 120 has two simple groups: Z_p for each prime p, and A5 for 60.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from collections.abc import Callable, Collection
+import operator
+from collections.abc import Callable, Collection, Iterable, Sequence
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import accumulate, chain, combinations, permutations
 
 import numpy as np
 
@@ -35,10 +35,9 @@ from .errors import (
     UnknownNameError,
 )
 from .matching import match_index_chains
-from .poset import (Poset, _fields, _int, _json_text, _Rows, _save_json, _sequence,
-                    _transitive_reduction)
+from .poset import (ELEMENT_LIMIT, Poset, _check_size, _fields, _int, _json_text, _Rows,
+                    _save_json, _sequence, _transitive_reduction)
 
-SUBGROUP_ORDER_LIMIT = 60
 # Validating a table takes about 0.09 s at order 120 and 0.7 s at order 240.
 GROUP_ORDER_LIMIT = 120
 
@@ -72,7 +71,7 @@ def group_from_table(name: str, table) -> Group:
     above GROUP_ORDER_LIMIT are refused before any of that."""
     table = _sequence(table, GroupValidationError, "table must be an array of rows, got {}",
                       type(table).__name__)
-    _check_order(len(table))
+    _check_order([len(table)])
     if not all(isinstance(r, (list, tuple)) for r in table):
         raise GroupValidationError("table rows must be arrays")
     n = len(table)
@@ -113,16 +112,14 @@ def _group(g) -> Group:
     return g
 
 
-def _check_order(order: int) -> None:
-    if order > GROUP_ORDER_LIMIT:
-        raise SizeLimitError(
-            f"group tables are limited to order <= {GROUP_ORDER_LIMIT}, got {order}")
+def _check_order(counts: Iterable[int]) -> None:
+    _check_size(counts, GROUP_ORDER_LIMIT, "group tables are limited to order <= {}")
 
 
 # -- builtin corpus ----------------------------------------------------------
 
 
-def _cayley(elements: list, product: Callable) -> list[list[int]]:
+def _cayley(elements: Sequence, product: Callable) -> list[list[int]]:
     """Entry (i, j) is the position of product(elements[i], elements[j])."""
     index = {x: i for i, x in enumerate(elements)}
     return [[index[product(x, y)] for y in elements] for x in elements]
@@ -138,20 +135,24 @@ def _hamilton(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
             a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
 
 
-def _builtin_atom(name: str) -> tuple[list, Callable]:
-    """The elements of a builtin atom, in table order, and their product."""
-    if name.startswith("Z") and name[1:].isdigit():
-        n = int(name[1:])
-        if not 1 <= n <= 60:
-            raise UnknownNameError(f"cyclic groups are limited to Z1..Z60, got {name}")
-        return list(range(n)), lambda a, b: (a + b) % n
-    if name.startswith("D") and name[1:].isdigit():
-        n = int(name[1:])
-        if not 1 <= n <= 12:
-            raise UnknownNameError(f"dihedral groups are limited to D1..D12, got {name}")
-        # (s, r) is t^s rho^r with t rho t = rho^{-1}.
-        return ([(s, r) for s in range(2) for r in range(n)],
-                lambda x, y: ((x[0] + y[0]) % 2, (y[1] - x[1] if y[0] else x[1] + y[1]) % n))
+def _builtin_atom(name: str) -> tuple[Sequence, Callable] | None:
+    """The elements of a builtin atom, in table order, and their product.  Zn and
+    Dn list theirs as a range, so their order is read with no element built.  A
+    numeral is ASCII digits; one with more digits than GROUP_ORDER_LIMIT is past
+    it whatever it reads, so it is never read, and the atom is None."""
+    kind, digits = name[:1], name[1:].lstrip("0")   # so Z0 and D0 are unknown
+    if kind in ("Z", "D") and digits.isascii() and digits.isdigit():
+        if len(digits) > len(str(GROUP_ORDER_LIMIT)):
+            return None
+        n = int(digits)
+        if kind == "Z":
+            return range(n), lambda a, b: (a + b) % n
+
+        def dihedral(x: int, y: int) -> int:
+            # x = s * n + r is t^s rho^r, with t rho t = rho^{-1}.
+            (s, r), (t, q) = divmod(x, n), divmod(y, n)
+            return (s + t) % 2 * n + (q - r if t else r + q) % n
+        return range(2 * n), dihedral
     if name in ("S3", "S4", "A4"):
         perms = list(permutations(range(int(name[1]))))   # in lexicographic order
         if name == "A4":   # the even permutations: an even number of inversions
@@ -165,12 +166,16 @@ def _builtin_atom(name: str) -> tuple[list, Callable]:
 
 
 def builtin_group(name: str) -> Group:
-    """Builtin corpus: Zn (n <= 60), Dn (order 2n, n <= 12), S3, S4, A4, Q8,
-    and x-joined direct products such as Z2xZ2 or S3xZ2."""
+    """Builtin corpus: Zn (order n), Dn (order 2n), S3, S4, A4, Q8, and
+    x-joined direct products such as Z2xZ2 or S3xZ2.  Every atom name is read,
+    then the orders of the product's prefixes, lazily, before any table is built."""
     if not isinstance(name, str):
         raise UnknownNameError(f"unknown builtin group {name!r}")
     atoms = [_builtin_atom(part) for part in name.split("x")]
-    _check_order(math.prod(len(elements) for elements, _ in atoms))
+    # A numeral never read counts as the factor GROUP_ORDER_LIMIT + 1, a lower
+    # bound, then 1: one count more, so it is refused as more than the first.
+    _check_order(accumulate(chain.from_iterable(
+        (len(atom[0]),) if atom else (GROUP_ORDER_LIMIT + 1, 1) for atom in atoms), operator.mul))
     table = np.zeros((1, 1), dtype=np.int64)
     for elements, mul in atoms:
         atom, m = np.array(_cayley(elements, mul)), len(elements)
@@ -204,12 +209,14 @@ def save_group(g: Group, path: str) -> None:
 # -- subgroups ---------------------------------------------------------------
 
 
-def _close(g: Group, seed: Collection[int]) -> frozenset[int]:
+def _close(g: Group, seed: Collection[int], closed: Iterable[int] = (),
+           frontier: Iterable[int] = (0,)) -> frozenset[int]:
     """The subgroup generated by `seed`: the identity closed under right
     multiplication by the seed elements.  In a finite group the monoid they
-    generate is already the subgroup."""
-    members = {0}
-    frontier = [0]
+    generate is already the subgroup.  It can go on from members `closed` and
+    `frontier`, where `closed` times the seed already lies among them."""
+    members, frontier = set(closed), list(frontier)
+    members.update(frontier)
     for x in frontier:
         row = g.table[x]
         for s in seed:
@@ -232,12 +239,10 @@ def all_subgroups(g: Group) -> list[tuple[int, ...]]:
     x only through <x>, and <H, hx> = <H, x> for h in H, so H is extended once
     per distinct cyclic subgroup among its right-coset representatives.  Each
     <x> is read once per call as the powers of x, and each extension is closed
-    from H and Hx, multiplying only the new elements by the generators.
+    from H and Hx, since H times its generators is H.  Finding more than
+    ELEMENT_LIMIT subgroups raises SizeLimitError there, before any is listed.
     """
-    if _group(g).order > SUBGROUP_ORDER_LIMIT:
-        raise SizeLimitError(
-            f"subgroup enumeration is limited to order <= {SUBGROUP_ORDER_LIMIT}")
-    table, first = g.table, {}
+    table, first = _group(g).table, {}
     cyclic = []   # each x's <x>, as the least element generating it
     for x in range(g.order):
         powers, y = {0}, x
@@ -261,19 +266,12 @@ def all_subgroups(g: Group) -> list[tuple[int, ...]]:
                     continue
                 tried.add(cyclic[x])
                 seed = gens[H] + (x,)
-                members = set(H)
-                members.update(new)
-                # As in _close, but from H and Hx: H times its generators is
-                # H and H times x is Hx, so only Hx and what it leads to are
-                # multiplied by the seed.
-                for z in new:
-                    row = table[z]
-                    for s in seed:
-                        if (w := row[s]) not in members:
-                            members.add(w)
-                            new.append(w)
-                extended = frozenset(members)
+                extended = _close(g, seed, H, new)
                 if extended not in gens:
+                    if len(gens) == ELEMENT_LIMIT:
+                        raise SizeLimitError(
+                            f"subgroup enumeration is limited to {ELEMENT_LIMIT} subgroups, "
+                            f"got more than {ELEMENT_LIMIT}")
                     gens[extended] = seed
                     fresh.append(extended)
         frontier = fresh
@@ -346,8 +344,8 @@ def subnormal_lattice(g: Group) -> Poset:
     for row, s in zip(member, subs):
         row[list(s)] = True
     # k normalises a iff every h in a has k h k^-1 in a: one gather of
-    # subgroups x n x n booleans, at most 374 x 32 x 32 (Z2^5, 0.38 M) below
-    # SUBGROUP_ORDER_LIMIT.
+    # subgroups x n x n booleans, at most ELEMENT_LIMIT x 120 x 120 (28.8 M); a fresh
+    # process peaks at 47.5 MiB resident on D4xZ2xZ2xZ2 (937 x 64 x 64), 31 MiB on Z2.
     normalizer = (member[:, conj] | ~member[:, None, :]).all(axis=2).astype(np.float32)
     member = member.astype(np.float32)
     orders = member.sum(axis=1)   # float32 counts are exact

@@ -35,14 +35,15 @@ from .errors import (
 ELEMENT_LIMIT = 2000
 
 
-def _check_size(counts: Iterable[int]) -> None:
-    """The one poset-size guard: `counts` increase to the element count.  The first past
-    ELEMENT_LIMIT raises SizeLimitError; one more is read to tell whether it was the last."""
+def _check_size(counts: Iterable[int], limit: int = ELEMENT_LIMIT,
+                refusal: str = "posets are limited to {} elements") -> None:
+    """The one size guard: `counts` increase to the size, by default a poset's element count.
+    The first past `limit` raises SizeLimitError; one more is read to tell whether it was the last."""
     counts = iter(counts)
     for size in counts:
-        if size > ELEMENT_LIMIT:
+        if size > limit:
             got = size if next(counts, None) is None else f"more than {size}"
-            raise SizeLimitError(f"posets are limited to {ELEMENT_LIMIT} elements, got {got}")
+            raise SizeLimitError(f"{refusal.format(limit)}, got {got}")
 
 
 def _bool_square(a: np.ndarray) -> np.ndarray:

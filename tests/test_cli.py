@@ -617,11 +617,37 @@ class TestGroupCommands:
         assert code == 2
 
     def test_oversize_group_is_an_input_error(self, run_cli, tmp_path):
-        path = str(tmp_path / "s4z3.json")
-        assert run_cli("group", "builtin", "S4xZ3", "-o", path)[0] == 0
-        code, out, err = run_cli("group", "subgroups", path)
-        assert (code, out) == (2, "")
-        assert err == "error: subgroup enumeration is limited to order <= 60\n"
+        # Z2^6 (order 64) has 2,825 subgroups, more than a poset file may hold.
+        path = str(tmp_path / "z2_6.json")
+        assert run_cli("group", "builtin", "Z2xZ2xZ2xZ2xZ2xZ2", "-o", path)[0] == 0
+        lattice = tmp_path / "lattice.json"
+        for command in (["subgroups"], ["subnormal-lattice", "-o", str(lattice)], ["composition"]):
+            start = time.perf_counter()
+            code, out, err = run_cli("group", *command, path)
+            assert time.perf_counter() - start < 1
+            assert (code, out, lattice.exists()) == (2, "", False)
+            assert err == ("error: subgroup enumeration is limited to 2000 subgroups, "
+                           "got more than 2000\n")
+
+    @pytest.mark.parametrize("name, pairs", [("S4xZ5", 120), ("D12xZ5", 1540)])
+    def test_order_120_group(self, run_cli, tmp_path, name, pairs):
+        path = str(tmp_path / "g.json")
+        assert run_cli("group", "builtin", name, "-o", path)[0] == 0
+        code, out, _ = run_cli("group", "composition", path)
+        assert (code, out.count("\npair ")) == (0, pairs)
+
+    @pytest.mark.parametrize("name, message", [
+        ("Z" + "9" * 5000, "group tables are limited to order <= 120, got more than 121"),
+        ("x".join(["Z60"] * 30000),
+         "group tables are limited to order <= 120, got more than 3600"),
+        ("Z\u0663", "unknown builtin group 'Z\u0663'"),
+    ], ids=["long-numeral", "long-product", "non-ascii-digit"])
+    def test_builtin_name_refused_in_one_line(self, run_cli, tmp_path, name, message):
+        # The first two once ended in a ValueError traceback; the third built "Z3".
+        out = tmp_path / "g.json"
+        code, stdout, err = run_cli("group", "builtin", name, "-o", str(out))
+        assert (code, stdout, out.exists()) == (2, "", False)
+        assert err == f"error: {message}\n"
 
     def test_oversize_table_refused_before_validation(self, run_cli, tmp_path):
         path = tmp_path / "big.json"

@@ -48,16 +48,22 @@ PINNED_BUILTINS = ([f"Z{n}" for n in range(1, 61)] + [f"D{n}" for n in range(1, 
 # SHA-256 of json.dumps of their to_dict()s, frozen from the per-family table
 # builders that the one Cayley-table helper replaced.
 PINNED_DIGEST = "534fc93485e21c92c9df98bd8cade52feeb69e9f8dc769dc0904bb4ae60dfdfd"
+# Zn and Dn have no cap of their own: GROUP_ORDER_LIMIT (120) bounds n and 2n,
+# and the product's prefixes, read lazily as poset._check_size reads its counts.
 PINNED_REFUSALS = {
-    "Z0": (UnknownNameError, "cyclic groups are limited to Z1..Z60, got Z0"),
-    "Z61": (UnknownNameError, "cyclic groups are limited to Z1..Z60, got Z61"),
-    "D0": (UnknownNameError, "dihedral groups are limited to D1..D12, got D0"),
-    "D13": (UnknownNameError, "dihedral groups are limited to D1..D12, got D13"),
+    "Z0": (UnknownNameError, "unknown builtin group 'Z0'"),
+    "Z121": (SizeLimitError, "group tables are limited to order <= 120, got 121"),
+    "D0": (UnknownNameError, "unknown builtin group 'D0'"),
+    "D61": (SizeLimitError, "group tables are limited to order <= 120, got 122"),
+    "Z1000": (SizeLimitError, "group tables are limited to order <= 120, got more than 121"),
+    "D2xZ1000": (SizeLimitError, "group tables are limited to order <= 120, got more than 484"),
+    "Z\u0663": (UnknownNameError, "unknown builtin group 'Z\u0663'"),
     "S5": (UnknownNameError, "unknown builtin group 'S5'"),
     "Z": (UnknownNameError, "unknown builtin group 'Z'"),
     "Z2x": (UnknownNameError, "unknown builtin group ''"),
     "xZ2": (UnknownNameError, "unknown builtin group ''"),
     "Z60xZ60": (SizeLimitError, "group tables are limited to order <= 120, got 3600"),
+    "Z60xZ60xZ2": (SizeLimitError, "group tables are limited to order <= 120, got more than 3600"),
 }
 
 
@@ -263,12 +269,18 @@ class TestBuiltins:
             assert (type(info.value), str(info.value)) == (error, message), name
 
     def test_unknown(self):
-        with pytest.raises(UnknownNameError):
-            builtin_group("E8")
-        with pytest.raises(UnknownNameError):
-            builtin_group("Z61")
-        with pytest.raises(UnknownNameError):
-            builtin_group("D13")
+        # Atom numerals are ASCII digits: an Arabic-Indic or superscript digit is no numeral.
+        for name in ("E8", "Z\u0663", "D\u00b2", "Z-5", "Z 5", "ZZ5"):
+            with pytest.raises(UnknownNameError):
+                builtin_group(name)
+
+    def test_orders_up_to_the_limit_are_built(self):
+        # The former Z1..Z60 and D1..D12 caps are gone; leading zeros read as before.
+        for name, order in (("Z61", 61), ("D13", 26), ("D60", 120), ("Z120", 120),
+                            ("S4xZ5", 120), ("Z0007", 7)):
+            g = builtin_group(name)
+            assert (g.name, g.order) == (name, order)
+        assert builtin_group("Z0007").table == builtin_group("Z7").table
 
 
 class TestSubgroups:
@@ -283,8 +295,22 @@ class TestSubgroups:
             assert sorted(ours, key=lambda m: (len(m), m)) == subgroups_by_subset_scan(g)
 
     def test_order_guard(self):
+        # GROUP_ORDER_LIMIT is the one order guard: every order up to it is enumerated.
+        assert len(all_subgroups(builtin_group("Z31xZ2"))) == 4   # Z62: tau(62)
+        assert len(all_subgroups(builtin_group("S4xZ5"))) == 60
         with pytest.raises(SizeLimitError):
-            all_subgroups(builtin_group("Z31xZ2"))
+            builtin_group("Z31xZ2xZ2")
+
+    def test_count_guard(self, monkeypatch):
+        # Z2^6 has 2,825 subgroups; the count stops at ELEMENT_LIMIT, before any lattice.
+        def build(*args, **kwargs):
+            raise AssertionError("a lattice was built")
+
+        monkeypatch.setattr(groups, "Poset", build)
+        message = "^subgroup enumeration is limited to 2000 subgroups, got more than 2000$"
+        for call in (all_subgroups, subnormal_lattice, composition_analysis):
+            with pytest.raises(SizeLimitError, match=message):
+                call(builtin_group("Z2xZ2xZ2xZ2xZ2xZ2"))
 
     @settings(GENERATED, max_examples=15)
     @given(direct_products(max_order=12))
@@ -341,7 +367,7 @@ class TestNormalClosureAndSubnormality:
         # descends through generated subgroups and closes once per step.
         closes, steps = [], []
         close, step = groups._close, groups._normal_closure
-        monkeypatch.setattr(groups, "_close", lambda g, seed: closes.append(1) or close(g, seed))
+        monkeypatch.setattr(groups, "_close", lambda *args: closes.append(1) or close(*args))
         monkeypatch.setattr(groups, "_normal_closure",
                             lambda *args, **kwargs: steps.append(1) or step(*args, **kwargs))
         s4 = builtin_group("S4")
@@ -461,7 +487,7 @@ class TestSubnormalLattice:
 
     @pytest.mark.parametrize("name", dict.fromkeys(
         ["S3", "S4", "A4", "Q8", "D12", "Z60", "Q8xZ2", "D4xZ2", "S3xZ3", "Z2xZ2xZ2",
-         "Z2xZ2xZ2xZ2"] + SMALL_BUILTINS))
+         "Z2xZ2xZ2xZ2", "S4xZ5", "D12xZ5", "A4xZ2xZ5"] + SMALL_BUILTINS))
     def test_builtins_match_the_member_set_reference(self, name):
         self.assert_matches_reference(builtin_group(name))
 
@@ -534,6 +560,13 @@ class TestCompositionAnalysis:
             assert len(lengths) == 1, name
             report = composition_analysis(g)
             assert report.ok, name
+
+    @pytest.mark.parametrize("name, elements, pairs", [
+        ("S4xZ5", 14, 120), ("D12xZ5", 26, 1540), ("A4xZ2xZ5", 36, 7260)])
+    def test_order_120(self, name, elements, pairs):
+        g = builtin_group(name)
+        report = composition_analysis(g)
+        assert (len(subnormal_lattice(g)), len(report.pair_pi), report.ok) == (elements, pairs, True)
 
     def test_series_validation(self):
         g = builtin_group("Z12")
