@@ -266,21 +266,24 @@ def _cmd_verify(args) -> int:
 
 def _cmd_gen(args) -> int:
     family = args.family
+    if len(args.params) != 1:
+        raise _InputError(f"bad parameters for family {family!r}: "
+                          f"expected one parameter, got {len(args.params)}")
+    param = args.params[0]
     try:
         if family == "boolean":
-            p = generators.boolean_lattice(int(args.params[0]))
+            p = generators.boolean_lattice(int(param))
         elif family == "chainprod":
-            lengths = [int(x) for x in args.params[0].split(",")]
-            p = generators.chain_product(lengths)
+            p = generators.chain_product([int(x) for x in param.split(",")])
         elif family == "partition":
-            p = generators.partition_lattice(int(args.params[0]))
+            p = generators.partition_lattice(int(param))
         elif family == "graphic":
-            with open(args.params[0], encoding="utf-8") as fh:
+            with open(param, encoding="utf-8") as fh:
                 graph = generators.Graph.from_edge_list_text(fh.read())
             p = generators.graphic_flat_lattice(graph)
         else:  # "counter": argparse's choices admit no other family
-            p = generators.named_counterexample(args.params[0])
-    except (IndexError, ValueError, SemilatError) as exc:
+            p = generators.named_counterexample(param)
+    except (ValueError, SemilatError) as exc:
         raise _InputError(f"bad parameters for family {family!r}: {exc}") from exc
     except OSError as exc:
         raise _InputError(str(exc)) from exc

@@ -9,7 +9,8 @@ c_i ≤ c_{i-1} ∨ d_j, the first column where row i equals row i-1, and the
 witness is the step [M[i-1][j-1], M[i-1][j]] of row i-1.  No witness search
 happens anywhere: M is checked by one rank law on the heights of its entries,
 h(c_i ∨ d_j) = j + #{k <= i : pi(k) > j}, and every witness is re-verified by
-index against both of its intervals.
+index against both of its intervals.  The bottom is needed: a < c < t, b < t
+is a semimodular join semilattice whose maximal chains have lengths 2 and 1.
 
 There is one matcher, `_match`, on a batch of index chain pairs whose join
 matrices are one numpy array, and one way into it, `match_index_chains`, which

@@ -29,9 +29,9 @@ from .errors import (
     UnknownElementError,
 )
 
-# Largest poset built, checked by `_check_size`: `semilat validate` takes 0.9-1.0 s
-# and 70 MiB on a 2000-element chain (subprocess, shared 2-vCPU machine): 0.61 s
-# in the join table, 0.07 s in semimodularity, 0.01-0.02 s loading the file.
+# Largest poset built, checked by `_check_size`: `semilat validate` takes 0.65-0.8 s
+# and 70 MiB on a 2000-element chain (subprocess, shared 2-vCPU machine): 0.36-0.54 s
+# in the join table, under 1 ms in semimodularity, 0.01 s loading the file.
 ELEMENT_LIMIT = 2000
 
 
@@ -161,17 +161,20 @@ class Poset:
         n = len(ordered)
 
         succ: list[list[int]] = [[] for _ in range(n)]
+        get = index.get
         for pair in covers:
             try:
                 a, b = pair
             except (TypeError, ValueError):
                 raise PosetConstructionError(f"cover {pair!r} is not two names") from None
-            for x in (a, b):
-                if not isinstance(x, str) or x not in index:
-                    raise PosetConstructionError(f"unknown endpoint {x!r} in cover ({a}, {b})")
-            if a == b:
+            i = get(a) if isinstance(a, str) else None   # no hash of a non-string
+            j = get(b) if isinstance(b, str) else None
+            if i is None or j is None:
+                x = a if i is None else b
+                raise PosetConstructionError(f"unknown endpoint {x!r} in cover ({a}, {b})")
+            if i == j:
                 raise PosetConstructionError(f"cycle: self-cover ({a}, {b})")
-            succ[index[a]].append(index[b])
+            succ[i].append(j)
         leq, implied, cyclic = _reflexive_transitive_closure(succ)
         if cyclic:
             i, j = np.argwhere(leq & leq.T & ~np.eye(n, dtype=bool))[0]
@@ -220,8 +223,12 @@ class Poset:
 
     def cover_pairs(self) -> list[tuple[str, str]]:
         """All cover edges (lower, upper), lexicographically sorted."""
-        return [(self.elements[i], self.elements[j])
-                for i, j in np.argwhere(self._covers)]
+        lo, hi = self._cover_index()
+        return [(self.elements[i], self.elements[j]) for i, j in zip(lo.tolist(), hi.tolist())]
+
+    def _cover_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """The cover edges (lower, upper) by index in row-major order, read flat."""
+        return np.divmod(np.flatnonzero(self._covers), len(self))
 
     def upper_covers(self, a: str) -> list[str]:
         return [self.elements[j] for j in self._view()[0][self.index(a)]]
@@ -230,15 +237,17 @@ class Poset:
         """Upper-cover index lists, the rank order (each element after those below
         it), and the heights: longest cover paths from a minimal element."""
         if "view" not in self._cache:
-            below, above = np.nonzero(self._covers)   # row by row, so each row's covers are a slice
+            below, above = self._cover_index()   # row by row, so each row's covers are a slice
             ends = np.bincount(below, minlength=len(self)).cumsum().tolist()
             above = above.tolist()
             ups = [above[a:b] for a, b in zip([0, *ends], ends)]
             order = np.argsort(self._leq.sum(axis=0), kind="stable")
             h = [0] * len(self)
             for i in order.tolist():   # each height is final before it is read
+                up = h[i] + 1
                 for u in ups[i]:
-                    h[u] = max(h[u], h[i] + 1)
+                    if h[u] < up:
+                        h[u] = up
             self._cache["view"] = ups, order, np.array(h, dtype=np.intp)
         return self._cache["view"]
 

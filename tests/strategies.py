@@ -6,7 +6,8 @@ larger ones, whose up-sets span several 64-bit words, each with a bowtie so
 that both kinds of missing join occur.  `closure_lattices` draws
 lattices: a family of subsets of a small ground set, closed under
 intersection and holding the whole set, ordered by inclusion.  Many of those
-are not semimodular.  `chain_products` and `graphic_flats` draw semimodular
+are not semimodular.  `join_semilattices` draws the upper parts of those
+lattices, many of them without a bottom.  `chain_products` and `graphic_flats` draw semimodular
 lattices, the ones the matching theorem speaks about.  `antimatroids` draws
 semimodular lattices whose matchings are known in closed form, and whose
 duals are the negative controls.  `direct_products` draws finite groups,
@@ -108,6 +109,19 @@ def closure_lattices(draw, max_ground: int = 5) -> Poset:
     edges = [(names[a], names[b]) for a in sets for b in sets
              if a != b and a & b == a]
     return dag_poset("closure", list(names.values()), edges)
+
+
+@st.composite
+def join_semilattices(draw, max_ground: int = 5) -> Poset:
+    """A closure lattice less the down-set of up to three drawn elements
+    below its top.  What is left is an up-set of a lattice: closed under
+    joins, with the lattice's covers, and often without a bottom."""
+    p = draw(closure_lattices(max_ground))
+    below_top = [e for e in p.elements if e != p.top()]
+    drop = draw(st.lists(st.sampled_from(below_top), max_size=3)) if below_top else []
+    keep = [e for e in p.elements if not any(p.leq(e, d) for d in drop)]
+    return Poset.from_cover_list("join semilattice", keep,
+                                 [(a, b) for a, b in p.cover_pairs() if a in keep])
 
 
 @st.composite

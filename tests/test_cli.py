@@ -521,6 +521,15 @@ class TestGen:
         code, _, _ = run_cli("gen", "boolean", "11", "-o", str(tmp_path / "x.json"))
         assert code == 2
 
+    @pytest.mark.parametrize("family, params", [("boolean", []), ("boolean", ["2", "3"]),
+                                                ("counter", ["n5", "n5"])])
+    def test_gen_takes_exactly_one_parameter(self, run_cli, tmp_path, family, params):
+        out = tmp_path / "g.json"
+        code, stdout, err = run_cli("gen", family, *params, "-o", str(out))
+        assert (code, stdout, out.exists()) == (2, "", False)
+        assert err == (f"error: bad parameters for family {family!r}: "
+                       f"expected one parameter, got {len(params)}\n")
+
     def test_chain_product_guard_refuses_before_building(self, run_cli, tmp_path,
                                                           monkeypatch):
         def build(*args, **kwargs):
@@ -556,6 +565,41 @@ class TestGen:
         assert (code, stdout) == (2, "")
         assert err == (f"error: bad parameters for family {family!r}: "
                        f"posets are limited to 2000 elements, got more than {past}\n")
+
+
+class TestBottomIsRequired:
+    """The paper's setting, a semimodular join semilattice of finite height,
+    needs a bottom for the theorem.  L (a < c < t, b < t) is one with maximal
+    chains of lengths 2 and 1; in V (a, b < t) no witness projects [a, t] to
+    [b, t].  Both are accepted as semimodular and refused by the matcher."""
+
+    POSETS = {
+        "L": (Poset.from_cover_list("L", "abct", [("a", "c"), ("c", "t"), ("b", "t")]),
+              ("a", "c", "t"), ("b", "t"), "lengths 2 and 1"),
+        "V": (Poset.from_cover_list("V", "abt", [("a", "t"), ("b", "t")]),
+              ("a", "t"), ("b", "t"), "lengths 1 and 1"),
+    }
+
+    @pytest.mark.parametrize("name", POSETS)
+    def test_semimodular_without_a_bottom_and_refused(self, run_cli, tmp_path, name):
+        p, a, b, lengths = self.POSETS[name]
+        path = str(tmp_path / f"{name}.json")
+        semilat.save_poset(p, path)
+        code, stdout, _ = run_cli("validate", path, "--json")
+        report = json.loads(stdout)
+        assert code == 0
+        assert [report[k] for k in ("join_semilattice", "semimodular", "bottom", "top")] == \
+            [True, True, None, "t"]
+        [theorem] = semilat.check_pairs(p, [(a, b)])
+        assert theorem.entries[:2] == (
+            semilat.CheckEntry("preconditions", False, "missing bottom or top"),
+            semilat.CheckEntry("equal-length", lengths == "lengths 1 and 1", lengths))
+        if name == "V":
+            assert semilat.interval_updown_witness(p, ("a", "t"), ("b", "t")) is None
+        refusal = f"error: poset {name!r} lacks a bottom or top element\n"
+        for argv in (["match", path, "--chain-a", ",".join(a), "--chain-b", ",".join(b)],
+                     ["verify", path]):
+            assert run_cli(*argv) == (1, "", refusal), argv
 
 
 class TestGroupCommands:

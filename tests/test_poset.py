@@ -100,6 +100,19 @@ class TestConstruction:
         with pytest.raises(PosetConstructionError, match=r"^cover .* is not two names$"):
             Poset.from_cover_list("x", ["a", "b"], [("a", "b"), cover])
 
+    @pytest.mark.parametrize("bad, message", [
+        (("c000", "zz"), "unknown endpoint 'zz' in cover (c000, zz)"),
+        ((7, "c001"), "unknown endpoint 7 in cover (7, c001)"),
+        (("c001", ["x"]), "unknown endpoint ['x'] in cover (c001, ['x'])"),
+        (("c005", "c005"), "cycle: self-cover (c005, c005)"),
+        (("c000", "c001", "c002"), "cover ('c000', 'c001', 'c002') is not two names"),
+    ], ids=["unknown", "not-a-string", "unhashable", "self-cover", "three-names"])
+    def test_a_bad_cover_after_hundreds_of_good_ones(self, bad, message):
+        names = [f"c{k:03d}" for k in range(400)]
+        with pytest.raises(PosetConstructionError) as info:
+            Poset.from_cover_list("x", names, [*zip(names, names[1:]), bad, ("c000", "zz")])
+        assert str(info.value) == message
+
 
 class TestOrderQueries:
     def test_leq(self):
@@ -123,9 +136,12 @@ class TestOrderQueries:
     @settings(GENERATED, max_examples=30)
     @given(st.one_of(posets(), closure_lattices()))
     def test_generated_upper_cover_lists_are_the_rows(self, p):
-        """`_view` slices one scan of the cover matrix; the reference scans each row."""
+        """`_view` and `cover_pairs` read the cover matrix flat; the references
+        scan each row, and take the 2-D nonzero pairs."""
         for q in (p, p.dual()):
             assert q._view()[0] == [np.flatnonzero(row).tolist() for row in q._covers], q.name
+            assert q.cover_pairs() == [(q.elements[i], q.elements[j])
+                                       for i, j in np.argwhere(q._covers)], q.name
 
 
 def _wide_height_two(extra_edges=()) -> Poset:

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from semilat import semilattice as sl
 from semilat import (
+    InternalInvariantError,
     MissingBoundsError,
     NoJoinError,
     NotAChainError,
@@ -50,6 +51,7 @@ from strategies import (
     chain_products,
     closure_lattices,
     graphic_flats,
+    join_semilattices,
     posets,
     wide_posets,
 )
@@ -187,6 +189,23 @@ class TestBoundTables:
         expected = scalar_counterexample(p)
         assert report.holds == (expected is None)
         assert report.counterexample == expected
+
+    @GENERATED
+    @given(join_semilattices())
+    def test_semimodularity_matches_scalar_scan_with_or_without_a_bottom(self, p):
+        """Birkhoff's condition on pairs of upper covers decides the law on
+        every finite join semilattice, and the scan names the scalar triple."""
+        report = is_semimodular(p)
+        assert report.counterexample == scalar_counterexample(p)
+        assert report.holds == (report.counterexample is None)
+
+    def test_a_failed_condition_without_a_counterexample_is_a_bug(self, monkeypatch):
+        # Each upper cover paired with itself: x is not covered by x v x = x,
+        # so the condition fails on B2, where the scan finds no triple.
+        monkeypatch.setattr(sl, "combinations", lambda ups, k: [(u, u) for u in ups])
+        with pytest.raises(InternalInvariantError, match="^'B2' breaks Birkhoff's covering "
+                                                         "condition, yet no triple breaks"):
+            is_semimodular(boolean_lattice(2))
 
 
 class TestOneBlockBound:
