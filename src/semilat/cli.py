@@ -264,6 +264,23 @@ def _cmd_verify(args) -> int:
     return OK if failures == 0 else VIOLATION
 
 
+# The longest numeral `gen` reads: Python's default limit on reading an int from
+# a string (sys.int_info.default_max_str_digits), so every numeral int() reads by
+# default is read as before, and a longer one is refused in the package's words.
+_NUMERAL_DIGITS = 4300
+
+
+def _numeral(text: str) -> int:
+    """The one reader of a `gen` number: an optional minus sign, then 1 to
+    _NUMERAL_DIGITS ASCII digits; anything else raises ValueError."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"expected an integer in ASCII digits, got {text!r}")
+    if len(digits) > _NUMERAL_DIGITS:
+        raise ValueError(f"integers are limited to {_NUMERAL_DIGITS} digits, got {len(digits)}")
+    return int(text)
+
+
 def _cmd_gen(args) -> int:
     family = args.family
     if len(args.params) != 1:
@@ -272,11 +289,11 @@ def _cmd_gen(args) -> int:
     param = args.params[0]
     try:
         if family == "boolean":
-            p = generators.boolean_lattice(int(param))
+            p = generators.boolean_lattice(_numeral(param))
         elif family == "chainprod":
-            p = generators.chain_product([int(x) for x in param.split(",")])
+            p = generators.chain_product([_numeral(x) for x in param.split(",")])
         elif family == "partition":
-            p = generators.partition_lattice(int(param))
+            p = generators.partition_lattice(_numeral(param))
         elif family == "graphic":
             with open(param, encoding="utf-8") as fh:
                 graph = generators.Graph.from_edge_list_text(fh.read())

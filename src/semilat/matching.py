@@ -94,7 +94,9 @@ def _match(p: Poset, C: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """pi and the witnesses by index, shapes (P, n) and (P, n, 2), for the
     P pairs of maximal index chains of equal length n in the rows of C and
     D, shape (P, n+1), of a validated poset, so no join sentinel is read.
-    The pairs are matched in blocks of about sl._BLOCK join-matrix entries.
+    The pairs are matched in blocks of about sl._BLOCK join-matrix entries,
+    each join read through `sl._join_of`, which builds the join table only
+    when that is cheaper than the batch's P (n+1)^2 join-matrix reads.
 
     M is checked by one rank law: row 0 is d; row i starts at c_i, rises in
     the order from row i-1 and along itself, and has the heights
@@ -102,7 +104,7 @@ def _match(p: Poset, C: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, np.ndarr
     (Czédli and Schmidt), so its steps are covers or repeats and pi is a
     permutation.  The first (pair, row) failing a check or its witness raises
     InternalInvariantError, the checks of a row in the order listed below."""
-    J, leq, h = sl._joins(p), p._leq.ravel(), p._view()[2]
+    leq, h = p._leq.ravel(), p._view()[2]
     P, m = C.shape
     n, size = m - 1, len(p)
     pi = np.empty((P, n), dtype=np.intp)
@@ -113,7 +115,7 @@ def _match(p: Poset, C: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, np.ndarr
     for start in range(0, P, block):
         c, d = C[start:start + block], D[start:start + block]
         ks = np.arange(len(c))[:, None, None]
-        M = J[c[:, :, None], d[:, None, :]]
+        M = sl._join_of(p, c[:, :, None], d[:, None, :], reads=P * m * m)
         prev, row = M[:, :-1], M[:, 1:]   # rows i-1 and i, for i = 1..n
         j = (row == prev).argmax(axis=2)   # pi(i): the least j with c_i <= c_{i-1} ∨ d_j
         jj = j[:, :, None] + _STEP   # (j-1, j); j = 0 reads column -1, but breaks the law first
@@ -128,7 +130,8 @@ def _match(p: Poset, C: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, np.ndarr
             # The rank law: h(c_i ∨ d_j) = j + #{k <= i : pi(k) > j}.
             (h[row] != cols + np.cumsum(j[:, :, None] > cols, axis=1),),
             # The witness (x, y) against both intervals: a∨x = e∨x = x, b∨x = f∨x = y.
-            (xy[:, :, 0] == xy[:, :, 1], J[ab, xy[:, :, :1]] != xy, J[ef, xy[:, :, :1]] != xy),
+            (xy[:, :, 0] == xy[:, :, 1], sl._join_of(p, ab, xy[:, :, :1]) != xy,
+             sl._join_of(p, ef, xy[:, :, :1]) != xy),
         )
         if np.count_nonzero(first_row) or any(map(np.count_nonzero, sum(checks, ()))):
             # The first failing (pair, row), row 0 first, and the first check it fails.
@@ -153,7 +156,7 @@ def _match(p: Poset, C: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, np.ndarr
 def _frames(p: Poset, c: np.ndarray, d: np.ndarray, pi: tuple) -> tuple[RecursionFrame, ...]:
     """The `--trace` frames of one matched pair of index chains, read off
     its join matrix."""
-    M = sl._joins(p)[np.ix_(c, d)].tolist()
+    M = sl._join_of(p, c[:, None], d[None, :]).tolist()
     names = p.elements
     frames = []
     for k in range(len(c) - 2):

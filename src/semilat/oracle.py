@@ -159,10 +159,11 @@ class TheoremReport:
 
 
 def _poset_preconditions(p: Poset) -> str | None:
-    """Why p is not a semimodular join semilattice with bounds, or None."""
-    ok, pair = sl.is_join_semilattice(p)
-    if not ok:
-        return f"not a join semilattice: no join for {pair}"
+    """Why p is not a semimodular join semilattice with bounds, or None.
+    Joins are decided on every pair, by the full join table."""
+    first_bad = sl._table(p)[1]
+    if first_bad is not None:
+        return f"not a join semilattice: no join for {tuple(p.elements[i] for i in first_bad)}"
     report = sl.is_semimodular(p)
     if not report.holds:
         return f"not semimodular: counterexample {report.counterexample}"

@@ -29,9 +29,10 @@ from .errors import (
     UnknownElementError,
 )
 
-# Largest poset built, checked by `_check_size`: `semilat validate` takes 0.65-0.8 s
-# and 70 MiB on a 2000-element chain (subprocess, shared 2-vCPU machine): 0.36-0.54 s
-# in the join table, under 1 ms in semimodularity, 0.01 s loading the file.
+# Largest poset built, checked by `_check_size`.  On a 2000-element chain (subprocess,
+# shared 2-vCPU machine) `semilat validate`, which builds no join table, takes
+# 0.26-0.27 s and 47 MiB, about 0.2 s of it interpreter and numpy start-up;
+# `semilat project`, whose oracle builds the n x n table, takes 0.62-0.67 s and 66 MiB.
 ELEMENT_LIMIT = 2000
 
 
@@ -137,13 +138,14 @@ class Poset:
 
     @classmethod
     def from_cover_list(cls, name: str, elements: Iterable[str],
-                        covers: Iterable[Sequence[str]]) -> "Poset":
+                        covers: Iterable[Sequence[str]], *, json_pairs: bool = False) -> "Poset":
         """Build a poset from its elements and its cover edges.
 
         The edges must be exactly the covers of the order they generate: an
         edge implied by others is refused, so a DAG is reduced to its covers
         before it is read.  More than ELEMENT_LIMIT elements raise
-        SizeLimitError before any matrix is built.
+        SizeLimitError before any matrix is built.  With `json_pairs`, as
+        `from_dict` reads a file, each cover must be a list of two items.
         """
         elems = list(elements)
         if not elems:
@@ -163,6 +165,8 @@ class Poset:
         succ: list[list[int]] = [[] for _ in range(n)]
         get = index.get
         for pair in covers:
+            if json_pairs and not (isinstance(pair, list) and len(pair) == 2):
+                raise PosetConstructionError(_PAIRS)
             try:
                 a, b = pair
             except (TypeError, ValueError):
@@ -379,15 +383,26 @@ def _fields(data, what: str, error: type, *fields: str) -> list:
     return [data[field] for field in ("name", *fields)]
 
 
+_PAIRS = "field 'covers' must be an array of [lower, upper] pairs"
+
+
 def from_dict(data: dict) -> Poset:
-    """Inverse of Poset.to_dict; validates the JSON object shape."""
+    """Inverse of Poset.to_dict; validates the JSON object shape.
+
+    The covers are walked once, by the build.  A cover that is not a list of
+    two items is the first error reported, so any failure of the build looks
+    for one before it is raised."""
     name, elements, covers = _fields(data, "poset", PosetConstructionError, "elements", "covers")
     if not isinstance(elements, list):
         raise PosetConstructionError("field 'elements' must be an array of strings")
-    if not isinstance(covers, list) or any(
-            not isinstance(c, list) or len(c) != 2 for c in covers):
-        raise PosetConstructionError("field 'covers' must be an array of [lower, upper] pairs")
-    return Poset.from_cover_list(name, elements, covers)
+    if not isinstance(covers, list):
+        raise PosetConstructionError(_PAIRS)
+    try:
+        return Poset.from_cover_list(name, elements, covers, json_pairs=True)
+    except (PosetConstructionError, SizeLimitError):
+        if not all(isinstance(c, list) and len(c) == 2 for c in covers):
+            raise PosetConstructionError(_PAIRS) from None
+        raise
 
 
 def load_poset(path: str) -> Poset:

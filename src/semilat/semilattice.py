@@ -1,9 +1,27 @@
 """Joins, meets, the semimodularity law, and maximal chains walked, counted
 and tested by index, with element names built only for the chains returned.
 
-The law is decided on pairs of upper covers of one element (Birkhoff's local
-form); a scan of every (cover pair, element) entry runs only on a failure, to
-name the first counterexample."""
+Joins are computed only where they are read.  Up-set i is kept once per
+poset as packed words in rank order, and i ∨ j is the rank-least common
+upper bound of i and j when its up-set is all of theirs.  `_join_of` reads
+index arrays from the n x n join table when that is cached, small or
+cheaper than the reads, and from the packed up-sets otherwise; scalar
+`join` reads Python-int up-sets.  Beyond that, only the oracle, `meet` and
+the failure paths below build the table.
+
+Being a join semilattice is decided locally: a finite poset is a join
+semilattice iff every two upper covers of one element have a join, and
+every two minimal elements have a join.  Proof: adjoin a bottom ⊥, whose
+upper covers are the minimal elements, and use downward induction on a
+common lower bound z of i and j.  Take covers u ≤ i and v ≤ j of z.  If
+u = v, apply the induction at u.  Otherwise w = u∨v, p = i∨w (common lower
+bound u > z), q = j∨w (common lower bound v > z) and r = p∨q exist.  Every
+common upper bound of i and j lies above u, v, w, p, q and r, so r = i∨j.
+The semimodularity law is decided on the same pairs of upper covers
+(Birkhoff's local form).  Only when either test fails is the table built,
+to name the same first offending pair, or the first counterexample by a
+scan of every (cover pair, element) entry.
+"""
 
 from __future__ import annotations
 
@@ -34,11 +52,33 @@ PAIR_LIMIT = 50_000
 CHAIN_LIMIT = 100_000
 
 # The one bound, in entries, on the numpy temporaries of each block of the join
-# table, the counterexample scan (run only when the law fails), the matcher and
-# the oracle's cell scan.  At 2^16 the first two took 1.35-1.6x as long on Pi6,
-# C4x4x4x4 and C300, and the last two stayed within 5% (medians of 15 runs,
-# shared 2-vCPU Xeon).
+# table, of `_join_of` on the packed up-sets, of the counterexample scan (run only
+# when the law fails), the matcher and the oracle's cell scan.  The table is read
+# by the oracle, by `meet`, by the failure paths, and by `_join_of` when it is
+# small or cheaper than the reads.  At 2^16 the table and the scan took
+# 1.35-1.6x as long on Pi6, C4x4x4x4 and C300, and the matcher and the cell
+# scan stayed within 5% (medians of 15 runs, shared 2-vCPU Xeon).
 _BLOCK = 2 ** 14
+
+# The most pairs of a join table built as soon as a join is read (n <= 90): such a
+# table takes at most about 0.2 ms (B6, 2,080 pairs: 0.09 ms), about what a job's
+# few `_join_of` calls on the packed up-sets cost at 16 us each before their reads,
+# while C5x5x5's 7,875 pairs take 0.48 ms (in-process, shared 2-vCPU machine).
+_SMALL_TABLE = 2 ** 12
+
+
+def _up_words(p: Poset) -> np.ndarray:
+    """Up-set i of p as row i of uint64 words, bit r set when the r-th element
+    by rank is above i; cached, and read by the table and by `_join_of`."""
+    words = p._cache.get("up_words")
+    if words is None:
+        n, w = len(p), -(-len(p) // 64)
+        by_rank = np.zeros((n, 64 * w), dtype=bool)   # C order, whole words
+        by_rank[:, :n] = p._leq[:, p._view()[1]]
+        words = np.packbits(by_rank, axis=1, bitorder="little").view("<u8")
+        p._cache["up_words"] = words
+    return words
+
 
 def _table(p: Poset) -> tuple[np.ndarray, tuple[int, int] | None]:
     """The least-upper-bound table of p, cached, as an n x n int32 array
@@ -46,18 +86,15 @@ def _table(p: Poset) -> tuple[np.ndarray, tuple[int, int] | None]:
     over the upper triangle, at which it fails.
 
     Of the common upper bounds of i and j, the first in the rank order is the
-    lub exactly when its up-set is all of them.  Up-set i is a row of uint64
-    words, bit r set when the r-th element by rank is above i; one AND per word
-    gives a block of pairs popcounts to sum and a lowest set bit to find first.
+    lub exactly when its up-set is all of them.  One AND per word of two
+    `_up_words` rows gives a block of pairs popcounts to sum and a lowest set
+    bit to find first.
     """
     if "join" in _poset(p)._cache:
         return p._cache["join"]
-    leq, order = p._leq, p._view()[1]
-    n, w = len(p), -(-len(p) // 64)
-    up_size = leq.sum(axis=1)
-    by_rank = np.zeros((n, 64 * w), dtype=bool)   # C order, whole words
-    by_rank[:, :n] = leq[:, order]
-    words = np.packbits(by_rank, axis=1, bitorder="little").view("<u8")
+    words, order = _up_words(p), p._view()[1]
+    n, w = words.shape[0], words.shape[1]
+    up_size = p._leq.sum(axis=1)
     table = np.empty((n, n), dtype=np.int32)
     step = max(1, _BLOCK // n)
     for s in range(0, n, step):   # rows s:s+step against rows s:, then mirrored
@@ -80,15 +117,71 @@ def _table(p: Poset) -> tuple[np.ndarray, tuple[int, int] | None]:
     return p._cache["join"]
 
 
+def _table_is_cheaper(p: Poset, reads: int) -> bool:
+    """Whether building the join table costs less than `reads` joins off the
+    packed up-sets: it is small, n(n+1)/2 <= _SMALL_TABLE, or the reads reach
+    half its pairs, since a packed join costs 1.3-1.8x a table entry
+    (C4x4x4x4 to C2000, measured on a shared 2-vCPU machine)."""
+    pairs = len(p) * (len(p) + 1) // 2
+    return pairs <= _SMALL_TABLE or 2 * reads >= pairs
+
+
+def _join_of(p: Poset, a, b, reads: int | None = None) -> np.ndarray:
+    """The joins a ∨ b of the index arrays a and b, broadcast together, as
+    int32 with the table's sentinels.
+
+    Gathered from the table when it is cached, and built first when that is
+    cheaper than `reads` (by default the broadcast size) packed joins.
+    Otherwise each pair's rank-least common upper bound is read off the AND
+    of its two `_up_words` rows, in blocks of about _BLOCK words, and kept
+    when its own row equals that AND.
+    """
+    cached = p._cache.get("join")
+    if cached is None:
+        if not _table_is_cheaper(p, reads or np.broadcast(a, b).size):
+            a, b = np.broadcast_arrays(a, b)
+            return _packed_joins(p, a.ravel(), b.ravel()).reshape(a.shape)
+        cached = _table(p)
+    return cached[0][a, b]
+
+
+def _packed_joins(p: Poset, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`_join_of` on the packed up-sets, for flat index arrays a and b."""
+    words, order = _up_words(p), p._view()[1]
+    out = np.empty(len(a), dtype=np.int32)
+    step = max(1, _BLOCK // words.shape[1])
+    for s in range(0, len(a), step):
+        both = words[a[s:s + step]] & words[b[s:s + step]]
+        rows = np.arange(len(both))
+        at = (both != 0).argmax(axis=1)   # the first nonzero word, 0 if none
+        first = both[rows, at]
+        found = first != 0   # a common upper bound; else the rank read below is dropped
+        first[~found] = 1
+        cand = order[64 * at + np.bitwise_count(first ^ (first - 1)) - 1]
+        lub = (words[cand] == both).all(axis=1)
+        out[s:s + step] = np.where(found, np.where(lub, cand, _AMBIGUOUS), _NONE)
+    return out
+
+
+def _up_ints(p: Poset) -> tuple[list[int], list[int]]:
+    """The `_up_words` rows of p as Python ints, and the rank order; cached."""
+    if "up_ints" not in p._cache:
+        words = _up_words(p)
+        rows = words.view(f"V{8 * words.shape[1]}").ravel().tolist()   # a bytes object per row
+        p._cache["up_ints"] = (list(map(int.from_bytes, rows, repeat("little"))),
+                               p._view()[1].tolist())
+    return p._cache["up_ints"]
+
+
 def _no_join(p: Poset, a: str, b: str, sentinel: int) -> NoJoinError:
     what = "no common upper bound" if sentinel == _NONE else "several minimal common upper bounds"
     return NoJoinError(f"{what} for ({a}, {b}) in {p.name!r}")
 
 
 def _joins(p: Poset) -> np.ndarray:
-    """The join table of p by index, for whole-row reads.  Raises NoJoinError
-    for the first failing pair unless p is a join semilattice, so no caller
-    reads a sentinel as an element."""
+    """The join table of p by index, for the oracle's whole-row reads.  Raises
+    NoJoinError for the first failing pair unless p is a join semilattice, so
+    no caller reads a sentinel as an element."""
     table, first_bad = _table(p)
     if first_bad is not None:
         i, j = first_bad
@@ -98,9 +191,13 @@ def _joins(p: Poset) -> np.ndarray:
 
 def join(p: Poset, a: str, b: str) -> str:
     """Least upper bound of a and b."""
-    v = _table(p)[0][p.index(a), p.index(b)]
-    if v < 0:
-        raise _no_join(p, a, b, v)
+    ups, order = _up_ints(_poset(p))
+    common = ups[p.index(a)] & ups[p.index(b)]
+    if not common:
+        raise _no_join(p, a, b, _NONE)
+    v = order[(common & -common).bit_length() - 1]
+    if ups[v] != common:
+        raise _no_join(p, a, b, _AMBIGUOUS)
     return p.elements[v]
 
 
@@ -114,13 +211,44 @@ def meet(p: Poset, a: str, b: str) -> str | None:
     return None if v < 0 else p.elements[v]
 
 
+def _cover_joins(p: Poset) -> tuple[np.ndarray, np.ndarray]:
+    """Every two upper covers of one element, each pair once, as the rows of an
+    (m, 2) index array, and their joins by `_join_of`; cached."""
+    if "cover_joins" not in p._cache:
+        pairs = np.fromiter(chain.from_iterable(chain.from_iterable(
+            map(combinations, p._view()[0], repeat(2)))), dtype=np.intp).reshape(-1, 2)
+        p._cache["cover_joins"] = pairs, _join_of(p, pairs[:, 0], pairs[:, 1])
+    return p._cache["cover_joins"]
+
+
 def is_join_semilattice(p: Poset) -> tuple[bool, tuple[str, str] | None]:
-    """Whether every pair has a join; on failure also the first offending pair."""
-    _, first_bad = _table(p)
-    if first_bad is None:
-        return True, None
-    i, j = first_bad
-    return False, (p.elements[i], p.elements[j])
+    """Whether every pair has a join; on failure also the first offending pair,
+    row-major over the join table; cached.
+
+    Decided on every two upper covers of one element and every two minimal
+    elements (see the module docstring), unless the table is at hand or
+    cheaper than their joins.  Only a failure builds the table, to name the
+    pair, and a failure the table does not see raises InternalInvariantError.
+    """
+    cached = _poset(p)._cache.get("join_semilattice")
+    if cached is not None:
+        return cached
+    covers = _cover_joins(p)[1]
+    minimal = np.flatnonzero(p._view()[2] == 0)   # height 0
+    m = len(minimal)
+    if "join" in p._cache or _table_is_cheaper(p, len(covers) + m * (m - 1) // 2):
+        first_bad = _table(p)[1]
+    elif (covers >= 0).all() and (
+            _join_of(p, *minimal[np.vstack(np.triu_indices(m, 1))]) >= 0).all():
+        first_bad = None
+    else:
+        first_bad = _table(p)[1]
+        if first_bad is None:
+            raise InternalInvariantError(f"{p.name!r} lacks a join of two upper covers or of "
+                                         "two minimal elements, yet every pair has a join")
+    names = None if first_bad is None else (p.elements[first_bad[0]], p.elements[first_bad[1]])
+    p._cache["join_semilattice"] = first_bad is None, names
+    return p._cache["join_semilattice"]
 
 
 @dataclass(frozen=True)
@@ -152,20 +280,17 @@ def is_semimodular(p: Poset) -> SemimodularityReport:
     ok, pair = is_join_semilattice(p)
     if not ok:
         raise NotJoinSemilatticeError(pair)
-    table, _ = _table(p)
-    pairs = np.fromiter(chain.from_iterable(chain.from_iterable(
-        map(combinations, p._view()[0], repeat(2)))), dtype=np.intp).reshape(-1, 2)
+    pairs, bc = _cover_joins(p)
     b, c = pairs.T   # two upper covers of one element, each pair once
-    bc = table[b, c]
     holds = bool((p._covers[b, bc] & p._covers[c, bc]).all())
-    p._cache["semimodular"] = SemimodularityReport(True) if holds else _counterexample(p, table)
+    p._cache["semimodular"] = SemimodularityReport(True) if holds else _counterexample(p)
     return p._cache["semimodular"]
 
 
-def _counterexample(p: Poset, table: np.ndarray) -> SemimodularityReport:
+def _counterexample(p: Poset) -> SemimodularityReport:
     """The first triple (a, b, c) breaking the law, cover pairs (a, b) in row-major
     order against every c in turn, in blocks of at most _BLOCK entries."""
-    n = len(p)
+    n, table = len(p), _table(p)[0]
     lo, hi = p._cover_index()
     covers = p._covers.ravel()   # covers[u * n + v]: one flat gather; u * n + v < n^2 fits int32
     step = max(1, _BLOCK // n)

@@ -350,6 +350,28 @@ class TestExitCodes:
             code, _, _ = run_cli("validate", path)
             assert code == 1
 
+    @pytest.mark.parametrize("argv", [["validate", "--json"], ["match", "--json"],
+                                      ["export-dot", "--witnesses"]])
+    def test_no_join_table_where_no_oracle_reads_it(self, run_cli, tmp_path, monkeypatch, argv):
+        """On C4x4x4x4 (256 elements, a table of 32,896 pairs) the local tests
+        and the matcher read their joins off the packed up-sets."""
+        path, loaded = str(tmp_path / "c4.json"), []
+        assert run_cli("gen", "chainprod", "4,4,4,4", "-o", path)[0] == 0
+
+        def load(path):
+            loaded.append(poset.load_poset(path))
+            return loaded[-1]
+
+        monkeypatch.setattr(cli, "load_poset", load)
+        pair = [] if argv[0] == "validate" else [
+            "--chain-a", "0.0.0.0,1.0.0.0,2.0.0.0,3.0.0.0,3.1.0.0,3.2.0.0,3.3.0.0,"
+                         "3.3.1.0,3.3.2.0,3.3.3.0,3.3.3.1,3.3.3.2,3.3.3.3",
+            "--chain-b", "0.0.0.0,0.0.0.1,0.0.0.2,0.0.0.3,0.0.1.3,0.0.2.3,0.0.3.3,"
+                         "0.1.3.3,0.2.3.3,0.3.3.3,1.3.3.3,2.3.3.3,3.3.3.3"]
+        assert run_cli(argv[0], path, *pair, argv[1])[0] == 0
+        (p,) = loaded
+        assert len(p) == 256 and p._cache["semimodular"].holds and "join" not in p._cache
+
     def test_cover_endpoint_that_is_not_a_name(self, run_cli, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"name": "p", "elements": ["a", "b"],
@@ -520,6 +542,21 @@ class TestGen:
         assert code == 2
         code, _, _ = run_cli("gen", "boolean", "11", "-o", str(tmp_path / "x.json"))
         assert code == 2
+
+    @pytest.mark.parametrize("family, param, message", [
+        ("boolean", "٣", "expected an integer in ASCII digits, got '٣'"),
+        ("boolean", "+3", "expected an integer in ASCII digits, got '+3'"),
+        ("partition", "3 ", "expected an integer in ASCII digits, got '3 '"),
+        ("chainprod", "2,,3", "expected an integer in ASCII digits, got ''"),
+        ("boolean", "9" * 5000, "integers are limited to 4300 digits, got 5000"),
+        ("chainprod", "2," + "9" * 5000, "integers are limited to 4300 digits, got 5000"),
+        ("boolean", "-3", "boolean lattice needs n >= 0, got -3"),
+    ], ids=["arabic-indic", "plus", "space", "empty", "5000-digits", "5000-digit-factor", "minus"])
+    def test_numerals_are_ascii_digits(self, run_cli, tmp_path, family, param, message):
+        out = tmp_path / "g.json"
+        code, stdout, err = run_cli("gen", family, param, "-o", str(out))
+        assert (code, stdout, out.exists()) == (2, "", False)
+        assert err == f"error: bad parameters for family {family!r}: {message}\n"
 
     @pytest.mark.parametrize("family, params", [("boolean", []), ("boolean", ["2", "3"]),
                                                 ("counter", ["n5", "n5"])])

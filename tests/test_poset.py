@@ -390,6 +390,19 @@ class TestSerialization:
         with pytest.raises(PosetConstructionError):
             from_dict({"name": "x", "elements": ["a"], "covers": [["a"]]})
 
+    @pytest.mark.parametrize("elements, covers", [
+        (["a", ""], [["a", "b"], ["a", "b", "c"]]),   # a bad element name, then a 3-name cover
+        (["a", "b"], [["a", "z"], ["a"]]),   # an unknown endpoint, then a 1-name cover
+        (["a", "b"], [["b", "a"], ["a", "b"], 7]),   # a cycle, then a number
+        (["a", "b"] * 1001, [["a", "b"], ["a", "b", "c"]]),   # past the size guard
+        (["a", "b"], ["ab"]),   # two names, but not in a list
+        (["a", "b"], [{"a": 0, "b": 1}]),
+    ], ids=["element", "endpoint", "cycle", "size", "string", "object"])
+    def test_a_cover_that_is_no_pair_is_the_first_error(self, elements, covers):
+        with pytest.raises(PosetConstructionError, match=r"^field 'covers' must be an array "
+                                                         r"of \[lower, upper\] pairs$"):
+            from_dict({"name": "x", "elements": elements, "covers": covers})
+
     def test_leq_matrix_is_frozen(self):
         with pytest.raises(ValueError):
             B2._leq[0, 0] = False

@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import json
 import math
+from itertools import combinations_with_replacement
 from pathlib import Path
 from unittest import mock
 
@@ -122,8 +123,27 @@ def scalar_counterexample(p):
     return None
 
 
+def full_table_answers(p):
+    """`is_join_semilattice` and `is_semimodular` on a copy of p as the full join
+    table gives them: its first failing pair, and the first triple of the scan
+    of every (cover pair, element) entry, or None when p is no join semilattice."""
+    q = from_dict(p.to_dict())
+    first_bad = sl._table(q)[1]
+    if first_bad is not None:
+        return (False, tuple(q.elements[k] for k in first_bad)), None
+    try:
+        return (True, None), sl._counterexample(q)
+    except InternalInvariantError:   # no triple breaks the law
+        return (True, None), SemimodularityReport(True)
+
+
 BOWTIE = Poset.from_cover_list(
     "bowtie", ["a", "b", "c", "d"], [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
+# a, b < c, d < t: the upper covers of each element have joins; only the two
+# minimal elements have none.
+BOWTIE_TOP = Poset.from_cover_list(
+    "bowtie+top", ["a", "b", "c", "d", "t"],
+    [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "t"), ("d", "t")])
 _CHAIN = [f"c{k:02d}" for k in range(70)]
 CHAIN_BOWTIE = Poset.from_cover_list(
     "chain+bowtie", _CHAIN + ["x0", "x1", "y0", "y1"],
@@ -155,6 +175,69 @@ class TestBoundTables:
         first_bad = reference_bounds(p._leq.tolist())[1]
         assert ok == (first_bad is None)
         assert pair == (None if ok else tuple(p.elements[k] for k in first_bad))
+
+    @GENERATED
+    @given(st.one_of(posets(), join_semilattices()), st.sampled_from([0, sl._SMALL_TABLE]),
+           st.sampled_from([1, 7, sl._BLOCK]))
+    def test_local_decision_equals_the_full_table(self, p, small, block):
+        """On a fresh poset, the verdict and pair of `is_join_semilattice` and
+        the report of `is_semimodular`, decided on the local pairs with joins
+        from the packed up-sets or the table, are the full table's."""
+        with mock.patch.multiple(sl, _SMALL_TABLE=small, _BLOCK=block):
+            verdict = is_join_semilattice(p)
+            report = is_semimodular(p) if verdict[0] else None
+        assert (verdict, report) == full_table_answers(p)
+
+    def test_only_the_minimal_pair_clause_refuses(self):
+        p = from_dict(BOWTIE_TOP.to_dict())
+        with mock.patch.object(sl, "_SMALL_TABLE", 0):   # decided locally: no table at hand
+            assert (sl._cover_joins(p)[1] >= 0).all() and "join" not in p._cache
+            assert is_join_semilattice(p) == (False, ("a", "b"))
+        with pytest.raises(NotJoinSemilatticeError, match=r"\('a', 'b'\)"):
+            is_semimodular(p)
+
+    def test_a_failed_local_test_the_table_does_not_see_is_a_bug(self, monkeypatch):
+        monkeypatch.setattr(sl, "_SMALL_TABLE", 0)
+        monkeypatch.setattr(sl, "_join_of", lambda p, a, b, reads=None:
+                            np.full(np.broadcast(a, b).shape, sl._NONE))
+        with pytest.raises(InternalInvariantError, match="^'B2' lacks a join of two upper "
+                                                         "covers or of two minimal elements"):
+            is_join_semilattice(boolean_lattice(2))
+
+    def test_the_table_decides_where_it_is_cheaper(self, monkeypatch):
+        """The 11,325 pairs of the 151 minimal elements of this 200-element
+        poset are more than half the table's 20,100: the table alone decides."""
+        names, chain = [f"a{k:03d}" for k in range(150)], [f"c{k:02d}" for k in range(49)]
+        p = Poset.from_cover_list("V", names + chain + ["t"], [(a, "t") for a in names]
+                                  + list(zip(chain, chain[1:])) + [("c48", "t")])
+        packed, read = sl._packed_joins, []
+        monkeypatch.setattr(sl, "_packed_joins", lambda p, a, b: read.append(len(a)) or
+                            packed(p, a, b))
+        assert is_join_semilattice(p) == (True, None) and "join" in p._cache
+        assert sum(read) == 0   # the upper covers of one element: no pair
+
+    def test_join_of_equals_the_table(self):
+        """`_join_of` on a fresh poset, row by row and on a block of columns,
+        reads fewer than half the table's pairs, so it reads the packed
+        up-sets and builds no table; on every pair it builds and reads the table.
+        Scalar `join` reads the same values, raising where they are sentinels."""
+        for p in [*(chain_product([k]) for k in (64, 65, 128, 129)), CHAIN_BOWTIE]:
+            table, fresh, every = sl._table(from_dict(p.to_dict()))[0], from_dict(p.to_dict()), \
+                np.arange(len(p))
+            with mock.patch.multiple(sl, _SMALL_TABLE=0, _BLOCK=64):
+                for i in every:
+                    assert np.array_equal(sl._join_of(fresh, i, every), table[i]), (p.name, i)
+                assert np.array_equal(sl._join_of(fresh, every[:, None], every[:8]), table[:, :8])
+                assert "join" not in fresh._cache
+                assert np.array_equal(sl._join_of(fresh, every[:, None], every), table)
+            assert "join" in fresh._cache
+            for (i, a), (j, b) in combinations_with_replacement(enumerate(fresh.elements), 2):
+                if table[i, j] >= 0:
+                    assert join(fresh, a, b) == join(fresh, b, a) == fresh.elements[table[i, j]]
+                else:
+                    with pytest.raises(NoJoinError, match="several" if table[i, j] == sl._AMBIGUOUS
+                                       else "no common"):
+                        join(fresh, a, b)
 
     @settings(GENERATED, max_examples=8)
     @given(wide_posets())
@@ -209,9 +292,9 @@ class TestBoundTables:
 
 
 class TestOneBlockBound:
-    """`sl._BLOCK` bounds the blocks of all four blocked loops: the join table,
-    the semimodularity scan, the oracle's cell scan and the matcher.  No value
-    of it changes an answer."""
+    """`sl._BLOCK` bounds the blocks of all five blocked loops: the join table,
+    joins from the packed up-sets, the semimodularity scan, the oracle's cell
+    scan and the matcher.  No value of it changes an answer."""
 
     LATTICES = {"B4": boolean_lattice(4), "Pi4": partition_lattice(4),
                 "dual-Pi4": partition_lattice(4).dual(), "C5x5x5": chain_product([5, 5, 5]),
@@ -228,11 +311,15 @@ class TestOneBlockBound:
             except SemilatError as e:
                 return f"{type(e).__name__}: {e}"
 
+        ends = np.unique(np.r_[:12, -12:0] % len(p))   # the first and last 12 elements
+        a, b = np.repeat(ends, len(ends)), np.tile(ends, len(ends))
+        packed = sl._packed_joins(from_dict(p.to_dict()), a, b).tolist()
         table, first_bad = sl._table(p)
         report = attempt(lambda: is_semimodular(p))
         covers = np.argwhere(p._covers)[:40]
         cells = np.hstack([np.repeat(covers, len(covers), axis=0), np.tile(covers, (len(covers), 1))])
-        found = [table.tolist(), first_bad, report, attempt(lambda: _witnesses(p, cells).tolist())]
+        found = [table.tolist(), first_bad, report, attempt(lambda: _witnesses(p, cells).tolist()),
+                 packed]
         if report == SemimodularityReport(True):
             rows = np.array([[p.index(e) for e in random_maximal_chain(p, seed)]
                              for seed in range(24)])
@@ -243,7 +330,7 @@ class TestOneBlockBound:
     def test_every_blocked_loop_ignores_the_bound(self, name):
         p = self.LATTICES[name]
         expected = self.outcomes(p)
-        assert len(expected) == (4 if name in ("dual-Pi4", "bowtie") else 5)
+        assert len(expected) == (5 if name in ("dual-Pi4", "bowtie") else 6)
         for block in (1, 7, 64):
             with mock.patch.object(sl, "_BLOCK", block):
                 assert self.outcomes(p) == expected, (name, block)
