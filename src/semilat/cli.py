@@ -271,7 +271,7 @@ _NUMERAL_DIGITS = 4300
 
 
 def _numeral(text: str) -> int:
-    """The one reader of a `gen` number: an optional minus sign, then 1 to
+    """The one reader of a number in argv: an optional minus sign, then 1 to
     _NUMERAL_DIGITS ASCII digits; anything else raises ValueError."""
     digits = text[1:] if text.startswith("-") else text
     if not (digits.isascii() and digits.isdigit()):
@@ -279,6 +279,14 @@ def _numeral(text: str) -> int:
     if len(digits) > _NUMERAL_DIGITS:
         raise ValueError(f"integers are limited to {_NUMERAL_DIGITS} digits, got {len(digits)}")
     return int(text)
+
+
+def _option_numeral(text: str) -> int:
+    """An integer option's value, read by `_numeral`; argparse names the option."""
+    try:
+        return _numeral(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _cmd_gen(args) -> int:
@@ -346,10 +354,7 @@ def _cmd_group(args) -> int:
                 zip(report.series, report.factor_multisets)):
             print(f"series {idx}: {' < '.join('{' + s + '}' for s in series)}"
                   f"   factors {sorted(factors)}")
-        n = report.length
-        template = (f"pair (%d, %d): pi = [{', '.join(['%d'] * n)}]  "
-                    f"factor pairs [{', '.join(['[%d, %d]'] * n)}]  %s")
-        print("\n".join([template % tuple(row) for row in report._rows(("MISMATCH", "ok"))]))
+        print(report._text())
         print(f"factor multiset chain-independent: "
               f"{'yes' if report.multiset_independent else 'no'}")
     return OK if report.ok else VIOLATION
@@ -388,7 +393,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("chains", help="enumerate or count maximal chains")
     sp.add_argument("poset")
-    sp.add_argument("--limit", type=int, default=None)
+    sp.add_argument("--limit", type=_option_numeral, default=None)
     sp.add_argument("--count", action="store_true")
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=_cmd_chains)
@@ -412,8 +417,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("poset")
     group = sp.add_mutually_exclusive_group()
     group.add_argument("--all-pairs", action="store_true")
-    group.add_argument("--samples", type=int, default=None, metavar="K")
-    sp.add_argument("--seed", type=int, default=0)
+    group.add_argument("--samples", type=_option_numeral, default=None, metavar="K")
+    sp.add_argument("--seed", type=_option_numeral, default=0)
     sp.add_argument("--full", action="store_true", help="include per-pair reports in --json")
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=_cmd_verify)

@@ -1,8 +1,10 @@
 """Finite groups as Cayley tables: subgroup enumeration, subnormality, the
 subnormal-subgroup lattice, and composition-series matching.
 
-Subgroups are enumerated by one-element extensions, one per cyclic subgroup
-outside each subgroup.  Normal closures take one generation step from the
+Tables are checked for associativity on a generating set only (Light's
+test).  Subgroups are enumerated by canonical extension: one-element
+extensions by cyclic subgroups, each subgroup closed once, from its greedy
+generator sequence.  Normal closures take one generation step from the
 conjugates, but the subnormal lattice runs none: it decides subnormality for
 every subgroup at once from one normalizer matrix, and is read off one member
 matrix.  It is dually semimodular, so the chain matcher runs on its dual:
@@ -10,16 +12,18 @@ matrix.  It is dually semimodular, so the chain matcher runs on its dual:
 top-down a chain of the dual, and matches all its pairs in one
 `match_index_chains` call; factor orders come from the members' counts by
 index, and pi and the factors are mapped back to ascending series.  The
-report keeps the pairs as four arrays, and both output formats are written
-from one row list of them.  Factor "isomorphism" is checked as order
-equality, exact up to GROUP_ORDER_LIMIT since every factor is simple and no
-order <= 120 has two simple groups: Z_p for each prime p, and A5 for 60.
+report keeps the pairs as four arrays, and both output formats write each
+distinct (pi, factor pairs, verdict) key once, then every pair in one join.
+Factor "isomorphism" is checked as order equality, exact up to
+GROUP_ORDER_LIMIT since every factor is simple and no order <= 120 has two
+simple groups: Z_p for each prime p, and A5 for 60.
 """
 
 from __future__ import annotations
 
 import json
 import operator
+import re
 from collections.abc import Callable, Collection, Iterable, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, chain, combinations, permutations
@@ -38,7 +42,8 @@ from .matching import match_index_chains
 from .poset import (ELEMENT_LIMIT, Poset, _check_size, _fields, _int, _json_text, _Rows,
                     _save_json, _sequence, _transitive_reduction)
 
-# Validating a table takes about 0.09 s at order 120 and 0.7 s at order 240.
+# Validating a group table takes about 1.5 ms at order 120 and 5-10 ms at order 240; a
+# table that fails associativity pays the full scan, about 9 ms and 28 ms.
 GROUP_ORDER_LIMIT = 120
 
 
@@ -67,8 +72,16 @@ class Group:
 
 def group_from_table(name: str, table) -> Group:
     """Validate a Cayley table: Latin square, identity at index 0, inverses,
-    and full associativity (O(n^3), n^2 triples per numpy step).  Orders
-    above GROUP_ORDER_LIMIT are refused before any of that."""
+    and associativity.  Orders above GROUP_ORDER_LIMIT are refused before any
+    of that.
+
+    Associativity is checked on generators only (Light's test): (as)c = a(sc)
+    for every a and c, for each s of a greedy generating set.  The elements s
+    that pass are closed under products ((a(st))c = ((as)t)c = (as)(tc) =
+    a(s(tc)) = a((st)c)), and they hold the identity, so once the generators
+    pass, every element does.  On a failure, the full scan, n^2 triples per
+    numpy step, names the first failing triple (a, b, c) in lexicographic order.
+    """
     table = _sequence(table, GroupValidationError, "table must be an array of rows, got {}",
                       type(table).__name__)
     _check_order([len(table)])
@@ -96,13 +109,19 @@ def group_from_table(name: str, table) -> Group:
     one_sided = np.flatnonzero(T[T.argmin(axis=1), everyone] != 0)
     if len(one_sided):
         raise GroupValidationError(f"element {one_sided[0]} has no two-sided inverse")
-    for a in range(n):
-        # Entry (b, c) of T[T[a]] is (ab)c and of T[a][T] is a(bc).
-        bad = T[T[a]] != T[a][T]
-        if bad.any():
-            b, c = divmod(int(bad.argmax()), n)
-            raise GroupValidationError(f"associativity fails at ({a}, {b}, {c})")
-    return Group(name, table)
+    group, gens, reached = Group(name, table), [], {0}
+    while len(reached) < n:   # greedy generators: the least element not reached yet
+        gens.append(min(set(range(n)) - reached))
+        reached = _close(group, gens)
+    # Entry (a, s, c) of T[T[:, S]] is (as)c and of T[:, T[S]] is a(sc).
+    if (T[T[:, gens]] != T[:, T[gens]]).any():
+        for a in range(n):   # the first failing triple, in lexicographic order
+            # Entry (b, c) of T[T[a]] is (ab)c and of T[a][T] is a(bc).
+            bad = T[T[a]] != T[a][T]
+            if bad.any():
+                b, c = divmod(int(bad.argmax()), n)
+                raise GroupValidationError(f"associativity fails at ({a}, {b}, {c})")
+    return group
 
 
 def _group(g) -> Group:
@@ -233,49 +252,49 @@ def subgroup_name(members) -> str:
 
 
 def all_subgroups(g: Group) -> list[tuple[int, ...]]:
-    """Every subgroup, as sorted member indices, by closure of one-element extensions.
+    """Every subgroup, as sorted member indices, each closed once (canonical extension).
 
-    Each subgroup keeps the generators it was reached by.  <H, x> depends on
-    x only through <x>, and <H, hx> = <H, x> for h in H, so H is extended once
-    per distinct cyclic subgroup among its right-coset representatives.  Each
-    <x> is read once per call as the powers of x, and each extension is closed
-    from H and Hx, since H times its generators is H.  Finding more than
-    ELEMENT_LIMIT subgroups raises SizeLimitError there, before any is listed.
+    <x> is named by its cyclic id, the least element generating it, read once
+    per call as the powers of x; <H, x> depends on x only through <x>.  Every
+    subgroup K != 1 has one greedy generator sequence z_1 < ... < z_m, where
+    z_i is the least cyclic id over K minus <z_1, ..., z_(i-1)>.  H is
+    extended by a cyclic id z above its own last generator, and K = <H, z> is
+    kept only if z is the least cyclic id over K minus H: exactly when H's
+    sequence followed by z is K's.  So each subgroup is found once, from its
+    own sequence, in any finite group.  Before the closure, a z that is not
+    the least cyclic id over its coset Hz is passed over, as it would fail;
+    K is closed from H and Hz, since H times its generators is H.  Finding
+    more than ELEMENT_LIMIT subgroups raises SizeLimitError there, before any
+    is listed.
     """
     table, first = _group(g).table, {}
-    cyclic = []   # each x's <x>, as the least element generating it
+    cyclic = []   # each x's cyclic id
     for x in range(g.order):
         powers, y = {0}, x
         while y not in powers:
             powers.add(y)
             y = table[y][x]
         cyclic.append(first.setdefault(frozenset(powers), x))
-    trivial = frozenset({0})
-    gens = {trivial: ()}
-    frontier = [trivial]
-    while frontier:
-        fresh = []
-        for H in frontier:
-            done, tried = set(H), set()
-            for x in range(g.order):
-                if x in done:
-                    continue
-                new = [table[h][x] for h in H]
-                done.update(new)
-                if cyclic[x] in tried:
-                    continue
-                tried.add(cyclic[x])
-                seed = gens[H] + (x,)
-                extended = _close(g, seed, H, new)
-                if extended not in gens:
-                    if len(gens) == ELEMENT_LIMIT:
-                        raise SizeLimitError(
-                            f"subgroup enumeration is limited to {ELEMENT_LIMIT} subgroups, "
-                            f"got more than {ELEMENT_LIMIT}")
-                    gens[extended] = seed
-                    fresh.append(extended)
-        frontier = fresh
-    return sorted((tuple(sorted(H)) for H in gens), key=lambda s: (len(s), s))
+    ids = sorted(first.values())[1:]   # every cyclic id but the identity's, ascending
+    found = [(frozenset({0}), ())]   # each subgroup with its greedy generator sequence
+    for H, gens in found:
+        done = set(H)   # H and the cosets Hz seen so far
+        for z in ids[ids.index(gens[-1]) + 1 if gens else 0:]:
+            if z in done:   # in H, or in the coset of a smaller id
+                continue
+            coset = [table[h][z] for h in H]
+            done.update(coset)
+            if min(map(cyclic.__getitem__, coset)) < z:
+                continue
+            K = _close(g, gens + (z,), H, coset)
+            if min(map(cyclic.__getitem__, K - H)) < z:
+                continue
+            if len(found) == ELEMENT_LIMIT:
+                raise SizeLimitError(
+                    f"subgroup enumeration is limited to {ELEMENT_LIMIT} subgroups, "
+                    f"got more than {ELEMENT_LIMIT}")
+            found.append((K, gens + (z,)))
+    return sorted((tuple(sorted(H)) for H, _ in found), key=lambda s: (len(s), s))
 
 
 def _members(sub, ambient) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -372,6 +391,9 @@ def subnormal_lattice(g: Group) -> Poset:
 # -- composition series ------------------------------------------------------
 
 
+_PAIR_DEPTH = 2   # a pair's object in `group composition --json`: in the payload, in "pairs"
+
+
 @dataclass(frozen=True, eq=False)
 class CompositionReport:
     """Composition-series analysis of a finite group.  Pair k matches series
@@ -401,28 +423,65 @@ class CompositionReport:
         """The object `group composition --json` prints, read back from its text."""
         return json.loads(_json_text(self._payload()))
 
-    def _rows(self, verdicts) -> list[list]:
-        """Each pair's values in one flat row: series a and b, pi, the factor
-        pairs, and `verdicts[pair_equal[k]]`."""
-        rows = np.hstack((self.pair_series, self.pair_pi,
-                          self.pair_factors.reshape(len(self.pair_pi), -1))).tolist()
-        for row, equal in zip(rows, self.pair_equal.tolist()):
-            row.append(verdicts[equal])
-        return rows
+    def _pair_text(self, write: Callable[[list, list, bool], tuple[str, str, str]],
+                   sep: str) -> str:
+        """Every pair's text, joined by `sep`.  write(pi, factor_pairs, equal)
+        gives the texts before, between and after the pair's series numbers a
+        and b, from its pi, its factor pairs (flat) and its verdict, as lists;
+        it runs once per distinct key (pi, factor pairs, verdict)."""
+        count, n = self.pair_pi.shape
+        flat = self.pair_factors.reshape(count, 2 * n)
+        # A mixed radix over pi, the factor orders and the verdict.  Below
+        # GROUP_ORDER_LIMIT its largest range, at order 112 (five steps, factors
+        # up to 7), is under 10^13, far inside an int64; ravel_multi_index
+        # refuses a range past it.
+        keys = np.ravel_multi_index(
+            (*(self.pair_pi - 1).T, *flat.T, self.pair_equal.astype(np.intp)),
+            (n,) * n + (int(flat.max(initial=0)) + 1,) * (2 * n) + (2,))
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        texts = np.array([write(*key) for key in zip(self.pair_pi[first].tolist(),
+                                                     flat[first].tolist(),
+                                                     self.pair_equal[first].tolist())],
+                         dtype=object)
+        numerals = np.array(list(map(str, range(len(self.series)))), dtype=object)
+        parts = np.empty((count, 6), dtype=object)
+        parts[:, 0:5:2] = texts[inverse]
+        parts[:, 1:4:2] = numerals[self.pair_series]
+        parts[:, 5] = sep
+        return "".join(parts.ravel()[:-1].tolist())
 
     def _payload(self) -> dict:
-        """The `--json` object; its pairs are a `_Rows` of `_rows` under a
-        marker, one pair's object with the slot "%k" for value k of a row."""
-        n, k = self.length, [f"%{i}" for i in range(3 * self.length + 3)]
-        marker = {"series_a": k[0], "series_b": k[1], "pi": k[2:n + 2],
-                  "factor_pairs": [list(f) for f in zip(k[n + 2:-1:2], k[n + 3:-1:2])],
-                  "factors_equal": k[-1]}
+        """The `--json` object; its pairs are written by `_pair_text`, each
+        distinct key's text once, from one pair's object with the slot "%k"
+        for its key's value k and the slots "%a" and "%b" for its series."""
+        n, k = self.length, [f"%{i}" for i in range(3 * self.length + 1)]
+        # The slots in the order of the object's sorted fields.
+        marker = {"factor_pairs": [k[i:i + 2] for i in range(0, 2 * n, 2)],
+                  "factors_equal": k[2 * n], "pi": k[2 * n + 1:],
+                  "series_a": "%a", "series_b": "%b"}
+        before, between, after = re.split(r'"%[ab]"', _Rows.text(marker, _PAIR_DEPTH))
+        template = re.sub(r'"%\d+"', "%s", before)
+
+        def write(pi, factor_pairs, equal):
+            return template % (*factor_pairs, ("false", "true")[equal], *pi), between, after
+
         return {"group": self.group, "order": self.order, "length": self.length,
                 "series": [list(s) for s in self.series],
                 "factor_multisets": [list(m) for m in self.factor_multisets],
-                "pairs": _Rows(marker, self._rows(("false", "true"))),
+                "pairs": _Rows(None, self._pair_text(write, ",\n" + "  " * _PAIR_DEPTH)),
                 "factor_multiset_independent": self.multiset_independent,
                 "ok": self.ok}
+
+    def _text(self) -> str:
+        """The human format's pair lines, from the same keys as `_payload`."""
+        n = self.length
+        template = (f"): pi = [{', '.join(['%d'] * n)}]  "
+                    f"factor pairs [{', '.join(['[%d, %d]'] * n)}]  %s")
+
+        def write(pi, factor_pairs, equal):
+            return "pair (", ", ", template % (*pi, *factor_pairs, ("MISMATCH", "ok")[equal])
+
+        return self._pair_text(write, "\n")
 
 
 def composition_analysis(g: Group, series_a=None, series_b=None) -> CompositionReport:

@@ -138,14 +138,14 @@ class Poset:
 
     @classmethod
     def from_cover_list(cls, name: str, elements: Iterable[str],
-                        covers: Iterable[Sequence[str]], *, json_pairs: bool = False) -> "Poset":
+                        covers: Iterable[Sequence[str]]) -> "Poset":
         """Build a poset from its elements and its cover edges.
 
-        The edges must be exactly the covers of the order they generate: an
-        edge implied by others is refused, so a DAG is reduced to its covers
-        before it is read.  More than ELEMENT_LIMIT elements raise
-        SizeLimitError before any matrix is built.  With `json_pairs`, as
-        `from_dict` reads a file, each cover must be a list of two items.
+        Each edge is a list or tuple of two names, and the edges must be
+        exactly the covers of the order they generate: an edge implied by
+        others is refused, so a DAG is reduced to its covers before it is
+        read.  More than ELEMENT_LIMIT elements raise SizeLimitError before
+        any matrix is built.
         """
         elems = list(elements)
         if not elems:
@@ -165,12 +165,10 @@ class Poset:
         succ: list[list[int]] = [[] for _ in range(n)]
         get = index.get
         for pair in covers:
-            if json_pairs and not (isinstance(pair, list) and len(pair) == 2):
-                raise PosetConstructionError(_PAIRS)
-            try:
-                a, b = pair
-            except (TypeError, ValueError):
-                raise PosetConstructionError(f"cover {pair!r} is not two names") from None
+            # Not any two-item iterable: a string "ab" or a set's hash order is no cover.
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+                raise PosetConstructionError(f"cover {pair!r} is not two names")
+            a, b = pair
             i = get(a) if isinstance(a, str) else None   # no hash of a non-string
             j = get(b) if isinstance(b, str) else None
             if i is None or j is None:
@@ -391,14 +389,15 @@ def from_dict(data: dict) -> Poset:
 
     The covers are walked once, by the build.  A cover that is not a list of
     two items is the first error reported, so any failure of the build looks
-    for one before it is raised."""
+    for one before it is raised (JSON has no tuples, so the build refuses
+    exactly those covers)."""
     name, elements, covers = _fields(data, "poset", PosetConstructionError, "elements", "covers")
     if not isinstance(elements, list):
         raise PosetConstructionError("field 'elements' must be an array of strings")
     if not isinstance(covers, list):
         raise PosetConstructionError(_PAIRS)
     try:
-        return Poset.from_cover_list(name, elements, covers, json_pairs=True)
+        return Poset.from_cover_list(name, elements, covers)
     except (PosetConstructionError, SizeLimitError):
         if not all(isinstance(c, list) and len(c) == 2 for c in covers):
             raise PosetConstructionError(_PAIRS) from None
@@ -420,7 +419,9 @@ _SCALARS = {str: _encode_str, int: int.__repr__, bool: lambda b: "true" if b els
 class _Rows(NamedTuple):
     """A JSON array with an item per row: `marker`, each string "%k" in it
     replaced by value k of the row (an int or a JSON text, written by `text`
-    for the depth of the slot's line if it spans lines); no other "%"."""
+    for the depth of the slot's line if it spans lines); no other "%".  Or
+    `rows` is a str, the items' text, written for their depth and joined by
+    commas; then `marker` is unused."""
 
     marker: object
     rows: Sequence[Sequence]
@@ -453,10 +454,12 @@ def _json_text(obj, nl: str = "\n") -> str:
             return
         inner = nl + "  "
         if t is _Rows:
-            text = _json_text(o.marker, inner)
-            take = operator.itemgetter(*map(int, re.findall(r'"%(\d+)"', text)))
-            template = re.sub(r'"%\d+"', "%s", text)
-            body = ("," + inner).join([template % take(row) for row in o.rows])
+            body = o.rows
+            if type(body) is not str:
+                text = _json_text(o.marker, inner)
+                take = operator.itemgetter(*map(int, re.findall(r'"%(\d+)"', text)))
+                template = re.sub(r'"%\d+"', "%s", text)
+                body = ("," + inner).join([template % take(row) for row in body])
             out.append("[" + inner + body + nl + "]" if body else "[]")
             return
         if (t is list or t is tuple) and o:

@@ -338,6 +338,26 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("argv, option, value", [
+        (["verify", B3, "--samples", "\u0663", "--seed", "\u0661"], "--samples", "\u0663"),
+        (["verify", B3, "--samples", "3", "--seed", "\u0661"], "--seed", "\u0661"),
+        (["chains", B3, "--limit", "\uff12"], "--limit", "\uff12"),
+        (["verify", B3, "--samples", "+3"], "--samples", "+3"),
+        (["chains", B3, "--limit", " 2"], "--limit", " 2"),
+    ], ids=["arabic-indic-samples", "arabic-indic-seed", "fullwidth-limit", "plus", "space"])
+    def test_integer_options_are_ascii_digits(self, run_cli, argv, option, value):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].endswith(
+            f"error: argument {option}: expected an integer in ASCII digits, got {value!r}")
+
+    def test_integer_options_keep_their_ascii_values(self, run_cli):
+        # A negative seed is a number, not an option; values read as before.
+        code, out, _ = run_cli("verify", B3, "--samples", "3", "--seed", "-3", "--json")
+        assert code == 0
+        assert (json.loads(out)["seed"], json.loads(out)["pairs"]) == (-3, 3)
+        assert run_cli("chains", B3, "--limit", "2")[1].count("\n") == 2
+
     def test_chains_limit_zero_prints_nothing(self, run_cli):
         assert run_cli("chains", B3, "--limit", "0") == (0, "", "")
 
@@ -792,8 +812,10 @@ class TestCompositionOutput:
     """`group composition` writes both formats from the report's arrays; the
     references here read the same arrays and write with `json.dumps`."""
 
-    @pytest.mark.parametrize("name", ["Z1", "S3", "Q8", "Z12", "A4", "S4", "D12", "Z60",
-                                      "S3xZ3", "Z2xZ2xZ2", "Q8xZ2", "D4xZ2"])
+    BUILTINS = ["Z1", "S3", "Q8", "Z12", "A4", "S4", "D12", "Z60", "S3xZ3", "Z2xZ2xZ2", "Q8xZ2",
+                "D4xZ2"]
+
+    @pytest.mark.parametrize("name", BUILTINS)
     def test_json_equals_json_dumps_of_the_pairs(self, run_cli, tmp_path, name):
         """`--json` prints the reference, and `to_dict()` reads that text back."""
         path = str(tmp_path / "g.json")
@@ -805,6 +827,27 @@ class TestCompositionOutput:
         payload = report.to_dict()
         assert payload == json.loads(out)
         json.dumps(payload)   # plain JSON values only
+
+    @pytest.mark.parametrize("name", BUILTINS)
+    def test_text_equals_the_reference_text(self, run_cli, tmp_path, name):
+        path = str(tmp_path / "g.json")
+        assert run_cli("group", "builtin", name, "-o", path)[0] == 0
+        report = groups.composition_analysis(groups.load_group(path))
+        assert run_cli("group", "composition", path) == (0, reference_text(report), "")
+
+    def test_verdicts_are_part_of_the_key(self, run_cli, tmp_path, monkeypatch):
+        # Each distinct (pi, factor pairs, verdict) is written once: verdicts
+        # that alternate with pi and factors kept must be written pair by pair.
+        path = str(tmp_path / "d4z2.json")
+        assert run_cli("group", "builtin", "D4xZ2", "-o", path)[0] == 0
+        report = groups.composition_analysis(groups.load_group(path))
+        forged = replace(report, pair_equal=np.arange(len(report.pair_equal)) % 2 == 0)
+        monkeypatch.setattr(groups, "composition_analysis", lambda *args: forged)
+        assert run_cli("group", "composition", path, "--json") == (
+            1, json.dumps(reference_dict(forged), indent=2, sort_keys=True) + "\n", "")
+        code, out, _ = run_cli("group", "composition", path)
+        assert (code, out) == (1, reference_text(forged))
+        assert out.count("  MISMATCH\n") == 1425
 
     def test_explicit_series(self, run_cli):
         series = ("0,0.6,0.3.6.9,0.1.2.3.4.5.6.7.8.9.10.11",

@@ -3,7 +3,8 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -157,6 +158,47 @@ def first_associativity_failure(table):
     return None
 
 
+def first_inverse_failure(table):
+    """Reference message: the first element a whose right inverse b (a b = 0)
+    has b a != 0, found by a scalar loop."""
+    for a, row in enumerate(table):
+        if table[row.index(0)][a] != 0:
+            return f"element {a} has no two-sided inverse"
+    return None
+
+
+def reduced_latin_squares(n):
+    """Every n x n Latin square whose first row and column are 0, 1, ..., n - 1,
+    so that 0 is a two-sided identity, by backtracking over the other cells."""
+    square = [[j if i == 0 else i if j == 0 else None for j in range(n)] for i in range(n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            yield [row[:] for row in square]
+            return
+        i, j = cells[k]
+        used = set(square[i][:j]) | {square[r][j] for r in range(i)}
+        for v in range(n):
+            if v not in used:
+                square[i][j] = v
+                yield from fill(k + 1)
+        square[i][j] = None
+
+    return list(fill(0))
+
+
+def corrupted_elementary_table(k, r, c, d):
+    """Z2^k (x y is x XOR y) with the 2x2 Latin subsquare on rows r, r ^ d and
+    columns c, c ^ d swapped.  No swapped entry is 0, so it stays a Latin
+    square with the identity at 0 and the same inverses."""
+    table = [[x ^ y for y in range(1 << k)] for x in range(1 << k)]
+    assert 0 not in (r, c, d) and r ^ c not in (0, d)
+    for i in (r, r ^ d):
+        table[i][c], table[i][c ^ d] = table[i][c ^ d], table[i][c]
+    return table
+
+
 def corrupted_cyclic_table(n, a, b):
     """Z_n (n even) with one 2x2 Latin subsquare swapped: rows a, a + n/2 and
     columns b, b + n/2.  It stays a Latin square with the identity at 0 and
@@ -250,6 +292,37 @@ class TestTableValidation:
         assert str(info.value) == expected
 
 
+    def test_every_reduced_latin_square_up_to_order_5(self):
+        # Light's test on generators accepts exactly the groups, and refuses
+        # every other square with the full scan's first failing triple.
+        counts, accepted = [], 0
+        for n in range(1, 6):
+            squares = reduced_latin_squares(n)
+            counts.append(len(squares))
+            for table in squares:
+                expected = first_inverse_failure(table) or first_associativity_failure(table)
+                if expected is None:
+                    assert group_from_table("x", table).order == n
+                    accepted += 1
+                    continue
+                with pytest.raises(GroupValidationError) as info:
+                    group_from_table("x", table)
+                assert str(info.value) == expected, table
+        # The reduced Latin squares, and the groups among them: Z1, Z2, Z3,
+        # Z4 and Z2xZ2 (three and one labellings fix 0), Z5 (six labellings).
+        assert (counts, accepted) == ([1, 1, 1, 4, 56], 1 + 1 + 1 + 4 + 6)
+
+    # With d = 1 the first generator, 1, passes: a later one must refuse.
+    @pytest.mark.parametrize("r, c, d", [(1, 2, 4), (5, 9, 48), (61, 56, 1)])
+    def test_corrupted_z2_6_names_the_first_failing_triple(self, r, c, d):
+        table = corrupted_elementary_table(6, r, c, d)
+        expected = first_associativity_failure(table)
+        assert expected is not None and first_inverse_failure(table) is None
+        with pytest.raises(GroupValidationError) as info:
+            group_from_table("x", table)
+        assert str(info.value) == expected
+
+
 class TestBuiltins:
     def test_orders(self):
         for name, order in (("Z12", 12), ("A4", 12), ("S3", 6), ("S4", 24),
@@ -312,6 +385,24 @@ class TestSubgroups:
             with pytest.raises(SizeLimitError, match=message):
                 call(builtin_group("Z2xZ2xZ2xZ2xZ2xZ2"))
 
+    def test_each_subgroup_closed_once(self, monkeypatch):
+        # Canonical extension: on Z2^5 every closure is a new subgroup.
+        g = builtin_group("Z2xZ2xZ2xZ2xZ2")
+        closes, close = [], groups._close
+        monkeypatch.setattr(groups, "_close", lambda *args: closes.append(1) or close(*args))
+        subs = all_subgroups(g)
+        assert len(subs) == 374 and len(closes) <= len(subs) - 1
+
+    def test_a5_is_not_solvable_and_enumerated(self):
+        # The even permutations of five points: 59 subgroups of nine orders.
+        perms = [p for p in permutations(range(5))
+                 if sum(a > b for a, b in combinations(p, 2)) % 2 == 0]
+        g = group_from_table("A5", groups._cayley(perms, lambda p, q: tuple(p[k] for k in q)))
+        subs = all_subgroups(g)
+        assert all(g.mul(a, b) in s for s in map(set, subs) for a in s for b in s)
+        sizes = Counter(map(len, subs))
+        assert sizes == {1: 1, 2: 15, 3: 10, 4: 5, 5: 6, 6: 10, 10: 6, 12: 5, 60: 1}
+
     @settings(GENERATED, max_examples=15)
     @given(direct_products(max_order=12))
     def test_generated_against_subset_oracle(self, g):
@@ -364,13 +455,14 @@ class TestNormalClosureAndSubnormality:
 
     def test_only_the_public_call_scans_the_ambient(self, monkeypatch):
         # normal_closure scans its ambient for closure once; is_subnormal
-        # descends through generated subgroups and closes once per step.
+        # descends through generated subgroups and closes once per step.  S4
+        # is built first: validating its table closes its generators.
+        s4 = builtin_group("S4")
         closes, steps = [], []
         close, step = groups._close, groups._normal_closure
         monkeypatch.setattr(groups, "_close", lambda *args: closes.append(1) or close(*args))
         monkeypatch.setattr(groups, "_normal_closure",
                             lambda *args, **kwargs: steps.append(1) or step(*args, **kwargs))
-        s4 = builtin_group("S4")
         normal_closure(s4, (0, 1), tuple(range(24)))
         assert (len(closes), len(steps)) == (2, 1)
         for sub in all_subgroups(s4):

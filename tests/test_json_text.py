@@ -2,8 +2,9 @@
 
 Every `--json` stdout and every written poset or group file goes through
 `poset._json_text`, so it must return exactly the text `json.dumps` returns.
-A `_Rows` value (an array written from rows under one template) must read as
-the list of its items, each expanded here without the writer's template.
+A `_Rows` value (an array written from rows under one template, or from its
+items' text) must read as the list of its items, each expanded here without
+the writer's template.
 """
 
 from __future__ import annotations
@@ -40,8 +41,11 @@ def dumps(x) -> str:
 
 def expanded(x):
     """`x` with every `_Rows` replaced by its items: the marker with each
-    string "%k" read as value k of the row, an int or the value of a JSON text."""
+    string "%k" read as value k of the row, an int or the value of a JSON text;
+    or, where the rows are a str, the items that text holds."""
     if type(x) is _Rows:
+        if type(x.rows) is str:
+            return json.loads(f"[{x.rows}]")
         return [fill(x.marker, row) for row in x.rows]
     if isinstance(x, dict):
         return {k: expanded(v) for k, v in x.items()}

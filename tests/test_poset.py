@@ -95,7 +95,9 @@ class TestConstruction:
         with pytest.raises(PosetConstructionError):
             Poset.from_cover_list("x", [""], [])
 
-    @pytest.mark.parametrize("cover", [("a",), ("a", "b", "c"), 7])
+    # A two-item iterable that is not a list or tuple is no cover: "ab" would
+    # read as (a, b), and a set in its hash order.
+    @pytest.mark.parametrize("cover", [("a",), ("a", "b", "c"), 7, "ab", {"a", "b"}])
     def test_cover_that_is_not_two_names(self, cover):
         with pytest.raises(PosetConstructionError, match=r"^cover .* is not two names$"):
             Poset.from_cover_list("x", ["a", "b"], [("a", "b"), cover])
