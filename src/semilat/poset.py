@@ -460,7 +460,7 @@ def _json_text(obj, nl: str = "\n") -> str:
                 take = operator.itemgetter(*map(int, re.findall(r'"%(\d+)"', text)))
                 template = re.sub(r'"%\d+"', "%s", text)
                 body = ("," + inner).join([template % take(row) for row in body])
-            out.append("[" + inner + body + nl + "]" if body else "[]")
+            out.extend(("[", inner, body, nl, "]") if body else ("[]",))   # no copy of body
             return
         if (t is list or t is tuple) and o:
             if type(o[0]) is int and set(map(type, o)) == {int}:
