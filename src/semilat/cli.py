@@ -16,6 +16,7 @@ import functools
 import json
 import signal
 import sys
+from operator import attrgetter
 
 import numpy as np
 
@@ -208,10 +209,15 @@ def _cmd_verify(args) -> int:
     p = _load(load_poset, args.poset)
     pair_seeds = None
     # Default policy: exhaustive when the ordered-pair count is modest,
-    # otherwise 200 seeded samples.  Explicit flags override.
-    chain_count = sl.count_maximal_chains(p)
-    exhaustive = args.all_pairs or (args.samples is None and chain_count ** 2 <= 5000)
-    count = chain_count ** 2 if exhaustive else args.samples or 200
+    # otherwise 200 seeded samples.  Explicit flags override.  Drawn samples
+    # need no chain count, only the bounds it would have checked first.
+    if args.samples is not None:
+        sl._require_bounds(p)
+        exhaustive, count = False, args.samples
+    else:
+        chain_count = sl.count_maximal_chains(p)
+        exhaustive = args.all_pairs or chain_count ** 2 <= 5000
+        count = chain_count ** 2 if exhaustive else 200
     sl._check_pair_count(count)
     oracle._charge_maximal_pairs(p, count)   # before any chain is enumerated or drawn
     # The chains as index rows; pair k is (rows[first[k]], rows[second[k]]).
@@ -228,14 +234,15 @@ def _cmd_verify(args) -> int:
         first, second = np.arange(0, 2 * count, 2), np.arange(1, 2 * count, 2)
         mode = f"samples={count}"
 
-    pairs = list(zip(first.tolist(), second.tolist()))
     if len(set(map(len, rows))) == 1:
-        X = np.array(rows, dtype=np.intp)
-        reports = oracle.check_index_chains(p, X[first], X[second])
+        reports = oracle.check_index_pairs(p, np.array(rows, dtype=np.intp), first, second)
     else:   # maximal chains of two lengths: p fails the preconditions, no cell is read
         named = [[p.elements[i] for i in row] for row in rows]
-        reports = oracle.check_pairs(p, [(named[a], named[b]) for a, b in pairs])
-    failures = sum(not r.ok for r in reports)
+        reports = oracle.check_pairs(p, [(named[a], named[b])
+                                         for a, b in zip(first.tolist(), second.tolist())])
+    failures = list(map(attrgetter("ok"), reports)).count(False)
+    # The row ids of each pair, listed only where its report or failure line is written.
+    pairs = list(zip(first.tolist(), second.tolist())) if args.full or failures else []
 
     if args.json:
         _emit_json({

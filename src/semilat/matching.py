@@ -96,42 +96,53 @@ def _match(p: Poset, C: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, np.ndarr
     D, shape (P, n+1), of a validated poset, so no join sentinel is read.
     The pairs are matched in blocks of about sl._BLOCK join-matrix entries,
     each join read through `sl._join_of`, which builds the join table only
-    when that is cheaper than the batch's P (n+1)^2 join-matrix reads.
+    when that is cheaper than the batch's P (n+1)^2 join-matrix reads; the
+    reads of M and of the order are flat `np.take` gathers.
 
     M is checked by one rank law: row 0 is d; row i starts at c_i, rises in
     the order from row i-1 and along itself, and has the heights
     h(c_i ∨ d_j) = j + #{k <= i : pi(k) > j} of the slim lattice of pi
     (Czédli and Schmidt), so its steps are covers or repeats and pi is a
-    permutation.  The first (pair, row) failing a check or its witness raises
-    InternalInvariantError, the checks of a row in the order listed below."""
+    permutation.  The law is checked row by row, as
+    h(c_i ∨ d_j) - h(c_{i-1} ∨ d_j) = [pi(i) > j]: the two forms agree on
+    every row up to the first that breaks either, because row 0 is d and
+    h(d_j) = j on a maximal chain of a graded poset, which a semimodular
+    join semilattice with a bottom is.  The first (pair, row) failing a
+    check or its witness raises InternalInvariantError, the checks of a row
+    in the order listed below."""
     leq, h = p._leq.ravel(), p._view()[2]
     P, m = C.shape
     n, size = m - 1, len(p)
     pi = np.empty((P, n), dtype=np.intp)
     W = np.empty((P, n, 2), dtype=np.intp)
-    cols, rows = np.arange(m), np.arange(n)
-    steps = cols[1:, None] + _STEP   # the steps of a chain, as column pairs
+    cols = np.arange(m)
     block = max(1, sl._BLOCK // (m * m))   # pairs
     for start in range(0, P, block):
         c, d = C[start:start + block], D[start:start + block]
-        ks = np.arange(len(c))[:, None, None]
         M = sl._join_of(p, c[:, :, None], d[:, None, :], reads=P * m * m)
         prev, row = M[:, :-1], M[:, 1:]   # rows i-1 and i, for i = 1..n
         j = (row == prev).argmax(axis=2)   # pi(i): the least j with c_i <= c_{i-1} ∨ d_j
-        jj = j[:, :, None] + _STEP   # (j-1, j); j = 0 reads column -1, but breaks the law first
-        xy = prev[ks, rows[:, None], jj]   # the witness (x, y), and the steps it meets:
-        ab, ef = c[:, steps], d[ks, jj]    # [c_{i-1}, c_i] and [d_{j-1}, d_j]
+        # The flat position in M of entry j of row i-1, and in d of d_j.
+        at = np.arange(0, M.size, m * m)[:, None] + cols[:n] * m + j
+        # The witness (x, y), entries j-1 and j of row i-1, and the steps it meets,
+        # [c_{i-1}, c_i] and [d_{j-1}, d_j]; j = 0 reads one entry early, but
+        # breaks the law first.
+        xy = M.take(at[:, :, None] + _STEP)
+        x = xy[:, :, :1]
+        ef = d.take(np.arange(0, d.size, m)[:, None, None] + j[:, :, None] + _STEP)
+        ab = np.stack([c[:, :-1], c[:, 1:]], axis=2)
+        hM = h.take(M)
         first_row = M[:, 0] != d   # c_0 is the bottom
         # For each check of row i, in order, the masks whose set entries fail it.
         checks = (
             # Row i starts at c_i and rises from row i-1 and along itself.
-            (row[:, :, 0] != ab[:, :, 1], ~leq[prev * size + row],
-             ~leq[row[:, :, :-1] * size + row[:, :, 1:]]),
-            # The rank law: h(c_i ∨ d_j) = j + #{k <= i : pi(k) > j}.
-            (h[row] != cols + np.cumsum(j[:, :, None] > cols, axis=1),),
+            (row[:, :, 0] != c[:, 1:], ~leq.take(prev * size + row),
+             ~leq.take(row[:, :, :-1] * size + row[:, :, 1:])),
+            # The rank law, row by row: h(c_i ∨ d_j) - h(c_{i-1} ∨ d_j) = [pi(i) > j].
+            (hM[:, 1:] - hM[:, :-1] != (j[:, :, None] > cols),),
             # The witness (x, y) against both intervals: a∨x = e∨x = x, b∨x = f∨x = y.
-            (xy[:, :, 0] == xy[:, :, 1], sl._join_of(p, ab, xy[:, :, :1]) != xy,
-             sl._join_of(p, ef, xy[:, :, :1]) != xy),
+            (xy[:, :, 0] == xy[:, :, 1], sl._join_of(p, ab, x) != xy,
+             sl._join_of(p, ef, x) != xy),
         )
         if np.count_nonzero(first_row) or any(map(np.count_nonzero, sum(checks, ()))):
             # The first failing (pair, row), row 0 first, and the first check it fails.

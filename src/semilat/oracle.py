@@ -11,13 +11,16 @@ needs no y: a witness (x, y) for [a, b] -> [c, d] has b∨x = y, so each x
 admits exactly one candidate y, and testing every x with that y tests every
 pair (x, y).  Cells are index rows in and witness x's out; names appear only
 in the witnesses of `interval_updown_witness` and `projectivity_relation`.
-`check_index_chains`, the oracle's one entry by index, checks a whole pair
-set of index chains in one pass: the preconditions once, each distinct chain
-once, every distinct cell the pairs need in one batch of scans, evaluated in
-blocks, and the relations, cycle tests and scans of all pairs as array work
-on the step ids of their chains.  `check_pairs` is its name wrapper, and
-`check_theorem` checks one pair through it.  Nothing is cached: each call
-evaluates its own cells.
+`check_index_pairs`, the oracle's one entry by index, checks a whole pair
+set in one pass on an array of index chains and two arrays of row ids: the
+preconditions once, each row once, every distinct cell the pairs need in one
+batch of scans, evaluated in blocks, and the relations and verdicts of all
+pairs as array work on the step ids of their chains.  Uniqueness is read off
+maximality wherever it can be: a consistent permutation with no maximality
+violation has no alternating cycle, so only the pairs with a violation are
+searched for one.  `check_index_chains` is its entry on two arrays of chains
+row by row, `check_pairs` its name wrapper, and `check_theorem` checks one
+pair through it.  Nothing is cached: each call evaluates its own cells.
 The oracle reads only the `Poset`, its order and its join table: it calls
 neither the projectivity predicates nor the matcher's internals, so an
 agreement between the two is meaningful evidence.
@@ -75,7 +78,7 @@ def _witnesses(p: Poset, cells) -> np.ndarray:
     """
     cells = np.asarray(cells, dtype=np.intp).reshape(-1, 4)
     intervals = cells.reshape(-1, 2)
-    bad = np.flatnonzero(~p._covers[intervals[:, 0], intervals[:, 1]])
+    bad = np.flatnonzero(~p._covers.ravel().take(intervals[:, 0] * len(p) + intervals[:, 1]))
     if len(bad):
         lo, hi = (p.elements[i] for i in intervals[bad[0]])
         raise NotPrimeIntervalError(f"[{lo}, {hi}] is not a prime interval of {p.name!r}")
@@ -86,10 +89,15 @@ def _witnesses(p: Poset, cells) -> np.ndarray:
     step = max(1, sl._BLOCK // len(p))
     for start in range(0, len(cells), step):
         a, b, c, d = cells[start:start + step].T
-        # Cell k, column x: every condition, with y = b∨x forced.
-        mask = leq[a] & leq[c] & ~leq[b] & (J[d] == J[b])
+        # Cell k, column x: every condition, with y = b∨x forced.  Rows are
+        # gathered by `take`, at a fifth of the time of fancy indexing.
+        mask = leq.take(a, axis=0)
+        mask &= leq.take(c, axis=0)
+        mask &= ~leq.take(b, axis=0)
+        mask &= J.take(d, axis=0) == J.take(b, axis=0)
         first = mask.argmax(axis=1)
-        found[start:start + step] = np.where(mask[np.arange(len(a)), first], first, -1)
+        hit = mask.ravel().take(np.arange(0, mask.size, len(p)) + first)
+        found[start:start + step] = np.where(hit, first, -1)
     return found
 
 
@@ -197,7 +205,7 @@ def _report(pre: str | None, n: int, m: int, count: str | None = None,
 
 def check_pairs(p: Poset, pairs) -> list[TheoremReport]:
     """`check_theorem` on every chain pair, in order: the name wrapper of
-    `check_index_chains`.
+    `check_index_pairs`.
 
     The poset preconditions are checked once.  Each distinct chain is read
     into an index row and checked for maximality once, when a pair first
@@ -205,17 +213,18 @@ def check_pairs(p: Poset, pairs) -> list[TheoremReport]:
     pairs (preconditions met, equal lengths) cost n^2 cells of |p| scan steps
     each; the first pair past WORK_LIMIT in all raises SizeLimitError, before
     any cell is computed.  The evaluable pairs of each length then go to
-    `check_index_chains` as two index arrays, one call per length.  Pairs
-    with equal outcomes share one frozen report.
+    `check_index_pairs` as the index rows of their distinct chains and two
+    arrays of row ids, one call per length.  Pairs with equal outcomes share
+    one frozen report.
     """
     pairs = _sequence(pairs, PreconditionError, "pairs must be iterable, got {}",
                       type(pairs).__name__)
     poset_failure = _poset_preconditions(p)
     rows: dict[tuple[str, ...], list[int] | None] = {}   # chain -> its index row if maximal
     # Each pair's outcome, as the arguments of its `_report`, or None if it is
-    # evaluable; those of n steps are by_length[n], as (position, row, row).
+    # evaluable; those of n steps are by_length[n], as (position, chain, chain).
     outcomes: list[tuple | None] = []
-    by_length: dict[int, list[tuple[int, list, list]]] = {}
+    by_length: dict[int, list[tuple[int, tuple, tuple]]] = {}
     work, size = 0, len(p)
     for k, pair in enumerate(pairs):
         try:
@@ -233,13 +242,16 @@ def check_pairs(p: Poset, pairs) -> list[TheoremReport]:
         evaluable = pre is None and n == m
         if evaluable:
             work = _charge(work, n * n * size, [k])
-            by_length.setdefault(n, []).append((k, rows[C], rows[D]))
+            by_length.setdefault(n, []).append((k, C, D))
         outcomes.append(None if evaluable else (pre, n, m))
     reports = {outcome: _report(*outcome) for outcome in set(outcomes) - {None}}
     out = [reports.get(outcome) for outcome in outcomes]
     for group in by_length.values():
         ks, C, D = zip(*group)
-        for k, report in zip(ks, check_index_chains(p, np.array(C), np.array(D))):
+        ids: dict[tuple[str, ...], int] = {}   # chain -> its row of X
+        first, second = ([ids.setdefault(chain, len(ids)) for chain in side] for side in (C, D))
+        X = np.array([rows[chain] for chain in ids], dtype=np.intp)
+        for k, report in zip(ks, check_index_pairs(p, X, np.array(first), np.array(second))):
             out[k] = report
     return out
 
@@ -277,99 +289,143 @@ def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ranked[first], at
 
 
+def check_index_chains(p: Poset, C, D) -> list[TheoremReport]:
+    """`check_theorem` on the P pairs (row k of C, row k of D) of the integer
+    arrays C and D of index chains, shape (P, n+1), in one pass, shaped as
+    `match_index_chains` is.
+
+    p must be a Poset, and C and D integer 2-D arrays of one shape, n >= 0
+    (else PreconditionError), of indices of p (else UnknownElementError for
+    the first row outside, of C, then of D).  The distinct chains are found
+    by one sort over rows, and the pairs go to `check_index_pairs` as two
+    arrays of their ids, so each distinct chain is tested once.
+    """
+    _poset(p)
+    sl._check_index_arrays(C, D)
+    sl._check_indices(p, C, "first chain")
+    sl._check_indices(p, D, "second chain")
+    chains, at = _distinct_rows(np.vstack([C, D]).astype(np.intp))
+    return check_index_pairs(p, chains, *at.reshape(2, len(C)))
+
+
+def _check_pair_ids(X, first, second) -> None:
+    """PreconditionError unless X is an integer 2-D array of width >= 1, and
+    first and second integer 1-D arrays of one length whose entries are row
+    ids of X; the first bad pair is named."""
+    if not (isinstance(X, np.ndarray) and X.dtype.kind in "iu" and X.ndim == 2 and X.shape[1]):
+        raise PreconditionError("X must be an integer array of shape (R, n+1), n >= 0")
+    if not (all(isinstance(k, np.ndarray) and k.dtype.kind in "iu" and k.ndim == 1
+                for k in (first, second)) and first.shape == second.shape):
+        raise PreconditionError("first and second must be integer arrays of one shape (P,)")
+    outside = (first < 0) | (first >= len(X)) | (second < 0) | (second >= len(X))
+    if outside.any():
+        raise PreconditionError(f"pair {int(outside.argmax())} names a row outside "
+                                f"0..{len(X) - 1} of X")
+
+
 # The unique-permutation verdicts of evaluated pairs, by code: pi outside the
 # relation, pi inside it with no alternating cycle, and with one.
 _COUNTS = ("not decided", "1", "at least 2")
 
 
-def check_index_chains(p: Poset, C, D) -> list[TheoremReport]:
-    """`check_theorem` on the P pairs (row k of C, row k of D) of the integer
-    arrays C and D of index chains, shape (P, n+1), in one pass: the oracle's
-    entry by index, as `match_index_chains` is the matcher's.
+def check_index_pairs(p: Poset, X, first, second) -> list[TheoremReport]:
+    """`check_theorem` on the P pairs (row first[k] of X, row second[k] of X)
+    of the integer array X of index chains, shape (R, n+1), in one pass: the
+    oracle's entry by index.  Rows may repeat, and a row may serve many pairs.
 
-    p must be a Poset, and C and D integer 2-D arrays of one shape, n >= 0
-    (else PreconditionError), of indices of p (else UnknownElementError for
-    the first row outside, of C, then of D).  Whether p is a semimodular join
-    semilattice with bounds and whether each chain is maximal are reported,
-    not raised; the distinct chains are found by one sort over rows and
-    tested once each.  The evaluable pairs (both chains maximal) cost n^2
-    cells of |p| scan steps each; past WORK_LIMIT in all, SizeLimitError
+    p must be a Poset; X an integer 2-D array, n >= 0, and first and second
+    integer 1-D arrays of one length, of row ids of X (else
+    PreconditionError); X must hold indices of p (else UnknownElementError
+    for its first row outside).  Whether p is a semimodular join semilattice
+    with bounds and whether each row is maximal are reported, not raised;
+    each row is tested once.  The evaluable pairs (both chains maximal) cost
+    n^2 cells of |p| scan steps each; past WORK_LIMIT in all, SizeLimitError
     names the first pair past it before any cell is computed.
 
     Each evaluable pair is then decided as arrays on the step ids of its
     chains: every relation cell the pairs need is evaluated in one batch into
-    a step-by-step hit matrix, each pair's relation is read from it, and the
-    computed permutations come from one `match_index_chains` call.  Each pi
-    is checked, not trusted: "matching count 1" needs a permutation inside
-    the relation and no alternating cycle, "at least 2" means such a pi with
-    a cycle, and "not decided" a pi outside the relation.  Pairs with equal
-    outcomes share one frozen report; only a pair with maximality violations
-    has its own.
+    a step-by-step hit matrix, each pair's relation R is read from it, and
+    the computed permutations come from one `match_index_chains` call.  Each
+    pi is checked, not trusted: pi outside the relation is "not decided"; pi
+    inside it is a perfect matching, and the relation has a second one
+    exactly when rows can pass their columns round an alternating cycle
+    ("at least 2"; else "1").  Maximality decides that cycle for most pairs:
+    if no related j of any row i exceeds pi(i), a hand-on i -> l (i related
+    to pi(l), l != i) has pi(l) <= pi(i), so pi(l) < pi(i), as pi is one to
+    one; pi falls strictly along every hand-on, so no hand-ons close a cycle
+    and the count is 1.  Only a consistent pair with a maximality violation
+    is peeled for a cycle.  Pairs with equal outcomes share one frozen
+    report; only a pair with maximality violations has its own.
     """
     size = len(_poset(p))
-    sl._check_index_arrays(C, D)
-    sl._check_indices(p, C, "first chain")
-    sl._check_indices(p, D, "second chain")
-    P, n = len(C), C.shape[1] - 1
+    _check_pair_ids(X, first, second)
+    sl._check_indices(p, X, "chain")
+    P, n = len(first), X.shape[1] - 1
     pre = _poset_preconditions(p)
     if pre is not None:
         return [_report(pre, n, n)] * P
-    chains, at = _distinct_rows(np.vstack([C, D]).astype(np.intp))
-    at = at.reshape(2, P)   # row k of C is chains[at[0, k]], row k of D chains[at[1, k]]
-    maximal = sl._maximal_rows(p, chains)
-    first, second = maximal[at]
-    ev = np.flatnonzero(first & second)   # the evaluable pairs
+    X = X.astype(np.intp, copy=False)
+    maximal = sl._maximal_rows(p, X)
+    a, b = maximal[first], maximal[second]
+    ev = np.flatnonzero(a & b)   # the evaluable pairs
     _charge(0, n * n * size, ev)
     # Each pair's outcome, by code: a chain not maximal, the first or the
     # second, or evaluated with the verdict _COUNTS[code - 2].
     outcomes = [("first chain is not maximal", n, n), ("second chain is not maximal", n, n),
                 *((None, n, n, count, count != _COUNTS[0]) for count in _COUNTS)]
-    code = np.where(first, np.where(second, 2, 1), 0)
+    code = np.where(a, np.where(b, 2, 1), 0)
 
-    # The steps of the maximal chains, numbered: step s ends at ends[s], and
-    # cs[e, i, 0] is the id of step i of evaluable pair e's first chain,
-    # ds[e, 0, j] that of step j of its second.
-    steps = chains[:, :-1] * size + chains[:, 1:]
+    # The steps of the maximal rows, numbered: step s ends at ends[s].  The
+    # evaluable pairs run along the last axis: cs[i, e] is the id of step i
+    # of pair e's first chain, ds[j, e] that of step j of its second, and
+    # cells[i, j, e] the position of their cell in the flat L x L matrix H.
+    steps = X[:, :-1] * size + X[:, 1:]
     kept = steps[maximal]
     ends, ids = np.unique(kept, return_inverse=True)
     steps[maximal] = ids.reshape(kept.shape)
-    c, d = chains[at[:, ev]]
-    cs, ds = steps[at[0, ev], :, None], steps[at[1, ev], None, :]
+    f, s = first[ev], second[ev]
+    cs, ds = steps.T.take(f, axis=1), steps.T.take(s, axis=1)
+    L, E = len(ends), len(ev)
+    cells = (cs * L)[:, None] + ds
 
-    # Every cell the pairs need, in one batch: H[s, t] is whether step s has
-    # an up-and-down witness onto step t.
-    H = np.zeros((len(ends), len(ends)), dtype=bool)
-    H[cs, ds] = True
-    s, t = H.nonzero()
+    # Every cell the pairs need, in one batch: H[s * L + t] is whether step
+    # s has an up-and-down witness onto step t.
+    H = np.zeros(L * L, dtype=bool)
+    H[cells] = True
+    hit = np.flatnonzero(H)
     ends = np.stack(np.divmod(ends, size), axis=1)
-    H[s, t] = _witnesses(p, np.hstack([ends[s], ends[t]])) >= 0
+    H[hit] = _witnesses(p, np.hstack([ends[hit // L], ends[hit % L]])) >= 0
 
-    E = len(ev)
-    R = H[cs, ds]   # R[e, i, j]: step i of pair e's first chain onto step j of its second
-    pi = match_index_chains(p, c, d)[0]
-    # A[e, i, l]: whether step i of pair e's first chain is related to step
-    # pi(l) of its second.  Its diagonal holds pi's own cells.
-    A = R[np.arange(E)[:, None, None], np.arange(n)[:, None], pi[:, None, :] - 1]
-    consistent = (A.diagonal(axis1=1, axis2=2).all(axis=1)
-                  & (np.sort(pi, axis=1) == np.arange(1, n + 1)).all(axis=1))
-    # Row i can hand its column on to row l when i is related to pi(l).
-    # A second matching exists exactly when hand-ons close a cycle, that
-    # is, when rows survive peeling each row with no live successor.
+    R = H.take(cells)   # R[i, j, e]: step i of pair e's first chain onto step j of its second
+    pi = match_index_chains(p, X[f], X[s])[0]
+    # pi is consistent when it is a permutation and each R[i, pi(i) - 1, e]
+    # holds; a pi outside 1..n is read clipped, and is no permutation.
+    rows = np.arange(n)[:, None]
+    inside = R.take((rows * n + pi.T - 1) * E + np.arange(E), mode="clip").all(axis=0)
+    consistent = inside & (np.sort(pi, axis=1) == np.arange(1, n + 1)).all(axis=1)
+    late = R & (np.arange(1, n + 1)[:, None] > pi.T[:, None])   # j > pi(i), 1-indexed
+    violated = late.reshape(n * n, E).any(axis=0)
+    code[ev] += consistent
+    # The consistent pairs with violations: a second matching exists exactly
+    # when hand-ons close a cycle, that is, when rows survive peeling each
+    # row with no live successor.  A[e, i, l]: i is related to pi(l), l != i.
+    peel = np.flatnonzero(consistent & violated)
+    A = R[rows, pi[peel, None, :] - 1, peel[:, None, None]]
     A[:, np.arange(n), np.arange(n)] = False
-    live = np.ones((E, n), dtype=bool)
+    live = np.ones((len(peel), n), dtype=bool)
     while (peeled := live & ~(A & live[:, None, :]).any(axis=2)).any():
         live &= ~peeled
-    code[ev] += consistent * (1 + live.any(axis=1))
+    code[ev[peel]] += live.any(axis=1)
     codes = code.tolist()
     shared = {k: _report(*outcomes[k]) for k in set(codes)}
-    reports = [shared[k] for k in codes]
+    reports = list(map(shared.__getitem__, codes))
 
-    late = R & (np.arange(1, n + 1) > pi.reshape(E, n, 1))   # j > pi(i), 1-indexed
-    violated: dict[tuple, TheoremReport] = {}
-    for e in np.flatnonzero(late.any(axis=(1, 2))).tolist():
+    found: dict[tuple, TheoremReport] = {}
+    for e in np.flatnonzero(violated).tolist():
         k = int(ev[e])
-        outcome = (*outcomes[codes[k]], tuple(map(tuple, (np.argwhere(late[e]) + 1).tolist())))
-        reports[k] = violated.setdefault(outcome, _report(*outcome))
+        outcome = (*outcomes[codes[k]],
+                   tuple(map(tuple, (np.argwhere(late[:, :, e]) + 1).tolist())))
+        reports[k] = found.setdefault(outcome, _report(*outcome))
     return reports
 
 

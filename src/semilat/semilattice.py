@@ -142,7 +142,7 @@ def _join_of(p: Poset, a, b, reads: int | None = None) -> np.ndarray:
             a, b = np.broadcast_arrays(a, b)
             return _packed_joins(p, a.ravel(), b.ravel()).reshape(a.shape)
         cached = _table(p)
-    return cached[0][a, b]
+    return cached[0].ravel().take(a * len(p) + b)   # one flat gather; a * n + b < 2000^2
 
 
 def _packed_joins(p: Poset, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -320,8 +320,10 @@ def _maximal_rows(p: Poset, X) -> np.ndarray:
     (P, m), run from the bottom to the top of p by covers (none if m = 0)."""
     bottom, top = _require_bounds(p)
     X = np.asarray(X, dtype=np.intp)
-    ends = (X[:, :1] == bottom).any(1) & (X[:, -1:] == top).any(1)
-    return ends & p._covers[X[:, :-1], X[:, 1:]].all(1)
+    if not X.shape[1]:
+        return np.zeros(len(X), dtype=bool)
+    steps = p._covers.ravel().take(X[:, :-1] * len(p) + X[:, 1:])
+    return (X[:, 0] == bottom) & (X[:, -1] == top) & steps.all(1)
 
 
 def _check_index_arrays(C, D, same_shape: bool = True) -> None:
@@ -335,6 +337,8 @@ def _check_index_arrays(C, D, same_shape: bool = True) -> None:
 def _check_indices(p: Poset, X: np.ndarray, label: str) -> None:
     """UnknownElementError for the first row of X, indices of shape (P, m),
     holding an index outside p, named `label`."""
+    if not X.size or (X.min() >= 0 and X.max() < len(p)):
+        return
     outside = ((X < 0) | (X >= len(p))).any(1)
     if outside.any():
         raise UnknownElementError(f"{label} {X[outside.argmax()].tolist()} holds an index "
