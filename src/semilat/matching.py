@@ -115,52 +115,60 @@ def _match(p: Poset, C: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, np.ndarr
     n, size = m - 1, len(p)
     pi = np.empty((P, n), dtype=np.intp)
     W = np.empty((P, n, 2), dtype=np.intp)
-    cols = np.arange(m)
+    cols = np.arange(m)[:, None]
+    steps = np.arange(1, m)[:, None] + _STEP   # the steps of a chain, as (i-1, i)
     block = max(1, sl._BLOCK // (m * m))   # pairs
     for start in range(0, P, block):
-        c, d = C[start:start + block], D[start:start + block]
-        M = sl._join_of(p, c[:, :, None], d[:, None, :], reads=P * m * m)
-        prev, row = M[:, :-1], M[:, 1:]   # rows i-1 and i, for i = 1..n
-        j = (row == prev).argmax(axis=2)   # pi(i): the least j with c_i <= c_{i-1} ∨ d_j
-        # The flat position in M of entry j of row i-1, and in d of d_j.
-        at = np.arange(0, M.size, m * m)[:, None] + cols[:n] * m + j
-        # The witness (x, y), entries j-1 and j of row i-1, and the steps it meets,
-        # [c_{i-1}, c_i] and [d_{j-1}, d_j]; j = 0 reads one entry early, but
-        # breaks the law first.
-        xy = M.take(at[:, :, None] + _STEP)
-        x = xy[:, :, :1]
-        ef = d.take(np.arange(0, d.size, m)[:, None, None] + j[:, :, None] + _STEP)
-        ab = np.stack([c[:, :-1], c[:, 1:]], axis=2)
+        # The pairs run along the last axis, so every operation runs along
+        # them: c[i, k] is c_i of pair k, and M[i, j, k] = c_i ∨ d_j.
+        c, d = C[start:start + block].T, D[start:start + block].T
+        B = c.shape[1]
+        M = sl._join_of(p, c[:, None], d, reads=P * m * m)
+        prev, row = M[:-1], M[1:]   # rows i-1 and i, for i = 1..n
+        # pi(i), the least j with c_i <= c_{i-1} ∨ d_j, counted as the columns
+        # before n where rows i and i-1 differ: a row that rises from row i-1
+        # and keeps the rank law equals it exactly from column pi(i) on, and
+        # one that does not fails the checks below for every j <= n.
+        j = (row[:, :-1] != prev[:, :-1]).sum(axis=1)
+        # The witness (x, y), entries j-1 and j of row i-1, and the steps it
+        # meets, [c_{i-1}, c_i] and [d_{j-1}, d_j]; j = 0 reads one entry
+        # early, but breaks the law first.
+        at = (j[:, None] + _STEP[:, None]) * B + np.arange(B)   # d_{j-1} and d_j in the flat d
+        xy = M.take(at + np.arange(0, n * m * B, m * B)[:, None, None])
+        ab = c.take(steps, axis=0)
+        ef = d.take(at)
         hM = h.take(M)
-        first_row = M[:, 0] != d   # c_0 is the bottom
-        # For each check of row i, in order, the masks whose set entries fail it.
+        first_row = M[0] != d   # c_0 is the bottom
+        # For each check of row i, in order, the masks whose set entries fail
+        # it, of shape (n, ..., B).
         checks = (
             # Row i starts at c_i and rises from row i-1 and along itself.
-            (row[:, :, 0] != c[:, 1:], ~leq.take(prev * size + row),
-             ~leq.take(row[:, :, :-1] * size + row[:, :, 1:])),
+            (row[:, 0] != c[1:], ~leq.take(prev * size + row),
+             ~leq.take(row[:, :-1] * size + row[:, 1:])),
             # The rank law, row by row: h(c_i ∨ d_j) - h(c_{i-1} ∨ d_j) = [pi(i) > j].
-            (hM[:, 1:] - hM[:, :-1] != (j[:, :, None] > cols),),
+            (hM[1:] - hM[:-1] != (j[:, None] > cols),),
             # The witness (x, y) against both intervals: a∨x = e∨x = x, b∨x = f∨x = y.
-            (xy[:, :, 0] == xy[:, :, 1], sl._join_of(p, ab, x) != xy,
-             sl._join_of(p, ef, x) != xy),
+            (xy[:, 0] == xy[:, 1],
+             sl._join_of(p, np.stack([ab, ef], axis=1), xy[:, None, :1]) != xy[:, None]),
         )
         if np.count_nonzero(first_row) or any(map(np.count_nonzero, sum(checks, ()))):
             # The first failing (pair, row), row 0 first, and the first check it fails.
-            fails = np.array([np.logical_or.reduce([mask.any(axis=tuple(range(2, mask.ndim)))
+            fails = np.array([np.logical_or.reduce([mask.reshape(n, -1, B).any(axis=1)
                                                     for mask in masks]) for masks in checks])
-            k, i = divmod(int(np.c_[first_row.any(axis=1), fails.any(axis=0)].argmax()), m)
+            table = np.vstack([first_row.any(axis=0), fails.any(axis=0)])   # (m, B)
+            k, i = divmod(int(table.T.argmax()), m)
             if i == 0:
                 raise InternalInvariantError("row 0 of the join matrix is not the second chain")
-            check, names = int(fails[:, k, i - 1].argmax()), p.elements
+            check, names = int(fails[:, i - 1, k].argmax()), p.elements
             if check == 0:
                 raise InternalInvariantError(f"row {i} does not rise from c_{i} in the order")
             if check == 1:
                 raise InternalInvariantError(f"row {i} breaks the rank law")
-            (xn, yn), (an, bn), (en, fn) = ((names[v] for v in t[k, i - 1]) for t in (xy, ab, ef))
+            (xn, yn), (an, bn), (en, fn) = ((names[v] for v in t[i - 1, :, k]) for t in (xy, ab, ef))
             raise InternalInvariantError(f"index {i}: witness ({xn}, {yn}) fails on "
                                          f"[{an}, {bn}] or [{en}, {fn}]")
-        pi[start:start + block] = j
-        W[start:start + block] = xy
+        pi[start:start + block] = j.T
+        W[start:start + block] = xy.transpose(2, 0, 1)
     return pi, W
 
 
