@@ -153,7 +153,7 @@ def _match(p: Poset, C: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, np.ndarr
         )
         if np.count_nonzero(first_row) or any(map(np.count_nonzero, sum(checks, ()))):
             # The first failing (pair, row), row 0 first, and the first check it fails.
-            fails = np.array([np.logical_or.reduce([mask.reshape(n, -1, B).any(axis=1)
+            fails = np.array([np.logical_or.reduce([mask.any(axis=tuple(range(1, mask.ndim - 1)))
                                                     for mask in masks]) for masks in checks])
             table = np.vstack([first_row.any(axis=0), fails.any(axis=0)])   # (m, B)
             k, i = divmod(int(table.T.argmax()), m)

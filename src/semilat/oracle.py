@@ -393,16 +393,16 @@ def check_index_pairs(p: Poset, X, first, second) -> list[TheoremReport]:
     H = np.zeros(L * L, dtype=bool)
     H[cells] = True
     hit = np.flatnonzero(H)
-    ends = np.stack(np.divmod(ends, size), axis=1)
-    H[hit] = _witnesses(p, np.hstack([ends[hit // L], ends[hit % L]])) >= 0
+    (u, v), (lo, hi) = np.divmod(hit, L), np.divmod(ends, size)
+    H[hit] = _witnesses(p, np.stack([lo.take(u), hi.take(u), lo.take(v), hi.take(v)], axis=1)) >= 0
 
     R = H.take(cells)   # R[i, j, e]: step i of pair e's first chain onto step j of its second
-    pi = match_index_chains(p, X[f], X[s])[0]
+    pi = match_index_chains(p, X.take(f, axis=0), X.take(s, axis=0))[0]
     # pi is consistent when it is a permutation and each R[i, pi(i) - 1, e]
     # holds; a pi outside 1..n is read clipped, and is no permutation.
     rows = np.arange(n)[:, None]
     inside = R.take((rows * n + pi.T - 1) * E + np.arange(E), mode="clip").all(axis=0)
-    consistent = inside & (np.sort(pi, axis=1) == np.arange(1, n + 1)).all(axis=1)
+    consistent = inside & (np.sort(pi.T, axis=0) == rows + 1).all(axis=0)
     late = R & (np.arange(1, n + 1)[:, None] > pi.T[:, None])   # j > pi(i), 1-indexed
     violated = late.reshape(n * n, E).any(axis=0)
     code[ev] += consistent
