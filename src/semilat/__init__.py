@@ -45,6 +45,7 @@ from .oracle import (
     ProjectivityRelation,
     TheoremReport,
     check_index_chains,
+    check_index_pairs,
     check_pairs,
     check_theorem,
     interval_updown_witness,

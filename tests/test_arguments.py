@@ -29,6 +29,7 @@ from semilat import (
     builtin_group,
     chain_product,
     check_index_chains,
+    check_index_pairs,
     check_pairs,
     check_theorem,
     composition_analysis,
@@ -66,6 +67,7 @@ CHAIN, OTHER = ("000", "100", "110", "111"), ("000", "010", "011", "111")
 SOURCE, WITNESS = ("000", "100"), ("010", "110")
 RESULT = jh_match(B3, CHAIN, OTHER)
 ROW, OTHER_ROW = (np.array([[B3.index(e) for e in c]]) for c in (CHAIN, OTHER))
+ROWS, FIRST, SECOND = np.vstack([ROW, OTHER_ROW]), np.array([0]), np.array([1])
 Z12 = builtin_group("Z12")
 SERIES = maximal_chains(subnormal_lattice(Z12))[0]
 Z6_IN_Z12, ALL_OF_Z12 = (0, 2, 4, 6, 8, 10), tuple(range(12))
@@ -109,7 +111,16 @@ NOT_A_GROUP = {"not-a-group": st.one_of(NON_ITERABLE, st.text(max_size=3), st.ju
 # Anything but a Poset, a group among them.
 NOT_A_POSET = {"not-a-poset": st.one_of(NON_ITERABLE, st.text(max_size=3), st.just(Z12))}
 # The error each kind of malformed argument must raise, where narrower than SemilatError.
-KIND_ERRORS = {"not-a-group": PreconditionError, "not-a-poset": PreconditionError}
+KIND_ERRORS = {"not-a-group": PreconditionError, "not-a-poset": PreconditionError,
+               "not-an-index-array": PreconditionError, "index-outside": UnknownElementError,
+               "id-outside": PreconditionError}
+
+
+def index_arrays(base: np.ndarray) -> st.SearchStrategy:
+    """Anything but an integer array with as many dimensions as base: no
+    array, its list, its floats, and one dimension more or less."""
+    return st.one_of(NON_ITERABLE, st.sampled_from([base.tolist(), base.astype(float),
+                                                    base[None], base[0]]))
 
 
 def members(base: tuple) -> dict:
@@ -153,6 +164,19 @@ SLOTS = {
     "check_pairs-pair": (lambda v: check_pairs(B3, [v]), (CHAIN, OTHER),
                          {"non-iterable": NON_ITERABLE, "wrong-length": not_two((CHAIN, OTHER))}),
     "check_pairs-chain": (lambda v: check_pairs(B3, [(CHAIN, v)]), OTHER, chain(OTHER)),
+    "check_index_pairs-X": (lambda v: check_index_pairs(B3, v, FIRST, SECOND), ROWS,
+                            {"not-an-index-array": st.one_of(index_arrays(ROWS),
+                                                             st.just(ROWS[:, :0])),
+                             "index-outside": st.sampled_from([-1, 8]).map(
+                                 lambda v: np.vstack([ROWS, [[0, 1, 3, v]]]))}),
+    "check_index_pairs-first": (lambda v: check_index_pairs(B3, ROWS, v, SECOND), FIRST,
+                                {"not-an-index-array": st.one_of(index_arrays(FIRST),
+                                                                 st.just(np.array([0, 1]))),
+                                 "id-outside": st.sampled_from([[-1], [2]]).map(np.array)}),
+    "check_index_pairs-second": (lambda v: check_index_pairs(B3, ROWS, FIRST, v), SECOND,
+                                 {"not-an-index-array": st.one_of(index_arrays(SECOND),
+                                                                  st.just(np.array([], dtype=int))),
+                                  "id-outside": st.sampled_from([[-1], [2]]).map(np.array)}),
     "export_dot-a": (lambda v: export_dot(B3, v, OTHER), CHAIN,   # None highlights nothing
                      {**chain(CHAIN), "non-iterable": NON_ITERABLE.filter(lambda v: v is not None)}),
     "export_dot-b": (lambda v: export_dot(B3, CHAIN, v), OTHER,
@@ -211,6 +235,7 @@ SLOTS = {
     "projectivity_relation-p": (lambda v: projectivity_relation(v, CHAIN, OTHER), B3, NOT_A_POSET),
     "check_pairs-p": (lambda v: check_pairs(v, [(CHAIN, OTHER)]), B3, NOT_A_POSET),
     "check_index_chains-p": (lambda v: check_index_chains(v, ROW, OTHER_ROW), B3, NOT_A_POSET),
+    "check_index_pairs-p": (lambda v: check_index_pairs(v, ROWS, FIRST, SECOND), B3, NOT_A_POSET),
     "check_theorem-p": (lambda v: check_theorem(v, CHAIN, OTHER), B3, NOT_A_POSET),
     "random_maximal_chain-p": (lambda v: random_maximal_chain(v, 0), B3, NOT_A_POSET),
     "export_dot-p": (lambda v: export_dot(v, CHAIN, OTHER, RESULT), B3, NOT_A_POSET),
@@ -275,11 +300,22 @@ def test_a_0d_array_is_refused_as_a_sequence(call):
     (lambda: normal_closure(B3, (), ()), PreconditionError, r"^the group must be a Group, got Poset$"),
     (lambda: jh_match("x", (), ()), PreconditionError, r"^the poset must be a Poset, got str$"),
     (lambda: export_dot(Z12), PreconditionError, r"^the poset must be a Poset, got Group$"),
+    (lambda: check_index_pairs(B3, ROWS[:, :0], FIRST, SECOND), PreconditionError,
+     r"^X must be an integer array of shape \(R, n\+1\), n >= 0$"),
+    (lambda: check_index_pairs(B3, ROWS, FIRST, np.array([1, 0])), PreconditionError,
+     r"^first and second must be integer arrays of one shape \(P,\)$"),
+    (lambda: check_index_pairs(B3, ROWS, np.array([0, 1, 1]), np.array([1, 2, -1])),
+     PreconditionError, r"^pair 1 names a row outside 0\.\.1 of X$"),
+    (lambda: check_index_pairs(B3, ROWS + 8, np.array([2]), SECOND), PreconditionError,
+     r"^pair 0 names a row outside 0\.\.1 of X$"),
+    (lambda: check_index_pairs(B3, np.vstack([ROWS, [[0, 1, 3, 8]]]), FIRST, SECOND),
+     UnknownElementError, r"^chain \[0, 1, 3, 8\] holds an index outside 0\.\.7 of 'B3'$"),
 ], ids=["prime-form-int", "lattice-form-int", "limit-string", "graph-int", "seed-none",
         "prime-form-unknown-y", "lattice-form-unknown-a", "table-int", "builtin-int",
         "verify-result-int", "dot-matching-int", "subgroup-int", "member-float",
         "group-int", "group-none", "group-poset-empty-subgroups", "poset-str",
-        "poset-group"])
+        "poset-group", "rows-empty", "ids-two-shapes", "id-outside", "ids-before-indices",
+        "index-outside"])
 def test_refused_with_the_package_error(call, error, message):
     with pytest.raises(error, match=message):
         call()

@@ -658,6 +658,20 @@ class TestBottomIsRequired:
                      ["verify", path]):
             assert run_cli(*argv) == (1, "", refusal), argv
 
+    def test_sampled_verify_refuses_the_bounds_before_the_pair_count(self, run_cli, tmp_path,
+                                                                     monkeypatch):
+        # Drawn samples read no chain count, yet the missing bottom is still
+        # the first error: 60,000 samples would pass the pair limit otherwise.
+        def count(*args):
+            raise AssertionError("chains counted")
+
+        path = str(tmp_path / "L.json")
+        semilat.save_poset(self.POSETS["L"][0], path)
+        monkeypatch.setattr(sl, "count_maximal_chains", count)
+        assert run_cli("verify", path, "--samples", "60000") == (
+            1, "", "error: poset 'L' lacks a bottom or top element\n")
+        assert run_cli("verify", str(DATA / "b3.json"), "--samples", "3")[0] == 0
+
 
 class TestGroupCommands:
     def test_builtin_roundtrip(self, run_cli, tmp_path):
@@ -1006,7 +1020,8 @@ PUBLIC_NAMES = [
     "ProjectivityRelation", "RecursionFrame", "SemilatError", "SemimodularityReport",
     "SizeLimitError", "TheoremReport", "UnknownElementError",
     "UnknownNameError", "all_subgroups", "boolean_lattice", "builtin_group", "chain_product",
-    "check_index_chains", "check_pairs", "check_theorem", "composition_analysis",
+    "check_index_chains", "check_index_pairs", "check_pairs", "check_theorem",
+    "composition_analysis",
     "count_maximal_chains", "dot", "errors", "export_dot", "from_dict", "generators",
     "graphic_flat_lattice", "group_from_table", "groups", "interval_updown_witness",
     "is_join_semilattice", "is_maximal_chain", "is_semimodular", "is_subnormal", "jh_match",

@@ -4,6 +4,7 @@ import ast
 import random
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from semilat import (
     ChainLengthMismatchError,
+    CheckEntry,
     NoJoinError,
     NotAChainError,
     NotPrimeIntervalError,
@@ -22,6 +24,7 @@ from semilat import (
     boolean_lattice,
     chain_product,
     check_index_chains,
+    check_index_pairs,
     check_pairs,
     check_theorem,
     composition_analysis,
@@ -55,6 +58,21 @@ B2_A = ["0", "a", "1"]
 B2_B = ["0", "b", "1"]
 B3_A = ["000", "100", "110", "111"]
 B3_B = ["000", "010", "110", "111"]
+
+
+TRUE_WITNESSES = oracle._witnesses
+
+
+def scrambled_witnesses(seed: int):
+    """`oracle._witnesses` with seeded cells flipped, each by a hash of its
+    indices, so that every pass over the same cells sees one pattern."""
+    weights = np.random.default_rng(seed).integers(1, 1 << 20, 4)
+
+    def scrambled(p, cells):
+        flipped = (np.reshape(cells, (-1, 4)) @ weights) % 9 < 1 + seed % 3
+        return np.where((TRUE_WITNESSES(p, cells) >= 0) ^ flipped, 0, -1)
+
+    return scrambled
 
 
 def named_witnesses(p, cells) -> list:
@@ -364,22 +382,56 @@ class TestCheckPairs:
         # indices, so that both passes see one pattern: relations with 0, 1
         # and at least 2 matchings, and computed permutations inside them and
         # outside.  The certificate must agree with the reference count.
-        witnesses = oracle._witnesses
         chains = maximal_chains(p)
         pairs = [(a, b) for a in chains[::step] for b in chains]
         seen = set()
         for seed in range(6):
-            def scrambled(p, cells, weights=np.random.default_rng(seed).integers(1, 1 << 20, 4)):
-                flipped = (np.reshape(cells, (-1, 4)) @ weights) % 9 < 1 + seed % 3
-                return np.where((witnesses(p, cells) >= 0) ^ flipped, 0, -1)
-
-            monkeypatch.setattr(oracle, "_witnesses", scrambled)
+            monkeypatch.setattr(oracle, "_witnesses", scrambled_witnesses(seed))
             reports = check_pairs(p, pairs)
             assert [r.to_dict() for r in reports] == [r.to_dict() for r in pairwise_reports(p, pairs)]
             for (a, b), r in zip(pairs, reports):
                 count = count_consistent_permutations(projectivity_relation(p, a, b))
                 seen.add((min(count, 2), r.entry("unique-permutation").detail.endswith("True")))
         assert seen == {(0, False), (1, False), (1, True), (2, False), (2, True)}
+
+    @settings(GENERATED, max_examples=20)
+    @given(SEMIMODULAR.filter(lambda p: p.height() <= COUNTING_LIMIT),
+           st.integers(0, 10 ** 6), st.data())
+    def test_index_pairs_match_index_chains(self, p, seed, data):
+        # Rows of X: seeded maximal chains, the first again, and the first
+        # reversed (a row of the same width, maximal only at height 0),
+        # paired by drawn row ids, under the true cells and scrambled ones.
+        chains = [random_maximal_chain(p, seed + k) for k in range(3)]
+        chains += [chains[0], chains[0][::-1]]
+        X = np.array([[p.index(e) for e in chain] for chain in chains])
+        row = st.integers(0, len(X) - 1)
+        pairs = data.draw(st.lists(st.tuples(row, row), max_size=12), label="pairs")
+        first, second = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        for scramble in (TRUE_WITNESSES, *map(scrambled_witnesses, range(3))):
+            with mock.patch.object(oracle, "_witnesses", scramble):
+                reports = [r.to_dict() for r in check_index_pairs(p, X, first, second)]
+                assert reports == [r.to_dict() for r in check_index_chains(p, X[first], X[second])]
+                pairs = [(chains[a], chains[b]) for a, b in zip(first.tolist(), second.tolist())]
+                assert reports == [r.to_dict() for r in pairwise_reports(p, pairs)], p.name
+
+    @pytest.mark.parametrize("cycle", [True, False], ids=["cycle", "no-cycle"])
+    def test_uniqueness_read_off_maximality_both_ways(self, monkeypatch, cycle):
+        # pi is the identity on (B3_A, B3_A), related to step j >= i of
+        # each step i, so consistent and not maximal; with a cycle, also to
+        # every j < i.  Hand-ons only climb without the cycle, so the count
+        # is 1 though maximality fails; with it, the count is at least 2.
+        h = B3._view()[2]   # step [a, b] of a maximal chain is step h(b)
+        monkeypatch.setattr(oracle, "_witnesses", lambda p, cells: np.where(
+            cycle | (h[cells[:, 3]] >= h[cells[:, 1]]), 0, -1))
+        monkeypatch.setattr(oracle, "match_index_chains", lambda p, C, D: (
+            np.tile(np.arange(1, C.shape[1]), (len(C), 1)), None))
+        report = check_theorem(B3, B3_A, B3_A)
+        count = "at least 2" if cycle else "1"
+        assert report.entries[2:] == (
+            CheckEntry("unique-permutation", not cycle,
+                       f"matching count {count}; computed permutation consistent: True"),
+            CheckEntry("maximality", False, "violated at (i, j) pairs [(1, 2), (1, 3), (2, 3)]"))
+        assert [report.to_dict()] == [r.to_dict() for r in pairwise_reports(B3, [(B3_A, B3_A)])]
 
     def test_computed_permutation_checked_not_trusted(self, monkeypatch):
         # Every cell related, and a pi that sends every step to column 1:
