@@ -17,7 +17,8 @@ preconditions once, each row once, every distinct cell the pairs need in one
 batch of scans, evaluated in blocks, and the relations and verdicts of all
 pairs as array work on the step ids of their chains.  Uniqueness is read off
 maximality wherever it can be: a consistent permutation with no maximality
-violation has no alternating cycle, so only the pairs with a violation are
+violation (the maximality of pi; Czédli and Schmidt, Algebra Universalis 66,
+2011) has no alternating cycle, so only the pairs with a violation are
 searched for one.  `check_index_chains` is its entry on two arrays of chains
 row by row, `check_pairs` its name wrapper, and `check_theorem` checks one
 pair through it.  Nothing is cached: each call evaluates its own cells.
