@@ -411,8 +411,8 @@ class TestCheckPairs:
             with mock.patch.object(oracle, "_witnesses", scramble):
                 reports = [r.to_dict() for r in check_index_pairs(p, X, first, second)]
                 assert reports == [r.to_dict() for r in check_index_chains(p, X[first], X[second])]
-                pairs = [(chains[a], chains[b]) for a, b in zip(first.tolist(), second.tolist())]
-                assert reports == [r.to_dict() for r in pairwise_reports(p, pairs)], p.name
+                named = [(chains[a], chains[b]) for a, b in pairs]
+                assert reports == [r.to_dict() for r in pairwise_reports(p, named)], p.name
 
     @pytest.mark.parametrize("cycle", [True, False], ids=["cycle", "no-cycle"])
     def test_uniqueness_read_off_maximality_both_ways(self, monkeypatch, cycle):
