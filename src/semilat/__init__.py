@@ -67,9 +67,7 @@ from .groups import (
     builtin_group,
     composition_analysis,
     group_from_table,
-    is_subnormal,
     load_group,
-    normal_closure,
     save_group,
     subgroup_name,
     subnormal_lattice,

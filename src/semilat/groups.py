@@ -4,9 +4,8 @@ subnormal-subgroup lattice, and composition-series matching.
 Tables are checked for associativity on a generating set only (Light's
 test).  Subgroups are enumerated by canonical extension: one-element
 extensions by cyclic subgroups, each subgroup closed once, from its greedy
-generator sequence.  Normal closures take one generation step from the
-conjugates, but the subnormal lattice runs none: it decides subnormality for
-every subgroup at once from one normalizer matrix, and is read off one member
+generator sequence.  The subnormal lattice decides subnormality for every
+subgroup at once from one normalizer matrix, and is read off one member
 matrix.  It is dually semimodular, so the chain matcher runs on its dual:
 `composition_analysis` reads every series as one index row of the lattice,
 top-down a chain of the dual, and matches all its pairs in one
@@ -39,7 +38,7 @@ from .errors import (
     UnknownNameError,
 )
 from .matching import match_index_chains
-from .poset import (ELEMENT_LIMIT, Poset, _check_size, _fields, _int, _json_text, _Rows,
+from .poset import (ELEMENT_LIMIT, Poset, _check_size, _fields, _json_text, _Rows,
                     _save_json, _sequence, _transitive_reduction)
 
 # Validating a group table takes about 1.5 ms at order 120 and 5-10 ms at order 240; a
@@ -58,9 +57,6 @@ class Group:
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
-
-    def inv(self, a: int) -> int:
-        return self.table[a].index(0)
 
     def __repr__(self) -> str:
         return f"Group({self.name!r}, order {self.order})"
@@ -295,46 +291,6 @@ def all_subgroups(g: Group) -> list[tuple[int, ...]]:
                     f"got more than {ELEMENT_LIMIT}")
             found.append((K, gens + (z,)))
     return sorted((tuple(sorted(H)) for H, _ in found), key=lambda s: (len(s), s))
-
-
-def _members(sub, ambient) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The one read of subgroup arguments: each its distinct integer members,
-    sorted, with `sub` inside `ambient`."""
-    sub, ambient = (tuple(sorted({_int(k, "a subgroup member") for k in _sequence(
-        v, PreconditionError, "a subgroup must be a sequence of element indices, got {}",
-        type(v).__name__)})) for v in (sub, ambient))
-    if not set(sub) <= set(ambient):
-        raise PreconditionError(
-            f"{subgroup_name(sub)} is not contained in {subgroup_name(ambient)}")
-    return sub, ambient
-
-
-def normal_closure(g: Group, sub, ambient) -> tuple[int, ...]:
-    """Smallest subgroup of `ambient` containing `sub` and closed under
-    conjugation by `ambient`: the one the conjugates k h k^-1 generate."""
-    sub, ambient = _members(sub, ambient)
-    name, order = subgroup_name(ambient), _group(g).order
-    if not all(0 <= k < order for k in ambient):
-        raise PreconditionError(f"{name} holds an element outside 0..{order - 1}")
-    if _close(g, ambient) != set(ambient):
-        raise PreconditionError(f"{name} is not a subgroup of {g.name}")
-    return _normal_closure(g, sub, ambient)
-
-
-def _normal_closure(g: Group, sub: tuple[int, ...], ambient: tuple[int, ...]) -> tuple[int, ...]:
-    """The unchecked closure step: the subgroup the conjugates of `sub` under `ambient` generate."""
-    conjugators = [(g.table[k], g.inv(k)) for k in ambient]
-    conjugates = {g.table[row[h]][k_inv] for row, k_inv in conjugators for h in sub}
-    return tuple(sorted(_close(g, conjugates)))
-
-
-def is_subnormal(g: Group, sub) -> bool:
-    """Iterated normal closure from the full group; subnormal iff the
-    descending fixpoint equals the subgroup itself."""
-    sub, current = _members(sub, range(_group(g).order))
-    while (nxt := _normal_closure(g, sub, current)) != current:
-        current = nxt
-    return current == sub
 
 
 def subnormal_lattice(g: Group) -> Poset:

@@ -269,26 +269,12 @@ def _charge(work: int, cost: int, at) -> int:
 
 
 def _charge_maximal_pairs(p: Poset, pairs: int) -> None:
-    """Refuse `pairs` pairs of maximal chains of p before they are drawn, at
-    the pair `check_pairs` would refuse: when p meets the preconditions, every
-    maximal chain has p's height (Jordan-Dedekind), so each pair costs the same."""
-    if _poset_preconditions(p) is None:
+    """Refuse `pairs` pairs of maximal chains of p before they are drawn, at the pair
+    `check_pairs` would refuse: when the local tests (no join table) find the preconditions
+    met, every maximal chain has p's height (Jordan-Dedekind), so each pair costs the same."""
+    if (sl.is_join_semilattice(p)[0] and sl.is_semimodular(p).holds
+            and p.bottom() is not None and p.top() is not None):
         _charge(0, p.height() ** 2 * len(p), range(pairs))
-
-
-def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.unique(X, axis=0, return_inverse=True) for a 2-D integer array:
-    the distinct rows in lexicographic order, and the index of each row of X
-    among them.  One lexsort over the columns, in place of np.unique's sort
-    of whole rows as bytes, which took ten times as long on 1,152 rows of
-    five indices and seven times on 64,800."""
-    order = np.lexsort(X.T[::-1])
-    ranked = X[order]
-    first = np.ones(len(X), dtype=bool)   # the first of each run of equal rows
-    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    at = np.empty(len(X), dtype=np.intp)
-    at[order] = np.cumsum(first) - 1
-    return ranked[first], at
 
 
 def check_index_chains(p: Poset, C, D) -> list[TheoremReport]:
@@ -298,26 +284,24 @@ def check_index_chains(p: Poset, C, D) -> list[TheoremReport]:
 
     p must be a Poset, and C and D integer 2-D arrays of one shape, n >= 0
     (else PreconditionError), of indices of p (else UnknownElementError for
-    the first row outside, of C, then of D).  The distinct chains are found
-    by one sort over rows, and the pairs go to `check_index_pairs` as two
-    arrays of their ids, so each distinct chain is tested once.
+    the first row outside, of C, then of D).  `check_index_pairs` gets the
+    rows of C then of D, unsorted, and pair k as the row ids k and P + k.
     """
     _poset(p)
     sl._check_index_arrays(C, D)
     sl._check_indices(p, C, "first chain")
     sl._check_indices(p, D, "second chain")
-    chains, at = _distinct_rows(np.vstack([C, D]).astype(np.intp))
-    return check_index_pairs(p, chains, *at.reshape(2, len(C)))
+    X = np.vstack([C, D], dtype=np.intp)   # one integer dtype, also for int C and uint D
+    return check_index_pairs(p, X, *np.arange(len(X)).reshape(2, -1))
 
 
 def _check_pair_ids(X, first, second) -> None:
     """PreconditionError unless X is an integer 2-D array of width >= 1, and
     first and second integer 1-D arrays of one length whose entries are row
     ids of X; the first bad pair is named."""
-    if not (isinstance(X, np.ndarray) and X.dtype.kind in "iu" and X.ndim == 2 and X.shape[1]):
+    if not (sl._is_int_array(X, 2) and X.shape[1]):
         raise PreconditionError("X must be an integer array of shape (R, n+1), n >= 0")
-    if not (all(isinstance(k, np.ndarray) and k.dtype.kind in "iu" and k.ndim == 1
-                for k in (first, second)) and first.shape == second.shape):
+    if not (all(sl._is_int_array(k, 1) for k in (first, second)) and first.shape == second.shape):
         raise PreconditionError("first and second must be integer arrays of one shape (P,)")
     outside = (first < 0) | (first >= len(X)) | (second < 0) | (second >= len(X))
     if outside.any():

@@ -23,8 +23,8 @@ def prime_up_projective(p: Poset, ab, xy) -> bool:
 
     Raises NoJoinError when one of the two joins it reads does not exist.
     """
-    pairs = _poset(p)._pairs("source and witness", ab, xy)
-    a, b, x, y = (p.elements[i] for pair in pairs for i in pair)
-    if not p._covers[p.index(a), p.index(b)]:
+    (i, j), (k, l) = _poset(p)._pairs("source and witness", ab, xy)
+    a, b, x, y = (p.elements[v] for v in (i, j, k, l))
+    if not p._covers[i, j]:
         raise NotPrimeIntervalError(f"[{a}, {b}] is not a prime interval of {p.name!r}")
     return x != y and sl.join(p, a, x) == x and sl.join(p, b, x) == y

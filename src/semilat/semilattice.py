@@ -326,11 +326,16 @@ def _maximal_rows(p: Poset, X) -> np.ndarray:
     return (X[:, 0] == bottom) & (X[:, -1] == top) & steps.all(1)
 
 
+def _is_int_array(X, ndim: int) -> bool:
+    """The one integer-array test: X is an integer numpy array with `ndim` axes."""
+    return isinstance(X, np.ndarray) and X.dtype.kind in "iu" and X.ndim == ndim
+
+
 def _check_index_arrays(C, D, same_shape: bool = True) -> None:
     """PreconditionError unless C and D are integer 2-D arrays of width >= 1,
     and, if `same_shape`, of one shape."""
-    if not (all(isinstance(X, np.ndarray) and X.dtype.kind in "iu" and X.ndim == 2
-                and X.shape[1] for X in (C, D)) and (C.shape == D.shape or not same_shape)):
+    if not (all(_is_int_array(X, 2) and X.shape[1] for X in (C, D))
+            and (C.shape == D.shape or not same_shape)):
         raise PreconditionError("C and D must be integer arrays of one shape (P, n+1), n >= 0")
 
 

@@ -1,5 +1,5 @@
 """Every public function that reads a poset, a chain, an interval, a pair list, an
-integer, a graph, a group, a subgroup, a group table or a matching result refuses a
+integer, a graph, a group, a group table or a matching result refuses a
 malformed one with the package's own error, never a bare TypeError,
 ValueError, IndexError or AttributeError; and the argument checks run in the
 order the callers rely on."""
@@ -42,14 +42,12 @@ from semilat import (
     is_join_semilattice,
     is_maximal_chain,
     is_semimodular,
-    is_subnormal,
     jh_match,
     join,
     match_index_chains,
     maximal_chains,
     meet,
     named_counterexample,
-    normal_closure,
     partition_lattice,
     prime_up_projective,
     projectivity_relation,
@@ -70,7 +68,6 @@ ROW, OTHER_ROW = (np.array([[B3.index(e) for e in c]]) for c in (CHAIN, OTHER))
 ROWS, FIRST, SECOND = np.vstack([ROW, OTHER_ROW]), np.array([0]), np.array([1])
 Z12 = builtin_group("Z12")
 SERIES = maximal_chains(subnormal_lattice(Z12))[0]
-Z6_IN_Z12, ALL_OF_Z12 = (0, 2, 4, 6, 8, 10), tuple(range(12))
 
 NON_ITERABLE = st.one_of(st.integers(), st.floats(), st.none(), st.booleans(), st.builds(object),
                          st.just(np.array(5)))   # a 0-d array has __iter__ but cannot iterate
@@ -121,11 +118,6 @@ def index_arrays(base: np.ndarray) -> st.SearchStrategy:
     array, its list, its floats, and one dimension more or less."""
     return st.one_of(NON_ITERABLE, st.sampled_from([base.tolist(), base.astype(float),
                                                     base[None], base[0]]))
-
-
-def members(base: tuple) -> dict:
-    """The malformed forms of a subgroup's member indices."""
-    return {"non-iterable": NON_ITERABLE, "not-an-int": NOT_AN_INT.map(lambda v: base + (v,))}
 
 
 # Each slot: a call with the value in one argument, a value it accepts there,
@@ -191,15 +183,8 @@ SLOTS = {
     "composition_analysis-b": (lambda v: composition_analysis(Z12, SERIES, v), SERIES,
                                sequences(SERIES)),
     "all_subgroups": (all_subgroups, Z12, NOT_A_GROUP),
-    "normal_closure-g": (lambda v: normal_closure(v, Z6_IN_Z12, ALL_OF_Z12), Z12, NOT_A_GROUP),
-    "is_subnormal-g": (lambda v: is_subnormal(v, Z6_IN_Z12), Z12, NOT_A_GROUP),
     "subnormal_lattice": (subnormal_lattice, Z12, NOT_A_GROUP),
     "composition_analysis-g": (composition_analysis, Z12, NOT_A_GROUP),
-    "normal_closure-sub": (lambda v: normal_closure(Z12, v, ALL_OF_Z12), Z6_IN_Z12,
-                           members(Z6_IN_Z12)),
-    "normal_closure-ambient": (lambda v: normal_closure(Z12, Z6_IN_Z12, v), ALL_OF_Z12,
-                               members(ALL_OF_Z12)),
-    "is_subnormal": (lambda v: is_subnormal(Z12, v), Z6_IN_Z12, members(Z6_IN_Z12)),
     "group_from_table": (lambda v: group_from_table("t", v), [[0, 1], [1, 0]],
                          {"non-iterable": NON_ITERABLE}),
     "builtin_group": (builtin_group, "Z2", {"unknown-name": UNKNOWN}),
@@ -290,14 +275,11 @@ def test_a_0d_array_is_refused_as_a_sequence(call):
      r"^result must be a MatchingResult, got int$"),
     (lambda: export_dot(B3, None, None, 5), PreconditionError,
      r"^matching must be a MatchingResult, got int$"),
-    (lambda: is_subnormal(Z12, 6), PreconditionError,
-     r"^a subgroup must be a sequence of element indices, got int$"),
-    (lambda: normal_closure(Z12, (0, 6.0), ALL_OF_Z12), PreconditionError,
-     r"^a subgroup member must be an integer, got 6\.0$"),
     (lambda: all_subgroups(5), PreconditionError, r"^the group must be a Group, got int$"),
     (lambda: composition_analysis(None), PreconditionError,
      r"^the group must be a Group, got NoneType$"),
-    (lambda: normal_closure(B3, (), ()), PreconditionError, r"^the group must be a Group, got Poset$"),
+    (lambda: composition_analysis(B3, (), ()), PreconditionError,
+     r"^the group must be a Group, got Poset$"),
     (lambda: jh_match("x", (), ()), PreconditionError, r"^the poset must be a Poset, got str$"),
     (lambda: export_dot(Z12), PreconditionError, r"^the poset must be a Poset, got Group$"),
     (lambda: check_index_pairs(B3, ROWS[:, :0], FIRST, SECOND), PreconditionError,
@@ -312,8 +294,8 @@ def test_a_0d_array_is_refused_as_a_sequence(call):
      UnknownElementError, r"^chain \[0, 1, 3, 8\] holds an index outside 0\.\.7 of 'B3'$"),
 ], ids=["prime-form-int", "lattice-form-int", "limit-string", "graph-int", "seed-none",
         "prime-form-unknown-y", "lattice-form-unknown-a", "table-int", "builtin-int",
-        "verify-result-int", "dot-matching-int", "subgroup-int", "member-float",
-        "group-int", "group-none", "group-poset-empty-subgroups", "poset-str",
+        "verify-result-int", "dot-matching-int", "group-int", "group-none",
+        "group-poset-empty-subgroups", "poset-str",
         "poset-group", "rows-empty", "ids-two-shapes", "id-outside", "ids-before-indices",
         "index-outside"])
 def test_refused_with_the_package_error(call, error, message):

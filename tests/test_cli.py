@@ -371,10 +371,12 @@ class TestExitCodes:
             assert code == 1
 
     @pytest.mark.parametrize("argv", [["validate", "--json"], ["match", "--json"],
-                                      ["export-dot", "--witnesses"]])
+                                      ["export-dot", "--witnesses"],
+                                      ["verify", "--samples", "50000"]])
     def test_no_join_table_where_no_oracle_reads_it(self, run_cli, tmp_path, monkeypatch, argv):
         """On C4x4x4x4 (256 elements, a table of 32,896 pairs) the local tests
-        and the matcher read their joins off the packed up-sets."""
+        and the matcher read their joins off the packed up-sets, and `verify`
+        refuses a run past the oracle's budget before it builds the table."""
         path, loaded = str(tmp_path / "c4.json"), []
         assert run_cli("gen", "chainprod", "4,4,4,4", "-o", path)[0] == 0
 
@@ -383,12 +385,16 @@ class TestExitCodes:
             return loaded[-1]
 
         monkeypatch.setattr(cli, "load_poset", load)
-        pair = [] if argv[0] == "validate" else [
+        pair = [] if argv[0] in ("validate", "verify") else [
             "--chain-a", "0.0.0.0,1.0.0.0,2.0.0.0,3.0.0.0,3.1.0.0,3.2.0.0,3.3.0.0,"
                          "3.3.1.0,3.3.2.0,3.3.3.0,3.3.3.1,3.3.3.2,3.3.3.3",
             "--chain-b", "0.0.0.0,0.0.0.1,0.0.0.2,0.0.0.3,0.0.1.3,0.0.2.3,0.0.3.3,"
                          "0.1.3.3,0.2.3.3,0.3.3.3,1.3.3.3,2.3.3.3,3.3.3.3"]
-        assert run_cli(argv[0], path, *pair, argv[1])[0] == 0
+        code, out, err = run_cli(argv[0], path, *pair, *argv[1:])
+        if argv[0] == "verify":
+            assert (code, out) == (2, "") and err.rstrip().endswith("exceeded at pair 8138")
+        else:
+            assert code == 0
         (p,) = loaded
         assert len(p) == 256 and p._cache["semimodular"].holds and "join" not in p._cache
 
@@ -1024,9 +1030,9 @@ PUBLIC_NAMES = [
     "composition_analysis",
     "count_maximal_chains", "dot", "errors", "export_dot", "from_dict", "generators",
     "graphic_flat_lattice", "group_from_table", "groups", "interval_updown_witness",
-    "is_join_semilattice", "is_maximal_chain", "is_semimodular", "is_subnormal", "jh_match",
+    "is_join_semilattice", "is_maximal_chain", "is_semimodular", "jh_match",
     "join", "load_group", "load_poset", "match_index_chains",
-    "matching", "maximal_chains", "meet", "named_counterexample", "normal_closure", "oracle",
+    "matching", "maximal_chains", "meet", "named_counterexample", "oracle",
     "partition_lattice", "poset", "prime_up_projective", "projectivity",
     "projectivity_relation", "random_maximal_chain", "save_group", "save_poset", "semilattice",
     "subgroup_name", "subnormal_lattice", "verify_matching",
