@@ -7,6 +7,7 @@ is read in one pass: each up-set is a Python int, built by peeling sinks, and
 an edge that a longer path implies is refused, so the covers are the edges.
 Intervals, whose order is already closed, get their covers by reduction.
 A chain of names is a plain tuple, checked in one place: `Poset._row`.
+The cover edges by index, `_cover_index`, are read off the cover matrix once.
 Chain walks read `_view`: upper covers, rank order and heights by index, built once.
 """
 
@@ -115,8 +116,8 @@ class Poset:
     Instances are constructed through :meth:`from_cover_list`, :meth:`interval`
     or :meth:`dual`, or from an order a caller has already closed (the
     subnormal lattice); after construction everything is a pure read, so posets
-    can be shared freely between threads.  Derived tables (joins, meets,
-    semimodularity, heights, bottom and top) are cached on first use; each
+    can be shared freely between threads.  Derived tables (the cover index, joins,
+    meets, semimodularity, heights, bottom and top) are cached on first use; each
     cache entry is written exactly once, so concurrent readers see either
     nothing or the finished table.
     """
@@ -185,9 +186,10 @@ class Poset:
         if implied:
             i, j = min(implied)
             raise PosetConstructionError(f"non-cover edge ({ordered[i]}, {ordered[j]})")
-        edges = np.zeros((n, n), dtype=bool)   # checked above: the edges are the covers
-        edges[np.repeat(np.arange(n), list(map(len, succ))), list(chain.from_iterable(succ))] = True
-        return cls(name, ordered, leq, edges)
+        edges = np.zeros(n * n, dtype=bool)   # checked above: the edges are the covers
+        edges[np.repeat(np.arange(0, n * n, n), list(map(len, succ)))
+              + np.fromiter(chain.from_iterable(succ), dtype=np.intp)] = True
+        return cls(name, ordered, leq, edges.reshape(n, n))
 
     # -- basics ------------------------------------------------------------
 
@@ -229,8 +231,10 @@ class Poset:
         return [(self.elements[i], self.elements[j]) for i, j in zip(lo.tolist(), hi.tolist())]
 
     def _cover_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """The cover edges (lower, upper) by index in row-major order, read flat."""
-        return np.divmod(np.flatnonzero(self._covers), len(self))
+        """The cover edges (lower, upper) by index in row-major order, read flat; cached."""
+        if "cover_index" not in self._cache:
+            self._cache["cover_index"] = np.divmod(np.flatnonzero(self._covers), len(self))
+        return self._cache["cover_index"]
 
     def upper_covers(self, a: str) -> list[str]:
         return [self.elements[j] for j in self._view()[0][self.index(a)]]

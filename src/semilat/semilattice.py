@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import chain, combinations, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -74,7 +74,7 @@ def _up_words(p: Poset) -> np.ndarray:
     if words is None:
         n, w = len(p), -(-len(p) // 64)
         by_rank = np.zeros((n, 64 * w), dtype=bool)   # C order, whole words
-        by_rank[:, :n] = p._leq[:, p._view()[1]]
+        by_rank[:, :n] = p._leq.take(p._view()[1], axis=1)
         words = np.packbits(by_rank, axis=1, bitorder="little").view("<u8")
         p._cache["up_words"] = words
     return words
@@ -213,10 +213,18 @@ def meet(p: Poset, a: str, b: str) -> str | None:
 
 def _cover_joins(p: Poset) -> tuple[np.ndarray, np.ndarray]:
     """Every two upper covers of one element, each pair once, as the rows of an
-    (m, 2) index array, and their joins by `_join_of`; cached."""
+    (m, 2) index array, and their joins by `_join_of`; cached.
+
+    The rows are those of `combinations(ups, 2)` over each element's upper
+    covers in turn, listed from the row-major cover index by array work: the
+    edge at position k pairs with each edge after it on its row."""
     if "cover_joins" not in p._cache:
-        pairs = np.fromiter(chain.from_iterable(chain.from_iterable(
-            map(combinations, p._view()[0], repeat(2)))), dtype=np.intp).reshape(-1, 2)
+        lo, hi = p._cover_index()
+        ends = np.bincount(lo, minlength=len(p)).cumsum()
+        after = ends[lo] - np.arange(len(lo)) - 1   # edges after edge k on its row
+        k = np.repeat(np.arange(len(lo)), after)   # each pair's first edge
+        t = np.arange(len(k)) - np.repeat(after.cumsum() - after, after)   # its place among k's
+        pairs = np.column_stack([hi[k], hi[k + 1 + t]])
         p._cache["cover_joins"] = pairs, _join_of(p, pairs[:, 0], pairs[:, 1])
     return p._cache["cover_joins"]
 
@@ -239,7 +247,7 @@ def is_join_semilattice(p: Poset) -> tuple[bool, tuple[str, str] | None]:
     if "join" in p._cache or _table_is_cheaper(p, len(covers) + m * (m - 1) // 2):
         first_bad = _table(p)[1]
     elif (covers >= 0).all() and (
-            _join_of(p, *minimal[np.vstack(np.triu_indices(m, 1))]) >= 0).all():
+            m < 2 or (_join_of(p, *minimal[np.vstack(np.triu_indices(m, 1))]) >= 0).all()):
         first_bad = None
     else:
         first_bad = _table(p)[1]
@@ -399,7 +407,7 @@ def count_maximal_chains(p: Poset) -> int:
     counts = [0] * len(p)
     # Every upper cover comes later in the rank order, so it is counted first.
     for x in reversed(order.tolist()):
-        counts[x] = 1 if x == top else sum(counts[u] for u in ups[x])
+        counts[x] = 1 if x == top else sum(map(counts.__getitem__, ups[x]))
     return counts[bottom]
 
 

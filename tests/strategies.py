@@ -10,8 +10,10 @@ are not semimodular.  `join_semilattices` draws the upper parts of those
 lattices, many of them without a bottom.  `chain_products` and `graphic_flats` draw semimodular
 lattices, the ones the matching theorem speaks about.  `antimatroids` draws
 semimodular lattices whose matchings are known in closed form, and whose
-duals are the negative controls.  `direct_products` draws finite groups,
-whose subnormal lattices are dually semimodular.  `cli_invocations` draws
+duals are the negative controls.  `dot_arguments` draws join semilattices
+with names DOT must escape, highlighted chains and witnesses for the DOT
+writer.  `direct_products` draws finite groups, whose subnormal lattices are
+dually semimodular.  `cli_invocations` draws
 JSON values shaped like poset and group files, most of them malformed, each
 with one subcommand to run on it.
 """
@@ -24,7 +26,8 @@ from typing import Iterable, Sequence
 
 from hypothesis import settings, strategies as st
 
-from semilat import Graph, Group, Poset, builtin_group, chain_product, graphic_flat_lattice
+from semilat import (Graph, Group, MatchingResult, Poset, builtin_group, chain_product,
+                     graphic_flat_lattice)
 
 # Derandomized so the suite draws the same examples on every run.
 GENERATED = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -122,6 +125,37 @@ def join_semilattices(draw, max_ground: int = 5) -> Poset:
     keep = [e for e in p.elements if not any(p.leq(e, d) for d in drop)]
     return Poset.from_cover_list("join semilattice", keep,
                                  [(a, b) for a, b in p.cover_pairs() if a in keep])
+
+
+@st.composite
+def dot_arguments(draw) -> tuple:
+    """A join semilattice, its names given a suffix DOT must escape, two
+    highlighted chains and a matching, for `export_dot`.  Each chain is None,
+    empty, or a walk up the order that mostly steps by covers; each witness
+    is two drawn names."""
+    p = draw(join_semilattices())
+    suffix = draw(st.sampled_from(["", '"', "\\", ' q"\\']))
+    p = Poset.from_cover_list(p.name + suffix, [e + suffix for e in p.elements],
+                              [(a + suffix, b + suffix) for a, b in p.cover_pairs()])
+    ups = p._view()[0]
+
+    def walk():
+        row = [draw(st.integers(0, len(p) - 1))]
+        while draw(st.integers(0, 3)):
+            i = row[-1]   # one step in five to any element above, a cover or not
+            above = ups[i] if draw(st.integers(0, 4)) else \
+                [j for j in range(len(p)) if p._leq[i, j] and j != i]
+            if not above:
+                break
+            row.append(draw(st.sampled_from(above)))
+        return [p.elements[i] for i in row]
+
+    chains = [draw(st.sampled_from([None, [], "walk"])) for _ in range(2)]
+    chains = [walk() if c == "walk" else c for c in chains]
+    witnesses = draw(st.lists(st.tuples(*[st.sampled_from(p.elements)] * 2), max_size=4))
+    matching = None if draw(st.booleans()) else \
+        MatchingResult(len(witnesses), tuple(range(1, len(witnesses) + 1)), tuple(witnesses))
+    return p, *chains, matching
 
 
 @st.composite

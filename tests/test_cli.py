@@ -18,9 +18,10 @@ from hypothesis import given, settings
 
 import semilat
 from conftest import DATA, GOLDEN, pair_rows, read_golden
+from dot_reference import export_dot_by_name
 from semilat import Poset, cli, generators, groups, oracle, poset, semilattice as sl
 from semilat.poset import ELEMENT_LIMIT
-from strategies import GENERATED, cli_invocations
+from strategies import GENERATED, cli_invocations, dot_arguments
 
 B2 = str(DATA / "b2.json")
 B3 = str(DATA / "b3.json")
@@ -158,6 +159,35 @@ class TestLargeOutputPins:
         assert run_cli("gen", *gen, "-o", path)[0] == 0
         for tail, digest in ((["--json", "--full"], full), ([], text)):
             code, out, err = run_cli("verify", path, *mode, *tail)
+            assert (code, err) == (0, "")
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, tail
+
+    DOT_CHAINS = {
+        "partition-6": ("1|2|3|4|5|6,12|3|4|5|6,123|4|5|6,1234|5|6,12345|6,123456",
+                        "1|2|3|4|5|6,1|2|3|4|56,1|2|3|456,1|2|3456,1|23456,123456"),
+        "chainprod-4,4,4,4": (
+            "0.0.0.0,0.0.0.1,0.0.0.2,0.0.0.3,0.0.1.3,0.0.2.3,0.0.3.3,0.1.3.3,0.2.3.3,0.3.3.3,"
+            "1.3.3.3,2.3.3.3,3.3.3.3",
+            "0.0.0.0,1.0.0.0,2.0.0.0,3.0.0.0,3.1.0.0,3.2.0.0,3.3.0.0,3.3.1.0,3.3.2.0,3.3.3.0,"
+            "3.3.3.1,3.3.3.2,3.3.3.3"),
+    }
+
+    @pytest.mark.parametrize("gen, witnesses, plain, bare", [
+        ("partition-6", "ee30aaaf86ea9176b5fb37f513b7600039bf103a0205fec5952eb47996dba43d",
+         "f9a42450e8f61fa485c6853cca733001794ed48faacdc8fc863679420256ad7c",
+         "5da89d36284c6a7b05f6e3d391c8da3a199e2a25ad9ab9721f44d28c512422bb"),
+        ("chainprod-4,4,4,4", "a50fbfd37d2e71e4d806c003e3f9446831f7261efd93fe97177ef90b467275aa",
+         "f535d8b7b5ac121d5e10500cfa062dd9e6325d2d708eb40605d24a34dce8b230",
+         "be2cacdf01841467e14ff5babed421a9e43b99efe0b58d6f06222f5b540a86a5"),
+    ], ids=["Pi6", "C4x4x4x4"])
+    def test_export_dot_stdout(self, run_cli, tmp_path, gen, witnesses, plain, bare):
+        # With both chains and --witnesses, with both chains only, and with no chains.
+        path = str(tmp_path / "p.json")
+        assert run_cli("gen", *gen.split("-"), "-o", path)[0] == 0
+        a, b = self.DOT_CHAINS[gen]
+        for tail, digest in ((["--chain-a", a, "--chain-b", b, "--witnesses"], witnesses),
+                             (["--chain-a", a, "--chain-b", b], plain), ([], bare)):
+            code, out, err = run_cli("export-dot", path, *tail)
             assert (code, err) == (0, "")
             assert hashlib.sha256(out.encode()).hexdigest() == digest, tail
 
@@ -975,6 +1005,17 @@ class TestExportDot:
         chains = semilat.maximal_chains(p)
         semilat.export_dot(p, chains[0], chains[-1], semilat.jh_match(p, chains[0], chains[-1]))
         assert sorted(quoted) == sorted([p.name, *p.elements])
+
+    @GENERATED
+    @given(dot_arguments())
+    def test_equals_the_name_level_writer(self, args):
+        """Byte for byte, or the same error, as the reference writer by name."""
+        def attempt(writer):
+            try:
+                return writer(*args)
+            except semilat.SemilatError as exc:
+                return type(exc), str(exc)
+        assert attempt(semilat.export_dot) == attempt(export_dot_by_name)
 
     def test_chain_that_is_not_iterable_refused(self):
         with pytest.raises(semilat.NotAChainError, match=r"^a chain must be iterable, got int$"):

@@ -3,7 +3,7 @@ from __future__ import annotations
 import ast
 import json
 import math
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from pathlib import Path
 from unittest import mock
 
@@ -45,7 +45,7 @@ from semilat.cli import run as cli_run
 from semilat.matching import _match
 from semilat.oracle import _witnesses
 
-from conftest import K4
+from conftest import DATA, K4
 from row_table import row_by_row_table
 from strategies import (
     GENERATED,
@@ -187,6 +187,7 @@ class TestBoundTables:
             verdict = is_join_semilattice(p)
             report = is_semimodular(p) if verdict[0] else None
         assert (verdict, report) == full_table_answers(p)
+        TestCoverPairs.assert_rows_are_the_combinations(p)   # the pairs the verdict read
 
     def test_only_the_minimal_pair_clause_refuses(self):
         p = from_dict(BOWTIE_TOP.to_dict())
@@ -283,12 +284,45 @@ class TestBoundTables:
         assert report.holds == (report.counterexample is None)
 
     def test_a_failed_condition_without_a_counterexample_is_a_bug(self, monkeypatch):
-        # Each upper cover paired with itself: x is not covered by x v x = x,
-        # so the condition fails on B2, where the scan finds no triple.
-        monkeypatch.setattr(sl, "combinations", lambda ups, k: [(u, u) for u in ups])
+        # Each upper cover paired with itself, its join the cover: x is not covered
+        # by x v x = x, so the condition fails on B2, where the scan finds no triple.
+        def self_pairs(p):
+            ups = p._cover_index()[1]
+            return np.column_stack([ups, ups]), ups
+
+        monkeypatch.setattr(sl, "_cover_joins", self_pairs)
         with pytest.raises(InternalInvariantError, match="^'B2' breaks Birkhoff's covering "
                                                          "condition, yet no triple breaks"):
             is_semimodular(boolean_lattice(2))
+
+
+def combination_rows(p: Poset) -> list[tuple[int, int]]:
+    """Every two upper covers of one element, each pair once: `combinations`
+    over each element's upper covers in turn, the reference for `_cover_joins`."""
+    return [pair for ups in p._view()[0] for pair in combinations(ups, 2)]
+
+
+class TestCoverPairs:
+    """`_cover_joins` lists its pairs from the cover index by array work; the
+    rows are those of `combinations` over the upper covers, in order.  The
+    generated posets of `test_local_decision_equals_the_full_table` check it too."""
+
+    @staticmethod
+    def assert_rows_are_the_combinations(p):
+        pairs, joins = sl._cover_joins(p)
+        expected = combination_rows(p)
+        assert pairs.dtype == np.intp and pairs.shape == (len(expected), 2)
+        assert list(map(tuple, pairs.tolist())) == expected
+        assert np.array_equal(joins, sl._join_of(p, pairs[:, 0], pairs[:, 1]))
+
+    def test_corpus(self, corpus):
+        # Tops have no upper cover, chains one at each element; C300 and the antichain no pair.
+        cases = [*corpus, chain_product([300]),
+                 from_dict(json.loads((DATA / "antichain2.json").read_text()))]
+        assert {len(ups) for p in cases for ups in p._view()[0]} >= {0, 1, 2, 3}
+        assert [len(combination_rows(p)) for p in cases[-2:]] == [0, 0]
+        for p in cases:
+            self.assert_rows_are_the_combinations(from_dict(p.to_dict()))
 
 
 class TestOneBlockBound:
