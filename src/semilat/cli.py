@@ -184,9 +184,11 @@ def _cmd_project(args) -> int:
     return OK
 
 
-# One pair's object in `verify --json`: its chains' and its report's JSON texts.
-_REPORT = {"chain_a": "%0", "chain_b": "%1", "entries": "%2", "ok": "%3"}
 _AT = 3   # the depth of a pair's fields: inside the payload, its reports and the pair
+# One pair's object in `verify --json`, a %-template of its chains' and its
+# report's JSON texts; its fields, and so its slots, are in sorted-key order.
+_REPORT = _Rows.text(dict.fromkeys(("chain_a", "chain_b", "entries", "ok"), "%s"),
+                     _AT - 1).replace('"%s"', "%s")
 
 
 def _report_rows(p: Poset, rows: list, pairs: list, reports: list) -> _Rows:
@@ -199,8 +201,8 @@ def _report_rows(p: Poset, rows: list, pairs: list, reports: list) -> _Rows:
     distinct = {id(r): r for r in reports}
     written = {key: (_Rows.text([e.to_dict() for e in r.entries], _AT), _Rows.text(r.ok, _AT))
                for key, r in distinct.items()}
-    return _Rows(_REPORT, [(texts[a], texts[b], *written[id(r)])
-                           for (a, b), r in zip(pairs, reports)])
+    return _Rows((",\n" + "  " * (_AT - 1)).join(
+        [_REPORT % (texts[a], texts[b], *written[id(r)]) for (a, b), r in zip(pairs, reports)]))
 
 
 def _cmd_verify(args) -> int:

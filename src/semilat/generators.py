@@ -48,7 +48,7 @@ class Graph:
 
     @classmethod
     def from_edge_list_text(cls, text: str) -> "Graph":
-        """Parse one 'u v' pair per line; vertex count is max index + 1."""
+        """Parse one 'u v' pair of ASCII numerals per line; vertex count is max index + 1."""
         edges = []
         for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
@@ -57,9 +57,11 @@ class Graph:
             parts = line.split()
             if len(parts) != 2:
                 raise PreconditionError(f"line {lineno}: expected 'u v', got {line!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
+            try:   # ASCII digits only: int() also reads "+2", "1_0" and other scripts' digits
+                if not all(x.isascii() and x.removeprefix("-").isdigit() for x in parts):
+                    raise ValueError
+                u, v = map(int, parts)
+            except ValueError:   # or past int()'s digit limit
                 raise PreconditionError(f"line {lineno}: vertices must be integers") from None
             if u < 0 or v < 0:
                 raise PreconditionError(f"line {lineno}: vertices must be non-negative")

@@ -55,9 +55,6 @@ class Group:
         self.table = tuple(tuple(row) for row in table)
         self._cache: dict = {}
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
     def __repr__(self) -> str:
         return f"Group({self.name!r}, order {self.order})"
 
@@ -424,7 +421,7 @@ class CompositionReport:
         return {"group": self.group, "order": self.order, "length": self.length,
                 "series": [list(s) for s in self.series],
                 "factor_multisets": [list(m) for m in self.factor_multisets],
-                "pairs": _Rows(None, self._pair_text(write, ",\n" + "  " * _PAIR_DEPTH)),
+                "pairs": _Rows(self._pair_text(write, ",\n" + "  " * _PAIR_DEPTH)),
                 "factor_multiset_independent": self.multiset_independent,
                 "ok": self.ok}
 

@@ -11,6 +11,8 @@ happens anywhere: M is checked by one rank law on the heights of its entries,
 h(c_i ∨ d_j) = j + #{k <= i : pi(k) > j}, and every witness is re-verified by
 index against both of its intervals.  The bottom is needed: a < c < t, b < t
 is a semimodular join semilattice whose maximal chains have lengths 2 and 1.
+So is semimodularity with equal lengths: in the hexagon 0 < a < b < 1,
+0 < c < d < 1, the step [a, b] projects onto no step of (0, c, d, 1).
 
 There is one matcher, `_match`, on a batch of index chain pairs whose join
 matrices are one numpy array, and one way into it, `match_index_chains`, which

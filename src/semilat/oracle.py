@@ -24,7 +24,18 @@ row by row, `check_pairs` its name wrapper, and `check_theorem` checks one
 pair through it.  Nothing is cached: each call evaluates its own cells.
 The oracle reads only the `Poset`, its order and its join table: it calls
 neither the projectivity predicates nor the matcher's internals, so an
-agreement between the two is meaningful evidence.
+agreement between the two is meaningful evidence.  The library functions
+it calls read definitions: `semilattice._table` and `_joins` (each pair's
+rank-least common upper bound, kept when its up-set is all of theirs)
+decide the joins on every pair, and `semilattice._counterexample` the
+covering law on every (cover, element) entry of that table, neither by a
+local lemma; `_maximal_rows` reads bottom to top by covers, and
+`_check_indices`, `_check_index_arrays` and `_is_int_array` read shapes;
+`match_index_chains` gives only the pi that is checked against the
+relation; `is_join_semilattice` and `is_semimodular` only decide whether
+`_charge_maximal_pairs` refuses a run early.  Reading uniqueness off
+maximality is the oracle's own lemma, proved at `check_index_pairs` and
+tested both ways.
 """
 
 from __future__ import annotations
@@ -170,13 +181,14 @@ class TheoremReport:
 
 def _poset_preconditions(p: Poset) -> str | None:
     """Why p is not a semimodular join semilattice with bounds, or None.
-    Joins are decided on every pair, by the full join table."""
+    Joins are decided on every pair, by the full join table, and the covering
+    law on every (cover, element) entry of that table."""
     first_bad = sl._table(p)[1]
     if first_bad is not None:
         return f"not a join semilattice: no join for {tuple(p.elements[i] for i in first_bad)}"
-    report = sl.is_semimodular(p)
-    if not report.holds:
-        return f"not semimodular: counterexample {report.counterexample}"
+    triple = sl._counterexample(p)
+    if triple is not None:
+        return f"not semimodular: counterexample {triple}"
     if p.bottom() is None or p.top() is None:
         return "missing bottom or top"
     return None

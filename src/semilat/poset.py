@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import operator
-import re
 from itertools import chain, compress, repeat
 from typing import Iterable, NamedTuple, Sequence
 
@@ -273,10 +272,6 @@ class Poset:
         """The unique maximum, or None."""
         return self._bound("top", axis=0)
 
-    def element_heights(self) -> dict[str, int]:
-        """Longest cover-path length from a minimal element to each element."""
-        return dict(zip(self.elements, self._view()[2].tolist()))
-
     def height(self) -> int:
         """Length of a longest chain (element count minus one)."""
         return int(self._view()[2].max())
@@ -421,14 +416,10 @@ _SCALARS = {str: _encode_str, int: int.__repr__, bool: lambda b: "true" if b els
 
 
 class _Rows(NamedTuple):
-    """A JSON array with an item per row: `marker`, each string "%k" in it
-    replaced by value k of the row (an int or a JSON text, written by `text`
-    for the depth of the slot's line if it spans lines); no other "%".  Or
-    `rows` is a str, the items' text, written for their depth and joined by
-    commas; then `marker` is unused."""
+    """A JSON array whose items are already text: `items`, written for the
+    depth of the array's items and joined by commas, is written as is."""
 
-    marker: object
-    rows: Sequence[Sequence]
+    items: str
 
     @staticmethod
     def text(value, depth: int) -> str:
@@ -445,8 +436,7 @@ def _json_text(obj, nl: str = "\n") -> str:
     plain dicts, lists, tuples, strings, ints, booleans and None itself and
     hands anything else (floats, subclasses, non-string keys, empty
     containers) to ``json``.
-    A list of ints is written by one join, and a `_Rows` by one %-format per
-    row into the marker's text at its depth.
+    A list of ints is written by one join, and a `_Rows` as its text.
     """
     out: list[str] = []
 
@@ -458,13 +448,7 @@ def _json_text(obj, nl: str = "\n") -> str:
             return
         inner = nl + "  "
         if t is _Rows:
-            body = o.rows
-            if type(body) is not str:
-                text = _json_text(o.marker, inner)
-                take = operator.itemgetter(*map(int, re.findall(r'"%(\d+)"', text)))
-                template = re.sub(r'"%\d+"', "%s", text)
-                body = ("," + inner).join([template % take(row) for row in body])
-            out.extend(("[", inner, body, nl, "]") if body else ("[]",))   # no copy of body
+            out.extend(("[", inner, o.items, nl, "]") if o.items else ("[]",))   # no copy
             return
         if (t is list or t is tuple) and o:
             if type(o[0]) is int and set(map(type, o)) == {int}:

@@ -46,7 +46,7 @@ def export_dot_by_name(p: Poset, chain_a=None, chain_b=None,
 
     lines = [f"digraph {_quote(p.name)} {{", "  rankdir=BT;", "  node [shape=box];"]
     ranks = [[] for _ in range(p.height() + 1)]
-    for e, h in p.element_heights().items():   # in name order
+    for e, h in zip(p.elements, p._view()[2].tolist()):   # in name order
         q = quoted[e]
         ranks[h].append(q + ";")
         if e in roles:

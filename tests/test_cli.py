@@ -340,6 +340,24 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err == "error: no common upper bound for (a, b) in 'two_tops'\n"
 
+    @pytest.mark.parametrize("target, out", [("010,110", "010,110\n"), ("000,001", "none\n")])
+    def test_project_text_output(self, run_cli, target, out):
+        assert run_cli("project", B3, "--source", "000,100", "--target", target) == (0, out, "")
+
+    def test_project_refusals(self, run_cli):
+        assert run_cli("project", B3, "--source", "000,110", "--target", "000,100") == (
+            1, "", "error: [000, 110] is not a prime interval of 'B3'\n")
+        assert run_cli("project", B3, "--source", "000", "--target", "000,001") == (
+            2, "", "error: --source and --target each need exactly two elements\n")
+
+    def test_match_trace_text_frames(self, run_cli):
+        code, out, _ = run_cli("match", B3, "--chain-a", "000,100,110,111",
+                               "--chain-b", "000,001,011,111", "--trace")
+        assert code == 0
+        assert out.splitlines()[-2:] == [
+            "level 0: l = 2, lifted chain 100,101,111, sigma {2->2, 3->1}",
+            "level 1: l = 1, lifted chain 110,111, sigma {2->1}"]
+
     def test_violation_non_maximal_chain(self, run_cli):
         code, _, err = run_cli("match", B3, "--chain-a", "000,110,111",
                                "--chain-b", "000,010,110,111")
@@ -350,6 +368,21 @@ class TestExitCodes:
         code, out, _ = run_cli("verify", N5, "--all-pairs")
         assert code == 1
         assert "('0', 'b', 'a')" in out
+
+    def test_verify_bounded_bowtie_reports_the_missing_join(self, run_cli, tmp_path):
+        # 0 < a, b < c, d < 1: a and b have two minimal common upper bounds.
+        p = Poset.from_cover_list("bounded-bowtie", "0abcd1", [
+            ("0", "a"), ("0", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"),
+            ("c", "1"), ("d", "1")])
+        message = "not a join semilattice: no join for ('a', 'b')"
+        report = semilat.check_theorem(p, ("0", "a", "c", "1"), ("0", "b", "d", "1"))
+        assert report.entry("preconditions") == semilat.CheckEntry("preconditions", False, message)
+        path = str(tmp_path / "bowtie.json")
+        semilat.save_poset(p, path)
+        code, out, _ = run_cli("verify", path, "--json")
+        payload = json.loads(out)
+        assert (code, payload["pairs"], payload["failures"]) == (1, 16, 16)
+        assert {r["entries"][0]["detail"] for r in payload["reports"]} == {message}
 
     def test_verify_glued_n5_fails(self, run_cli):
         # Not semimodular, with maximal chains of lengths 4 and 5.
@@ -614,6 +647,13 @@ class TestGen:
         assert (code, stdout, out.exists()) == (2, "", False)
         assert err == f"error: bad parameters for family {family!r}: {message}\n"
 
+    def test_edge_list_vertices_are_ascii_digits(self, run_cli, tmp_path):
+        source, out = tmp_path / "g.txt", tmp_path / "g.json"
+        source.write_text("0 1\n1 +2\n", encoding="utf-8")   # int() reads "+2" as 2
+        assert run_cli("gen", "graphic", str(source), "-o", str(out)) == (
+            2, "", "error: bad parameters for family 'graphic': line 2: vertices must be integers\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("family, params", [("boolean", []), ("boolean", ["2", "3"]),
                                                 ("counter", ["n5", "n5"])])
     def test_gen_takes_exactly_one_parameter(self, run_cli, tmp_path, family, params):
@@ -709,7 +749,50 @@ class TestBottomIsRequired:
         assert run_cli("verify", str(DATA / "b3.json"), "--samples", "3")[0] == 0
 
 
+class TestSemimodularityIsRequired:
+    """Equal lengths do not stand in for the covering law.  The hexagon
+    (0 < a < b < 1, 0 < c < d < 1) is a lattice whose two maximal chains
+    both have length 3, yet its step [a, b] is up-and-down projective to no
+    step of the other chain, so no bijection of the theorem's kind exists."""
+
+    HEXAGON = Poset.from_cover_list("hexagon", "0abcd1", [
+        ("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "d"), ("d", "1")])
+    A, B = ("0", "a", "b", "1"), ("0", "c", "d", "1")
+    FAILURE = "not semimodular: counterexample ('0', 'a', 'c')"
+
+    def test_the_hexagon_has_no_matching(self, run_cli, tmp_path):
+        p = semilat.from_dict(self.HEXAGON.to_dict())
+        assert sl.is_join_semilattice(p) == (True, None)
+        assert sl.is_semimodular(p) == semilat.SemimodularityReport(False, ("0", "a", "c"))
+        F, T = False, True
+        assert semilat.projectivity_relation(p, self.A, self.B).related == (
+            (F, F, T), (F, F, F), (T, F, F))
+        assert semilat.check_theorem(p, self.A, self.B).entries[:2] == (
+            semilat.CheckEntry("preconditions", False, self.FAILURE),
+            semilat.CheckEntry("equal-length", True, "lengths 3 and 3"))
+        path = str(tmp_path / "hexagon.json")
+        semilat.save_poset(p, path)
+        assert run_cli("match", path, "--chain-a", ",".join(self.A), "--chain-b",
+                       ",".join(self.B)) == (1, "", "error: not semimodular: 0 \u22d6 a but "
+                                             "join(0,c) is neither equal to nor covered by "
+                                             "join(a,c)\n")
+
+    def test_the_oracle_reads_the_covering_law_itself(self, monkeypatch):
+        # A wrong local verdict reaches neither the oracle's preconditions nor its message.
+        p = semilat.from_dict(self.HEXAGON.to_dict())
+        monkeypatch.setattr(sl, "is_semimodular", lambda p: semilat.SemimodularityReport(True))
+        [report] = semilat.check_pairs(p, [(self.A, self.B)])
+        assert report.entry("preconditions") == semilat.CheckEntry(
+            "preconditions", False, self.FAILURE)
+
+
 class TestGroupCommands:
+    def test_builtin_z0_is_unknown(self, run_cli, tmp_path):
+        out = tmp_path / "z0.json"
+        assert run_cli("group", "builtin", "Z0", "-o", str(out)) == (
+            2, "", "error: unknown builtin group 'Z0'\n")
+        assert not out.exists()
+
     def test_builtin_roundtrip(self, run_cli, tmp_path):
         out = tmp_path / "q8.json"
         code, _, _ = run_cli("group", "builtin", "Q8", "-o", str(out))
@@ -968,6 +1051,11 @@ class TestExportDot:
     def test_chain_that_does_not_step_by_covers(self, run_cli, argv, message):
         code, out, err = run_cli("export-dot", B2, *argv)
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("chain", ["--chain-a", "--chain-b"])
+    def test_witnesses_need_both_chains(self, run_cli, chain):
+        assert run_cli("export-dot", B2, chain, "0,a,1", "--witnesses") == (
+            2, "", "error: --witnesses needs both --chain-a and --chain-b\n")
 
     def test_partial_cover_chain(self, run_cli):
         code, out, _ = run_cli("export-dot", B2, "--chain-a", "0,a")

@@ -184,10 +184,27 @@ class TestGraphicFlats:
         g = Graph.from_edge_list_text("0 1\n\n2 3\n")
         assert g.vertices == 4
         assert g.edges == ((0, 1), (2, 3))
+        # A minus sign and ASCII digits are a number, as `gen`'s numerals are: -0 is 0.
+        assert Graph.from_edge_list_text("-0 1\n").edges == ((0, 1),)
         with pytest.raises(PreconditionError, match="line 1"):
             Graph.from_edge_list_text("0 1 2\n")
         with pytest.raises(PreconditionError, match="empty"):
             Graph.from_edge_list_text("\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("0 1\n1 x\n", "line 2: vertices must be integers"),
+        ("0 1\n1 +2\n", "line 2: vertices must be integers"),
+        ("0 1\n2 1_0\n", "line 2: vertices must be integers"),
+        ("0 1\n1 \u0662\n", "line 2: vertices must be integers"),
+        ("0 1\n1 --2\n", "line 2: vertices must be integers"),
+        ("0 -\n", "line 1: vertices must be integers"),
+        ("0 " + "9" * 5000 + "\n", "line 1: vertices must be integers"),
+        ("0 1\n-1 2\n", "line 2: vertices must be non-negative"),
+    ], ids=["letter", "plus", "underscore", "arabic-indic", "two-minus", "bare-minus",
+            "5000-digits", "negative"])
+    def test_vertices_are_ascii_numerals(self, text, message):
+        with pytest.raises(PreconditionError, match=f"^{message}$"):
+            Graph.from_edge_list_text(text)
 
 
 class TestMatroidComponents:

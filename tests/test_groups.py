@@ -75,7 +75,7 @@ def subgroups_by_subset_scan(g):
         for extra in combinations(rest, r):
             members = (0,) + extra
             mset = set(members)
-            if all(g.mul(a, b) in mset for a in members for b in members):
+            if all(g.table[a][b] in mset for a in members for b in members):
                 found.append(members)
     return sorted(found, key=lambda m: (len(m), m))
 
@@ -88,7 +88,7 @@ def pairwise_closure(g, seed):
     while frontier:
         x = frontier.pop()
         for y in list(members):
-            for z in (g.mul(x, y), g.mul(y, x)):
+            for z in (g.table[x][y], g.table[y][x]):
                 if z not in members:
                     members.add(z)
                     frontier.append(z)
@@ -119,7 +119,7 @@ def normal_closure_by_reference(g, members, ambient):
     repeat until nothing new appears."""
     closure = frozenset(members)
     while True:
-        conjugates = {g.mul(g.mul(k, h), g.table[k].index(0)) for k in ambient for h in closure}
+        conjugates = {g.table[g.table[k][h]][g.table[k].index(0)] for k in ambient for h in closure}
         grown = pairwise_closure(g, closure | conjugates)
         if grown == closure:
             return closure
@@ -237,6 +237,10 @@ class TestTableValidation:
     def test_trivial_group(self):
         assert group_from_table("1", [[0]]).order == 1
 
+    def test_empty_table(self):
+        with pytest.raises(GroupValidationError, match="^empty table$"):
+            group_from_table("e", [])
+
     def test_not_latin(self):
         with pytest.raises(GroupValidationError, match="Latin"):
             group_from_table("x", [[0, 0], [1, 1]])
@@ -348,7 +352,7 @@ class TestBuiltins:
 
     def test_q8_single_involution(self):
         q8 = builtin_group("Q8")
-        assert sum(1 for x in range(1, 8) if q8.mul(x, x) == 0) == 1
+        assert sum(1 for x in range(1, 8) if q8.table[x][x] == 0) == 1
 
     def test_tables_and_refusals_are_pinned(self):
         tables = [builtin_group(name).to_dict() for name in PINNED_BUILTINS]
@@ -416,7 +420,7 @@ class TestSubgroups:
                  if sum(a > b for a, b in combinations(p, 2)) % 2 == 0]
         g = group_from_table("A5", groups._cayley(perms, lambda p, q: tuple(p[k] for k in q)))
         subs = all_subgroups(g)
-        assert all(g.mul(a, b) in s for s in map(set, subs) for a in s for b in s)
+        assert all(g.table[a][b] in s for s in map(set, subs) for a in s for b in s)
         sizes = Counter(map(len, subs))
         assert sizes == {1: 1, 2: 15, 3: 10, 4: 5, 5: 6, 6: 10, 10: 6, 12: 5, 60: 1}
 

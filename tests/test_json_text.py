@@ -2,9 +2,8 @@
 
 Every `--json` stdout and every written poset or group file goes through
 `poset._json_text`, so it must return exactly the text `json.dumps` returns.
-A `_Rows` value (an array written from rows under one template, or from its
-items' text) must read as the list of its items, each expanded here without
-the writer's template.
+A `_Rows` value (an array whose items are already text) must read as the
+list of the items that text holds.
 """
 
 from __future__ import annotations
@@ -33,6 +32,9 @@ def _containers(children):
 
 
 VALUES = st.recursive(SCALARS, _containers, max_leaves=12)
+# Values that read back as themselves: no tuples, no keys but strings.
+JSON_VALUES = st.recursive(SCALARS, lambda c: st.lists(c, max_size=4)
+                           | st.dictionaries(STRINGS, c, max_size=4), max_leaves=8)
 
 
 def dumps(x) -> str:
@@ -40,41 +42,26 @@ def dumps(x) -> str:
 
 
 def expanded(x):
-    """`x` with every `_Rows` replaced by its items: the marker with each
-    string "%k" read as value k of the row, an int or the value of a JSON text;
-    or, where the rows are a str, the items that text holds."""
+    """`x` with every `_Rows` replaced by the items its text holds."""
     if type(x) is _Rows:
-        if type(x.rows) is str:
-            return json.loads(f"[{x.rows}]")
-        return [fill(x.marker, row) for row in x.rows]
+        return json.loads(f"[{x.items}]")
     if isinstance(x, dict):
         return {k: expanded(v) for k, v in x.items()}
     return [expanded(v) for v in x] if isinstance(x, (list, tuple)) else x
 
 
-def fill(marker, row):
-    if isinstance(marker, str):
-        value = row[int(marker[1:])]
-        return value if type(value) is int else json.loads(value)
-    if isinstance(marker, dict):
-        return {k: fill(v, row) for k, v in marker.items()}
-    return [fill(v, row) for v in marker]
+# Where a drawn `_Rows` sits, and the depth of its items there.
+PLACES = [(lambda r: r, 1), (lambda r: [r], 2), (lambda r: {"pairs": r, "b": 1}, 2),
+          (lambda r: [[1], {"x": r}], 3)]
 
 
 @st.composite
 def rows_values(draw):
-    """A `_Rows` under a random marker of dicts and lists at a random depth:
-    each of its m slots "%k" used once, rows of ints and JSON texts."""
-    m = draw(st.integers(1, 6))
-    slots = draw(st.permutations([f"%{k}" for k in range(m)]))
-    keys = st.text("abc_", min_size=1, max_size=3)
-    marker = slots[0]
-    for slot in slots[1:]:
-        marker = draw(st.sampled_from([[marker, slot], [slot, marker], {"k": marker, "a": slot}]))
-        marker = draw(st.one_of(st.just(marker), keys.map(lambda k, v=marker: {k: v})))
-    row = st.tuples(*[INTS | st.sampled_from(["true", "false", "null"])] * m)
-    value = _Rows(marker, draw(st.lists(row, max_size=4)))
-    return draw(st.sampled_from([value, [value], {"pairs": value, "b": 1}, [[1], {"x": value}]]))
+    """A `_Rows` of up to four values at a drawn place, each item written for
+    its depth there and joined by commas, as its callers write them."""
+    place, depth = draw(st.sampled_from(PLACES))
+    items = draw(st.lists(JSON_VALUES, max_size=4))
+    return place(_Rows((",\n" + "  " * depth).join(_Rows.text(v, depth) for v in items)))
 
 
 @settings(GENERATED, max_examples=40)

@@ -362,6 +362,24 @@ class TestVerifyMatching:
         check = verify_matching(B3, B3_CHAIN_A, B3_CHAIN_A, MatchingResult(3, pi, valid.witnesses))
         assert check == MatchingCheck(False, (f"pi is not a bijection on 1..3: {list(pi)}",))
 
+    def test_result_of_the_wrong_size_reported(self):
+        valid = jh_match(B3, B3_CHAIN_A, B3_CHAIN_B)
+        check = verify_matching(B3, B3_CHAIN_A, B3_CHAIN_B,
+                                MatchingResult(2, (1, 2), valid.witnesses[:2]))
+        assert check == MatchingCheck(False, ("result size 2 does not match chain lengths 3 and 3",))
+
+    def test_missing_witness_reported(self):
+        valid = jh_match(B3, B3_CHAIN_A, B3_CHAIN_B)
+        check = verify_matching(B3, B3_CHAIN_A, B3_CHAIN_B,
+                                MatchingResult(3, valid.pi, valid.witnesses[:2]))
+        assert check == MatchingCheck(False, ("expected 3 witnesses, got 2",))
+
+    def test_witness_off_the_source_interval_reported(self):
+        tampered = MatchingResult(3, (1, 2, 3), (("001", "011"), ("100", "110"), ("110", "111")))
+        check = verify_matching(B3, B3_CHAIN_A, B3_CHAIN_A, tampered)
+        assert check == MatchingCheck(False, ("index 1: witness ('001', '011') fails on the "
+                                              "source interval ('000', '100')",))
+
     def test_non_bijection_caught(self):
         tampered = MatchingResult(n=2, pi=(2, 2),
                                   witnesses=(("b", "1"), ("a", "1")))

@@ -575,11 +575,12 @@ class TestCheckPairs:
             assert len(cells) == len(set(cells)) and set(cells) == steps
 
     def test_oracle_calls_add_no_cache_entry(self):
-        # A first pair decided by its preconditions builds the poset's own
-        # tables; evaluating cells afterwards adds nothing to the poset.
+        # A first pair decided by its preconditions, and one match, build the
+        # poset's own tables; evaluating cells afterwards adds nothing to the poset.
         b4 = boolean_lattice(4)
         chains = maximal_chains(b4)
         check_pairs(b4, [(chains[0], chains[1][:-1])])
+        jh_match(b4, chains[0], chains[1])
         keys = set(b4._cache)
         assert all(r.ok for r in check_pairs(b4, [(a, b) for a in chains[:3] for b in chains[:3]]))
         assert interval_updown_witness(b4, ("0000", "0001"), ("0010", "0011")) == ("0010", "0011")
