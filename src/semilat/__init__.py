@@ -44,7 +44,6 @@ from .oracle import (
     CheckEntry,
     ProjectivityRelation,
     TheoremReport,
-    check_index_chains,
     check_index_pairs,
     check_pairs,
     check_theorem,

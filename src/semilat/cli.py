@@ -24,7 +24,8 @@ from . import generators, groups, oracle, semilattice as sl
 from .dot import export_dot
 from .errors import SemilatError, SizeLimitError, UnknownElementError
 from .matching import jh_match
-from .poset import Poset, _json_text, _Rows, _save_json, load_poset, save_poset
+from .poset import (_NUMERAL_DIGITS, Poset, _json_text, _numeral, _Rows, _save_json, load_poset,
+                    save_poset)
 
 OK, VIOLATION, USAGE = 0, 1, 2
 
@@ -205,6 +206,10 @@ def _report_rows(p: Poset, rows: list, pairs: list, reports: list) -> _Rows:
         [_REPORT % (texts[a], texts[b], *written[id(r)]) for (a, b), r in zip(pairs, reports)]))
 
 
+# A pair seed past this has too many digits to write; built once, as the power is slow.
+_SEED_BOUND = 10 ** _NUMERAL_DIGITS
+
+
 def _cmd_verify(args) -> int:
     if args.samples is not None and args.samples < 1:
         raise _InputError(f"--samples must be at least 1, got {args.samples}")
@@ -229,9 +234,12 @@ def _cmd_verify(args) -> int:
         second = np.tile(np.arange(chain_count), chain_count)
         mode = "all-pairs"
     else:
-        # Seeded cover walks; the pair seeds are reported.
-        pair_seeds = [(args.seed * 1000003 + 2 * k, args.seed * 1000003 + 2 * k + 1)
-                      for k in range(count)]
+        # Seeded cover walks; the pair seeds are reported, so each must be a
+        # numeral that can be written.
+        base = args.seed * 1000003
+        if max(abs(base), abs(base + 2 * count - 1)) >= _SEED_BOUND:
+            raise _InputError(f"--seed must keep every pair seed within {_NUMERAL_DIGITS} digits")
+        pair_seeds = [(base + 2 * k, base + 2 * k + 1) for k in range(count)]
         rows = generators._random_chain_rows(p, (s for pair in pair_seeds for s in pair))
         first, second = np.arange(0, 2 * count, 2), np.arange(1, 2 * count, 2)
         mode = f"samples={count}"
@@ -271,23 +279,6 @@ def _cmd_verify(args) -> int:
                         print(f"      {e.name}: {e.detail}")
         print(f"result: {'all checks passed' if not failures else f'{failures} failing pairs'}")
     return OK if failures == 0 else VIOLATION
-
-
-# The longest numeral `gen` reads: Python's default limit on reading an int from
-# a string (sys.int_info.default_max_str_digits), so every numeral int() reads by
-# default is read as before, and a longer one is refused in the package's words.
-_NUMERAL_DIGITS = 4300
-
-
-def _numeral(text: str) -> int:
-    """The one reader of a number in argv: an optional minus sign, then 1 to
-    _NUMERAL_DIGITS ASCII digits; anything else raises ValueError."""
-    digits = text[1:] if text.startswith("-") else text
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"expected an integer in ASCII digits, got {text!r}")
-    if len(digits) > _NUMERAL_DIGITS:
-        raise ValueError(f"integers are limited to {_NUMERAL_DIGITS} digits, got {len(digits)}")
-    return int(text)
 
 
 def _option_numeral(text: str) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import accumulate, combinations, product
 
 from .errors import PreconditionError, SizeLimitError, UnknownNameError
-from .poset import Poset, _check_size, _int, _sequence
+from .poset import Poset, _check_size, _int, _numeral, _sequence
 from .semilattice import _require_bounds
 
 
@@ -48,7 +48,7 @@ class Graph:
 
     @classmethod
     def from_edge_list_text(cls, text: str) -> "Graph":
-        """Parse one 'u v' pair of ASCII numerals per line; vertex count is max index + 1."""
+        """Parse one 'u v' pair of `_numeral`s per line; vertex count is max index + 1."""
         edges = []
         for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
@@ -57,11 +57,9 @@ class Graph:
             parts = line.split()
             if len(parts) != 2:
                 raise PreconditionError(f"line {lineno}: expected 'u v', got {line!r}")
-            try:   # ASCII digits only: int() also reads "+2", "1_0" and other scripts' digits
-                if not all(x.isascii() and x.removeprefix("-").isdigit() for x in parts):
-                    raise ValueError
-                u, v = map(int, parts)
-            except ValueError:   # or past int()'s digit limit
+            try:
+                u, v = map(_numeral, parts)
+            except ValueError:
                 raise PreconditionError(f"line {lineno}: vertices must be integers") from None
             if u < 0 or v < 0:
                 raise PreconditionError(f"line {lineno}: vertices must be non-negative")

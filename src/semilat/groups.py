@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import operator
-import re
 from collections.abc import Callable, Collection, Iterable, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, chain, combinations, permutations
@@ -405,15 +404,14 @@ class CompositionReport:
 
     def _payload(self) -> dict:
         """The `--json` object; its pairs are written by `_pair_text`, each
-        distinct key's text once, from one pair's object with the slot "%k"
-        for its key's value k and the slots "%a" and "%b" for its series."""
-        n, k = self.length, [f"%{i}" for i in range(3 * self.length + 1)]
-        # The slots in the order of the object's sorted fields.
-        marker = {"factor_pairs": [k[i:i + 2] for i in range(0, 2 * n, 2)],
-                  "factors_equal": k[2 * n], "pi": k[2 * n + 1:],
-                  "series_a": "%a", "series_b": "%b"}
-        before, between, after = re.split(r'"%[ab]"', _Rows.text(marker, _PAIR_DEPTH))
-        template = re.sub(r'"%\d+"', "%s", before)
+        distinct key's text once, from one pair's object with a "%s" slot for
+        each value of its key and the slots "%a" for its series."""
+        n = self.length
+        # The key's slots fill in the order of the object's sorted fields.
+        marker = {"factor_pairs": [["%s", "%s"]] * n, "factors_equal": "%s", "pi": ["%s"] * n,
+                  "series_a": "%a", "series_b": "%a"}
+        template, between, after = (_Rows.text(marker, _PAIR_DEPTH).replace('"%s"', "%s")
+                                    .split('"%a"'))
 
         def write(pi, factor_pairs, equal):
             return template % (*factor_pairs, ("false", "true")[equal], *pi), between, after

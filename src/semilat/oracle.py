@@ -11,17 +11,18 @@ needs no y: a witness (x, y) for [a, b] -> [c, d] has b∨x = y, so each x
 admits exactly one candidate y, and testing every x with that y tests every
 pair (x, y).  Cells are index rows in and witness x's out; names appear only
 in the witnesses of `interval_updown_witness` and `projectivity_relation`.
-`check_index_pairs`, the oracle's one entry by index, checks a whole pair
-set in one pass on an array of index chains and two arrays of row ids: the
-preconditions once, each row once, every distinct cell the pairs need in one
-batch of scans, evaluated in blocks, and the relations and verdicts of all
-pairs as array work on the step ids of their chains.  Uniqueness is read off
-maximality wherever it can be: a consistent permutation with no maximality
-violation (the maximality of pi; Czédli and Schmidt, Algebra Universalis 66,
-2011) has no alternating cycle, so only the pairs with a violation are
-searched for one.  `check_index_chains` is its entry on two arrays of chains
-row by row, `check_pairs` its name wrapper, and `check_theorem` checks one
-pair through it.  Nothing is cached: each call evaluates its own cells.
+Two entries read their pairs and decide the preconditions, each row's
+maximality and the work charge once per call: `check_index_pairs` on an
+array of index chains and two arrays of row ids, `check_pairs` on chains of
+names, one length group at a time; `check_theorem` checks one pair through
+`check_pairs`.  Both hand their evaluable pairs to one core, `_evaluate`:
+every distinct cell the pairs need in one batch of scans, evaluated in
+blocks, and the relations and verdicts of all pairs as array work on the
+step ids of their chains.  Uniqueness is read off maximality wherever it
+can be: a consistent permutation with no maximality violation (the
+maximality of pi; Czédli and Schmidt, Algebra Universalis 66, 2011) has no
+alternating cycle, so only the pairs with a violation are searched for one.
+Nothing is cached: each call evaluates its own cells.
 The oracle reads only the `Poset`, its order and its join table: it calls
 neither the projectivity predicates nor the matcher's internals, so an
 agreement between the two is meaningful evidence.  The library functions
@@ -30,12 +31,12 @@ rank-least common upper bound, kept when its up-set is all of theirs)
 decide the joins on every pair, and `semilattice._counterexample` the
 covering law on every (cover, element) entry of that table, neither by a
 local lemma; `_maximal_rows` reads bottom to top by covers, and
-`_check_indices`, `_check_index_arrays` and `_is_int_array` read shapes;
+`_check_indices` and `_is_int_array` read shapes;
 `match_index_chains` gives only the pi that is checked against the
 relation; `is_join_semilattice` and `is_semimodular` only decide whether
 `_charge_maximal_pairs` refuses a run early.  Reading uniqueness off
-maximality is the oracle's own lemma, proved at `check_index_pairs` and
-tested both ways.
+maximality is the oracle's own lemma, proved at `_evaluate` and tested
+both ways.
 """
 
 from __future__ import annotations
@@ -218,8 +219,8 @@ def _report(pre: str | None, n: int, m: int, count: str | None = None,
 
 
 def check_pairs(p: Poset, pairs) -> list[TheoremReport]:
-    """`check_theorem` on every chain pair, in order: the name wrapper of
-    `check_index_pairs`.
+    """`check_theorem` on every chain pair, in order: the oracle's entry by
+    name.
 
     The poset preconditions are checked once.  Each distinct chain is read
     into an index row and checked for maximality once, when a pair first
@@ -227,9 +228,9 @@ def check_pairs(p: Poset, pairs) -> list[TheoremReport]:
     pairs (preconditions met, equal lengths) cost n^2 cells of |p| scan steps
     each; the first pair past WORK_LIMIT in all raises SizeLimitError, before
     any cell is computed.  The evaluable pairs of each length then go to
-    `check_index_pairs` as the index rows of their distinct chains and two
-    arrays of row ids, one call per length.  Pairs with equal outcomes share
-    one frozen report.
+    `_evaluate` as the index rows of their distinct chains and two arrays of
+    row ids, one call per length.  Pairs with equal outcomes share one
+    frozen report.
     """
     pairs = _sequence(pairs, PreconditionError, "pairs must be iterable, got {}",
                       type(pairs).__name__)
@@ -265,7 +266,8 @@ def check_pairs(p: Poset, pairs) -> list[TheoremReport]:
         ids: dict[tuple[str, ...], int] = {}   # chain -> its row of X
         first, second = ([ids.setdefault(chain, len(ids)) for chain in side] for side in (C, D))
         X = np.array([rows[chain] for chain in ids], dtype=np.intp)
-        for k, report in zip(ks, check_index_pairs(p, X, np.array(first), np.array(second))):
+        maximal = np.ones(len(X), dtype=bool)
+        for k, report in zip(ks, _evaluate(p, X, maximal, np.array(first), np.array(second))):
             out[k] = report
     return out
 
@@ -287,24 +289,6 @@ def _charge_maximal_pairs(p: Poset, pairs: int) -> None:
     if (sl.is_join_semilattice(p)[0] and sl.is_semimodular(p).holds
             and p.bottom() is not None and p.top() is not None):
         _charge(0, p.height() ** 2 * len(p), range(pairs))
-
-
-def check_index_chains(p: Poset, C, D) -> list[TheoremReport]:
-    """`check_theorem` on the P pairs (row k of C, row k of D) of the integer
-    arrays C and D of index chains, shape (P, n+1), in one pass, shaped as
-    `match_index_chains` is.
-
-    p must be a Poset, and C and D integer 2-D arrays of one shape, n >= 0
-    (else PreconditionError), of indices of p (else UnknownElementError for
-    the first row outside, of C, then of D).  `check_index_pairs` gets the
-    rows of C then of D, unsorted, and pair k as the row ids k and P + k.
-    """
-    _poset(p)
-    sl._check_index_arrays(C, D)
-    sl._check_indices(p, C, "first chain")
-    sl._check_indices(p, D, "second chain")
-    X = np.vstack([C, D], dtype=np.intp)   # one integer dtype, also for int C and uint D
-    return check_index_pairs(p, X, *np.arange(len(X)).reshape(2, -1))
 
 
 def _check_pair_ids(X, first, second) -> None:
@@ -338,21 +322,8 @@ def check_index_pairs(p: Poset, X, first, second) -> list[TheoremReport]:
     with bounds and whether each row is maximal are reported, not raised;
     each row is tested once.  The evaluable pairs (both chains maximal) cost
     n^2 cells of |p| scan steps each; past WORK_LIMIT in all, SizeLimitError
-    names the first pair past it before any cell is computed.
-
-    Each evaluable pair is then decided as arrays on the step ids of its
-    chains: every relation cell the pairs need is evaluated in one batch into
-    a step-by-step hit matrix, each pair's relation R is read from it, and
-    the computed permutations come from one `match_index_chains` call.  Each
-    pi is checked, not trusted: pi outside the relation is "not decided"; pi
-    inside it is a perfect matching, and the relation has a second one
-    exactly when rows can pass their columns round an alternating cycle
-    ("at least 2"; else "1").  Maximality decides that cycle for most pairs:
-    if no related j of any row i exceeds pi(i), a hand-on i -> l (i related
-    to pi(l), l != i) has pi(l) <= pi(i), so pi(l) < pi(i), as pi is one to
-    one; pi falls strictly along every hand-on, so no hand-ons close a cycle
-    and the count is 1.  Only a consistent pair with a maximality violation
-    is peeled for a cycle.  Pairs with equal outcomes share one frozen
+    names the first pair past it before any cell is computed.  The evaluable
+    pairs then go to `_evaluate`.  Pairs with equal outcomes share one frozen
     report; only a pair with maximality violations has its own.
     """
     size = len(_poset(p))
@@ -367,23 +338,46 @@ def check_index_pairs(p: Poset, X, first, second) -> list[TheoremReport]:
     a, b = maximal[first], maximal[second]
     ev = np.flatnonzero(a & b)   # the evaluable pairs
     _charge(0, n * n * size, ev)
-    # Each pair's outcome, by code: a chain not maximal, the first or the
-    # second, or evaluated with the verdict _COUNTS[code - 2].
-    outcomes = [("first chain is not maximal", n, n), ("second chain is not maximal", n, n),
-                *((None, n, n, count, count != _COUNTS[0]) for count in _COUNTS)]
-    code = np.where(a, np.where(b, 2, 1), 0)
+    evaluated = _evaluate(p, X, maximal, first[ev], second[ev])
+    if len(ev) == P:
+        return evaluated
+    # By a: the first chain is not maximal, or else the second.
+    reports = np.array([_report(f"{label} chain is not maximal", n, n)
+                        for label in ("first", "second")], dtype=object).take(a)
+    reports[ev] = evaluated
+    return reports.tolist()
 
+
+def _evaluate(p: Poset, X, maximal, fe, se) -> list[TheoremReport]:
+    """The reports on the pairs (row fe[e] of X, row se[e] of X) of maximal
+    index chains of n steps, the rows of X that `maximal` marks, on a
+    semimodular join semilattice p with bounds: the one evaluation of pairs.
+
+    Each pair is decided as arrays on the step ids of its chains: every
+    relation cell the pairs need is evaluated in one batch into a
+    step-by-step hit matrix, each pair's relation R is read from it, and the
+    computed permutations come from one `match_index_chains` call.  Each pi
+    is checked, not trusted: pi outside the relation is "not decided"; pi
+    inside it is a perfect matching, and the relation has a second one
+    exactly when rows can pass their columns round an alternating cycle ("at
+    least 2"; else "1").  Maximality decides that cycle for most pairs: if no
+    related j of any row i exceeds pi(i), a hand-on i -> l (i related to
+    pi(l), l != i) has pi(l) <= pi(i), so pi(l) < pi(i), as pi is one to one;
+    pi falls strictly along every hand-on, so no hand-ons close a cycle and
+    the count is 1.  Only a consistent pair with a maximality violation is
+    peeled for a cycle.
+    """
+    size, n = len(p), X.shape[1] - 1
     # The steps of the maximal rows, numbered: step s ends at ends[s].  The
-    # evaluable pairs run along the last axis: cs[i, e] is the id of step i
-    # of pair e's first chain, ds[j, e] that of step j of its second, and
-    # cells[i, j, e] the position of their cell in the flat L x L matrix H.
+    # pairs run along the last axis: cs[i, e] is the id of step i of pair e's
+    # first chain, ds[j, e] that of step j of its second, and cells[i, j, e]
+    # the position of their cell in the flat L x L matrix H.
     steps = X[:, :-1] * size + X[:, 1:]
     kept = steps[maximal]
     ends, ids = np.unique(kept, return_inverse=True)
     steps[maximal] = ids.reshape(kept.shape)
-    fe, se = first[ev], second[ev]
     cs, ds = steps.T.take(fe, axis=1), steps.T.take(se, axis=1)
-    L, E = len(ends), len(ev)
+    L, E = len(ends), len(fe)
     cells = (cs * L)[:, None] + ds
 
     # Every cell the pairs need, in one batch: H[s * L + t] is whether step
@@ -403,7 +397,7 @@ def check_index_pairs(p: Poset, X, first, second) -> list[TheoremReport]:
     consistent = inside & (np.sort(pi.T, axis=0) == rows + 1).all(axis=0)
     late = R & (np.arange(1, n + 1)[:, None] > pi.T[:, None])   # j > pi(i), 1-indexed
     violated = late.reshape(n * n, E).any(axis=0)
-    code[ev] += consistent
+    code = consistent.astype(np.intp)   # the verdict _COUNTS[code]
     # The consistent pairs with violations: a second matching exists exactly
     # when hand-ons close a cycle, that is, when rows survive peeling each
     # row with no live successor.  A[e, i, l]: i is related to pi(l), l != i.
@@ -413,17 +407,18 @@ def check_index_pairs(p: Poset, X, first, second) -> list[TheoremReport]:
     live = np.ones((len(peel), n), dtype=bool)
     while (peeled := live & ~(A & live[:, None, :]).any(axis=2)).any():
         live &= ~peeled
-    code[ev[peel]] += live.any(axis=1)
+    code[peel] += live.any(axis=1)
     codes = code.tolist()
-    shared = {k: _report(*outcomes[k]) for k in set(codes)}
+    # Each verdict's outcome, as the arguments of its `_report`.
+    outcomes = [(None, n, n, count, count != _COUNTS[0]) for count in _COUNTS]
+    shared = {c: _report(*outcomes[c]) for c in set(codes)}
     reports = list(map(shared.__getitem__, codes))
 
     found: dict[tuple, TheoremReport] = {}
     for e in np.flatnonzero(violated).tolist():
-        k = int(ev[e])
-        outcome = (*outcomes[codes[k]],
+        outcome = (*outcomes[codes[e]],
                    tuple(map(tuple, (np.argwhere(late[:, :, e]) + 1).tolist())))
-        reports[k] = found.setdefault(outcome, _report(*outcome))
+        reports[e] = found.setdefault(outcome, _report(*outcome))
     return reports
 
 

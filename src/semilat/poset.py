@@ -368,6 +368,24 @@ def _int(value, what: str) -> int:
         raise PreconditionError(f"{what} must be an integer, got {value!r}") from None
 
 
+# The longest numeral read from text: Python's default limit on reading an int
+# from a string (sys.int_info.default_max_str_digits), so every numeral int() reads
+# by default is read as before, and a longer one is refused in the package's words.
+_NUMERAL_DIGITS = 4300
+
+
+def _numeral(text: str) -> int:
+    """The one reader of a number in text, in argv and in edge lists: an
+    optional minus sign, then 1 to _NUMERAL_DIGITS ASCII digits; anything
+    else raises ValueError."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"expected an integer in ASCII digits, got {text!r}")
+    if len(digits) > _NUMERAL_DIGITS:
+        raise ValueError(f"integers are limited to {_NUMERAL_DIGITS} digits, got {len(digits)}")
+    return int(text)
+
+
 def _fields(data, what: str, error: type, *fields: str) -> list:
     """The one check of a JSON object from a file: the values of a string "name" and `fields`."""
     if not isinstance(data, dict):

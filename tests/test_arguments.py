@@ -28,7 +28,6 @@ from semilat import (
     boolean_lattice,
     builtin_group,
     chain_product,
-    check_index_chains,
     check_index_pairs,
     check_pairs,
     check_theorem,
@@ -219,7 +218,6 @@ SLOTS = {
                                   NOT_A_POSET),
     "projectivity_relation-p": (lambda v: projectivity_relation(v, CHAIN, OTHER), B3, NOT_A_POSET),
     "check_pairs-p": (lambda v: check_pairs(v, [(CHAIN, OTHER)]), B3, NOT_A_POSET),
-    "check_index_chains-p": (lambda v: check_index_chains(v, ROW, OTHER_ROW), B3, NOT_A_POSET),
     "check_index_pairs-p": (lambda v: check_index_pairs(v, ROWS, FIRST, SECOND), B3, NOT_A_POSET),
     "check_theorem-p": (lambda v: check_theorem(v, CHAIN, OTHER), B3, NOT_A_POSET),
     "random_maximal_chain-p": (lambda v: random_maximal_chain(v, 0), B3, NOT_A_POSET),

@@ -421,6 +421,21 @@ class TestExitCodes:
         assert (json.loads(out)["seed"], json.loads(out)["pairs"]) == (-3, 3)
         assert run_cli("chains", B3, "--limit", "2")[1].count("\n") == 2
 
+    @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize("sign", ["", "-"], ids=["positive", "negative"])
+    def test_seed_past_the_pair_seed_digits_refused(self, run_cli, monkeypatch, fmt, sign):
+        # 4,294 nines times 1,000,003 has 4,301 digits, past what `--json`
+        # can write, so the seed is refused, in either format, before any
+        # chain is drawn; 4,293 nines give pair seeds of 4,300 digits.
+        draw = generators._random_chain_rows
+        monkeypatch.setattr(generators, "_random_chain_rows", lambda *a: pytest.fail("drawn"))
+        code, out, err = run_cli("verify", B3, "--samples", "1", "--seed", sign + "9" * 4294, *fmt)
+        assert (code, out) == (2, "")
+        assert err == "error: --seed must keep every pair seed within 4300 digits\n"
+        monkeypatch.setattr(generators, "_random_chain_rows", draw)
+        code, out, _ = run_cli("verify", B3, "--samples", "1", "--seed", sign + "9" * 4293, *fmt)
+        assert code == 0 and sign + "9" * 4293 in out
+
     def test_chains_limit_zero_prints_nothing(self, run_cli):
         assert run_cli("chains", B3, "--limit", "0") == (0, "", "")
 
@@ -1155,7 +1170,7 @@ PUBLIC_NAMES = [
     "ProjectivityRelation", "RecursionFrame", "SemilatError", "SemimodularityReport",
     "SizeLimitError", "TheoremReport", "UnknownElementError",
     "UnknownNameError", "all_subgroups", "boolean_lattice", "builtin_group", "chain_product",
-    "check_index_chains", "check_index_pairs", "check_pairs", "check_theorem",
+    "check_index_pairs", "check_pairs", "check_theorem",
     "composition_analysis",
     "count_maximal_chains", "dot", "errors", "export_dot", "from_dict", "generators",
     "graphic_flat_lattice", "group_from_table", "groups", "interval_updown_witness",

@@ -23,7 +23,6 @@ from semilat import (
     UnknownElementError,
     boolean_lattice,
     chain_product,
-    check_index_chains,
     check_index_pairs,
     check_pairs,
     check_theorem,
@@ -288,6 +287,13 @@ class TestCheckTheorem:
                             (p.name, list(C), list(D), i)
 
 
+def row_pairs(p, C, D) -> list:
+    """`check_index_pairs` on the pairs (row k of C, row k of D) of two
+    arrays of index chains of one shape, as README gives it."""
+    P = len(C)
+    return check_index_pairs(p, np.vstack([C, D]), np.arange(P), P + np.arange(P))
+
+
 def _glued_n5() -> Poset:
     """B2 with an N5 glued on at its top: a lattice, not semimodular, whose
     maximal chains have lengths 4 and 5.  The CLI tests read the same file."""
@@ -321,7 +327,7 @@ class TestCheckPairs:
             ks = [k for k, (a, b) in enumerate(pairs) if len(a) == len(b) == n]
             C, D = (np.array([[fresh.index(e) for e in pairs[k][side]] for k in ks])
                     for side in (0, 1))
-            assert [r.to_dict() for r in check_index_chains(fresh, C, D)] == \
+            assert [r.to_dict() for r in row_pairs(fresh, C, D)] == \
                 [reports[k] for k in ks], (p.name, n)
 
     @pytest.mark.parametrize("p", [boolean_lattice(4), partition_lattice(4),
@@ -338,7 +344,7 @@ class TestCheckPairs:
         for n in {len(a) for a, _ in pairs}:
             ks = [k for k, (a, b) in enumerate(pairs) if len(a) == len(b) == n]
             C, D = (np.array([[p.index(e) for e in pairs[k][side]] for k in ks]) for side in (0, 1))
-            assert check_index_chains(p, C, D) == [reports[k] for k in ks], (p.name, n)
+            assert row_pairs(p, C, D) == [reports[k] for k in ks], (p.name, n)
 
     @pytest.mark.parametrize("pair", [("000",), (B3_A, B3_A, B3_A), 7, (B3_A, 7)])
     def test_pair_that_is_not_two_chains(self, pair):
@@ -410,7 +416,7 @@ class TestCheckPairs:
         for scramble in (TRUE_WITNESSES, *map(scrambled_witnesses, range(3))):
             with mock.patch.object(oracle, "_witnesses", scramble):
                 reports = [r.to_dict() for r in check_index_pairs(p, X, first, second)]
-                assert reports == [r.to_dict() for r in check_index_chains(p, X[first], X[second])]
+                assert reports == [r.to_dict() for r in row_pairs(p, X[first], X[second])]
                 named = [(chains[a], chains[b]) for a, b in pairs]
                 assert reports == [r.to_dict() for r in pairwise_reports(p, named)], p.name
 
@@ -476,35 +482,40 @@ class TestCheckPairs:
         bent = ["000", "100", "100", "111"]
         pairs = [(B3_A, B3_B), (bent, B3_A), (B3_A, bent), (B3_B, B3_A)]
         C, D = (np.array([[B3.index(e) for e in pair[side]] for pair in pairs]) for side in (0, 1))
-        reports = check_index_chains(B3, C, D)
+        reports = row_pairs(B3, C, D)
         assert [r.to_dict() for r in reports] == [r.to_dict() for r in check_pairs(B3, pairs)]
         assert [r.entry("preconditions").detail for r in reports[1:3]] == \
             ["first chain is not maximal", "second chain is not maximal"]
         monkeypatch.setattr(oracle, "WORK_LIMIT", 2 * 72 - 1)
         with pytest.raises(SizeLimitError, match="exceeded at pair 3$") as by_index:
-            check_index_chains(B3, C, D)
+            row_pairs(B3, C, D)
         with pytest.raises(SizeLimitError) as by_name:
             check_pairs(B3, pairs)
         assert str(by_index.value) == str(by_name.value)
 
     @pytest.mark.parametrize("side, row", [("first", [0, 1, 3, 8]), ("second", [-1, 1, 3, 7])])
     def test_index_outside_the_poset_refused(self, side, row):
+        # The first row of X outside is named: here a row of the first
+        # chains, or of the second after good first ones.
         good = [B3.index(e) for e in B3_A]
         C, D = (np.array([good, row]), np.array([good, good]))
         if side == "second":
             C, D = D, C
-        with pytest.raises(UnknownElementError, match=rf"^{side} chain {re.escape(str(row))} holds "
+        with pytest.raises(UnknownElementError, match=rf"^chain {re.escape(str(row))} holds "
                                                       r"an index outside 0\.\.7 of 'B3'$"):
-            check_index_chains(B3, C, D)
+            row_pairs(B3, C, D)
 
-    @pytest.mark.parametrize("C, D", [
-        (np.array([[0, 1]]), np.array([[0, 1, 3]])), (np.array([0, 1]), np.array([0, 1])),
-        (np.array([[0.0, 1.0]]), np.array([[0.0, 1.0]])),
-        (np.zeros((1, 0), dtype=int), np.zeros((1, 0), dtype=int)), ([[0, 1]], [[0, 1]]),
+    @pytest.mark.parametrize("X, first, second", [
+        (np.array([[0, 1]]), np.array([0]), np.array([0, 0])),
+        (np.array([0, 1]), np.array([0]), np.array([0])),
+        (np.array([[0.0, 1.0]]), np.array([0]), np.array([0])),
+        (np.zeros((1, 0), dtype=int), np.array([0]), np.array([0])),
+        ([[0, 1]], np.array([0]), np.array([0])),
     ], ids=["two-shapes", "one-dimensional", "floats", "empty-rows", "lists"])
-    def test_index_arrays_of_the_wrong_shape_refused(self, C, D):
-        with pytest.raises(PreconditionError, match=r"^C and D must be integer arrays"):
-            check_index_chains(B3, C, D)
+    def test_index_arrays_of_the_wrong_shape_refused(self, X, first, second):
+        with pytest.raises(PreconditionError, match=r"^(X must be an integer array|first and second "
+                                                  r"must be integer arrays) of "):
+            check_index_pairs(B3, X, first, second)
 
     @pytest.mark.parametrize("pairs", [1, 5, 6, 40])
     def test_pairs_of_maximal_chains_refused_as_check_pairs_refuses(self, monkeypatch, pairs):
@@ -599,7 +610,8 @@ class TestCheckPairs:
             monkeypatch.setattr(owner, name, counting)
 
         names = ("match_index_chains", "jh_match", "verify_matching",
-                 "prime_up_projective", "is_maximal_chain", "_maximal_rows")
+                 "prime_up_projective", "is_maximal_chain", "_maximal_rows",
+                 "_poset_preconditions", "_counterexample")
         for owner in (oracle, matching, projectivity, sl):
             for name in names:
                 if hasattr(owner, name):
@@ -609,10 +621,13 @@ class TestCheckPairs:
         reports = check_pairs(b4, [(a, b) for a in chains for b in chains])
         assert len(reports) == 576 and all(r.ok for r in reports)
         # One matcher call for the one chain length; each distinct chain is
-        # checked for maximality once by `check_pairs`, on its index row, the
-        # distinct chains of the batch once more in one call by
-        # `check_index_chains`, and each side of the batch by the matcher.
-        assert [calls.get(name, 0) for name in names] == [1, 0, 0, 0, 0, 24 + 1 + 2]
+        # checked for maximality once, on its index row, and each side of the
+        # batch by the matcher; the poset preconditions, and so the covering
+        # law's scan, are decided once.
+        assert [calls.get(name, 0) for name in names] == [1, 0, 0, 0, 0, 24 + 2, 1, 1]
+        calls.clear()
+        assert check_theorem(b4, chains[0], chains[-1]).ok
+        assert [calls.get(name, 0) for name in names] == [1, 0, 0, 0, 0, 2 + 2, 1, 1]
 
     @settings(GENERATED, max_examples=6)
     @given(direct_products())
